@@ -8,9 +8,12 @@ One subcommand per pipeline stage, so a full study is:
     fluidswarm simulate --fit fit.csv --out run
     fluidswarm analyze --run run --targets grid.csv
 
-`plant-test` exercises the velocity plant against its response envelopes and
-is independent of the field pipeline. `--seed` and `--threads` are accepted
-by every subcommand; results never depend on `--threads`.
+Field, partition and fit files are CSV. `simulate` writes the whole run as
+one exact binary record, `run/trace.npz`, which `analyze` scores and next to
+which it writes its metrics and CSV cuts. `plant-test` exercises the
+velocity plant against its response envelopes and is independent of the
+field pipeline. `--seed` and `--threads` are accepted by every subcommand;
+results never depend on `--threads`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .partition import load_partition, partition_domain, save_partition
 from .plant_suite import run_suite
 from .reference_field import (GasModel, NozzleGeometry, generate_quasi1d_field,
                               load_field, save_field)
-from .swarm_sim import SimConfig, load_run, run_simulation, save_run
+from .swarm_sim import (SimConfig, load_run, population_balance,
+                        run_simulation, save_run)
 from .velocity_fit import (FitConfig, fit_grid, grid_from_fit, load_fit,
                            save_fit)
 from .velocity_plant import PlantParams
@@ -238,6 +242,9 @@ def _cmd_analyze(args) -> int:
     export_centerline(report.profile, os.path.join(outdir, "centerline.csv"))
     for k, v in report.values.items():
         print(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}")
+    balance = population_balance(run)
+    for k in ("injected", "retired", "active", "balanced"):
+        print(f"{k}={balance[k]}")
     print(f"wrote metrics.txt, slice.csv, centerline.csv to {outdir}")
     return 0
 

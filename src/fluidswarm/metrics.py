@@ -22,24 +22,13 @@ import numpy as np
 from .partition import ControlVolumeGrid
 from .primitives import ConstitutiveParams
 from .reference_field import _FMT
+from .swarm_sim import SimulationTrace
 
 SLICE_HEADER = ("x,y,z,occupancy,duty,concentration,ux,uy,uz,p_dev,p_int,T,"
                 "tvx,tvy,tvz,tp,norm_speed,norm_tspeed,norm_p,norm_tp,"
                 "norm_rho,norm_trho")
 CENTERLINE_HEADER = ("x,target_speed,derived_speed,target_pressure,"
                      "derived_pressure,target_density,derived_density")
-
-
-def _config_get(trace, key):
-    cfg = trace.config
-    return cfg[key] if isinstance(cfg, dict) else getattr(cfg, key)
-
-
-def _agent_mass(trace) -> float:
-    try:
-        return float(trace.agent_mass)
-    except AttributeError:
-        return float(_config_get(trace, "agent_mass"))
 
 
 # ======================================================================
@@ -114,14 +103,19 @@ class DerivedFields:
         return self.occupied_frames > 0
 
 
-def derive_fields(trace, grid: ControlVolumeGrid,
+def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
                   transient: float | None = None,
                   params: ConstitutiveParams | None = None) -> DerivedFields:
+    """Time averages of the frames after ``transient``.
+
+    Agent mass and, unless ``params`` is given, the control temperature's
+    ``a_max`` come from the plant the run flew.
+    """
     if transient is None:
-        transit = transit_time_estimate(grid, _config_get(trace, "scale"))
-        transient = default_transient(_config_get(trace, "duration"), transit)
-    mass = _agent_mass(trace)
-    params = params or ConstitutiveParams()
+        transit = transit_time_estimate(grid, trace.config.scale)
+        transient = default_transient(trace.config.duration, transit)
+    mass = trace.plant.mass
+    params = params or ConstitutiveParams(a_max=trace.plant.a_max)
     coeff = 2.0 * mass / (3.0 * grid.cell_volume)
 
     M = grid.num_cells
@@ -386,12 +380,11 @@ class MetricsReport:
     residuals: dict = field(default_factory=dict)
 
 
-def metrics_report(trace, grid: ControlVolumeGrid,
+def metrics_report(trace: SimulationTrace, grid: ControlVolumeGrid,
                    transient: float | None = None) -> MetricsReport:
     """Everything at once: averages, agreement, trends, profiles, rates."""
-    duration = float(_config_get(trace, "duration"))
-    scale = float(_config_get(trace, "scale"))
-    transit = transit_time_estimate(grid, scale)
+    duration = trace.config.duration
+    transit = transit_time_estimate(grid, trace.config.scale)
     if transient is None:
         transient = default_transient(duration, transit)
     derived = derive_fields(trace, grid, transient)
@@ -411,12 +404,10 @@ def metrics_report(trace, grid: ControlVolumeGrid,
     values.update(centerline_agreement(profile))
 
     window = duration - transient
-    # epsilon keeps the count stable across the 12-digit event time round trip
-    eps = 1e-9
     retire = sum(1 for e in trace.events
-                 if e[1] == "retire" and e[0] > transient + eps)
+                 if e[1] == "retire" and e[0] > transient)
     inject = sum(1 for e in trace.events
-                 if e[1] == "inject" and e[0] > transient + eps)
+                 if e[1] == "inject" and e[0] > transient)
     values["exit_rate"] = retire / window if window > 0 else float("nan")
     values["inject_rate"] = inject / window if window > 0 else float("nan")
     for kind in ("overtake", "headon", "sideswipe"):

@@ -25,22 +25,19 @@ headings.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .partition import ControlVolumeGrid, assign_cell
-from .reference_field import _FMT
 from .velocity_fit import GridFit
 from .velocity_plant import PlantParams, PlantState, step as plant_step
 
 CASES = ("tunnel_seeding", "reservoir")
-
-FRAMES_HEADER = "frame,t,jx,jy,jz,n,ux,uy,uz,dev2,cdev2"
-EVENTS_HEADER = "t,event,agent_a,agent_b,value"
-TRAJ_HEADER = "t,agent,x,y,z,vx,vy,vz"
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class SimulationTrace:
     dims: tuple[int, int, int]
     frame_t: np.ndarray
     frames: list[FrameRecord]
-    events: list[tuple]               # (t, kind, agent_a, agent_b, value)
+    events: list[tuple]               # (t, kind, agent_a, agent_b)
     command_table: np.ndarray         # (M, 3) broadcast commands
     injection_rate: float             # agents/s implied by the entry cell
     batch_size: int
@@ -102,10 +99,6 @@ class SimulationTrace:
     escaped: int = 0
     faults: int = 0
     trajectories: list[tuple] = field(default_factory=list)
-
-    @property
-    def agent_mass(self) -> float:
-        return self.plant.mass
 
 
 # ======================================================================
@@ -335,18 +328,19 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
         ids = pop.append(pos, vel, thr)
         trace.injected += len(ids)
         for i in ids:
-            trace.events.append((0.0, "inject", int(i), -1, 0.0))
+            trace.events.append((0.0, "inject", int(i), -1))
     stride = max(1, int(round(config.dt_source / config.dt)))
 
     for k in range(n_frames):
         t = k * config.dt
+        t_end = float(trace.frame_t[k])   # end-of-frame events share the frame clock
         if config.case == "reservoir" and k % stride == 0:
             pos, vel, thr = make_batch(grid, fit, config, plant,
                                        k // stride, n_batch, cell0)
             ids = pop.append(pos, vel, thr)
             trace.injected += len(ids)
             for i in ids:
-                trace.events.append((t, "inject", int(i), -1, 0.0))
+                trace.events.append((t, "inject", int(i), -1))
 
         act = np.flatnonzero(pop.active)
         if len(act):
@@ -363,10 +357,9 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                 pairs = detect_collisions(pop.pos[act], sub_vel, config)
                 applied = resolve_collisions(sub_vel, pairs, config)
                 pop.vel[act] = sub_vel
-                t_end = t + config.dt
                 for a, b, kind in applied:
                     trace.events.append(
-                        (t_end, f"collision_{kind}", int(act[a]), int(act[b]), 0.0))
+                        (t_end, f"collision_{kind}", int(act[a]), int(act[b])))
 
             # wall escape: through the lateral wall, still inside the span
             if grid.geometry is not None:
@@ -376,7 +369,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                 outside = in_span & (p[:, 1] ** 2 + p[:, 2] ** 2 > rad * rad) \
                     & ~pop.escaped[act]
                 for i in act[outside]:
-                    trace.events.append((t + config.dt, "wall_escape", int(i), -1, 0.0))
+                    trace.events.append((t_end, "wall_escape", int(i), -1))
                 pop.escaped[act[outside]] = True
                 trace.escaped += int(outside.sum())
 
@@ -384,7 +377,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
             bad = ~np.isfinite(pop.pos[act]).all(axis=1) \
                 | ~np.isfinite(pop.vel[act]).all(axis=1)
             for i in act[bad]:
-                trace.events.append((t + config.dt, "fault", int(i), -1, 0.0))
+                trace.events.append((t_end, "fault", int(i), -1))
             pop.active[act[bad]] = False
             trace.faults += int(bad.sum())
 
@@ -392,7 +385,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
             act = np.flatnonzero(pop.active)
             gone = pop.pos[act, 0] > length
             for i in act[gone]:
-                trace.events.append((t + config.dt, "retire", int(i), -1, 0.0))
+                trace.events.append((t_end, "retire", int(i), -1))
             pop.active[act[gone]] = False
             trace.retired += int(gone.sum())
 
@@ -400,7 +393,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
         if config.record_trajectories and k % config.trajectory_stride == 0:
             act = np.flatnonzero(pop.active)
             trace.trajectories.append(
-                (t + config.dt, act.copy(), pop.pos[act].copy(), pop.vel[act].copy()))
+                (t_end, act.copy(), pop.pos[act].copy(), pop.vel[act].copy()))
 
     return trace
 
@@ -435,133 +428,113 @@ def population_balance(trace: SimulationTrace) -> dict:
 
 
 # ======================================================================
-# run directory wire format
+# run record
 # ======================================================================
 
+RUN_FILE = "trace.npz"
+RUN_FORMAT = 1
+FRAME_COLUMNS = ("cells", "counts", "vsum", "sumv2", "dev2")
+EVENT_COLUMNS = ("event_t", "event_kind", "event_a", "event_b")
+TRAJ_COLUMNS = ("traj_ids", "traj_pos", "traj_vel")
+RUN_KEYS = ("meta", "frame_t", "frame_offsets", *FRAME_COLUMNS,
+            *EVENT_COLUMNS, "traj_t", "traj_offsets", *TRAJ_COLUMNS,
+            "command_table")
+META_KEYS = ("format", "config", "plant", "dims", "injection_rate",
+             "batch_size", "injected", "retired", "escaped", "faults")
+
+
+def _flat(parts: list, empty: np.ndarray) -> np.ndarray:
+    return np.concatenate(parts) if parts else empty
+
+
 def save_run(trace: SimulationTrace, outdir) -> None:
-    """Write config snapshot, per-frame cell records, events, trajectories."""
-    import os
+    """Write the whole trace to ``outdir/trace.npz`` (binary, uncompressed).
+
+    Frame records and trajectory snapshots are flat columns cut by offsets,
+    events are one column per tuple field, and config, plant and counters
+    are one JSON string. ``load_run`` reads back a trace equal to this one.
+    """
     os.makedirs(outdir, exist_ok=True)
-    c, p = trace.config, trace.plant
-    cfg_pairs = [
-        ("case", c.case), ("dt", c.dt), ("duration", c.duration),
-        ("scale", c.scale), ("seed", c.seed), ("collisions", int(c.collisions)),
-        ("collision_radius", c.collision_radius),
-        ("min_approach_speed", c.min_approach_speed),
-        ("overtake_cos", c.overtake_cos), ("headon_cos", c.headon_cos),
-        ("overtake_transfer", c.overtake_transfer),
-        ("headon_dissipation", c.headon_dissipation),
-        ("perp_dissipation", c.perp_dissipation),
-        ("speed_limit", c.speed_limit), ("dt_source", c.dt_source),
-        ("batch_size", trace.batch_size), ("threads", c.threads),
-        ("agent_mass", p.mass), ("thrust_to_weight", p.thrust_to_weight),
-        ("injection_rate", trace.injection_rate),
-        ("injected", trace.injected), ("retired", trace.retired),
-        ("escaped", trace.escaped), ("faults", trace.faults),
-        ("nx", trace.dims[0]), ("ny", trace.dims[1]), ("nz", trace.dims[2]),
-    ]
-    with open(os.path.join(outdir, "config.txt"), "w", encoding="utf-8") as fh:
-        for k, v in cfg_pairs:
-            fh.write(f"{k}={v:.12g}\n" if isinstance(v, float) else f"{k}={v}\n")
-
-    with open(os.path.join(outdir, "frames.csv"), "w", encoding="utf-8") as fh:
-        fh.write(FRAMES_HEADER + "\n")
-        for k, rec in enumerate(trace.frames):
-            t = trace.frame_t[k]
-            if len(rec.cells) == 0:
-                continue
-            trip = np.column_stack(np.unravel_index(rec.cells, trace.dims))
-            mean_v = rec.vsum / rec.counts[:, None]
-            cdev2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
-            for i in range(len(rec.cells)):
-                fh.write(",".join([
-                    str(k), _FMT % t, str(trip[i, 0]), str(trip[i, 1]),
-                    str(trip[i, 2]), str(int(rec.counts[i])),
-                    _FMT % mean_v[i, 0], _FMT % mean_v[i, 1], _FMT % mean_v[i, 2],
-                    _FMT % rec.dev2[i], _FMT % cdev2[i]]) + "\n")
-
-    with open(os.path.join(outdir, "events.csv"), "w", encoding="utf-8") as fh:
-        fh.write(EVENTS_HEADER + "\n")
-        for t, kind, a, b, val in trace.events:
-            fh.write(f"{t:.12g},{kind},{a},{b},{val:.12g}\n")
-
-    if trace.trajectories:
-        with open(os.path.join(outdir, "trajectories.csv"), "w", encoding="utf-8") as fh:
-            fh.write(TRAJ_HEADER + "\n")
-            for t, ids, pos, vel in trace.trajectories:
-                for i in range(len(ids)):
-                    fh.write(",".join(
-                        [f"{t:.12g}", str(int(ids[i]))]
-                        + [_FMT % x for x in pos[i]]
-                        + [_FMT % x for x in vel[i]]) + "\n")
+    meta = {"format": RUN_FORMAT, "config": asdict(trace.config),
+            "plant": asdict(trace.plant), "dims": [int(d) for d in trace.dims],
+            "injection_rate": trace.injection_rate,
+            "batch_size": trace.batch_size, "injected": trace.injected,
+            "retired": trace.retired, "escaped": trace.escaped,
+            "faults": trace.faults}
+    frames, snaps = trace.frames, trace.trajectories
+    cols = {name: _flat([getattr(r, name) for r in frames],
+                        np.empty((0, 3)) if name == "vsum" else np.empty(0))
+            for name in FRAME_COLUMNS}
+    cols.update(zip(EVENT_COLUMNS, (
+        np.array([e[0] for e in trace.events], dtype=float),
+        np.array([e[1] for e in trace.events], dtype=str),
+        np.array([e[2] for e in trace.events], dtype=np.int64),
+        np.array([e[3] for e in trace.events], dtype=np.int64))))
+    cols.update(zip(TRAJ_COLUMNS, (
+        _flat([s[1] for s in snaps], np.empty(0, dtype=np.int64)),
+        _flat([s[2] for s in snaps], np.empty((0, 3))),
+        _flat([s[3] for s in snaps], np.empty((0, 3))))))
+    np.savez(os.path.join(outdir, RUN_FILE),
+             meta=np.array(json.dumps(meta)), frame_t=trace.frame_t,
+             frame_offsets=np.cumsum([0] + [len(r.cells) for r in frames]),
+             traj_t=np.array([s[0] for s in snaps], dtype=float),
+             traj_offsets=np.cumsum([0] + [len(s[1]) for s in snaps]),
+             command_table=trace.command_table, **cols)
 
 
-@dataclass
-class LoadedRun:
-    """Reduced trace reconstructed from a run directory (for analysis)."""
+def _split(columns: list, offsets: np.ndarray, n: int) -> list[tuple]:
+    """``n`` tuples of per-part views of flat columns cut at ``offsets``."""
+    if (len(offsets) != n + 1 or offsets[0] != 0
+            or np.any(np.diff(offsets) < 0)
+            or any(len(c) != offsets[-1] for c in columns)):
+        raise ValueError(f"{RUN_FILE}: column lengths disagree with offsets")
+    return [tuple(c[lo:hi] for c in columns)
+            for lo, hi in zip(offsets[:-1], offsets[1:])]
 
-    config: dict
-    frame_t: np.ndarray
-    frames: list[FrameRecord]
-    events: list[tuple]
-    dims: tuple[int, int, int]
+
+def _dataclass_from(cls, values: dict):
+    names = {f.name for f in fields(cls)}
+    if set(values) != names:
+        raise ValueError(f"{RUN_FILE}: {cls.__name__} fields differ: "
+                         f"{sorted(set(values) ^ names)}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in values.items()})
 
 
-def load_run(rundir) -> LoadedRun:
-    import os
-    config: dict = {}
-    with open(os.path.join(rundir, "config.txt"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            k, _, v = line.strip().partition("=")
-            try:
-                config[k] = float(v) if "." in v or "e" in v or "inf" in v else int(v)
-            except ValueError:
-                config[k] = v
-    dims = (int(config["nx"]), int(config["ny"]), int(config["nz"]))
+def load_run(rundir) -> SimulationTrace:
+    """Read back the trace ``save_run`` wrote to ``rundir``.
 
-    by_frame: dict[int, list] = {}
-    times: dict[int, float] = {}
-    with open(os.path.join(rundir, "frames.csv"), "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != FRAMES_HEADER:
-            raise ValueError(f"frames.csv: unexpected header '{header}'")
-        for line in fh:
-            p = line.strip().split(",")
-            k = int(p[0])
-            times[k] = float(p[1])
-            flat = int(np.ravel_multi_index((int(p[2]), int(p[3]), int(p[4])), dims))
-            n = int(p[5])
-            u = np.array([float(p[6]), float(p[7]), float(p[8])])
-            dev2, p_int = float(p[9]), float(p[10])
-            by_frame.setdefault(k, []).append((flat, n, u, dev2, p_int))
-
-    n_frames = int(round(config["duration"] / config["dt"]))
-    frame_t = (np.arange(n_frames) + 1) * config["dt"]
-    frames = []
-    for k in range(n_frames):
-        rows = by_frame.get(k, [])
-        if not rows:
-            z = np.empty(0)
-            frames.append(FrameRecord(np.empty(0, dtype=np.int64),
-                                      np.empty(0, dtype=np.int64),
-                                      np.empty((0, 3)), z, z.copy()))
-            continue
-        rows.sort(key=lambda r: r[0])
-        cells = np.array([r[0] for r in rows], dtype=np.int64)
-        counts = np.array([r[1] for r in rows], dtype=np.int64)
-        vsum = np.stack([r[2] * r[1] for r in rows])
-        dev2 = np.array([r[3] for r in rows])
-        p_int = np.array([r[4] for r in rows])
-        sumv2 = p_int + np.einsum("ij,ij->i", vsum, vsum) / counts
-        frames.append(FrameRecord(cells, counts, vsum, sumv2, dev2))
-
-    events = []
-    ev_path = os.path.join(rundir, "events.csv")
-    if os.path.exists(ev_path):
-        with open(ev_path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            for line in fh:
-                p = line.strip().split(",")
-                events.append((float(p[0]), p[1], int(p[2]), int(p[3]), float(p[4])))
-    return LoadedRun(config=config, frame_t=frame_t, frames=frames,
-                     events=events, dims=dims)
+    Raises ValueError on a missing key, another format version, or columns
+    whose lengths disagree with each other or with their offsets.
+    """
+    with np.load(os.path.join(rundir, RUN_FILE), allow_pickle=False) as npz:
+        missing = sorted(set(RUN_KEYS) - set(npz.files))
+        if missing:
+            raise ValueError(f"{RUN_FILE}: missing {missing}")
+        a = {k: npz[k] for k in RUN_KEYS}
+    meta = json.loads(a["meta"].item())
+    missing = sorted(set(META_KEYS) - set(meta))
+    if missing:
+        raise ValueError(f"{RUN_FILE}: metadata is missing {missing}")
+    if meta["format"] != RUN_FORMAT:
+        raise ValueError(f"{RUN_FILE}: format {meta['format']!r}, "
+                         f"expected {RUN_FORMAT}")
+    events = [a[k] for k in EVENT_COLUMNS]
+    if len({len(c) for c in events}) != 1:
+        raise ValueError(f"{RUN_FILE}: event columns differ in length")
+    frames = _split([a[k] for k in FRAME_COLUMNS], a["frame_offsets"],
+                    len(a["frame_t"]))
+    snaps = _split([a[k] for k in TRAJ_COLUMNS], a["traj_offsets"],
+                   len(a["traj_t"]))
+    return SimulationTrace(
+        config=_dataclass_from(SimConfig, meta["config"]),
+        plant=_dataclass_from(PlantParams, meta["plant"]),
+        dims=tuple(meta["dims"]), frame_t=a["frame_t"],
+        frames=[FrameRecord(*cols) for cols in frames],
+        events=list(zip(*(c.tolist() for c in events))),
+        command_table=a["command_table"],
+        injection_rate=meta["injection_rate"], batch_size=meta["batch_size"],
+        injected=meta["injected"], retired=meta["retired"],
+        escaped=meta["escaped"], faults=meta["faults"],
+        trajectories=[(t, *cols) for t, cols
+                      in zip(a["traj_t"].tolist(), snaps)])

@@ -165,13 +165,6 @@ class GridFit:
     pressure_offset: float        # subtracted from every cell's p_target
     config: FitConfig
 
-    def command_table(self, dims_total: int, scale: float = 1.0) -> np.ndarray:
-        """(M, 3) per-cell commands (scaled fitted means); NaN where unfitted."""
-        table = np.full((dims_total, 3), np.nan)
-        for f, res in self.results.items():
-            table[f] = scale * res.command
-        return table
-
 
 def fit_grid(grid: ControlVolumeGrid, config: FitConfig | None = None,
              threads: int = 1) -> GridFit:

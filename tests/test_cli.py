@@ -53,14 +53,14 @@ def test_full_pipeline(tmp_path, capsys):
                  "--duration", "4.0", "--dt", "0.05", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "80 frames" in out
-    assert (rundir / "frames.csv").exists()
-    assert (rundir / "events.csv").exists()
-    assert (rundir / "config.txt").exists()
+    assert (rundir / "trace.npz").exists()
 
     assert main(["analyze", "--run", str(rundir), "--targets", str(gridf),
                  "--transient", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "rmse_velocity=" in out
+    for key in ("injected=", "retired=", "active=", "balanced=True"):
+        assert key in out, key
     for name in ("metrics.txt", "slice.csv", "centerline.csv"):
         assert (rundir / name).exists(), name
 

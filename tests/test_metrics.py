@@ -1,7 +1,7 @@
 """Metrics tests on hand-built traces where every average is known exactly.
 
-The fakes mirror the trace interface: a config mapping, a frame clock, frame
-records, an event list, and the agent mass.
+The fakes mirror the trace interface: config and plant attributes, a frame
+clock, frame records and an event list.
 """
 
 from types import SimpleNamespace
@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from fluidswarm import (ConstitutiveParams, ControlVolumeGrid, NozzleGeometry,
-                        centerline_agreement, centerline_profile,
-                        default_transient, derive_fields, export_centerline,
-                        export_slice, field_agreement, metrics_report,
-                        save_metrics, transit_time_estimate, trend_check)
+                        PlantParams, SimConfig, centerline_agreement,
+                        centerline_profile, default_transient, derive_fields,
+                        export_centerline, export_slice, field_agreement,
+                        load_run, metrics_report, run_simulation, save_metrics,
+                        save_run, transit_time_estimate, trend_check)
 from fluidswarm.swarm_sim import FrameRecord
 
 COEFF = 2.0 / (3.0 * 0.125)  # unit mass in a 0.5 m cell
@@ -50,10 +51,11 @@ def rec(cells, counts, means, sumv2=None, dev2=None):
 
 def fake_trace(frames, dt=1.0, scale=1.0, mass=1.0, events=()):
     n = len(frames)
-    return SimpleNamespace(config={"scale": scale, "duration": n * dt,
-                                   "dt": dt},
+    return SimpleNamespace(config=SimpleNamespace(scale=scale,
+                                                  duration=n * dt, dt=dt),
+                           plant=PlantParams(mass=mass),
                            frame_t=(np.arange(n) + 1) * dt, frames=frames,
-                           events=list(events), agent_mass=mass)
+                           events=list(events))
 
 
 def test_single_agent_constant_stream():
@@ -299,3 +301,24 @@ def test_metrics_report_on_the_standard_run(tmp_path, trace60, grid):
     text = path.read_text()
     assert "rmse_velocity=" in text
     assert "density_trend_ok=1" in text
+
+
+def test_reloaded_run_reports_the_same_metrics(tmp_path, trace60, grid):
+    save_run(trace60, tmp_path)
+    back = metrics_report(load_run(tmp_path), grid).values
+    assert back == metrics_report(trace60, grid).values
+
+
+def test_control_temperature_follows_the_recorded_plant(tmp_path, grid, fit):
+    plant = PlantParams(thrust_to_weight=3.0)
+    trace = run_simulation(grid, fit, SimConfig(duration=5.0, seed=1), plant)
+    save_run(trace, tmp_path)
+    got = derive_fields(load_run(tmp_path), grid, transient=1.0).temperature
+    want = derive_fields(trace, grid, transient=1.0,
+                         params=ConstitutiveParams(a_max=3.0 * 9.81))
+    default = derive_fields(trace, grid, transient=1.0,
+                            params=ConstitutiveParams())
+    occupied = want.valid
+    assert occupied.any()
+    assert np.array_equal(got, want.temperature, equal_nan=True)
+    assert not np.allclose(got[occupied], default.temperature[occupied])
