@@ -2,7 +2,8 @@
 
 Runs the five stock scenarios (hover hold, step response, thrust-to-weight
 sweep, headwind rejection, command-noise Monte Carlo) and prints their
-tables. Takes roughly ten seconds.
+tables. Takes about four seconds (3.4-3.8 s measured on a 2-vCPU Intel
+Xeon host).
 """
 
 from fluidswarm import run_suite

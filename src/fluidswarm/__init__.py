@@ -13,8 +13,8 @@ from .metrics import (DerivedFields, centerline_agreement, centerline_profile,
                       save_metrics, transit_time_estimate, trend_check)
 from .partition import (ControlVolumeGrid, assign_cell, load_partition,
                         partition_domain, save_partition)
-from .plant_suite import (headwind_sweep, max_speed_sweep, noise_monte_carlo,
-                          run_suite, step_response)
+from .plant_suite import (headwind_sweep, hover_hold, max_speed_sweep,
+                          noise_monte_carlo, run_suite, step_response)
 from .primitives import (ConstitutiveParams, DegenerateCellError,
                          SwarmFieldSample, UndefinedSampleError,
                          barotropic_pressure, compute_sample,
@@ -31,7 +31,6 @@ from .swarm_sim import (SimConfig, SimulationTrace, build_command_table,
                         detect_collisions, injection_rate, load_run,
                         population_balance, resolve_collisions,
                         run_simulation, save_run)
-from .plant_suite import hover_hold
 from .velocity_fit import (FitConfig, FitResult, GridFit, fit_cell, fit_grid,
                            grid_from_fit, initial_sigma, load_fit, save_fit,
                            scale_commands, set_pressure)

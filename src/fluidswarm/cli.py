@@ -8,12 +8,13 @@ One subcommand per pipeline stage, so a full study is:
     fluidswarm simulate --fit fit.csv --out run
     fluidswarm analyze --run run --targets grid.csv
 
-Field, partition and fit files are CSV. `simulate` writes the whole run as
-one exact binary record, `run/trace.npz`, which `analyze` scores and next to
-which it writes its metrics and CSV cuts. `plant-test` exercises the
-velocity plant against its response envelopes and is independent of the
-field pipeline. `--seed` and `--threads` are accepted by every subcommand;
-results never depend on `--threads`.
+Field, partition and fit files are CSV. `simulate` flies agents of the
+fit's `--agent-mass` and writes the whole run as one exact binary record,
+`run/trace.npz`, which `analyze` scores with that plant's mass and peak
+acceleration, writing its metrics and CSV cuts next to it. `plant-test`
+exercises the velocity plant against its response envelopes and is
+independent of the field pipeline. Every subcommand accepts `--seed` and
+`--threads`; only the fit uses `--threads`, and results never depend on it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _common() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; never changes results (default 1)")
+                   help="fit worker threads; never changes results (default 1)")
     return p
 
 
@@ -218,15 +219,14 @@ def _cmd_simulate(args) -> int:
                     scale=args.scale, seed=args.seed,
                     collisions=args.collisions, dt_source=args.dt_source,
                     batch_size=args.batch_size, seed_x_max=args.seed_x_max,
-                    record_trajectories=args.trajectories,
-                    threads=args.threads)
-    plant = PlantParams(thrust_to_weight=args.thrust_to_weight)
+                    record_trajectories=args.trajectories)
+    plant = PlantParams(mass=fit.config.agent_mass,
+                        thrust_to_weight=args.thrust_to_weight)
     trace = run_simulation(grid, fit, cfg, plant)
     save_run(trace, args.out)
-    last = trace.frames[-1]
-    pop = int(last.counts.sum()) if len(last.counts) else 0
     print(f"{len(trace.frames)} frames -> {args.out}; injected "
-          f"{trace.injected}, retired {trace.retired}, active {pop}, "
+          f"{trace.injected}, retired {trace.retired}, "
+          f"active {population_balance(trace)['active']}, "
           f"wall escapes {trace.escaped}, faults {trace.faults}")
     return 0
 

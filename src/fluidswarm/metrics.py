@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partition import ControlVolumeGrid
-from .primitives import ConstitutiveParams
+from .primitives import (ConstitutiveParams, control_temperature,
+                         pressure_coefficient, random_temperature_from_spread)
 from .reference_field import _FMT
-from .swarm_sim import SimulationTrace
+from .swarm_sim import SimulationTrace, population_balance
 
 SLICE_HEADER = ("x,y,z,occupancy,duty,concentration,ux,uy,uz,p_dev,p_int,T,"
                 "tvx,tvy,tvz,tp,norm_speed,norm_tspeed,norm_p,norm_tp,"
@@ -35,6 +36,20 @@ CENTERLINE_HEADER = ("x,target_speed,derived_speed,target_pressure,"
 # transient window
 # ======================================================================
 
+def _axis_cells(grid: ControlVolumeGrid) -> list[np.ndarray]:
+    """Per axial slab, its valid cells nearest the axis (1e-9 m tie band)."""
+    centers = grid.centers()
+    slab = np.arange(grid.num_cells) // (grid.dims[1] * grid.dims[2])
+    out = []
+    for jx in range(grid.dims[0]):
+        idx = np.flatnonzero(grid.valid & (slab == jx))
+        if len(idx):
+            d = np.hypot(centers[idx, 1], centers[idx, 2])
+            idx = idx[d < d.min() + 1e-9]
+        out.append(idx)
+    return out
+
+
 def transit_time_estimate(grid: ControlVolumeGrid, scale: float) -> float:
     """Axial traversal time at the scaled command speeds.
 
@@ -42,16 +57,11 @@ def transit_time_estimate(grid: ControlVolumeGrid, scale: float) -> float:
     and sums edge_length / (scale * mean target speed). Slabs with no valid
     cell (or zero speed) are crossed at the last known speed.
     """
-    centers = grid.centers()
-    slab = np.arange(grid.num_cells) // (grid.dims[1] * grid.dims[2])
     total = 0.0
     last_speed = None
-    for jx in range(grid.dims[0]):
-        idx = np.flatnonzero(grid.valid & (slab == jx))
+    for near in _axis_cells(grid):
         speed = None
-        if len(idx):
-            d = np.hypot(centers[idx, 1], centers[idx, 2])
-            near = idx[d < d.min() + 1e-9]
+        if len(near):
             s = scale * float(np.mean(np.linalg.norm(grid.v_target[near], axis=1)))
             if s > 1e-12:
                 speed = s
@@ -108,15 +118,15 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
                   params: ConstitutiveParams | None = None) -> DerivedFields:
     """Time averages of the frames after ``transient``.
 
-    Agent mass and, unless ``params`` is given, the control temperature's
-    ``a_max`` come from the plant the run flew.
+    Agent mass and the control temperature's ``a_max`` come from the plant
+    the run flew; the formulas are those of :mod:`fluidswarm.primitives`.
     """
     if transient is None:
         transit = transit_time_estimate(grid, trace.config.scale)
         transient = default_transient(trace.config.duration, transit)
     mass = trace.plant.mass
-    params = params or ConstitutiveParams(a_max=trace.plant.a_max)
-    coeff = 2.0 * mass / (3.0 * grid.cell_volume)
+    params = params or ConstitutiveParams()
+    coeff = pressure_coefficient(mass, grid.cell_volume)
 
     M = grid.num_cells
     occ = np.zeros(M, dtype=np.int64)
@@ -140,10 +150,11 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
         pint_sum[rec.cells] += coeff * cdev2
         # temperature: random part from in-cell spread, control part from
         # the instantaneous mass density
-        t_rand = params.k_b * cdev2 / (2.0 * rec.counts)
-        rho = mass * rec.counts / grid.cell_volume
-        t_ctrl = params.control_weight * params.a_max * rho ** (-1.0 / 3.0) / params.c_v
-        temp_sum[rec.cells] += t_rand + t_ctrl
+        cell_mass = mass * rec.counts
+        temp_sum[rec.cells] += (
+            random_temperature_from_spread(mass * cdev2, cell_mass, params)
+            + control_temperature(cell_mass / grid.cell_volume,
+                                  trace.plant.a_max, params))
         fin = np.isfinite(rec.dev2)
         pdev_sum[rec.cells[fin]] += coeff * rec.dev2[fin]
         pdev_frames[rec.cells[fin]] += 1
@@ -270,16 +281,12 @@ def trend_check(derived: DerivedFields, grid: ControlVolumeGrid,
 def centerline_profile(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
     """Axis-adjacent cell averages per axial slab, target and derived."""
     centers = grid.centers()
-    slab = np.arange(grid.num_cells) // (grid.dims[1] * grid.dims[2])
     cols = {k: [] for k in ("x", "target_speed", "derived_speed",
                             "target_pressure", "derived_pressure",
                             "target_density", "derived_density")}
-    for jx in range(grid.dims[0]):
-        idx = np.flatnonzero(grid.valid & (slab == jx))
-        if len(idx) == 0:
+    for near in _axis_cells(grid):
+        if len(near) == 0:
             continue
-        d = np.hypot(centers[idx, 1], centers[idx, 2])
-        near = idx[d < d.min() + 1e-9]
         cols["x"].append(float(np.mean(centers[near, 0])))
         cols["target_speed"].append(
             float(np.mean(np.linalg.norm(grid.v_target[near], axis=1))))
@@ -415,8 +422,7 @@ def metrics_report(trace: SimulationTrace, grid: ControlVolumeGrid,
             1 for e in trace.events if e[1] == f"collision_{kind}")
     values["wall_escapes"] = sum(1 for e in trace.events if e[1] == "wall_escape")
     values["faults"] = sum(1 for e in trace.events if e[1] == "fault")
-    last = trace.frames[-1]
-    values["final_population"] = int(last.counts.sum()) if len(last.counts) else 0
+    values["final_population"] = population_balance(trace)["active"]
     return MetricsReport(values=values, derived=derived, profile=profile,
                          residuals=residual_table(derived, grid))
 

@@ -35,45 +35,35 @@ HEADWIND_SPEEDS = (0.0, 2.0, 4.0, 6.0, 8.0)        # m/s
 NOISE_LEVELS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)      # m/s RMS per axis
 
 
-def _simulate(params: PlantParams, command_fn, duration: float, dt: float,
-              state: PlantState | None = None):
-    """Roll the plant forward; returns times, velocities, tilt angles."""
-    state = state or PlantState.hover(params)
+def rollout(params: PlantParams, command, duration: float, dt: float,
+            n: int = 1, wind=(0.0, 0.0, 0.0)):
+    """Roll ``n`` agents forward from hover; returns end-of-step times,
+    velocities (steps, n, 3) and tilts (steps, n).
+
+    ``command(k, t)`` is step ``k``'s command from time ``t``: a (3,) vector
+    for all agents or an (n, 3) array. ``wind`` broadcasts the same way.
+    """
+    state = PlantState.hover(params, n)
     steps = int(round(duration / dt))
     ts = np.empty(steps)
-    vs = np.empty((steps, 3))
-    tilts = np.empty(steps)
+    vs = np.empty((steps, n, 3))
+    tilts = np.empty((steps, n))
     t = 0.0
     for k in range(steps):
-        state = step(state, command_fn(t), dt, params)
+        state = step(state, command(k, t), dt, params, wind=wind)
         t += dt
         ts[k] = t
-        vs[k] = state.velocity[0]
-        tilts[k] = tilt_angle_deg(state.thrust_accel)[0]
+        vs[k] = state.velocity
+        tilts[k] = tilt_angle_deg(state.thrust_accel)
     return ts, vs, tilts
-
-
-def _simulate_wind(params: PlantParams, command_fn, duration: float, dt: float,
-                   wind, state: PlantState | None = None):
-    state = state or PlantState.hover(params)
-    steps = int(round(duration / dt))
-    ts = np.empty(steps)
-    vs = np.empty((steps, 3))
-    t = 0.0
-    for k in range(steps):
-        state = step(state, command_fn(t), dt, params, wind=wind)
-        t += dt
-        ts[k] = t
-        vs[k] = state.velocity[0]
-    return ts, vs
 
 
 def hover_hold(params: PlantParams | None = None, duration: float = 5.0,
                dt: float = 0.01) -> dict:
     """Residual drift speed for a zero command from hover."""
     params = params or PlantParams()
-    _, vs, _ = _simulate(params, lambda t: np.zeros(3), duration, dt)
-    return {"drift_error": float(np.linalg.norm(vs[-1]))}
+    _, vs, _ = rollout(params, lambda k, t: np.zeros(3), duration, dt)
+    return {"drift_error": float(np.linalg.norm(vs[-1, 0]))}
 
 
 def _settle_and_overshoot(ts, vs, cmd):
@@ -94,13 +84,10 @@ def step_response(params: PlantParams | None = None, v_step: float = 1.0,
                   duration: float = 6.0, dt: float = 0.01) -> dict:
     """Settling time (2% of final) and overshoot for axial and diagonal steps."""
     params = params or PlantParams()
-    cmd = np.array([v_step, 0.0, 0.0])
-    ts, vs, _ = _simulate(params, lambda t: cmd, duration, dt)
-    settle, overshoot, final = _settle_and_overshoot(ts, vs, cmd)
-
-    diag = v_step / np.sqrt(3.0) * np.ones(3)
-    ts_d, vs_d, _ = _simulate(params, lambda t: diag, duration, dt)
-    settle_d, overshoot_d, _ = _settle_and_overshoot(ts_d, vs_d, diag)
+    cmds = np.array([[v_step, 0.0, 0.0], v_step / np.sqrt(3.0) * np.ones(3)])
+    ts, vs, _ = rollout(params, lambda k, t: cmds, duration, dt, n=2)
+    settle, overshoot, final = _settle_and_overshoot(ts, vs[:, 0], cmds[0])
+    settle_d, overshoot_d, _ = _settle_and_overshoot(ts, vs[:, 1], cmds[1])
     return {"settling_time_s": settle, "overshoot_pct": overshoot,
             "final_speed": final, "settling_time_diag_s": settle_d,
             "overshoot_diag_pct": overshoot_d}
@@ -117,15 +104,12 @@ def max_speed_sweep(params: PlantParams | None = None,
     """
     params = params or PlantParams()
     fwd = np.array([v_cmd, 0.0, 0.0])
-
-    def profile(t):
-        return fwd if t < 10.0 else -fwd
-
     rows = []
     for tw in tw_values:
         p = replace(params, thrust_to_weight=tw)
-        ts, vs, tilts = _simulate(p, profile, 16.0, dt)
-        speed = np.linalg.norm(vs, axis=1)
+        ts, vs, tilts = rollout(p, lambda k, t: fwd if t < 10.0 else -fwd,
+                                16.0, dt)
+        speed = np.linalg.norm(vs[:, 0], axis=1)
         steady = float(speed[(ts > 8.0) & (ts <= 10.0)].mean())
         rows.append({"thrust_to_weight": tw, "steady_speed": steady,
                      "peak_tilt_deg": float(tilts.max())})
@@ -139,13 +123,12 @@ def headwind_sweep(params: PlantParams | None = None,
                    duration: float = 25.0, dt: float = 0.01) -> dict:
     """Steady hover error versus headwind speed, drag feedforward on."""
     params = replace(params or PlantParams(), ff_gain=ff_gain)
-    cmd = np.zeros(3)
-    rows = []
-    for w in wind_speeds:
-        ts, vs = _simulate_wind(params, lambda t: cmd, duration, dt,
-                                wind=(-w, 0.0, 0.0))
-        err = float(np.linalg.norm(vs[-1]))
-        rows.append({"wind_speed": w, "steady_error": err})
+    wind = [(-w, 0.0, 0.0) for w in wind_speeds]
+    _, vs, _ = rollout(params, lambda k, t: np.zeros(3), duration, dt,
+                       n=len(wind), wind=wind)
+    errs = np.linalg.norm(vs[-1], axis=1)
+    rows = [{"wind_speed": w, "steady_error": float(e)}
+            for w, e in zip(wind_speeds, errs)]
     return {"rows": rows,
             "max_error": float(max(r["steady_error"] for r in rows))}
 
@@ -162,26 +145,21 @@ def noise_monte_carlo(params: PlantParams | None = None,
     params = params or PlantParams()
     steps = int(round(duration / dt))
     per_hold = max(1, int(round(hold / dt)))
-    rows = []
-    for lvl_idx, lvl in enumerate(noise_levels):
-        lat_sq, vert_sq = 0.0, 0.0
-        count = 0
-        for run in range(runs):
-            rng = np.random.default_rng((seed, lvl_idx, run))
-            state = PlantState.hover(params)
-            noise = np.zeros(3)
-            for k in range(steps):
-                if k % per_hold == 0:
-                    noise = lvl * rng.standard_normal(3)
-                state = step(state, noise, dt, params)
-                v = state.velocity[0]
-                lat_sq += v[0] ** 2 + v[1] ** 2
-                vert_sq += v[2] ** 2
-                count += 1
-        rows.append({"noise_rms": lvl,
-                     "lateral_rmse": float(np.sqrt(lat_sq / count)),
-                     "vertical_rmse": float(np.sqrt(vert_sq / count))})
-    return {"rows": rows}
+    holds = -(-steps // per_hold)
+    # agent lvl_idx * runs + run draws from its own (seed, level, run) stream,
+    # one 3-vector per hold
+    noise = np.stack([
+        lvl * np.random.default_rng((seed, lvl_idx, run)).standard_normal((holds, 3))
+        for lvl_idx, lvl in enumerate(noise_levels) for run in range(runs)],
+        axis=1)
+    _, vs, _ = rollout(params, lambda k, t: noise[k // per_hold], duration, dt,
+                       n=noise.shape[1])
+    sq = vs.reshape(steps, len(noise_levels), runs, 3) ** 2
+    lat = np.sqrt(np.mean(sq[..., 0] + sq[..., 1], axis=(0, 2)))
+    vert = np.sqrt(np.mean(sq[..., 2], axis=(0, 2)))
+    return {"rows": [{"noise_rms": lvl, "lateral_rmse": float(a),
+                      "vertical_rmse": float(b)}
+                     for lvl, a, b in zip(noise_levels, lat, vert)]}
 
 
 ALL_SCENARIOS = ("hover", "step", "max_speed", "headwind", "noise")

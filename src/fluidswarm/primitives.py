@@ -5,7 +5,9 @@ parcel would be: a drift-projected bulk velocity, a mass (or count) density,
 a pressure built from the second velocity moment, and a temperature split
 into a thermal part (velocity spread about the mass-mean) plus a control
 part tied to actuation authority. A barotropic closure and a dispersion-
-corrected sound speed round out the set.
+corrected sound speed round out the set. The pressure coefficient and the
+two temperatures are defined once, here, for both ``metrics.derive_fields``
+(per-cell frame sums) and the per-agent routines.
 
 All moment routines take agent masses and velocities as arrays; empty cells
 raise :class:`UndefinedSampleError` rather than returning zeros, because an
@@ -29,11 +31,8 @@ class DegenerateCellError(ValueError):
 
 @dataclass(frozen=True)
 class ConstitutiveParams:
-    """Closure constants for temperature, sound speed, and actuation.
-
-    ``a_max`` is the peak commanded acceleration the platform can deliver
-    (thrust-to-weight times gravity for a multirotor).
-    """
+    """Closure constants for temperature and sound speed; the control
+    temperature's ``a_max`` is the plant's (:attr:`PlantParams.a_max`)."""
 
     c_v: float = 1.0          # specific heat at constant volume analog
     c_p: float = 1.4          # specific heat at constant pressure analog
@@ -41,7 +40,6 @@ class ConstitutiveParams:
     control_weight: float = 0.5   # weight of the control energy term
     response_time: float = 0.08   # actuation response time, s
     command_rate: float = 0.0     # command update angular rate, rad/s
-    a_max: float = 2.2 * 9.81     # peak commanded acceleration, m/s^2
 
     @property
     def gas_constant(self) -> float:
@@ -50,6 +48,29 @@ class ConstitutiveParams:
     @property
     def gamma(self) -> float:
         return self.c_p / self.c_v
+
+
+def pressure_coefficient(mass: float, cell_volume: float) -> float:
+    """2 m / (3 dV); pass mass 1.0 when the masses are inside the sum."""
+    return 2.0 * mass / (3.0 * cell_volume)
+
+
+def random_temperature_from_spread(spread, total_mass, params: ConstitutiveParams):
+    """k_b * S / (2 sum_i m_i), with S = sum_i m_i ||v_i - U||^2 about the
+    mass-mean velocity U; scalars or arrays of per-cell sums."""
+    return params.k_b * spread / (2.0 * total_mass)
+
+
+def control_temperature(rho, a_max: float, params: ConstitutiveParams):
+    """Control temperature from actuation authority over the packing length.
+
+    T_ctrl = (control_weight / c_v) * a_max * L with L = rho^(-1/3), for one
+    density or an array. An empty cell (rho = 0) has no packing length; that
+    is a degenerate cell.
+    """
+    if np.any(np.asarray(rho) <= 0):
+        raise DegenerateCellError("control temperature needs a positive density")
+    return params.control_weight * a_max * rho ** (-1.0 / 3.0) / params.c_v
 
 
 def _check(masses, velocities):
@@ -108,10 +129,9 @@ def stress_diagonal(masses, velocities, cell_volume: float) -> np.ndarray:
 def swarm_pressure(masses, velocities, cell_volume: float) -> float:
     """Scalar pressure: one third of the stress trace.
 
-    P = (2 / (3 dV)) * sum_i m_i ||v_i||^2.
+    P = (2 / (3 dV)) * sum_i m_i ||v_i||^2, the internal pressure about rest.
     """
-    m, v = _check(masses, velocities)
-    return float(2.0 / (3.0 * cell_volume) * (m @ np.einsum("ij,ij->i", v, v)))
+    return internal_pressure(masses, velocities, cell_volume, np.zeros(3))
 
 
 def swarm_pressure_moment_form(masses, velocities, cell_volume: float) -> float:
@@ -134,7 +154,8 @@ def internal_pressure(masses, velocities, cell_volume: float, bulk_velocity) -> 
     """
     m, v = _check(masses, velocities)
     w = v - np.asarray(bulk_velocity, dtype=float)
-    return float(2.0 / (3.0 * cell_volume) * (m @ np.einsum("ij,ij->i", w, w)))
+    return float(pressure_coefficient(1.0, cell_volume)
+                 * (m @ np.einsum("ij,ij->i", w, w)))
 
 
 def mass_mean_velocity(masses, velocities) -> np.ndarray:
@@ -150,27 +171,16 @@ def random_temperature(masses, velocities, params: ConstitutiveParams) -> float:
     """
     m, v = _check(masses, velocities)
     w = v - mass_mean_velocity(m, v)
-    return float(params.k_b * (m @ np.einsum("ij,ij->i", w, w)) / (2.0 * m.sum()))
+    return float(random_temperature_from_spread(
+        m @ np.einsum("ij,ij->i", w, w), m.sum(), params))
 
 
-def control_temperature(rho: float, params: ConstitutiveParams) -> float:
-    """Control temperature from actuation authority over the packing length.
-
-    T_ctrl = (control_weight / c_v) * a_max * L with L = rho^(-1/3).
-    An empty cell (rho = 0) has no packing length; that is a degenerate cell.
-    """
-    if rho <= 0:
-        raise DegenerateCellError("control temperature needs a positive density")
-    length_scale = rho ** (-1.0 / 3.0)
-    return params.control_weight * params.a_max * length_scale / params.c_v
-
-
-def swarm_temperature(masses, velocities, cell_volume: float,
+def swarm_temperature(masses, velocities, cell_volume: float, a_max: float,
                       params: ConstitutiveParams) -> float:
     """Total temperature: thermal part plus control part."""
     t_rand = random_temperature(masses, velocities, params)
     rho = swarm_density(masses, cell_volume)
-    return t_rand + control_temperature(rho, params)
+    return t_rand + control_temperature(rho, a_max, params)
 
 
 def speed_of_sound(temperature: float, params: ConstitutiveParams) -> float:
@@ -210,6 +220,7 @@ class SwarmFieldSample:
 
 
 def compute_sample(masses, velocities, cell_volume: float, drift_direction,
+                   a_max: float,
                    params: ConstitutiveParams | None = None) -> SwarmFieldSample:
     """Evaluate every bulk observable for one cell's agents."""
     params = params or ConstitutiveParams()
@@ -223,5 +234,5 @@ def compute_sample(masses, velocities, cell_volume: float, drift_direction,
         concentration=number_density(len(m), cell_volume),
         pressure=swarm_pressure(m, v, cell_volume),
         pressure_internal=internal_pressure(m, v, cell_volume, mean_v),
-        temperature=swarm_temperature(m, v, cell_volume, params),
+        temperature=swarm_temperature(m, v, cell_volume, a_max, params),
     )

@@ -13,8 +13,7 @@ Per frame: agents are binned to cells, receive the cell's broadcast command
 the nearest fitted cell's command), step their velocity plants, move, then
 optionally collide. Agents past the outlet retire; agents that drift through
 the duct wall are logged once and keep flying. All randomness is drawn from
-generators seeded by (seed, purpose, index), so traces are reproducible and
-independent of thread count.
+generators seeded by (seed, purpose, index), so traces are reproducible.
 
 Collisions are classified from the pair kinematics: a same-direction closing
 pair is an overtake (speed transfer from faster to slower); anti-parallel
@@ -28,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -61,7 +61,6 @@ class SimConfig:
     seed_x_max: float | None = None   # tunnel case axial fill bound; None: half
     record_trajectories: bool = False
     trajectory_stride: int = 10
-    threads: int = 1                  # never affects results; kept for echo
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -118,8 +117,12 @@ def build_command_table(grid: ControlVolumeGrid, fit: GridFit,
         raise ValueError("fit has no results")
     means = np.stack([fit.results[int(f)].command for f in fitted])
     centers = grid.centers()
-    diff = centers[:, None, :] - centers[fitted][None, :, :]
-    nearest = np.argmin(np.einsum("mfk,mfk->mf", diff, diff), axis=1)
+    sources = centers[fitted]
+    nearest = np.empty(len(centers), dtype=np.int64)
+    for lo in range(0, len(centers), 256):   # bounds the (rows, fitted, 3) diff
+        diff = centers[lo:lo + 256, None, :] - sources[None, :, :]
+        nearest[lo:lo + 256] = np.argmin(
+            np.einsum("mfk,mfk->mf", diff, diff), axis=1)
     return scale * means[nearest]
 
 
@@ -304,9 +307,15 @@ def resolve_collisions(vel, pairs, config: SimConfig) -> list[tuple[int, int, st
 def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                    config: SimConfig | None = None,
                    plant: PlantParams | None = None) -> SimulationTrace:
-    """Run one case end to end and return the full trace."""
+    """Run one case end to end and return the full trace.
+
+    The plant must have the fit's agent mass, which is also its default.
+    """
     config = config or SimConfig()
-    plant = plant or PlantParams()
+    plant = plant or PlantParams(mass=fit.config.agent_mass)
+    if plant.mass != fit.config.agent_mass:
+        raise ValueError(f"plant mass {plant.mass} differs from the fit's "
+                         f"agent mass {fit.config.agent_mass}")
     table = build_command_table(grid, fit, config.scale)
     length = grid.geometry.length if grid.geometry is not None \
         else grid.origin[0] + grid.dims[0] * grid.edge_length
@@ -432,7 +441,7 @@ def population_balance(trace: SimulationTrace) -> dict:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 1
+RUN_FORMAT = 2
 FRAME_COLUMNS = ("cells", "counts", "vsum", "sumv2", "dev2")
 EVENT_COLUMNS = ("event_t", "event_kind", "event_a", "event_b")
 TRAJ_COLUMNS = ("traj_ids", "traj_pos", "traj_vel")
@@ -443,8 +452,24 @@ META_KEYS = ("format", "config", "plant", "dims", "injection_rate",
              "batch_size", "injected", "retired", "escaped", "faults")
 
 
-def _flat(parts: list, empty: np.ndarray) -> np.ndarray:
-    return np.concatenate(parts) if parts else empty
+def _run_columns(trace: SimulationTrace, meta: dict):
+    """(name, array) pairs of the run record, each built when it is asked for."""
+    frames, snaps = trace.frames, trace.trajectories
+    yield "meta", np.array(json.dumps(meta))
+    yield "frame_t", trace.frame_t
+    yield "frame_offsets", np.cumsum([0] + [len(r.cells) for r in frames])
+    for name in FRAME_COLUMNS:
+        yield name, np.concatenate([getattr(r, name) for r in frames] or [
+            np.empty((0, 3)) if name == "vsum" else np.empty(0)])
+    for i, (name, dtype) in enumerate(zip(EVENT_COLUMNS,
+                                          (float, str, np.int64, np.int64))):
+        yield name, np.array([e[i] for e in trace.events], dtype=dtype)
+    yield "traj_t", np.array([s[0] for s in snaps], dtype=float)
+    yield "traj_offsets", np.cumsum([0] + [len(s[1]) for s in snaps])
+    for i, name in enumerate(TRAJ_COLUMNS, start=1):
+        yield name, np.concatenate([s[i] for s in snaps] or [
+            np.empty(0, dtype=np.int64) if i == 1 else np.empty((0, 3))])
+    yield "command_table", trace.command_table
 
 
 def save_run(trace: SimulationTrace, outdir) -> None:
@@ -453,6 +478,8 @@ def save_run(trace: SimulationTrace, outdir) -> None:
     Frame records and trajectory snapshots are flat columns cut by offsets,
     events are one column per tuple field, and config, plant and counters
     are one JSON string. ``load_run`` reads back a trace equal to this one.
+    Columns are built and written one at a time, so the frames are never
+    held twice over.
     """
     os.makedirs(outdir, exist_ok=True)
     meta = {"format": RUN_FORMAT, "config": asdict(trace.config),
@@ -461,25 +488,10 @@ def save_run(trace: SimulationTrace, outdir) -> None:
             "batch_size": trace.batch_size, "injected": trace.injected,
             "retired": trace.retired, "escaped": trace.escaped,
             "faults": trace.faults}
-    frames, snaps = trace.frames, trace.trajectories
-    cols = {name: _flat([getattr(r, name) for r in frames],
-                        np.empty((0, 3)) if name == "vsum" else np.empty(0))
-            for name in FRAME_COLUMNS}
-    cols.update(zip(EVENT_COLUMNS, (
-        np.array([e[0] for e in trace.events], dtype=float),
-        np.array([e[1] for e in trace.events], dtype=str),
-        np.array([e[2] for e in trace.events], dtype=np.int64),
-        np.array([e[3] for e in trace.events], dtype=np.int64))))
-    cols.update(zip(TRAJ_COLUMNS, (
-        _flat([s[1] for s in snaps], np.empty(0, dtype=np.int64)),
-        _flat([s[2] for s in snaps], np.empty((0, 3))),
-        _flat([s[3] for s in snaps], np.empty((0, 3))))))
-    np.savez(os.path.join(outdir, RUN_FILE),
-             meta=np.array(json.dumps(meta)), frame_t=trace.frame_t,
-             frame_offsets=np.cumsum([0] + [len(r.cells) for r in frames]),
-             traj_t=np.array([s[0] for s in snaps], dtype=float),
-             traj_offsets=np.cumsum([0] + [len(s[1]) for s in snaps]),
-             command_table=trace.command_table, **cols)
+    with zipfile.ZipFile(os.path.join(outdir, RUN_FILE), "w") as zf:
+        for name, column in _run_columns(trace, meta):
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, column, allow_pickle=False)
 
 
 def _split(columns: list, offsets: np.ndarray, n: int) -> list[tuple]:

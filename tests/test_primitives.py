@@ -12,7 +12,7 @@ Two unit masses at (1,0,0) and (3,0,0) m/s in a 1 m^3 cell:
 import numpy as np
 import pytest
 
-from fluidswarm import (ConstitutiveParams, DegenerateCellError,
+from fluidswarm import (ConstitutiveParams, DegenerateCellError, PlantParams,
                         UndefinedSampleError, barotropic_pressure,
                         compute_sample, control_temperature, internal_pressure,
                         mass_mean_velocity, number_density, random_temperature,
@@ -20,6 +20,7 @@ from fluidswarm import (ConstitutiveParams, DegenerateCellError,
                         swarm_pressure, swarm_pressure_moment_form,
                         swarm_temperature, swarm_velocity)
 
+A_MAX = PlantParams().a_max  # 2.2 * 9.81
 M2 = np.ones(2)
 V2 = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
 
@@ -69,7 +70,8 @@ def test_zero_variance_internal_pressure_is_exactly_zero():
 def test_zero_variance_sample_pressure_split():
     # power-of-two count keeps the mean bitwise equal to the common row
     v0 = np.array([0.31, -2.7, 1.9])
-    s = compute_sample(np.ones(4), np.tile(v0, (4, 1)), 0.125, [1, 0, 0])
+    s = compute_sample(np.ones(4), np.tile(v0, (4, 1)), 0.125, [1, 0, 0],
+                       A_MAX)
     assert s.pressure_internal == 0.0
     assert s.pressure == pytest.approx(
         2.0 / (3.0 * 0.125) * 4.0 * float(v0 @ v0), rel=1e-12)
@@ -104,16 +106,19 @@ def test_control_temperature_hand_value():
     # 0.5 * (2.2 * 9.81) * 32^(-1/3) / 1
     params = ConstitutiveParams()
     want = 0.5 * 2.2 * 9.81 * 32.0 ** (-1.0 / 3.0)
-    assert control_temperature(32.0, params) == pytest.approx(want, rel=1e-12)
-    assert control_temperature(32.0, params) == pytest.approx(3.39895, rel=1e-5)
+    assert control_temperature(32.0, A_MAX, params) == pytest.approx(
+        want, rel=1e-12)
+    assert control_temperature(32.0, A_MAX, params) == pytest.approx(
+        3.39895, rel=1e-5)
     with pytest.raises(DegenerateCellError):
-        control_temperature(0.0, params)
+        control_temperature(0.0, A_MAX, params)
 
 
 def test_swarm_temperature_composition():
     params = ConstitutiveParams()
-    t = swarm_temperature(M2, V2, 1.0, params)
-    assert t == pytest.approx(0.5 + control_temperature(2.0, params), rel=1e-12)
+    t = swarm_temperature(M2, V2, 1.0, A_MAX, params)
+    assert t == pytest.approx(0.5 + control_temperature(2.0, A_MAX, params),
+                              rel=1e-12)
 
 
 def test_speed_of_sound():
@@ -144,7 +149,8 @@ def test_empty_cell_is_undefined():
                lambda: swarm_density(empty_m, 1.0),
                lambda: swarm_pressure(empty_m, empty_v, 1.0),
                lambda: random_temperature(empty_m, empty_v, ConstitutiveParams()),
-               lambda: compute_sample(empty_m, empty_v, 1.0, [1, 0, 0])):
+               lambda: compute_sample(empty_m, empty_v, 1.0, [1, 0, 0],
+                                      A_MAX)):
         with pytest.raises(UndefinedSampleError):
             fn()
 
@@ -161,7 +167,7 @@ def test_input_validation():
 
 
 def test_compute_sample_bundles_everything():
-    s = compute_sample(M2, V2, 1.0, [1, 0, 0])
+    s = compute_sample(M2, V2, 1.0, [1, 0, 0], A_MAX)
     assert s.count == 2
     assert np.allclose(s.bulk_velocity, [2.0, 0.0, 0.0])
     assert s.mass_density == pytest.approx(2.0)
@@ -169,4 +175,4 @@ def test_compute_sample_bundles_everything():
     assert s.pressure == pytest.approx(20.0 / 3.0, rel=1e-12)
     assert s.pressure_internal == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert s.temperature == pytest.approx(
-        swarm_temperature(M2, V2, 1.0, ConstitutiveParams()), rel=1e-12)
+        swarm_temperature(M2, V2, 1.0, A_MAX, ConstitutiveParams()), rel=1e-12)

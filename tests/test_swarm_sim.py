@@ -2,6 +2,7 @@
 determinism, bookkeeping, and the run record round trip."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_unfitted_cells_borrow_the_nearest_command(grid, fit):
         d2 = np.einsum("fk,fk->f", diff, diff)
         nearest = int(fitted[np.argmin(d2)])  # argmin ties go to lowest index
         assert np.array_equal(table[f], 0.1 * fit.results[nearest].command)
+
+
+def test_command_table_equals_the_dense_nearest_search(grid, fit):
+    fitted = np.array(sorted(fit.results), dtype=np.int64)
+    means = np.stack([fit.results[int(f)].command for f in fitted])
+    centers = grid.centers()
+    diff = centers[:, None, :] - centers[fitted][None, :, :]
+    nearest = np.argmin(np.einsum("mfk,mfk->mf", diff, diff), axis=1)
+    assert grid.num_cells > 256  # more than one block of rows
+    assert np.array_equal(build_command_table(grid, fit, 0.1),
+                          0.1 * means[nearest])
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +239,12 @@ def test_runs_are_deterministic(grid, fit):
     assert not frames_equal(a.frames, c.frames)
 
 
-def test_thread_count_never_changes_a_run(grid, fit):
-    a = short_run(grid, fit, seed=3, threads=1)
-    b = short_run(grid, fit, seed=3, threads=8)
-    assert frames_equal(a.frames, b.frames)
-    assert a.events == b.events
+def test_the_plant_flies_the_fit_agent_mass(grid, fit):
+    heavy = replace(fit, config=replace(fit.config, agent_mass=2.0))
+    trace = run_simulation(grid, heavy, SimConfig(duration=0.5))
+    assert trace.plant.mass == 2.0
+    with pytest.raises(ValueError, match="agent mass"):
+        run_simulation(grid, heavy, SimConfig(duration=0.5), PlantParams())
 
 
 def test_tunnel_case_seeds_then_drains(grid, fit):

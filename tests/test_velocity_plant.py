@@ -1,5 +1,7 @@
 """Velocity plant tests: forces, constraints, lag dynamics, steady states."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -8,7 +10,7 @@ from fluidswarm import (PlantParams, PlantState, constrain_accel,
                         desired_accel, drag_force, plant_step, tilt_angle_deg)
 from fluidswarm.plant_suite import (headwind_sweep, hover_hold,
                                     max_speed_sweep, noise_monte_carlo,
-                                    run_suite, step_response)
+                                    rollout, run_suite, step_response)
 
 P = PlantParams()
 
@@ -168,3 +170,62 @@ def test_run_suite_scenario_selection():
     out = run_suite(P, scenarios=("hover",))
     assert set(out) == {"hover_hold", "pass"}
     assert out["pass"]
+
+
+def _one_agent(params, command, steps, dt, wind=(0.0, 0.0, 0.0)):
+    """Reference: a single agent stepped alone, command(k) per step."""
+    state = PlantState.hover(params)
+    vs = np.empty((steps, 3))
+    for k in range(steps):
+        state = plant_step(state, command(k), dt, params, wind=wind)
+        vs[k] = state.velocity[0]
+    return vs
+
+
+def test_batched_headwind_equals_single_agent_runs():
+    speeds = (0.0, 3.0, 8.0)
+    out = headwind_sweep(P, wind_speeds=speeds, duration=2.0)
+    windy = replace(P, ff_gain=0.8)
+    wind = np.array([[-w, 0.0, 0.0] for w in speeds])
+    _, batched, _ = rollout(windy, lambda k, t: np.zeros(3), 2.0, 0.01,
+                            n=len(speeds), wind=wind)
+    for i, (w, row) in enumerate(zip(speeds, out["rows"])):
+        vs = _one_agent(windy, lambda k: np.zeros(3), 200, 0.01,
+                        wind=(-w, 0.0, 0.0))
+        assert np.array_equal(batched[:, i], vs)
+        assert row["steady_error"] == float(np.linalg.norm(vs[-1]))
+
+
+def test_batched_noise_equals_single_agent_runs():
+    levels, runs, seed, dt, steps, per_hold = (0.5, 2.0), 2, 3, 0.01, 200, 10
+    out = noise_monte_carlo(P, noise_levels=levels, runs=runs, duration=2.0,
+                            seed=seed)
+    for lvl_idx, (lvl, row) in enumerate(zip(levels, out["rows"])):
+        lat_sq, vert_sq, count = 0.0, 0.0, 0
+        for run in range(runs):
+            rng = np.random.default_rng((seed, lvl_idx, run))
+            state = PlantState.hover(P)
+            noise = np.zeros(3)
+            for k in range(steps):
+                if k % per_hold == 0:
+                    noise = lvl * rng.standard_normal(3)
+                state = plant_step(state, noise, dt, P)
+                v = state.velocity[0]
+                lat_sq += v[0] ** 2 + v[1] ** 2
+                vert_sq += v[2] ** 2
+                count += 1
+        # summation order differs: pooled sums agree to rounding only
+        assert row["lateral_rmse"] == pytest.approx(np.sqrt(lat_sq / count),
+                                                    rel=1e-12)
+        assert row["vertical_rmse"] == pytest.approx(np.sqrt(vert_sq / count),
+                                                     rel=1e-12)
+
+    # the velocities themselves are bitwise those of agents stepped alone
+    rngs = [np.random.default_rng((seed, 0, run)) for run in range(runs)]
+    noise = np.stack([levels[0] * r.standard_normal((steps // per_hold, 3))
+                      for r in rngs], axis=1)
+    _, batched, _ = rollout(P, lambda k, t: noise[k // per_hold], 2.0, dt,
+                            n=runs)
+    for run in range(runs):
+        vs = _one_agent(P, lambda k: noise[k // per_hold, run], steps, dt)
+        assert np.array_equal(batched[:, run], vs)
