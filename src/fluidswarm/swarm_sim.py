@@ -236,6 +236,12 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     Pairs closer than two body radii and closing faster than the approach
     floor are classified by heading alignment; grazing or separating pairs
     are ignored. Returned in ascending (a, b) index order.
+
+    All candidate pairs are tested as arrays. Dot products go through
+    ``np.vecdot``, the same BLAS dot a per-pair ``a @ b`` or ``norm`` calls,
+    so every value and every decision equals the per-pair form's bit for bit;
+    each mask is the negated rejection test, so NaN kinematics pass as they
+    did there.
     """
     if len(pos) < 2:
         return []
@@ -244,27 +250,21 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     if len(pairs) == 0:
         return []
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    out = []
-    for a, b in pairs:
-        dx = pos[b] - pos[a]
-        dist = np.linalg.norm(dx)
-        if dist <= 1e-12:
-            continue
-        closing = float((vel[a] - vel[b]) @ (dx / dist))
-        if closing <= config.min_approach_speed:
-            continue
-        sa, sb = np.linalg.norm(vel[a]), np.linalg.norm(vel[b])
-        if sa < 1e-9 or sb < 1e-9:
-            continue
-        align = float(vel[a] @ vel[b]) / (sa * sb)
-        if align > config.overtake_cos:
-            kind = "overtake"
-        elif abs(align) >= config.headon_cos:
-            kind = "headon"
-        else:
-            kind = "sideswipe"
-        out.append((int(a), int(b), kind))
-    return out
+    dx = pos[pairs[:, 1]] - pos[pairs[:, 0]]
+    dist = np.sqrt(np.vecdot(dx, dx))
+    keep = ~(dist <= 1e-12)
+    pairs, dx, dist = pairs[keep], dx[keep], dist[keep]
+    va, vb = vel[pairs[:, 0]], vel[pairs[:, 1]]
+    closing = np.vecdot(va - vb, dx / dist[:, None])
+    keep = ~(closing <= config.min_approach_speed)
+    pairs, va, vb = pairs[keep], va[keep], vb[keep]
+    sa, sb = np.sqrt(np.vecdot(va, va)), np.sqrt(np.vecdot(vb, vb))
+    keep = ~((sa < 1e-9) | (sb < 1e-9))
+    align = np.vecdot(va[keep], vb[keep]) / (sa[keep] * sb[keep])
+    kind = np.where(align > config.overtake_cos, "overtake",
+                    np.where(np.abs(align) >= config.headon_cos,
+                             "headon", "sideswipe"))
+    return [(a, b, k) for (a, b), k in zip(pairs[keep].tolist(), kind.tolist())]
 
 
 def resolve_collisions(vel, pairs, config: SimConfig) -> list[tuple[int, int, str]]:
@@ -362,13 +362,16 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
             pop.pos[act] += state.velocity * config.dt
 
             if config.collisions:
-                sub_vel = pop.vel[act].copy()
-                pairs = detect_collisions(pop.pos[act], sub_vel, config)
+                # non-finite agents (the KD-tree rejects them) fault below
+                live = act[np.isfinite(pop.pos[act]).all(axis=1)
+                           & np.isfinite(pop.vel[act]).all(axis=1)]
+                sub_vel = pop.vel[live]
+                pairs = detect_collisions(pop.pos[live], sub_vel, config)
                 applied = resolve_collisions(sub_vel, pairs, config)
-                pop.vel[act] = sub_vel
+                pop.vel[live] = sub_vel
                 for a, b, kind in applied:
                     trace.events.append(
-                        (t_end, f"collision_{kind}", int(act[a]), int(act[b])))
+                        (t_end, f"collision_{kind}", int(live[a]), int(live[b])))
 
             # wall escape: through the lateral wall, still inside the span
             if grid.geometry is not None:

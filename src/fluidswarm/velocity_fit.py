@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import ControlVolumeGrid
+from .primitives import pressure_coefficient
 from .reference_field import _FMT
 
 FIT_HEADER = "jx,jy,jz,n_star,loss,iters,converged"
@@ -78,13 +79,14 @@ def initial_sigma(p_target: float, cell_volume: float, agent_mass: float,
     """
     if p_target < 0:
         raise ValueError("pressure target must be nonnegative (pre-shifted)")
+    # not via pressure_coefficient: any rounding change here moves n* (ROADMAP 3)
     return float(np.sqrt(p_target * 3.0 * cell_volume / (2.0 * agent_mass * n)))
 
 
 def set_pressure(velocities, center, cell_volume: float, agent_mass: float) -> float:
     """Second-moment pressure of a velocity set about a given center."""
     w = np.asarray(velocities, dtype=float) - np.asarray(center, dtype=float)
-    return float(2.0 * agent_mass / (3.0 * cell_volume)
+    return float(pressure_coefficient(agent_mass, cell_volume)
                  * np.einsum("ij,ij->", w, w))
 
 
@@ -95,7 +97,7 @@ def _fit_candidate(v_target, p_target, cell_volume, config, rng, n):
         vel = np.tile(v_target, (n, 1))
         return vel, abs(p_target) * config.alpha, 0, True, 0.0, abs(p_target)
 
-    coeff = 2.0 * config.agent_mass / (3.0 * cell_volume)
+    coeff = pressure_coefficient(config.agent_mass, cell_volume)
     sigma = initial_sigma(p_target, cell_volume, config.agent_mass, n)
     # zero-mean fluctuations; redraw on the (measure-zero) degenerate draw
     for _ in range(8):

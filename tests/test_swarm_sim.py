@@ -2,17 +2,20 @@
 determinism, bookkeeping, and the run record round trip."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from fluidswarm import (PlantParams, SimConfig, build_command_table,
                         detect_collisions, injection_rate, load_run,
                         population_balance, resolve_collisions,
-                        run_simulation, save_run)
+                        run_simulation, save_run, swarm_sim)
 from fluidswarm.partition import assign_cell
 from fluidswarm.swarm_sim import entry_cell, make_batch, seed_tunnel
+from fluidswarm.velocity_plant import step as plant_step
 
 CFG = SimConfig()  # collision thresholds at their defaults
 
@@ -158,6 +161,94 @@ def test_separated_or_coasting_pairs_do_not_collide():
     assert detect_collisions(close, slow, CFG) == []
 
 
+def per_pair_collisions(pos, vel, config, reasons=None):
+    """Reference detector: one pair at a time, as ``detect_collisions`` was
+    written before its array pass. ``reasons`` tallies each rejection."""
+    reasons = Counter() if reasons is None else reasons
+    if len(pos) < 2:
+        return []
+    pairs = cKDTree(pos).query_pairs(2.0 * config.collision_radius,
+                                     output_type="ndarray")
+    if len(pairs) == 0:
+        return []
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    out = []
+    for a, b in pairs:
+        dx = pos[b] - pos[a]
+        dist = np.linalg.norm(dx)
+        if dist <= 1e-12:
+            reasons["coincident"] += 1
+            continue
+        closing = float((vel[a] - vel[b]) @ (dx / dist))
+        if closing <= config.min_approach_speed:
+            reasons["separating" if closing <= 0.0 else "under_floor"] += 1
+            continue
+        sa, sb = np.linalg.norm(vel[a]), np.linalg.norm(vel[b])
+        if sa < 1e-9 or sb < 1e-9:
+            reasons["zero_speed"] += 1
+            continue
+        align = float(vel[a] @ vel[b]) / (sa * sb)
+        if align > config.overtake_cos:
+            kind = "overtake"
+        elif abs(align) >= config.headon_cos:
+            kind = "headon"
+        else:
+            kind = "sideswipe"
+        out.append((int(a), int(b), kind))
+    return out
+
+
+def dense_cloud(seed, n=300):
+    """Agents in a 1.2 m cube with random headings and speeds up to 3 m/s;
+    ten sit on another agent's position and ten are parked."""
+    rng = np.random.default_rng(seed)
+    pos = 1.2 * rng.random((n, 3))
+    pos[-10:] = pos[:10]
+    heading = rng.normal(size=(n, 3))
+    heading /= np.linalg.norm(heading, axis=1, keepdims=True)
+    vel = heading * rng.uniform(0.0, 3.0, (n, 1))
+    vel[rng.choice(n, 10, replace=False)] = 0.0
+    return pos, vel
+
+
+@pytest.mark.parametrize("config", [CFG, replace(CFG, min_approach_speed=0.02),
+                                    replace(CFG, collision_radius=0.25,
+                                            min_approach_speed=0.0)],
+                         ids=["defaults", "floor_0.02", "radius_0.25_floor_0"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_array_detection_equals_the_per_pair_loop(seed, config):
+    pos, vel = dense_cloud(seed)
+    reasons = Counter()
+    expected = per_pair_collisions(pos, vel, config, reasons)
+    assert detect_collisions(pos, vel, config) == expected
+    # the cloud reaches every kind and every rejection the loop has
+    assert {k for _, _, k in expected} == {"overtake", "headon", "sideswipe"}
+    rejections = {"coincident", "separating", "under_floor", "zero_speed"}
+    if config.min_approach_speed == 0.0:
+        rejections.discard("under_floor")   # no closing speed is under 0
+    assert set(reasons) == rejections
+    # a NaN velocity passes every test and lands in the last class, as before
+    vel[7] = np.nan
+    assert detect_collisions(pos, vel, config) \
+        == per_pair_collisions(pos, vel, config)
+
+
+def test_thresholds_on_a_pair_value_split_the_same_way():
+    # each threshold sits exactly on one pair's own closing speed or
+    # alignment, where a last-bit difference in that value flips the pair
+    pos, vel = dense_cloud(0, n=120)
+    for a, b, _ in per_pair_collisions(pos, vel, CFG)[:30]:
+        dx = pos[b] - pos[a]
+        closing = float((vel[a] - vel[b]) @ (dx / np.linalg.norm(dx)))
+        align = float(vel[a] @ vel[b]) / (np.linalg.norm(vel[a])
+                                          * np.linalg.norm(vel[b]))
+        for config in (replace(CFG, min_approach_speed=closing),
+                       replace(CFG, overtake_cos=align),
+                       replace(CFG, headon_cos=abs(align))):
+            assert detect_collisions(pos, vel, config) \
+                == per_pair_collisions(pos, vel, config)
+
+
 def test_overtake_conserves_the_speed_sum():
     vel = np.array([[3.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     applied = resolve_collisions(vel, [(0, 1, "overtake")], CFG)
@@ -262,6 +353,37 @@ def test_collision_run_stays_balanced(grid, fit):
     assert kinds <= {"inject", "retire", "wall_escape", "fault",
                      "collision_overtake", "collision_headon",
                      "collision_sideswipe"}
+
+
+def test_collisions_fire_at_a_low_approach_floor(grid, fit, monkeypatch):
+    # at the default 0.5 m/s floor no pair of this co-flowing run ever fires
+    cfg = SimConfig(case="reservoir", duration=20.0, seed=0, batch_size=17,
+                    collisions=True, min_approach_speed=0.02)
+    trace = run_simulation(grid, fit, cfg)
+    assert sum(e[1].startswith("collision") for e in trace.events) > 0
+    assert population_balance(trace)["balanced"]
+    monkeypatch.setattr(swarm_sim, "detect_collisions", per_pair_collisions)
+    reference = run_simulation(grid, fit, cfg)
+    assert frames_equal(trace.frames, reference.frames)
+    assert trace.events == reference.events
+
+
+def test_a_non_finite_agent_faults_without_ending_a_collision_run(
+        grid, fit, monkeypatch):
+    steps = []
+
+    def poisoned_step(state, cmds, dt, params):
+        out = plant_step(state, cmds, dt, params)
+        if len(steps) == 20:
+            out.velocity[0, 0] = np.nan
+        steps.append(dt)
+        return out
+
+    monkeypatch.setattr(swarm_sim, "plant_step", poisoned_step)
+    trace = short_run(grid, fit, seed=0, collisions=True)
+    assert trace.faults == 1
+    assert sum(e[1] == "fault" for e in trace.events) == 1
+    assert population_balance(trace)["balanced"]
 
 
 def test_config_validation():
