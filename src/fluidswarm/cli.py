@@ -31,8 +31,8 @@ from .partition import load_partition, partition_domain, save_partition
 from .plant_suite import run_suite
 from .reference_field import (GasModel, NozzleGeometry, generate_quasi1d_field,
                               load_field, save_field)
-from .swarm_sim import (SimConfig, load_run, population_balance,
-                        run_simulation, save_run)
+from .swarm_sim import (FRAME_COUNT_COLUMNS, SimConfig, load_run,
+                        population_balance, run_simulation, save_run)
 from .velocity_fit import (FitConfig, fit_grid, grid_from_fit, load_fit,
                            save_fit)
 from .velocity_plant import PlantParams
@@ -245,6 +245,10 @@ def _cmd_analyze(args) -> int:
     balance = population_balance(run)
     for k in ("injected", "retired", "active", "balanced"):
         print(f"{k}={balance[k]}")
+    for name, column in zip(FRAME_COUNT_COLUMNS, run.frame_counts.T):
+        k = int(np.argmax(column))
+        print(f"peak_{name}={column[k]}")
+        print(f"peak_{name}_frame={k if column[k] else 'none'}")
     print(f"wrote metrics.txt, slice.csv, centerline.csv to {outdir}")
     return 0
 

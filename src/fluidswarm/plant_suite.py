@@ -140,18 +140,19 @@ def noise_monte_carlo(params: PlantParams | None = None,
     """Tracking RMSE under zero-mean Gaussian command noise.
 
     Noise is redrawn every ``hold`` seconds (per axis, per run) around a
-    hover command; lateral RMSE pools x/y, vertical is z alone.
+    hover command; lateral RMSE pools x/y, vertical is z alone. The levels
+    share common random numbers: run ``run`` draws one (seed, run) stream of
+    unit normals, one 3-vector per hold, and every level flies it scaled by
+    the level, so the RMSEs differ by the level alone, not by the draw.
     """
     params = params or PlantParams()
     steps = int(round(duration / dt))
     per_hold = max(1, int(round(hold / dt)))
     holds = -(-steps // per_hold)
-    # agent lvl_idx * runs + run draws from its own (seed, level, run) stream,
-    # one 3-vector per hold
-    noise = np.stack([
-        lvl * np.random.default_rng((seed, lvl_idx, run)).standard_normal((holds, 3))
-        for lvl_idx, lvl in enumerate(noise_levels) for run in range(runs)],
-        axis=1)
+    unit = np.stack([np.random.default_rng((seed, run)).standard_normal(
+        (holds, 3)) for run in range(runs)], axis=1)
+    # agent lvl_idx * runs + run flies level lvl_idx on run's stream
+    noise = np.concatenate([lvl * unit for lvl in noise_levels], axis=1)
     _, vs, _ = rollout(params, lambda k, t: noise[k // per_hold], duration, dt,
                        n=noise.shape[1])
     sq = vs.reshape(steps, len(noise_levels), runs, 3) ** 2

@@ -8,12 +8,17 @@ Two start-up cases:
   inlet disc at a fixed cadence, sized so the entry cell's fitted count and
   mean speed set the through-flow.
 
-Per frame: agents are binned to cells, receive the cell's broadcast command
-(every agent in a cell gets the identical command; cells without a fit use
-the nearest fitted cell's command), step their velocity plants, move, then
-optionally collide. Agents past the outlet retire; agents that drift through
-the duct wall are logged once and keep flying. All randomness is drawn from
-generators seeded by (seed, purpose, index), so traces are reproducible.
+Per frame: each active agent receives its cell's broadcast command (every
+agent in a cell gets the identical command; cells without a fit use the
+nearest fitted cell's command), steps its velocity plant, moves, then
+optionally collides. Agents past the outlet retire and faulted agents stop;
+both leave the population, which holds only the active agents. Agents that
+drift through the duct wall are logged once and keep flying. Agents are
+binned to cells once per frame, by the frame reduction after retirement;
+those cells are the next frame's command cells, since nothing moves an agent
+in between, so only newly injected agents are binned when they arrive. All
+randomness is drawn from generators seeded by (seed, purpose, index), so
+traces are reproducible.
 
 Collisions are classified from the pair kinematics: a same-direction closing
 pair is an overtake (speed transfer from faster to slower); anti-parallel
@@ -24,6 +29,7 @@ headings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -82,6 +88,10 @@ class FrameRecord:
     dev2: np.ndarray        # (K,) sum ||v - v_target||^2 (NaN without a target)
 
 
+FRAME_COUNT_COLUMNS = ("injected", "retired", "escaped", "faulted",
+                       "collisions")
+
+
 @dataclass
 class SimulationTrace:
     config: SimConfig
@@ -93,6 +103,9 @@ class SimulationTrace:
     command_table: np.ndarray         # (M, 3) broadcast commands
     injection_rate: float             # agents/s implied by the entry cell
     batch_size: int
+    # (frames, 5) per-frame counts, columns FRAME_COUNT_COLUMNS; the column
+    # sums are the totals below and the number of collision events
+    frame_counts: np.ndarray
     injected: int = 0
     retired: int = 0
     escaped: int = 0
@@ -111,6 +124,11 @@ def build_command_table(grid: ControlVolumeGrid, fit: GridFit,
     Fitted cells broadcast their own fitted mean; every other lattice cell
     borrows the command of the nearest fitted cell (ties to the lowest flat
     index), so an agent anywhere receives something sensible.
+
+    A KD-tree gives each cell's nearest distance ``d``; every fitted center
+    within ``d * (1 + 1e-9)`` is a candidate, and the squared distances of
+    the candidates, summed as a dense search sums them, pick the winner,
+    the lowest index among equals. The table is the dense search's.
     """
     fitted = np.array(sorted(fit.results), dtype=np.int64)
     if len(fitted) == 0:
@@ -118,12 +136,18 @@ def build_command_table(grid: ControlVolumeGrid, fit: GridFit,
     means = np.stack([fit.results[int(f)].command for f in fitted])
     centers = grid.centers()
     sources = centers[fitted]
-    nearest = np.empty(len(centers), dtype=np.int64)
-    for lo in range(0, len(centers), 256):   # bounds the (rows, fitted, 3) diff
-        diff = centers[lo:lo + 256, None, :] - sources[None, :, :]
-        nearest[lo:lo + 256] = np.argmin(
-            np.einsum("mfk,mfk->mf", diff, diff), axis=1)
-    return scale * means[nearest]
+    tree = cKDTree(sources)
+    d, _ = tree.query(centers)
+    near = tree.query_ball_point(centers, d * (1.0 + 1e-9),
+                                 return_sorted=True)
+    rows = np.repeat(np.arange(len(centers)), [len(c) for c in near])
+    cand = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64,
+                       count=len(rows))
+    diff = centers[rows] - sources[cand]
+    d2 = np.einsum("mk,mk->m", diff, diff)
+    order = np.lexsort((cand, d2, rows))     # per row: nearest, then lowest
+    first = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    return scale * means[cand[order[first]]]
 
 
 def entry_cell(grid: ControlVolumeGrid, fit: GridFit) -> int:
@@ -153,27 +177,43 @@ def injection_rate(grid: ControlVolumeGrid, fit: GridFit) -> tuple[float, int]:
 # ======================================================================
 
 class _Population:
-    """Growable agent arrays (positions, plant state, bookkeeping)."""
+    """The active agents, in injection order (so in ascending ``gid``).
+
+    ``gid`` is each agent's global id, its index in injection order, which
+    events and trajectory snapshots report. ``flat`` is each agent's cell:
+    ``append`` takes it for new agents, and ``_record_frame`` rebins the
+    survivors at the end of each frame. ``keep`` drops faulted and retired
+    agents in one pass that keeps the order.
+    """
 
     def __init__(self):
         self.pos = np.empty((0, 3))
         self.vel = np.empty((0, 3))
         self.thr = np.empty((0, 3))
-        self.active = np.empty(0, dtype=bool)
         self.escaped = np.empty(0, dtype=bool)
+        self.gid = np.empty(0, dtype=np.int64)
+        self.flat = np.empty(0, dtype=np.int64)
+        self.total = 0          # agents ever appended
 
     def __len__(self) -> int:
         return len(self.pos)
 
-    def append(self, pos, vel, thr) -> np.ndarray:
-        start = len(self.pos)
-        self.pos = np.vstack([self.pos, pos])
-        self.vel = np.vstack([self.vel, vel])
-        self.thr = np.vstack([self.thr, thr])
+    def append(self, pos, vel, thr, flat) -> np.ndarray:
+        """Add agents at cells ``flat``; returns their global ids."""
         n = len(pos)
-        self.active = np.concatenate([self.active, np.ones(n, dtype=bool)])
+        ids = np.arange(self.total, self.total + n)
+        self.total += n
+        self.pos = np.concatenate([self.pos, pos])
+        self.vel = np.concatenate([self.vel, vel])
+        self.thr = np.concatenate([self.thr, thr])
         self.escaped = np.concatenate([self.escaped, np.zeros(n, dtype=bool)])
-        return np.arange(start, start + n)
+        self.gid = np.concatenate([self.gid, ids])
+        self.flat = np.concatenate([self.flat, flat])
+        return ids
+
+    def keep(self, mask) -> None:
+        for name in ("pos", "vel", "thr", "escaped", "gid", "flat"):
+            setattr(self, name, getattr(self, name)[mask])
 
 
 def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
@@ -329,15 +369,18 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
         config=config, plant=plant, dims=grid.dims,
         frame_t=(np.arange(n_frames) + 1) * config.dt,
         frames=[], events=[], command_table=table,
-        injection_rate=rate, batch_size=n_batch)
+        injection_rate=rate, batch_size=n_batch,
+        frame_counts=np.zeros((n_frames, len(FRAME_COUNT_COLUMNS)),
+                              dtype=np.int64))
 
     pop = _Population()
+    counts = trace.frame_counts
+    injected, retired, escaped, faulted, collided = range(5)
     if config.case == "tunnel_seeding":
         pos, vel, thr = seed_tunnel(grid, fit, config, plant)
-        ids = pop.append(pos, vel, thr)
-        trace.injected += len(ids)
-        for i in ids:
-            trace.events.append((0.0, "inject", int(i), -1))
+        ids = pop.append(pos, vel, thr, assign_cell(pos, grid))
+        counts[0, injected] += len(ids)
+        trace.events.extend((0.0, "inject", i, -1) for i in ids.tolist())
     stride = max(1, int(round(config.dt_source / config.dt)))
 
     for k in range(n_frames):
@@ -346,82 +389,81 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
         if config.case == "reservoir" and k % stride == 0:
             pos, vel, thr = make_batch(grid, fit, config, plant,
                                        k // stride, n_batch, cell0)
-            ids = pop.append(pos, vel, thr)
-            trace.injected += len(ids)
-            for i in ids:
-                trace.events.append((t, "inject", int(i), -1))
+            ids = pop.append(pos, vel, thr, assign_cell(pos, grid))
+            counts[k, injected] += len(ids)
+            trace.events.extend((t, "inject", i, -1) for i in ids.tolist())
 
-        act = np.flatnonzero(pop.active)
-        if len(act):
-            flat = assign_cell(pop.pos[act], grid)
-            cmds = table[flat]
-            state = plant_step(PlantState(pop.vel[act], pop.thr[act]),
-                               cmds, config.dt, plant)
-            pop.vel[act] = state.velocity
-            pop.thr[act] = state.thrust_accel
-            pop.pos[act] += state.velocity * config.dt
+        if len(pop):
+            state = plant_step(PlantState(pop.vel, pop.thr), table[pop.flat],
+                               config.dt, plant)
+            pop.vel = state.velocity
+            pop.thr = state.thrust_accel
+            pop.pos += state.velocity * config.dt
 
             if config.collisions:
                 # non-finite agents (the KD-tree rejects them) fault below
-                live = act[np.isfinite(pop.pos[act]).all(axis=1)
-                           & np.isfinite(pop.vel[act]).all(axis=1)]
+                live = np.flatnonzero(np.isfinite(pop.pos).all(axis=1)
+                                      & np.isfinite(pop.vel).all(axis=1))
                 sub_vel = pop.vel[live]
                 pairs = detect_collisions(pop.pos[live], sub_vel, config)
                 applied = resolve_collisions(sub_vel, pairs, config)
                 pop.vel[live] = sub_vel
-                for a, b, kind in applied:
-                    trace.events.append(
-                        (t_end, f"collision_{kind}", int(live[a]), int(live[b])))
+                gid = pop.gid[live]
+                counts[k, collided] = len(applied)
+                trace.events.extend(
+                    (t_end, f"collision_{kind}", int(gid[a]), int(gid[b]))
+                    for a, b, kind in applied)
 
             # wall escape: through the lateral wall, still inside the span
+            p = pop.pos
             if grid.geometry is not None:
-                p = pop.pos[act]
                 in_span = (p[:, 0] >= 0.0) & (p[:, 0] <= length)
                 rad = grid.geometry.radius(np.clip(p[:, 0], 0.0, length))
                 outside = in_span & (p[:, 1] ** 2 + p[:, 2] ** 2 > rad * rad) \
-                    & ~pop.escaped[act]
-                for i in act[outside]:
-                    trace.events.append((t_end, "wall_escape", int(i), -1))
-                pop.escaped[act[outside]] = True
-                trace.escaped += int(outside.sum())
+                    & ~pop.escaped
+                trace.events.extend((t_end, "wall_escape", i, -1)
+                                    for i in pop.gid[outside].tolist())
+                pop.escaped |= outside
+                counts[k, escaped] = outside.sum()
 
-            # faults: non-finite state ends the agent's run
-            bad = ~np.isfinite(pop.pos[act]).all(axis=1) \
-                | ~np.isfinite(pop.vel[act]).all(axis=1)
-            for i in act[bad]:
-                trace.events.append((t_end, "fault", int(i), -1))
-            pop.active[act[bad]] = False
-            trace.faults += int(bad.sum())
-
-            # retirement past the outlet plane
-            act = np.flatnonzero(pop.active)
-            gone = pop.pos[act, 0] > length
-            for i in act[gone]:
-                trace.events.append((t_end, "retire", int(i), -1))
-            pop.active[act[gone]] = False
-            trace.retired += int(gone.sum())
+            # faults: non-finite state ends the agent's run; the others
+            # retire past the outlet plane
+            bad = ~np.isfinite(p).all(axis=1) \
+                | ~np.isfinite(pop.vel).all(axis=1)
+            gone = ~bad & (p[:, 0] > length)
+            trace.events.extend((t_end, "fault", i, -1)
+                                for i in pop.gid[bad].tolist())
+            trace.events.extend((t_end, "retire", i, -1)
+                                for i in pop.gid[gone].tolist())
+            counts[k, faulted] = bad.sum()
+            counts[k, retired] = gone.sum()
+            if counts[k, faulted] or counts[k, retired]:
+                pop.keep(~(bad | gone))
 
         trace.frames.append(_record_frame(pop, grid))
         if config.record_trajectories and k % config.trajectory_stride == 0:
-            act = np.flatnonzero(pop.active)
             trace.trajectories.append(
-                (t_end, act.copy(), pop.pos[act].copy(), pop.vel[act].copy()))
+                (t_end, pop.gid.copy(), pop.pos.copy(), pop.vel.copy()))
 
+    totals = counts.sum(axis=0).tolist()
+    trace.injected, trace.retired, trace.escaped, trace.faults = totals[:4]
     return trace
 
 
 def _record_frame(pop: _Population, grid: ControlVolumeGrid) -> FrameRecord:
-    act = np.flatnonzero(pop.active)
-    if len(act) == 0:
+    """Per-cell sums over the active agents, whose cells it leaves on
+    ``pop.flat`` for the next frame's commands."""
+    if len(pop) == 0:
         z = np.empty(0)
         return FrameRecord(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                            np.empty((0, 3)), z, z.copy())
-    flat = assign_cell(pop.pos[act], grid)
+    flat = pop.flat = assign_cell(pop.pos, grid)
     order = np.argsort(flat, kind="stable")
     flat_s = flat[order]
-    cells, start = np.unique(flat_s, return_index=True)
-    counts = np.diff(np.append(start, len(flat_s))).astype(np.int64)
-    vel = pop.vel[act][order]
+    start = np.flatnonzero(np.diff(flat_s, prepend=-1))   # flat_s is sorted
+    cells = flat_s[start]
+    counts = np.diff(np.append(start, len(flat_s)))
+    vel = pop.vel[order]
     vsum = np.add.reduceat(vel, start, axis=0)
     sumv2 = np.add.reduceat(np.einsum("ij,ij->i", vel, vel), start)
     tgt = grid.v_target[flat_s]
@@ -444,13 +486,13 @@ def population_balance(trace: SimulationTrace) -> dict:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 2
+RUN_FORMAT = 3
 FRAME_COLUMNS = ("cells", "counts", "vsum", "sumv2", "dev2")
 EVENT_COLUMNS = ("event_t", "event_kind", "event_a", "event_b")
 TRAJ_COLUMNS = ("traj_ids", "traj_pos", "traj_vel")
 RUN_KEYS = ("meta", "frame_t", "frame_offsets", *FRAME_COLUMNS,
-            *EVENT_COLUMNS, "traj_t", "traj_offsets", *TRAJ_COLUMNS,
-            "command_table")
+            "frame_counts", *EVENT_COLUMNS, "traj_t", "traj_offsets",
+            *TRAJ_COLUMNS, "command_table")
 META_KEYS = ("format", "config", "plant", "dims", "injection_rate",
              "batch_size", "injected", "retired", "escaped", "faults")
 
@@ -464,6 +506,7 @@ def _run_columns(trace: SimulationTrace, meta: dict):
     for name in FRAME_COLUMNS:
         yield name, np.concatenate([getattr(r, name) for r in frames] or [
             np.empty((0, 3)) if name == "vsum" else np.empty(0)])
+    yield "frame_counts", trace.frame_counts
     for i, (name, dtype) in enumerate(zip(EVENT_COLUMNS,
                                           (float, str, np.int64, np.int64))):
         yield name, np.array([e[i] for e in trace.events], dtype=dtype)
@@ -479,10 +522,10 @@ def save_run(trace: SimulationTrace, outdir) -> None:
     """Write the whole trace to ``outdir/trace.npz`` (binary, uncompressed).
 
     Frame records and trajectory snapshots are flat columns cut by offsets,
-    events are one column per tuple field, and config, plant and counters
-    are one JSON string. ``load_run`` reads back a trace equal to this one.
-    Columns are built and written one at a time, so the frames are never
-    held twice over.
+    events are one column per tuple field, the per-frame counts are one
+    (frames, 5) array, and config, plant and counters are one JSON string.
+    ``load_run`` reads back a trace equal to this one. Columns are built and
+    written one at a time, so the frames are never held twice over.
     """
     os.makedirs(outdir, exist_ok=True)
     meta = {"format": RUN_FORMAT, "config": asdict(trace.config),
@@ -539,6 +582,9 @@ def load_run(rundir) -> SimulationTrace:
         raise ValueError(f"{RUN_FILE}: event columns differ in length")
     frames = _split([a[k] for k in FRAME_COLUMNS], a["frame_offsets"],
                     len(a["frame_t"]))
+    if a["frame_counts"].shape != (len(frames), len(FRAME_COUNT_COLUMNS)):
+        raise ValueError(f"{RUN_FILE}: frame_counts has shape "
+                         f"{a['frame_counts'].shape}")
     snaps = _split([a[k] for k in TRAJ_COLUMNS], a["traj_offsets"],
                    len(a["traj_t"]))
     return SimulationTrace(
@@ -551,5 +597,6 @@ def load_run(rundir) -> SimulationTrace:
         injection_rate=meta["injection_rate"], batch_size=meta["batch_size"],
         injected=meta["injected"], retired=meta["retired"],
         escaped=meta["escaped"], faults=meta["faults"],
+        frame_counts=a["frame_counts"],
         trajectories=[(t, *cols) for t, cols
                       in zip(a["traj_t"].tolist(), snaps)])

@@ -62,6 +62,10 @@ def test_full_pipeline(tmp_path, capsys):
     assert "rmse_velocity=" in out
     for key in ("injected=", "retired=", "active=", "balanced=True"):
         assert key in out, key
+    # per-frame counter peaks: equal batches, the first in frame 0; no
+    # collisions without collisions on
+    assert "\npeak_injected_frame=0\n" in out
+    assert "\npeak_collisions=0\npeak_collisions_frame=none\n" in out
     for name in ("metrics.txt", "slice.csv", "centerline.csv"):
         assert (rundir / name).exists(), name
 

@@ -4,6 +4,7 @@ determinism, bookkeeping, and the run record round trip."""
 import json
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from fluidswarm import (PlantParams, SimConfig, build_command_table,
                         detect_collisions, injection_rate, load_run,
                         population_balance, resolve_collisions,
                         run_simulation, save_run, swarm_sim)
-from fluidswarm.partition import assign_cell
+from fluidswarm.partition import ControlVolumeGrid, assign_cell, partition_domain
 from fluidswarm.swarm_sim import entry_cell, make_batch, seed_tunnel
-from fluidswarm.velocity_plant import step as plant_step
+from fluidswarm.velocity_plant import PlantState, step as plant_step
 
 CFG = SimConfig()  # collision thresholds at their defaults
 
@@ -62,15 +63,67 @@ def test_unfitted_cells_borrow_the_nearest_command(grid, fit):
         assert np.array_equal(table[f], 0.1 * fit.results[nearest].command)
 
 
-def test_command_table_equals_the_dense_nearest_search(grid, fit):
+def dense_nearest_table(grid, fit, scale):
+    """Reference table: the dense nearest search over every fitted cell,
+    one 256-row block of lattice cells at a time (argmin ties go to the
+    lowest index)."""
     fitted = np.array(sorted(fit.results), dtype=np.int64)
     means = np.stack([fit.results[int(f)].command for f in fitted])
     centers = grid.centers()
-    diff = centers[:, None, :] - centers[fitted][None, :, :]
-    nearest = np.argmin(np.einsum("mfk,mfk->mf", diff, diff), axis=1)
-    assert grid.num_cells > 256  # more than one block of rows
-    assert np.array_equal(build_command_table(grid, fit, 0.1),
-                          0.1 * means[nearest])
+    sources = centers[fitted]
+    nearest = np.empty(len(centers), dtype=np.int64)
+    for lo in range(0, len(centers), 256):
+        diff = centers[lo:lo + 256, None, :] - sources[None, :, :]
+        nearest[lo:lo + 256] = np.argmin(
+            np.einsum("mfk,mfk->mf", diff, diff), axis=1)
+    return scale * means[nearest]
+
+
+def fit_of(commands: dict):
+    """The part of a GridFit the command table reads: flat -> command."""
+    return SimpleNamespace(results={int(f): SimpleNamespace(command=c)
+                                    for f, c in commands.items()})
+
+
+def test_command_table_equals_the_dense_nearest_search(field, grid, fit):
+    lattices = [(grid, fit)]
+    for edge in (0.25, 0.3):
+        # every valid cell fitted, flying its target; 0.3 m is not a binary
+        # fraction, so the centers' distances carry rounding
+        g = partition_domain(field, edge_length=edge)
+        lattices.append(
+            (g, fit_of({f: g.v_target[f] for f in np.flatnonzero(g.valid)})))
+    for g, f in lattices:
+        assert g.num_cells > 256  # more than one block of rows
+        assert len(f.results) < g.num_cells
+        assert np.array_equal(build_command_table(g, f, 0.1),
+                              dense_nearest_table(g, f, 0.1)), g.edge_length
+
+
+@pytest.mark.parametrize("pattern", ["checkerboard", "corners"])
+def test_equidistant_fitted_cells_lend_the_lowest_index(pattern):
+    # unit cells from the origin: every center and distance is exact
+    dims = (5, 7, 5)
+    m = int(np.prod(dims))
+    grid = ControlVolumeGrid(
+        origin=np.zeros(3), edge_length=1.0, dims=dims,
+        inside=np.ones(m, dtype=bool), node_count=np.ones(m, dtype=np.int64),
+        v_target=np.zeros((m, 3)), p_target=np.zeros(m), rho_target=np.zeros(m))
+    idx = grid.unravel(np.arange(m))
+    if pattern == "checkerboard":   # an unfitted cell has up to 6 at 1 edge
+        fitted = np.flatnonzero(idx.sum(axis=1) % 2 == 0)
+    else:                           # the lattice's 8 corners
+        corners = (idx == 0) | (idx == np.array(dims) - 1)
+        fitted = np.flatnonzero(corners.all(axis=1))
+    # exact integer squared distances in cell units; the first minimum is
+    # the lowest fitted index
+    d2 = ((idx[:, None, :] - idx[None, fitted, :]) ** 2).sum(axis=2)
+    tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1)
+    assert tied.max() >= (6 if pattern == "checkerboard" else 8)
+    want = fitted[np.argmin(d2, axis=1)]
+    table = build_command_table(
+        grid, fit_of({f: np.array([f, 0.0, 0.0]) for f in fitted}), 1.0)
+    assert np.array_equal(table[:, 0], want)
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +439,224 @@ def test_a_non_finite_agent_faults_without_ending_a_collision_run(
     assert population_balance(trace)["balanced"]
 
 
+# ----------------------------------------------------------------------
+# the compact loop against the full-scan loop
+# ----------------------------------------------------------------------
+
+class FullScanPopulation:
+    """Every agent ever injected, with an ``active`` flag; each batch
+    stacks the whole population again."""
+
+    def __init__(self):
+        self.pos = np.empty((0, 3))
+        self.vel = np.empty((0, 3))
+        self.thr = np.empty((0, 3))
+        self.active = np.empty(0, dtype=bool)
+        self.escaped = np.empty(0, dtype=bool)
+
+    def append(self, pos, vel, thr) -> np.ndarray:
+        start = len(self.pos)
+        self.pos = np.vstack([self.pos, pos])
+        self.vel = np.vstack([self.vel, vel])
+        self.thr = np.vstack([self.thr, thr])
+        n = len(pos)
+        self.active = np.concatenate([self.active, np.ones(n, dtype=bool)])
+        self.escaped = np.concatenate([self.escaped, np.zeros(n, dtype=bool)])
+        return np.arange(start, start + n)
+
+
+def full_scan_record_frame(pop, grid):
+    act = np.flatnonzero(pop.active)
+    if len(act) == 0:
+        z = np.empty(0)
+        return swarm_sim.FrameRecord(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty((0, 3)), z, z.copy())
+    flat = assign_cell(pop.pos[act], grid)
+    order = np.argsort(flat, kind="stable")
+    flat_s = flat[order]
+    cells, start = np.unique(flat_s, return_index=True)
+    counts = np.diff(np.append(start, len(flat_s))).astype(np.int64)
+    vel = pop.vel[act][order]
+    vsum = np.add.reduceat(vel, start, axis=0)
+    sumv2 = np.add.reduceat(np.einsum("ij,ij->i", vel, vel), start)
+    tgt = grid.v_target[flat_s]
+    d = vel - tgt
+    dev2 = np.add.reduceat(np.einsum("ij,ij->i", d, d), start)
+    return swarm_sim.FrameRecord(cells, counts, vsum, sumv2, dev2)
+
+
+def full_scan_run(grid, fit, config):
+    """Reference loop: ``run_simulation`` as it was written before the
+    population held only active agents. Every frame bins all active agents
+    for their commands and again for the frame record, and gathers and
+    scatters them by index out of every agent ever injected. It steps and
+    collides through the module's names, so a monkeypatch reaches both."""
+    plant = PlantParams(mass=fit.config.agent_mass)
+    table = build_command_table(grid, fit, config.scale)
+    length = grid.geometry.length
+    rate, cell0 = injection_rate(grid, fit)
+    n_batch = config.batch_size if config.batch_size is not None \
+        else max(1, int(round(rate * config.dt_source)))
+    n_frames = int(round(config.duration / config.dt))
+    trace = swarm_sim.SimulationTrace(
+        config=config, plant=plant, dims=grid.dims,
+        frame_t=(np.arange(n_frames) + 1) * config.dt,
+        frames=[], events=[], command_table=table,
+        injection_rate=rate, batch_size=n_batch,
+        frame_counts=None)   # this loop kept no per-frame counts
+
+    pop = FullScanPopulation()
+    if config.case == "tunnel_seeding":
+        pos, vel, thr = seed_tunnel(grid, fit, config, plant)
+        ids = pop.append(pos, vel, thr)
+        trace.injected += len(ids)
+        for i in ids:
+            trace.events.append((0.0, "inject", int(i), -1))
+    stride = max(1, int(round(config.dt_source / config.dt)))
+
+    for k in range(n_frames):
+        t = k * config.dt
+        t_end = float(trace.frame_t[k])
+        if config.case == "reservoir" and k % stride == 0:
+            pos, vel, thr = make_batch(grid, fit, config, plant,
+                                       k // stride, n_batch, cell0)
+            ids = pop.append(pos, vel, thr)
+            trace.injected += len(ids)
+            for i in ids:
+                trace.events.append((t, "inject", int(i), -1))
+
+        act = np.flatnonzero(pop.active)
+        if len(act):
+            flat = assign_cell(pop.pos[act], grid)
+            cmds = table[flat]
+            state = swarm_sim.plant_step(
+                PlantState(pop.vel[act], pop.thr[act]), cmds, config.dt, plant)
+            pop.vel[act] = state.velocity
+            pop.thr[act] = state.thrust_accel
+            pop.pos[act] += state.velocity * config.dt
+
+            if config.collisions:
+                live = act[np.isfinite(pop.pos[act]).all(axis=1)
+                           & np.isfinite(pop.vel[act]).all(axis=1)]
+                sub_vel = pop.vel[live]
+                pairs = swarm_sim.detect_collisions(pop.pos[live], sub_vel,
+                                                    config)
+                applied = swarm_sim.resolve_collisions(sub_vel, pairs, config)
+                pop.vel[live] = sub_vel
+                for a, b, kind in applied:
+                    trace.events.append(
+                        (t_end, f"collision_{kind}", int(live[a]), int(live[b])))
+
+            p = pop.pos[act]
+            in_span = (p[:, 0] >= 0.0) & (p[:, 0] <= length)
+            rad = grid.geometry.radius(np.clip(p[:, 0], 0.0, length))
+            outside = in_span & (p[:, 1] ** 2 + p[:, 2] ** 2 > rad * rad) \
+                & ~pop.escaped[act]
+            for i in act[outside]:
+                trace.events.append((t_end, "wall_escape", int(i), -1))
+            pop.escaped[act[outside]] = True
+            trace.escaped += int(outside.sum())
+
+            bad = ~np.isfinite(pop.pos[act]).all(axis=1) \
+                | ~np.isfinite(pop.vel[act]).all(axis=1)
+            for i in act[bad]:
+                trace.events.append((t_end, "fault", int(i), -1))
+            pop.active[act[bad]] = False
+            trace.faults += int(bad.sum())
+
+            act = np.flatnonzero(pop.active)
+            gone = pop.pos[act, 0] > length
+            for i in act[gone]:
+                trace.events.append((t_end, "retire", int(i), -1))
+            pop.active[act[gone]] = False
+            trace.retired += int(gone.sum())
+
+        trace.frames.append(full_scan_record_frame(pop, grid))
+        if config.record_trajectories and k % config.trajectory_stride == 0:
+            act = np.flatnonzero(pop.active)
+            trace.trajectories.append(
+                (t_end, act.copy(), pop.pos[act].copy(), pop.vel[act].copy()))
+    return trace
+
+
+def frame_counts_from_events(trace):
+    """Per-frame counts rebuilt from the event log: injections carry the
+    frame's start time, every other event its end time."""
+    start = {k * trace.config.dt: k for k in range(len(trace.frame_t))}
+    end = {t: k for k, t in enumerate(trace.frame_t.tolist())}
+    column = {"inject": 0, "retire": 1, "wall_escape": 2, "fault": 3}
+    counts = np.zeros((len(trace.frame_t), 5), dtype=np.int64)
+    for t, kind, _, _ in trace.events:
+        k = start[t] if kind == "inject" else end[t]
+        counts[k, column.get(kind, 4)] += 1
+    return counts
+
+
+def poisoned_plant(at_call):
+    """``plant_step`` that turns the middle agent's velocity NaN on call
+    ``at_call``; a new counter for each run."""
+    calls = []
+
+    def step(state, cmds, dt, params):
+        out = plant_step(state, cmds, dt, params)
+        if len(calls) == at_call:
+            out.velocity[len(out.velocity) // 2, 1] = np.nan
+        calls.append(dt)
+        return out
+    return step
+
+
+LOOP_CASES = {
+    "reservoir": SimConfig(duration=30.0, seed=6),
+    "tunnel": SimConfig(case="tunnel_seeding", duration=20.0, seed=1,
+                        record_trajectories=True, trajectory_stride=7),
+    "collisions": SimConfig(duration=30.0, seed=0, batch_size=17,
+                            collisions=True, min_approach_speed=0.02),
+    "fault": SimConfig(duration=30.0, seed=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_compact_loop_equals_the_full_scan_loop(grid, fit, monkeypatch, case):
+    config = LOOP_CASES[case]
+    runs = []
+    for run in (run_simulation, full_scan_run):
+        if case == "fault":
+            monkeypatch.setattr(swarm_sim, "plant_step", poisoned_plant(100))
+        runs.append(run(grid, fit, config))
+    new, ref = runs
+    assert frames_equal(new.frames, ref.frames)
+    assert new.events == ref.events
+    totals = ("injected", "retired", "escaped", "faults")
+    assert [getattr(new, k) for k in totals] == [getattr(ref, k) for k in totals]
+    assert len(new.trajectories) == len(ref.trajectories)
+    for sa, sb in zip(new.trajectories, ref.trajectories):
+        assert sa[0] == sb[0]
+        assert all(np.array_equal(x, y) for x, y in zip(sa[1:], sb[1:]))
+    assert population_balance(new)["balanced"]
+
+    # per-frame counters: the reference's events frame by frame, and
+    # column sums equal to the totals
+    assert new.frame_counts.dtype == np.int64
+    assert np.array_equal(new.frame_counts, frame_counts_from_events(ref))
+    collisions = sum(e[1].startswith("collision") for e in ref.events)
+    assert new.frame_counts.sum(axis=0).tolist() == \
+        [getattr(ref, k) for k in totals] + [collisions]
+
+    # each case exercises what it names
+    kinds = Counter(e[1] for e in ref.events)
+    assert kinds["inject"] > 0 and kinds["retire"] > 0
+    if case == "tunnel":
+        assert len(ref.trajectories) > 1
+    if case == "collisions":
+        assert collisions > 0
+    if case == "fault":
+        assert ref.faults == 1
+        fault_t = next(e[0] for e in ref.events if e[1] == "fault")
+        assert any(e[1] == "retire" and e[0] > fault_t for e in ref.events)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(case="wind_tunnel")
@@ -414,6 +685,8 @@ def test_save_load_round_trip(tmp_path, grid, fit):
     assert frames_equal(back.frames, trace.frames)
     assert back.events == trace.events
     assert np.array_equal(back.command_table, trace.command_table)
+    assert back.frame_counts.dtype == trace.frame_counts.dtype
+    assert np.array_equal(back.frame_counts, trace.frame_counts)
     counters = ("injection_rate", "batch_size", "injected", "retired",
                 "escaped", "faults")
     assert [getattr(back, k) for k in counters] == \
@@ -432,16 +705,32 @@ def _shift_offsets(cols):
     cols["frame_offsets"][-1] += 1
 
 
-def _bump_format(cols):
+def _set_format(cols, fmt):
     meta = json.loads(cols["meta"].item())
-    meta["format"] += 1
+    meta["format"] = fmt
     cols["meta"] = np.array(json.dumps(meta))
+
+
+def _bump_format(cols):
+    _set_format(cols, json.loads(cols["meta"].item())["format"] + 1)
+
+
+def _format_2(cols):
+    # the layout before the per-frame counts
+    del cols["frame_counts"]
+    _set_format(cols, 2)
+
+
+def _drop_a_frame_count(cols):
+    cols["frame_counts"] = cols["frame_counts"][1:]
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_dev2, "missing"),
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
+    (_format_2, "missing"),
+    (_drop_a_frame_count, "frame_counts has shape"),
 ])
 def test_load_run_rejects_a_damaged_record(tmp_path, grid, fit, corrupt,
                                            message):
