@@ -8,7 +8,7 @@ against the (shifted) pressure target.
 import numpy as np
 
 from fluidswarm import (FitConfig, fit_grid, generate_quasi1d_field,
-                        partition_domain, scale_commands, set_pressure)
+                        partition_domain, set_pressure)
 
 field = generate_quasi1d_field()
 grid = partition_domain(field, edge_length=0.5)
@@ -46,6 +46,6 @@ print(f"  set pressure about the target {p_set:.6f} vs shifted target "
       f"{grid.p_target[f] - fit.pressure_offset:.6f}")
 
 # broadcast command at S=0.1: the scaled set collapses to the scaled mean
-scaled = scale_commands(res, 0.1)
+scaled = 0.1 * res.velocities
 print(f"\nS=0.1 broadcast at cell {f}: {np.round(0.1 * res.command, 4)} m/s "
       f"(scaled set mean {np.round(scaled.mean(axis=0), 4)})")

@@ -16,13 +16,10 @@ from .partition import (ControlVolumeGrid, assign_cell, load_partition,
 from .plant_suite import (headwind_sweep, hover_hold, max_speed_sweep,
                           noise_monte_carlo, run_suite, step_response)
 from .primitives import (ConstitutiveParams, DegenerateCellError,
-                         SwarmFieldSample, UndefinedSampleError,
-                         barotropic_pressure, compute_sample,
-                         control_temperature, internal_pressure,
-                         mass_mean_velocity, number_density, random_temperature,
-                         speed_of_sound, stress_diagonal, swarm_density,
-                         swarm_pressure, swarm_pressure_moment_form,
-                         swarm_temperature, swarm_velocity)
+                         UndefinedSampleError, control_temperature,
+                         internal_pressure, mass_mean_velocity,
+                         random_temperature, swarm_density, swarm_pressure,
+                         swarm_pressure_moment_form, swarm_temperature)
 from .reference_field import (ChokedFlowError, FieldFormatError, GasModel,
                               NozzleGeometry, ReferenceField,
                               generate_quasi1d_field, load_field, save_field,
@@ -33,7 +30,7 @@ from .swarm_sim import (SimConfig, SimulationTrace, build_command_table,
                         run_simulation, save_run)
 from .velocity_fit import (FitConfig, FitResult, GridFit, fit_cell, fit_grid,
                            grid_from_fit, initial_sigma, load_fit, save_fit,
-                           scale_commands, set_pressure)
+                           set_pressure)
 from .velocity_plant import (GRAVITY, PlantParams, PlantState, constrain_accel,
                              desired_accel, drag_force, tilt_angle_deg)
 from .velocity_plant import step as plant_step
@@ -45,23 +42,21 @@ __all__ = [
     "DegenerateCellError", "DerivedFields", "FieldFormatError", "FitConfig",
     "FitResult", "GRAVITY", "GasModel", "GridFit", "NozzleGeometry",
     "PlantParams", "PlantState", "ReferenceField", "SimConfig",
-    "SimulationTrace", "SwarmFieldSample", "UndefinedSampleError",
-    "assign_cell", "barotropic_pressure", "build_command_table",
-    "centerline_agreement", "centerline_profile", "compute_sample",
+    "SimulationTrace", "UndefinedSampleError", "assign_cell",
+    "build_command_table", "centerline_agreement", "centerline_profile",
     "constrain_accel", "control_temperature", "default_transient",
     "derive_fields", "desired_accel", "detect_collisions", "drag_force",
     "export_centerline", "export_slice", "field_agreement", "fit_cell",
     "fit_grid", "generate_quasi1d_field", "grid_from_fit", "headwind_sweep",
-    "hover_hold", "initial_sigma",
-    "injection_rate", "internal_pressure", "load_field", "load_fit",
-    "load_partition", "load_run", "mass_mean_velocity", "max_speed_sweep",
-    "metrics_report", "noise_monte_carlo", "number_density", "partition_domain",
-    "plant_step", "population_balance", "random_temperature",
-    "resolve_collisions", "run_simulation", "run_suite", "save_field",
-    "save_fit", "save_metrics", "save_partition", "save_run", "scale_commands",
-    "set_pressure", "speed_of_sound", "station_profile", "step_response",
-    "stress_diagonal", "swarm_density", "swarm_pressure",
-    "swarm_pressure_moment_form", "swarm_temperature", "swarm_velocity",
-    "tilt_angle_deg", "transit_time_estimate", "trend_check",
+    "hover_hold", "initial_sigma", "injection_rate", "internal_pressure",
+    "load_field", "load_fit", "load_partition", "load_run",
+    "mass_mean_velocity", "max_speed_sweep", "metrics_report",
+    "noise_monte_carlo", "partition_domain", "plant_step",
+    "population_balance", "random_temperature", "resolve_collisions",
+    "run_simulation", "run_suite", "save_field", "save_fit", "save_metrics",
+    "save_partition", "save_run", "set_pressure", "station_profile",
+    "step_response", "swarm_density", "swarm_pressure",
+    "swarm_pressure_moment_form", "swarm_temperature", "tilt_angle_deg",
+    "transit_time_estimate", "trend_check",
     "__version__",
 ]

@@ -243,7 +243,7 @@ def _cmd_analyze(args) -> int:
     for k, v in report.values.items():
         print(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}")
     balance = population_balance(run)
-    for k in ("injected", "retired", "active", "balanced"):
+    for k in ("injected", "retired", "active", "faults", "balanced"):
         print(f"{k}={balance[k]}")
     for name, column in zip(FRAME_COUNT_COLUMNS, run.frame_counts.T):
         k = int(np.argmax(column))

@@ -15,7 +15,8 @@ insensitive to the command scale factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .partition import ControlVolumeGrid
 from .primitives import (ConstitutiveParams, control_temperature,
                          pressure_coefficient, random_temperature_from_spread)
 from .reference_field import _FMT
-from .swarm_sim import SimulationTrace, population_balance
+from .swarm_sim import (FRAME_COUNT_COLUMNS, SimulationTrace,
+                        population_balance)
 
 SLICE_HEADER = ("x,y,z,occupancy,duty,concentration,ux,uy,uz,p_dev,p_int,T,"
                 "tvx,tvy,tvz,tp,norm_speed,norm_tspeed,norm_p,norm_tp,"
@@ -230,22 +232,6 @@ def field_agreement(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
     return out
 
 
-def residual_table(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
-    """Per-cell normalized residuals for the three scored quantities."""
-    sel = grid.valid & derived.valid
-    idx = np.flatnonzero(sel)
-    a, b = _norm_speed(derived, grid, sel)
-    table = {"cell": idx, "velocity": np.linalg.norm(a - b, axis=1)}
-    pa, pb = _norm_pressure(derived, grid, sel)
-    table["pressure"] = pa - pb
-    try:
-        da, db = _norm_density(derived, grid, sel)
-        table["density"] = da - db
-    except ValueError:
-        table["density"] = np.full(len(idx), np.nan)
-    return table
-
-
 def trend_check(derived: DerivedFields, grid: ControlVolumeGrid,
                 band: float = 2.0) -> dict:
     """Axial monotony: density dips at the throat, speed peaks there."""
@@ -384,7 +370,6 @@ class MetricsReport:
     values: dict
     derived: DerivedFields
     profile: dict
-    residuals: dict = field(default_factory=dict)
 
 
 def metrics_report(trace: SimulationTrace, grid: ControlVolumeGrid,
@@ -410,21 +395,21 @@ def metrics_report(trace: SimulationTrace, grid: ControlVolumeGrid,
     profile = centerline_profile(derived, grid)
     values.update(centerline_agreement(profile))
 
+    # frame k's injections are stamped k*dt, its retirements frame_t[k]
     window = duration - transient
-    retire = sum(1 for e in trace.events
-                 if e[1] == "retire" and e[0] > transient)
-    inject = sum(1 for e in trace.events
-                 if e[1] == "inject" and e[0] > transient)
+    col = dict(zip(FRAME_COUNT_COLUMNS, trace.frame_counts.T))
+    start_t = np.arange(len(trace.frame_t)) * trace.config.dt
+    inject = int(col["injected"][start_t > transient].sum())
+    retire = int(col["retired"][trace.frame_t > transient].sum())
     values["exit_rate"] = retire / window if window > 0 else float("nan")
     values["inject_rate"] = inject / window if window > 0 else float("nan")
+    kinds = Counter(e[1] for e in trace.events)
     for kind in ("overtake", "headon", "sideswipe"):
-        values[f"collisions_{kind}"] = sum(
-            1 for e in trace.events if e[1] == f"collision_{kind}")
-    values["wall_escapes"] = sum(1 for e in trace.events if e[1] == "wall_escape")
-    values["faults"] = sum(1 for e in trace.events if e[1] == "fault")
+        values[f"collisions_{kind}"] = kinds[f"collision_{kind}"]
+    values["wall_escapes"] = int(col["escaped"].sum())
+    values["faults"] = int(col["faulted"].sum())
     values["final_population"] = population_balance(trace)["active"]
-    return MetricsReport(values=values, derived=derived, profile=profile,
-                         residuals=residual_table(derived, grid))
+    return MetricsReport(values=values, derived=derived, profile=profile)
 
 
 def save_metrics(report: MetricsReport, path) -> None:

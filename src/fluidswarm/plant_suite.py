@@ -99,20 +99,20 @@ def max_speed_sweep(params: PlantParams | None = None,
     """Steady top speed and peak tilt across thrust-to-weight settings.
 
     The profile runs the step command forward for 10 s (steady speed taken
-    as the mean over t in [8, 10]) and reverses it for another 6 s, which
+    as the mean over t in (8, 10]) and reverses it for another 6 s, which
     exercises the tilt cone hard enough to expose the realized peak tilt.
+    Every setting is one agent of a single rollout.
     """
-    params = params or PlantParams()
+    params = replace(params or PlantParams(), thrust_to_weight=tuple(tw_values))
     fwd = np.array([v_cmd, 0.0, 0.0])
-    rows = []
-    for tw in tw_values:
-        p = replace(params, thrust_to_weight=tw)
-        ts, vs, tilts = rollout(p, lambda k, t: fwd if t < 10.0 else -fwd,
-                                16.0, dt)
-        speed = np.linalg.norm(vs[:, 0], axis=1)
-        steady = float(speed[(ts > 8.0) & (ts <= 10.0)].mean())
-        rows.append({"thrust_to_weight": tw, "steady_speed": steady,
-                     "peak_tilt_deg": float(tilts.max())})
+    ts, vs, tilts = rollout(params, lambda k, t: fwd if t < 10.0 else -fwd,
+                            16.0, dt, n=len(tw_values))
+    speed = np.linalg.norm(vs, axis=2)
+    window = (ts > 8.0) & (ts <= 10.0)
+    rows = [{"thrust_to_weight": tw,
+             "steady_speed": float(speed[window, i].mean()),
+             "peak_tilt_deg": float(tilts[:, i].max())}
+            for i, tw in enumerate(tw_values)]
     return {"rows": rows,
             "steady_speed_mean": float(np.mean([r["steady_speed"] for r in rows])),
             "peak_tilt_max": float(max(r["peak_tilt_deg"] for r in rows))}

@@ -1,13 +1,12 @@
 """Kinetic-theory style bulk observables for a set of agents in one cell.
 
 A group of agents occupying a control volume is summarized the way a gas
-parcel would be: a drift-projected bulk velocity, a mass (or count) density,
-a pressure built from the second velocity moment, and a temperature split
-into a thermal part (velocity spread about the mass-mean) plus a control
-part tied to actuation authority. A barotropic closure and a dispersion-
-corrected sound speed round out the set. The pressure coefficient and the
-two temperatures are defined once, here, for both ``metrics.derive_fields``
-(per-cell frame sums) and the per-agent routines.
+parcel would be: a mass-mean velocity, a mass density, a pressure built
+from the second velocity moment, and a temperature split into a thermal
+part (velocity spread about the mass-mean) plus a control part tied to
+actuation authority. The pressure coefficient and the two temperatures are
+defined once, here, for both ``metrics.derive_fields`` (per-cell frame sums)
+and the per-agent routines.
 
 All moment routines take agent masses and velocities as arrays; empty cells
 raise :class:`UndefinedSampleError` rather than returning zeros, because an
@@ -31,23 +30,12 @@ class DegenerateCellError(ValueError):
 
 @dataclass(frozen=True)
 class ConstitutiveParams:
-    """Closure constants for temperature and sound speed; the control
-    temperature's ``a_max`` is the plant's (:attr:`PlantParams.a_max`)."""
+    """Closure constants for temperature; the control temperature's
+    ``a_max`` is the plant's (:attr:`PlantParams.a_max`)."""
 
     c_v: float = 1.0          # specific heat at constant volume analog
-    c_p: float = 1.4          # specific heat at constant pressure analog
     k_b: float = 1.0          # velocity-spread-to-temperature conversion
     control_weight: float = 0.5   # weight of the control energy term
-    response_time: float = 0.08   # actuation response time, s
-    command_rate: float = 0.0     # command update angular rate, rad/s
-
-    @property
-    def gas_constant(self) -> float:
-        return self.c_p - self.c_v
-
-    @property
-    def gamma(self) -> float:
-        return self.c_p / self.c_v
 
 
 def pressure_coefficient(mass: float, cell_volume: float) -> float:
@@ -85,21 +73,6 @@ def _check(masses, velocities):
     return m, v
 
 
-def swarm_velocity(masses, velocities, drift_direction) -> np.ndarray:
-    """Mass-weighted mean velocity projected onto the drift direction.
-
-    The bulk velocity keeps only motion along the intended drift axis;
-    transverse agitation belongs to pressure/temperature, not drift.
-    """
-    m, v = _check(masses, velocities)
-    d = np.asarray(drift_direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0:
-        raise ValueError("drift_direction must be nonzero")
-    d = d / norm
-    return (m @ (v @ d)) / m.sum() * d
-
-
 def swarm_density(masses, cell_volume: float) -> float:
     """Mass density: total agent mass per cell volume."""
     m = np.asarray(masses, dtype=float).reshape(-1)
@@ -108,22 +81,6 @@ def swarm_density(masses, cell_volume: float) -> float:
     if cell_volume <= 0:
         raise ValueError("cell_volume must be positive")
     return float(m.sum() / cell_volume)
-
-
-def number_density(count: int, cell_volume: float) -> float:
-    """Agent concentration: count per cell volume."""
-    if cell_volume <= 0:
-        raise ValueError("cell_volume must be positive")
-    return count / cell_volume
-
-
-def stress_diagonal(masses, velocities, cell_volume: float) -> np.ndarray:
-    """Diagonal of the kinetic stress tensor, one entry per axis.
-
-    P_aa = (2 / dV) * sum_i m_i v_{a,i}^2.
-    """
-    m, v = _check(masses, velocities)
-    return 2.0 / cell_volume * (m @ (v * v))
 
 
 def swarm_pressure(masses, velocities, cell_volume: float) -> float:
@@ -159,7 +116,7 @@ def internal_pressure(masses, velocities, cell_volume: float, bulk_velocity) -> 
 
 
 def mass_mean_velocity(masses, velocities) -> np.ndarray:
-    """Unprojected mass-weighted mean velocity."""
+    """Mass-weighted mean velocity."""
     m, v = _check(masses, velocities)
     return (m[:, None] * v).sum(axis=0) / m.sum()
 
@@ -181,58 +138,3 @@ def swarm_temperature(masses, velocities, cell_volume: float, a_max: float,
     t_rand = random_temperature(masses, velocities, params)
     rho = swarm_density(masses, cell_volume)
     return t_rand + control_temperature(rho, a_max, params)
-
-
-def speed_of_sound(temperature: float, params: ConstitutiveParams) -> float:
-    """Dispersion-corrected acoustic speed.
-
-    c^2 = gamma * R * T / (1 + (omega * tau)^2), with omega the command
-    update rate and tau the actuation response time; omega = 0 recovers the
-    ideal-gas form.
-    """
-    if temperature < 0:
-        raise ValueError("temperature must be nonnegative")
-    disp = 1.0 + (params.command_rate * params.response_time) ** 2
-    return float(np.sqrt(params.gamma * params.gas_constant * temperature / disp))
-
-
-def barotropic_pressure(rho: float, reference_rho: float, reference_p: float,
-                        gamma: float) -> float:
-    """Isentropic closure P = k * rho^gamma anchored at a reference state."""
-    if rho < 0 or reference_rho <= 0 or reference_p <= 0:
-        raise ValueError("densities and reference pressure must be positive")
-    k = reference_p / reference_rho ** gamma
-    return float(k * rho ** gamma)
-
-
-@dataclass(frozen=True)
-class SwarmFieldSample:
-    """The full bulk-state record for one cell at one instant."""
-
-    count: int
-    bulk_velocity: np.ndarray      # drift-projected
-    mean_velocity: np.ndarray      # unprojected mass mean
-    mass_density: float
-    concentration: float
-    pressure: float
-    pressure_internal: float
-    temperature: float
-
-
-def compute_sample(masses, velocities, cell_volume: float, drift_direction,
-                   a_max: float,
-                   params: ConstitutiveParams | None = None) -> SwarmFieldSample:
-    """Evaluate every bulk observable for one cell's agents."""
-    params = params or ConstitutiveParams()
-    m, v = _check(masses, velocities)
-    mean_v = mass_mean_velocity(m, v)
-    return SwarmFieldSample(
-        count=len(m),
-        bulk_velocity=swarm_velocity(m, v, drift_direction),
-        mean_velocity=mean_v,
-        mass_density=swarm_density(m, cell_volume),
-        concentration=number_density(len(m), cell_volume),
-        pressure=swarm_pressure(m, v, cell_volume),
-        pressure_internal=internal_pressure(m, v, cell_volume, mean_v),
-        temperature=swarm_temperature(m, v, cell_volume, a_max, params),
-    )

@@ -198,11 +198,6 @@ def fit_grid(grid: ControlVolumeGrid, config: FitConfig | None = None,
                    pressure_offset=offset, config=config)
 
 
-def scale_commands(result: FitResult, scale: float) -> np.ndarray:
-    """Uniformly scaled copy of a cell's fitted velocity set."""
-    return scale * result.velocities
-
-
 # ======================================================================
 # wire format
 # ======================================================================

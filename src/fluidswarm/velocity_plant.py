@@ -25,10 +25,14 @@ GRAVITY = 9.81
 
 @dataclass(frozen=True)
 class PlantParams:
-    """Physical and control constants for one platform class."""
+    """Physical and control constants for one platform class.
+
+    ``thrust_to_weight`` may be a tuple, one value per agent of the states
+    this plant steps; ``a_max`` is then per agent too.
+    """
 
     mass: float = 1.0                      # kg
-    thrust_to_weight: float = 2.2
+    thrust_to_weight: float | tuple[float, ...] = 2.2
     air_density: float = 1.225             # kg/m^3
     ref_area: tuple[float, float, float] = (0.02, 0.02, 0.03)    # m^2 per axis
     drag_coeff: tuple[float, float, float] = (1.0, 1.0, 1.2)
@@ -43,12 +47,14 @@ class PlantParams:
             raise ValueError("mass and time constants must be positive")
         if not (0.0 < self.tilt_max_deg < 90.0):
             raise ValueError("tilt limit must lie in (0, 90) degrees")
-        if self.thrust_to_weight <= 0:
+        if np.min(self.thrust_to_weight) <= 0:
             raise ValueError("thrust_to_weight must be positive")
 
     @property
-    def a_max(self) -> float:
-        """Peak thrust acceleration, m/s^2."""
+    def a_max(self) -> float | np.ndarray:
+        """Peak thrust acceleration, m/s^2 (per agent for a tuple)."""
+        if isinstance(self.thrust_to_weight, tuple):
+            return np.asarray(self.thrust_to_weight) * self.gravity
         return self.thrust_to_weight * self.gravity
 
     @property
@@ -126,8 +132,11 @@ def constrain_accel(accel, params: PlantParams) -> np.ndarray:
     a[:, 1] *= shrink
     a[:, 2] = np.minimum(a[:, 2], 0.0)
     mag = np.linalg.norm(a, axis=1)
-    over = mag > params.a_max
-    a[over] *= (params.a_max / mag[over])[:, None]
+    a_max = params.a_max
+    over = mag > a_max
+    if np.ndim(a_max):
+        a_max = a_max[over]   # clipped rows only: a hover row's mag is 0
+    a[over] *= (a_max / mag[over])[:, None]
     return a if np.asarray(accel).ndim > 1 else a[0]
 
 

@@ -60,7 +60,8 @@ def test_full_pipeline(tmp_path, capsys):
                  "--transient", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "rmse_velocity=" in out
-    for key in ("injected=", "retired=", "active=", "balanced=True"):
+    for key in ("injected=", "retired=", "active=", "\nfaults=0\n",
+                "balanced=True"):
         assert key in out, key
     # per-frame counter peaks: equal batches, the first in frame 0; no
     # collisions without collisions on

@@ -298,7 +298,6 @@ def test_metrics_report_on_the_standard_run(tmp_path, trace60, grid):
     assert v["transient"] == pytest.approx(30.0)  # capped at duration/2
     assert v["exit_rate"] > 0.0
     assert v["final_population"] > 0
-    assert len(report.residuals["cell"]) == v["cells_compared"]
 
     path = tmp_path / "metrics.txt"
     save_metrics(report, path)
@@ -364,3 +363,41 @@ def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
                 internal_pressure(m, v, vol, grid.v_target[c]), rel=1e-9)
             checked += 1
     assert checked > 10
+
+
+def event_counts(trace, transient):
+    """Reference: the report's counts taken event by event."""
+    window = trace.config.duration - transient
+
+    def count(kind, after=-np.inf):
+        return sum(1 for e in trace.events if e[1] == kind and e[0] > after)
+
+    return {"exit_rate": count("retire", transient) / window,
+            "inject_rate": count("inject", transient) / window,
+            "collisions_overtake": count("collision_overtake"),
+            "collisions_headon": count("collision_headon"),
+            "collisions_sideswipe": count("collision_sideswipe"),
+            "wall_escapes": count("wall_escape"),
+            "faults": count("fault")}
+
+
+COUNT_CASES = {
+    "tunnel": SimConfig(case="tunnel_seeding", duration=20.0, seed=1),
+    "collisions": SimConfig(duration=30.0, seed=0, batch_size=17,
+                            collisions=True, min_approach_speed=0.02),
+}
+
+
+@pytest.mark.parametrize("case", ["reservoir", *COUNT_CASES])
+def test_report_counts_equal_the_event_counts(trace60, grid, fit, case):
+    trace = trace60 if case == "reservoir" \
+        else run_simulation(grid, fit, COUNT_CASES[case])
+    # the default transient and one on a frame boundary
+    for transient in (None, 10.0):
+        values = metrics_report(trace, grid, transient=transient).values
+        ref = event_counts(trace, values["transient"])
+        got = {k: values[k] for k in ref}
+        assert repr(got) == repr(ref)
+    assert trace.injected > 0 and trace.retired > 0
+    if case == "collisions":
+        assert ref["collisions_overtake"] > 0

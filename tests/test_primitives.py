@@ -13,12 +13,10 @@ import numpy as np
 import pytest
 
 from fluidswarm import (ConstitutiveParams, DegenerateCellError, PlantParams,
-                        UndefinedSampleError, barotropic_pressure,
-                        compute_sample, control_temperature, internal_pressure,
-                        mass_mean_velocity, number_density, random_temperature,
-                        speed_of_sound, stress_diagonal, swarm_density,
-                        swarm_pressure, swarm_pressure_moment_form,
-                        swarm_temperature, swarm_velocity)
+                        UndefinedSampleError, control_temperature,
+                        internal_pressure, mass_mean_velocity,
+                        random_temperature, swarm_density, swarm_pressure,
+                        swarm_pressure_moment_form, swarm_temperature)
 
 A_MAX = PlantParams().a_max  # 2.2 * 9.81
 M2 = np.ones(2)
@@ -33,29 +31,14 @@ def random_sets(seed, count):
 
 
 def test_hand_worked_cell():
-    assert np.allclose(swarm_velocity(M2, V2, [1, 0, 0]), [2.0, 0.0, 0.0])
     assert np.allclose(mass_mean_velocity(M2, V2), [2.0, 0.0, 0.0])
     assert swarm_density(M2, 1.0) == pytest.approx(2.0)
-    assert number_density(2, 1.0) == pytest.approx(2.0)
     assert swarm_pressure(M2, V2, 1.0) == pytest.approx(20.0 / 3.0, rel=1e-12)
     assert swarm_pressure_moment_form(M2, V2, 1.0) == pytest.approx(
         20.0 / 3.0, rel=1e-12)
     assert internal_pressure(M2, V2, 1.0, [2, 0, 0]) == pytest.approx(
         4.0 / 3.0, rel=1e-12)
     assert random_temperature(M2, V2, ConstitutiveParams()) == pytest.approx(0.5)
-    # stress diagonal: (2/dV) * sum m v_a^2 per axis, trace/3 = pressure
-    diag = stress_diagonal(M2, V2, 1.0)
-    assert np.allclose(diag, [20.0, 0.0, 0.0])
-    assert diag.mean() == pytest.approx(swarm_pressure(M2, V2, 1.0), rel=1e-12)
-
-
-def test_drift_projection_discards_transverse_motion():
-    v = np.array([[1.0, 2.0, 0.0], [3.0, -2.0, 4.0]])
-    u = swarm_velocity(np.ones(2), v, [1.0, 0.0, 0.0])
-    assert np.allclose(u, [2.0, 0.0, 0.0])
-    # direction normalization: any positive multiple gives the same answer
-    u2 = swarm_velocity(np.ones(2), v, [10.0, 0.0, 0.0])
-    assert np.allclose(u, u2)
 
 
 def test_zero_variance_internal_pressure_is_exactly_zero():
@@ -70,10 +53,9 @@ def test_zero_variance_internal_pressure_is_exactly_zero():
 def test_zero_variance_sample_pressure_split():
     # power-of-two count keeps the mean bitwise equal to the common row
     v0 = np.array([0.31, -2.7, 1.9])
-    s = compute_sample(np.ones(4), np.tile(v0, (4, 1)), 0.125, [1, 0, 0],
-                       A_MAX)
-    assert s.pressure_internal == 0.0
-    assert s.pressure == pytest.approx(
+    m, v = np.ones(4), np.tile(v0, (4, 1))
+    assert internal_pressure(m, v, 0.125, mass_mean_velocity(m, v)) == 0.0
+    assert swarm_pressure(m, v, 0.125) == pytest.approx(
         2.0 / (3.0 * 0.125) * 4.0 * float(v0 @ v0), rel=1e-12)
 
 
@@ -121,36 +103,11 @@ def test_swarm_temperature_composition():
                               rel=1e-12)
 
 
-def test_speed_of_sound():
-    params = ConstitutiveParams()
-    # gamma = 1.4, R = c_p - c_v = 0.4: c = sqrt(0.56 T)
-    assert speed_of_sound(1.0, params) == pytest.approx(np.sqrt(0.56), rel=1e-12)
-    assert speed_of_sound(0.0, params) == 0.0
-    slow = ConstitutiveParams(command_rate=2.0)
-    # dispersion factor 1 + (2 * 0.08)^2 = 1.0256
-    assert speed_of_sound(1.0, slow) == pytest.approx(
-        np.sqrt(0.56 / 1.0256), rel=1e-12)
-    with pytest.raises(ValueError):
-        speed_of_sound(-1.0, params)
-
-
-def test_barotropic_closure():
-    assert barotropic_pressure(1.225, 1.225, 101150.0, 1.4) == pytest.approx(
-        101150.0, rel=1e-12)
-    assert barotropic_pressure(2.45, 1.225, 101150.0, 1.4) == pytest.approx(
-        101150.0 * 2.0 ** 1.4, rel=1e-12)
-    with pytest.raises(ValueError):
-        barotropic_pressure(1.0, 0.0, 101150.0, 1.4)
-
-
 def test_empty_cell_is_undefined():
     empty_m, empty_v = np.empty(0), np.empty((0, 3))
-    for fn in (lambda: swarm_velocity(empty_m, empty_v, [1, 0, 0]),
-               lambda: swarm_density(empty_m, 1.0),
+    for fn in (lambda: swarm_density(empty_m, 1.0),
                lambda: swarm_pressure(empty_m, empty_v, 1.0),
-               lambda: random_temperature(empty_m, empty_v, ConstitutiveParams()),
-               lambda: compute_sample(empty_m, empty_v, 1.0, [1, 0, 0],
-                                      A_MAX)):
+               lambda: random_temperature(empty_m, empty_v, ConstitutiveParams())):
         with pytest.raises(UndefinedSampleError):
             fn()
 
@@ -161,18 +118,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         swarm_density(M2, 0.0)  # degenerate volume
     with pytest.raises(ValueError):
-        swarm_velocity(M2, V2, [0.0, 0.0, 0.0])  # no drift direction
-    with pytest.raises(ValueError):
         swarm_pressure(np.ones(3), V2, 1.0)  # length mismatch
-
-
-def test_compute_sample_bundles_everything():
-    s = compute_sample(M2, V2, 1.0, [1, 0, 0], A_MAX)
-    assert s.count == 2
-    assert np.allclose(s.bulk_velocity, [2.0, 0.0, 0.0])
-    assert s.mass_density == pytest.approx(2.0)
-    assert s.concentration == pytest.approx(2.0)
-    assert s.pressure == pytest.approx(20.0 / 3.0, rel=1e-12)
-    assert s.pressure_internal == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert s.temperature == pytest.approx(
-        swarm_temperature(M2, V2, 1.0, A_MAX, ConstitutiveParams()), rel=1e-12)

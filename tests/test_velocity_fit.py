@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from fluidswarm import (FitConfig, fit_cell, fit_grid, grid_from_fit,
-                        initial_sigma, load_fit, save_fit, scale_commands,
-                        set_pressure)
+                        initial_sigma, load_fit, save_fit, set_pressure)
 from fluidswarm.swarm_sim import build_command_table
 
 VOL = 0.125  # 0.5 m cell
@@ -124,8 +123,7 @@ def test_pressure_offset_makes_targets_nonnegative(fit, grid):
 def test_scaling_covariance():
     res = fit_cell([13.53, 0.0, 0.0], 0.9, VOL,
                    rng=np.random.default_rng(3))
-    assert np.array_equal(scale_commands(res, 1.0), res.velocities)
-    scaled = scale_commands(res, 0.1)
+    scaled = 0.1 * res.velocities
     assert np.allclose(scaled.mean(axis=0), 0.1 * res.command, rtol=1e-12)
     p0 = set_pressure(res.velocities, res.command, VOL, 1.0)
     p1 = set_pressure(scaled, 0.1 * res.command, VOL, 1.0)

@@ -1,5 +1,6 @@
 """Velocity plant tests: forces, constraints, lag dynamics, steady states."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,8 @@ def test_params_validation():
         PlantParams(tilt_max_deg=95.0)
     with pytest.raises(ValueError):
         PlantParams(thrust_to_weight=-1.0)
+    with pytest.raises(ValueError):
+        PlantParams(thrust_to_weight=(2.0, 0.0))   # one value per agent
 
 
 # ----------------------------------------------------------------------
@@ -251,3 +254,32 @@ def test_batched_noise_equals_single_agent_runs():
     for run in range(runs):
         vs = _one_agent(P, lambda k: noise[k // per_hold, run], steps, dt)
         assert np.array_equal(batched[:, run], vs)
+
+
+def test_batched_max_speed_equals_single_agent_runs():
+    tws, dt = (1.5, 2.2, 6.0), 0.005
+    out = max_speed_sweep(P, tw_values=tws, dt=dt)
+    fwd = np.array([8.0, 0.0, 0.0])
+
+    def command(k, t):
+        return fwd if t < 10.0 else -fwd
+
+    _, batched, batched_tilts = rollout(replace(P, thrust_to_weight=tws),
+                                        command, 16.0, dt, n=len(tws))
+    for i, (tw, row) in enumerate(zip(tws, out["rows"])):
+        # reference: each setting flown alone, as a single-agent plant
+        ts, vs, tilts = rollout(replace(P, thrust_to_weight=tw), command,
+                                16.0, dt)
+        assert np.array_equal(batched[:, i], vs[:, 0])
+        assert np.array_equal(batched_tilts[:, i], tilts[:, 0])
+        speed = np.linalg.norm(vs[:, 0], axis=1)
+        assert row == {"thrust_to_weight": tw,
+                       "steady_speed": float(
+                           speed[(ts > 8.0) & (ts <= 10.0)].mean()),
+                       "peak_tilt_deg": float(tilts.max())}
+
+
+def test_suite_raises_no_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_suite()["pass"]
