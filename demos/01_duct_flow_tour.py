@@ -7,8 +7,7 @@ promises (constant mass flux and constant total enthalpy).
 
 import numpy as np
 
-from fluidswarm import (ChokedFlowError, GasModel, NozzleGeometry,
-                        generate_quasi1d_field, station_profile)
+from fluidswarm import ChokedFlowError, generate_quasi1d_field, station_profile
 
 field = generate_quasi1d_field()
 geo, gas = field.geometry, field.gas

@@ -9,6 +9,7 @@ import numpy as np
 
 from fluidswarm import (FitConfig, fit_grid, generate_quasi1d_field,
                         partition_domain, set_pressure)
+from fluidswarm.velocity_fit import SET_SIZE
 
 field = generate_quasi1d_field()
 grid = partition_domain(field, edge_length=0.5)
@@ -23,13 +24,17 @@ print(f"  axial speed targets 3.38 -> {np.nanmax(np.linalg.norm(grid.v_target, a
 
 cfg = FitConfig(rng_seed=0)
 fit = fit_grid(grid, cfg)
-sizes = np.array([r.n_star for r in fit.results.values()])
-losses = np.array([r.loss for r in fit.results.values()])
-print(f"fitted {len(fit.results)} cells, all converged: "
-      f"{all(r.converged for r in fit.results.values())}")
-print(f"set sizes {sizes.min()}..{sizes.max()} "
-      f"(counts: {np.bincount(sizes)[sizes.min():].tolist()})")
-print(f"worst loss {losses.max():.3e}, pressure shift {fit.pressure_offset:.4f} Pa\n")
+# replay every set from its velocities: mean against the velocity target,
+# spread against the shifted pressure target
+mean_err = max(float(np.linalg.norm(r.command - grid.v_target[f]))
+               for f, r in fit.results.items())
+p_err = max(abs(set_pressure(r.velocities, r.command, grid.cell_volume,
+                             cfg.agent_mass)
+                - (grid.p_target[f] - fit.pressure_offset))
+            for f, r in fit.results.items())
+print(f"fitted {len(fit.results)} cells, {SET_SIZE} velocities each")
+print(f"worst replayed residuals: mean {mean_err:.2e} m/s, pressure "
+      f"{p_err:.2e} Pa; pressure shift {fit.pressure_offset:.4f} Pa\n")
 
 # one cell in detail: the throat-adjacent axial cell
 centers = grid.centers()
@@ -38,8 +43,9 @@ f = int(np.nanargmax(np.where(grid.valid, target_speed, np.nan)))
 res = fit.results[f]
 print(f"cell {f} at {np.round(centers[f], 2)}: target "
       f"{np.round(grid.v_target[f], 3)} m/s, {grid.p_target[f]:.3f} Pa gauge")
-print(f"  fitted {res.n_star} velocities, iterations {res.iterations}")
-print(f"  set mean  {np.round(res.command, 6)}  (residual {res.mean_residual:.2e})")
+print(f"  fitted {res.n_star} velocities")
+print(f"  set mean  {np.round(res.command, 6)}  (residual "
+      f"{np.linalg.norm(res.command - grid.v_target[f]):.2e})")
 p_set = set_pressure(res.velocities, grid.v_target[f], grid.cell_volume,
                      cfg.agent_mass)
 print(f"  set pressure about the target {p_set:.6f} vs shifted target "

@@ -29,8 +29,7 @@ from .swarm_sim import (SimConfig, SimulationTrace, build_command_table,
                         population_balance, resolve_collisions,
                         run_simulation, save_run)
 from .velocity_fit import (FitConfig, FitResult, GridFit, fit_cell, fit_grid,
-                           grid_from_fit, initial_sigma, load_fit, save_fit,
-                           set_pressure)
+                           grid_from_fit, load_fit, save_fit, set_pressure)
 from .velocity_plant import (GRAVITY, PlantParams, PlantState, constrain_accel,
                              desired_accel, drag_force, tilt_angle_deg)
 from .velocity_plant import step as plant_step
@@ -48,7 +47,7 @@ __all__ = [
     "derive_fields", "desired_accel", "detect_collisions", "drag_force",
     "export_centerline", "export_slice", "field_agreement", "fit_cell",
     "fit_grid", "generate_quasi1d_field", "grid_from_fit", "headwind_sweep",
-    "hover_hold", "initial_sigma", "injection_rate", "internal_pressure",
+    "hover_hold", "injection_rate", "internal_pressure",
     "load_field", "load_fit", "load_partition", "load_run",
     "mass_mean_velocity", "max_speed_sweep", "metrics_report",
     "noise_monte_carlo", "partition_domain", "plant_step",

@@ -13,8 +13,8 @@ fit's `--agent-mass` and writes the whole run as one exact binary record,
 `run/trace.npz`, which `analyze` scores with that plant's mass and peak
 acceleration, writing its metrics and CSV cuts next to it. `plant-test`
 exercises the velocity plant against its response envelopes and is
-independent of the field pipeline. Every subcommand accepts `--seed` and
-`--threads`; only the fit uses `--threads`, and results never depend on it.
+independent of the field pipeline. `fit`, `simulate` and `plant-test` take
+`--seed` (default 0); no other subcommand draws random numbers.
 """
 
 from __future__ import annotations
@@ -33,17 +33,9 @@ from .reference_field import (GasModel, NozzleGeometry, generate_quasi1d_field,
                               load_field, save_field)
 from .swarm_sim import (FRAME_COUNT_COLUMNS, SimConfig, load_run,
                         population_balance, run_simulation, save_run)
-from .velocity_fit import (FitConfig, fit_grid, grid_from_fit, load_fit,
-                           save_fit)
+from .velocity_fit import (SET_SIZE, FitConfig, fit_grid, grid_from_fit,
+                           load_fit, save_fit)
 from .velocity_plant import PlantParams
-
-
-def _common() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="fit worker threads; never changes results (default 1)")
-    return p
 
 
 def _geometry(args) -> NozzleGeometry:
@@ -67,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fluidswarm",
         description="Fluid-field-driven swarm control pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common()
 
-    p = sub.add_parser("generate-field", parents=[common],
+    p = sub.add_parser("generate-field",
                        help="solve the duct flow and write the reference field")
     p.add_argument("--output", required=True)
     p.add_argument("--inlet-speed", type=float, default=3.38)
@@ -80,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inlet-sound-speed", type=float, default=340.0)
     _add_geometry_args(p)
 
-    p = sub.add_parser("partition", parents=[common],
+    p = sub.add_parser("partition",
                        help="bin a reference field onto a cubic lattice")
     p.add_argument("--field", required=True)
     p.add_argument("--edge", type=float, default=0.5, help="cell edge length")
@@ -90,25 +81,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inlet-sound-speed", type=float, default=340.0)
     _add_geometry_args(p)
 
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit per-cell velocity sets to the targets")
+    p = sub.add_parser("fit", help="fit per-cell velocity sets to the targets")
     p.add_argument("--partition", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--max-iterations", type=int, default=100)
     p.add_argument("--agent-mass", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
-    p = sub.add_parser("plant-test", parents=[common],
+    p = sub.add_parser("plant-test",
                        help="run the velocity plant response scenarios")
     p.add_argument("--scenario", default="all",
                    choices=["all", "hover", "step", "max-speed", "headwind",
                             "noise"])
     p.add_argument("--out", default=None, help="also write a CSV results table")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate",
                        help="fly a swarm through the fitted commands")
     p.add_argument("--fit", required=True)
     p.add_argument("--out", required=True, help="run directory to create")
@@ -124,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", action="store_true",
                    help="also write decimated agent trajectories")
     p.add_argument("--thrust-to-weight", type=float, default=2.2)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze",
                        help="time-average a run and score it against targets")
     p.add_argument("--run", required=True)
     p.add_argument("--targets", required=True,
@@ -134,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="where to write metrics/slice/centerline (default: run dir)")
 
-    sub.add_parser("version", parents=[common], help="print version info")
+    sub.add_parser("version", help="print version info")
     return parser
 
 
@@ -171,16 +159,11 @@ def _cmd_partition(args) -> int:
 
 def _cmd_fit(args) -> int:
     grid = load_partition(args.partition)
-    cfg = FitConfig(n_min=args.n_min, n_max=args.n_max, alpha=args.alpha,
-                    epsilon=args.epsilon, max_iterations=args.max_iterations,
-                    agent_mass=args.agent_mass, rng_seed=args.seed)
-    fit = fit_grid(grid, cfg, threads=args.threads)
+    fit = fit_grid(grid, FitConfig(agent_mass=args.agent_mass,
+                                   rng_seed=args.seed))
     save_fit(fit, grid, args.output)
-    n = len(fit.results)
-    conv = sum(1 for r in fit.results.values() if r.converged)
-    sizes = np.array([r.n_star for r in fit.results.values()])
-    print(f"fitted {n} cells ({conv} converged), set sizes "
-          f"{sizes.min()}..{sizes.max()} (mean {sizes.mean():.2f}) -> {args.output}")
+    print(f"fitted {len(fit.results)} cells, {SET_SIZE} velocities each "
+          f"-> {args.output}")
     return 0
 
 

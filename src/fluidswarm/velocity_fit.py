@@ -1,56 +1,52 @@
 """Per-cell velocity-set fitting: encode flow targets as agent velocities.
 
-Each occupied cell of the partition gets a small set of N agent velocities
-whose mean equals the cell's velocity target and whose spread reproduces the
-cell's (shifted, nonnegative) pressure target through the second-moment
-pressure formula. The agent count N is chosen by scanning a candidate range
-and keeping the count with the smallest final objective, ties going to the
-smaller count.
+Each occupied cell of the partition gets a set of ``SET_SIZE`` agent
+velocities whose mean equals the cell's velocity target and whose spread
+reproduces the cell's (shifted, nonnegative) pressure target through the
+second-moment pressure formula.
 
-Construction: the mean constraint is eliminated exactly by optimizing
-zero-mean fluctuations w_i added to the target; the pressure constraint then
-reduces to one scalar equation in a radial scale s applied to the initial
-Gaussian draw, solved by Newton iteration on
+Construction, in closed form: each cell draws ``SET_SIZE`` standard normal
+3-vectors and removes their mean, giving fluctuations w_i with
+q = sum_i ||w_i||^2. The set is v_target + s * w_i, with the spread
 
-    r(s) = (2 m / (3 dV)) * s^2 * sum_i ||w_i||^2  -  P_target.
+    s = sqrt(P_target / (c * q)),    c = 2 m / (3 dV),
 
-The objective reported is  ||v_target - mean||^2 + alpha * |P_target - P(set)|,
-with the mean term zero by construction up to rounding.
+so the set pressure c * s^2 * q equals P_target, and a zero target tiles
+the velocity target exactly. ``fit_grid`` solves every cell in one array
+pass; ``fit_cell`` is the same pass on one cell.
 
 Reproducibility: every cell draws from its own generator seeded by
-(seed, cell index), so results are independent of evaluation order and of
-how many worker threads computed them.
+(seed, cell index), so a cell's set does not depend on which other cells are
+fitted with it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .partition import ControlVolumeGrid
 from .primitives import pressure_coefficient
-from .reference_field import _FMT
 
-FIT_HEADER = "jx,jy,jz,n_star,loss,iters,converged"
+SET_SIZE = 9                      # velocities per cell
+FIT_HEADER = "jx,jy,jz,n_star"
+_META_KEYS = ("agent_mass", "rng_seed", "pressure_offset", "edge_length",
+              "origin_x", "origin_y", "origin_z", "nx", "ny", "nz")
+_GEOMETRY_KEYS = ("length", "inlet_radius", "outlet_radius", "throat_radius",
+                  "throat_x")
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    n_min: int = 2
-    n_max: int = 10
-    alpha: float = 1.0            # pressure-residual weight in the objective
-    epsilon: float = 1e-6         # update-norm stopping threshold
-    max_iterations: int = 100
     agent_mass: float = 1.0
     rng_seed: int = 0
+    # not fields: the set-size range that perfbench's fit counter reads
+    n_min = n_max = SET_SIZE
 
     def __post_init__(self):
-        if not (1 <= self.n_min <= self.n_max):
-            raise ValueError("need 1 <= n_min <= n_max")
-        if self.epsilon <= 0 or self.alpha < 0 or self.agent_mass <= 0:
-            raise ValueError("epsilon/agent_mass must be positive, alpha >= 0")
+        if self.agent_mass <= 0:
+            raise ValueError("agent_mass must be positive")
 
 
 @dataclass
@@ -58,29 +54,11 @@ class FitResult:
     cell: int                     # flat cell index
     n_star: int
     velocities: np.ndarray        # (n_star, 3)
-    loss: float
-    iterations: int
-    converged: bool
-    mean_residual: float          # ||mean(velocities) - v_target||
-    pressure_residual: float      # |P(velocities about mean) - p_target|
 
     @property
     def command(self) -> np.ndarray:
         """The single per-cell command: the fitted set's mean velocity."""
         return self.velocities.mean(axis=0)
-
-
-def initial_sigma(p_target: float, cell_volume: float, agent_mass: float,
-                  n: int) -> float:
-    """Per-axis draw scale that matches the pressure target in expectation.
-
-    sigma^2 = P * 3 dV / (2 m N): inverting the second-moment pressure for
-    N isotropic fluctuations.
-    """
-    if p_target < 0:
-        raise ValueError("pressure target must be nonnegative (pre-shifted)")
-    # not via pressure_coefficient: any rounding change here moves n* (ROADMAP 3)
-    return float(np.sqrt(p_target * 3.0 * cell_volume / (2.0 * agent_mass * n)))
 
 
 def set_pressure(velocities, center, cell_volume: float, agent_mass: float) -> float:
@@ -90,44 +68,14 @@ def set_pressure(velocities, center, cell_volume: float, agent_mass: float) -> f
                  * np.einsum("ij,ij->", w, w))
 
 
-def _fit_candidate(v_target, p_target, cell_volume, config, rng, n):
-    """Solve one candidate count; returns velocities and diagnostics."""
-    v_target = np.asarray(v_target, dtype=float)
-    if p_target <= 0.0:
-        vel = np.tile(v_target, (n, 1))
-        return vel, abs(p_target) * config.alpha, 0, True, 0.0, abs(p_target)
-
-    coeff = pressure_coefficient(config.agent_mass, cell_volume)
-    sigma = initial_sigma(p_target, cell_volume, config.agent_mass, n)
-    # zero-mean fluctuations; redraw on the (measure-zero) degenerate draw
-    for _ in range(8):
-        w = sigma * rng.standard_normal((n, 3))
-        w -= w.mean(axis=0)
-        quad = float(np.einsum("ij,ij->", w, w))
-        if quad > 0.0:
-            break
-    else:
-        raise RuntimeError("degenerate fluctuation draw repeated 8 times")
-
-    scale_norm = np.sqrt(quad)
-    s = 1.0
-    iters = 0
-    converged = False
-    while iters < config.max_iterations:
-        resid = coeff * quad * s * s - p_target
-        step = -resid / (2.0 * coeff * quad * s)
-        s += step
-        iters += 1
-        if abs(step) * scale_norm < config.epsilon:
-            converged = True
-            break
-
-    vel = v_target + s * w
-    mean_resid = float(np.linalg.norm(vel.mean(axis=0) - v_target))
-    press_resid = abs(coeff * quad * s * s - p_target)
-    loss = mean_resid ** 2 + config.alpha * press_resid
-    converged = converged and press_resid <= config.epsilon * max(1.0, p_target)
-    return vel, loss, iters, converged, mean_resid, press_resid
+def _solve(v_target, p_target, cell_volume: float, agent_mass: float,
+           draws) -> np.ndarray:
+    """Closed-form sets for k cells: targets (k, 3) and (k,), draws
+    (k, SET_SIZE, 3) of standard normals; returns (k, SET_SIZE, 3)."""
+    w = draws - draws.mean(axis=1, keepdims=True)
+    q = np.einsum("kij,kij->k", w, w)
+    s = np.sqrt(p_target / (pressure_coefficient(agent_mass, cell_volume) * q))
+    return v_target[:, None, :] + s[:, None, None] * w
 
 
 def fit_cell(v_target, p_target: float, cell_volume: float,
@@ -137,9 +85,8 @@ def fit_cell(v_target, p_target: float, cell_volume: float,
     """Fit a velocity set to one cell's targets.
 
     ``p_target`` must already be nonnegative (callers shift by the field
-    minimum; see :func:`fit_grid`). Candidate counts n_min..n_max are solved
-    in ascending order and the smallest loss wins; an exact tie keeps the
-    smaller count because later candidates must beat, not match, the best.
+    minimum; see :func:`fit_grid`). The set is the first ``SET_SIZE`` 3-vector
+    draws of ``rng``, solved as in :func:`fit_grid`.
     """
     config = config or FitConfig()
     rng = rng or np.random.default_rng(config.rng_seed)
@@ -147,16 +94,10 @@ def fit_cell(v_target, p_target: float, cell_volume: float,
         raise ValueError("pressure target must be nonnegative (pre-shifted)")
     if cell_volume <= 0:
         raise ValueError("cell_volume must be positive")
-
-    best = None
-    for n in range(config.n_min, config.n_max + 1):
-        vel, loss, iters, conv, mres, pres = _fit_candidate(
-            v_target, p_target, cell_volume, config, rng, n)
-        if best is None or loss < best.loss:
-            best = FitResult(cell=cell, n_star=n, velocities=vel, loss=loss,
-                             iterations=iters, converged=conv,
-                             mean_residual=mres, pressure_residual=pres)
-    return best
+    vel = _solve(np.asarray(v_target, dtype=float)[None], np.array([p_target]),
+                 cell_volume, config.agent_mass,
+                 rng.standard_normal((1, SET_SIZE, 3)))
+    return FitResult(cell=cell, n_star=SET_SIZE, velocities=vel[0])
 
 
 @dataclass
@@ -168,34 +109,28 @@ class GridFit:
     config: FitConfig
 
 
-def fit_grid(grid: ControlVolumeGrid, config: FitConfig | None = None,
-             threads: int = 1) -> GridFit:
-    """Fit every valid cell of a partition.
+def fit_grid(grid: ControlVolumeGrid,
+             config: FitConfig | None = None) -> GridFit:
+    """Fit every valid cell of a partition in one array pass.
 
     Pressure targets are shifted by the valid-cell minimum so the most
     rarefied cell fits zero spread; the offset is kept with the results.
-    Worker threads only change wall time, never output, because each cell's
-    generator is seeded from (rng_seed, cell index).
+    Cell f draws from the generator seeded by (rng_seed, f), so its set
+    equals ``fit_cell`` on that generator, bit for bit.
     """
     config = config or FitConfig()
     cells = np.flatnonzero(grid.valid)
     if len(cells) == 0:
         raise ValueError("grid has no valid cells to fit")
     offset = float(np.nanmin(grid.p_target[cells]))
-    vol = grid.cell_volume
-
-    def solve(f: int) -> FitResult:
-        rng = np.random.default_rng((config.rng_seed, int(f)))
-        return fit_cell(grid.v_target[f], float(grid.p_target[f] - offset),
-                        vol, config, rng, cell=int(f))
-
-    if threads <= 1:
-        results = [solve(int(f)) for f in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, [int(f) for f in cells]))
-    return GridFit(results={r.cell: r for r in results},
-                   pressure_offset=offset, config=config)
+    draws = np.stack([
+        np.random.default_rng((config.rng_seed, int(f))).standard_normal(
+            (SET_SIZE, 3)) for f in cells])
+    vel = _solve(grid.v_target[cells], grid.p_target[cells] - offset,
+                 grid.cell_volume, config.agent_mass, draws)
+    results = {int(f): FitResult(cell=int(f), n_star=SET_SIZE, velocities=v)
+               for f, v in zip(cells, vel)}
+    return GridFit(results=results, pressure_offset=offset, config=config)
 
 
 # ======================================================================
@@ -203,11 +138,10 @@ def fit_grid(grid: ControlVolumeGrid, config: FitConfig | None = None,
 # ======================================================================
 
 def save_fit(fit: GridFit, grid: ControlVolumeGrid, path) -> None:
-    """Write fit results; rows are ragged (3 extra columns per velocity)."""
+    """Write fit results exactly: floats as ``repr``, one row per cell with
+    three columns per velocity after ``FIT_HEADER``."""
     c = fit.config
     meta = {
-        "n_min": c.n_min, "n_max": c.n_max, "alpha": c.alpha,
-        "epsilon": c.epsilon, "max_iterations": c.max_iterations,
         "agent_mass": c.agent_mass, "rng_seed": c.rng_seed,
         "pressure_offset": fit.pressure_offset,
         "edge_length": grid.edge_length,
@@ -220,59 +154,54 @@ def save_fit(fit: GridFit, grid: ControlVolumeGrid, path) -> None:
         meta.update(length=g.length, inlet_radius=g.inlet_radius,
                     outlet_radius=g.outlet_radius, throat_radius=g.throat_radius,
                     throat_x=g.throat_x)
-    lines = ["# " + " ".join(f"{k}={v:.12g}" if isinstance(v, float) else f"{k}={v}"
+    lines = ["# " + " ".join(f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}"
                              for k, v in meta.items())]
     lines.append(FIT_HEADER + ",v1x,v1y,v1z,...")
     for f in sorted(fit.results):
         r = fit.results[f]
         jx, jy, jz = grid.unravel([f])[0]
-        row = [str(jx), str(jy), str(jz), str(r.n_star), _FMT % r.loss,
-               str(r.iterations), str(int(r.converged))]
-        row.extend(_FMT % x for x in r.velocities.ravel())
+        row = [str(jx), str(jy), str(jz), str(r.n_star)]
+        row.extend(repr(float(x)) for x in r.velocities.ravel())
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_fit(path) -> tuple[GridFit, dict[str, float]]:
-    """Read a fit table; returns the fit and its raw metadata mapping."""
+    """Read a fit table; returns the fit and its raw metadata mapping.
+
+    Raises ``ValueError`` when a metadata key is missing or a row's velocity
+    count disagrees with its set size.
+    """
     meta: dict[str, float] = {}
-    results: dict[int, FitResult] = {}
-    dims = None
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 for tok in line[1:].split():
                     k, _, v = tok.partition("=")
                     meta[k] = float(v)
-                dims = (int(meta["nx"]), int(meta["ny"]), int(meta["nz"]))
-                continue
-            if line.startswith("jx,"):
-                continue
-            parts = line.split(",")
-            jx, jy, jz = int(parts[0]), int(parts[1]), int(parts[2])
-            n_star = int(parts[3])
-            flat = int(np.ravel_multi_index((jx, jy, jz), dims))
-            vel = np.asarray([float(x) for x in parts[7:]], dtype=float)
-            if len(vel) != 3 * n_star:
-                raise ValueError(f"{path}: cell ({jx},{jy},{jz}) expects "
-                                 f"{3 * n_star} velocity values, got {len(vel)}")
-            vel = vel.reshape(n_star, 3)
-            results[flat] = FitResult(
-                cell=flat, n_star=n_star, velocities=vel,
-                loss=float(parts[4]), iterations=int(parts[5]),
-                converged=bool(int(parts[6])),
-                mean_residual=float("nan"), pressure_residual=float("nan"))
-    config = FitConfig(
-        n_min=int(meta.get("n_min", 2)), n_max=int(meta.get("n_max", 10)),
-        alpha=meta.get("alpha", 1.0), epsilon=meta.get("epsilon", 1e-6),
-        max_iterations=int(meta.get("max_iterations", 100)),
-        agent_mass=meta.get("agent_mass", 1.0),
-        rng_seed=int(meta.get("rng_seed", 0)))
-    fit = GridFit(results=results, pressure_offset=meta.get("pressure_offset", 0.0),
+            elif line and not line.startswith("jx,"):
+                rows.append(line.split(","))
+    need = _META_KEYS + (_GEOMETRY_KEYS if "length" in meta else ())
+    missing = [k for k in need if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: missing fit metadata {', '.join(missing)}")
+    dims = (int(meta["nx"]), int(meta["ny"]), int(meta["nz"]))
+    results: dict[int, FitResult] = {}
+    for parts in rows:
+        jx, jy, jz, n_star = (int(x) for x in parts[:4])
+        flat = int(np.ravel_multi_index((jx, jy, jz), dims))
+        vel = np.asarray([float(x) for x in parts[4:]], dtype=float)
+        if len(vel) != 3 * n_star:
+            raise ValueError(f"{path}: cell ({jx},{jy},{jz}) expects "
+                             f"{3 * n_star} velocity values, got {len(vel)}")
+        results[flat] = FitResult(cell=flat, n_star=n_star,
+                                  velocities=vel.reshape(n_star, 3))
+    config = FitConfig(agent_mass=meta["agent_mass"],
+                       rng_seed=int(meta["rng_seed"]))
+    fit = GridFit(results=results, pressure_offset=meta["pressure_offset"],
                   config=config)
     return fit, meta
 

@@ -9,6 +9,7 @@ import pytest
 
 from fluidswarm import load_run
 from fluidswarm.cli import main
+from fluidswarm.velocity_fit import SET_SIZE
 
 
 def test_version_prints_the_package_and_numpy(capsys):
@@ -48,7 +49,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert main(["fit", "--partition", str(gridf), "--output", str(fitf),
                  "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert "converged" in out
+    assert f"{SET_SIZE} velocities each" in out
 
     assert main(["simulate", "--fit", str(fitf), "--out", str(rundir),
                  "--duration", "4.0", "--dt", "0.05", "--seed", "0"]) == 0
@@ -78,7 +79,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert (outdir / "metrics.txt").exists()
 
 
-def test_fit_output_does_not_depend_on_threads(tmp_path, capsys):
+def test_two_fit_runs_write_identical_files(tmp_path, capsys):
     field = tmp_path / "field.csv"
     gridf = tmp_path / "grid.csv"
     main(["generate-field", "--output", str(field), "--stations", "41",
@@ -86,13 +87,32 @@ def test_fit_output_does_not_depend_on_threads(tmp_path, capsys):
     main(["partition", "--field", str(field), "--output", str(gridf)])
     capsys.readouterr()
     outs = []
-    for threads, name in ((1, "fit1.csv"), (2, "fit2.csv")):
+    for name in ("fit1.csv", "fit2.csv"):
         path = tmp_path / name
         assert main(["fit", "--partition", str(gridf), "--output", str(path),
-                     "--seed", "7", "--threads", str(threads)]) == 0
+                     "--seed", "7"]) == 0
         outs.append(path.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate-field", "--output", "f.csv", "--seed", "1"],
+    ["partition", "--field", "f.csv", "--output", "g.csv", "--seed", "1"],
+    ["analyze", "--run", "run", "--targets", "g.csv", "--seed", "1"],
+    ["version", "--seed", "1"],
+    ["fit", "--partition", "g.csv", "--output", "fit.csv", "--threads", "2"],
+    ["fit", "--partition", "g.csv", "--output", "fit.csv", "--n-max", "4"],
+    ["simulate", "--fit", "fit.csv", "--out", "run", "--threads", "2"],
+])
+def test_flags_a_subcommand_never_reads_are_rejected(argv, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_fit_agent_mass_reaches_the_simulated_plant(tmp_path, capsys):
