@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -38,20 +39,15 @@ from .velocity_fit import (SET_SIZE, FitConfig, fit_grid, grid_from_fit,
 from .velocity_plant import PlantParams
 
 
-def _geometry(args) -> NozzleGeometry:
-    return NozzleGeometry(length=args.length, inlet_radius=args.inlet_radius,
-                          outlet_radius=args.outlet_radius,
-                          throat_radius=args.throat_radius,
-                          throat_x=args.throat_x)
+def _add_dataclass_args(p: argparse.ArgumentParser, cls) -> None:
+    """One float flag per field of ``cls``, defaulting to the field's default."""
+    for f in fields(cls):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float,
+                       default=f.default)
 
 
-def _add_geometry_args(p: argparse.ArgumentParser) -> None:
-    g = NozzleGeometry()
-    p.add_argument("--length", type=float, default=g.length)
-    p.add_argument("--inlet-radius", type=float, default=g.inlet_radius)
-    p.add_argument("--outlet-radius", type=float, default=g.outlet_radius)
-    p.add_argument("--throat-radius", type=float, default=g.throat_radius)
-    p.add_argument("--throat-x", type=float, default=g.throat_x)
+def _from_args(cls, args):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,20 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inlet-speed", type=float, default=3.38)
     p.add_argument("--stations", type=int, default=151)
     p.add_argument("--rings", type=int, default=6)
-    p.add_argument("--gamma", type=float, default=1.4)
-    p.add_argument("--inlet-density", type=float, default=1.225)
-    p.add_argument("--inlet-sound-speed", type=float, default=340.0)
-    _add_geometry_args(p)
+    _add_dataclass_args(p, GasModel)
+    _add_dataclass_args(p, NozzleGeometry)
 
     p = sub.add_parser("partition",
                        help="bin a reference field onto a cubic lattice")
     p.add_argument("--field", required=True)
     p.add_argument("--edge", type=float, default=0.5, help="cell edge length")
     p.add_argument("--output", required=True)
-    p.add_argument("--gamma", type=float, default=1.4)
-    p.add_argument("--inlet-density", type=float, default=1.225)
-    p.add_argument("--inlet-sound-speed", type=float, default=340.0)
-    _add_geometry_args(p)
+    _add_dataclass_args(p, GasModel)
+    _add_dataclass_args(p, NozzleGeometry)
 
     p = sub.add_parser("fit", help="fit per-cell velocity sets to the targets")
     p.add_argument("--partition", required=True)
@@ -131,10 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ======================================================================
 
 def _cmd_generate_field(args) -> int:
-    geo = _geometry(args)
-    gas = GasModel(gamma=args.gamma, inlet_density=args.inlet_density,
-                   inlet_sound_speed=args.inlet_sound_speed)
-    fld = generate_quasi1d_field(geometry=geo, gas=gas,
+    fld = generate_quasi1d_field(geometry=_from_args(NozzleGeometry, args),
+                                 gas=_from_args(GasModel, args),
                                  inlet_speed=args.inlet_speed,
                                  axial_stations=args.stations,
                                  radial_rings=args.rings)
@@ -146,9 +136,8 @@ def _cmd_generate_field(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    gas = GasModel(gamma=args.gamma, inlet_density=args.inlet_density,
-                   inlet_sound_speed=args.inlet_sound_speed)
-    fld = load_field(args.field, geometry=_geometry(args), gas=gas)
+    fld = load_field(args.field, geometry=_from_args(NozzleGeometry, args),
+                     gas=_from_args(GasModel, args))
     grid = partition_domain(fld, edge_length=args.edge)
     save_partition(grid, args.output)
     print(f"lattice {grid.dims[0]}x{grid.dims[1]}x{grid.dims[2]}, "

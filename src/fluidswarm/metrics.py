@@ -209,8 +209,9 @@ def field_agreement(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
     """Normalized RMS differences between derived and target fields.
 
     Scored over valid cells only (targets present and occupied at least
-    once). Density is reported in both conventions; they share one RMS value
-    because (max - x)/max is an affine flip of x/max on both sides.
+    once). Density is reported once, as ``rmse_density``: the (max - x)/max
+    convention would give the same RMS value, being an affine flip of x/max
+    on both sides.
     """
     sel = grid.valid & derived.valid
     if not sel.any():

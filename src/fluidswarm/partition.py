@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reference_field import GasModel, NozzleGeometry, ReferenceField, _FMT
+from .reference_field import (FieldFormatError, GasModel, NozzleGeometry,
+                              ReferenceField, cell_index, lattice_from_meta,
+                              lattice_meta, read_table, write_table)
 
 PARTITION_HEADER = "jx,jy,jz,cx,cy,cz,inside,node_count,vtx,vty,vtz,pt"
 
@@ -36,6 +38,14 @@ class ControlVolumeGrid:
     rho_target: np.ndarray        # (M,) gas density from p_target (NaN without gas)
     geometry: NozzleGeometry | None = field(default=None, compare=False)
     gas: GasModel | None = field(default=None, compare=False)
+
+    @classmethod
+    def empty(cls, origin, edge_length, dims, geometry=None, gas=None):
+        """The lattice with no cell inside and every target NaN."""
+        m = int(np.prod(dims))
+        return cls(origin, edge_length, dims, np.zeros(m, dtype=bool),
+                   np.zeros(m, dtype=np.int64), np.full((m, 3), np.nan),
+                   np.full(m, np.nan), np.full(m, np.nan), geometry, gas)
 
     @property
     def num_cells(self) -> int:
@@ -60,10 +70,6 @@ class ControlVolumeGrid:
 
     def unravel(self, flat) -> np.ndarray:
         return np.column_stack(np.unravel_index(np.asarray(flat), self.dims))
-
-    def ravel(self, triples) -> np.ndarray:
-        t = np.atleast_2d(np.asarray(triples))
-        return np.ravel_multi_index((t[:, 0], t[:, 1], t[:, 2]), self.dims)
 
 
 def assign_cell(positions, grid: ControlVolumeGrid) -> np.ndarray:
@@ -134,14 +140,8 @@ def partition_domain(fld: ReferenceField, geometry: NozzleGeometry | None = None
     nyz = int(round(2 * half / edge_length))
     dims = (nx, nyz, nyz)
 
-    grid = ControlVolumeGrid(
-        origin=origin, edge_length=edge_length, dims=dims,
-        inside=_inside_mask(origin, edge_length, dims, geometry),
-        node_count=np.zeros(int(np.prod(dims)), dtype=np.int64),
-        v_target=np.full((int(np.prod(dims)), 3), np.nan),
-        p_target=np.full(int(np.prod(dims)), np.nan),
-        rho_target=np.full(int(np.prod(dims)), np.nan),
-        geometry=geometry, gas=gas)
+    grid = ControlVolumeGrid.empty(origin, edge_length, dims, geometry, gas)
+    grid.inside = _inside_mask(origin, edge_length, dims, geometry)
 
     flat = assign_cell(fld.positions, grid)
     m = grid.num_cells
@@ -163,90 +163,31 @@ def partition_domain(fld: ReferenceField, geometry: NozzleGeometry | None = None
 # ======================================================================
 
 def save_partition(grid: ControlVolumeGrid, path) -> None:
-    """Write the per-cell table; lattice and geometry ride in '#' metadata."""
-    lines = [_metadata_line(grid), PARTITION_HEADER]
-    trip = grid.unravel(np.arange(grid.num_cells))
-    centers = grid.centers()
-    for f in range(grid.num_cells):
-        vt = grid.v_target[f]
-        row = [str(trip[f, 0]), str(trip[f, 1]), str(trip[f, 2]),
-               _FMT % centers[f, 0], _FMT % centers[f, 1], _FMT % centers[f, 2],
-               str(int(grid.inside[f])), str(int(grid.node_count[f])),
-               _FMT % vt[0], _FMT % vt[1], _FMT % vt[2],
-               _FMT % grid.p_target[f]]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _metadata_line(grid: ControlVolumeGrid) -> str:
-    kv = {
-        "edge_length": grid.edge_length,
-        "origin_x": grid.origin[0], "origin_y": grid.origin[1],
-        "origin_z": grid.origin[2],
-        "nx": grid.dims[0], "ny": grid.dims[1], "nz": grid.dims[2],
-    }
-    if grid.geometry is not None:
-        g = grid.geometry
-        kv.update(length=g.length, inlet_radius=g.inlet_radius,
-                  outlet_radius=g.outlet_radius, throat_radius=g.throat_radius,
-                  throat_x=g.throat_x)
-    if grid.gas is not None:
-        kv.update(gamma=grid.gas.gamma, inlet_density=grid.gas.inlet_density,
-                  inlet_sound_speed=grid.gas.inlet_sound_speed)
-    return "# " + " ".join(f"{k}={v:.12g}" if isinstance(v, float) else f"{k}={v}"
-                           for k, v in kv.items())
+    """Write the per-cell table exactly; lattice, geometry and gas ride in
+    the metadata line, so :func:`load_partition` returns an equal grid."""
+    m = grid.num_cells
+    counts = np.column_stack([grid.inside, grid.node_count]).astype(np.int64)
+    targets = np.column_stack([grid.v_target, grid.p_target])
+    rows = (a + b + c + d for a, b, c, d in zip(
+        grid.unravel(np.arange(m)).tolist(), grid.centers().tolist(),
+        counts.tolist(), targets.tolist()))
+    write_table(path, lattice_meta(grid), PARTITION_HEADER, rows)
 
 
 def load_partition(path) -> ControlVolumeGrid:
-    """Read a partition table written by :func:`save_partition`."""
-    meta: dict[str, float] = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    k, _, v = tok.partition("=")
-                    meta[k] = float(v)
-                continue
-            if line == PARTITION_HEADER:
-                continue
-            rows.append(line.split(","))
-    needed = {"edge_length", "origin_x", "origin_y", "origin_z", "nx", "ny", "nz"}
-    if not needed <= meta.keys():
-        raise ValueError(f"{path}: missing lattice metadata {sorted(needed - meta.keys())}")
-    dims = (int(meta["nx"]), int(meta["ny"]), int(meta["nz"]))
-    m = int(np.prod(dims))
-    if len(rows) != m:
-        raise ValueError(f"{path}: expected {m} cell rows, got {len(rows)}")
-
-    geometry = None
-    if "length" in meta:
-        geometry = NozzleGeometry(
-            length=meta["length"], inlet_radius=meta["inlet_radius"],
-            outlet_radius=meta["outlet_radius"], throat_radius=meta["throat_radius"],
-            throat_x=meta["throat_x"])
-    gas = None
-    if "gamma" in meta:
-        gas = GasModel(gamma=meta["gamma"], inlet_density=meta["inlet_density"],
-                       inlet_sound_speed=meta["inlet_sound_speed"])
-
-    grid = ControlVolumeGrid(
-        origin=np.array([meta["origin_x"], meta["origin_y"], meta["origin_z"]]),
-        edge_length=meta["edge_length"], dims=dims,
-        inside=np.zeros(m, dtype=bool), node_count=np.zeros(m, dtype=np.int64),
-        v_target=np.full((m, 3), np.nan), p_target=np.full(m, np.nan),
-        rho_target=np.full(m, np.nan), geometry=geometry, gas=gas)
-    for r in rows:
-        f = int(grid.ravel([[int(r[0]), int(r[1]), int(r[2])]])[0])
-        grid.inside[f] = bool(int(r[6]))
-        grid.node_count[f] = int(r[7])
-        grid.v_target[f] = [float(r[8]), float(r[9]), float(r[10])]
-        grid.p_target[f] = float(r[11])
-    if gas is not None:
+    """Read a partition table written by :func:`save_partition`. Raises
+    ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does,
+    on missing metadata, and unless every lattice cell has exactly one row."""
+    meta, lines, rows = read_table(path, PARTITION_HEADER)
+    grid = ControlVolumeGrid.empty(*lattice_from_meta(meta, path))
+    if len(rows) != grid.num_cells:
+        raise FieldFormatError(
+            f"{path}: expected {grid.num_cells} cell rows, got {len(rows)}")
+    data = np.asarray(rows)
+    data = data[np.argsort(cell_index(path, lines, data[:, 0:3], grid.dims))]
+    grid.inside, grid.node_count = data[:, 6] == 1, data[:, 7].astype(np.int64)
+    grid.v_target, grid.p_target = data[:, 8:11].copy(), data[:, 11].copy()
+    if grid.gas is not None:
         occ = grid.node_count > 0
-        grid.rho_target[occ] = gas.density_from_gauge(grid.p_target[occ])
+        grid.rho_target[occ] = grid.gas.density_from_gauge(grid.p_target[occ])
     return grid

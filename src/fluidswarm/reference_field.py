@@ -24,7 +24,7 @@ on the axis than this model's area mean; ingest such fields via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -40,7 +40,8 @@ class ChokedFlowError(ValueError):
 
 
 class FieldFormatError(ValueError):
-    """Raised when a field file does not conform to the wire format."""
+    """Raised when a field, partition or fit file does not conform to its
+    wire format."""
 
 
 # ======================================================================
@@ -172,7 +173,8 @@ class ReferenceField:
 
 
 def save_field(fld: ReferenceField, path) -> None:
-    """Write a field to CSV with header ``x,y,z,vx,vy,vz,p``."""
+    """Write a field to CSV with header ``x,y,z,vx,vy,vz,p`` and 12
+    significant digits, which cost the study less time than exact floats."""
     data = np.column_stack([fld.positions, fld.velocities, fld.pressures])
     np.savetxt(path, data, fmt=_FMT, delimiter=",", header=FIELD_HEADER, comments="")
 
@@ -184,40 +186,146 @@ def load_field(path, geometry: NozzleGeometry | None = None,
     With ``geometry`` supplied, nodes outside the duct volume raise a
     :class:`FieldFormatError` listing the offending line numbers.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != FIELD_HEADER:
-            raise FieldFormatError(
-                f"{path}: expected header '{FIELD_HEADER}', got '{header}'")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise FieldFormatError(
-                    f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise FieldFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise FieldFormatError(f"{path}: no data rows")
+    _meta, lines, rows = read_table(path, FIELD_HEADER)
     data = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(data)):
-        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))[:10] + 2
-        raise FieldFormatError(f"{path}: non-finite values on lines {bad.tolist()}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        bad = lines[~finite][:10].tolist()
+        raise FieldFormatError(f"{path}: non-finite values on lines {bad}")
     fld = ReferenceField(data[:, 0:3], data[:, 3:6], data[:, 6],
                          geometry=geometry, gas=gas)
     if geometry is not None:
         inside = geometry.contains(fld.positions)
         if not np.all(inside):
-            bad = (np.flatnonzero(~inside)[:10] + 2).tolist()
+            bad = lines[~inside][:10].tolist()
             raise FieldFormatError(
                 f"{path}: {int((~inside).sum())} node(s) outside the duct "
                 f"volume, first offending lines {bad}")
     return fld
+
+
+# ======================================================================
+# the table codec shared by the field, partition and fit files
+# ======================================================================
+
+def write_table(path, meta: dict, header: str, rows) -> None:
+    """Write a ``# k=v`` metadata line that also declares ``cells``, the row
+    count, then ``header`` and ``rows``. Values must be Python ints and
+    floats; each is written with ``repr``, so it reads back exactly."""
+    lines = [",".join(map(repr, row)) for row in rows]
+    meta = {**meta, "cells": len(lines)}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# " + " ".join(f"{k}={v!r}" for k, v in meta.items()) + "\n")
+        fh.write("\n".join([header, *lines]) + "\n")
+
+
+def _number(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def read_table(path, header: str) -> tuple[dict, np.ndarray, list]:
+    """Read ``# k=v`` metadata lines, the ``header`` line and rows of floats.
+
+    A row has one value per header column, or at least the named ones when
+    the header ends in ``...`` (a repeating tail). With metadata present,
+    its ``cells`` must equal the row count. Returns the metadata, the rows'
+    line numbers and the rows; raises :class:`FieldFormatError` naming the
+    file and, where there is one, the line.
+    """
+    names = header.split(",")
+    ragged = names[-1] == "..."
+    width = len(names) - ragged
+    meta, lines, rows = {}, [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        lineno, line = 0, ""
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line.startswith("#"):
+                break
+            for tok in line[1:].split():
+                key, _, value = tok.partition("=")
+                try:
+                    meta[key] = _number(value)
+                except ValueError:
+                    raise FieldFormatError(
+                        f"{path}:{lineno}: bad metadata entry '{tok}'") from None
+        if line != header:
+            raise FieldFormatError(
+                f"{path}:{lineno}: expected header '{header}', got '{line}'")
+        for lineno, line in enumerate(fh, start=lineno + 1):
+            parts = line.strip().split(",")
+            if parts == [""]:
+                continue
+            if len(parts) < width or (len(parts) > width and not ragged):
+                raise FieldFormatError(
+                    f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError as exc:
+                raise FieldFormatError(f"{path}:{lineno}: {exc}") from None
+            lines.append(lineno)
+    if not rows:
+        raise FieldFormatError(f"{path}: no data rows")
+    if meta and meta.get("cells") != len(rows):
+        raise FieldFormatError(f"{path}: metadata declares cells="
+                               f"{meta.get('cells')}, found {len(rows)} cell rows")
+    return meta, np.asarray(lines), rows
+
+
+def cell_index(path, lines, triples, dims) -> np.ndarray:
+    """Flat cell indices of ``(jx, jy, jz)`` rows; raises on an index off
+    the lattice or on a cell with two rows."""
+    t = np.asarray(triples)
+    ok = ((t == np.floor(t)) & (t >= 0) & (t < dims)).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise FieldFormatError(
+            f"{path}:{lines[i]}: cell {t[i].tolist()} is off the {dims} lattice")
+    flat = np.ravel_multi_index(t.T.astype(np.int64), dims)
+    first = np.unique(flat, return_index=True)[1]
+    if len(first) < len(flat):
+        i = int(np.setdiff1d(np.arange(len(flat)), first)[0])
+        raise FieldFormatError(f"{path}:{lines[i]}: repeated cell {t[i].tolist()}")
+    return flat
+
+
+_ORIGIN_KEYS = ("origin_x", "origin_y", "origin_z")
+_DIM_KEYS = ("nx", "ny", "nz")
+
+
+def lattice_meta(grid) -> dict:
+    """Metadata of a lattice: edge, origin, dims, and the geometry and gas
+    (under their field names) when the grid carries them."""
+    meta = {"edge_length": float(grid.edge_length),
+            **dict(zip(_ORIGIN_KEYS, map(float, grid.origin))),
+            **dict(zip(_DIM_KEYS, map(int, grid.dims)))}
+    for part in (grid.geometry, grid.gas):
+        if part is not None:
+            meta.update((k, float(v)) for k, v in asdict(part).items())
+    return meta
+
+
+def lattice_from_meta(meta: dict, path="lattice metadata"):
+    """Inverse of :func:`lattice_meta`: (origin, edge_length, dims, geometry,
+    gas), geometry and gas None when none of their keys is present."""
+    missing = [k for k in ("edge_length", *_ORIGIN_KEYS, *_DIM_KEYS) if k not in meta]
+    if missing:
+        raise FieldFormatError(f"{path}: missing lattice metadata {missing}")
+    dims = tuple(meta[k] for k in _DIM_KEYS)
+    if not all(isinstance(d, int) and d >= 1 for d in dims):
+        raise FieldFormatError(f"{path}: lattice dims {dims} are not positive integers")
+    parts = []
+    for cls in (NozzleGeometry, GasModel):
+        keys = [f.name for f in fields(cls)]
+        missing = [k for k in keys if k not in meta]
+        if 0 < len(missing) < len(keys):
+            raise FieldFormatError(f"{path}: missing {cls.__name__} metadata {missing}")
+        parts.append(None if missing else cls(**{k: float(meta[k]) for k in keys}))
+    return (np.array([float(meta[k]) for k in _ORIGIN_KEYS]),
+            float(meta["edge_length"]), dims, *parts)
 
 
 # ======================================================================

@@ -45,6 +45,11 @@ from .velocity_plant import PlantParams, PlantState, step as plant_step
 
 CASES = ("tunnel_seeding", "reservoir")
 
+OVERTAKE_TRANSFER = 0.25    # fraction of the speed difference moved
+HEADON_DISSIPATION = 0.10   # pair kinetic energy lost, head-on
+PERP_DISSIPATION = 0.20     # pair kinetic energy lost, sideswipe
+SPEED_LIMIT = 30.0          # post-collision speed clamp, m/s
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -58,10 +63,6 @@ class SimConfig:
     min_approach_speed: float = 0.5   # closing-speed floor to count a collision
     overtake_cos: float = 0.7         # heading alignment for one-way transfer
     headon_cos: float = math.cos(math.pi / 4)   # |alignment| split, 45 deg
-    overtake_transfer: float = 0.25   # fraction of speed difference moved
-    headon_dissipation: float = 0.10  # pair kinetic energy lost, head-on
-    perp_dissipation: float = 0.20    # pair kinetic energy lost, sideswipe
-    speed_limit: float = 30.0         # post-collision speed clamp, m/s
     dt_source: float = 0.5            # reservoir batch cadence, s
     batch_size: int | None = None     # None: sized from the entry cell's fit
     seed_x_max: float | None = None   # tunnel case axial fill bound; None: half
@@ -307,13 +308,13 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     return [(a, b, k) for (a, b), k in zip(pairs[keep].tolist(), kind.tolist())]
 
 
-def resolve_collisions(vel, pairs, config: SimConfig) -> list[tuple[int, int, str]]:
+def resolve_collisions(vel, pairs) -> list[tuple[int, int, str]]:
     """Apply speed changes in pair order; headings never change.
 
-    Overtakes move a fraction of the speed difference from the faster to the
-    slower agent (their speed sum is conserved); mutual collisions shrink
-    both speeds by a common factor removing the configured share of the
-    pair's kinetic energy. Speeds finally clamp to the configured limit.
+    Overtakes move ``OVERTAKE_TRANSFER`` of the speed difference from the
+    faster to the slower agent (their speed sum is conserved); mutual
+    collisions shrink both speeds, removing ``HEADON_DISSIPATION`` or
+    ``PERP_DISSIPATION`` of the pair's energy; speeds clamp to ``SPEED_LIMIT``.
     """
     applied = []
     for a, b, kind in pairs:
@@ -323,19 +324,18 @@ def resolve_collisions(vel, pairs, config: SimConfig) -> list[tuple[int, int, st
         if kind == "overtake":
             fast, slow = (a, b) if sa >= sb else (b, a)
             sf, ss = max(sa, sb), min(sa, sb)
-            delta = config.overtake_transfer * (sf - ss)
+            delta = OVERTAKE_TRANSFER * (sf - ss)
             vel[fast] *= (sf - delta) / sf
             vel[slow] *= (ss + delta) / ss
         else:
-            f = config.headon_dissipation if kind == "headon" \
-                else config.perp_dissipation
+            f = HEADON_DISSIPATION if kind == "headon" else PERP_DISSIPATION
             keep = np.sqrt(1.0 - f)
             vel[a] *= keep
             vel[b] *= keep
         for i in (a, b):
             s = np.linalg.norm(vel[i])
-            if s > config.speed_limit:
-                vel[i] *= config.speed_limit / s
+            if s > SPEED_LIMIT:
+                vel[i] *= SPEED_LIMIT / s
         applied.append((a, b, kind))
     return applied
 
@@ -406,7 +406,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                                       & np.isfinite(pop.vel).all(axis=1))
                 sub_vel = pop.vel[live]
                 pairs = detect_collisions(pop.pos[live], sub_vel, config)
-                applied = resolve_collisions(sub_vel, pairs, config)
+                applied = resolve_collisions(sub_vel, pairs)
                 pop.vel[live] = sub_vel
                 gid = pop.gid[live]
                 counts[k, collided] = len(applied)
@@ -486,7 +486,7 @@ def population_balance(trace: SimulationTrace) -> dict:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 3
+RUN_FORMAT = 4
 FRAME_COLUMNS = ("cells", "counts", "vsum", "sumv2", "dev2")
 EVENT_COLUMNS = ("event_t", "event_kind", "event_a", "event_b")
 TRAJ_COLUMNS = ("traj_ids", "traj_pos", "traj_vel")
@@ -562,8 +562,9 @@ def _dataclass_from(cls, values: dict):
 def load_run(rundir) -> SimulationTrace:
     """Read back the trace ``save_run`` wrote to ``rundir``.
 
-    Raises ValueError on a missing key, another format version, or columns
-    whose lengths disagree with each other or with their offsets.
+    Raises ValueError on a missing key, another format version, columns
+    whose lengths disagree with each other or with their offsets, or totals
+    that differ from the sums of the per-frame counts.
     """
     with np.load(os.path.join(rundir, RUN_FILE), allow_pickle=False) as npz:
         missing = sorted(set(RUN_KEYS) - set(npz.files))
@@ -585,6 +586,12 @@ def load_run(rundir) -> SimulationTrace:
     if a["frame_counts"].shape != (len(frames), len(FRAME_COUNT_COLUMNS)):
         raise ValueError(f"{RUN_FILE}: frame_counts has shape "
                          f"{a['frame_counts'].shape}")
+    wrong = [k for k, total in zip(("injected", "retired", "escaped", "faults"),
+                                   a["frame_counts"].sum(axis=0).tolist())
+             if meta[k] != total]
+    if wrong:
+        raise ValueError(f"{RUN_FILE}: totals {wrong} differ from the sums "
+                         f"of frame_counts")
     snaps = _split([a[k] for k in TRAJ_COLUMNS], a["traj_offsets"],
                    len(a["traj_t"]))
     return SimulationTrace(

@@ -28,13 +28,12 @@ import numpy as np
 
 from .partition import ControlVolumeGrid
 from .primitives import pressure_coefficient
+from .reference_field import (FieldFormatError, cell_index,
+                              lattice_from_meta, lattice_meta, read_table,
+                              write_table)
 
 SET_SIZE = 9                      # velocities per cell
-FIT_HEADER = "jx,jy,jz,n_star"
-_META_KEYS = ("agent_mass", "rng_seed", "pressure_offset", "edge_length",
-              "origin_x", "origin_y", "origin_z", "nx", "ny", "nz")
-_GEOMETRY_KEYS = ("length", "inlet_radius", "outlet_radius", "throat_radius",
-                  "throat_x")
+FIT_HEADER = "jx,jy,jz,n_star,v1x,v1y,v1z,..."
 
 
 @dataclass(frozen=True)
@@ -138,105 +137,51 @@ def fit_grid(grid: ControlVolumeGrid,
 # ======================================================================
 
 def save_fit(fit: GridFit, grid: ControlVolumeGrid, path) -> None:
-    """Write fit results exactly: floats as ``repr``, one row per cell with
-    three columns per velocity after ``FIT_HEADER``."""
-    c = fit.config
-    meta = {
-        "agent_mass": c.agent_mass, "rng_seed": c.rng_seed,
-        "pressure_offset": fit.pressure_offset,
-        "edge_length": grid.edge_length,
-        "origin_x": grid.origin[0], "origin_y": grid.origin[1],
-        "origin_z": grid.origin[2],
-        "nx": grid.dims[0], "ny": grid.dims[1], "nz": grid.dims[2],
-    }
-    if grid.geometry is not None:
-        g = grid.geometry
-        meta.update(length=g.length, inlet_radius=g.inlet_radius,
-                    outlet_radius=g.outlet_radius, throat_radius=g.throat_radius,
-                    throat_x=g.throat_x)
-    lines = ["# " + " ".join(f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}"
-                             for k, v in meta.items())]
-    lines.append(FIT_HEADER + ",v1x,v1y,v1z,...")
-    for f in sorted(fit.results):
-        r = fit.results[f]
-        jx, jy, jz = grid.unravel([f])[0]
-        row = [str(jx), str(jy), str(jz), str(r.n_star)]
-        row.extend(repr(float(x)) for x in r.velocities.ravel())
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write fit results exactly: one row per cell, three columns per
+    velocity after the set size; the lattice rides in the metadata line."""
+    meta = {"agent_mass": float(fit.config.agent_mass),
+            "rng_seed": int(fit.config.rng_seed),
+            "pressure_offset": float(fit.pressure_offset), **lattice_meta(grid)}
+    cells = sorted(fit.results)
+    rows = (jxyz + [int(r.n_star)] + r.velocities.ravel().tolist()
+            for jxyz, r in zip(grid.unravel(cells).tolist(),
+                               [fit.results[f] for f in cells]))
+    write_table(path, meta, FIT_HEADER, rows)
 
 
-def load_fit(path) -> tuple[GridFit, dict[str, float]]:
-    """Read a fit table; returns the fit and its raw metadata mapping.
-
-    Raises ``ValueError`` when a metadata key is missing or a row's velocity
-    count disagrees with its set size.
-    """
-    meta: dict[str, float] = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    k, _, v = tok.partition("=")
-                    meta[k] = float(v)
-            elif line and not line.startswith("jx,"):
-                rows.append(line.split(","))
-    need = _META_KEYS + (_GEOMETRY_KEYS if "length" in meta else ())
-    missing = [k for k in need if k not in meta]
+def load_fit(path) -> tuple[GridFit, dict]:
+    """Read a fit table; returns the fit and its metadata mapping. Raises
+    ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does, on
+    missing metadata, on a cell off the lattice or with two rows, and on a
+    row whose velocity count disagrees with its set size."""
+    meta, lines, rows = read_table(path, FIT_HEADER)
+    missing = sorted({"agent_mass", "rng_seed", "pressure_offset"} - meta.keys())
     if missing:
-        raise ValueError(f"{path}: missing fit metadata {', '.join(missing)}")
-    dims = (int(meta["nx"]), int(meta["ny"]), int(meta["nz"]))
+        raise FieldFormatError(f"{path}: missing fit metadata {', '.join(missing)}")
+    dims = lattice_from_meta(meta, path)[2]
+    head = np.array([r[:4] for r in rows])
+    flat = cell_index(path, lines, head[:, :3], dims)
     results: dict[int, FitResult] = {}
-    for parts in rows:
-        jx, jy, jz, n_star = (int(x) for x in parts[:4])
-        flat = int(np.ravel_multi_index((jx, jy, jz), dims))
-        vel = np.asarray([float(x) for x in parts[4:]], dtype=float)
-        if len(vel) != 3 * n_star:
-            raise ValueError(f"{path}: cell ({jx},{jy},{jz}) expects "
-                             f"{3 * n_star} velocity values, got {len(vel)}")
-        results[flat] = FitResult(cell=flat, n_star=n_star,
-                                  velocities=vel.reshape(n_star, 3))
-    config = FitConfig(agent_mass=meta["agent_mass"],
+    for f, n, line, r in zip(flat.tolist(), head[:, 3].tolist(), lines, rows):
+        if len(r) != 4 + 3 * n:
+            raise FieldFormatError(f"{path}:{line}: set size {n} expects "
+                                   f"{3 * n} velocity values, got {len(r) - 4}")
+        results[f] = FitResult(cell=f, n_star=int(n),
+                               velocities=np.reshape(r[4:], (-1, 3)))
+    config = FitConfig(agent_mass=float(meta["agent_mass"]),
                        rng_seed=int(meta["rng_seed"]))
-    fit = GridFit(results=results, pressure_offset=meta["pressure_offset"],
+    fit = GridFit(results=results, pressure_offset=float(meta["pressure_offset"]),
                   config=config)
     return fit, meta
 
 
 def grid_from_fit(fit: GridFit, meta: dict) -> ControlVolumeGrid:
-    """Rebuild a target lattice from a fit file's contents.
-
-    Fitted sets reproduce their cell's targets exactly (the mean is matched
-    and the set pressure equals the shifted target), so a simulation can run
-    from the fit file alone. Density targets are unavailable (no gas model in
-    the fit file), so the result suits simulation, not density scoring.
-    """
-    from .reference_field import NozzleGeometry
-
-    dims = (int(meta["nx"]), int(meta["ny"]), int(meta["nz"]))
-    M = dims[0] * dims[1] * dims[2]
-    origin = np.array([meta["origin_x"], meta["origin_y"], meta["origin_z"]])
-    inside = np.zeros(M, dtype=bool)
-    node_count = np.zeros(M, dtype=np.int64)
-    v_target = np.full((M, 3), np.nan)
-    p_target = np.full(M, np.nan)
-    for f, res in fit.results.items():
-        inside[f] = True
-        node_count[f] = 1
-        v_target[f] = res.command
-        p_target[f] = set_pressure(res.velocities, res.command,
-                                   meta["edge_length"] ** 3,
-                                   fit.config.agent_mass) + fit.pressure_offset
-    geometry = None
-    if "length" in meta:
-        geometry = NozzleGeometry(
-            length=meta["length"], inlet_radius=meta["inlet_radius"],
-            outlet_radius=meta["outlet_radius"],
-            throat_radius=meta["throat_radius"], throat_x=meta["throat_x"])
-    return ControlVolumeGrid(
-        origin=origin, edge_length=float(meta["edge_length"]), dims=dims,
-        inside=inside, node_count=node_count, v_target=v_target,
-        p_target=p_target, rho_target=np.full(M, np.nan), geometry=geometry)
+    """The lattice of a fit file, each fitted cell targeting its set mean:
+    what a simulation reads. Pressure and density targets stay NaN, so the
+    result suits simulation, not scoring."""
+    grid = ControlVolumeGrid.empty(*lattice_from_meta(meta))
+    cells = sorted(fit.results)
+    grid.inside[cells] = True
+    grid.node_count[cells] = 1
+    grid.v_target[cells] = [fit.results[f].command for f in cells]
+    return grid

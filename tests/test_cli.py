@@ -4,11 +4,15 @@ The pipeline test runs a deliberately small field (41 stations, 3 rings) and
 a short flight so the whole chain stays under a few seconds.
 """
 
+import argparse
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
-from fluidswarm import load_run
-from fluidswarm.cli import main
+from fluidswarm import (GasModel, NozzleGeometry, SimConfig, fit_grid,
+                        load_fit, load_run, run_simulation, save_partition)
+from fluidswarm.cli import build_parser, main
 from fluidswarm.velocity_fit import SET_SIZE
 
 
@@ -77,6 +81,55 @@ def test_full_pipeline(tmp_path, capsys):
                  "--transient", "1.0", "--out", str(outdir)]) == 0
     capsys.readouterr()
     assert (outdir / "metrics.txt").exists()
+
+
+def test_cli_fit_and_simulate_match_the_in_memory_route(tmp_path, capsys,
+                                                       grid):
+    """A saved partition gives the in-memory fit bit for bit, and the CLI
+    run the in-memory run's frames and events. ``dev2`` may differ: the CLI
+    grid targets each set's mean, not the node mean it was fitted to."""
+    save_partition(grid, tmp_path / "grid.csv")
+    assert main(["fit", "--partition", str(tmp_path / "grid.csv"),
+                 "--output", str(tmp_path / "fit.csv")]) == 0
+    assert main(["simulate", "--fit", str(tmp_path / "fit.csv"), "--out",
+                 str(tmp_path / "run"), "--duration", "5"]) == 0
+    capsys.readouterr()
+    fit = fit_grid(grid)
+    cli_fit, _meta = load_fit(tmp_path / "fit.csv")
+    assert cli_fit.results.keys() == fit.results.keys()
+    for f, res in fit.results.items():
+        assert np.array_equal(cli_fit.results[f].velocities, res.velocities)
+    want = run_simulation(grid, fit, SimConfig(duration=5.0))
+    got = load_run(tmp_path / "run")
+    assert got.events == want.events
+    assert len(got.frames) == len(want.frames) == 100
+    for a, b in zip(got.frames, want.frames):
+        for name in ("cells", "counts", "vsum", "sumv2"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_geometry_and_gas_flags_follow_their_dataclasses():
+    """generate-field and partition take one flag per NozzleGeometry and
+    GasModel field, named after it, and default to the dataclass."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {"length": "--length", "inlet_radius": "--inlet-radius",
+             "outlet_radius": "--outlet-radius",
+             "throat_radius": "--throat-radius", "throat_x": "--throat-x",
+             "gamma": "--gamma", "inlet_density": "--inlet-density",
+             "inlet_sound_speed": "--inlet-sound-speed"}
+    assert set(flags) == {f.name for cls in (NozzleGeometry, GasModel)
+                          for f in fields(cls)}
+    for argv in (["generate-field", "--output", "f.csv"],
+                 ["partition", "--field", "f.csv", "--output", "g.csv"]):
+        actions = sub.choices[argv[0]]._actions
+        for name, flag in flags.items():
+            assert [a.option_strings for a in actions if a.dest == name] \
+                == [[flag]], name
+        args = vars(build_parser().parse_args(argv))
+        assert {k: args[k] for k in asdict(NozzleGeometry())} \
+            == asdict(NozzleGeometry())
+        assert {k: args[k] for k in asdict(GasModel())} == asdict(GasModel())
 
 
 def test_two_fit_runs_write_identical_files(tmp_path, capsys):

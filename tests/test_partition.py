@@ -131,23 +131,20 @@ def test_edge_length_validation(field):
         partition_domain(field, edge_length=0.0)
 
 
-def test_save_load_round_trip(tmp_path, grid):
+def test_save_load_round_trip(tmp_path, field, grid):
+    """The partition file is exact: every array, the lattice, the geometry
+    and the gas read back equal, on the default and the fine lattice."""
     path = tmp_path / "partition.csv"
-    save_partition(grid, path)
-    back = load_partition(path)
-    assert back.dims == grid.dims
-    assert back.edge_length == pytest.approx(grid.edge_length, rel=1e-12)
-    assert np.allclose(back.origin, grid.origin, atol=1e-12)
-    assert np.array_equal(back.inside, grid.inside)
-    assert np.array_equal(back.node_count, grid.node_count)
-    occ = grid.node_count > 0
-    assert np.allclose(back.v_target[occ], grid.v_target[occ], rtol=1e-11)
-    assert np.allclose(back.p_target[occ], grid.p_target[occ], rtol=1e-11,
-                       atol=1e-9)
-    assert np.allclose(back.rho_target[occ], grid.rho_target[occ], rtol=1e-11)
-    assert isinstance(back.geometry, NozzleGeometry)
-    assert back.geometry.throat_x == pytest.approx(grid.geometry.throat_x)
-    assert back.gas.gamma == pytest.approx(grid.gas.gamma)
+    for g in (grid, partition_domain(field, edge_length=0.25)):
+        save_partition(g, path)
+        back = load_partition(path)
+        for name in ("inside", "node_count", "v_target", "p_target",
+                     "rho_target", "origin"):
+            assert np.array_equal(getattr(back, name), getattr(g, name),
+                                  equal_nan=True), name
+        assert back.node_count.dtype == g.node_count.dtype
+        assert (back.edge_length, back.dims, back.geometry, back.gas) \
+            == (g.edge_length, g.dims, g.geometry, g.gas)
 
 
 def test_load_partition_rejects_truncated_file(tmp_path, grid):
@@ -160,3 +157,26 @@ def test_load_partition_rejects_truncated_file(tmp_path, grid):
     path.write_text("\n".join(lines[1:]) + "\n")  # metadata line dropped
     with pytest.raises(ValueError, match="metadata"):
         load_partition(path)
+
+
+def test_load_partition_rejects_a_damaged_file(tmp_path, grid):
+    path = tmp_path / "partition.csv"
+    save_partition(grid, path)
+    meta, header, *rows = path.read_text().splitlines()
+
+    def rejects(lines, message):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_partition(path)
+
+    # a repeated cell row in place of another: the count still matches
+    rejects([meta, header, rows[0], *rows[:-1]],
+            r":4: repeated cell \[0.0, 0.0, 0.0\]")
+    rejects([meta, header.replace("pt", "p"), *rows], "expected header")
+    rejects([meta.replace("throat_x=6.0", ""), header, *rows],
+            r"missing NozzleGeometry metadata \['throat_x'\]")
+    rejects([meta.replace("gamma=1.4", "gamma=1.4x"), header, *rows],
+            "bad metadata entry 'gamma=1.4x'")
+    jx, rest = rows[0].split(",", 1)
+    rejects([meta, header, ",".join(["30", rest]), *rows[1:]],
+            r":3: cell \[30.0, 0.0, 0.0\] is off the \(30, 6, 6\) lattice")

@@ -304,7 +304,7 @@ def test_thresholds_on_a_pair_value_split_the_same_way():
 
 def test_overtake_conserves_the_speed_sum():
     vel = np.array([[3.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    applied = resolve_collisions(vel, [(0, 1, "overtake")], CFG)
+    applied = resolve_collisions(vel, [(0, 1, "overtake")])
     assert applied == [(0, 1, "overtake")]
     # 25% of the 2 m/s gap moves from fast to slow
     assert np.allclose(vel, [[2.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
@@ -312,11 +312,11 @@ def test_overtake_conserves_the_speed_sum():
 
 def test_mutual_collisions_dissipate_energy():
     vel = np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
-    resolve_collisions(vel, [(0, 1, "headon")], CFG)
+    resolve_collisions(vel, [(0, 1, "headon")])
     # 10% of pair kinetic energy gone, split evenly: speeds shrink by sqrt(0.9)
     assert np.allclose(np.abs(vel[:, 0]), 2.0 * np.sqrt(0.9), rtol=1e-12)
     vel = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    resolve_collisions(vel, [(0, 1, "sideswipe")], CFG)
+    resolve_collisions(vel, [(0, 1, "sideswipe")])
     assert np.allclose(np.linalg.norm(vel, axis=1), 2.0 * np.sqrt(0.8),
                        rtol=1e-12)
 
@@ -326,14 +326,14 @@ def test_collisions_never_change_headings():
     vel = rng.normal(0.0, 5.0, (6, 3))
     before = vel / np.linalg.norm(vel, axis=1, keepdims=True)
     resolve_collisions(vel, [(0, 1, "overtake"), (2, 3, "headon"),
-                             (4, 5, "sideswipe")], CFG)
+                             (4, 5, "sideswipe")])
     after = vel / np.linalg.norm(vel, axis=1, keepdims=True)
     assert np.allclose(after, before, atol=1e-12)
 
 
 def test_collision_speed_clamp():
     vel = np.array([[100.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    resolve_collisions(vel, [(0, 1, "overtake")], CFG)
+    resolve_collisions(vel, [(0, 1, "overtake")])
     assert vel[0, 0] == pytest.approx(30.0)  # clamped from 75.5
     assert vel[1, 0] == pytest.approx(26.5)
 
@@ -542,7 +542,7 @@ def full_scan_run(grid, fit, config):
                 sub_vel = pop.vel[live]
                 pairs = swarm_sim.detect_collisions(pop.pos[live], sub_vel,
                                                     config)
-                applied = swarm_sim.resolve_collisions(sub_vel, pairs, config)
+                applied = swarm_sim.resolve_collisions(sub_vel, pairs)
                 pop.vel[live] = sub_vel
                 for a, b, kind in applied:
                     trace.events.append(
@@ -721,8 +721,23 @@ def _format_2(cols):
     _set_format(cols, 2)
 
 
+def _format_3(cols):
+    # the layout whose config still held the collision response knobs
+    meta = json.loads(cols["meta"].item())
+    meta["config"].update(overtake_transfer=0.25, headon_dissipation=0.1,
+                          perp_dissipation=0.2, speed_limit=30.0)
+    cols["meta"] = np.array(json.dumps(meta))
+    _set_format(cols, 3)
+
+
 def _drop_a_frame_count(cols):
     cols["frame_counts"] = cols["frame_counts"][1:]
+
+
+def _miscount_retired(cols):
+    meta = json.loads(cols["meta"].item())
+    meta["retired"] += 1
+    cols["meta"] = np.array(json.dumps(meta))
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -730,7 +745,9 @@ def _drop_a_frame_count(cols):
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
     (_format_2, "missing"),
+    (_format_3, "format 3, expected 4"),
     (_drop_a_frame_count, "frame_counts has shape"),
+    (_miscount_retired, r"totals \['retired'\] differ"),
 ])
 def test_load_run_rejects_a_damaged_record(tmp_path, grid, fit, corrupt,
                                            message):
