@@ -22,9 +22,10 @@ print(f"{int(grid.valid.sum())} cells fitted; entry batch every 0.5 s")
 
 cfg = SimConfig(case="reservoir", duration=60.0, dt=0.05, scale=0.1, seed=0)
 trace = run_simulation(grid, fit, cfg)
-last = trace.frames[-1]
-print(f"60 s flown: injected {trace.injected}, retired {trace.retired}, "
-      f"active {int(last.counts.sum())}, wall escapes {trace.escaped}")
+total = trace.totals
+print(f"60 s flown: injected {total['inject']}, retired {total['retire']}, "
+      f"active {int(trace.frames[-1].counts.sum())}, "
+      f"wall escapes {total['wall_escape']}")
 
 report = metrics_report(trace, grid)
 v = report.values

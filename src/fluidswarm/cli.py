@@ -9,17 +9,20 @@ One subcommand per pipeline stage, so a full study is:
     fluidswarm analyze --run run --targets grid.csv
 
 Field, partition and fit files are CSV. `simulate` flies agents of the
-fit's `--agent-mass` and writes the whole run as one exact binary record,
-`run/trace.npz`, which `analyze` scores with that plant's mass and peak
-acceleration, writing its metrics and CSV cuts next to it. `plant-test`
-exercises the velocity plant against its response envelopes and is
-independent of the field pipeline. `fit`, `simulate` and `plant-test` take
-`--seed` (default 0); no other subcommand draws random numbers.
+fit's `--agent-mass` and writes the whole run, its event table included, as
+one exact binary record, `run/trace.npz`. `analyze` scores it with that
+plant's mass and peak acceleration, writes its metrics and CSV cuts next to
+it, and prints the population balance and each event kind's per-frame peak.
+`plant-test` exercises the velocity plant against its response envelopes
+and is independent of the field pipeline. `fit`, `simulate` and
+`plant-test` take `--seed` (default 0); no other subcommand draws random
+numbers. A flag that sets a library parameter has the library's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import fields
@@ -29,11 +32,11 @@ import numpy as np
 from . import __version__
 from .metrics import export_centerline, export_slice, metrics_report, save_metrics
 from .partition import load_partition, partition_domain, save_partition
-from .plant_suite import run_suite
+from .plant_suite import ALL_SCENARIOS, run_suite
 from .reference_field import (GasModel, NozzleGeometry, generate_quasi1d_field,
                               load_field, save_field)
-from .swarm_sim import (FRAME_COUNT_COLUMNS, SimConfig, load_run,
-                        population_balance, run_simulation, save_run)
+from .swarm_sim import (EVENT_KINDS, SimConfig, load_run, population_balance,
+                        run_simulation, save_run)
 from .velocity_fit import (SET_SIZE, FitConfig, fit_grid, grid_from_fit,
                            load_fit, save_fit)
 from .velocity_plant import PlantParams
@@ -59,16 +62,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-field",
                        help="solve the duct flow and write the reference field")
     p.add_argument("--output", required=True)
-    p.add_argument("--inlet-speed", type=float, default=3.38)
-    p.add_argument("--stations", type=int, default=151)
-    p.add_argument("--rings", type=int, default=6)
+    keyword = inspect.signature(generate_quasi1d_field).parameters
+    for flag, name in (("--inlet-speed", "inlet_speed"),
+                       ("--stations", "axial_stations"),
+                       ("--rings", "radial_rings")):
+        p.add_argument(flag, type=type(keyword[name].default),
+                       default=keyword[name].default)
     _add_dataclass_args(p, GasModel)
     _add_dataclass_args(p, NozzleGeometry)
 
     p = sub.add_parser("partition",
                        help="bin a reference field onto a cubic lattice")
     p.add_argument("--field", required=True)
-    p.add_argument("--edge", type=float, default=0.5, help="cell edge length")
+    edge = inspect.signature(partition_domain).parameters["edge_length"]
+    p.add_argument("--edge", type=float, default=edge.default,
+                   help="cell edge length")
     p.add_argument("--output", required=True)
     _add_dataclass_args(p, GasModel)
     _add_dataclass_args(p, NozzleGeometry)
@@ -76,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit per-cell velocity sets to the targets")
     p.add_argument("--partition", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--agent-mass", type=float, default=1.0)
+    p.add_argument("--agent-mass", type=float, default=FitConfig.agent_mass)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
     p = sub.add_parser("plant-test",
@@ -93,16 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run directory to create")
     p.add_argument("--case", default="reservoir",
                    choices=["reservoir", "tunnel_seeding"])
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--duration", type=float, default=SimConfig.duration)
+    p.add_argument("--dt", type=float, default=SimConfig.dt)
+    p.add_argument("--scale", type=float, default=SimConfig.scale)
     p.add_argument("--collisions", action="store_true")
-    p.add_argument("--dt-source", type=float, default=0.5)
+    p.add_argument("--dt-source", type=float, default=SimConfig.dt_source)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed-x-max", type=float, default=None)
     p.add_argument("--trajectories", action="store_true",
                    help="also write decimated agent trajectories")
-    p.add_argument("--thrust-to-weight", type=float, default=2.2)
+    p.add_argument("--thrust-to-weight", type=float,
+                   default=PlantParams.thrust_to_weight)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
     p = sub.add_parser("analyze",
@@ -157,7 +166,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_plant_test(args) -> int:
-    from .plant_suite import ALL_SCENARIOS
     picks = ALL_SCENARIOS if args.scenario == "all" \
         else (args.scenario.replace("-", "_"),)
     suite = run_suite(seed=args.seed, scenarios=picks)
@@ -196,10 +204,11 @@ def _cmd_simulate(args) -> int:
                         thrust_to_weight=args.thrust_to_weight)
     trace = run_simulation(grid, fit, cfg, plant)
     save_run(trace, args.out)
+    total = trace.totals
     print(f"{len(trace.frames)} frames -> {args.out}; injected "
-          f"{trace.injected}, retired {trace.retired}, "
+          f"{total['inject']}, retired {total['retire']}, "
           f"active {population_balance(trace)['active']}, "
-          f"wall escapes {trace.escaped}, faults {trace.faults}")
+          f"wall escapes {total['wall_escape']}, faults {total['fault']}")
     return 0
 
 
@@ -217,7 +226,7 @@ def _cmd_analyze(args) -> int:
     balance = population_balance(run)
     for k in ("injected", "retired", "active", "faults", "balanced"):
         print(f"{k}={balance[k]}")
-    for name, column in zip(FRAME_COUNT_COLUMNS, run.frame_counts.T):
+    for name, column in zip(EVENT_KINDS, run.frame_counts.T):
         k = int(np.argmax(column))
         print(f"peak_{name}={column[k]}")
         print(f"peak_{name}_frame={k if column[k] else 'none'}")

@@ -15,7 +15,6 @@ insensitive to the command scale factor.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,7 @@ from .partition import ControlVolumeGrid
 from .primitives import (ConstitutiveParams, control_temperature,
                          pressure_coefficient, random_temperature_from_spread)
 from .reference_field import _FMT
-from .swarm_sim import (FRAME_COUNT_COLUMNS, SimulationTrace,
-                        population_balance)
+from .swarm_sim import EVENT_KINDS, SimulationTrace, population_balance
 
 SLICE_HEADER = ("x,y,z,occupancy,duty,concentration,ux,uy,uz,p_dev,p_int,T,"
                 "tvx,tvy,tvz,tp,norm_speed,norm_tspeed,norm_p,norm_tp,"
@@ -59,20 +57,13 @@ def transit_time_estimate(grid: ControlVolumeGrid, scale: float) -> float:
     and sums edge_length / (scale * mean target speed). Slabs with no valid
     cell (or zero speed) are crossed at the last known speed.
     """
-    total = 0.0
-    last_speed = None
+    total, speed = 0.0, None
     for near in _axis_cells(grid):
-        speed = None
         if len(near):
             s = scale * float(np.mean(np.linalg.norm(grid.v_target[near], axis=1)))
-            if s > 1e-12:
-                speed = s
-        if speed is None:
-            speed = last_speed
-        if speed is None:
-            continue
-        total += grid.edge_length / speed
-        last_speed = speed
+            speed = s if s > 1e-12 else speed
+        if speed is not None:
+            total += grid.edge_length / speed
     return total
 
 
@@ -396,19 +387,18 @@ def metrics_report(trace: SimulationTrace, grid: ControlVolumeGrid,
     profile = centerline_profile(derived, grid)
     values.update(centerline_agreement(profile))
 
-    # frame k's injections are stamped k*dt, its retirements frame_t[k]
+    # frame k's injections happen at k*dt, its retirements at frame_t[k]
     window = duration - transient
-    col = dict(zip(FRAME_COUNT_COLUMNS, trace.frame_counts.T))
+    col = dict(zip(EVENT_KINDS, trace.frame_counts.T))
     start_t = np.arange(len(trace.frame_t)) * trace.config.dt
-    inject = int(col["injected"][start_t > transient].sum())
-    retire = int(col["retired"][trace.frame_t > transient].sum())
+    inject = int(col["inject"][start_t > transient].sum())
+    retire = int(col["retire"][trace.frame_t > transient].sum())
     values["exit_rate"] = retire / window if window > 0 else float("nan")
     values["inject_rate"] = inject / window if window > 0 else float("nan")
-    kinds = Counter(e[1] for e in trace.events)
     for kind in ("overtake", "headon", "sideswipe"):
-        values[f"collisions_{kind}"] = kinds[f"collision_{kind}"]
-    values["wall_escapes"] = int(col["escaped"].sum())
-    values["faults"] = int(col["faulted"].sum())
+        values[f"collisions_{kind}"] = int(col[f"collision_{kind}"].sum())
+    values["wall_escapes"] = int(col["wall_escape"].sum())
+    values["faults"] = int(col["fault"].sum())
     values["final_population"] = population_balance(trace)["active"]
     return MetricsReport(values=values, derived=derived, profile=profile)
 

@@ -16,9 +16,11 @@ both leave the population, which holds only the active agents. Agents that
 drift through the duct wall are logged once and keep flying. Agents are
 binned to cells once per frame, by the frame reduction after retirement;
 those cells are the next frame's command cells, since nothing moves an agent
-in between, so only newly injected agents are binned when they arrive. All
-randomness is drawn from generators seeded by (seed, purpose, index), so
-traces are reproducible.
+in between, so only newly injected agents are binned when they arrive. Each
+event is one row of the run's event table, its only population record: the
+per-frame counts and the totals are computed from it. All randomness is
+drawn from generators seeded by (seed, purpose, index), so traces are
+reproducible.
 
 Collisions are classified from the pair kinematics: a same-direction closing
 pair is an overtake (speed transfer from faster to slower); anti-parallel
@@ -72,8 +74,9 @@ class SimConfig:
     def __post_init__(self):
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}")
-        if self.dt <= 0 or self.duration <= 0 or self.scale <= 0:
-            raise ValueError("dt, duration, scale must be positive")
+        if self.dt <= 0 or self.scale <= 0 or round(self.duration / self.dt) < 1:
+            raise ValueError("dt and scale must be positive, and the duration "
+                             "must round to at least one frame")
         if self.dt_source < self.dt:
             raise ValueError("dt_source must be at least one frame")
 
@@ -89,29 +92,49 @@ class FrameRecord:
     dev2: np.ndarray        # (K,) sum ||v - v_target||^2 (NaN without a target)
 
 
-FRAME_COUNT_COLUMNS = ("injected", "retired", "escaped", "faulted",
-                       "collisions")
+EVENT_KINDS = ("inject", "retire", "wall_escape", "fault",
+               "collision_overtake", "collision_headon", "collision_sideswipe")
+INJECT, RETIRE, WALL_ESCAPE, FAULT = range(4)     # codes of the first kinds
+
+
+@dataclass(eq=False)
+class EventTable:
+    """One row per event, in the order the loop met them: the frame index,
+    the kind's index in ``EVENT_KINDS``, the agent's global id and, for a
+    collision, the other agent's (-1 otherwise). Injections happen at the
+    start of their frame, every other event at its end."""
+
+    frame: np.ndarray
+    kind: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 @dataclass
 class SimulationTrace:
     config: SimConfig
     plant: PlantParams
-    dims: tuple[int, int, int]
-    frame_t: np.ndarray
+    frame_t: np.ndarray               # (frames,) end time of each frame
     frames: list[FrameRecord]
-    events: list[tuple]               # (t, kind, agent_a, agent_b)
-    command_table: np.ndarray         # (M, 3) broadcast commands
+    events: EventTable                # the population record; counts below
     injection_rate: float             # agents/s implied by the entry cell
     batch_size: int
-    # (frames, 5) per-frame counts, columns FRAME_COUNT_COLUMNS; the column
-    # sums are the totals below and the number of collision events
-    frame_counts: np.ndarray
-    injected: int = 0
-    retired: int = 0
-    escaped: int = 0
-    faults: int = 0
     trajectories: list[tuple] = field(default_factory=list)
+
+    @property
+    def frame_counts(self) -> np.ndarray:
+        """(frames, kinds) events per frame, columns ``EVENT_KINDS``."""
+        n = len(EVENT_KINDS)
+        return np.bincount(self.events.frame * n + self.events.kind,
+                           minlength=len(self.frame_t) * n).reshape(-1, n)
+
+    @property
+    def totals(self) -> dict:
+        """Events of each kind over the whole run."""
+        return dict(zip(EVENT_KINDS, self.frame_counts.sum(axis=0).tolist()))
 
 
 # ======================================================================
@@ -154,8 +177,7 @@ def build_command_table(grid: ControlVolumeGrid, fit: GridFit,
 def entry_cell(grid: ControlVolumeGrid, fit: GridFit) -> int:
     """Fitted cell nearest the inlet face center (ties to lowest index)."""
     fitted = np.array(sorted(fit.results), dtype=np.int64)
-    target = grid.origin + np.array([grid.edge_length / 2.0, 0.0, 0.0])
-    target[1:] = 0.0
+    target = np.array([grid.origin[0] + grid.edge_length / 2.0, 0.0, 0.0])
     d = np.linalg.norm(grid.centers()[fitted] - target, axis=1)
     return int(fitted[np.argmin(d)])
 
@@ -187,6 +209,8 @@ class _Population:
     agents in one pass that keeps the order.
     """
 
+    COLUMNS = ("pos", "vel", "thr", "escaped", "gid", "flat")
+
     def __init__(self):
         self.pos = np.empty((0, 3))
         self.vel = np.empty((0, 3))
@@ -204,16 +228,13 @@ class _Population:
         n = len(pos)
         ids = np.arange(self.total, self.total + n)
         self.total += n
-        self.pos = np.concatenate([self.pos, pos])
-        self.vel = np.concatenate([self.vel, vel])
-        self.thr = np.concatenate([self.thr, thr])
-        self.escaped = np.concatenate([self.escaped, np.zeros(n, dtype=bool)])
-        self.gid = np.concatenate([self.gid, ids])
-        self.flat = np.concatenate([self.flat, flat])
+        new = (pos, vel, thr, np.zeros(n, dtype=bool), ids, flat)
+        for name, x in zip(self.COLUMNS, new):
+            setattr(self, name, np.concatenate([getattr(self, name), x]))
         return ids
 
     def keep(self, mask) -> None:
-        for name in ("pos", "vel", "thr", "escaped", "gid", "flat"):
+        for name in self.COLUMNS:
             setattr(self, name, getattr(self, name)[mask])
 
 
@@ -244,11 +265,9 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
         vel_list.append(vel)
     if not pos_list:
         raise ValueError("no cells to seed below the axial bound")
-    pos = np.vstack(pos_list)
     vel = np.vstack(vel_list)
-    thr = np.zeros_like(vel)
-    thr[:, 2] = -plant.gravity
-    return pos, vel, thr
+    thr = np.tile([0.0, 0.0, -plant.gravity], (len(vel), 1))   # at hover
+    return np.vstack(pos_list), vel, thr
 
 
 def make_batch(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
@@ -262,9 +281,7 @@ def make_batch(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     x = grid.origin[0] + rng.random(n_batch) * grid.edge_length
     pos = np.column_stack([x, rr * np.cos(th), rr * np.sin(th)])
     vel = np.tile(config.scale * fit.results[cell].command, (n_batch, 1))
-    thr = np.zeros_like(vel)
-    thr[:, 2] = -plant.gravity
-    return pos, vel, thr
+    return pos, vel, np.tile([0.0, 0.0, -plant.gravity], (n_batch, 1))
 
 
 # ======================================================================
@@ -365,33 +382,21 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
         else max(1, int(round(rate * config.dt_source)))
 
     n_frames = int(round(config.duration / config.dt))
-    trace = SimulationTrace(
-        config=config, plant=plant, dims=grid.dims,
-        frame_t=(np.arange(n_frames) + 1) * config.dt,
-        frames=[], events=[], command_table=table,
-        injection_rate=rate, batch_size=n_batch,
-        frame_counts=np.zeros((n_frames, len(FRAME_COUNT_COLUMNS)),
-                              dtype=np.int64))
-
+    frame_t = (np.arange(n_frames) + 1) * config.dt
+    frames, trajectories = [], []
+    log = _EventLog()
     pop = _Population()
-    counts = trace.frame_counts
-    injected, retired, escaped, faulted, collided = range(5)
     if config.case == "tunnel_seeding":
         pos, vel, thr = seed_tunnel(grid, fit, config, plant)
-        ids = pop.append(pos, vel, thr, assign_cell(pos, grid))
-        counts[0, injected] += len(ids)
-        trace.events.extend((0.0, "inject", i, -1) for i in ids.tolist())
+        log.add(0, INJECT, pop.append(pos, vel, thr, assign_cell(pos, grid)))
     stride = max(1, int(round(config.dt_source / config.dt)))
 
     for k in range(n_frames):
-        t = k * config.dt
-        t_end = float(trace.frame_t[k])   # end-of-frame events share the frame clock
         if config.case == "reservoir" and k % stride == 0:
             pos, vel, thr = make_batch(grid, fit, config, plant,
                                        k // stride, n_batch, cell0)
-            ids = pop.append(pos, vel, thr, assign_cell(pos, grid))
-            counts[k, injected] += len(ids)
-            trace.events.extend((t, "inject", i, -1) for i in ids.tolist())
+            log.add(k, INJECT, pop.append(pos, vel, thr,
+                                          assign_cell(pos, grid)))
 
         if len(pop):
             state = plant_step(PlantState(pop.vel, pop.thr), table[pop.flat],
@@ -408,11 +413,11 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                 pairs = detect_collisions(pop.pos[live], sub_vel, config)
                 applied = resolve_collisions(sub_vel, pairs)
                 pop.vel[live] = sub_vel
-                gid = pop.gid[live]
-                counts[k, collided] = len(applied)
-                trace.events.extend(
-                    (t_end, f"collision_{kind}", int(gid[a]), int(gid[b]))
-                    for a, b, kind in applied)
+                if applied:
+                    a, b, kind = zip(*applied)
+                    gid = pop.gid[live]
+                    log.add(k, [EVENT_KINDS.index("collision_" + c)
+                                for c in kind], gid[list(a)], gid[list(b)])
 
             # wall escape: through the lateral wall, still inside the span
             p = pop.pos
@@ -421,42 +426,52 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                 rad = grid.geometry.radius(np.clip(p[:, 0], 0.0, length))
                 outside = in_span & (p[:, 1] ** 2 + p[:, 2] ** 2 > rad * rad) \
                     & ~pop.escaped
-                trace.events.extend((t_end, "wall_escape", i, -1)
-                                    for i in pop.gid[outside].tolist())
+                log.add(k, WALL_ESCAPE, pop.gid[outside])
                 pop.escaped |= outside
-                counts[k, escaped] = outside.sum()
 
             # faults: non-finite state ends the agent's run; the others
             # retire past the outlet plane
             bad = ~np.isfinite(p).all(axis=1) \
                 | ~np.isfinite(pop.vel).all(axis=1)
             gone = ~bad & (p[:, 0] > length)
-            trace.events.extend((t_end, "fault", i, -1)
-                                for i in pop.gid[bad].tolist())
-            trace.events.extend((t_end, "retire", i, -1)
-                                for i in pop.gid[gone].tolist())
-            counts[k, faulted] = bad.sum()
-            counts[k, retired] = gone.sum()
-            if counts[k, faulted] or counts[k, retired]:
+            if bad.any() or gone.any():
+                log.add(k, FAULT, pop.gid[bad])
+                log.add(k, RETIRE, pop.gid[gone])
                 pop.keep(~(bad | gone))
 
-        trace.frames.append(_record_frame(pop, grid))
+        frames.append(_record_frame(pop, grid))
         if config.record_trajectories and k % config.trajectory_stride == 0:
-            trace.trajectories.append(
-                (t_end, pop.gid.copy(), pop.pos.copy(), pop.vel.copy()))
+            trajectories.append((float(frame_t[k]), pop.gid.copy(),
+                                 pop.pos.copy(), pop.vel.copy()))
 
-    totals = counts.sum(axis=0).tolist()
-    trace.injected, trace.retired, trace.escaped, trace.faults = totals[:4]
-    return trace
+    return SimulationTrace(config=config, plant=plant, frame_t=frame_t,
+                           frames=frames,
+                           events=EventTable(*log.columns[:, :log.n].copy()),
+                           injection_rate=rate, batch_size=n_batch,
+                           trajectories=trajectories)
+
+
+class _EventLog:
+    """Event columns (frame, kind, a, b) in one buffer that doubles when
+    full: per-frame blocks kept to the end of the run would fragment the
+    heap the frames share, which a later ``load_run`` then cannot reuse."""
+
+    def __init__(self):
+        self.columns, self.n = np.empty((4, 1024), dtype=np.int64), 0
+
+    def add(self, frame, kind, a, b=-1) -> None:
+        """Rows for agents ``a``; a scalar frame, kind or ``b`` covers all."""
+        end = self.n + len(a)
+        while end > self.columns.shape[1]:
+            self.columns = np.concatenate([self.columns, self.columns], axis=1)
+        rows = self.columns[:, self.n:end]
+        rows[0], rows[1], rows[2], rows[3] = frame, kind, a, b
+        self.n = end
 
 
 def _record_frame(pop: _Population, grid: ControlVolumeGrid) -> FrameRecord:
     """Per-cell sums over the active agents, whose cells it leaves on
     ``pop.flat`` for the next frame's commands."""
-    if len(pop) == 0:
-        z = np.empty(0)
-        return FrameRecord(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                           np.empty((0, 3)), z, z.copy())
     flat = pop.flat = assign_cell(pop.pos, grid)
     order = np.argsort(flat, kind="stable")
     flat_s = flat[order]
@@ -466,19 +481,17 @@ def _record_frame(pop: _Population, grid: ControlVolumeGrid) -> FrameRecord:
     vel = pop.vel[order]
     vsum = np.add.reduceat(vel, start, axis=0)
     sumv2 = np.add.reduceat(np.einsum("ij,ij->i", vel, vel), start)
-    tgt = grid.v_target[flat_s]
-    d = vel - tgt
+    d = vel - grid.v_target[flat_s]
     dev2 = np.add.reduceat(np.einsum("ij,ij->i", d, d), start)
     return FrameRecord(cells, counts, vsum, sumv2, dev2)
 
 
 def population_balance(trace: SimulationTrace) -> dict:
     """Bookkeeping: injected = still-active + retired + faulted."""
-    last = trace.frames[-1]
-    active_now = int(last.counts.sum()) if len(last.counts) else 0
-    return {"injected": trace.injected, "active": active_now,
-            "retired": trace.retired, "faults": trace.faults,
-            "balanced": trace.injected == active_now + trace.retired + trace.faults}
+    total, active = trace.totals, int(trace.frames[-1].counts.sum())
+    injected, retired, faults = total["inject"], total["retire"], total["fault"]
+    return {"injected": injected, "active": active, "retired": retired,
+            "faults": faults, "balanced": injected == active + retired + faults}
 
 
 # ======================================================================
@@ -486,15 +499,13 @@ def population_balance(trace: SimulationTrace) -> dict:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 4
+RUN_FORMAT = 5
 FRAME_COLUMNS = ("cells", "counts", "vsum", "sumv2", "dev2")
-EVENT_COLUMNS = ("event_t", "event_kind", "event_a", "event_b")
 TRAJ_COLUMNS = ("traj_ids", "traj_pos", "traj_vel")
 RUN_KEYS = ("meta", "frame_t", "frame_offsets", *FRAME_COLUMNS,
-            "frame_counts", *EVENT_COLUMNS, "traj_t", "traj_offsets",
-            *TRAJ_COLUMNS, "command_table")
-META_KEYS = ("format", "config", "plant", "dims", "injection_rate",
-             "batch_size", "injected", "retired", "escaped", "faults")
+            *("event_" + f.name for f in fields(EventTable)),
+            "traj_t", "traj_offsets", *TRAJ_COLUMNS)
+META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size")
 
 
 def _run_columns(trace: SimulationTrace, meta: dict):
@@ -503,37 +514,31 @@ def _run_columns(trace: SimulationTrace, meta: dict):
     yield "meta", np.array(json.dumps(meta))
     yield "frame_t", trace.frame_t
     yield "frame_offsets", np.cumsum([0] + [len(r.cells) for r in frames])
-    for name in FRAME_COLUMNS:
-        yield name, np.concatenate([getattr(r, name) for r in frames] or [
-            np.empty((0, 3)) if name == "vsum" else np.empty(0)])
-    yield "frame_counts", trace.frame_counts
-    for i, (name, dtype) in enumerate(zip(EVENT_COLUMNS,
-                                          (float, str, np.int64, np.int64))):
-        yield name, np.array([e[i] for e in trace.events], dtype=dtype)
+    for name in FRAME_COLUMNS:     # a run has at least one frame
+        yield name, np.concatenate([getattr(r, name) for r in frames])
+    for name, column in vars(trace.events).items():
+        yield "event_" + name, column
     yield "traj_t", np.array([s[0] for s in snaps], dtype=float)
     yield "traj_offsets", np.cumsum([0] + [len(s[1]) for s in snaps])
     for i, name in enumerate(TRAJ_COLUMNS, start=1):
         yield name, np.concatenate([s[i] for s in snaps] or [
             np.empty(0, dtype=np.int64) if i == 1 else np.empty((0, 3))])
-    yield "command_table", trace.command_table
 
 
 def save_run(trace: SimulationTrace, outdir) -> None:
     """Write the whole trace to ``outdir/trace.npz`` (binary, uncompressed).
 
     Frame records and trajectory snapshots are flat columns cut by offsets,
-    events are one column per tuple field, the per-frame counts are one
-    (frames, 5) array, and config, plant and counters are one JSON string.
-    ``load_run`` reads back a trace equal to this one. Columns are built and
-    written one at a time, so the frames are never held twice over.
+    the event table is one column per field, and config and plant are one
+    JSON string; counts are not stored. ``load_run`` reads back a trace
+    equal to this one. Columns are built and written one at a time, so the
+    frames are never held twice over.
     """
     os.makedirs(outdir, exist_ok=True)
     meta = {"format": RUN_FORMAT, "config": asdict(trace.config),
-            "plant": asdict(trace.plant), "dims": [int(d) for d in trace.dims],
+            "plant": asdict(trace.plant),
             "injection_rate": trace.injection_rate,
-            "batch_size": trace.batch_size, "injected": trace.injected,
-            "retired": trace.retired, "escaped": trace.escaped,
-            "faults": trace.faults}
+            "batch_size": trace.batch_size}
     with zipfile.ZipFile(os.path.join(outdir, RUN_FILE), "w") as zf:
         for name, column in _run_columns(trace, meta):
             with zf.open(name + ".npy", "w", force_zip64=True) as fh:
@@ -563,8 +568,8 @@ def load_run(rundir) -> SimulationTrace:
     """Read back the trace ``save_run`` wrote to ``rundir``.
 
     Raises ValueError on a missing key, another format version, columns
-    whose lengths disagree with each other or with their offsets, or totals
-    that differ from the sums of the per-frame counts.
+    whose lengths disagree with each other or with their offsets, an event
+    kind outside ``EVENT_KINDS``, or an event frame outside the run.
     """
     with np.load(os.path.join(rundir, RUN_FILE), allow_pickle=False) as npz:
         missing = sorted(set(RUN_KEYS) - set(npz.files))
@@ -578,32 +583,25 @@ def load_run(rundir) -> SimulationTrace:
     if meta["format"] != RUN_FORMAT:
         raise ValueError(f"{RUN_FILE}: format {meta['format']!r}, "
                          f"expected {RUN_FORMAT}")
-    events = [a[k] for k in EVENT_COLUMNS]
-    if len({len(c) for c in events}) != 1:
-        raise ValueError(f"{RUN_FILE}: event columns differ in length")
+    columns = [a["event_" + f.name] for f in fields(EventTable)]
+    if any(c.dtype != np.int64 or c.shape != columns[0].shape or c.ndim != 1
+           for c in columns):
+        raise ValueError(f"{RUN_FILE}: event columns are not int64 columns "
+                         f"of one length")
+    events = EventTable(*columns)
+    if np.any((events.kind < 0) | (events.kind >= len(EVENT_KINDS))):
+        raise ValueError(f"{RUN_FILE}: unknown event kind")
+    if np.any((events.frame < 0) | (events.frame >= len(a["frame_t"]))):
+        raise ValueError(f"{RUN_FILE}: event frame outside the run")
     frames = _split([a[k] for k in FRAME_COLUMNS], a["frame_offsets"],
                     len(a["frame_t"]))
-    if a["frame_counts"].shape != (len(frames), len(FRAME_COUNT_COLUMNS)):
-        raise ValueError(f"{RUN_FILE}: frame_counts has shape "
-                         f"{a['frame_counts'].shape}")
-    wrong = [k for k, total in zip(("injected", "retired", "escaped", "faults"),
-                                   a["frame_counts"].sum(axis=0).tolist())
-             if meta[k] != total]
-    if wrong:
-        raise ValueError(f"{RUN_FILE}: totals {wrong} differ from the sums "
-                         f"of frame_counts")
     snaps = _split([a[k] for k in TRAJ_COLUMNS], a["traj_offsets"],
                    len(a["traj_t"]))
     return SimulationTrace(
         config=_dataclass_from(SimConfig, meta["config"]),
         plant=_dataclass_from(PlantParams, meta["plant"]),
-        dims=tuple(meta["dims"]), frame_t=a["frame_t"],
-        frames=[FrameRecord(*cols) for cols in frames],
-        events=list(zip(*(c.tolist() for c in events))),
-        command_table=a["command_table"],
-        injection_rate=meta["injection_rate"], batch_size=meta["batch_size"],
-        injected=meta["injected"], retired=meta["retired"],
-        escaped=meta["escaped"], faults=meta["faults"],
-        frame_counts=a["frame_counts"],
+        frame_t=a["frame_t"], frames=[FrameRecord(*cols) for cols in frames],
+        events=events, injection_rate=meta["injection_rate"],
+        batch_size=meta["batch_size"],
         trajectories=[(t, *cols) for t, cols
                       in zip(a["traj_t"].tolist(), snaps)])

@@ -31,6 +31,7 @@ from .primitives import pressure_coefficient
 from .reference_field import (FieldFormatError, cell_index,
                               lattice_from_meta, lattice_meta, read_table,
                               write_table)
+from .velocity_plant import PlantParams
 
 SET_SIZE = 9                      # velocities per cell
 FIT_HEADER = "jx,jy,jz,n_star,v1x,v1y,v1z,..."
@@ -38,7 +39,7 @@ FIT_HEADER = "jx,jy,jz,n_star,v1x,v1y,v1z,..."
 
 @dataclass(frozen=True)
 class FitConfig:
-    agent_mass: float = 1.0
+    agent_mass: float = PlantParams.mass
     rng_seed: int = 0
     # not fields: the set-size range that perfbench's fit counter reads
     n_min = n_max = SET_SIZE

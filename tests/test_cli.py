@@ -5,13 +5,16 @@ a short flight so the whole chain stays under a few seconds.
 """
 
 import argparse
+import inspect
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from fluidswarm import (GasModel, NozzleGeometry, SimConfig, fit_grid,
-                        load_fit, load_run, run_simulation, save_partition)
+from fluidswarm import (FitConfig, GasModel, NozzleGeometry, PlantParams,
+                        SimConfig, fit_grid, generate_quasi1d_field, load_fit,
+                        load_run, partition_domain, run_simulation,
+                        save_partition)
 from fluidswarm.cli import build_parser, main
 from fluidswarm.velocity_fit import SET_SIZE
 
@@ -69,9 +72,11 @@ def test_full_pipeline(tmp_path, capsys):
                 "balanced=True"):
         assert key in out, key
     # per-frame counter peaks: equal batches, the first in frame 0; no
-    # collisions without collisions on
-    assert "\npeak_injected_frame=0\n" in out
-    assert "\npeak_collisions=0\npeak_collisions_frame=none\n" in out
+    # collision of any kind without collisions on
+    assert "\npeak_inject_frame=0\n" in out
+    for kind in ("overtake", "headon", "sideswipe"):
+        assert f"\npeak_collision_{kind}=0\npeak_collision_{kind}_frame=none\n" \
+            in out, kind
     for name in ("metrics.txt", "slice.csv", "centerline.csv"):
         assert (rundir / name).exists(), name
 
@@ -130,6 +135,32 @@ def test_geometry_and_gas_flags_follow_their_dataclasses():
         assert {k: args[k] for k in asdict(NozzleGeometry())} \
             == asdict(NozzleGeometry())
         assert {k: args[k] for k in asdict(GasModel())} == asdict(GasModel())
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """A flag that sets a library parameter defaults to the library's value."""
+    def parsed(*argv):
+        return vars(build_parser().parse_args(list(argv)))
+
+    def keyword(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    args = parsed("generate-field", "--output", "f.csv")
+    assert (args["inlet_speed"], args["stations"], args["rings"]) == \
+        tuple(keyword(generate_quasi1d_field, k) for k in
+              ("inlet_speed", "axial_stations", "radial_rings"))
+    args = parsed("partition", "--field", "f.csv", "--output", "g.csv")
+    assert args["edge"] == keyword(partition_domain, "edge_length")
+    args = parsed("fit", "--partition", "g.csv", "--output", "fit.csv")
+    assert args["agent_mass"] == FitConfig().agent_mass == PlantParams().mass
+    assert args["seed"] == FitConfig().rng_seed
+    args = parsed("simulate", "--fit", "fit.csv", "--out", "run")
+    config = SimConfig()
+    for name in ("case", "duration", "dt", "scale", "seed", "collisions",
+                 "dt_source", "batch_size", "seed_x_max"):
+        assert args[name] == getattr(config, name), name
+    assert args["trajectories"] == config.record_trajectories
+    assert args["thrust_to_weight"] == PlantParams().thrust_to_weight
 
 
 def test_two_fit_runs_write_identical_files(tmp_path, capsys):

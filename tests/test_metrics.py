@@ -1,7 +1,7 @@
 """Metrics tests on hand-built traces where every average is known exactly.
 
-The fakes mirror the trace interface: config and plant attributes, a frame
-clock, frame records and an event list.
+The fakes mirror the part of the trace that ``derive_fields`` reads: config
+and plant attributes, a frame clock and frame records.
 """
 
 from dataclasses import replace
@@ -19,7 +19,7 @@ from fluidswarm import (ConstitutiveParams, ControlVolumeGrid, NozzleGeometry,
                         run_simulation, save_metrics, save_run,
                         swarm_pressure, swarm_temperature,
                         transit_time_estimate, trend_check)
-from fluidswarm.swarm_sim import FrameRecord
+from fluidswarm.swarm_sim import EVENT_KINDS, FrameRecord
 
 COEFF = 2.0 / (3.0 * 0.125)  # unit mass in a 0.5 m cell
 
@@ -53,13 +53,12 @@ def rec(cells, counts, means, sumv2=None, dev2=None):
                        np.asarray(dev2, float))
 
 
-def fake_trace(frames, dt=1.0, scale=1.0, mass=1.0, events=()):
+def fake_trace(frames, dt=1.0, scale=1.0, mass=1.0):
     n = len(frames)
     return SimpleNamespace(config=SimpleNamespace(scale=scale,
                                                   duration=n * dt, dt=dt),
                            plant=PlantParams(mass=mass),
-                           frame_t=(np.arange(n) + 1) * dt, frames=frames,
-                           events=list(events))
+                           frame_t=(np.arange(n) + 1) * dt, frames=frames)
 
 
 def test_single_agent_constant_stream():
@@ -366,11 +365,16 @@ def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
 
 
 def event_counts(trace, transient):
-    """Reference: the report's counts taken event by event."""
+    """Reference: the report's counts taken event by event. Injections
+    happen at the start of their frame, every other event at its end."""
     window = trace.config.duration - transient
+    frame_start = np.arange(len(trace.frame_t)) * trace.config.dt
+    rows = list(zip(trace.events.frame.tolist(), trace.events.kind.tolist()))
 
     def count(kind, after=-np.inf):
-        return sum(1 for e in trace.events if e[1] == kind and e[0] > after)
+        code = EVENT_KINDS.index(kind)
+        clock = frame_start if kind == "inject" else trace.frame_t
+        return sum(1 for k, c in rows if c == code and clock[k] > after)
 
     return {"exit_rate": count("retire", transient) / window,
             "inject_rate": count("inject", transient) / window,
@@ -398,6 +402,6 @@ def test_report_counts_equal_the_event_counts(trace60, grid, fit, case):
         ref = event_counts(trace, values["transient"])
         got = {k: values[k] for k in ref}
         assert repr(got) == repr(ref)
-    assert trace.injected > 0 and trace.retired > 0
+    assert trace.totals["inject"] > 0 and trace.totals["retire"] > 0
     if case == "collisions":
         assert ref["collisions_overtake"] > 0

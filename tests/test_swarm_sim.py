@@ -15,10 +15,16 @@ from fluidswarm import (PlantParams, SimConfig, build_command_table,
                         population_balance, resolve_collisions,
                         run_simulation, save_run, swarm_sim)
 from fluidswarm.partition import ControlVolumeGrid, assign_cell, partition_domain
-from fluidswarm.swarm_sim import entry_cell, make_batch, seed_tunnel
+from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, entry_cell,
+                                  make_batch, seed_tunnel)
 from fluidswarm.velocity_plant import PlantState, step as plant_step
 
 CFG = SimConfig()  # collision thresholds at their defaults
+
+
+def n_events(trace, kind):
+    """Rows of the trace's event table of the named kind."""
+    return int(np.count_nonzero(trace.events.kind == EVENT_KINDS.index(kind)))
 
 
 def short_run(grid, fit, **kw):
@@ -345,33 +351,31 @@ def test_collision_speed_clamp():
 def test_frame_clock_is_uniform(trace60):
     assert len(trace60.frame_t) == 1200
     assert np.allclose(np.diff(trace60.frame_t), 0.05, rtol=1e-12)
-    # event log is time ordered on the frame clock, with no ulp slack
-    times = np.array([e[0] for e in trace60.events])
-    assert np.all(np.diff(times) >= 0)
+    # the event table is in frame order
+    assert np.all(np.diff(trace60.events.frame) >= 0)
 
 
 def test_population_bookkeeping(trace60):
     bal = population_balance(trace60)
     assert bal["balanced"]
-    assert bal["injected"] == trace60.injected > 0
-    inject_events = sum(1 for e in trace60.events if e[1] == "inject")
-    retire_events = sum(1 for e in trace60.events if e[1] == "retire")
-    assert inject_events == trace60.injected
-    assert retire_events == trace60.retired
+    assert bal["injected"] == n_events(trace60, "inject") > 0
+    assert bal["retired"] == n_events(trace60, "retire") > 0
+    assert bal["faults"] == n_events(trace60, "fault")
 
 
 def test_every_frame_counts_every_active_agent(trace60):
     # retired + current == injected so far, frame by frame at the end
     last = trace60.frames[-1]
-    assert int(last.counts.sum()) == trace60.injected - trace60.retired \
-        - trace60.faults
+    total = trace60.totals
+    assert int(last.counts.sum()) == total["inject"] - total["retire"] \
+        - total["fault"]
 
 
 def test_wall_escapes_are_logged_once(trace60):
-    escape_events = [e for e in trace60.events if e[1] == "wall_escape"]
-    assert len(escape_events) == trace60.escaped
-    agents = [e[2] for e in escape_events]
-    assert len(agents) == len(set(agents))
+    agents = trace60.events.a[
+        trace60.events.kind == EVENT_KINDS.index("wall_escape")]
+    assert len(agents) == trace60.totals["wall_escape"] > 0
+    assert len(agents) == len(set(agents.tolist()))
 
 
 def test_runs_are_deterministic(grid, fit):
@@ -394,18 +398,10 @@ def test_the_plant_flies_the_fit_agent_mass(grid, fit):
 def test_tunnel_case_seeds_then_drains(grid, fit):
     trace = run_simulation(grid, fit, SimConfig(case="tunnel_seeding",
                                                 duration=2.0, seed=1))
-    assert trace.injected == sum(
-        1 for e in trace.events if e[1] == "inject" and e[0] == 0.0)
+    seeded = (trace.events.kind == EVENT_KINDS.index("inject")) \
+        & (trace.events.frame == 0)
+    assert trace.totals["inject"] == np.count_nonzero(seeded) > 0
     assert population_balance(trace)["balanced"]
-
-
-def test_collision_run_stays_balanced(grid, fit):
-    trace = short_run(grid, fit, seed=2, collisions=True)
-    assert population_balance(trace)["balanced"]
-    kinds = {e[1] for e in trace.events}
-    assert kinds <= {"inject", "retire", "wall_escape", "fault",
-                     "collision_overtake", "collision_headon",
-                     "collision_sideswipe"}
 
 
 def test_collisions_fire_at_a_low_approach_floor(grid, fit, monkeypatch):
@@ -413,8 +409,11 @@ def test_collisions_fire_at_a_low_approach_floor(grid, fit, monkeypatch):
     cfg = SimConfig(case="reservoir", duration=20.0, seed=0, batch_size=17,
                     collisions=True, min_approach_speed=0.02)
     trace = run_simulation(grid, fit, cfg)
-    assert sum(e[1].startswith("collision") for e in trace.events) > 0
     assert population_balance(trace)["balanced"]
+    assert set(trace.events.kind.tolist()) <= set(range(len(EVENT_KINDS)))
+    overtakes = trace.totals["collision_overtake"]
+    assert overtakes > 0
+    assert overtakes == n_events(trace, "collision_overtake")
     monkeypatch.setattr(swarm_sim, "detect_collisions", per_pair_collisions)
     reference = run_simulation(grid, fit, cfg)
     assert frames_equal(trace.frames, reference.frames)
@@ -434,8 +433,7 @@ def test_a_non_finite_agent_faults_without_ending_a_collision_run(
 
     monkeypatch.setattr(swarm_sim, "plant_step", poisoned_step)
     trace = short_run(grid, fit, seed=0, collisions=True)
-    assert trace.faults == 1
-    assert sum(e[1] == "fault" for e in trace.events) == 1
+    assert trace.totals["fault"] == n_events(trace, "fault") == 1
     assert population_balance(trace)["balanced"]
 
 
@@ -499,12 +497,11 @@ def full_scan_run(grid, fit, config):
     n_batch = config.batch_size if config.batch_size is not None \
         else max(1, int(round(rate * config.dt_source)))
     n_frames = int(round(config.duration / config.dt))
-    trace = swarm_sim.SimulationTrace(
-        config=config, plant=plant, dims=grid.dims,
-        frame_t=(np.arange(n_frames) + 1) * config.dt,
-        frames=[], events=[], command_table=table,
-        injection_rate=rate, batch_size=n_batch,
-        frame_counts=None)   # this loop kept no per-frame counts
+    # the trace as this loop kept it: a (t, kind, a, b) event log and totals
+    trace = SimpleNamespace(
+        config=config, frame_t=(np.arange(n_frames) + 1) * config.dt,
+        frames=[], events=[], trajectories=[],
+        injected=0, retired=0, escaped=0, faults=0)
 
     pop = FullScanPopulation()
     if config.case == "tunnel_seeding":
@@ -580,15 +577,28 @@ def full_scan_run(grid, fit, config):
     return trace
 
 
-def frame_counts_from_events(trace):
-    """Per-frame counts rebuilt from the event log: injections carry the
-    frame's start time, every other event its end time."""
+def log_frames(trace):
+    """Frames of the reference log's events: injections carry the frame's
+    start time, every other event its end time."""
     start = {k * trace.config.dt: k for k in range(len(trace.frame_t))}
     end = {t: k for k, t in enumerate(trace.frame_t.tolist())}
+    return [start[t] if kind == "inject" else end[t]
+            for t, kind, _, _ in trace.events]
+
+
+def event_table_from_log(trace):
+    """The reference loop's (t, kind, a, b) log as an event table."""
+    rows = [(k, EVENT_KINDS.index(kind), a, b)
+            for k, (_, kind, a, b) in zip(log_frames(trace), trace.events)]
+    return EventTable(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+
+def frame_counts_from_events(trace):
+    """Per-frame counts rebuilt from the reference log, columns injected,
+    retired, escaped, faulted and collisions of any kind."""
     column = {"inject": 0, "retire": 1, "wall_escape": 2, "fault": 3}
     counts = np.zeros((len(trace.frame_t), 5), dtype=np.int64)
-    for t, kind, _, _ in trace.events:
-        k = start[t] if kind == "inject" else end[t]
+    for k, (_, kind, _, _) in zip(log_frames(trace), trace.events):
         counts[k, column.get(kind, 4)] += 1
     return counts
 
@@ -627,22 +637,26 @@ def test_compact_loop_equals_the_full_scan_loop(grid, fit, monkeypatch, case):
         runs.append(run(grid, fit, config))
     new, ref = runs
     assert frames_equal(new.frames, ref.frames)
-    assert new.events == ref.events
-    totals = ("injected", "retired", "escaped", "faults")
-    assert [getattr(new, k) for k in totals] == [getattr(ref, k) for k in totals]
+    # the event table is the reference log, row for row
+    assert new.events == event_table_from_log(ref)
+    assert new.events.kind.dtype == np.int64
     assert len(new.trajectories) == len(ref.trajectories)
     for sa, sb in zip(new.trajectories, ref.trajectories):
         assert sa[0] == sb[0]
         assert all(np.array_equal(x, y) for x, y in zip(sa[1:], sb[1:]))
     assert population_balance(new)["balanced"]
 
-    # per-frame counters: the reference's events frame by frame, and
-    # column sums equal to the totals
-    assert new.frame_counts.dtype == np.int64
-    assert np.array_equal(new.frame_counts, frame_counts_from_events(ref))
-    collisions = sum(e[1].startswith("collision") for e in ref.events)
-    assert new.frame_counts.sum(axis=0).tolist() == \
-        [getattr(ref, k) for k in totals] + [collisions]
+    # per-frame counters: the reference's events frame by frame, the
+    # collision kinds summing to its one collision column, and totals
+    # equal to the reference's
+    counts, want = new.frame_counts, frame_counts_from_events(ref)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts[:, :4], want[:, :4])
+    assert np.array_equal(counts[:, 4:].sum(axis=1), want[:, 4])
+    totals = [new.totals[k] for k in ("inject", "retire", "wall_escape",
+                                      "fault")]
+    assert totals == [ref.injected, ref.retired, ref.escaped, ref.faults]
+    collisions = int(want[:, 4].sum())
 
     # each case exercises what it names
     kinds = Counter(e[1] for e in ref.events)
@@ -666,6 +680,9 @@ def test_config_validation():
         SimConfig(scale=0.0)
     with pytest.raises(ValueError):
         SimConfig(duration=-1.0)
+    with pytest.raises(ValueError, match="one frame"):
+        SimConfig(duration=0.02)    # rounds to no 0.05 s frame
+    assert SimConfig(duration=0.03).duration == 0.03   # rounds to one
     assert SimConfig(scale=1.5).scale == 1.5  # amplified commands are allowed
 
 
@@ -679,18 +696,14 @@ def test_save_load_round_trip(tmp_path, grid, fit):
     back = load_run(tmp_path)
     assert back.config == trace.config
     assert back.plant == trace.plant
-    assert back.dims == trace.dims
     assert np.array_equal(back.frame_t, trace.frame_t)
     # exact sums; cells without targets carry NaN deviation sums
     assert frames_equal(back.frames, trace.frames)
     assert back.events == trace.events
-    assert np.array_equal(back.command_table, trace.command_table)
-    assert back.frame_counts.dtype == trace.frame_counts.dtype
     assert np.array_equal(back.frame_counts, trace.frame_counts)
-    counters = ("injection_rate", "batch_size", "injected", "retired",
-                "escaped", "faults")
-    assert [getattr(back, k) for k in counters] == \
-        [getattr(trace, k) for k in counters]
+    assert back.totals == trace.totals
+    assert (back.injection_rate, back.batch_size) == \
+        (trace.injection_rate, trace.batch_size)
     assert len(back.trajectories) == len(trace.trajectories) > 0
     for sa, sb in zip(trace.trajectories, back.trajectories):
         assert sb[0] == sa[0]
@@ -716,8 +729,8 @@ def _bump_format(cols):
 
 
 def _format_2(cols):
-    # the layout before the per-frame counts
-    del cols["frame_counts"]
+    # the layout before the per-frame counts: events carried times
+    cols["event_t"] = 0.05 * cols.pop("event_frame")
     _set_format(cols, 2)
 
 
@@ -730,14 +743,43 @@ def _format_3(cols):
     _set_format(cols, 3)
 
 
-def _drop_a_frame_count(cols):
-    cols["frame_counts"] = cols["frame_counts"][1:]
-
-
-def _miscount_retired(cols):
+def _format_4(cols):
+    # the layout that stored per-frame counts, totals, dims and the command
+    # table, and events as times and kind names
+    kinds = cols["event_kind"]
+    frames = cols.pop("event_frame")
+    counts = np.zeros((len(cols["frame_t"]), 5), dtype=np.int64)
+    np.add.at(counts, (frames, np.minimum(kinds, 4)), 1)
     meta = json.loads(cols["meta"].item())
-    meta["retired"] += 1
+    meta.update(dims=[30, 6, 6], **dict(zip(
+        ("injected", "retired", "escaped", "faults"),
+        counts.sum(axis=0).tolist())))
     cols["meta"] = np.array(json.dumps(meta))
+    cols.update(event_t=np.where(kinds == 0, 0.05 * frames,
+                                 cols["frame_t"][frames]),
+                event_kind=np.array(EVENT_KINDS)[kinds], frame_counts=counts,
+                command_table=np.zeros((1080, 3)))
+    _set_format(cols, 4)
+
+
+def _unknown_kind(cols):
+    cols["event_kind"][-1] = len(EVENT_KINDS)
+
+
+def _frame_past_the_run(cols):
+    cols["event_frame"][-1] = len(cols["frame_t"])
+
+
+def _negative_frame(cols):
+    cols["event_frame"][0] = -1
+
+
+def _drop_an_event_row(cols):
+    cols["event_b"] = cols["event_b"][:-1]
+
+
+def _float_event_kinds(cols):
+    cols["event_kind"] = cols["event_kind"].astype(float)
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -745,9 +787,13 @@ def _miscount_retired(cols):
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
     (_format_2, "missing"),
-    (_format_3, "format 3, expected 4"),
-    (_drop_a_frame_count, "frame_counts has shape"),
-    (_miscount_retired, r"totals \['retired'\] differ"),
+    (_format_3, "format 3, expected 5"),
+    (_format_4, r"missing \['event_frame'\]"),
+    (_unknown_kind, "unknown event kind"),
+    (_frame_past_the_run, "event frame outside the run"),
+    (_negative_frame, "event frame outside the run"),
+    (_drop_an_event_row, "one length"),
+    (_float_event_kinds, "int64"),
 ])
 def test_load_run_rejects_a_damaged_record(tmp_path, grid, fit, corrupt,
                                            message):
