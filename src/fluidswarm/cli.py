@@ -192,17 +192,20 @@ def _cmd_plant_test(args) -> int:
     return 0 if suite["pass"] else 1
 
 
+def _sim_config(args) -> SimConfig:
+    return SimConfig(case=args.case, dt=args.dt, duration=args.duration,
+                     scale=args.scale, seed=args.seed,
+                     collisions=args.collisions, dt_source=args.dt_source,
+                     batch_size=args.batch_size, seed_x_max=args.seed_x_max,
+                     record_trajectories=args.trajectories)
+
+
 def _cmd_simulate(args) -> int:
     fit, meta = load_fit(args.fit)
     grid = grid_from_fit(fit, meta)
-    cfg = SimConfig(case=args.case, dt=args.dt, duration=args.duration,
-                    scale=args.scale, seed=args.seed,
-                    collisions=args.collisions, dt_source=args.dt_source,
-                    batch_size=args.batch_size, seed_x_max=args.seed_x_max,
-                    record_trajectories=args.trajectories)
     plant = PlantParams(mass=fit.config.agent_mass,
                         thrust_to_weight=args.thrust_to_weight)
-    trace = run_simulation(grid, fit, cfg, plant)
+    trace = run_simulation(grid, fit, args.config, plant)
     save_run(trace, args.out)
     total = trace.totals
     print(f"{len(trace.frames)} frames -> {args.out}; injected "
@@ -253,7 +256,14 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate":
+        # a bad flag combination is a usage error, found before any file is read
+        try:
+            args.config = _sim_config(args)
+        except ValueError as exc:
+            parser.error(f"simulate: {exc}")
     return _DISPATCH[args.command](args)
 
 

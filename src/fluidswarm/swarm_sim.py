@@ -16,7 +16,11 @@ both leave the population, which holds only the active agents. Agents that
 drift through the duct wall are logged once and keep flying. Agents are
 binned to cells once per frame, by the frame reduction after retirement;
 those cells are the next frame's command cells, since nothing moves an agent
-in between, so only newly injected agents are binned when they arrive. Each
+in between, so only newly injected agents are binned when they arrive. The
+population keeps positions, velocities and thrusts as (3, N) arrays, one
+contiguous row per component, which the plant steps row by row and the
+frame reduction sums in one (5, N) block; everything a trace holds (frame
+records, trajectory snapshots) keeps the (N, 3) and (K, 3) shapes. Each
 event is one row of the run's event table, its only population record: the
 per-frame counts and the totals are computed from it. All randomness is
 drawn from generators seeded by (seed, purpose, index), so traces are
@@ -202,40 +206,46 @@ def injection_rate(grid: ControlVolumeGrid, fit: GridFit) -> tuple[float, int]:
 class _Population:
     """The active agents, in injection order (so in ascending ``gid``).
 
-    ``gid`` is each agent's global id, its index in injection order, which
-    events and trajectory snapshots report. ``flat`` is each agent's cell:
-    ``append`` takes it for new agents, and ``_record_frame`` rebins the
-    survivors at the end of each frame. ``keep`` drops faulted and retired
-    agents in one pass that keeps the order.
+    ``pos``, ``vel`` and ``thr`` are (3, N) arrays, one contiguous row per
+    component, so the plant and the per-frame tests run on whole rows; the
+    other columns are (N,). ``gid`` is each agent's global id, its index in
+    injection order, which events and trajectory snapshots report. ``flat``
+    is each agent's cell: ``append`` takes it for new agents, and
+    ``_record_frame`` rebins the survivors at the end of each frame.
+    ``keep`` drops faulted and retired agents in one pass that keeps the
+    order.
     """
 
     COLUMNS = ("pos", "vel", "thr", "escaped", "gid", "flat")
 
     def __init__(self):
-        self.pos = np.empty((0, 3))
-        self.vel = np.empty((0, 3))
-        self.thr = np.empty((0, 3))
+        self.pos = np.empty((3, 0))
+        self.vel = np.empty((3, 0))
+        self.thr = np.empty((3, 0))
         self.escaped = np.empty(0, dtype=bool)
         self.gid = np.empty(0, dtype=np.int64)
         self.flat = np.empty(0, dtype=np.int64)
         self.total = 0          # agents ever appended
 
     def __len__(self) -> int:
-        return len(self.pos)
+        return len(self.gid)
 
     def append(self, pos, vel, thr, flat) -> np.ndarray:
-        """Add agents at cells ``flat``; returns their global ids."""
+        """Add agents with (n, 3) ``pos``, ``vel`` and ``thr`` at cells
+        ``flat``; returns their global ids."""
         n = len(pos)
         ids = np.arange(self.total, self.total + n)
         self.total += n
-        new = (pos, vel, thr, np.zeros(n, dtype=bool), ids, flat)
+        new = (pos.T, vel.T, thr.T, np.zeros(n, dtype=bool), ids, flat)
         for name, x in zip(self.COLUMNS, new):
-            setattr(self, name, np.concatenate([getattr(self, name), x]))
+            setattr(self, name,
+                    np.concatenate([getattr(self, name), x], axis=-1))
         return ids
 
     def keep(self, mask) -> None:
+        idx = np.flatnonzero(mask)
         for name in self.COLUMNS:
-            setattr(self, name, getattr(self, name)[mask])
+            setattr(self, name, getattr(self, name).take(idx, axis=-1))
 
 
 def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
@@ -373,7 +383,9 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
     if plant.mass != fit.config.agent_mass:
         raise ValueError(f"plant mass {plant.mass} differs from the fit's "
                          f"agent mass {fit.config.agent_mass}")
-    table = build_command_table(grid, fit, config.scale)
+    # commands and targets as component rows, gathered per agent by column
+    table = np.ascontiguousarray(build_command_table(grid, fit, config.scale).T)
+    targets = np.ascontiguousarray(grid.v_target.T)
     length = grid.geometry.length if grid.geometry is not None \
         else grid.origin[0] + grid.dims[0] * grid.edge_length
 
@@ -399,20 +411,21 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                                           assign_cell(pos, grid)))
 
         if len(pop):
-            state = plant_step(PlantState(pop.vel, pop.thr), table[pop.flat],
-                               config.dt, plant)
-            pop.vel = state.velocity
-            pop.thr = state.thrust_accel
-            pop.pos += state.velocity * config.dt
+            state = plant_step(PlantState(pop.vel.T, pop.thr.T),
+                               table.take(pop.flat, axis=1).T, config.dt, plant)
+            pop.vel = state.velocity.T
+            pop.thr = state.thrust_accel.T
+            pop.pos += pop.vel * config.dt
 
             if config.collisions:
                 # non-finite agents (the KD-tree rejects them) fault below
-                live = np.flatnonzero(np.isfinite(pop.pos).all(axis=1)
-                                      & np.isfinite(pop.vel).all(axis=1))
-                sub_vel = pop.vel[live]
-                pairs = detect_collisions(pop.pos[live], sub_vel, config)
+                live = np.flatnonzero(np.isfinite(pop.pos).all(axis=0)
+                                      & np.isfinite(pop.vel).all(axis=0))
+                sub_vel = pop.vel[:, live].T.copy()
+                pairs = detect_collisions(pop.pos[:, live].T.copy(), sub_vel,
+                                          config)
                 applied = resolve_collisions(sub_vel, pairs)
-                pop.vel[live] = sub_vel
+                pop.vel[:, live] = sub_vel.T
                 if applied:
                     a, b, kind = zip(*applied)
                     gid = pop.gid[live]
@@ -420,29 +433,28 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                                 for c in kind], gid[list(a)], gid[list(b)])
 
             # wall escape: through the lateral wall, still inside the span
-            p = pop.pos
+            x, y, z = pop.pos
             if grid.geometry is not None:
-                in_span = (p[:, 0] >= 0.0) & (p[:, 0] <= length)
-                rad = grid.geometry.radius(np.clip(p[:, 0], 0.0, length))
-                outside = in_span & (p[:, 1] ** 2 + p[:, 2] ** 2 > rad * rad) \
-                    & ~pop.escaped
+                in_span = (x >= 0.0) & (x <= length)
+                rad = grid.geometry.radius(x)      # clamps x to the span
+                outside = in_span & (y ** 2 + z ** 2 > rad * rad) & ~pop.escaped
                 log.add(k, WALL_ESCAPE, pop.gid[outside])
                 pop.escaped |= outside
 
             # faults: non-finite state ends the agent's run; the others
             # retire past the outlet plane
-            bad = ~np.isfinite(p).all(axis=1) \
-                | ~np.isfinite(pop.vel).all(axis=1)
-            gone = ~bad & (p[:, 0] > length)
+            bad = ~(np.isfinite(pop.pos).all(axis=0)
+                    & np.isfinite(pop.vel).all(axis=0))
+            gone = ~bad & (x > length)
             if bad.any() or gone.any():
                 log.add(k, FAULT, pop.gid[bad])
                 log.add(k, RETIRE, pop.gid[gone])
                 pop.keep(~(bad | gone))
 
-        frames.append(_record_frame(pop, grid))
+        frames.append(_record_frame(pop, grid, targets))
         if config.record_trajectories and k % config.trajectory_stride == 0:
             trajectories.append((float(frame_t[k]), pop.gid.copy(),
-                                 pop.pos.copy(), pop.vel.copy()))
+                                 pop.pos.T.copy(), pop.vel.T.copy()))
 
     return SimulationTrace(config=config, plant=plant, frame_t=frame_t,
                            frames=frames,
@@ -469,21 +481,34 @@ class _EventLog:
         self.n = end
 
 
-def _record_frame(pop: _Population, grid: ControlVolumeGrid) -> FrameRecord:
+def _record_frame(pop: _Population, grid: ControlVolumeGrid,
+                  targets: np.ndarray) -> FrameRecord:
     """Per-cell sums over the active agents, whose cells it leaves on
-    ``pop.flat`` for the next frame's commands."""
-    flat = pop.flat = assign_cell(pop.pos, grid)
-    order = np.argsort(flat, kind="stable")
+    ``pop.flat`` for the next frame's commands; ``targets`` holds the
+    cells' target velocities as (3, cells) rows.
+
+    The agents, sorted by cell, fill one (5, N) block of rows vx, vy, vz,
+    |v|^2 and |v - v_target|^2, and one ``reduceat`` sums it per cell into
+    a (K, 5) block whose columns the record's fields view. The squares add
+    x, z, then y: the order of ``einsum("ij,ij->i")`` on (N, 3) rows.
+    """
+    flat = pop.flat = assign_cell(pop.pos.T, grid)
+    # a stable sort's order depends on the keys alone; keys that fit 16 bits
+    # get numpy's radix sort
+    order = np.argsort(flat.astype(np.min_scalar_type(grid.num_cells - 1)),
+                       kind="stable")
     flat_s = flat[order]
     start = np.flatnonzero(np.diff(flat_s, prepend=-1))   # flat_s is sorted
     cells = flat_s[start]
     counts = np.diff(np.append(start, len(flat_s)))
-    vel = pop.vel[order]
-    vsum = np.add.reduceat(vel, start, axis=0)
-    sumv2 = np.add.reduceat(np.einsum("ij,ij->i", vel, vel), start)
-    d = vel - grid.v_target[flat_s]
-    dev2 = np.add.reduceat(np.einsum("ij,ij->i", d, d), start)
-    return FrameRecord(cells, counts, vsum, sumv2, dev2)
+    block = np.empty((5, len(order)))
+    vx, vy, vz = np.take(pop.vel, order, axis=1, out=block[:3])
+    np.add(vx * vx + vz * vz, vy * vy, out=block[3])
+    dx, dy, dz = block[:3] - np.take(targets, flat_s, axis=1)
+    np.add(dx * dx + dz * dz, dy * dy, out=block[4])
+    sums = np.empty((len(start), 5))
+    np.add.reduceat(block, start, axis=1, out=sums.T)
+    return FrameRecord(cells, counts, sums[:, :3], sums[:, 3], sums[:, 4])
 
 
 def population_balance(trace: SimulationTrace) -> dict:

@@ -7,11 +7,14 @@ desired vector is clipped to a tilt cone and a thrust-magnitude ball, and the
 realized thrust acceleration follows the clipped demand through a first-order
 lag. Velocity then integrates thrust + gravity + aerodynamic drag.
 
-Everything here is vectorized over agents: states carry (N, 3) arrays and a
-single agent is just N = 1. Integration sub-steps the caller's dt so one
-sub-step never exceeds a quarter of the thrust lag time constant; the lag
-itself uses the exact exponential update, so with constraints inactive and a
-constant demand the discrete response matches the continuous lag to rounding.
+Everything here is vectorized over agents. The public functions and
+``PlantState`` take and give (N, 3) arrays (or one (3,) vector), and a single
+agent is just N = 1; the math runs on (3, N) component rows, one contiguous
+row per axis, and ``step`` returns (N, 3) views of such rows. Integration
+sub-steps the caller's dt so one sub-step never exceeds a quarter of the
+thrust lag time constant; the lag itself uses the exact exponential update,
+so with constraints inactive and a constant demand the discrete response
+matches the continuous lag to rounding.
 """
 
 from __future__ import annotations
@@ -90,27 +93,67 @@ class PlantState:
         return cls(v, a)
 
 
+def _rows(x) -> np.ndarray:
+    """A (3,) or (N, 3) array as (3, 1) or (3, N) component rows (a view)."""
+    return np.atleast_2d(np.asarray(x, dtype=float)).T
+
+
+def _drag(v, params: PlantParams) -> np.ndarray:
+    """Drag on component rows ``v`` (airspeed), N."""
+    return -params.drag_factor[:, None] * np.abs(v) * v
+
+
+def _desired(v, cmd, wind, params: PlantParams) -> np.ndarray:
+    """Demand on component rows; ``cmd`` and ``wind`` broadcast to ``v``."""
+    a = (cmd - v) / params.tau_v
+    a[2] -= params.gravity
+    if params.ff_gain != 0.0:
+        a = a + params.ff_gain * (-_drag(cmd - wind, params)) / params.mass
+    return a
+
+
+def _constrain(a, params: PlantParams) -> np.ndarray:
+    """Clip component rows ``a`` in place to the tilt cone and thrust ball.
+
+    Only agents the tilt clip may touch get a ``hypot``: |x| + |y| bounds
+    hypot(x, y) from above, so an agent whose sum stays under the cone's
+    lateral limit, less a margin far wider than the rounding of either side,
+    cannot be clipped. NaN sums and limits fail the test and are checked.
+    """
+    x, y, z = a
+    lim = params.tan_tilt_max * np.maximum(-z, 0.0)
+    near = np.flatnonzero(~(np.abs(x) + np.abs(y) <= lim * (1.0 - 1e-12)))
+    if len(near):
+        lat = np.hypot(x[near], y[near])
+        over = lat > lim[near]      # so lat > 0: lim is never negative
+        near = near[over]
+        shrink = lim[near] / lat[over]
+        x[near] *= shrink
+        y[near] *= shrink
+    np.minimum(z, 0.0, out=z)
+    mag = np.sqrt((x * x + y * y) + z * z)
+    a_max = params.a_max
+    over = np.flatnonzero(mag > a_max)
+    if len(over):
+        if np.ndim(a_max):
+            a_max = a_max[over]   # clipped agents only: a hover agent's mag is 0
+        a[:, over] *= a_max / mag[over]
+    return a
+
+
 def drag_force(v_air, params: PlantParams) -> np.ndarray:
     """Quadratic aerodynamic drag opposing the airspeed, per axis, N."""
-    v = np.atleast_2d(np.asarray(v_air, dtype=float))
-    f = -params.drag_factor * np.abs(v) * v
-    return f if np.asarray(v_air).ndim > 1 else f[0]
+    f = _drag(_rows(v_air), params).T
+    return f if np.ndim(v_air) > 1 else f[0]
 
 
 def desired_accel(velocity, v_cmd, wind, params: PlantParams) -> np.ndarray:
-    """Unconstrained thrust-acceleration demand.
+    """Unconstrained thrust-acceleration demand, (N, 3).
 
     Error shaping plus gravity compensation plus (optionally) a feedforward
     canceling the drag expected at the commanded airspeed.
     """
-    v = np.atleast_2d(np.asarray(velocity, dtype=float))
-    cmd = np.broadcast_to(np.atleast_2d(np.asarray(v_cmd, dtype=float)), v.shape)
-    w = np.broadcast_to(np.atleast_2d(np.asarray(wind, dtype=float)), v.shape)
-    a = (cmd - v) / params.tau_v
-    a[:, 2] -= params.gravity
-    if params.ff_gain != 0.0:
-        a = a + params.ff_gain * (-drag_force(cmd - w, params)) / params.mass
-    return a
+    return _desired(_rows(velocity), _rows(v_cmd), _rows(wind), params).T
 
 
 def constrain_accel(accel, params: PlantParams) -> np.ndarray:
@@ -120,24 +163,8 @@ def constrain_accel(accel, params: PlantParams) -> np.ndarray:
     only what the cone allows (nothing, laterally). The magnitude clip scales
     the whole vector, preserving direction and hence tilt.
     """
-    a = np.atleast_2d(np.asarray(accel, dtype=float)).copy()
-    up = np.maximum(-a[:, 2], 0.0)
-    lat = np.hypot(a[:, 0], a[:, 1])
-    lim = params.tan_tilt_max * up
-    over = lat > lim
-    shrink = np.ones_like(lat)
-    nz = over & (lat > 0)
-    shrink[nz] = lim[nz] / lat[nz]
-    a[:, 0] *= shrink
-    a[:, 1] *= shrink
-    a[:, 2] = np.minimum(a[:, 2], 0.0)
-    mag = np.linalg.norm(a, axis=1)
-    a_max = params.a_max
-    over = mag > a_max
-    if np.ndim(a_max):
-        a_max = a_max[over]   # clipped rows only: a hover row's mag is 0
-    a[over] *= (a_max / mag[over])[:, None]
-    return a if np.asarray(accel).ndim > 1 else a[0]
+    a = _constrain(_rows(accel).copy(), params).T
+    return a if np.ndim(accel) > 1 else a[0]
 
 
 def tilt_angle_deg(thrust_accel) -> np.ndarray:
@@ -156,18 +183,19 @@ def substep_count(dt: float, params: PlantParams) -> int:
 
 def step(state: PlantState, v_cmd, dt: float, params: PlantParams,
          wind=(0.0, 0.0, 0.0)) -> PlantState:
-    """Advance the plant by dt (in place on a copy; returns the new state)."""
+    """Advance the plant by dt; returns a new state whose arrays are (N, 3)
+    views of (3, N) component rows."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_sub = substep_count(dt, params)
     h = dt / n_sub
     decay = float(np.exp(-h / params.tau_thrust))
-    v = state.velocity.copy()
-    a = state.thrust_accel.copy()
-    g_vec = np.array([0.0, 0.0, params.gravity])
-    wind = np.asarray(wind, dtype=float)
+    v = np.ascontiguousarray(state.velocity.T)
+    a = np.ascontiguousarray(state.thrust_accel.T)
+    cmd, wind = np.ascontiguousarray(_rows(v_cmd)), _rows(wind)
+    g = np.array([[0.0], [0.0], [params.gravity]])
     for _ in range(n_sub):
-        a_d = constrain_accel(desired_accel(v, v_cmd, wind, params), params)
+        a_d = _constrain(_desired(v, cmd, wind, params), params)
         a = a_d + (a - a_d) * decay
-        v = v + h * (a + g_vec + drag_force(v - wind, params) / params.mass)
-    return PlantState(v, a)
+        v = v + h * (a + g + _drag(v - wind, params) / params.mass)
+    return PlantState(v.T, a.T)

@@ -199,6 +199,20 @@ def test_flags_a_subcommand_never_reads_are_rejected(argv, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags", [["--duration", "0.02"], ["--dt", "0"],
+                                   ["--scale", "-1"], ["--dt-source", "0.01"]])
+def test_simulate_config_errors_are_usage_errors(flags, tmp_path, monkeypatch,
+                                                 capsys):
+    # rejected before the fit is read: this one does not exist
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--fit", "fit.csv", "--out", "run", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "error: simulate: " in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_fit_agent_mass_reaches_the_simulated_plant(tmp_path, capsys):
     field = tmp_path / "field.csv"
     gridf = tmp_path / "grid.csv"

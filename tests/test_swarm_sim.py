@@ -484,6 +484,31 @@ def full_scan_record_frame(pop, grid):
     return swarm_sim.FrameRecord(cells, counts, vsum, sumv2, dev2)
 
 
+def test_frame_reduce_equals_the_per_column_sums_on_crowded_cells(grid, fit):
+    """One ``reduceat`` over the (5, N) block gives the per-column sums bit
+    for bit where numpy's pairwise summation takes over (9 or more agents
+    in a cell) and where it splits blocks (over 128): the tunnel case seeds
+    n* = 9 agents per cell, and one more cell holds 300."""
+    pos, _, thr = seed_tunnel(grid, fit, SimConfig(case="tunnel_seeding"),
+                              PlantParams())
+    centers = grid.centers()
+    rng = np.random.default_rng(21)
+    pos = np.vstack([pos, centers[int(np.argmax(grid.valid))]
+                     + rng.uniform(-0.2, 0.2, (300, 3))])
+    # magnitudes over 12 decades, so the order of the additions shows
+    vel = rng.normal(size=pos.shape) * 10.0 ** rng.integers(-6, 6, pos.shape)
+    thr = np.vstack([thr, thr[:300]])
+    pop = swarm_sim._Population()
+    pop.append(pos, vel, thr, assign_cell(pos, grid))
+    ref = FullScanPopulation()
+    ref.append(pos, vel, thr)
+    got = swarm_sim._record_frame(pop, grid,
+                                  np.ascontiguousarray(grid.v_target.T))
+    want = full_scan_record_frame(ref, grid)
+    assert np.count_nonzero(got.counts >= 9) > 10 and got.counts.max() >= 300
+    assert frames_equal([got], [want])
+
+
 def full_scan_run(grid, fit, config):
     """Reference loop: ``run_simulation`` as it was written before the
     population held only active agents. Every frame bins all active agents
@@ -617,6 +642,10 @@ def poisoned_plant(at_call):
     return step
 
 
+# the first frame of the fault case in which agents retire: its fault and
+# retirements land in one frame, so their order within the frame is tested
+FAULT_CALL = 496
+
 LOOP_CASES = {
     "reservoir": SimConfig(duration=30.0, seed=6),
     "tunnel": SimConfig(case="tunnel_seeding", duration=20.0, seed=1,
@@ -633,7 +662,8 @@ def test_compact_loop_equals_the_full_scan_loop(grid, fit, monkeypatch, case):
     runs = []
     for run in (run_simulation, full_scan_run):
         if case == "fault":
-            monkeypatch.setattr(swarm_sim, "plant_step", poisoned_plant(100))
+            monkeypatch.setattr(swarm_sim, "plant_step",
+                                poisoned_plant(FAULT_CALL))
         runs.append(run(grid, fit, config))
     new, ref = runs
     assert frames_equal(new.frames, ref.frames)
@@ -668,7 +698,8 @@ def test_compact_loop_equals_the_full_scan_loop(grid, fit, monkeypatch, case):
     if case == "fault":
         assert ref.faults == 1
         fault_t = next(e[0] for e in ref.events if e[1] == "fault")
-        assert any(e[1] == "retire" and e[0] > fault_t for e in ref.events)
+        retire_t = [e[0] for e in ref.events if e[1] == "retire"]
+        assert fault_t in retire_t and max(retire_t) > fault_t
 
 
 def test_config_validation():

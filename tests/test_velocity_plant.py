@@ -283,3 +283,184 @@ def test_suite_raises_no_numpy_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_suite()["pass"]
+
+
+# ----------------------------------------------------------------------
+# the row-wise step against the (N, 3) formula
+# ----------------------------------------------------------------------
+
+def reference_constrain(a_d, params):
+    """``constrain_accel`` as it was written on (N, 3) arrays: the tilt cone,
+    then the thrust ball."""
+    a_d = a_d.copy()
+    up = np.maximum(-a_d[:, 2], 0.0)
+    lat = np.hypot(a_d[:, 0], a_d[:, 1])
+    lim = params.tan_tilt_max * up
+    over = lat > lim
+    shrink = np.ones_like(lat)
+    nz = over & (lat > 0)
+    shrink[nz] = lim[nz] / lat[nz]
+    a_d[:, 0] *= shrink
+    a_d[:, 1] *= shrink
+    a_d[:, 2] = np.minimum(a_d[:, 2], 0.0)
+    mag = np.linalg.norm(a_d, axis=1)
+    a_max = params.a_max
+    over = mag > a_max
+    if np.ndim(a_max):
+        a_max = a_max[over]
+    a_d[over] *= (a_max / mag[over])[:, None]
+    return a_d
+
+
+def reference_step(state, v_cmd, dt, params, wind=(0.0, 0.0, 0.0)):
+    """``step`` as it was written on (N, 3) arrays, one agent per row."""
+    n_sub = max(1, int(np.ceil(dt / (params.tau_thrust / 4.0) - 1e-12)))
+    h = dt / n_sub
+    decay = float(np.exp(-h / params.tau_thrust))
+    v = state.velocity.copy()
+    a = state.thrust_accel.copy()
+    g_vec = np.array([0.0, 0.0, params.gravity])
+    wind = np.asarray(wind, dtype=float)
+    drag = 0.5 * params.air_density * np.asarray(params.drag_coeff) \
+        * np.asarray(params.ref_area)
+
+    def drag_on(u):
+        return -drag * np.abs(u) * u
+
+    for _ in range(n_sub):
+        cmd = np.broadcast_to(np.atleast_2d(np.asarray(v_cmd, dtype=float)),
+                              v.shape)
+        w = np.broadcast_to(np.atleast_2d(wind), v.shape)
+        a_d = (cmd - v) / params.tau_v
+        a_d[:, 2] -= params.gravity
+        if params.ff_gain != 0.0:
+            a_d = a_d + params.ff_gain * (-drag_on(cmd - w)) / params.mass
+        a_d = reference_constrain(a_d, params)
+        a = a_d + (a - a_d) * decay
+        v = v + h * (a + g_vec + drag_on(v - wind) / params.mass)
+    return PlantState(v, a)
+
+
+def same_bits(x, y):
+    """Equal shape and equal float64 bit patterns (NaN payloads and signed
+    zeros included)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(
+        np.ascontiguousarray(x).view(np.int64),
+        np.ascontiguousarray(y).view(np.int64))
+
+
+def plant_cases():
+    """(name, params, state, command, wind) reaching every branch of the
+    substep: the tilt clip and a downward demand (lim = 0), the thrust
+    ball with a per-agent thrust-to-weight, the drag feedforward with
+    per-agent wind, a single agent, and non-finite, huge and subnormal
+    components."""
+    rng = np.random.default_rng(11)
+    n = 64
+    v = rng.normal(0.0, 4.0, (n, 3))
+    a = rng.normal(0.0, 15.0, (n, 3))
+    cmd = rng.normal(0.0, 20.0, (n, 3))
+    cmd[:8, 2] = 60.0     # far below: the demand thrusts down, lim = 0
+    a[8:16, :2] = 0.0     # no lateral demand on the first substep
+    tw = tuple(rng.uniform(1.2, 6.0, n))
+    wind = rng.normal(0.0, 5.0, (n, 3))
+    odd = v.copy()
+    odd[0, 0], odd[1, 1], odd[2, 2] = np.nan, np.inf, -np.inf
+    odd[3, 0], odd[4, 1] = 1e200, -1e200
+    odd[5] = [5e-324, -1e-310, 2e-308]
+    odd[6, :2] = [1e200, 1e200]
+    odd_cmd = cmd.copy()
+    odd_cmd[7] = [np.nan, 1e-320, -3.0]
+    odd_cmd[9, :2] = [1e300, -1e300]
+    odd_cmd[10] = [np.inf, 0.0, -np.inf]
+    return [
+        ("tilt_and_down", P, PlantState(v, a), cmd, (0.0, 0.0, 0.0)),
+        ("thrust_ball_per_agent", replace(P, thrust_to_weight=tw),
+         PlantState(v, a), 3.0 * cmd, (0.0, 0.0, 0.0)),
+        ("feedforward_wind", replace(P, ff_gain=0.8), PlantState(v, a), cmd,
+         wind),
+        ("feedforward_one_wind", replace(P, ff_gain=0.8), PlantState(v, a),
+         cmd, (-4.0, 1.0, 0.5)),
+        ("one_agent", P, PlantState(v[:1], a[:1]), cmd[0], (0.0, 0.0, 0.0)),
+        ("one_agent_ff", replace(P, ff_gain=0.8), PlantState(v[0], a[0]),
+         cmd[0], wind[0]),
+        ("non_finite_huge_subnormal", replace(P, ff_gain=0.5),
+         PlantState(odd, a), odd_cmd, wind),
+    ]
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.05, 0.3])
+def test_step_equals_the_n_by_3_formula_bit_for_bit(dt):
+    for name, params, state, cmd, wind in plant_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = reference_step(state, cmd, dt, params, wind=wind)
+            got = plant_step(state, cmd, dt, params, wind=wind)
+        assert same_bits(got.velocity, want.velocity), name
+        assert same_bits(got.thrust_accel, want.thrust_accel), name
+        if name == "non_finite_huge_subnormal":
+            assert not np.isfinite(want.velocity).all()
+
+
+def test_constrain_accel_equals_the_n_by_3_formula_bit_for_bit():
+    """Demands on and around both limits, and the non-finite pairs whose
+    lateral sum is NaN while their ``hypot`` is inf, which the cheap
+    pre-test must hand on to ``hypot``."""
+    rng = np.random.default_rng(12)
+    a = rng.normal(0.0, 20.0, (400, 3))
+    lim = P.tan_tilt_max * np.maximum(-a[:, 2], 0.0)
+    lat = np.hypot(a[:, 0], a[:, 1])
+    a[:100, :2] *= (lim[:100] / lat[:100])[:, None]    # on the cone, to rounding
+    a[100:110] = a[100:110] / np.linalg.norm(a[100:110], axis=1)[:, None] \
+        * P.a_max                                        # on the ball
+    # one ulp outside the cone along an axis, where |x| + |y| = hypot
+    a[110:130, 0] = np.nextafter(lim[110:130], np.inf)
+    a[110:130, 1] = 0.0
+    big, tiny = 1e200, 5e-324
+    odd = np.array([
+        [np.inf, np.nan, -5.0], [np.nan, -np.inf, -5.0], [np.inf, 1.0, -5.0],
+        [np.nan, 1.0, -5.0], [1.0, 1.0, np.nan], [1.0, 1.0, -np.inf],
+        [np.inf, np.inf, -np.inf], [big, big, -5.0], [big, -big, -big],
+        [tiny, tiny, -tiny], [tiny, 0.0, -tiny], [-0.0, 0.0, -0.0],
+        [3.0, 4.0, 0.0], [3.0, 4.0, 2.0], [0.0, 0.0, 50.0]])
+    demand = np.vstack([a, odd])
+    tw = tuple(rng.uniform(1.2, 6.0, len(demand)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for params in (P, replace(P, thrust_to_weight=tw)):
+            assert same_bits(constrain_accel(demand, params),
+                             reference_constrain(demand, params))
+        assert same_bits(constrain_accel(demand[0], P),
+                         reference_constrain(demand[:1], P)[0])
+
+
+def test_step_clips_in_every_case_it_is_tested_on():
+    """The oracle cases reach the tilt clip, a zero cone (downward demand),
+    the thrust ball with per-agent limits, and the feedforward."""
+    _, params, state, cmd, _ = plant_cases()[0]
+    a_d = desired_accel(state.velocity, cmd, np.zeros(3), params)
+    lat = np.hypot(a_d[:, 0], a_d[:, 1])
+    lim = params.tan_tilt_max * np.maximum(-a_d[:, 2], 0.0)
+    assert np.any((lat > lim) & (lim > 0)) and np.any(lim == 0)
+    _, params, state, cmd, _ = plant_cases()[1]
+    c = constrain_accel(desired_accel(state.velocity, cmd, np.zeros(3),
+                                      params), params)
+    at_limit = np.isclose(np.linalg.norm(c, axis=1), params.a_max, rtol=1e-12)
+    assert at_limit.any() and not at_limit.all()
+
+
+def test_row_views_and_c_ordered_states_step_the_same():
+    _, params, state, cmd, wind = plant_cases()[2]
+    rows_v = np.ascontiguousarray(state.velocity.T)
+    rows_a = np.ascontiguousarray(state.thrust_accel.T)
+    rows_cmd = np.ascontiguousarray(cmd.T)
+    from_c = plant_step(state, cmd, 0.05, params, wind=wind)
+    from_rows = plant_step(PlantState(rows_v.T, rows_a.T), rows_cmd.T, 0.05,
+                           params, wind=wind)
+    assert same_bits(from_c.velocity, from_rows.velocity)
+    assert same_bits(from_c.thrust_accel, from_rows.thrust_accel)
+    # the result is an (N, 3) view of contiguous component rows, and the
+    # input is left as it was
+    assert from_rows.velocity.T.flags.c_contiguous
+    assert same_bits(rows_v.T, state.velocity)
