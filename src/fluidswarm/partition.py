@@ -78,14 +78,26 @@ def assign_cell(positions, grid: ControlVolumeGrid) -> np.ndarray:
     Floor division on the shifted coordinates; a point exactly on a face is
     equidistant between two centers and goes to the lower flat index. Points
     beyond the lattice clamp to the boundary cells (still the nearest center).
+
+    Works on the component rows of the (N, 3) argument, so the ``.T`` view
+    of (3, N) rows is read without a copy. Per axis, ``ceil(t) - 1`` is the
+    floor with face ties lowered; it is clamped in float (``fmax`` sends NaN
+    to the first cell), and the flat index is built exactly in float and
+    cast once.
     """
     p = np.atleast_2d(np.asarray(positions, dtype=float))
-    t = (p - grid.origin) / grid.edge_length
-    idx = np.floor(t).astype(np.int64)
-    on_face = (t == np.floor(t)) & (idx > 0)
-    idx[on_face] -= 1
-    idx = np.clip(idx, 0, np.asarray(grid.dims) - 1)
-    flat = np.ravel_multi_index((idx[:, 0], idx[:, 1], idx[:, 2]), grid.dims)
+    flat = np.zeros(len(p))
+    offset = 0.0          # the -1 of every axis, folded into the flat index
+    for row, o, d in zip(p.T, grid.origin, grid.dims):
+        c = np.subtract(row, o)
+        np.divide(c, grid.edge_length, out=c)
+        np.ceil(c, out=c)
+        np.fmax(c, 1.0, out=c)
+        np.fmin(c, float(d), out=c)
+        np.multiply(flat, d, out=flat)
+        np.add(flat, c, out=flat)
+        offset = offset * d + 1.0
+    flat = (flat - offset).astype(np.int64)
     return flat if np.asarray(positions).ndim > 1 else int(flat[0])
 
 

@@ -42,19 +42,22 @@ def rollout(params: PlantParams, command, duration: float, dt: float,
 
     ``command(k, t)`` is step ``k``'s command from time ``t``: a (3,) vector
     for all agents or an (n, 3) array. ``wind`` broadcasts the same way.
+    The thrust history is kept as component rows, (3, steps, n), and the
+    tilts, elementwise, are computed on it once at the end.
     """
     state = PlantState.hover(params, n)
     steps = int(round(duration / dt))
     ts = np.empty(steps)
     vs = np.empty((steps, n, 3))
-    tilts = np.empty((steps, n))
+    thrust = np.empty((3, steps, n))
     t = 0.0
     for k in range(steps):
         state = step(state, command(k, t), dt, params, wind=wind)
         t += dt
         ts[k] = t
         vs[k] = state.velocity
-        tilts[k] = tilt_angle_deg(state.thrust_accel)
+        thrust[:, k] = state.thrust_accel.T
+    tilts = tilt_angle_deg(thrust.reshape(3, -1).T).reshape(steps, n)
     return ts, vs, tilts
 
 

@@ -74,13 +74,21 @@ class NozzleGeometry:
             raise ValueError("throat_radius must not exceed the end radii")
 
     def radius(self, x):
-        """Wall radius at axial position(s) ``x`` (clamped to the duct)."""
+        """Wall radius at axial position(s) ``x`` (clamped to the duct).
+
+        Each half-cosine blend is evaluated only where it applies: upstream
+        for x <= ``throat_x``, downstream elsewhere (NaN included). Both add
+        a non-negative term to ``throat_radius``, so no radius is below it.
+        """
         x = np.clip(np.asarray(x, dtype=float), 0.0, self.length)
-        up = self.throat_radius + (self.inlet_radius - self.throat_radius) \
-            * 0.5 * (1.0 + np.cos(np.pi * x / self.throat_x))
-        dn = self.throat_radius + (self.outlet_radius - self.throat_radius) \
-            * 0.5 * (1.0 - np.cos(np.pi * (x - self.throat_x) / (self.length - self.throat_x)))
-        return np.where(x <= self.throat_x, up, dn)
+        r = np.empty_like(x)
+        up = x <= self.throat_x
+        xu, xd = x[up], x[~up]
+        r[up] = self.throat_radius + (self.inlet_radius - self.throat_radius) \
+            * 0.5 * (1.0 + np.cos(np.pi * xu / self.throat_x))
+        r[~up] = self.throat_radius + (self.outlet_radius - self.throat_radius) \
+            * 0.5 * (1.0 - np.cos(np.pi * (xd - self.throat_x) / (self.length - self.throat_x)))
+        return r
 
     def area(self, x):
         """Cross-sectional area at ``x``."""
@@ -411,10 +419,11 @@ def generate_quasi1d_field(geometry: NozzleGeometry | None = None,
 
     xs = np.linspace(0.0, geometry.length, axial_stations)
     positions, velocities, pressures = [], [], []
-    for x in xs:
-        rho, v = _solve_station(float(geometry.area(x)), mdot, total_h, gas, float(x))
+    for x, area, radius in zip(xs, geometry.area(xs).tolist(),
+                               geometry.radius(xs).tolist()):
+        rho, v = _solve_station(area, mdot, total_h, gas, float(x))
         p_gauge = float(gas.pressure(rho)) - gas.inlet_pressure
-        offs = _disc_offsets(float(geometry.radius(x)), radial_rings)
+        offs = _disc_offsets(radius, radial_rings)
         n = len(offs)
         pos = np.column_stack([np.full(n, x), offs[:, 0], offs[:, 1]])
         vel = np.column_stack([np.full(n, v), np.zeros(n), np.zeros(n)])

@@ -17,10 +17,12 @@ drift through the duct wall are logged once and keep flying. Agents are
 binned to cells once per frame, by the frame reduction after retirement;
 those cells are the next frame's command cells, since nothing moves an agent
 in between, so only newly injected agents are binned when they arrive. The
-population keeps positions, velocities and thrusts as (3, N) arrays, one
-contiguous row per component, which the plant steps row by row and the
-frame reduction sums in one (5, N) block; everything a trace holds (frame
-records, trajectory snapshots) keeps the (N, 3) and (K, 3) shapes. Each
+population keeps positions, velocities and thrusts as (3, N) row views of
+one (9, N) block, one contiguous row per component, which the plant steps
+row by row, binning reads without a copy, and the frame reduction sums in
+one (5, N) block; the wall test evaluates the duct radius only for agents
+past the throat radius. Everything a trace holds (frame records,
+trajectory snapshots) keeps the (N, 3) and (K, 3) shapes. Each
 event is one row of the run's event table, its only population record: the
 per-frame counts and the totals are computed from it. All randomness is
 drawn from generators seeded by (seed, purpose, index), so traces are
@@ -46,6 +48,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .partition import ControlVolumeGrid, assign_cell
+from .reference_field import NozzleGeometry
 from .velocity_fit import GridFit
 from .velocity_plant import PlantParams, PlantState, step as plant_step
 
@@ -206,29 +209,32 @@ def injection_rate(grid: ControlVolumeGrid, fit: GridFit) -> tuple[float, int]:
 class _Population:
     """The active agents, in injection order (so in ascending ``gid``).
 
-    ``pos``, ``vel`` and ``thr`` are (3, N) arrays, one contiguous row per
-    component, so the plant and the per-frame tests run on whole rows; the
-    other columns are (N,). ``gid`` is each agent's global id, its index in
-    injection order, which events and trajectory snapshots report. ``flat``
-    is each agent's cell: ``append`` takes it for new agents, and
-    ``_record_frame`` rebins the survivors at the end of each frame.
-    ``keep`` drops faulted and retired agents in one pass that keeps the
-    order.
+    Two blocks hold the columns: ``rows``, (9, N) floats, whose row
+    triples ``pos``, ``vel`` and ``thr`` are (3, N) views with one
+    contiguous row per component, so the plant and the per-frame tests run
+    on whole rows; and ``ids``, (2, N) int64, whose rows are ``gid`` and
+    ``flat``. ``escaped`` is (N,) bool. ``gid`` is each agent's global id,
+    its index in injection order, which events and trajectory snapshots
+    report. ``flat`` is each agent's cell: ``append`` takes it for new
+    agents, and ``_record_frame`` rebins the survivors at the end of each
+    frame. ``keep`` drops faulted and retired agents in one pass that keeps
+    the order: one ``take`` per block.
     """
 
-    COLUMNS = ("pos", "vel", "thr", "escaped", "gid", "flat")
-
     def __init__(self):
-        self.pos = np.empty((3, 0))
-        self.vel = np.empty((3, 0))
-        self.thr = np.empty((3, 0))
+        self.rows = np.empty((9, 0))
+        self.ids = np.empty((2, 0), dtype=np.int64)
         self.escaped = np.empty(0, dtype=bool)
-        self.gid = np.empty(0, dtype=np.int64)
-        self.flat = np.empty(0, dtype=np.int64)
         self.total = 0          # agents ever appended
 
+    pos = property(lambda self: self.rows[0:3])
+    vel = property(lambda self: self.rows[3:6])
+    thr = property(lambda self: self.rows[6:9])
+    gid = property(lambda self: self.ids[0])
+    flat = property(lambda self: self.ids[1])
+
     def __len__(self) -> int:
-        return len(self.gid)
+        return self.ids.shape[1]
 
     def append(self, pos, vel, thr, flat) -> np.ndarray:
         """Add agents with (n, 3) ``pos``, ``vel`` and ``thr`` at cells
@@ -236,16 +242,17 @@ class _Population:
         n = len(pos)
         ids = np.arange(self.total, self.total + n)
         self.total += n
-        new = (pos.T, vel.T, thr.T, np.zeros(n, dtype=bool), ids, flat)
-        for name, x in zip(self.COLUMNS, new):
-            setattr(self, name,
-                    np.concatenate([getattr(self, name), x], axis=-1))
+        self.rows = np.concatenate([self.rows, np.hstack([pos, vel, thr]).T],
+                                   axis=1)
+        self.ids = np.concatenate([self.ids, [ids, flat]], axis=1)
+        self.escaped = np.concatenate([self.escaped, np.zeros(n, dtype=bool)])
         return ids
 
     def keep(self, mask) -> None:
-        idx = np.flatnonzero(mask)
-        for name in self.COLUMNS:
-            setattr(self, name, getattr(self, name).take(idx, axis=-1))
+        idx = mask.nonzero()[0]
+        self.rows = self.rows.take(idx, axis=1)
+        self.ids = self.ids.take(idx, axis=1)
+        self.escaped = self.escaped.take(idx)
 
 
 def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
@@ -413,19 +420,20 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
         if len(pop):
             state = plant_step(PlantState(pop.vel.T, pop.thr.T),
                                table.take(pop.flat, axis=1).T, config.dt, plant)
-            pop.vel = state.velocity.T
-            pop.thr = state.thrust_accel.T
-            pop.pos += pop.vel * config.dt
+            pos, vel, thr = pop.pos, pop.vel, pop.thr
+            vel[...] = state.velocity.T
+            thr[...] = state.thrust_accel.T
+            pos += vel * config.dt
 
             if config.collisions:
-                # non-finite agents (the KD-tree rejects them) fault below
-                live = np.flatnonzero(np.isfinite(pop.pos).all(axis=0)
-                                      & np.isfinite(pop.vel).all(axis=0))
-                sub_vel = pop.vel[:, live].T.copy()
-                pairs = detect_collisions(pop.pos[:, live].T.copy(), sub_vel,
+                # non-finite agents (the KD-tree rejects them) fault below;
+                # rows[:6] are pos and vel
+                live = np.flatnonzero(np.isfinite(pop.rows[:6]).all(axis=0))
+                sub_vel = vel[:, live].T.copy()
+                pairs = detect_collisions(pos[:, live].T.copy(), sub_vel,
                                           config)
                 applied = resolve_collisions(sub_vel, pairs)
-                pop.vel[:, live] = sub_vel.T
+                vel[:, live] = sub_vel.T
                 if applied:
                     a, b, kind = zip(*applied)
                     gid = pop.gid[live]
@@ -433,19 +441,15 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                                 for c in kind], gid[list(a)], gid[list(b)])
 
             # wall escape: through the lateral wall, still inside the span
-            x, y, z = pop.pos
             if grid.geometry is not None:
-                in_span = (x >= 0.0) & (x <= length)
-                rad = grid.geometry.radius(x)      # clamps x to the span
-                outside = in_span & (y ** 2 + z ** 2 > rad * rad) & ~pop.escaped
-                log.add(k, WALL_ESCAPE, pop.gid[outside])
-                pop.escaped |= outside
+                out = _through_wall(pos, pop.escaped, grid.geometry)
+                log.add(k, WALL_ESCAPE, pop.gid[out])
+                pop.escaped[out] = True
 
             # faults: non-finite state ends the agent's run; the others
             # retire past the outlet plane
-            bad = ~(np.isfinite(pop.pos).all(axis=0)
-                    & np.isfinite(pop.vel).all(axis=0))
-            gone = ~bad & (x > length)
+            bad = ~np.isfinite(pop.rows[:6]).all(axis=0)     # pos and vel
+            gone = ~bad & (pos[0] > length)
             if bad.any() or gone.any():
                 log.add(k, FAULT, pop.gid[bad])
                 log.add(k, RETIRE, pop.gid[gone])
@@ -461,6 +465,23 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                            events=EventTable(*log.columns[:, :log.n].copy()),
                            injection_rate=rate, batch_size=n_batch,
                            trajectories=trajectories)
+
+
+def _through_wall(pos, escaped, geometry: NozzleGeometry) -> np.ndarray:
+    """Ascending indices of the agents, not escaped before, that are
+    outside the lateral wall but inside the duct's span; ``pos`` is (3, N).
+
+    The radius is never below the throat's, so only agents past the throat
+    radius can be outside, and ``radius`` is evaluated for those alone.
+    """
+    x, y, z = pos
+    r2 = y * y
+    r2 += z * z
+    throat = geometry.throat_radius
+    near = ((r2 > throat * throat) & ~escaped).nonzero()[0]
+    xn = x[near]
+    rad = geometry.radius(xn)           # clamps x to the span
+    return near[(xn >= 0.0) & (xn <= geometry.length) & (r2[near] > rad * rad)]
 
 
 class _EventLog:
@@ -492,23 +513,33 @@ def _record_frame(pop: _Population, grid: ControlVolumeGrid,
     a (K, 5) block whose columns the record's fields view. The squares add
     x, z, then y: the order of ``einsum("ij,ij->i")`` on (N, 3) rows.
     """
-    flat = pop.flat = assign_cell(pop.pos.T, grid)
+    flat = pop.flat
+    flat[...] = assign_cell(pop.pos.T, grid)
     # a stable sort's order depends on the keys alone; keys that fit 16 bits
     # get numpy's radix sort
     order = np.argsort(flat.astype(np.min_scalar_type(grid.num_cells - 1)),
                        kind="stable")
     flat_s = flat[order]
-    start = np.flatnonzero(np.diff(flat_s, prepend=-1))   # flat_s is sorted
+    first = np.empty(len(flat_s), dtype=bool)     # first agent of its cell
+    first[:1] = True
+    np.not_equal(flat_s[1:], flat_s[:-1], out=first[1:])
+    start = first.nonzero()[0]
     cells = flat_s[start]
     counts = np.diff(np.append(start, len(flat_s)))
     block = np.empty((5, len(order)))
-    vx, vy, vz = np.take(pop.vel, order, axis=1, out=block[:3])
-    np.add(vx * vx + vz * vz, vy * vy, out=block[3])
-    dx, dy, dz = block[:3] - np.take(targets, flat_s, axis=1)
-    np.add(dx * dx + dz * dz, dy * dy, out=block[4])
+    v = np.take(pop.vel, order, axis=1, out=block[:3])
+    _sum_squares(np.square(v), out=block[3])
+    d = np.take(targets, flat_s, axis=1)
+    _sum_squares(np.square(np.subtract(v, d, out=d), out=d), out=block[4])
     sums = np.empty((len(start), 5))
     np.add.reduceat(block, start, axis=1, out=sums.T)
     return FrameRecord(cells, counts, sums[:, :3], sums[:, 3], sums[:, 4])
+
+
+def _sum_squares(sq, out) -> np.ndarray:
+    """(x^2 + z^2) + y^2 from the rows of squares ``sq``, into ``out``."""
+    np.add(sq[0], sq[2], out=out)
+    return np.add(out, sq[1], out=out)
 
 
 def population_balance(trace: SimulationTrace) -> dict:

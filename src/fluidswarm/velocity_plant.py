@@ -10,16 +10,20 @@ lag. Velocity then integrates thrust + gravity + aerodynamic drag.
 Everything here is vectorized over agents. The public functions and
 ``PlantState`` take and give (N, 3) arrays (or one (3,) vector), and a single
 agent is just N = 1; the math runs on (3, N) component rows, one contiguous
-row per axis, and ``step`` returns (N, 3) views of such rows. Integration
-sub-steps the caller's dt so one sub-step never exceeds a quarter of the
-thrust lag time constant; the lag itself uses the exact exponential update,
-so with constraints inactive and a constant demand the discrete response
-matches the continuous lag to rounding.
+row per axis. ``step`` copies the state into such rows, runs every sub-step
+in place in buffers it allocates once per call, with the drag factor and
+gravity spread to full (3, N) rows, and returns (N, 3) views of its rows;
+the caller's arrays are never written. Integration sub-steps the caller's dt
+so one sub-step never exceeds a quarter of the thrust lag time constant; the
+lag itself uses the exact exponential update, so with constraints inactive
+and a constant demand the discrete response matches the continuous lag to
+rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,22 +57,36 @@ class PlantParams:
         if np.min(self.thrust_to_weight) <= 0:
             raise ValueError("thrust_to_weight must be positive")
 
-    @property
+    # derived constants, computed once per instance (read-only arrays)
+
+    @cached_property
     def a_max(self) -> float | np.ndarray:
         """Peak thrust acceleration, m/s^2 (per agent for a tuple)."""
         if isinstance(self.thrust_to_weight, tuple):
-            return np.asarray(self.thrust_to_weight) * self.gravity
+            return _frozen(np.asarray(self.thrust_to_weight) * self.gravity)
         return self.thrust_to_weight * self.gravity
 
-    @property
+    @cached_property
     def tan_tilt_max(self) -> float:
         return float(np.tan(np.deg2rad(self.tilt_max_deg)))
 
-    @property
+    @cached_property
     def drag_factor(self) -> np.ndarray:
         """Per-axis 0.5 * rho * C_d * S, N/(m/s)^2."""
-        return 0.5 * self.air_density * np.asarray(self.drag_coeff) \
-            * np.asarray(self.ref_area)
+        return _frozen(0.5 * self.air_density * np.asarray(self.drag_coeff)
+                       * np.asarray(self.ref_area))
+
+    @cached_property
+    def _step_columns(self) -> np.ndarray:
+        """(2, 3, 1): minus the drag factor and the gravity vector, the
+        columns ``step`` spreads over its agents."""
+        return _frozen(np.stack([-self.drag_factor,
+                                 [0.0, 0.0, self.gravity]])[..., None])
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
 
 
 @dataclass
@@ -98,52 +116,74 @@ def _rows(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float)).T
 
 
-def _drag(v, params: PlantParams) -> np.ndarray:
-    """Drag on component rows ``v`` (airspeed), N."""
-    return -params.drag_factor[:, None] * np.abs(v) * v
+def _drag(u, neg_k, out=None) -> np.ndarray:
+    """Drag on airspeed rows ``u``, N: ``neg_k`` is minus the drag factor,
+    a (3, 1) column or full rows; ``out`` must not be ``u``."""
+    out = np.abs(u, out=out)
+    np.multiply(neg_k, out, out=out)
+    return np.multiply(out, u, out=out)
 
 
-def _desired(v, cmd, wind, params: PlantParams) -> np.ndarray:
-    """Demand on component rows; ``cmd`` and ``wind`` broadcast to ``v``."""
-    a = (cmd - v) / params.tau_v
-    a[2] -= params.gravity
-    if params.ff_gain != 0.0:
-        a = a + params.ff_gain * (-_drag(cmd - wind, params)) / params.mass
-    return a
+def _feedforward(cmd, wind, params: PlantParams):
+    """Drag feedforward rows at the commanded airspeed, or None when off."""
+    if params.ff_gain == 0.0:
+        return None
+    f = -_drag(cmd - wind, -params.drag_factor[:, None])
+    return params.ff_gain * f / params.mass
 
 
-def _constrain(a, params: PlantParams) -> np.ndarray:
-    """Clip component rows ``a`` in place to the tilt cone and thrust ball.
+def _desired(v, cmd, ff, params: PlantParams, out) -> np.ndarray:
+    """Demand rows into ``out``; ``cmd`` and ``ff`` broadcast to ``v``."""
+    np.subtract(cmd, v, out=out)
+    np.divide(out, params.tau_v, out=out)
+    np.subtract(out[2], params.gravity, out=out[2])
+    if ff is not None:
+        np.add(out, ff, out=out)
+    return out
 
-    Only agents the tilt clip may touch get a ``hypot``: |x| + |y| bounds
-    hypot(x, y) from above, so an agent whose sum stays under the cone's
-    lateral limit, less a margin far wider than the rounding of either side,
-    cannot be clipped. NaN sums and limits fail the test and are checked.
+
+def _constrain(a, params: PlantParams, scratch=None) -> np.ndarray:
+    """Clip component rows ``a`` in place to the tilt cone and thrust ball;
+    ``scratch`` is a (3, N) buffer it may overwrite.
+
+    Only agents a clip may touch get the exact test. |x| + |y| bounds
+    hypot(x, y) from above, and |x| + |y| + |z| bounds the magnitude (the
+    tilt clip only shrinks x and y), so an agent whose sum stays under the
+    cone's lateral limit, or under the thrust limit, less a margin far wider
+    than the rounding of either side, cannot be clipped by it. NaN sums and
+    limits fail these tests and are checked.
     """
     x, y, z = a
-    lim = params.tan_tilt_max * np.maximum(-z, 0.0)
-    near = np.flatnonzero(~(np.abs(x) + np.abs(y) <= lim * (1.0 - 1e-12)))
+    up, s, t = np.empty_like(a) if scratch is None else scratch
+    np.negative(z, out=up)
+    np.maximum(up, 0.0, out=up)                 # |z| once z is clipped to <= 0
+    np.abs(x, out=s)
+    np.add(s, np.abs(y, out=t), out=s)
+    np.multiply(up, params.tan_tilt_max * (1.0 - 1e-12), out=t)
+    near = (~(s <= t)).nonzero()[0]
     if len(near):
+        lim = params.tan_tilt_max * up[near]
         lat = np.hypot(x[near], y[near])
-        over = lat > lim[near]      # so lat > 0: lim is never negative
+        over = lat > lim            # so lat > 0: lim is never negative
         near = near[over]
-        shrink = lim[near] / lat[over]
+        shrink = lim[over] / lat[over]
         x[near] *= shrink
         y[near] *= shrink
     np.minimum(z, 0.0, out=z)
-    mag = np.sqrt((x * x + y * y) + z * z)
     a_max = params.a_max
-    over = np.flatnonzero(mag > a_max)
-    if len(over):
-        if np.ndim(a_max):
-            a_max = a_max[over]   # clipped agents only: a hover agent's mag is 0
-        a[:, over] *= a_max / mag[over]
+    near = (~(np.add(s, up, out=s) <= a_max * (1.0 - 1e-12))).nonzero()[0]
+    if len(near):
+        xn, yn, zn = a[:, near]
+        mag = np.sqrt((xn * xn + yn * yn) + zn * zn)
+        cap = np.broadcast_to(a_max, z.shape)[near]
+        over = mag > cap
+        a[:, near[over]] *= cap[over] / mag[over]
     return a
 
 
 def drag_force(v_air, params: PlantParams) -> np.ndarray:
     """Quadratic aerodynamic drag opposing the airspeed, per axis, N."""
-    f = _drag(_rows(v_air), params).T
+    f = _drag(_rows(v_air), -params.drag_factor[:, None]).T
     return f if np.ndim(v_air) > 1 else f[0]
 
 
@@ -153,7 +193,10 @@ def desired_accel(velocity, v_cmd, wind, params: PlantParams) -> np.ndarray:
     Error shaping plus gravity compensation plus (optionally) a feedforward
     canceling the drag expected at the commanded airspeed.
     """
-    return _desired(_rows(velocity), _rows(v_cmd), _rows(wind), params).T
+    v, cmd = _rows(velocity), _rows(v_cmd)
+    ff = _feedforward(cmd, _rows(wind), params)
+    out = np.empty(np.broadcast_shapes(v.shape, cmd.shape, np.shape(ff)))
+    return _desired(v, cmd, ff, params, out).T
 
 
 def constrain_accel(accel, params: PlantParams) -> np.ndarray:
@@ -184,18 +227,40 @@ def substep_count(dt: float, params: PlantParams) -> int:
 def step(state: PlantState, v_cmd, dt: float, params: PlantParams,
          wind=(0.0, 0.0, 0.0)) -> PlantState:
     """Advance the plant by dt; returns a new state whose arrays are (N, 3)
-    views of (3, N) component rows."""
+    views of (3, N) component rows.
+
+    Two operations are left out where they cannot change a bit: subtracting
+    a wind of +0.0 components (x - 0.0 is x) and dividing by a mass of 1.0.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_sub = substep_count(dt, params)
     h = dt / n_sub
     decay = float(np.exp(-h / params.tau_thrust))
-    v = np.ascontiguousarray(state.velocity.T)
-    a = np.ascontiguousarray(state.thrust_accel.T)
+    v = np.array(state.velocity.T, order="C")
+    a = np.array(state.thrust_accel.T, order="C")
     cmd, wind = np.ascontiguousarray(_rows(v_cmd)), _rows(wind)
-    g = np.array([[0.0], [0.0], [params.gravity]])
+    ff = _feedforward(cmd, wind, params)
+    calm = not np.count_nonzero(wind.view(np.int64))    # every bit zero
+    if not calm:
+        wind = np.ascontiguousarray(np.broadcast_to(wind, v.shape))
+    unit_mass = params.mass == 1.0
+    rows = np.empty((5,) + v.shape)
+    rows[3:] = params._step_columns
+    a_d, drag, acc, neg_k, g = rows          # acc is _constrain's scratch
+    u = v if calm else np.empty_like(v)     # airspeed
     for _ in range(n_sub):
-        a_d = _constrain(_desired(v, cmd, wind, params), params)
-        a = a_d + (a - a_d) * decay
-        v = v + h * (a + g + _drag(v - wind, params) / params.mass)
+        _constrain(_desired(v, cmd, ff, params, a_d), params, acc)
+        np.subtract(a, a_d, out=a)
+        np.multiply(a, decay, out=a)
+        np.add(a_d, a, out=a)
+        if not calm:
+            np.subtract(v, wind, out=u)
+        _drag(u, neg_k, out=drag)
+        if not unit_mass:
+            np.divide(drag, params.mass, out=drag)
+        np.add(a, g, out=acc)
+        np.add(acc, drag, out=acc)
+        np.multiply(h, acc, out=acc)
+        np.add(v, acc, out=v)
     return PlantState(v.T, a.T)

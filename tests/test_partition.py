@@ -111,6 +111,39 @@ def test_assign_cell_clamps_outliers(grid):
     assert np.array_equal(grid.unravel([far])[0], [nx - 1, ny - 1, nz - 1])
 
 
+def reference_assign_cell(p, grid):
+    """``assign_cell`` as it was written on (N, 3) integer indices: floor,
+    lower face ties, clip, ``ravel_multi_index``."""
+    t = (p - grid.origin) / grid.edge_length
+    idx = np.floor(t).astype(np.int64)
+    on_face = (t == np.floor(t)) & (idx > 0)
+    idx[on_face] -= 1
+    idx = np.clip(idx, 0, np.asarray(grid.dims) - 1)
+    return np.ravel_multi_index((idx[:, 0], idx[:, 1], idx[:, 2]), grid.dims)
+
+
+def test_assign_cell_equals_the_integer_formula_on_faces_and_rows(grid):
+    """Points on every kind of face (inner, first, last, beyond the lattice),
+    one ulp to either side of them, and far outside, given as a C-ordered
+    (N, 3) array and as the ``.T`` view of (3, N) rows."""
+    rng = np.random.default_rng(5)
+    e, dims = grid.edge_length, np.asarray(grid.dims)
+    faces = rng.integers(-2, dims + 3, (600, 3)) * e + grid.origin
+    pts = np.vstack([faces, np.nextafter(faces, np.inf),
+                     np.nextafter(faces, -np.inf),
+                     grid.origin + rng.uniform(-1.0, 1.0, (200, 3))
+                     * (dims + 4) * e,
+                     [[-0.0, -0.0, -0.0], [1e6, -1e6, 0.0],
+                      [-1e12, 1e12, 1e-300]]])
+    want = reference_assign_cell(pts, grid)
+    assert np.array_equal(assign_cell(pts, grid), want)
+    rows = np.ascontiguousarray(pts.T)
+    assert np.array_equal(assign_cell(rows.T, grid), want)
+    assert assign_cell(pts[7], grid) == want[7]
+    # the face points and those one ulp above them fall in different cells
+    assert np.any(want[:600] != want[600:1200])
+
+
 def test_partition_is_order_invariant(field, grid):
     rng = np.random.default_rng(3)
     perm = rng.permutation(len(field))

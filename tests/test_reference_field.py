@@ -199,3 +199,42 @@ def test_geometry_contains():
     pts = [[0.0, 0.0, 0.0], [6.0, 0.7, 0.0], [6.0, 1.0, 0.0],
            [-1.0, 0.0, 0.0], [16.0, 0.0, 0.0]]
     assert geo.contains(pts).tolist() == [True, True, False, False, False]
+
+
+def where_radius(geo, x):
+    """``radius`` as it was written: both blends everywhere, one picked by
+    ``np.where``."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, geo.length)
+    up = geo.throat_radius + (geo.inlet_radius - geo.throat_radius) \
+        * 0.5 * (1.0 + np.cos(np.pi * x / geo.throat_x))
+    dn = geo.throat_radius + (geo.outlet_radius - geo.throat_radius) \
+        * 0.5 * (1.0 - np.cos(np.pi * (x - geo.throat_x)
+                              / (geo.length - geo.throat_x)))
+    return np.where(x <= geo.throat_x, up, dn)
+
+
+@pytest.mark.parametrize("geo", [
+    NozzleGeometry(),
+    NozzleGeometry(length=9.0, inlet_radius=1.2, outlet_radius=0.9,
+                   throat_radius=0.9, throat_x=2.5)])
+def test_branchwise_radius_equals_the_where_formula(geo):
+    """At the span ends, at the throat and one ulp to either side of it,
+    outside the span, at NaN and +-inf, and on random stations, for arrays
+    of every length and for scalars; and never below the throat radius."""
+    tx, length = geo.throat_x, geo.length
+    special = [0.0, -0.0, tx, np.nextafter(tx, 0.0), np.nextafter(tx, np.inf),
+               length, np.nextafter(length, 0.0), -1.0, length + 1.0,
+               np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(9)
+    xs = np.concatenate([special, rng.uniform(-1.0, length + 1.0, 500)])
+    for n in (1, 2, 7, 64, len(xs)):
+        got, want = geo.radius(xs[:n]), where_radius(geo, xs[:n])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    for x in special:
+        got = geo.radius(x)
+        assert np.shape(got) == ()
+        assert np.array_equal(got, where_radius(geo, x), equal_nan=True)
+    r = geo.radius(xs[~np.isnan(xs)])
+    assert np.all(r >= geo.throat_radius)
+    assert geo.radius(tx) == geo.throat_radius

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 
 from fluidswarm import (PlantParams, SimConfig, build_command_table,
                         detect_collisions, injection_rate, load_run,
-                        population_balance, resolve_collisions,
+                        plant_suite, population_balance, resolve_collisions,
                         run_simulation, save_run, swarm_sim)
 from fluidswarm.partition import ControlVolumeGrid, assign_cell, partition_domain
 from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, entry_cell,
@@ -376,6 +376,99 @@ def test_wall_escapes_are_logged_once(trace60):
         trace60.events.kind == EVENT_KINDS.index("wall_escape")]
     assert len(agents) == trace60.totals["wall_escape"] > 0
     assert len(agents) == len(set(agents.tolist()))
+
+
+def full_wall_test(pos, escaped, geo):
+    """The wall test as it was written: ``radius`` for every agent."""
+    x, y, z = pos
+    in_span = (x >= 0.0) & (x <= geo.length)
+    rad = geo.radius(x)
+    return np.flatnonzero(in_span & (y ** 2 + z ** 2 > rad * rad) & ~escaped)
+
+
+def test_the_throat_filter_finds_the_escapes_a_full_wall_test_finds(grid):
+    """Agents at the throat radius and one ulp past it, on the wall and one
+    ulp past it, at x = 0, the throat, the outlet and outside the span,
+    already escaped, and with NaN or infinite components."""
+    geo = grid.geometry
+    th, tx, length = geo.throat_radius, geo.throat_x, geo.length
+    xs = [0.0, np.nextafter(0.0, -1.0), tx, np.nextafter(tx, 0.0), 3.0,
+          10.0, length, np.nextafter(length, np.inf), -0.5, length + 0.5]
+    rows = []
+    for x in xs:
+        wall = float(geo.radius(x))
+        for r in (th, np.nextafter(th, np.inf), np.nextafter(th, 0.0), wall,
+                  np.nextafter(wall, np.inf), 1.1 * wall, 0.2):
+            rows += [[x, r, 0.0], [x, 0.0, -r], [x, r / np.sqrt(2.0),
+                                                 r / np.sqrt(2.0)]]
+    rows += [[np.nan, 5.0, 0.0], [3.0, np.nan, 5.0], [3.0, 5.0, np.nan],
+             [np.inf, 5.0, 0.0], [3.0, np.inf, 0.0], [-np.inf, 5.0, 0.0]]
+    pos = np.ascontiguousarray(np.array(rows).T)
+    rng = np.random.default_rng(8)
+    for escaped in (np.zeros(pos.shape[1], dtype=bool),
+                    rng.random(pos.shape[1]) < 0.3):
+        want = full_wall_test(pos, escaped, geo)
+        with np.errstate(invalid="ignore"):
+            got = swarm_sim._through_wall(pos, escaped, geo)
+        assert np.array_equal(got, want)
+    # the cases reach both sides of the wall and of the throat bound
+    assert 0 < len(want) < pos.shape[1] / 2
+    r2 = pos[1] ** 2 + pos[2] ** 2
+    assert np.any(r2 == th * th) and np.any(r2 == np.nextafter(th, 9) ** 2)
+
+
+def test_einsum_sums_squares_in_the_order_the_frame_reduce_uses():
+    """``_record_frame`` adds squared components as (x^2 + z^2) + y^2,
+    the order in which ``einsum("ij,ij->i")`` sums (N, 3) rows in the numpy
+    builds the frame records were first written with. A numpy that sums in
+    another order fails here, naming the cause, where the compact-loop and
+    frame-reduce tests would only show unequal frames."""
+    rng = np.random.default_rng(13)
+    v = rng.normal(size=(4000, 3)) * 10.0 ** rng.integers(-8, 8, (4000, 3))
+    x2, y2, z2 = (v * v).T
+    want = (x2 + z2) + y2
+    assert np.any(want != (x2 + y2) + z2) and np.any(want != x2 + (y2 + z2))
+    got = np.einsum("ij,ij->i", v, v)
+    assert np.array_equal(got, want), (
+        "einsum('ij,ij->i') no longer sums (x^2 + z^2) + y^2 in this numpy; "
+        "_record_frame's |v|^2 and |v - v_target|^2 rows then differ from "
+        "frame records written with einsum")
+
+
+def test_the_layers_perfbench_times_are_called_through_module_names(
+        grid, fit, monkeypatch):
+    """The benchmark times the loop's layers by wrapping module attributes:
+    binning (``assign_cell``, once per frame and once per batch), the plant
+    (``plant_step``, once per frame), the frame reduction
+    (``_record_frame``, once per frame), the injection
+    (``_Population.append``, once per batch) and the suite's plant
+    (``plant_suite.step``). A loop that stops calling one of them fails
+    here instead of reporting a layer as zero."""
+    calls = Counter()
+
+    def counted(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("assign_cell", "plant_step", "_record_frame"):
+        counted(swarm_sim, name)
+    counted(swarm_sim._Population, "append")
+    config = SimConfig(duration=3.0, seed=2)
+    trace = run_simulation(grid, fit, config)
+    frames = len(trace.frame_t)
+    batches = -(-frames // round(config.dt_source / config.dt))
+    assert len(trace.frames[-1].cells) > 0
+    assert dict(calls) == {"assign_cell": frames + batches,
+                           "plant_step": frames, "_record_frame": frames,
+                           "append": batches}
+
+    counted(plant_suite, "step")
+    out = plant_suite.hover_hold(duration=1.0, dt=0.01)
+    assert calls["step"] == 100 and out["drift_error"] < 1e-3
 
 
 def test_runs_are_deterministic(grid, fit):

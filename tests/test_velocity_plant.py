@@ -464,3 +464,95 @@ def test_row_views_and_c_ordered_states_step_the_same():
     # input is left as it was
     assert from_rows.velocity.T.flags.c_contiguous
     assert same_bits(rows_v.T, state.velocity)
+
+
+def test_constrain_accel_ball_boundary_equals_the_formula():
+    """Demands on, one ulp inside and one ulp outside the thrust ball, along
+    an axis (where |x| + |y| + |z| is the magnitude itself, so the cheap
+    pre-test has no slack) and off it, with one and with per-agent limits."""
+    a_max = P.a_max
+    rim = [np.nextafter(a_max, 0.0), a_max, np.nextafter(a_max, np.inf)]
+    rows = [[0.0, 0.0, -r] for r in rim]
+    rows += [[r, 0.0, 0.0] for r in rim] + [[0.0, -r, 0.0] for r in rim]
+    rows += [[0.0, 0.0, r] for r in rim]          # downward: z clips to 0
+    for r in rim:                                   # inside the cone, off axis
+        rows.append(r * np.array([0.3, -0.2, -np.sqrt(1.0 - 0.13)]))
+    sums = a_max * (1.0 - 1e-12)                    # the pre-test's bound
+    rows += [[0.0, 0.0, -sums], [0.0, 0.0, -np.nextafter(sums, np.inf)],
+             [1.0, 1.0, 2.0 - sums]]
+    demand = np.array(rows)
+    n = len(demand)
+    tw = tuple(np.linspace(1.5, 3.0, n))
+    per_agent = replace(P, thrust_to_weight=tw)
+    rim_each = np.nextafter(per_agent.a_max, np.inf)
+    on_axis = np.column_stack([np.zeros(n), np.zeros(n), -rim_each])
+    for params, d in ((P, demand), (per_agent, demand),
+                      (per_agent, on_axis)):
+        want = reference_constrain(d, params)
+        assert same_bits(constrain_accel(d, params), want)
+    # the cases reach the clip and its edge
+    clipped = reference_constrain(demand, P)
+    assert np.any(np.linalg.norm(clipped, axis=1) < np.linalg.norm(
+        np.column_stack([demand[:, :2], np.minimum(demand[:, 2], 0.0)]),
+        axis=1))
+    assert not np.array_equal(reference_constrain(on_axis, per_agent),
+                              on_axis)
+
+
+SUITE_SIZES = (1, 2, 5, 30, 2700)
+
+
+@pytest.mark.parametrize("n", SUITE_SIZES)
+def test_step_equals_the_n_by_3_formula_at_suite_and_crowd_sizes(n):
+    """The plant suite's sizes and a crowd-sized population, with calm wind
+    given as a tuple and as an (n, 3) zero array, a wind whose only
+    components are -0.0 (subtracting it is not a no-op), a steady wind, and
+    a mass other than 1."""
+    rng = np.random.default_rng(n)
+    v = rng.normal(0.0, 4.0, (n, 3))
+    a = rng.normal(0.0, 15.0, (n, 3))
+    a[::2] = [0.0, 0.0, -P.gravity]                 # some agents at hover
+    cmd = rng.normal(0.0, 12.0, (n, 3))
+    v[:1] = [-0.0, 0.0, -0.0]
+    heavy = replace(P, mass=1.7, ff_gain=0.5)
+    winds = [(0.0, 0.0, 0.0), np.zeros((n, 3)), np.full((n, 3), -0.0),
+             (-3.0, 0.5, 0.0)]
+    for params in (P, heavy):
+        for wind in winds:
+            for dt in (0.01, 0.05):
+                state = PlantState(v, a)
+                want = reference_step(state, cmd, dt, params, wind=wind)
+                got = plant_step(state, cmd, dt, params, wind=wind)
+                assert same_bits(got.velocity, want.velocity), (params, dt)
+                assert same_bits(got.thrust_accel, want.thrust_accel)
+
+
+def test_step_leaves_its_input_state_unchanged():
+    """``step`` copies the state it is given: neither C-ordered (N, 3)
+    arrays nor ``.T`` views of (3, N) rows are written, nor the commands."""
+    for name, params, state, cmd, wind in plant_cases():
+        rows_v = np.ascontiguousarray(np.atleast_2d(state.velocity).T)
+        rows_a = np.ascontiguousarray(np.atleast_2d(state.thrust_accel).T)
+        for s in (state, PlantState(rows_v.T, rows_a.T)):
+            before = [x.copy() for x in (s.velocity, s.thrust_accel)]
+            cmd_before = np.array(cmd, copy=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                out = plant_step(s, cmd, 0.05, params, wind=wind)
+            assert same_bits(s.velocity, before[0]), name
+            assert same_bits(s.thrust_accel, before[1]), name
+            assert same_bits(cmd, cmd_before), name
+            assert not np.shares_memory(out.velocity, s.velocity)
+            assert not np.shares_memory(out.thrust_accel, s.thrust_accel)
+
+
+def test_derived_constants_are_computed_once_and_read_only():
+    params = replace(P, thrust_to_weight=(1.5, 2.0))
+    for name in ("a_max", "drag_factor", "tan_tilt_max"):
+        assert getattr(params, name) is getattr(params, name)
+    for arr in (params.a_max, params.drag_factor):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert np.array_equal(params.a_max, np.array([1.5, 2.0]) * P.gravity)
+    # replace() recomputes them from the new fields
+    assert replace(params, thrust_to_weight=3.0).a_max == 3.0 * P.gravity
