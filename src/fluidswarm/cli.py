@@ -238,9 +238,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_version(_args) -> int:
-    import scipy
-    print(f"fluidswarm {__version__} (numpy {np.__version__}, "
-          f"scipy {scipy.__version__})")
+    print(f"fluidswarm {__version__} (numpy {np.__version__})")
     return 0
 
 

@@ -24,10 +24,10 @@ on the axis than this model's area mean; ingest such fields via
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
 FIELD_HEADER = "x,y,z,vx,vy,vz,p"
 
@@ -362,8 +362,59 @@ def _solve_station(area: float, mdot: float, total_enthalpy: float,
             f"{mdot:.6g} kg/s; no subsonic solution")
     # stagnation density bounds the subsonic branch from above
     rho_stag = ((g - 1.0) / g * total_enthalpy / k) ** (1.0 / (g - 1.0))
-    rho = brentq(resid, rho_sonic, rho_stag, xtol=1e-14, rtol=1e-15)
+    rho = _brentq(resid, rho_sonic, rho_stag, xtol=1e-14, rtol=1e-15)
     return rho, flux / rho
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """A root of ``f`` in [xa, xb], where ``f`` changes sign, by Brent's
+    method: inverse quadratic interpolation or secant steps, with a bisection
+    whenever a step would not shrink the bracket fast enough. The steps and
+    the stopping test ``|bracket| / 2 < (xtol + rtol |x|) / 2`` are those of
+    SciPy's ``brentq`` (after Brent 1973, ch. 4), so it returns the same
+    float. Raises ValueError when ``f`` has one sign at both ends and
+    RuntimeError after ``maxiter`` steps.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 \
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):       # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"no root within {maxiter} steps")
 
 
 def _disc_offsets(radius: float, rings: int) -> np.ndarray:

@@ -32,12 +32,15 @@ Collisions are classified from the pair kinematics: a same-direction closing
 pair is an overtake (speed transfer from faster to slower); anti-parallel
 pairs collide head-on and near-orthogonal pairs sideswipe, both dissipating a
 fixed fraction of the pair's kinetic energy. Only speeds change, never
-headings.
+headings. Candidate pairs come from a cell list of cubes just over two body
+radii on a side, each agent tested against its own and the 13 forward
+neighbouring cubes, and a pair is close when its squared distance, summed
+(dx^2 + dy^2) + dz^2, is at most the squared bound: the rule of SciPy's
+``cKDTree.query_pairs``, so the pairs are those a KD-tree finds.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -45,7 +48,6 @@ import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .partition import ControlVolumeGrid, assign_cell
 from .reference_field import NozzleGeometry
@@ -86,6 +88,9 @@ class SimConfig:
                              "must round to at least one frame")
         if self.dt_source < self.dt:
             raise ValueError("dt_source must be at least one frame")
+        if not (math.isfinite(self.collision_radius)
+                and self.collision_radius > 0):
+            raise ValueError("collision_radius must be finite and positive")
 
 
 @dataclass
@@ -156,29 +161,59 @@ def build_command_table(grid: ControlVolumeGrid, fit: GridFit,
     borrows the command of the nearest fitted cell (ties to the lowest flat
     index), so an agent anywhere receives something sensible.
 
-    A KD-tree gives each cell's nearest distance ``d``; every fitted center
-    within ``d * (1 + 1e-9)`` is a candidate, and the squared distances of
-    the candidates, summed as a dense search sums them, pick the winner,
-    the lowest index among equals. The table is the dense search's.
+    The lattice offsets are walked in shells of equal squared length in
+    whole cells, an exact integer, so each cell's nearest shell holding a
+    fitted cell is found exactly. Among the fitted cells of that shell the
+    squared center distances, summed as a dense search sums them, pick the
+    winner, the lowest index among equals: off a binary-fraction lattice
+    they differ in the last bits. The table is the dense search's.
     """
     fitted = np.array(sorted(fit.results), dtype=np.int64)
     if len(fitted) == 0:
         raise ValueError("fit has no results")
-    means = np.stack([fit.results[int(f)].command for f in fitted])
+    commands = np.zeros((grid.num_cells, 3))
+    commands[fitted] = [fit.results[int(f)].command for f in fitted]
+    dims = grid.dims
+    source = np.zeros(dims, dtype=bool)
+    source.flat[fitted] = True
+    is_open = np.ones(dims, dtype=bool)
+    cells = np.arange(grid.num_cells).reshape(dims)
+    rows, cand = [], []
+    for shell in _shells(dims):
+        found = len(rows)
+        for off, flat in shell:
+            src, dst = [], []
+            for d, n in zip(off, dims):
+                src.append(slice(max(d, 0), n + min(d, 0)))
+                dst.append(slice(max(-d, 0), n - max(d, 0)))
+            dst = tuple(dst)
+            rows.append(cells[dst][source[tuple(src)] & is_open[dst]])
+            cand.append(rows[-1] + flat)
+        is_open.flat[np.concatenate(rows[found:])] = False
+        if not is_open.any():
+            break
+    rows, cand = np.concatenate(rows), np.concatenate(cand)
     centers = grid.centers()
-    sources = centers[fitted]
-    tree = cKDTree(sources)
-    d, _ = tree.query(centers)
-    near = tree.query_ball_point(centers, d * (1.0 + 1e-9),
-                                 return_sorted=True)
-    rows = np.repeat(np.arange(len(centers)), [len(c) for c in near])
-    cand = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64,
-                       count=len(rows))
-    diff = centers[rows] - sources[cand]
+    diff = centers[rows] - centers[cand]
     d2 = np.einsum("mk,mk->m", diff, diff)
     order = np.lexsort((cand, d2, rows))     # per row: nearest, then lowest
-    first = np.flatnonzero(np.diff(rows[order], prepend=-1))
-    return scale * means[cand[order[first]]]
+    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+    return scale * commands[cand[first]]
+
+
+def _shells(dims):
+    """Lattice offsets ``(dx, dy, dz)`` with their flat offsets
+    ``(dx * ny + dy) * nz + dz``, one group per shell of equal squared
+    length, shortest first."""
+    axes = [np.arange(1 - n, n) for n in dims]
+    off = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    flat = (off[:, 0] * dims[1] + off[:, 1]) * dims[2] + off[:, 2]
+    length = np.einsum("kd,kd->k", off, off)
+    order = np.argsort(length, kind="stable")
+    off, flat, length = off[order], flat[order], length[order]
+    cut = [0, *(np.flatnonzero(np.diff(length)) + 1).tolist(), len(off)]
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        yield zip(off[lo:hi].tolist(), flat[lo:hi].tolist())
 
 
 def entry_cell(grid: ControlVolumeGrid, fit: GridFit) -> int:
@@ -305,12 +340,81 @@ def make_batch(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
 # collisions
 # ======================================================================
 
+# cube edge over the pair bound: rounding in the cube index can then never
+# put the two agents of a pair at the bound two cubes apart
+PAIR_CELL_MARGIN = 1.0 + 2.0 ** -20
+PAIR_TABLE_CELLS = 1 << 18      # cubes the occupancy table may hold uncapped
+
+
+def close_pairs(pos, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``a < b`` of the (N, 3) positions ``pos`` whose squared
+    distance, summed ``(dx^2 + dy^2) + dz^2``, is at most ``bound * bound``:
+    the rule of ``cKDTree.query_pairs``. Ascending by ``a * N + b``.
+
+    A cell list: cubes of edge just over ``bound``, so the two agents of a
+    close pair sit in the same or in neighbouring cubes. An occupancy table
+    over flat cube keys (z fastest, the y and z ranges padded by one empty
+    cube each side) lists the agents cube by cube, so each agent's
+    candidates are five contiguous runs: the agents after it in its own
+    column, dz 0..1, and the columns (0, 1), (1, -1), (1, 0) and (1, 1),
+    each dz -1..1. Every neighbouring pair of cubes is met once. The table
+    holds at most ``max(PAIR_TABLE_CELLS, 8 N)`` cubes: past that, each
+    axis's cube index is capped, which merges far cubes into the last one
+    and never separates a close pair.
+    """
+    n = len(pos)
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    rows = np.ascontiguousarray(pos.T)
+    q = rows - rows.min(axis=1, keepdims=True)
+    q /= bound * PAIR_CELL_MARGIN
+    np.floor(q, out=q)
+    dims = q.max(axis=1) + 1.0
+    budget = max(PAIR_TABLE_CELLS, 8 * n)
+    if (dims[0] + 1.0) * (dims[1] + 2.0) * (dims[2] + 2.0) > budget:
+        cap = math.floor(budget ** (1.0 / 3.0)) - 2.0
+        np.minimum(q, cap - 1.0, out=q)
+        np.minimum(dims, cap, out=dims)
+    sz = int(dims[2]) + 2
+    sx = (int(dims[1]) + 2) * sz
+    size = (int(dims[0]) + 1) * sx
+    key = (np.array([sx, sz, 1.0]) @ q + (sz + 1)).astype(
+        np.min_scalar_type(size))         # 16-bit keys get a radix sort
+    order = np.argsort(key, kind="stable")
+    key = key.take(order).astype(np.intp)
+    start = np.zeros(size + 1, dtype=np.intp)   # first agent of each cube
+    np.cumsum(np.bincount(key, minlength=size), out=start[1:])
+    # runs of sorted agents: own column, then the four forward columns
+    base = key + np.array([[sz], [sx - sz], [sx], [sx + sz]])
+    lo, hi = np.empty((5, n), dtype=np.intp), np.empty((5, n), dtype=np.intp)
+    lo[0] = np.arange(1, n + 1)
+    start.take(base - 1, out=lo[1:])
+    start.take(key + 2, out=hi[0])
+    start.take(base + 2, out=hi[1:])
+    runs = (hi - lo).ravel()
+    run = np.repeat(np.arange(5 * n), runs)
+    shift = lo.ravel() - np.cumsum(runs) + runs
+    a = np.tile(order, 5).take(run)
+    b = order.take(shift.take(run) + np.arange(len(run)))
+    x, y, z = rows
+    d = np.square(x.take(b) - x.take(a))
+    d += np.square(y.take(b) - y.take(a))
+    d += np.square(z.take(b) - z.take(a))
+    near = (d <= bound * bound).nonzero()[0]
+    a, b = a.take(near), b.take(near)
+    pair = np.minimum(a, b) * n + np.maximum(a, b)
+    pair.sort()
+    return np.divmod(pair, n)
+
+
 def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]:
     """Classified colliding pairs among the given agents.
 
-    Pairs closer than two body radii and closing faster than the approach
-    floor are classified by heading alignment; grazing or separating pairs
-    are ignored. Returned in ascending (a, b) index order.
+    Pairs at most two body radii apart (``close_pairs``) and closing faster
+    than the approach floor are classified by heading alignment; grazing or
+    separating pairs are ignored. Returned in ascending (a, b) index order.
+    Raises ValueError when there are two or more agents and a position is
+    not finite.
 
     All candidate pairs are tested as arrays. Dot products go through
     ``np.vecdot``, the same BLAS dot a per-pair ``a @ b`` or ``norm`` calls,
@@ -320,26 +424,24 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     """
     if len(pos) < 2:
         return []
-    pairs = cKDTree(pos).query_pairs(2.0 * config.collision_radius,
-                                     output_type="ndarray")
-    if len(pairs) == 0:
-        return []
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    dx = pos[pairs[:, 1]] - pos[pairs[:, 0]]
+    if not np.isfinite(pos).all():
+        raise ValueError("collision detection needs finite positions")
+    a, b = close_pairs(pos, 2.0 * config.collision_radius)
+    dx = pos.take(b, axis=0) - pos.take(a, axis=0)
     dist = np.sqrt(np.vecdot(dx, dx))
     keep = ~(dist <= 1e-12)
-    pairs, dx, dist = pairs[keep], dx[keep], dist[keep]
-    va, vb = vel[pairs[:, 0]], vel[pairs[:, 1]]
+    a, b, dx, dist = a[keep], b[keep], dx[keep], dist[keep]
+    va, vb = vel.take(a, axis=0), vel.take(b, axis=0)
     closing = np.vecdot(va - vb, dx / dist[:, None])
     keep = ~(closing <= config.min_approach_speed)
-    pairs, va, vb = pairs[keep], va[keep], vb[keep]
+    a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
     sa, sb = np.sqrt(np.vecdot(va, va)), np.sqrt(np.vecdot(vb, vb))
     keep = ~((sa < 1e-9) | (sb < 1e-9))
     align = np.vecdot(va[keep], vb[keep]) / (sa[keep] * sb[keep])
     kind = np.where(align > config.overtake_cos, "overtake",
                     np.where(np.abs(align) >= config.headon_cos,
                              "headon", "sideswipe"))
-    return [(a, b, k) for (a, b), k in zip(pairs[keep].tolist(), kind.tolist())]
+    return list(zip(a[keep].tolist(), b[keep].tolist(), kind.tolist()))
 
 
 def resolve_collisions(vel, pairs) -> list[tuple[int, int, str]]:
@@ -426,8 +528,8 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
             pos += vel * config.dt
 
             if config.collisions:
-                # non-finite agents (the KD-tree rejects them) fault below;
-                # rows[:6] are pos and vel
+                # non-finite agents (the pair search rejects them) fault
+                # below; rows[:6] are pos and vel
                 live = np.flatnonzero(np.isfinite(pop.rows[:6]).all(axis=0))
                 sub_vel = vel[:, live].T.copy()
                 pairs = detect_collisions(pos[:, live].T.copy(), sub_vel,

@@ -6,6 +6,9 @@ a short flight so the whole chain stays under a few seconds.
 
 import argparse
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -24,6 +27,47 @@ def test_version_prints_the_package_and_numpy(capsys):
     out = capsys.readouterr().out
     assert out.startswith("fluidswarm ")
     assert np.__version__ in out
+    assert "scipy" not in out
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports ``src/``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    proc = run_python("import sys, fluidswarm.cli\n"
+                      "print(sorted(m for m in sys.modules\n"
+                      "             if m.split('.')[0] == 'scipy'))", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_the_readme_pipeline_runs_without_scipy(tmp_path):
+    """The README pipeline, with collisions on, in a process where any
+    ``import scipy`` fails."""
+    commands = [
+        ["generate-field", "--output", "field.csv"],
+        ["partition", "--field", "field.csv", "--output", "grid.csv"],
+        ["fit", "--partition", "grid.csv", "--output", "fit.csv", "--seed", "0"],
+        ["simulate", "--fit", "fit.csv", "--out", "run", "--duration", "5",
+         "--collisions"],
+        ["analyze", "--run", "run", "--targets", "grid.csv"],
+        ["version"],
+    ]
+    proc = run_python("import sys\n"
+                      "sys.modules['scipy'] = None\n"
+                      "from fluidswarm.cli import main\n"
+                      f"for argv in {commands!r}:\n"
+                      "    assert main(argv) == 0, argv\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "balanced=True" in proc.stdout
+    assert (tmp_path / "run" / "metrics.txt").exists()
 
 
 def test_unknown_subcommand_exits_with_usage_error():

@@ -7,10 +7,11 @@ result as a frozen constant.
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fluidswarm import (ChokedFlowError, FieldFormatError, GasModel,
                         NozzleGeometry, generate_quasi1d_field, load_field,
-                        save_field, station_profile)
+                        reference_field, save_field, station_profile)
 
 # independently computed throat centerline speed for the default setup
 # (3.38 m/s inlet, area ratio 4, sea-level air); see oracle below
@@ -109,6 +110,31 @@ def test_choked_inlet_raises():
         generate_quasi1d_field(inlet_speed=60.0)
     with pytest.raises(ChokedFlowError):
         generate_quasi1d_field(inlet_speed=400.0)  # supersonic inlet
+
+
+@pytest.mark.parametrize("sound_speed", [340.0, 40.0, 26.0])
+def test_brent_port_gives_scipys_fields_bit_for_bit(sound_speed, monkeypatch):
+    gas = GasModel(inlet_sound_speed=sound_speed)
+    ours = generate_quasi1d_field(gas=gas)
+    solves = []
+
+    def scipy_brentq(f, xa, xb, xtol, rtol):
+        solves.append(xa)
+        return brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+    monkeypatch.setattr(reference_field, "_brentq", scipy_brentq)
+    theirs = generate_quasi1d_field(gas=gas)
+    assert len(solves) == 151
+    for name in ("positions", "velocities", "pressures"):
+        assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+
+
+def test_brent_port_rejects_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        reference_field._brentq(lambda x: x * x + 1.0, -1.0, 1.0,
+                                xtol=1e-14, rtol=1e-15)
+    assert reference_field._brentq(lambda x: x - 0.25, 0.25, 1.0,
+                                   xtol=1e-14, rtol=1e-15) == 0.25
 
 
 def test_generator_argument_validation():

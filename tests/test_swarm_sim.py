@@ -1,7 +1,9 @@
 """Swarm simulation tests: command broadcast, injection, collisions,
 determinism, bookkeeping, and the run record round trip."""
 
+import itertools
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -15,8 +17,8 @@ from fluidswarm import (PlantParams, SimConfig, build_command_table,
                         plant_suite, population_balance, resolve_collisions,
                         run_simulation, save_run, swarm_sim)
 from fluidswarm.partition import ControlVolumeGrid, assign_cell, partition_domain
-from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, entry_cell,
-                                  make_batch, seed_tunnel)
+from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, close_pairs,
+                                  entry_cell, make_batch, seed_tunnel)
 from fluidswarm.velocity_plant import PlantState, step as plant_step
 
 CFG = SimConfig()  # collision thresholds at their defaults
@@ -104,6 +106,45 @@ def test_command_table_equals_the_dense_nearest_search(field, grid, fit):
         assert len(f.results) < g.num_cells
         assert np.array_equal(build_command_table(g, f, 0.1),
                               dense_nearest_table(g, f, 0.1)), g.edge_length
+
+
+def kdtree_command_table(grid, fit, scale):
+    """Reference table: the KD-tree search ``build_command_table`` used
+    before its shell walk. Each cell's nearest distance ``d`` gives the
+    candidates within ``d * (1 + 1e-9)``; their squared distances, then the
+    lowest index, pick the winner."""
+    fitted = np.array(sorted(fit.results), dtype=np.int64)
+    means = np.stack([fit.results[int(f)].command for f in fitted])
+    centers = grid.centers()
+    sources = centers[fitted]
+    tree = cKDTree(sources)
+    d, _ = tree.query(centers)
+    near = tree.query_ball_point(centers, d * (1.0 + 1e-9),
+                                 return_sorted=True)
+    rows = np.repeat(np.arange(len(centers)), [len(c) for c in near])
+    cand = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64,
+                       count=len(rows))
+    diff = centers[rows] - sources[cand]
+    d2 = np.einsum("mk,mk->m", diff, diff)
+    order = np.lexsort((cand, d2, rows))
+    first = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    return scale * means[cand[order[first]]]
+
+
+def test_the_shell_walk_equals_the_kdtree_table(field, grid, fit):
+    fine = partition_domain(field, edge_length=0.25)
+    fitted = np.flatnonzero(grid.valid)
+    few = np.random.default_rng(3).choice(fitted, size=4, replace=False)
+    cases = [
+        (grid, fit),
+        (fine, fit_of({f: fine.v_target[f]
+                       for f in np.flatnonzero(fine.valid)})),
+        # four fitted cells: most cells walk many shells to reach one
+        (grid, fit_of({f: fit.results[f].command for f in few})),
+    ]
+    for g, f in cases:
+        assert np.array_equal(build_command_table(g, f, 0.1),
+                              kdtree_command_table(g, f, 0.1)), len(f.results)
 
 
 @pytest.mark.parametrize("pattern", ["checkerboard", "corners"])
@@ -306,6 +347,134 @@ def test_thresholds_on_a_pair_value_split_the_same_way():
                        replace(CFG, headon_cos=abs(align))):
             assert detect_collisions(pos, vel, config) \
                 == per_pair_collisions(pos, vel, config)
+
+
+# ----------------------------------------------------------------------
+# the pair search against the KD-tree
+# ----------------------------------------------------------------------
+
+def tree_pairs(pos, bound):
+    """Reference pair search: ``cKDTree.query_pairs`` in (a, b) order."""
+    if len(pos) < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = cKDTree(pos).query_pairs(bound, output_type="ndarray")
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def found_pairs(pos, bound):
+    """``close_pairs`` as (M, 2) rows, after checking it equals the tree."""
+    pairs = np.column_stack(close_pairs(np.asarray(pos, dtype=float), bound))
+    assert np.array_equal(pairs, tree_pairs(pos, bound))
+    return pairs
+
+
+@pytest.mark.parametrize("radius", [0.15, 0.25, 0.5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_search_equals_query_pairs_on_dense_clouds(seed, radius):
+    pos, _ = dense_cloud(seed)
+    assert len(found_pairs(pos, 2.0 * radius)) > 0
+
+
+def test_pair_search_equals_query_pairs_on_every_frame_of_a_run(
+        grid, fit, monkeypatch):
+    checked = []
+
+    def checked_detect(pos, vel, config):
+        checked.append(len(found_pairs(pos, 2.0 * config.collision_radius)))
+        return detect_collisions(pos, vel, config)
+
+    monkeypatch.setattr(swarm_sim, "detect_collisions", checked_detect)
+    run_simulation(grid, fit, SimConfig(duration=10.0, seed=5, batch_size=17,
+                                        collisions=True))
+    assert len(checked) == 200 and sum(checked) > 1000
+
+
+@pytest.mark.parametrize("direction",
+                         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+                         ids=["x", "y", "z", "diagonal"])
+def test_pairs_at_the_bound_and_one_ulp_either_side(direction):
+    bound = 0.3
+    unit = np.array(direction) / np.linalg.norm(direction)
+    axis = int(np.argmax(unit))
+    for a in ([0.0, 0.0, 0.0], [1.7, -2.3, 0.45]):
+        b = a + bound * unit
+        for step in (-np.inf, None, np.inf):
+            other = b.copy()
+            if step is not None:     # one ulp nearer or farther
+                other[axis] = np.nextafter(other[axis], step)
+            found_pairs([a, other], bound)
+    # on the axis from the origin the distance is exactly the bound
+    if unit.max() == 1.0:
+        b = bound * unit
+        assert len(found_pairs([np.zeros(3), b], bound)) == 1
+        b[axis] = np.nextafter(bound, np.inf)
+        assert len(found_pairs([np.zeros(3), b], bound)) == 0
+    # pairs the bound apart, a few ulps either side of every cube face the
+    # search could draw: faces lie near multiples of the bound from the
+    # lowest agent, here an anchor whose offset rounds
+    for anchor, k, ulps in itertools.product((-7.3, -1000.37), range(1, 65),
+                                             range(-3, 4)):
+        a = anchor + unit * k * bound
+        a[axis] += ulps * np.spacing(a[axis])
+        found_pairs([np.full(3, anchor), a, a + bound * unit], bound)
+
+
+def test_agents_on_cube_faces_and_at_negative_coordinates():
+    bound = 0.25
+    # a lattice of spacing exactly the bound: every neighbour is a pair
+    idx = np.stack(np.meshgrid(*[np.arange(-4, 3)] * 3, indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    lattice = idx * bound - 3.0
+    assert len(found_pairs(lattice, bound)) == 3 * 6 * 7 * 7
+    rng = np.random.default_rng(4)
+    cloud = -5.0 + 1.5 * rng.random((400, 3))
+    assert len(found_pairs(cloud, bound)) > 0
+    assert len(found_pairs(np.vstack([lattice, cloud]), bound)) > 0
+
+
+def test_coincident_agents_pair_with_each_other():
+    rng = np.random.default_rng(6)
+    pos = rng.random((30, 3))
+    pos[[3, 9, 17, 28]] = pos[11]
+    pairs = found_pairs(pos, 0.05)
+    coincident = {(3, 9), (3, 11), (3, 17), (3, 28), (9, 11), (9, 17),
+                  (9, 28), (11, 17), (11, 28), (17, 28)}
+    assert coincident <= set(map(tuple, pairs.tolist()))
+    vel = rng.normal(size=(30, 3))
+    # coincident pairs have no direction, so none of them collides
+    assert not coincident & {(a, b) for a, b, _ in
+                             detect_collisions(pos, vel, CFG)}
+
+
+def test_pair_search_with_zero_one_and_two_agents():
+    for n in (0, 1):
+        assert len(found_pairs(np.zeros((n, 3)), 0.3)) == 0
+        assert detect_collisions(np.zeros((n, 3)), np.zeros((n, 3)), CFG) == []
+    assert found_pairs([[0.0, 0.0, 0.0], [0.1, 0.2, 0.0]], 0.3).tolist() \
+        == [[0, 1]]
+    assert len(found_pairs([[0.0, 0.0, 0.0], [0.1, 0.3, 0.0]], 0.3)) == 0
+
+
+@pytest.mark.parametrize("far", [(1e6, 0, 0), (0, -1e6, 0), (0, 0, 1e6),
+                                 (1e6, -1e6, 1e6)])
+def test_a_far_agent_costs_no_lattice_sized_table(far):
+    pos = np.array([[0.0, 0.0, 0.0], [0.1, 0.05, 0.0], far])
+    tracemalloc.start()
+    try:
+        pairs = found_pairs(pos, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.tolist() == [[0, 1]]
+    assert peak < 16e6      # the search's table is capped, whatever the span
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_positions_raise(bad):
+    pos, vel = dense_cloud(0, n=20)
+    pos[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        detect_collisions(pos, vel, CFG)
 
 
 def test_overtake_conserves_the_speed_sum():
@@ -808,6 +977,9 @@ def test_config_validation():
         SimConfig(duration=0.02)    # rounds to no 0.05 s frame
     assert SimConfig(duration=0.03).duration == 0.03   # rounds to one
     assert SimConfig(scale=1.5).scale == 1.5  # amplified commands are allowed
+    for radius in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="collision_radius"):
+            SimConfig(collision_radius=radius)
 
 
 # ----------------------------------------------------------------------
