@@ -18,6 +18,8 @@ from .reference_field import (FieldFormatError, GasModel, NozzleGeometry,
                               lattice_meta, read_table, write_table)
 
 PARTITION_HEADER = "jx,jy,jz,cx,cy,cz,inside,node_count,vtx,vty,vtz,pt"
+# integers in decimal, floats with repr: every value reads back exactly
+_PARTITION_FMT = ",".join(["%d"] * 3 + ["%r"] * 3 + ["%d"] * 2 + ["%r"] * 4)
 
 
 @dataclass
@@ -178,24 +180,22 @@ def save_partition(grid: ControlVolumeGrid, path) -> None:
     """Write the per-cell table exactly; lattice, geometry and gas ride in
     the metadata line, so :func:`load_partition` returns an equal grid."""
     m = grid.num_cells
-    counts = np.column_stack([grid.inside, grid.node_count]).astype(np.int64)
-    targets = np.column_stack([grid.v_target, grid.p_target])
-    rows = (a + b + c + d for a, b, c, d in zip(
-        grid.unravel(np.arange(m)).tolist(), grid.centers().tolist(),
-        counts.tolist(), targets.tolist()))
-    write_table(path, lattice_meta(grid), PARTITION_HEADER, rows)
+    data = np.column_stack([grid.unravel(np.arange(m)), grid.centers(),
+                            grid.inside, grid.node_count, grid.v_target,
+                            grid.p_target])
+    write_table(path, lattice_meta(grid), PARTITION_HEADER,
+                [(_PARTITION_FMT, data)])
 
 
 def load_partition(path) -> ControlVolumeGrid:
     """Read a partition table written by :func:`save_partition`. Raises
     ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does,
     on missing metadata, and unless every lattice cell has exactly one row."""
-    meta, lines, rows = read_table(path, PARTITION_HEADER)
+    meta, lines, _widths, data = read_table(path, PARTITION_HEADER)
     grid = ControlVolumeGrid.empty(*lattice_from_meta(meta, path))
-    if len(rows) != grid.num_cells:
+    if len(data) != grid.num_cells:
         raise FieldFormatError(
-            f"{path}: expected {grid.num_cells} cell rows, got {len(rows)}")
-    data = np.asarray(rows)
+            f"{path}: expected {grid.num_cells} cell rows, got {len(data)}")
     data = data[np.argsort(cell_index(path, lines, data[:, 0:3], grid.dims))]
     grid.inside, grid.node_count = data[:, 6] == 1, data[:, 7].astype(np.int64)
     grid.v_target, grid.p_target = data[:, 8:11].copy(), data[:, 11].copy()

@@ -31,8 +31,10 @@ import numpy as np
 
 FIELD_HEADER = "x,y,z,vx,vy,vz,p"
 
-# 12 significant digits for every float written to disk
+# 12 significant digits for every float of a field file
 _FMT = "%.12g"
+# rows formatted per ``%`` pass by write_table; bounds the memory of a pass
+_PASS_ROWS = 1 << 16
 
 
 class ChokedFlowError(ValueError):
@@ -181,10 +183,11 @@ class ReferenceField:
 
 
 def save_field(fld: ReferenceField, path) -> None:
-    """Write a field to CSV with header ``x,y,z,vx,vy,vz,p`` and 12
-    significant digits, which cost the study less time than exact floats."""
+    """Write a field to CSV with header ``x,y,z,vx,vy,vz,p`` and no metadata
+    line, every value to 12 significant digits: the bytes of ``np.savetxt``
+    with ``fmt="%.12g"``, formatted by :func:`write_table` in one pass."""
     data = np.column_stack([fld.positions, fld.velocities, fld.pressures])
-    np.savetxt(path, data, fmt=_FMT, delimiter=",", header=FIELD_HEADER, comments="")
+    write_table(path, None, FIELD_HEADER, [(",".join([_FMT] * 7), data)])
 
 
 def load_field(path, geometry: NozzleGeometry | None = None,
@@ -194,8 +197,7 @@ def load_field(path, geometry: NozzleGeometry | None = None,
     With ``geometry`` supplied, nodes outside the duct volume raise a
     :class:`FieldFormatError` listing the offending line numbers.
     """
-    _meta, lines, rows = read_table(path, FIELD_HEADER)
-    data = np.asarray(rows, dtype=float)
+    _meta, lines, _widths, data = read_table(path, FIELD_HEADER)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         bad = lines[~finite][:10].tolist()
@@ -216,15 +218,28 @@ def load_field(path, geometry: NozzleGeometry | None = None,
 # the table codec shared by the field, partition and fit files
 # ======================================================================
 
-def write_table(path, meta: dict, header: str, rows) -> None:
-    """Write a ``# k=v`` metadata line that also declares ``cells``, the row
-    count, then ``header`` and ``rows``. Values must be Python ints and
-    floats; each is written with ``repr``, so it reads back exactly."""
-    lines = [",".join(map(repr, row)) for row in rows]
-    meta = {**meta, "cells": len(lines)}
+def write_table(path, meta: dict | None, header: str, blocks) -> None:
+    """Write ``header`` and the rows of ``blocks``, after a ``# k=v``
+    metadata line that also declares ``cells``, the row count (no metadata
+    line when ``meta`` is None).
+
+    A block is a pair (``fmt``, ``values``): a (k, c) array of k rows and
+    the ``%`` format of one row. In it ``%d`` writes an integer (exact below
+    2**53), ``%r`` a float exactly, with ``repr``, and ``%.12g`` a float to
+    12 significant digits. Each run of up to ``_PASS_ROWS`` rows is
+    formatted in one ``%`` pass over its values, so a table of that size is
+    one pass and one write.
+    """
+    blocks = [(fmt + "\n", np.asarray(values, dtype=float)) for fmt, values in blocks]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + " ".join(f"{k}={v!r}" for k, v in meta.items()) + "\n")
-        fh.write("\n".join([header, *lines]) + "\n")
+        if meta is not None:
+            meta = {**meta, "cells": sum(len(v) for _, v in blocks)}
+            fh.write("# " + " ".join(f"{k}={v!r}" for k, v in meta.items()) + "\n")
+        fh.write(header + "\n")
+        for fmt, values in blocks:
+            for i in range(0, len(values), _PASS_ROWS):
+                part = values[i:i + _PASS_ROWS]
+                fh.write(fmt * len(part) % tuple(part.ravel().tolist()))
 
 
 def _number(text: str):
@@ -234,53 +249,125 @@ def _number(text: str):
         return float(text)
 
 
-def read_table(path, header: str) -> tuple[dict, np.ndarray, list]:
+def _floats(rows: list) -> np.ndarray:
+    """The values of ``rows``, comma-separated lines of one width, as a
+    (rows, width) array, converted by numpy's C text reader. Raises
+    ValueError on a value it rejects or on rows of unequal width."""
+    return np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
+
+
+def read_table(path, header: str) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     """Read ``# k=v`` metadata lines, the ``header`` line and rows of floats.
 
     A row has one value per header column, or at least the named ones when
-    the header ends in ``...`` (a repeating tail). With metadata present,
-    its ``cells`` must equal the row count. Returns the metadata, the rows'
-    line numbers and the rows; raises :class:`FieldFormatError` naming the
-    file and, where there is one, the line.
+    the header ends in ``...`` (a repeating tail). Blank lines are skipped.
+    With metadata present, its ``cells`` must equal the row count.
+
+    Returns the metadata, each row's line number and width, and the values
+    as a (rows, widest row) float array, NaN past a row's width. The file
+    is read at once, and all rows go through one C-level conversion unless
+    their widths differ (then one per width). A value reads as ``float``
+    reads it, bit for bit, but text only ``float`` reads (``1_0``,
+    non-ASCII digits) is rejected. Raises :class:`FieldFormatError` naming
+    the file and, where there is one, the line: the first in the file with
+    a wrong column count or a rejected value, found by a scan only once the
+    conversion has failed.
     """
     names = header.split(",")
     ragged = names[-1] == "..."
     width = len(names) - ragged
-    meta, lines, rows = {}, [], []
     with open(path, "r", encoding="utf-8") as fh:
-        lineno, line = 0, ""
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line.startswith("#"):
-                break
-            for tok in line[1:].split():
-                key, _, value = tok.partition("=")
-                try:
-                    meta[key] = _number(value)
-                except ValueError:
-                    raise FieldFormatError(
-                        f"{path}:{lineno}: bad metadata entry '{tok}'") from None
-        if line != header:
-            raise FieldFormatError(
-                f"{path}:{lineno}: expected header '{header}', got '{line}'")
-        for lineno, line in enumerate(fh, start=lineno + 1):
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            if len(parts) < width or (len(parts) > width and not ragged):
-                raise FieldFormatError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()                     # what follows the final newline
+    meta, lineno, line = {}, 0, ""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line.startswith("#"):
+            break
+        for tok in line[1:].split():
+            key, _, value = tok.partition("=")
             try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise FieldFormatError(f"{path}:{lineno}: {exc}") from None
-            lines.append(lineno)
+                meta[key] = _number(value)
+            except ValueError:
+                raise FieldFormatError(
+                    f"{path}:{lineno}: bad metadata entry '{tok}'") from None
+    if line != header:
+        raise FieldFormatError(
+            f"{path}:{lineno}: expected header '{header}', got '{line}'")
+    rows = list(map(str.strip, lines[lineno:]))
+    numbers = np.arange(lineno + 1, len(lines) + 1)
+    if "" in rows:
+        keep = np.flatnonzero(list(map(len, rows)))
+        rows, numbers = [rows[i] for i in keep], numbers[keep]
     if not rows:
         raise FieldFormatError(f"{path}: no data rows")
+    try:
+        values = _floats(rows)
+        widths = np.full(len(rows), values.shape[1])
+    except ValueError:                  # rows of unequal width, or a bad one
+        values, widths = None, np.array([r.count(",") + 1 for r in rows])
+    off = (widths < width) | ((widths > width) & (not ragged))
+    if values is None or off.any():
+        stop = int(np.argmax(off)) if off.any() else len(rows)
+        values = _floats_by_width(path, rows[:stop], numbers, widths[:stop])
+        if stop < len(rows):
+            raise FieldFormatError(f"{path}:{numbers[stop]}: expected "
+                                   f"{width} columns, got {widths[stop]}")
     if meta and meta.get("cells") != len(rows):
         raise FieldFormatError(f"{path}: metadata declares cells="
                                f"{meta.get('cells')}, found {len(rows)} cell rows")
-    return meta, np.asarray(lines), rows
+    return meta, numbers, widths, values
+
+
+def _floats_by_width(path, rows, numbers, widths) -> np.ndarray:
+    """The rows converted one width at a time, NaN past a row's width;
+    raises for the first row with a value the conversion rejects."""
+    values = np.full((len(rows), widths.max(initial=0)), np.nan)
+    bad = len(rows)
+    for w in np.unique(widths).tolist():
+        idx = np.flatnonzero(widths == w)
+        group = [rows[i] for i in idx]
+        try:
+            values[idx, :w] = _floats(group)
+        except ValueError:
+            bad = min(bad, int(idx[_first_rejected(group)]))
+    if bad < len(rows):
+        raise FieldFormatError(f"{path}:{numbers[bad]}: {_reason(rows[bad])}")
+    return values
+
+
+def _first_rejected(rows: list) -> int:
+    """Index of the first of ``rows`` (of one width) whose values
+    :func:`_floats` rejects, by halving: about one conversion of them all."""
+    first = 0
+    while len(rows) > 1:
+        half = len(rows) // 2
+        try:
+            _floats(rows[:half])
+        except ValueError:
+            rows = rows[:half]
+        else:
+            first, rows = first + half, rows[half:]
+    return first
+
+
+def _reason(row: str) -> str:
+    """Why the conversion rejected a row: ``float``'s message on the first
+    value ``float`` cannot read either, else the same words on the first
+    value only the conversion rejects."""
+    toks = row.split(",")
+    for tok in toks:
+        try:
+            float(tok)
+        except ValueError as exc:
+            return str(exc)
+    for tok in toks:
+        try:
+            _floats([tok])
+        except ValueError:
+            break
+    return f"could not convert string to float: {tok!r}"
 
 
 def cell_index(path, lines, triples, dims) -> np.ndarray:

@@ -168,11 +168,11 @@ def build_command_table(grid: ControlVolumeGrid, fit: GridFit,
     winner, the lowest index among equals: off a binary-fraction lattice
     they differ in the last bits. The table is the dense search's.
     """
-    fitted = np.array(sorted(fit.results), dtype=np.int64)
+    fitted, means = fit.commands()
     if len(fitted) == 0:
         raise ValueError("fit has no results")
     commands = np.zeros((grid.num_cells, 3))
-    commands[fitted] = [fit.results[int(f)].command for f in fitted]
+    commands[fitted] = means
     dims = grid.dims
     source = np.zeros(dims, dtype=bool)
     source.flat[fitted] = True

@@ -22,6 +22,7 @@ fitted with it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,19 @@ class GridFit:
     pressure_offset: float        # subtracted from every cell's p_target
     config: FitConfig
 
+    def commands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The fitted cells in ascending order and their commands, one
+        stacked mean per set size: each row equals the cell's
+        :attr:`FitResult.command` bit for bit."""
+        cells = np.array(sorted(self.results), dtype=np.int64)
+        sets = [self.results[f].velocities for f in cells.tolist()]
+        sizes = np.array([len(v) for v in sets])
+        commands = np.empty((len(cells), 3))
+        for n in np.unique(sizes).tolist():
+            idx = np.flatnonzero(sizes == n)
+            commands[idx] = np.stack([sets[i] for i in idx]).mean(axis=1)
+        return cells, commands
+
 
 def fit_grid(grid: ControlVolumeGrid,
              config: FitConfig | None = None) -> GridFit:
@@ -139,15 +153,24 @@ def fit_grid(grid: ControlVolumeGrid,
 
 def save_fit(fit: GridFit, grid: ControlVolumeGrid, path) -> None:
     """Write fit results exactly: one row per cell, three columns per
-    velocity after the set size; the lattice rides in the metadata line."""
+    velocity after the set size; the lattice rides in the metadata line.
+    Each run of cells of one set size is one block of the table."""
     meta = {"agent_mass": float(fit.config.agent_mass),
             "rng_seed": int(fit.config.rng_seed),
             "pressure_offset": float(fit.pressure_offset), **lattice_meta(grid)}
     cells = sorted(fit.results)
-    rows = (jxyz + [int(r.n_star)] + r.velocities.ravel().tolist()
-            for jxyz, r in zip(grid.unravel(cells).tolist(),
-                               [fit.results[f] for f in cells]))
-    write_table(path, meta, FIT_HEADER, rows)
+    sets = [fit.results[f].velocities for f in cells]
+    sizes = [len(v) for v in sets]
+    head = np.column_stack([grid.unravel(cells),
+                            [fit.results[f].n_star for f in cells]])
+    blocks, start = [], 0
+    for n, run in itertools.groupby(sizes):
+        stop = start + len(list(run))
+        rows = np.column_stack([head[start:stop],
+                                np.reshape(sets[start:stop], (stop - start, 3 * n))])
+        blocks.append((",".join(["%d"] * 4 + ["%r"] * (3 * n)), rows))
+        start = stop
+    write_table(path, meta, FIT_HEADER, blocks)
 
 
 def load_fit(path) -> tuple[GridFit, dict]:
@@ -155,20 +178,24 @@ def load_fit(path) -> tuple[GridFit, dict]:
     ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does, on
     missing metadata, on a cell off the lattice or with two rows, and on a
     row whose velocity count disagrees with its set size."""
-    meta, lines, rows = read_table(path, FIT_HEADER)
+    meta, lines, widths, data = read_table(path, FIT_HEADER)
     missing = sorted({"agent_mass", "rng_seed", "pressure_offset"} - meta.keys())
     if missing:
         raise FieldFormatError(f"{path}: missing fit metadata {', '.join(missing)}")
     dims = lattice_from_meta(meta, path)[2]
-    head = np.array([r[:4] for r in rows])
-    flat = cell_index(path, lines, head[:, :3], dims)
-    results: dict[int, FitResult] = {}
-    for f, n, line, r in zip(flat.tolist(), head[:, 3].tolist(), lines, rows):
-        if len(r) != 4 + 3 * n:
-            raise FieldFormatError(f"{path}:{line}: set size {n} expects "
-                                   f"{3 * n} velocity values, got {len(r) - 4}")
-        results[f] = FitResult(cell=f, n_star=int(n),
-                               velocities=np.reshape(r[4:], (-1, 3)))
+    flat = cell_index(path, lines, data[:, :3], dims)
+    sizes = data[:, 3]
+    off = widths != 4 + 3 * sizes
+    if off.any():
+        i = int(np.argmax(off))
+        n = float(sizes[i])
+        raise FieldFormatError(f"{path}:{lines[i]}: set size {n} expects "
+                               f"{3 * n} velocity values, got {widths[i] - 4}")
+    results = {f: FitResult(cell=f, n_star=n,
+                            velocities=data[i, 4:w].reshape(-1, 3))
+               for i, (f, n, w) in enumerate(zip(flat.tolist(),
+                                                 sizes.astype(int).tolist(),
+                                                 widths.tolist()))}
     config = FitConfig(agent_mass=float(meta["agent_mass"]),
                        rng_seed=int(meta["rng_seed"]))
     fit = GridFit(results=results, pressure_offset=float(meta["pressure_offset"]),
@@ -181,8 +208,8 @@ def grid_from_fit(fit: GridFit, meta: dict) -> ControlVolumeGrid:
     what a simulation reads. Pressure and density targets stay NaN, so the
     result suits simulation, not scoring."""
     grid = ControlVolumeGrid.empty(*lattice_from_meta(meta))
-    cells = sorted(fit.results)
+    cells, commands = fit.commands()
     grid.inside[cells] = True
     grid.node_count[cells] = 1
-    grid.v_target[cells] = [fit.results[f].command for f in cells]
+    grid.v_target[cells] = commands
     return grid

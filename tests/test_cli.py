@@ -49,8 +49,8 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
 
 
 def test_the_readme_pipeline_runs_without_scipy(tmp_path):
-    """The README pipeline, with collisions on, in a process where any
-    ``import scipy`` fails."""
+    """The README pipeline, with collisions on, and the plant suite, in a
+    process where any ``import scipy`` fails."""
     commands = [
         ["generate-field", "--output", "field.csv"],
         ["partition", "--field", "field.csv", "--output", "grid.csv"],
@@ -58,6 +58,7 @@ def test_the_readme_pipeline_runs_without_scipy(tmp_path):
         ["simulate", "--fit", "fit.csv", "--out", "run", "--duration", "5",
          "--collisions"],
         ["analyze", "--run", "run", "--targets", "grid.csv"],
+        ["plant-test", "--scenario", "all", "--out", "plant.csv"],
         ["version"],
     ]
     proc = run_python("import sys\n"
@@ -68,6 +69,7 @@ def test_the_readme_pipeline_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "balanced=True" in proc.stdout
     assert (tmp_path / "run" / "metrics.txt").exists()
+    assert (tmp_path / "plant.csv").exists()
 
 
 def test_unknown_subcommand_exits_with_usage_error():

@@ -19,6 +19,7 @@ from fluidswarm import (PlantParams, SimConfig, build_command_table,
 from fluidswarm.partition import ControlVolumeGrid, assign_cell, partition_domain
 from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, close_pairs,
                                   entry_cell, make_batch, seed_tunnel)
+from fluidswarm.velocity_fit import FitConfig, FitResult, GridFit
 from fluidswarm.velocity_plant import PlantState, step as plant_step
 
 CFG = SimConfig()  # collision thresholds at their defaults
@@ -88,9 +89,11 @@ def dense_nearest_table(grid, fit, scale):
 
 
 def fit_of(commands: dict):
-    """The part of a GridFit the command table reads: flat -> command."""
-    return SimpleNamespace(results={int(f): SimpleNamespace(command=c)
-                                    for f, c in commands.items()})
+    """A fit whose cell f holds the one-velocity set ``commands[f]``, so
+    that its command (the set mean) is ``commands[f]``."""
+    return GridFit(results={int(f): FitResult(int(f), 1, np.reshape(c, (1, 3)))
+                            for f, c in commands.items()},
+                   pressure_offset=0.0, config=FitConfig())
 
 
 def test_command_table_equals_the_dense_nearest_search(field, grid, fit):

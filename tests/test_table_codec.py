@@ -1,0 +1,369 @@
+"""The table codec shared by the field, partition and fit files.
+
+``read_table`` reads a file at once and converts every value in one C-level
+pass; ``write_table`` formats a table in one ``%`` pass. They are checked
+against the per-line reader and the per-row writers they replaced, kept
+below as the references: same bytes written, same values and line numbers
+read, same error message on the same damaged file.
+"""
+
+import itertools
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fluidswarm import (FieldFormatError, FitConfig, build_command_table,
+                        fit_grid, grid_from_fit, load_field, load_fit,
+                        load_partition, partition_domain, save_field,
+                        save_fit, save_partition)
+from fluidswarm.partition import PARTITION_HEADER
+from fluidswarm.reference_field import FIELD_HEADER, lattice_meta, read_table
+from fluidswarm.velocity_fit import FIT_HEADER, FitResult, GridFit
+
+
+# ======================================================================
+# references: the per-line reader and the per-row writers
+# ======================================================================
+
+def _number(text):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def per_line_read_table(path, header):
+    """The reader ``read_table`` replaced: one line, one ``float`` per value
+    and one list per row at a time. Returns (meta, line numbers, rows)."""
+    names = header.split(",")
+    ragged = names[-1] == "..."
+    width = len(names) - ragged
+    meta, lines, rows = {}, [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        lineno, line = 0, ""
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line.startswith("#"):
+                break
+            for tok in line[1:].split():
+                key, _, value = tok.partition("=")
+                try:
+                    meta[key] = _number(value)
+                except ValueError:
+                    raise FieldFormatError(
+                        f"{path}:{lineno}: bad metadata entry '{tok}'") from None
+        if line != header:
+            raise FieldFormatError(
+                f"{path}:{lineno}: expected header '{header}', got '{line}'")
+        for lineno, line in enumerate(fh, start=lineno + 1):
+            parts = line.strip().split(",")
+            if parts == [""]:
+                continue
+            if len(parts) < width or (len(parts) > width and not ragged):
+                raise FieldFormatError(
+                    f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError as exc:
+                raise FieldFormatError(f"{path}:{lineno}: {exc}") from None
+            lines.append(lineno)
+    if not rows:
+        raise FieldFormatError(f"{path}: no data rows")
+    if meta and meta.get("cells") != len(rows):
+        raise FieldFormatError(f"{path}: metadata declares cells="
+                               f"{meta.get('cells')}, found {len(rows)} cell rows")
+    return meta, np.asarray(lines), rows
+
+
+def per_row_write_table(path, meta, header, rows):
+    """The writer ``write_table`` replaced: ``repr`` of each Python int and
+    float, one row at a time."""
+    lines = [",".join(map(repr, row)) for row in rows]
+    meta = {**meta, "cells": len(lines)}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# " + " ".join(f"{k}={v!r}" for k, v in meta.items()) + "\n")
+        fh.write("\n".join([header, *lines]) + "\n")
+
+
+def per_row_save_partition(grid, path):
+    m = grid.num_cells
+    counts = np.column_stack([grid.inside, grid.node_count]).astype(np.int64)
+    targets = np.column_stack([grid.v_target, grid.p_target])
+    rows = (a + b + c + d for a, b, c, d in zip(
+        grid.unravel(np.arange(m)).tolist(), grid.centers().tolist(),
+        counts.tolist(), targets.tolist()))
+    per_row_write_table(path, lattice_meta(grid), PARTITION_HEADER, rows)
+
+
+def per_row_save_fit(fit, grid, path):
+    meta = {"agent_mass": float(fit.config.agent_mass),
+            "rng_seed": int(fit.config.rng_seed),
+            "pressure_offset": float(fit.pressure_offset), **lattice_meta(grid)}
+    cells = sorted(fit.results)
+    rows = (jxyz + [int(r.n_star)] + r.velocities.ravel().tolist()
+            for jxyz, r in zip(grid.unravel(cells).tolist(),
+                               [fit.results[f] for f in cells]))
+    per_row_write_table(path, meta, FIT_HEADER, rows)
+
+
+def per_line_fit_sizes(path):
+    """``load_fit``'s set-size check as it read the per-line rows."""
+    _meta, lines, rows = per_line_read_table(path, FIT_HEADER)
+    head = np.array([r[:4] for r in rows])
+    for n, line, r in zip(head[:, 3].tolist(), lines, rows):
+        if len(r) != 4 + 3 * n:
+            raise FieldFormatError(f"{path}:{line}: set size {n} expects "
+                                   f"{3 * n} velocity values, got {len(r) - 4}")
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_reads_like_the_reference(path, header):
+    """``read_table`` raises the reference's message, or returns its
+    metadata, line numbers and widths, and its values bit for bit (NaN past
+    each row's width)."""
+    try:
+        want_meta, want_lines, want_rows = per_line_read_table(path, header)
+    except FieldFormatError as exc:
+        with pytest.raises(FieldFormatError) as got:
+            read_table(path, header)
+        assert str(got.value) == str(exc)
+        return
+    meta, lines, widths, values = read_table(path, header)
+    assert meta == want_meta
+    assert [type(v) for v in meta.values()] == [type(v) for v in want_meta.values()]
+    assert lines.tolist() == want_lines.tolist()
+    assert widths.tolist() == [len(r) for r in want_rows]
+    assert values.shape == (len(want_rows), max(map(len, want_rows)))
+    for row, w, ref in zip(values, widths.tolist(), want_rows):
+        assert bits(row[:w]) == bits(ref)
+        assert np.isnan(row[w:]).all()
+
+
+@pytest.fixture(scope="module")
+def fine_grid(field):
+    return partition_domain(field, edge_length=0.25)
+
+
+@pytest.fixture(scope="module")
+def fine_fit(fine_grid):
+    return fit_grid(fine_grid, FitConfig(rng_seed=0))
+
+
+def mixed_fit(fit, seed=4):
+    """``fit`` with every third cell's set replaced by one of 1, 5 or 12
+    random velocities: sets of mixed size, as ``load_fit`` accepts them."""
+    rng = np.random.default_rng(seed)
+    results = dict(fit.results)
+    for i, f in enumerate(sorted(results)[::3]):
+        n = (1, 5, 12)[i % 3]
+        results[f] = FitResult(f, n, rng.normal(scale=3.0, size=(n, 3)))
+    return GridFit(results, fit.pressure_offset, fit.config)
+
+
+# ======================================================================
+# the writer
+# ======================================================================
+
+def test_field_bytes_equal_savetxt(tmp_path, field):
+    save_field(field, tmp_path / "field.csv")
+    data = np.column_stack([field.positions, field.velocities, field.pressures])
+    np.savetxt(tmp_path / "savetxt.csv", data, fmt="%.12g", delimiter=",",
+               header=FIELD_HEADER, comments="")
+    assert (tmp_path / "field.csv").read_bytes() \
+        == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def test_partition_and_fit_bytes_equal_the_per_row_writer(tmp_path, grid, fit,
+                                                          fine_grid, fine_fit):
+    cases = [(grid, fit), (fine_grid, fine_fit), (grid, mixed_fit(fit))]
+    for g, f in cases:
+        save_partition(g, tmp_path / "grid.csv")
+        per_row_save_partition(g, tmp_path / "grid_ref.csv")
+        assert (tmp_path / "grid.csv").read_bytes() \
+            == (tmp_path / "grid_ref.csv").read_bytes(), g.edge_length
+        save_fit(f, g, tmp_path / "fit.csv")
+        per_row_save_fit(f, g, tmp_path / "fit_ref.csv")
+        assert (tmp_path / "fit.csv").read_bytes() \
+            == (tmp_path / "fit_ref.csv").read_bytes(), g.edge_length
+
+
+def test_a_mixed_size_fit_round_trips(tmp_path, grid, fit):
+    mixed = mixed_fit(fit)
+    save_fit(mixed, grid, tmp_path / "fit.csv")
+    back, _ = load_fit(tmp_path / "fit.csv")
+    assert sorted(back.results) == sorted(mixed.results)
+    for f, res in mixed.results.items():
+        assert back.results[f].n_star == res.n_star
+        assert bits(back.results[f].velocities) == bits(res.velocities)
+    assert {r.n_star for r in back.results.values()} == {1, 5, 12, 9}
+
+
+# ======================================================================
+# the reader: values, line numbers and errors against the reference
+# ======================================================================
+
+def test_written_tables_read_like_the_reference(tmp_path, field, grid, fit):
+    save_field(field, tmp_path / "field.csv")
+    save_partition(grid, tmp_path / "grid.csv")
+    save_fit(mixed_fit(fit), grid, tmp_path / "fit.csv")
+    for name, header in (("field", FIELD_HEADER), ("grid", PARTITION_HEADER),
+                         ("fit", FIT_HEADER)):
+        assert_reads_like_the_reference(tmp_path / f"{name}.csv", header)
+
+
+def test_layout_variants_read_like_the_reference(tmp_path):
+    """Padded tokens, blank and whitespace lines, CRLF and lone CR line
+    ends, no final newline, ragged tails, and bad values in rows of
+    different widths (the first in the file is named)."""
+    path = tmp_path / "t.csv"
+    texts = [
+        "# cells=3 k=1.5\r\nn,v,...\r\n1, 2 ,3\r\n\r\n 4,5\r\n6,7,8,9,-0",
+        "# cells=2\n\n",
+        "# cells=2\nn,v,...\n  \n1,2\n\t\n3,4,5\n\n",
+        "n,v,...\r1,2\r3,4,5\r",
+        "n,v,...\n1e308,-1e308\n5e-324,-5e-324,2.2250738585072014e-308\n"
+        "nan,-nan,inf,-inf,Infinity,-0.0,0",
+        "n,v,...\n1,x\n2,3,y\n",
+        "n,v,...\n1,2,3\n4,5,6,7\n8,y\n9,8,z\n",
+    ]
+    for text in texts:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert_reads_like_the_reference(path, "n,v,...")
+
+
+def damaged(path, lines, i, edit):
+    """``lines`` with line ``i`` (1-based) replaced by ``edit`` of it."""
+    out = list(lines)
+    out[i - 1] = edit(out[i - 1])
+    path.write_text("\n".join(out) + "\n")
+
+
+def test_errors_equal_the_reference_messages(tmp_path, field, grid, fit):
+    src = tmp_path / "field.csv"
+    save_field(field, src)
+    lines = src.read_text().splitlines()
+    path = tmp_path / "bad.csv"
+    field_cases = [
+        # a non-numeric token on line 20,000
+        lambda: damaged(path, lines, 20_000, lambda r: ",".join(
+            [r.split(",")[0], "abc", *r.split(",")[2:]])),
+        lambda: damaged(path, lines, 12_345, lambda r: r.rsplit(",", 1)[0]),
+        lambda: damaged(path, lines, 12_345, lambda r: r + ",1"),
+        lambda: damaged(path, lines, 1, lambda r: r.replace("vz", "w")),
+        lambda: path.write_text(lines[0] + "\n"),
+        lambda: path.write_text(lines[0] + "\n\n  \n"),
+        lambda: path.write_text(""),
+        # a bad value before a short row: the earlier line is named
+        lambda: path.write_text("\n".join(
+            [*lines[:10], "1,2,x,4,5,6,7", *lines[10:20], "1,2", *lines[20:]])),
+        # a short row before a bad value
+        lambda: path.write_text("\n".join(
+            [*lines[:10], "1,2", *lines[10:20], "1,2,x,4,5,6,7", *lines[20:]])),
+        # both on one row: the column count is checked first
+        lambda: damaged(path, lines, 5, lambda r: "x,y"),
+        lambda: damaged(path, lines, 7, lambda r: r.replace(",", ",,", 1)),
+    ]
+    for make in field_cases:
+        make()
+        with pytest.raises(FieldFormatError):
+            per_line_read_table(path, FIELD_HEADER)
+        assert_reads_like_the_reference(path, FIELD_HEADER)
+        with pytest.raises(FieldFormatError):
+            load_field(path)
+
+    save_partition(grid, src)
+    meta, header, *rows = src.read_text().splitlines()
+    partition_cases = [
+        [meta.replace("gamma=1.4", "gamma=1.4x"), header, *rows],
+        [meta, header, *rows[:-5]],
+        [meta.replace(f"cells={len(rows)}", "cells=7"), header, *rows],
+        [meta],
+    ]
+    for text in partition_cases:
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(FieldFormatError):
+            per_line_read_table(path, PARTITION_HEADER)
+        assert_reads_like_the_reference(path, PARTITION_HEADER)
+        with pytest.raises(FieldFormatError):
+            load_partition(path)
+
+    save_fit(fit, grid, src)
+    meta, header, *rows = src.read_text().splitlines()
+    for i, edit in ((40, lambda r: r.rsplit(",", 3)[0]),
+                    (41, lambda r: r + ",1.5,2.5,3.5"),
+                    (42, lambda r: r.replace(",9,", ",8,", 1))):
+        damaged(path, [meta, header, *rows], i, edit)
+        with pytest.raises(FieldFormatError) as want:
+            per_line_fit_sizes(path)
+        with pytest.raises(FieldFormatError) as got:
+            load_fit(path)
+        assert str(got.value) == str(want.value)
+        assert f":{i}: set size " in str(got.value)
+
+
+def test_text_only_float_reads_is_rejected_on_its_line(tmp_path):
+    """``float`` reads ``1_0`` and non-ASCII digits; the C conversion does
+    not, and the error names the line rather than returning another
+    value."""
+    path = tmp_path / "t.csv"
+    for tok in ("1_0", "٣", "1_000.5"):
+        path.write_text(f"n,v,...\n1,2\n\n3,{tok},5\n6,7\n")
+        with pytest.raises(FieldFormatError) as got:
+            read_table(path, "n,v,...")
+        assert str(got.value) == \
+            f"{path}:4: could not convert string to float: '{tok}'"
+
+
+def held_bytes(lines, rows):
+    """Bytes of the line-number array and the row lists with their floats,
+    all alive when the per-line reader returns: a lower bound of its
+    tracemalloc peak (tracing that reader itself takes seconds)."""
+    return (lines.nbytes + sys.getsizeof(rows)
+            + sum(map(sys.getsizeof, rows))
+            + sum(map(sys.getsizeof, itertools.chain.from_iterable(rows))))
+
+
+def test_reading_a_large_field_takes_no_more_memory_than_the_reference(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 200_000
+    data = rng.normal(scale=5.0, size=(n, 7))
+    path = tmp_path / "field.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(FIELD_HEADER + "\n")
+        fh.write(("%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n" * n)
+                 % tuple(data.ravel().tolist()))
+    del data
+    tracemalloc.start()
+    try:
+        _, lines, _, values = read_table(path, FIELD_HEADER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, want_lines, rows = per_line_read_table(path, FIELD_HEADER)
+    assert values.shape == (n, 7)
+    assert np.array_equal(lines, want_lines)
+    assert bits(values) == bits(rows)
+    assert peak <= held_bytes(want_lines, rows), (peak, held_bytes(want_lines, rows))
+
+
+# ======================================================================
+# the commands: one stacked mean per set size
+# ======================================================================
+
+def test_commands_equal_the_per_cell_means(grid, fit, fine_grid, fine_fit):
+    for g, f in ((grid, fit), (fine_grid, fine_fit), (grid, mixed_fit(fit))):
+        cells = sorted(f.results)
+        want = np.stack([f.results[c].command for c in cells])
+        got_cells, got = f.commands()
+        assert got_cells.tolist() == cells
+        assert bits(got) == bits(want)
+        rebuilt = grid_from_fit(f, lattice_meta(g))
+        assert bits(rebuilt.v_target[cells]) == bits(want)
+        table = build_command_table(g, f, 0.1)
+        assert bits(table[cells]) == bits(0.1 * want)
