@@ -229,7 +229,8 @@ def _cmd_analyze(args) -> int:
     balance = population_balance(run)
     for k in ("injected", "retired", "active", "faults", "balanced"):
         print(f"{k}={balance[k]}")
-    for name, column in zip(EVENT_KINDS, run.frame_counts.T):
+    for name, column in zip(("active", *EVENT_KINDS),
+                            [run.frame_active, *run.frame_counts.T]):
         k = int(np.argmax(column))
         print(f"peak_{name}={column[k]}")
         print(f"peak_{name}_frame={k if column[k] else 'none'}")

@@ -136,21 +136,22 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
         used += 1
         if len(rec.cells) == 0:
             continue
-        occ[rec.cells] += 1
-        total[rec.cells] += rec.counts
-        usum[rec.cells] += rec.vsum / rec.counts[:, None]
+        cells = rec.cells.astype(np.intp)     # index once, not per use
+        occ[cells] += 1
+        total[cells] += rec.counts
+        usum[cells] += rec.vsum / rec.counts[:, None]
         cdev2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
-        pint_sum[rec.cells] += coeff * cdev2
+        pint_sum[cells] += coeff * cdev2
         # temperature: random part from in-cell spread, control part from
         # the instantaneous mass density
         cell_mass = mass * rec.counts
-        temp_sum[rec.cells] += (
+        temp_sum[cells] += (
             random_temperature_from_spread(mass * cdev2, cell_mass, params)
             + control_temperature(cell_mass / grid.cell_volume,
                                   trace.plant.a_max, params))
         fin = np.isfinite(rec.dev2)
-        pdev_sum[rec.cells[fin]] += coeff * rec.dev2[fin]
-        pdev_frames[rec.cells[fin]] += 1
+        pdev_sum[cells[fin]] += coeff * rec.dev2[fin]
+        pdev_frames[cells[fin]] += 1
     if used == 0:
         raise ValueError("no frames after the transient window")
 

@@ -504,15 +504,18 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
     raise RuntimeError(f"no root within {maxiter} steps")
 
 
-def _disc_offsets(radius: float, rings: int) -> np.ndarray:
-    """Polar sampling of a disc: center point plus ``rings`` rings of 8k points."""
-    pts = [(0.0, 0.0)]
+def _disc_pattern(rings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Polar sampling of a disc, center point plus ``rings`` rings of 8k
+    points: each point's ring index k (0 at the center) and the cosine and
+    sine of its angle. A disc of radius r has its points at radius
+    ``r * k / rings``."""
+    ring, ang = [np.zeros(1)], [np.zeros(1)]
     for kk in range(1, rings + 1):
-        rr = radius * kk / rings
         m = 8 * kk
-        ang = 2.0 * np.pi * np.arange(m) / m
-        pts.extend(zip(rr * np.cos(ang), rr * np.sin(ang)))
-    return np.asarray(pts)
+        ring.append(np.full(m, float(kk)))
+        ang.append(2.0 * np.pi * np.arange(m) / m)
+    ang = np.concatenate(ang)
+    return np.concatenate(ring), np.cos(ang), np.sin(ang)
 
 
 def generate_quasi1d_field(geometry: NozzleGeometry | None = None,
@@ -556,22 +559,23 @@ def generate_quasi1d_field(geometry: NozzleGeometry | None = None,
     total_h = float(gas.enthalpy(rho_in)) + 0.5 * inlet_speed ** 2
 
     xs = np.linspace(0.0, geometry.length, axial_stations)
-    positions, velocities, pressures = [], [], []
-    for x, area, radius in zip(xs, geometry.area(xs).tolist(),
-                               geometry.radius(xs).tolist()):
+    radii = geometry.radius(xs)
+    speeds, pressures = [], []
+    for x, area in zip(xs, geometry.area(xs).tolist()):
         rho, v = _solve_station(area, mdot, total_h, gas, float(x))
-        p_gauge = float(gas.pressure(rho)) - gas.inlet_pressure
-        offs = _disc_offsets(radius, radial_rings)
-        n = len(offs)
-        pos = np.column_stack([np.full(n, x), offs[:, 0], offs[:, 1]])
-        vel = np.column_stack([np.full(n, v), np.zeros(n), np.zeros(n)])
-        positions.append(pos)
-        velocities.append(vel)
-        pressures.append(np.full(n, p_gauge))
+        speeds.append(v)
+        pressures.append(float(gas.pressure(rho)) - gas.inlet_pressure)
 
-    return ReferenceField(
-        np.vstack(positions), np.vstack(velocities), np.concatenate(pressures),
-        geometry=geometry, gas=gas)
+    # every station samples the same disc pattern, scaled to its radius
+    ring, cos, sin = _disc_pattern(radial_rings)
+    rr = radii[:, None] * ring / radial_rings
+    n = len(ring)
+    positions = np.column_stack([np.repeat(xs, n), (rr * cos).ravel(),
+                                 (rr * sin).ravel()])
+    velocities = np.zeros_like(positions)
+    velocities[:, 0] = np.repeat(speeds, n)
+    return ReferenceField(positions, velocities, np.repeat(pressures, n),
+                          geometry=geometry, gas=gas)
 
 
 def station_profile(fld: ReferenceField) -> np.ndarray:

@@ -22,11 +22,15 @@ one (9, N) block, one contiguous row per component, which the plant steps
 row by row, binning reads without a copy, and the frame reduction sums in
 one (5, N) block; the wall test evaluates the duct radius only for agents
 past the throat radius. Everything a trace holds (frame records,
-trajectory snapshots) keeps the (N, 3) and (K, 3) shapes. Each
-event is one row of the run's event table, its only population record: the
-per-frame counts and the totals are computed from it. All randomness is
-drawn from generators seeded by (seed, purpose, index), so traces are
-reproducible.
+trajectory snapshots) keeps the (N, 3) and (K, 3) shapes. The frame
+records fill fixed-size chunks of int32 cells and counts and float64 sums,
+48 B a row, which no frame copies or grows; each record views its rows of
+one chunk, and ``save_run`` streams the records to the run file without
+joining them into whole columns. Each event is one row of the run's event
+table, its only population record: the per-frame counts and the totals are
+computed from it, and the per-frame active count from the frame records.
+All randomness is drawn from generators seeded by (seed, purpose, index),
+so traces are reproducible.
 
 Collisions are classified from the pair kinematics: a same-direction closing
 pair is an overtake (speed transfer from faster to slower); anti-parallel
@@ -91,14 +95,19 @@ class SimConfig:
         if not (math.isfinite(self.collision_radius)
                 and self.collision_radius > 0):
             raise ValueError("collision_radius must be finite and positive")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.trajectory_stride < 1:
+            raise ValueError("trajectory_stride must be at least 1")
 
 
 @dataclass
 class FrameRecord:
-    """Per-cell sums for one frame; cells with no active agents are absent."""
+    """Per-cell sums for one frame; cells with no active agents are absent.
+    Cells and counts are int32, the sums float64."""
 
     cells: np.ndarray       # (K,) flat indices, ascending
-    counts: np.ndarray      # (K,) agents per cell
+    counts: np.ndarray      # (K,) agents per cell, each at least 1
     vsum: np.ndarray        # (K, 3) velocity sums
     sumv2: np.ndarray       # (K,) sum of squared speeds
     dev2: np.ndarray        # (K,) sum ||v - v_target||^2 (NaN without a target)
@@ -142,6 +151,13 @@ class SimulationTrace:
         n = len(EVENT_KINDS)
         return np.bincount(self.events.frame * n + self.events.kind,
                            minlength=len(self.frame_t) * n).reshape(-1, n)
+
+    @property
+    def frame_active(self) -> np.ndarray:
+        """(frames,) active agents at the end of each frame: the sum of
+        the frame's per-cell counts, 0 for an empty frame."""
+        return np.fromiter((r.counts.sum() for r in self.frames),
+                           dtype=np.int64, count=len(self.frames))
 
     @property
     def totals(self) -> dict:
@@ -505,6 +521,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
     n_frames = int(round(config.duration / config.dt))
     frame_t = (np.arange(n_frames) + 1) * config.dt
     frames, trajectories = [], []
+    chunks = _FrameChunks()
     log = _EventLog()
     pop = _Population()
     if config.case == "tunnel_seeding":
@@ -557,7 +574,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                 log.add(k, RETIRE, pop.gid[gone])
                 pop.keep(~(bad | gone))
 
-        frames.append(_record_frame(pop, grid, targets))
+        frames.append(_record_frame(pop, grid, targets, chunks))
         if config.record_trajectories and k % config.trajectory_stride == 0:
             trajectories.append((float(frame_t[k]), pop.gid.copy(),
                                  pop.pos.T.copy(), pop.vel.T.copy()))
@@ -604,16 +621,47 @@ class _EventLog:
         self.n = end
 
 
+FRAME_CHUNK_ROWS = 1 << 16     # frame rows a chunk holds, 3 MiB at 48 B a row
+
+
+class _FrameChunks:
+    """A run's frame rows, frame after frame, in chunks of
+    ``FRAME_CHUNK_ROWS`` rows (or of one frame's rows, when a frame holds
+    more): an int32 cells column, an int32 counts column and a float64
+    (R, 5) sums block. A chunk is filled in place and never grown, so the
+    rows are never held twice over, and a frame that does not fit in what
+    is left of the chunk starts the next one."""
+
+    def __init__(self):
+        self._new(0)
+
+    def _new(self, rows) -> None:
+        self.cells = np.empty(rows, dtype=np.int32)
+        self.counts = np.empty(rows, dtype=np.int32)
+        self.sums = np.empty((rows, 5))
+        self.used = 0
+
+    def take(self, k) -> tuple:
+        """Views of the next ``k`` rows: cells, counts and sums."""
+        if self.used + k > len(self.cells):
+            self._new(max(FRAME_CHUNK_ROWS, k))
+        rows = slice(self.used, self.used + k)
+        self.used += k
+        return self.cells[rows], self.counts[rows], self.sums[rows]
+
+
 def _record_frame(pop: _Population, grid: ControlVolumeGrid,
-                  targets: np.ndarray) -> FrameRecord:
+                  targets: np.ndarray, chunks: _FrameChunks) -> FrameRecord:
     """Per-cell sums over the active agents, whose cells it leaves on
     ``pop.flat`` for the next frame's commands; ``targets`` holds the
-    cells' target velocities as (3, cells) rows.
+    cells' target velocities as (3, cells) rows, and ``chunks`` the run's
+    frame rows, where the record's fields are written.
 
     The agents, sorted by cell, fill one (5, N) block of rows vx, vy, vz,
     |v|^2 and |v - v_target|^2, and one ``reduceat`` sums it per cell into
-    a (K, 5) block whose columns the record's fields view. The squares add
-    x, z, then y: the order of ``einsum("ij,ij->i")`` on (N, 3) rows.
+    a (K, 5) block of the chunk whose columns the record's fields view. The
+    squares add x, z, then y: the order of ``einsum("ij,ij->i")`` on (N, 3)
+    rows.
     """
     flat = pop.flat
     flat[...] = assign_cell(pop.pos.T, grid)
@@ -626,14 +674,14 @@ def _record_frame(pop: _Population, grid: ControlVolumeGrid,
     first[:1] = True
     np.not_equal(flat_s[1:], flat_s[:-1], out=first[1:])
     start = first.nonzero()[0]
-    cells = flat_s[start]
-    counts = np.diff(np.append(start, len(flat_s)))
+    cells, counts, sums = chunks.take(len(start))
+    cells[...] = flat_s[start]
+    counts[...] = np.diff(start, append=len(flat_s))
     block = np.empty((5, len(order)))
     v = np.take(pop.vel, order, axis=1, out=block[:3])
     _sum_squares(np.square(v), out=block[3])
     d = np.take(targets, flat_s, axis=1)
     _sum_squares(np.square(np.subtract(v, d, out=d), out=d), out=block[4])
-    sums = np.empty((len(start), 5))
     np.add.reduceat(block, start, axis=1, out=sums.T)
     return FrameRecord(cells, counts, sums[:, :3], sums[:, 3], sums[:, 4])
 
@@ -646,7 +694,7 @@ def _sum_squares(sq, out) -> np.ndarray:
 
 def population_balance(trace: SimulationTrace) -> dict:
     """Bookkeeping: injected = still-active + retired + faulted."""
-    total, active = trace.totals, int(trace.frames[-1].counts.sum())
+    total, active = trace.totals, int(trace.frame_active[-1])
     injected, retired, faults = total["inject"], total["retire"], total["fault"]
     return {"injected": injected, "active": active, "retired": retired,
             "faults": faults, "balanced": injected == active + retired + faults}
@@ -657,50 +705,60 @@ def population_balance(trace: SimulationTrace) -> dict:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 5
-FRAME_COLUMNS = ("cells", "counts", "vsum", "sumv2", "dev2")
-TRAJ_COLUMNS = ("traj_ids", "traj_pos", "traj_vel")
+RUN_FORMAT = 6
+# the columns streamed record by record: dtype and the shape of one row
+FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
+                 "vsum": (np.float64, (3,)), "sumv2": (np.float64, ()),
+                 "dev2": (np.float64, ())}
+TRAJ_COLUMNS = {"traj_ids": (np.int64, ()), "traj_pos": (np.float64, (3,)),
+                "traj_vel": (np.float64, (3,))}
 RUN_KEYS = ("meta", "frame_t", "frame_offsets", *FRAME_COLUMNS,
             *("event_" + f.name for f in fields(EventTable)),
             "traj_t", "traj_offsets", *TRAJ_COLUMNS)
 META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size")
 
 
-def _run_columns(trace: SimulationTrace, meta: dict):
-    """(name, array) pairs of the run record, each built when it is asked for."""
-    frames, snaps = trace.frames, trace.trajectories
-    yield "meta", np.array(json.dumps(meta))
-    yield "frame_t", trace.frame_t
-    yield "frame_offsets", np.cumsum([0] + [len(r.cells) for r in frames])
-    for name in FRAME_COLUMNS:     # a run has at least one frame
-        yield name, np.concatenate([getattr(r, name) for r in frames])
-    for name, column in vars(trace.events).items():
-        yield "event_" + name, column
-    yield "traj_t", np.array([s[0] for s in snaps], dtype=float)
-    yield "traj_offsets", np.cumsum([0] + [len(s[1]) for s in snaps])
-    for i, name in enumerate(TRAJ_COLUMNS, start=1):
-        yield name, np.concatenate([s[i] for s in snaps] or [
-            np.empty(0, dtype=np.int64) if i == 1 else np.empty((0, 3))])
+def _write_parts(zf, name, parts, dtype, row) -> None:
+    """One ``.npy`` member holding the rows of ``parts`` one after another:
+    the header for the full length, then each part in turn, so no column is
+    ever joined in memory. The bytes are those ``np.lib.format.write_array``
+    writes for the joined column."""
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+              "fortran_order": False,
+              "shape": (sum(len(p) for p in parts), *row)}
+    with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for part in parts:
+            fh.write(np.ascontiguousarray(part, dtype=dtype))
 
 
 def save_run(trace: SimulationTrace, outdir) -> None:
     """Write the whole trace to ``outdir/trace.npz`` (binary, uncompressed).
 
     Frame records and trajectory snapshots are flat columns cut by offsets,
-    the event table is one column per field, and config and plant are one
-    JSON string; counts are not stored. ``load_run`` reads back a trace
-    equal to this one. Columns are built and written one at a time, so the
-    frames are never held twice over.
+    streamed record by record; the event table is one column per field, and
+    config and plant are one JSON string; counts are not stored.
+    ``load_run`` reads back a trace equal to this one.
     """
     os.makedirs(outdir, exist_ok=True)
     meta = {"format": RUN_FORMAT, "config": asdict(trace.config),
             "plant": asdict(trace.plant),
             "injection_rate": trace.injection_rate,
             "batch_size": trace.batch_size}
+    frames, snaps = trace.frames, trace.trajectories
+    columns = {"meta": np.array(json.dumps(meta)), "frame_t": trace.frame_t,
+               "frame_offsets": np.cumsum([0] + [len(r.cells) for r in frames]),
+               "traj_t": np.array([s[0] for s in snaps], dtype=float),
+               "traj_offsets": np.cumsum([0] + [len(s[1]) for s in snaps])}
+    columns.update(("event_" + k, v) for k, v in vars(trace.events).items())
     with zipfile.ZipFile(os.path.join(outdir, RUN_FILE), "w") as zf:
-        for name, column in _run_columns(trace, meta):
+        for name, column in columns.items():
             with zf.open(name + ".npy", "w", force_zip64=True) as fh:
                 np.lib.format.write_array(fh, column, allow_pickle=False)
+        for name, layout in FRAME_COLUMNS.items():
+            _write_parts(zf, name, [getattr(r, name) for r in frames], *layout)
+        for i, (name, layout) in enumerate(TRAJ_COLUMNS.items(), start=1):
+            _write_parts(zf, name, [s[i] for s in snaps], *layout)
 
 
 def _split(columns: list, offsets: np.ndarray, n: int) -> list[tuple]:
@@ -725,9 +783,10 @@ def _dataclass_from(cls, values: dict):
 def load_run(rundir) -> SimulationTrace:
     """Read back the trace ``save_run`` wrote to ``rundir``.
 
-    Raises ValueError on a missing key, another format version, columns
-    whose lengths disagree with each other or with their offsets, an event
-    kind outside ``EVENT_KINDS``, or an event frame outside the run.
+    Raises ValueError on a missing key, another format version, a frame or
+    trajectory column of another dtype or row shape, a cell count below 1,
+    columns whose lengths disagree with each other or with their offsets,
+    an event kind outside ``EVENT_KINDS``, or an event frame outside the run.
     """
     with np.load(os.path.join(rundir, RUN_FILE), allow_pickle=False) as npz:
         missing = sorted(set(RUN_KEYS) - set(npz.files))
@@ -741,6 +800,14 @@ def load_run(rundir) -> SimulationTrace:
     if meta["format"] != RUN_FORMAT:
         raise ValueError(f"{RUN_FILE}: format {meta['format']!r}, "
                          f"expected {RUN_FORMAT}")
+    for name, (dtype, row) in {**FRAME_COLUMNS, **TRAJ_COLUMNS}.items():
+        if a[name].dtype != dtype or a[name].shape[1:] != row \
+                or a[name].ndim != 1 + len(row):
+            shape = ", ".join(["rows", *map(str, row)])
+            raise ValueError(f"{RUN_FILE}: {name} is not {np.dtype(dtype)} "
+                             f"of shape ({shape})")
+    if np.any(a["counts"] < 1):
+        raise ValueError(f"{RUN_FILE}: a frame cell count below 1")
     columns = [a["event_" + f.name] for f in fields(EventTable)]
     if any(c.dtype != np.int64 or c.shape != columns[0].shape or c.ndim != 1
            for c in columns):

@@ -49,14 +49,14 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
 
 
 def test_the_readme_pipeline_runs_without_scipy(tmp_path):
-    """The README pipeline, with collisions on, and the plant suite, in a
-    process where any ``import scipy`` fails."""
+    """The README pipeline, with collisions and trajectories on, and the
+    plant suite, in a process where any ``import scipy`` fails."""
     commands = [
         ["generate-field", "--output", "field.csv"],
         ["partition", "--field", "field.csv", "--output", "grid.csv"],
         ["fit", "--partition", "grid.csv", "--output", "fit.csv", "--seed", "0"],
         ["simulate", "--fit", "fit.csv", "--out", "run", "--duration", "5",
-         "--collisions"],
+         "--collisions", "--trajectories"],
         ["analyze", "--run", "run", "--targets", "grid.csv"],
         ["plant-test", "--scenario", "all", "--out", "plant.csv"],
         ["version"],
@@ -67,7 +67,7 @@ def test_the_readme_pipeline_runs_without_scipy(tmp_path):
                       f"for argv in {commands!r}:\n"
                       "    assert main(argv) == 0, argv\n", tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert "balanced=True" in proc.stdout
+    assert "balanced=True" in proc.stdout.splitlines()
     assert (tmp_path / "run" / "metrics.txt").exists()
     assert (tmp_path / "plant.csv").exists()
 
@@ -120,6 +120,10 @@ def test_full_pipeline(tmp_path, capsys):
     # per-frame counter peaks: equal batches, the first in frame 0; no
     # collision of any kind without collisions on
     assert "\npeak_inject_frame=0\n" in out
+    active = load_run(rundir).frame_active
+    k = int(np.argmax(active))
+    assert f"\npeak_active={active[k]}\npeak_active_frame={k}\n" in out
+    assert active[k] > 0
     for kind in ("overtake", "headon", "sideswipe"):
         assert f"\npeak_collision_{kind}=0\npeak_collision_{kind}_frame=none\n" \
             in out, kind
@@ -246,7 +250,9 @@ def test_flags_a_subcommand_never_reads_are_rejected(argv, tmp_path,
 
 
 @pytest.mark.parametrize("flags", [["--duration", "0.02"], ["--dt", "0"],
-                                   ["--scale", "-1"], ["--dt-source", "0.01"]])
+                                   ["--scale", "-1"], ["--dt-source", "0.01"],
+                                   ["--batch-size", "0"],
+                                   ["--batch-size", "-3"]])
 def test_simulate_config_errors_are_usage_errors(flags, tmp_path, monkeypatch,
                                                  capsys):
     # rejected before the fit is read: this one does not exist

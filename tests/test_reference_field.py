@@ -129,6 +129,50 @@ def test_brent_port_gives_scipys_fields_bit_for_bit(sound_speed, monkeypatch):
         assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
 
 
+def per_station_field(geometry, gas, inlet_speed, stations, rings):
+    """The generator as it was written: one station at a time, its disc
+    sampling rebuilt from a list of points for each station."""
+    rho_in = gas.inlet_density
+    mdot = rho_in * inlet_speed * geometry.area(0.0)
+    total_h = float(gas.enthalpy(rho_in)) + 0.5 * inlet_speed ** 2
+    xs = np.linspace(0.0, geometry.length, stations)
+    positions, velocities, pressures = [], [], []
+    for x, area, radius in zip(xs, geometry.area(xs).tolist(),
+                               geometry.radius(xs).tolist()):
+        rho, v = reference_field._solve_station(area, mdot, total_h, gas,
+                                                float(x))
+        p_gauge = float(gas.pressure(rho)) - gas.inlet_pressure
+        pts = [(0.0, 0.0)]
+        for kk in range(1, rings + 1):
+            rr = radius * kk / rings
+            m = 8 * kk
+            ang = 2.0 * np.pi * np.arange(m) / m
+            pts.extend(zip(rr * np.cos(ang), rr * np.sin(ang)))
+        offs = np.asarray(pts)
+        n = len(offs)
+        positions.append(np.column_stack([np.full(n, x), offs[:, 0],
+                                          offs[:, 1]]))
+        velocities.append(np.column_stack([np.full(n, v), np.zeros(n),
+                                           np.zeros(n)]))
+        pressures.append(np.full(n, p_gauge))
+    return np.vstack(positions), np.vstack(velocities), np.concatenate(pressures)
+
+
+@pytest.mark.parametrize("geometry, stations, rings", [
+    (NozzleGeometry(), 151, 6),
+    (NozzleGeometry(length=9.0, throat_x=2.5, throat_radius=0.6), 41, 3),
+    (NozzleGeometry(), 7, 1),
+])
+def test_scaled_disc_pattern_equals_the_per_station_construction(
+        geometry, stations, rings):
+    gas = GasModel()
+    got = generate_quasi1d_field(geometry=geometry, gas=gas,
+                                 axial_stations=stations, radial_rings=rings)
+    want = per_station_field(geometry, gas, 3.38, stations, rings)
+    for name, column in zip(("positions", "velocities", "pressures"), want):
+        assert np.array_equal(getattr(got, name), column), name
+
+
 def test_brent_port_rejects_a_bracket_without_a_sign_change():
     with pytest.raises(ValueError, match="different signs"):
         reference_field._brentq(lambda x: x * x + 1.0, -1.0, 1.0,

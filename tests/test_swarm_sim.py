@@ -1,9 +1,11 @@
 """Swarm simulation tests: command broadcast, injection, collisions,
 determinism, bookkeeping, and the run record round trip."""
 
+import io
 import itertools
 import json
 import tracemalloc
+import zipfile
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -543,6 +545,39 @@ def test_every_frame_counts_every_active_agent(trace60):
         - total["fault"]
 
 
+def active_from_events(trace):
+    """Active agents at the end of each frame from the event table alone."""
+    counts = trace.frame_counts
+    return np.cumsum(counts[:, swarm_sim.INJECT] - counts[:, swarm_sim.RETIRE]
+                     - counts[:, swarm_sim.FAULT])
+
+
+@pytest.mark.parametrize("faults", [0, 1])
+def test_frame_active_follows_the_events_frame_by_frame(grid, fit,
+                                                        monkeypatch, faults):
+    if faults:
+        monkeypatch.setattr(swarm_sim, "plant_step", poisoned_plant(30))
+    # full command speed, so agents retire within the run
+    trace = short_run(grid, fit, seed=2, scale=1.0)
+    assert trace.totals["fault"] == faults and trace.totals["retire"] > 0
+    active = trace.frame_active
+    assert active.dtype == np.int64 and len(active) == len(trace.frame_t)
+    assert np.array_equal(active, active_from_events(trace))
+    assert population_balance(trace)["active"] == active[-1] > 0
+
+
+def test_an_empty_frame_counts_no_active_agent(grid, fit):
+    # at full command speed the seeded agents have all left the duct by
+    # frame 50, and nobody enters after them
+    trace = run_simulation(grid, fit, SimConfig(case="tunnel_seeding",
+                                                duration=5.0, scale=1.0))
+    empty = [len(r.cells) == 0 for r in trace.frames]
+    assert empty[-1] and not empty[0]
+    active = trace.frame_active
+    assert np.array_equal(active == 0, empty)
+    assert np.array_equal(active, active_from_events(trace))
+
+
 def test_wall_escapes_are_logged_once(trace60):
     agents = trace60.events.a[
         trace60.events.kind == EVENT_KINDS.index("wall_escape")]
@@ -768,7 +803,8 @@ def test_frame_reduce_equals_the_per_column_sums_on_crowded_cells(grid, fit):
     ref = FullScanPopulation()
     ref.append(pos, vel, thr)
     got = swarm_sim._record_frame(pop, grid,
-                                  np.ascontiguousarray(grid.v_target.T))
+                                  np.ascontiguousarray(grid.v_target.T),
+                                  swarm_sim._FrameChunks())
     want = full_scan_record_frame(ref, grid)
     assert np.count_nonzero(got.counts >= 9) > 10 and got.counts.max() >= 300
     assert frames_equal([got], [want])
@@ -983,6 +1019,14 @@ def test_config_validation():
     for radius in (-0.1, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="collision_radius"):
             SimConfig(collision_radius=radius)
+    for size in (-3, 0):
+        with pytest.raises(ValueError, match="batch_size"):
+            SimConfig(batch_size=size)
+    assert SimConfig(batch_size=1).batch_size == 1
+    for stride in (-1, 0):
+        with pytest.raises(ValueError, match="trajectory_stride"):
+            SimConfig(record_trajectories=True, trajectory_stride=stride)
+    assert SimConfig(trajectory_stride=1).trajectory_stride == 1
 
 
 # ----------------------------------------------------------------------
@@ -1061,6 +1105,33 @@ def _format_4(cols):
     _set_format(cols, 4)
 
 
+def _format_5(cols):
+    # the layout with int64 cells and counts columns
+    cols.update(cells=cols["cells"].astype(np.int64),
+                counts=cols["counts"].astype(np.int64))
+    _set_format(cols, 5)
+
+
+def _int64_cells(cols):
+    cols["cells"] = cols["cells"].astype(np.int64)
+
+
+def _float_cells(cols):
+    cols["cells"] = cols["cells"].astype(float)
+
+
+def _int64_counts(cols):
+    cols["counts"] = cols["counts"].astype(np.int64)
+
+
+def _two_column_vsum(cols):
+    cols["vsum"] = np.ascontiguousarray(cols["vsum"][:, :2])
+
+
+def _zero_count(cols):
+    cols["counts"][len(cols["counts"]) // 2] = 0
+
+
 def _unknown_kind(cols):
     cols["event_kind"][-1] = len(EVENT_KINDS)
 
@@ -1086,8 +1157,14 @@ def _float_event_kinds(cols):
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
     (_format_2, "missing"),
-    (_format_3, "format 3, expected 5"),
+    (_format_3, "format 3, expected 6"),
     (_format_4, r"missing \['event_frame'\]"),
+    (_format_5, "format 5, expected 6"),
+    (_int64_cells, "cells is not int32"),
+    (_float_cells, "cells is not int32"),
+    (_int64_counts, "counts is not int32"),
+    (_two_column_vsum, r"vsum is not float64 of shape \(rows, 3\)"),
+    (_zero_count, "count below 1"),
     (_unknown_kind, "unknown event kind"),
     (_frame_past_the_run, "event frame outside the run"),
     (_negative_frame, "event frame outside the run"),
@@ -1104,3 +1181,50 @@ def test_load_run_rejects_a_damaged_record(tmp_path, grid, fit, corrupt,
     np.savez(path, **cols)
     with pytest.raises(ValueError, match=message):
         load_run(tmp_path)
+
+
+def test_streamed_columns_are_the_bytes_of_the_joined_columns(tmp_path, grid,
+                                                              fit):
+    """Each frame and trajectory member of the run file holds the bytes
+    ``np.lib.format.write_array`` writes for the whole column."""
+    trace = short_run(grid, fit, seed=8, record_trajectories=True)
+    save_run(trace, tmp_path)
+    joined = {name: np.concatenate([getattr(r, name) for r in trace.frames])
+              for name in swarm_sim.FRAME_COLUMNS}
+    for i, name in enumerate(swarm_sim.TRAJ_COLUMNS, start=1):
+        joined[name] = np.concatenate([snap[i] for snap in trace.trajectories])
+    assert joined["cells"].dtype == joined["counts"].dtype == np.int32
+    assert len(trace.trajectories) > 1
+    with zipfile.ZipFile(tmp_path / "trace.npz") as zf:
+        for name, column in joined.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, column, allow_pickle=False)
+            assert zf.read(name + ".npy") == buf.getvalue(), name
+
+
+def test_save_run_allocates_less_than_one_chunk(tmp_path, trace60):
+    """The frame columns are streamed: writing them never allocates a whole
+    column, nor even one chunk of frame rows."""
+    chunk = swarm_sim.FRAME_CHUNK_ROWS * 48     # bytes of one chunk's rows
+    rows = sum(len(r.cells) for r in trace60.frames)
+    assert rows * 24 > 4 * chunk    # the vsum column alone holds 4 chunks
+    tracemalloc.start()
+    try:
+        save_run(trace60, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < chunk
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 100])
+def test_frame_rows_across_chunks_keep_every_value(grid, fit, monkeypatch,
+                                                   chunk_rows):
+    """Frames that outgrow a chunk, or do not fit in what is left of one,
+    give the records of a run in one chunk."""
+    want = short_run(grid, fit, seed=5, duration=10.0)
+    assert len(want.frames[-1].cells) > 100
+    monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", chunk_rows)
+    got = short_run(grid, fit, seed=5, duration=10.0)
+    assert frames_equal(got.frames, want.frames)
+    assert all(r.cells.dtype == r.counts.dtype == np.int32 for r in got.frames)

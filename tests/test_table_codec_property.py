@@ -96,7 +96,10 @@ def test_the_strategy_reaches_every_outcome(tmp_path):
     only ``float`` reads."""
     seen = set()
 
+    # one fixed draw sequence: a reachability witness, not a sample that
+    # misses the rarest outcome now and then
     @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(tables())
     def classify(table):
