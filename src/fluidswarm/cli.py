@@ -157,8 +157,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_fit(args) -> int:
     grid = load_partition(args.partition)
-    fit = fit_grid(grid, FitConfig(agent_mass=args.agent_mass,
-                                   rng_seed=args.seed))
+    fit = fit_grid(grid, args.config)
     save_fit(fit, grid, args.output)
     print(f"fitted {len(fit.results)} cells, {SET_SIZE} velocities each "
           f"-> {args.output}")
@@ -257,12 +256,17 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        # a bad flag combination is a usage error, found before any file is read
-        try:
+    # a bad flag value is a usage error, found before any file is read
+    try:
+        if args.command == "simulate":
             args.config = _sim_config(args)
-        except ValueError as exc:
-            parser.error(f"simulate: {exc}")
+        elif args.command == "fit":
+            args.config = FitConfig(agent_mass=args.agent_mass,
+                                    rng_seed=args.seed)
+        elif args.command == "plant-test" and args.seed < 0:
+            raise ValueError("seed must be nonnegative")
+    except ValueError as exc:
+        parser.error(f"{args.command}: {exc}")
     return _DISPATCH[args.command](args)
 
 

@@ -124,7 +124,7 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
     M = grid.num_cells
     occ = np.zeros(M, dtype=np.int64)
     total = np.zeros(M)
-    usum = np.zeros((M, 3))
+    usum = np.zeros((3, M))       # one row per component: 1-D scatters
     pdev_sum = np.zeros(M)
     pdev_frames = np.zeros(M, dtype=np.int64)
     pint_sum = np.zeros(M)
@@ -139,7 +139,8 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
         cells = rec.cells.astype(np.intp)     # index once, not per use
         occ[cells] += 1
         total[cells] += rec.counts
-        usum[cells] += rec.vsum / rec.counts[:, None]
+        for row, vsum in zip(usum, rec.vsum.T):
+            row[cells] += vsum / rec.counts
         cdev2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
         pint_sum[cells] += coeff * cdev2
         # temperature: random part from in-cell spread, control part from
@@ -149,15 +150,15 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
             random_temperature_from_spread(mass * cdev2, cell_mass, params)
             + control_temperature(cell_mass / grid.cell_volume,
                                   trace.plant.a_max, params))
-        fin = np.isfinite(rec.dev2)
-        pdev_sum[cells[fin]] += coeff * rec.dev2[fin]
-        pdev_frames[cells[fin]] += 1
+        fin = np.isfinite(rec.dev2)           # cells with a target
+        pdev_sum[cells] += np.where(fin, coeff * rec.dev2, 0.0)
+        pdev_frames[cells] += fin
     if used == 0:
         raise ValueError("no frames after the transient window")
 
     with np.errstate(invalid="ignore", divide="ignore"):
         occupancy = total / occ
-        velocity = usum / occ[:, None]
+        velocity = np.ascontiguousarray((usum / occ).T)
         p_dev = pdev_sum / pdev_frames
         p_int = pint_sum / occ
         temperature = temp_sum / occ

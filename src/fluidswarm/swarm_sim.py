@@ -55,7 +55,7 @@ import numpy as np
 
 from .partition import ControlVolumeGrid, assign_cell
 from .reference_field import NozzleGeometry
-from .velocity_fit import GridFit
+from .velocity_fit import GridFit, cell_rngs
 from .velocity_plant import PlantParams, PlantState, step as plant_step
 
 CASES = ("tunnel_seeding", "reservoir")
@@ -99,6 +99,8 @@ class SimConfig:
             raise ValueError("batch_size must be at least 1")
         if self.trajectory_stride < 1:
             raise ValueError("trajectory_stride must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -319,13 +321,11 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
         length = grid.geometry.length if grid.geometry is not None \
             else grid.dims[0] * grid.edge_length
         bound = 0.5 * length
-    centers = grid.centers()
+    cells = np.array(sorted(fit.results), dtype=np.int64)
+    cells = cells[~(grid.centers()[cells, 0] > bound)]
     pos_list, vel_list = [], []
-    for f in sorted(fit.results):
-        if centers[f, 0] > bound:
-            continue
+    for f, rng in zip(cells.tolist(), cell_rngs((config.seed, 2), cells)):
         res = fit.results[f]
-        rng = np.random.default_rng((config.seed, 2, int(f)))
         lo = grid.origin + grid.unravel([f])[0] * grid.edge_length
         pos = lo + rng.random((res.n_star, 3)) * grid.edge_length
         vel = np.tile(config.scale * res.command, (res.n_star, 1))

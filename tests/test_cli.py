@@ -252,7 +252,8 @@ def test_flags_a_subcommand_never_reads_are_rejected(argv, tmp_path,
 @pytest.mark.parametrize("flags", [["--duration", "0.02"], ["--dt", "0"],
                                    ["--scale", "-1"], ["--dt-source", "0.01"],
                                    ["--batch-size", "0"],
-                                   ["--batch-size", "-3"]])
+                                   ["--batch-size", "-3"],
+                                   ["--seed", "-1"]])
 def test_simulate_config_errors_are_usage_errors(flags, tmp_path, monkeypatch,
                                                  capsys):
     # rejected before the fit is read: this one does not exist

@@ -19,6 +19,8 @@ from fluidswarm import (ConstitutiveParams, ControlVolumeGrid, NozzleGeometry,
                         run_simulation, save_metrics, save_run,
                         swarm_pressure, swarm_temperature,
                         transit_time_estimate, trend_check)
+from fluidswarm.primitives import (control_temperature, pressure_coefficient,
+                                   random_temperature_from_spread)
 from fluidswarm.swarm_sim import EVENT_KINDS, FrameRecord
 
 COEFF = 2.0 / (3.0 * 0.125)  # unit mass in a 0.5 m cell
@@ -362,6 +364,62 @@ def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
                 internal_pressure(m, v, vol, grid.v_target[c]), rel=1e-9)
             checked += 1
     assert checked > 10
+
+
+def per_frame_fields(trace, grid):
+    """derive_fields as a per-frame loop with (M, 3) velocity scatters and
+    boolean gathers of the cells with a target: the reference the array
+    form must equal bit for bit."""
+    transient = default_transient(trace.config.duration, transit_time_estimate(
+        grid, trace.config.scale))
+    mass, params = trace.plant.mass, ConstitutiveParams()
+    coeff = pressure_coefficient(mass, grid.cell_volume)
+    M = grid.num_cells
+    occ = np.zeros(M, dtype=np.int64)
+    total, usum = np.zeros(M), np.zeros((M, 3))
+    pdev_sum, pdev_frames = np.zeros(M), np.zeros(M, dtype=np.int64)
+    pint_sum, temp_sum = np.zeros(M), np.zeros(M)
+    used = 0
+    for k in np.flatnonzero(trace.frame_t > transient):
+        rec = trace.frames[k]
+        used += 1
+        cells = rec.cells.astype(np.intp)
+        occ[cells] += 1
+        total[cells] += rec.counts
+        usum[cells] += rec.vsum / rec.counts[:, None]
+        cdev2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
+        pint_sum[cells] += coeff * cdev2
+        cell_mass = mass * rec.counts
+        temp_sum[cells] += (
+            random_temperature_from_spread(mass * cdev2, cell_mass, params)
+            + control_temperature(cell_mass / grid.cell_volume,
+                                  trace.plant.a_max, params))
+        fin = np.isfinite(rec.dev2)
+        pdev_sum[cells[fin]] += coeff * rec.dev2[fin]
+        pdev_frames[cells[fin]] += 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        occupancy = total / occ
+        return dict(occupancy=occupancy, duty=occ / used,
+                    concentration=occupancy / grid.cell_volume,
+                    velocity=usum / occ[:, None],
+                    pressure_dev=pdev_sum / pdev_frames,
+                    pressure_int=pint_sum / occ, temperature=temp_sum / occ,
+                    occupied_frames=occ, frames_used=used, transient=transient)
+
+
+def test_derived_fields_equal_the_per_frame_loop_bit_for_bit(trace60, grid):
+    # the run has frames holding agents in cells without a target
+    nan_frames = sum(bool(np.isnan(r.dev2).any()) for r in trace60.frames)
+    assert nan_frames > len(trace60.frames) // 2
+    d = derive_fields(trace60, grid)
+    for name, want in per_frame_fields(trace60, grid).items():
+        got = getattr(d, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name   # NaNs included
+        else:
+            assert got == want, name
+    assert d.velocity.flags.c_contiguous
 
 
 def event_counts(trace, transient):

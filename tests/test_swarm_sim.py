@@ -229,6 +229,28 @@ def test_seed_tunnel_counts_and_placement(grid, fit):
         assert np.allclose(vel[i], cfg.scale * res.command)
 
 
+@pytest.mark.parametrize("seed", [4, 2 ** 33 + 1])
+def test_seed_tunnel_equals_per_cell_default_rng_seeding(grid, fit, seed):
+    """Cell f's agents are placed from default_rng((seed, 2, f)), cell by
+    cell in ascending order, as a per-cell construction places them."""
+    cfg = SimConfig(case="tunnel_seeding", seed=seed, seed_x_max=6.0)
+    centers = grid.centers()
+    pos_list, vel_list = [], []
+    for f in sorted(fit.results):
+        if centers[f, 0] > cfg.seed_x_max:
+            continue
+        res = fit.results[f]
+        rng = np.random.default_rng((seed, 2, f))
+        lo = grid.origin + grid.unravel([f])[0] * grid.edge_length
+        pos_list.append(lo + rng.random((res.n_star, 3)) * grid.edge_length)
+        vel_list.append(np.tile(cfg.scale * res.command, (res.n_star, 1)))
+    pos, vel, thr = seed_tunnel(grid, fit, cfg, PlantParams())
+    assert np.array_equal(pos, np.vstack(pos_list))
+    assert np.array_equal(vel, np.vstack(vel_list))
+    assert np.array_equal(thr, np.tile([0.0, 0.0, -PlantParams().gravity],
+                                       (len(pos), 1)))
+
+
 def test_seed_tunnel_respects_the_axial_bound(grid, fit):
     cfg = SimConfig(case="tunnel_seeding", seed_x_max=3.0)
     pos, _, _ = seed_tunnel(grid, fit, cfg, PlantParams())
@@ -1027,6 +1049,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match="trajectory_stride"):
             SimConfig(record_trajectories=True, trajectory_stride=stride)
     assert SimConfig(trajectory_stride=1).trajectory_stride == 1
+
+
+def test_a_negative_seed_is_rejected_when_built():
+    for seed in (-1, -2 ** 40):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SimConfig(seed=seed)
+    assert SimConfig(seed=2 ** 64 + 3).seed == 2 ** 64 + 3
 
 
 # ----------------------------------------------------------------------

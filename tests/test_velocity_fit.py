@@ -12,7 +12,7 @@ from fluidswarm import (FitConfig, fit_cell, fit_grid, grid_from_fit,
                         save_field, set_pressure)
 from fluidswarm.cli import main
 from fluidswarm.swarm_sim import build_command_table
-from fluidswarm.velocity_fit import SET_SIZE
+from fluidswarm.velocity_fit import SET_SIZE, cell_rngs, cell_seed_states
 
 VOL = 0.125  # 0.5 m cell
 
@@ -227,3 +227,74 @@ def test_fit_grid_needs_valid_cells(grid):
     empty = dataclasses.replace(grid, node_count=np.zeros_like(grid.node_count))
     with pytest.raises(ValueError, match="no valid cells"):
         fit_grid(empty)
+
+
+# ----------------------------------------------------------------------
+# per-cell streams: every cell seeded in one array pass
+# ----------------------------------------------------------------------
+
+CELLS = [0, 1, 2 ** 31, 2 ** 32 - 1]
+
+
+@pytest.mark.parametrize("seed, words", [(12345, 1), (2 ** 32 + 7, 2),
+                                         (2 ** 64 + 3, 3), (2 ** 130 + 11, 5)])
+def test_cell_seed_states_equal_seed_sequence(seed, words):
+    assert max(1, -(-seed.bit_length() // 32)) == words
+    for key in ((seed,), (seed, 2)):
+        want = np.stack([np.random.SeedSequence((*key, f)).generate_state(
+            4, np.uint64) for f in CELLS])
+        got = cell_seed_states(key, CELLS)
+        assert got.dtype == np.uint64 and got.shape == (len(CELLS), 4)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5])
+def test_cell_rngs_equal_default_rng(seed):
+    cells = np.arange(0, 3000, 7)
+    for f, rng in zip(cells.tolist(), cell_rngs((seed,), cells)):
+        ref = np.random.default_rng((seed, f))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.standard_normal((SET_SIZE, 3)),
+                              ref.standard_normal((SET_SIZE, 3)))
+        assert np.array_equal(rng.random(4), ref.random(4))
+
+
+@pytest.mark.parametrize("seed", [7, 2 ** 32 + 5])
+def test_fine_grid_fit_equals_per_cell_default_rng_fits(field, seed):
+    fine = partition_domain(field, edge_length=0.25)
+    gf = fit_grid(fine, FitConfig(rng_seed=seed))
+    assert len(gf.results) == int(fine.valid.sum()) > 5000
+    for f, res in gf.results.items():
+        again = fit_cell(fine.v_target[f],
+                         float(fine.p_target[f] - gf.pressure_offset),
+                         fine.cell_volume, gf.config,
+                         np.random.default_rng((seed, f)), cell=f)
+        assert np.array_equal(again.velocities, res.velocities)
+
+
+def test_negative_seeds_are_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        FitConfig(rng_seed=-1)
+    for key in ((-1,), (3, -2)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cell_seed_states(key, CELLS)
+    for cells in ([-1], [2 ** 32]):
+        with pytest.raises(ValueError, match="cell indices"):
+            cell_seed_states((0,), cells)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--partition", "g.csv", "--output", "fit.csv", "--seed", "-1"],
+    ["plant-test", "--scenario", "hover", "--out", "plant.csv", "--seed", "-1"],
+])
+def test_a_negative_cli_seed_is_a_usage_error(argv, tmp_path, monkeypatch,
+                                              capsys):
+    # rejected before any file is read: g.csv does not exist
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"error: {argv[0]}: " in err
+    assert "nonnegative" in err
+    assert not any(tmp_path.iterdir())
