@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import ControlVolumeGrid
-from .primitives import (ConstitutiveParams, control_temperature,
-                         pressure_coefficient, random_temperature_from_spread)
+from .primitives import (control_temperature, pressure_coefficient,
+                         random_temperature_from_spread)
 from .reference_field import _FMT
 from .swarm_sim import EVENT_KINDS, SimulationTrace, population_balance
 
@@ -107,8 +107,7 @@ class DerivedFields:
 
 
 def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
-                  transient: float | None = None,
-                  params: ConstitutiveParams | None = None) -> DerivedFields:
+                  transient: float | None = None) -> DerivedFields:
     """Time averages of the frames after ``transient``.
 
     Agent mass and the control temperature's ``a_max`` come from the plant
@@ -118,7 +117,6 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
         transit = transit_time_estimate(grid, trace.config.scale)
         transient = default_transient(trace.config.duration, transit)
     mass = trace.plant.mass
-    params = params or ConstitutiveParams()
     coeff = pressure_coefficient(mass, grid.cell_volume)
 
     M = grid.num_cells
@@ -147,9 +145,9 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
         # the instantaneous mass density
         cell_mass = mass * rec.counts
         temp_sum[cells] += (
-            random_temperature_from_spread(mass * cdev2, cell_mass, params)
+            random_temperature_from_spread(mass * cdev2, cell_mass)
             + control_temperature(cell_mass / grid.cell_volume,
-                                  trace.plant.a_max, params))
+                                  trace.plant.a_max))
         fin = np.isfinite(rec.dev2)           # cells with a target
         pdev_sum[cells] += np.where(fin, coeff * rec.dev2, 0.0)
         pdev_frames[cells] += fin

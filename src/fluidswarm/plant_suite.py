@@ -171,7 +171,10 @@ ALL_SCENARIOS = ("hover", "step", "max_speed", "headwind", "noise")
 
 def run_suite(params: PlantParams | None = None, seed: int = 0,
               scenarios=ALL_SCENARIOS) -> dict:
-    """Run the selected scenarios and attach pass/fail verdicts."""
+    """Run the selected scenarios and attach pass/fail verdicts. A negative
+    seed is rejected before any scenario runs."""
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     params = params or PlantParams()
     out: dict = {}
 

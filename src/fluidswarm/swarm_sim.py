@@ -334,7 +334,7 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     if not pos_list:
         raise ValueError("no cells to seed below the axial bound")
     vel = np.vstack(vel_list)
-    thr = np.tile([0.0, 0.0, -plant.gravity], (len(vel), 1))   # at hover
+    thr = PlantState.hover(plant, len(vel)).thrust_accel
     return np.vstack(pos_list), vel, thr
 
 
@@ -349,7 +349,7 @@ def make_batch(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     x = grid.origin[0] + rng.random(n_batch) * grid.edge_length
     pos = np.column_stack([x, rr * np.cos(th), rr * np.sin(th)])
     vel = np.tile(config.scale * fit.results[cell].command, (n_batch, 1))
-    return pos, vel, np.tile([0.0, 0.0, -plant.gravity], (n_batch, 1))
+    return pos, vel, PlantState.hover(plant, n_batch).thrust_accel
 
 
 # ======================================================================

@@ -13,7 +13,7 @@ q = sum_i ||w_i||^2. The set is v_target + s * w_i, with the spread
 
 so the set pressure c * s^2 * q equals P_target, and a zero target tiles
 the velocity target exactly. ``fit_grid`` solves every cell in one array
-pass; ``fit_cell`` is the same pass on one cell.
+pass.
 
 Reproducibility: every cell draws from its own generator seeded by
 (seed, cell index), so a cell's set does not depend on which other cells are
@@ -62,12 +62,11 @@ class FitConfig:
         if self.agent_mass <= 0:
             raise ValueError("agent_mass must be positive")
         if self.rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
 class FitResult:
-    cell: int                     # flat cell index
     n_star: int
     velocities: np.ndarray        # (n_star, 3)
 
@@ -171,28 +170,6 @@ def _solve(v_target, p_target, cell_volume: float, agent_mass: float,
     return v_target[:, None, :] + s[:, None, None] * w
 
 
-def fit_cell(v_target, p_target: float, cell_volume: float,
-             config: FitConfig | None = None,
-             rng: np.random.Generator | None = None,
-             cell: int = -1) -> FitResult:
-    """Fit a velocity set to one cell's targets.
-
-    ``p_target`` must already be nonnegative (callers shift by the field
-    minimum; see :func:`fit_grid`). The set is the first ``SET_SIZE`` 3-vector
-    draws of ``rng``, solved as in :func:`fit_grid`.
-    """
-    config = config or FitConfig()
-    rng = rng or np.random.default_rng(config.rng_seed)
-    if p_target < 0:
-        raise ValueError("pressure target must be nonnegative (pre-shifted)")
-    if cell_volume <= 0:
-        raise ValueError("cell_volume must be positive")
-    vel = _solve(np.asarray(v_target, dtype=float)[None], np.array([p_target]),
-                 cell_volume, config.agent_mass,
-                 rng.standard_normal((1, SET_SIZE, 3)))
-    return FitResult(cell=cell, n_star=SET_SIZE, velocities=vel[0])
-
-
 @dataclass
 class GridFit:
     """Fit results for every valid cell, plus the shared pressure shift."""
@@ -222,8 +199,8 @@ def fit_grid(grid: ControlVolumeGrid,
     Pressure targets are shifted by the valid-cell minimum so the most
     rarefied cell fits zero spread; the offset is kept with the results.
     Cell f draws from the generator seeded by (rng_seed, f), built by
-    :func:`cell_rngs`, so its set equals ``fit_cell`` on
-    ``default_rng((rng_seed, f))``, bit for bit.
+    :func:`cell_rngs`, so its set is the one a fit of that cell alone on
+    ``default_rng((rng_seed, f))`` gives, bit for bit.
     """
     config = config or FitConfig()
     cells = np.flatnonzero(grid.valid)
@@ -234,7 +211,7 @@ def fit_grid(grid: ControlVolumeGrid,
                       for rng in cell_rngs((config.rng_seed,), cells)])
     vel = _solve(grid.v_target[cells], grid.p_target[cells] - offset,
                  grid.cell_volume, config.agent_mass, draws)
-    results = {int(f): FitResult(cell=int(f), n_star=SET_SIZE, velocities=v)
+    results = {int(f): FitResult(n_star=SET_SIZE, velocities=v)
                for f, v in zip(cells, vel)}
     return GridFit(results=results, pressure_offset=offset, config=config)
 
@@ -283,8 +260,7 @@ def load_fit(path) -> tuple[GridFit, dict]:
         n = float(sizes[i])
         raise FieldFormatError(f"{path}:{lines[i]}: set size {n} expects "
                                f"{3 * n} velocity values, got {widths[i] - 4}")
-    results = {f: FitResult(cell=f, n_star=n,
-                            velocities=data[i, 4:w].reshape(-1, 3))
+    results = {f: FitResult(n_star=n, velocities=data[i, 4:w].reshape(-1, 3))
                for i, (f, n, w) in enumerate(zip(flat.tolist(),
                                                  sizes.astype(int).tolist(),
                                                  widths.tolist()))}

@@ -7,7 +7,7 @@ desired vector is clipped to a tilt cone and a thrust-magnitude ball, and the
 realized thrust acceleration follows the clipped demand through a first-order
 lag. Velocity then integrates thrust + gravity + aerodynamic drag.
 
-Everything here is vectorized over agents. The public functions and
+Everything here is vectorized over agents. ``step``, ``tilt_angle_deg`` and
 ``PlantState`` take and give (N, 3) arrays (or one (3,) vector), and a single
 agent is just N = 1; the math runs on (3, N) component rows, one contiguous
 row per axis. ``step`` copies the state into such rows, runs every sub-step
@@ -143,8 +143,12 @@ def _desired(v, cmd, ff, params: PlantParams, out) -> np.ndarray:
 
 
 def _constrain(a, params: PlantParams, scratch=None) -> np.ndarray:
-    """Clip component rows ``a`` in place to the tilt cone and thrust ball;
-    ``scratch`` is a (3, N) buffer it may overwrite.
+    """Clip component rows ``a`` in place to the tilt cone, then to the
+    thrust ball; ``scratch`` is a (3, N) buffer it may overwrite.
+
+    Thrust points upward (negative z); a demand with downward thrust keeps
+    only what the cone allows (nothing, laterally). The magnitude clip
+    scales the whole vector, preserving direction and hence tilt.
 
     Only agents a clip may touch get the exact test. |x| + |y| bounds
     hypot(x, y) from above, and |x| + |y| + |z| bounds the magnitude (the
@@ -179,35 +183,6 @@ def _constrain(a, params: PlantParams, scratch=None) -> np.ndarray:
         over = mag > cap
         a[:, near[over]] *= cap[over] / mag[over]
     return a
-
-
-def drag_force(v_air, params: PlantParams) -> np.ndarray:
-    """Quadratic aerodynamic drag opposing the airspeed, per axis, N."""
-    f = _drag(_rows(v_air), -params.drag_factor[:, None]).T
-    return f if np.ndim(v_air) > 1 else f[0]
-
-
-def desired_accel(velocity, v_cmd, wind, params: PlantParams) -> np.ndarray:
-    """Unconstrained thrust-acceleration demand, (N, 3).
-
-    Error shaping plus gravity compensation plus (optionally) a feedforward
-    canceling the drag expected at the commanded airspeed.
-    """
-    v, cmd = _rows(velocity), _rows(v_cmd)
-    ff = _feedforward(cmd, _rows(wind), params)
-    out = np.empty(np.broadcast_shapes(v.shape, cmd.shape, np.shape(ff)))
-    return _desired(v, cmd, ff, params, out).T
-
-
-def constrain_accel(accel, params: PlantParams) -> np.ndarray:
-    """Clip a demand to the tilt cone, then to the thrust-magnitude ball.
-
-    Thrust points upward (negative z); a demand with downward thrust keeps
-    only what the cone allows (nothing, laterally). The magnitude clip scales
-    the whole vector, preserving direction and hence tilt.
-    """
-    a = _constrain(_rows(accel).copy(), params).T
-    return a if np.ndim(accel) > 1 else a[0]
 
 
 def tilt_angle_deg(thrust_accel) -> np.ndarray:

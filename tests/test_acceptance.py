@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from fluidswarm.metrics import derive_fields, metrics_report, trend_check
+from fluidswarm.partition import ControlVolumeGrid
 from fluidswarm.plant_suite import run_suite
-from fluidswarm.primitives import (internal_pressure, mass_mean_velocity,
-                                   swarm_pressure, swarm_pressure_moment_form)
 from fluidswarm.swarm_sim import SimConfig, run_simulation
-from fluidswarm.velocity_fit import FitConfig, fit_cell, fit_grid
+from fluidswarm.velocity_fit import FitConfig, fit_grid
+from reference import (internal_pressure, mass_mean_velocity, swarm_pressure,
+                       swarm_pressure_moment_form)
 
 VOL = 0.125
 
@@ -98,16 +99,20 @@ def test_criterion_4_fit_oracle_equivalence(say):
         d = rng.normal(size=3)
         v = 25.0 * rng.random() ** (1.0 / 3.0) * d / np.linalg.norm(d)
         cells.append((v, p))
-    cfg = FitConfig()
+    # one row of 0.5 m cells, cell i on the (2024, i) stream
+    row = ControlVolumeGrid.empty(np.zeros(3), 0.5, (len(cells), 1, 1))
+    row.inside[:] = True
+    row.node_count[:] = 1
+    row.v_target[:] = [v for v, _ in cells]
+    row.p_target[:] = [p for _, p in cells]
     t0 = time.perf_counter()
-    results = [fit_cell(v, p, VOL, cfg, np.random.default_rng((2024, i)),
-                        cell=i) for i, (v, p) in enumerate(cells)]
+    fit = fit_grid(row, FitConfig(rng_seed=2024))
     elapsed = time.perf_counter() - t0
 
     good = 0
     worst = 0.0
-    for (v, p), res in zip(cells, results):
-        loss = _reevaluate(res, v, p)
+    for i, (v, p) in enumerate(cells):
+        loss = _reevaluate(fit.results[i], v, p - fit.pressure_offset)
         worst = max(worst, loss)
         if loss < 1e-6:
             good += 1

@@ -10,18 +10,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fluidswarm import (ConstitutiveParams, ControlVolumeGrid, NozzleGeometry,
-                        PlantParams, SimConfig, assign_cell,
-                        centerline_agreement, centerline_profile,
-                        default_transient, derive_fields, export_centerline,
-                        export_slice, field_agreement, internal_pressure,
-                        load_run, mass_mean_velocity, metrics_report,
-                        run_simulation, save_metrics, save_run,
-                        swarm_pressure, swarm_temperature,
-                        transit_time_estimate, trend_check)
+from fluidswarm import (ControlVolumeGrid, NozzleGeometry, PlantParams,
+                        SimConfig, assign_cell, centerline_agreement,
+                        centerline_profile, default_transient, derive_fields,
+                        export_centerline, export_slice, field_agreement,
+                        load_run, metrics_report, run_simulation,
+                        save_metrics, save_run, transit_time_estimate,
+                        trend_check)
 from fluidswarm.primitives import (control_temperature, pressure_coefficient,
                                    random_temperature_from_spread)
 from fluidswarm.swarm_sim import EVENT_KINDS, FrameRecord
+from reference import (internal_pressure, mass_mean_velocity, swarm_pressure,
+                       swarm_temperature)
 
 COEFF = 2.0 / (3.0 * 0.125)  # unit mass in a 0.5 m cell
 
@@ -280,11 +280,18 @@ def test_transit_estimate_and_transient():
     assert default_transient(1000.0, 10.0) == pytest.approx(20.0)
 
 
-def test_temperature_params_are_adjustable():
+def no_authority(plant):
+    """``plant`` with a_max = 0: a trace scored with it has the random
+    temperature alone, as the control part adds +0.0."""
+    return SimpleNamespace(mass=plant.mass, a_max=0.0)
+
+
+def test_temperature_without_control_authority_is_the_random_part():
     grid = lattice(nx=2)
     frames = [rec([0], [2], [[2.0, 0.0, 0.0]], sumv2=[10.0])]
-    cold = ConstitutiveParams(control_weight=0.0)
-    d = derive_fields(fake_trace(frames), grid, transient=0.0, params=cold)
+    trace = fake_trace(frames)
+    trace.plant = no_authority(trace.plant)
+    d = derive_fields(trace, grid, transient=0.0)
     assert d.temperature[0] == pytest.approx(0.5, rel=1e-12)  # t_rand only
 
 
@@ -322,8 +329,8 @@ def test_control_temperature_follows_the_recorded_plant(tmp_path, grid, fit):
     # the same frames scored as if flown at 2.2 g, and the random part alone
     default = derive_fields(replace(trace, plant=PlantParams()), grid,
                             transient=1.0).temperature
-    t_rand = derive_fields(trace, grid, transient=1.0,
-                           params=ConstitutiveParams(control_weight=0.0))
+    t_rand = derive_fields(replace(trace, plant=no_authority(trace.plant)),
+                           grid, transient=1.0)
     occupied = want.valid
     assert occupied.any()
     assert np.array_equal(got, want.temperature, equal_nan=True)
@@ -357,7 +364,7 @@ def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
         want = internal_pressure(m, v, vol, mass_mean_velocity(m, v))
         assert abs(d.pressure_int[c] - want) <= 1e-9 * want + 1e-12 * total
         assert d.temperature[c] == pytest.approx(
-            swarm_temperature(m, v, vol, plant.a_max, ConstitutiveParams()),
+            swarm_temperature(m, v, vol, plant.a_max),
             rel=1e-9)
         if grid.valid[c]:
             assert d.pressure_dev[c] == pytest.approx(
@@ -372,7 +379,7 @@ def per_frame_fields(trace, grid):
     form must equal bit for bit."""
     transient = default_transient(trace.config.duration, transit_time_estimate(
         grid, trace.config.scale))
-    mass, params = trace.plant.mass, ConstitutiveParams()
+    mass = trace.plant.mass
     coeff = pressure_coefficient(mass, grid.cell_volume)
     M = grid.num_cells
     occ = np.zeros(M, dtype=np.int64)
@@ -391,9 +398,9 @@ def per_frame_fields(trace, grid):
         pint_sum[cells] += coeff * cdev2
         cell_mass = mass * rec.counts
         temp_sum[cells] += (
-            random_temperature_from_spread(mass * cdev2, cell_mass, params)
+            random_temperature_from_spread(mass * cdev2, cell_mass)
             + control_temperature(cell_mass / grid.cell_volume,
-                                  trace.plant.a_max, params))
+                                  trace.plant.a_max))
         fin = np.isfinite(rec.dev2)
         pdev_sum[cells[fin]] += coeff * rec.dev2[fin]
         pdev_frames[cells[fin]] += 1

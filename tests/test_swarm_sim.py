@@ -93,7 +93,7 @@ def dense_nearest_table(grid, fit, scale):
 def fit_of(commands: dict):
     """A fit whose cell f holds the one-velocity set ``commands[f]``, so
     that its command (the set mean) is ``commands[f]``."""
-    return GridFit(results={int(f): FitResult(int(f), 1, np.reshape(c, (1, 3)))
+    return GridFit(results={int(f): FitResult(1, np.reshape(c, (1, 3)))
                             for f, c in commands.items()},
                    pressure_offset=0.0, config=FitConfig())
 

@@ -161,7 +161,7 @@ def mixed_fit(fit, seed=4):
     results = dict(fit.results)
     for i, f in enumerate(sorted(results)[::3]):
         n = (1, 5, 12)[i % 3]
-        results[f] = FitResult(f, n, rng.normal(scale=3.0, size=(n, 3)))
+        results[f] = FitResult(n, rng.normal(scale=3.0, size=(n, 3)))
     return GridFit(results, fit.pressure_offset, fit.config)
 
 

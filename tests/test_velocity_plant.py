@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fluidswarm import (PlantParams, PlantState, constrain_accel,
-                        desired_accel, drag_force, plant_step, plant_suite,
+from fluidswarm import (PlantParams, PlantState, plant_step, plant_suite,
                         tilt_angle_deg)
 from fluidswarm.plant_suite import (headwind_sweep, hover_hold,
                                     max_speed_sweep, noise_monte_carlo,
                                     rollout, run_suite, step_response)
+from reference import constrain_accel, desired_accel, drag_force
 
 P = PlantParams()
 
@@ -283,6 +283,16 @@ def test_suite_raises_no_numpy_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_suite()["pass"]
+
+
+def test_suite_rejects_a_negative_seed_before_any_scenario(monkeypatch):
+    def ran(*_args, **_kwargs):
+        raise AssertionError("a scenario ran")
+    for name in ("hover_hold", "step_response", "max_speed_sweep",
+                 "headwind_sweep", "noise_monte_carlo"):
+        monkeypatch.setattr(plant_suite, name, ran)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        run_suite(seed=-1)
 
 
 # ----------------------------------------------------------------------
