@@ -3,7 +3,7 @@
 Generates the field, partitions, fits, runs the reservoir injection case at
 S=0.1, and scores the time-averaged swarm against the targets. Writes the
 metrics file and the slice/centerline CSVs next to this script under
-runs/reservoir_demo/. About half a minute end to end.
+runs/reservoir_demo/. About 1.5 s end to end on a 2-vCPU Xeon host.
 """
 
 import os

@@ -6,11 +6,14 @@ held at least one agent, and a cell that stays empty for the whole window is
 excluded from every score. The occupied fraction is reported separately so
 intermittent cells are still visible in exports.
 
-Agreement is scored on normalized fields. Each side is scaled by its own
-extremum before comparison: speeds by their max, target pressure by its most
-negative value (suction peaks at 1 at the throat), measured deviation
-pressure by its max, densities by their max. That makes the scores
-insensitive to the command scale factor.
+Agreement is scored on normalized fields: each side over its own extremum
+(speeds, deviation pressure and densities by their max; target pressure by
+its min, so suction peaks at 1 at the throat), which makes the scores
+insensitive to the command scale factor. The scores take the extrema over
+the scored cells (valid, occupied and, for pressure, with a finite deviation
+pressure), the slice's target columns over every valid cell, and the
+centerline targets over every slab. The slice and centerline tables go
+through the field files' codec, ``write_table``, at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .partition import ControlVolumeGrid
 from .primitives import (control_temperature, pressure_coefficient,
                          random_temperature_from_spread)
-from .reference_field import _FMT
+from .reference_field import _FMT, write_table
 from .swarm_sim import EVENT_KINDS, SimulationTrace, population_balance
 
 SLICE_HEADER = ("x,y,z,occupancy,duty,concentration,ux,uy,uz,p_dev,p_int,T,"
@@ -172,28 +175,19 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
 # agreement scores
 # ======================================================================
 
-def _norm_speed(derived: DerivedFields, grid, sel):
-    ds = derived.speed[sel]
-    ts = np.linalg.norm(grid.v_target[sel], axis=1)
-    if ds.max() <= 0 or ts.max() <= 0:
-        raise ValueError("zero velocity normalization constant")
-    return derived.velocity[sel] / ds.max(), grid.v_target[sel] / ts.max()
+def _scaled(values, ref, what: str, suction: bool = False) -> np.ndarray:
+    """``values`` over the max of ``ref``, or over its min for the suction
+    target. Raises ValueError when ``ref`` is empty or that extremum is not
+    finite and positive (negative for suction)."""
+    if np.size(ref):
+        c = np.min(ref) if suction else np.max(ref)
+        if (-np.inf < c < 0) if suction else (0 < c < np.inf):
+            return values / c
+    raise ValueError(f"zero {what} normalization constant")
 
 
-def _norm_pressure(derived: DerivedFields, grid, sel):
-    pd = derived.pressure_dev[sel]
-    pt = grid.p_target[sel]
-    if pd.max() <= 0 or pt.min() >= 0:
-        raise ValueError("zero pressure normalization constant")
-    return pd / pd.max(), pt / pt.min()
-
-
-def _norm_density(derived: DerivedFields, grid, sel):
-    da = derived.concentration[sel]
-    tb = grid.rho_target[sel]
-    if da.max() <= 0 or not np.isfinite(tb).all() or tb.max() <= 0:
-        raise ValueError("zero density normalization constant")
-    return da / da.max(), tb / tb.max()
+def _rms(a, b) -> float:
+    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 def field_agreement(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
@@ -209,17 +203,21 @@ def field_agreement(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
         raise ValueError("no cells to compare: every valid cell stayed empty")
     out = {"cells_compared": int(sel.sum())}
 
-    a, b = _norm_speed(derived, grid, sel)
+    vt = grid.v_target[sel]
+    a = _scaled(derived.velocity[sel], derived.speed[sel], "velocity")
+    b = _scaled(vt, np.linalg.norm(vt, axis=1), "velocity")
     out["rmse_velocity"] = float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))
 
     psel = sel & np.isfinite(derived.pressure_dev)
-    a, b = _norm_pressure(derived, grid, psel)
-    out["rmse_pressure"] = float(np.sqrt(np.mean((a - b) ** 2)))
+    pd, pt = derived.pressure_dev[psel], grid.p_target[psel]
+    out["rmse_pressure"] = _rms(_scaled(pd, pd, "pressure"),
+                                _scaled(pt, pt, "pressure", suction=True))
 
+    da, tb = derived.concentration[sel], grid.rho_target[sel]
     try:
-        a, b = _norm_density(derived, grid, sel)
-        out["rmse_density"] = float(np.sqrt(np.mean((a - b) ** 2)))
-    except ValueError:
+        out["rmse_density"] = _rms(_scaled(da, da, "density"),
+                                   _scaled(tb, tb, "density"))
+    except ValueError:   # no gas, so no density targets
         out["rmse_density"] = float("nan")
     return out
 
@@ -259,9 +257,7 @@ def trend_check(derived: DerivedFields, grid: ControlVolumeGrid,
 def centerline_profile(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
     """Axis-adjacent cell averages per axial slab, target and derived."""
     centers = grid.centers()
-    cols = {k: [] for k in ("x", "target_speed", "derived_speed",
-                            "target_pressure", "derived_pressure",
-                            "target_density", "derived_density")}
+    cols = {k: [] for k in CENTERLINE_HEADER.split(",")}
     for near in _axis_cells(grid):
         if len(near) == 0:
             continue
@@ -283,21 +279,13 @@ def centerline_profile(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
 def centerline_agreement(profile: dict) -> dict:
     """Normalized RMS gap between target and derived centerline curves."""
     out = {}
-    ts, ds = profile["target_speed"], profile["derived_speed"]
-    fin = np.isfinite(ds)
-    if not fin.any() or np.max(ds[fin]) <= 0 or np.max(ts) <= 0:
-        raise ValueError("zero velocity normalization constant")
-    a = ds[fin] / np.max(ds[fin])
-    b = ts[fin] / np.max(ts)
-    out["centerline_speed_rms"] = float(np.sqrt(np.mean((a - b) ** 2)))
-
-    tp, dp = profile["target_pressure"], profile["derived_pressure"]
-    fin = np.isfinite(dp)
-    if not fin.any() or np.max(dp[fin]) <= 0 or np.min(tp) >= 0:
-        raise ValueError("zero pressure normalization constant")
-    a = dp[fin] / np.max(dp[fin])
-    b = tp[fin] / np.min(tp)
-    out["centerline_pressure_rms"] = float(np.sqrt(np.mean((a - b) ** 2)))
+    for key, what, suction in (("speed", "velocity", False),
+                               ("pressure", "pressure", True)):
+        target, derived = profile["target_" + key], profile["derived_" + key]
+        fin = np.isfinite(derived)
+        out[f"centerline_{key}_rms"] = _rms(
+            _scaled(derived[fin], derived[fin], what),
+            _scaled(target[fin], target, what, suction))
     return out
 
 
@@ -310,51 +298,41 @@ def export_slice(derived: DerivedFields, grid: ControlVolumeGrid, path) -> None:
 
     On grids with an even cell count across the axis the +y layer of the
     center pair is exported, so the cut is always exactly one layer.
+    ``norm_trho`` is NaN on a grid without density targets.
     """
     centers = grid.centers()
     y_layers = centers.reshape(*grid.dims, 3)[0, :, 0, 1]
     # tie between the +/- center pair goes to the +y layer
     jy = int(np.argmin(np.abs(y_layers) - 1e-9 * np.sign(y_layers)))
-    ds_max = np.nanmax(derived.speed[grid.valid & derived.valid])
-    ts_all = np.linalg.norm(grid.v_target, axis=1)
-    ts_max = np.nanmax(ts_all[grid.valid])
-    pd = derived.pressure_dev
-    pd_max = np.nanmax(pd[grid.valid & derived.valid & np.isfinite(pd)])
-    pt_min = np.nanmin(grid.p_target[grid.valid])
-    rho_max = np.nanmax(derived.concentration[grid.valid & derived.valid])
-    trho_max = np.nanmax(grid.rho_target[grid.valid])
+    layer = np.arange(grid.num_cells).reshape(grid.dims)[:, jy, :].ravel()
+    f = layer[grid.valid[layer]]
 
-    flats = np.flatnonzero(grid.valid.reshape(grid.dims)[:, jy, :].ravel())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SLICE_HEADER + "\n")
-        for local in flats:
-            jx, jz = divmod(int(local), grid.dims[2])
-            f = int(np.ravel_multi_index((jx, jy, jz), grid.dims))
-            row = ([centers[f, 0], centers[f, 1], centers[f, 2],
-                    derived.occupancy[f], derived.duty[f],
-                    derived.concentration[f]]
-                   + list(derived.velocity[f])
-                   + [derived.pressure_dev[f], derived.pressure_int[f],
-                      derived.temperature[f]]
-                   + list(grid.v_target[f]) + [grid.p_target[f]]
-                   + [derived.speed[f] / ds_max, ts_all[f] / ts_max,
-                      derived.pressure_dev[f] / pd_max,
-                      grid.p_target[f] / pt_min,
-                      derived.concentration[f] / rho_max,
-                      grid.rho_target[f] / trho_max if np.isfinite(trho_max)
-                      and trho_max > 0 else float("nan")])
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    scored = grid.valid & derived.valid
+    speed, pd, rho = derived.speed, derived.pressure_dev, derived.concentration
+    ts, pt, trho = (np.linalg.norm(grid.v_target, axis=1), grid.p_target,
+                    grid.rho_target)
+    try:
+        norm_trho = _scaled(trho[f], trho[grid.valid], "density")
+    except ValueError:   # no gas, so no density targets
+        norm_trho = np.full(len(f), np.nan)
+    columns = np.column_stack([
+        centers[f], derived.occupancy[f], derived.duty[f], rho[f],
+        derived.velocity[f], pd[f], derived.pressure_int[f],
+        derived.temperature[f], grid.v_target[f], pt[f],
+        _scaled(speed[f], speed[scored], "velocity"),
+        _scaled(ts[f], ts[grid.valid], "velocity"),
+        _scaled(pd[f], pd[scored & np.isfinite(pd)], "pressure"),
+        _scaled(pt[f], pt[grid.valid], "pressure", suction=True),
+        _scaled(rho[f], rho[scored], "density"),
+        norm_trho])
+    write_table(path, None, SLICE_HEADER,
+                [(",".join([_FMT] * columns.shape[1]), columns)])
 
 
 def export_centerline(profile: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CENTERLINE_HEADER + "\n")
-        for i in range(len(profile["x"])):
-            fh.write(",".join(_FMT % profile[k][i]
-                              for k in ("x", "target_speed", "derived_speed",
-                                        "target_pressure", "derived_pressure",
-                                        "target_density", "derived_density"))
-                     + "\n")
+    columns = np.column_stack([profile[k] for k in CENTERLINE_HEADER.split(",")])
+    write_table(path, None, CENTERLINE_HEADER,
+                [(",".join([_FMT] * columns.shape[1]), columns)])
 
 
 @dataclass
@@ -407,8 +385,5 @@ def save_metrics(report: MetricsReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for k, v in report.values.items():
             if isinstance(v, bool):
-                fh.write(f"{k}={int(v)}\n")
-            elif isinstance(v, float):
-                fh.write(f"{k}={v:.12g}\n")
-            else:
-                fh.write(f"{k}={v}\n")
+                v = int(v)
+            fh.write(f"{k}={_FMT % v if isinstance(v, float) else v}\n")

@@ -131,20 +131,20 @@ def _inside_mask(origin, edge, dims, geometry: NozzleGeometry) -> np.ndarray:
     return mask.reshape(-1)
 
 
-def partition_domain(fld: ReferenceField, geometry: NozzleGeometry | None = None,
-                     edge_length: float = 0.5,
-                     gas: GasModel | None = None) -> ControlVolumeGrid:
+def partition_domain(fld: ReferenceField,
+                     edge_length: float = 0.5) -> ControlVolumeGrid:
     """Partition the duct into cubes and average the field into targets.
 
+    The duct is the field's geometry, and density targets come from its gas
+    (NaN without one); ``load_field`` attaches both to a field read from CSV.
     The lattice origin snaps to (0, -R, -R) with R the maximum wall radius
     rounded up to a whole number of edges, so the duct is fully covered.
     Nodes are binned by the same nearest-center rule used for agents; every
     node lands in exactly one cell.
     """
-    geometry = geometry or fld.geometry
+    geometry, gas = fld.geometry, fld.gas
     if geometry is None:
         raise ValueError("a geometry is required (none attached to the field)")
-    gas = gas or fld.gas
     if edge_length <= 0:
         raise ValueError("edge_length must be positive")
 

@@ -712,9 +712,12 @@ FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
                  "dev2": (np.float64, ())}
 TRAJ_COLUMNS = {"traj_ids": (np.int64, ()), "traj_pos": (np.float64, (3,)),
                 "traj_vel": (np.float64, (3,))}
-RUN_KEYS = ("meta", "frame_t", "frame_offsets", *FRAME_COLUMNS,
-            *("event_" + f.name for f in fields(EventTable)),
-            "traj_t", "traj_offsets", *TRAJ_COLUMNS)
+# every member but the JSON ``meta`` string, in file order
+RUN_COLUMNS = {"frame_t": (np.float64, ()), "frame_offsets": (np.int64, ()),
+               "traj_t": (np.float64, ()), "traj_offsets": (np.int64, ()),
+               **{"event_" + f.name: (np.int64, ()) for f in fields(EventTable)},
+               **FRAME_COLUMNS, **TRAJ_COLUMNS}
+RUN_KEYS = ("meta", *RUN_COLUMNS)
 META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size")
 
 
@@ -746,19 +749,21 @@ def save_run(trace: SimulationTrace, outdir) -> None:
             "injection_rate": trace.injection_rate,
             "batch_size": trace.batch_size}
     frames, snaps = trace.frames, trace.trajectories
-    columns = {"meta": np.array(json.dumps(meta)), "frame_t": trace.frame_t,
-               "frame_offsets": np.cumsum([0] + [len(r.cells) for r in frames]),
-               "traj_t": np.array([s[0] for s in snaps], dtype=float),
-               "traj_offsets": np.cumsum([0] + [len(s[1]) for s in snaps])}
-    columns.update(("event_" + k, v) for k, v in vars(trace.events).items())
+    parts = {"frame_t": [trace.frame_t],
+             "frame_offsets": [np.cumsum([0] + [len(r.cells) for r in frames])],
+             "traj_t": [[s[0] for s in snaps]],
+             "traj_offsets": [np.cumsum([0] + [len(s[1]) for s in snaps])]}
+    parts.update(("event_" + k, [v]) for k, v in vars(trace.events).items())
+    parts.update((name, [getattr(r, name) for r in frames])
+                 for name in FRAME_COLUMNS)
+    parts.update((name, [s[i] for s in snaps])
+                 for i, name in enumerate(TRAJ_COLUMNS, start=1))
     with zipfile.ZipFile(os.path.join(outdir, RUN_FILE), "w") as zf:
-        for name, column in columns.items():
-            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, column, allow_pickle=False)
-        for name, layout in FRAME_COLUMNS.items():
-            _write_parts(zf, name, [getattr(r, name) for r in frames], *layout)
-        for i, (name, layout) in enumerate(TRAJ_COLUMNS.items(), start=1):
-            _write_parts(zf, name, [s[i] for s in snaps], *layout)
+        with zf.open("meta.npy", "w", force_zip64=True) as fh:
+            np.lib.format.write_array(fh, np.array(json.dumps(meta)),
+                                      allow_pickle=False)
+        for name, layout in RUN_COLUMNS.items():
+            _write_parts(zf, name, parts[name], *layout)
 
 
 def _split(columns: list, offsets: np.ndarray, n: int) -> list[tuple]:
@@ -783,16 +788,19 @@ def _dataclass_from(cls, values: dict):
 def load_run(rundir) -> SimulationTrace:
     """Read back the trace ``save_run`` wrote to ``rundir``.
 
-    Raises ValueError on a missing key, another format version, a frame or
-    trajectory column of another dtype or row shape, a cell count below 1,
-    columns whose lengths disagree with each other or with their offsets,
-    an event kind outside ``EVENT_KINDS``, or an event frame outside the run.
+    Raises ValueError on a missing key, a ``meta`` member that is not one
+    string, another format version, a column of another dtype or row shape
+    than ``RUN_COLUMNS`` gives, a cell count below 1, columns whose lengths disagree with each other or with their
+    offsets, an event kind outside ``EVENT_KINDS``, or an event frame
+    outside the run.
     """
     with np.load(os.path.join(rundir, RUN_FILE), allow_pickle=False) as npz:
         missing = sorted(set(RUN_KEYS) - set(npz.files))
         if missing:
             raise ValueError(f"{RUN_FILE}: missing {missing}")
         a = {k: npz[k] for k in RUN_KEYS}
+    if a["meta"].dtype.kind != "U" or a["meta"].ndim != 0:
+        raise ValueError(f"{RUN_FILE}: meta is not one JSON string")
     meta = json.loads(a["meta"].item())
     missing = sorted(set(META_KEYS) - set(meta))
     if missing:
@@ -800,7 +808,7 @@ def load_run(rundir) -> SimulationTrace:
     if meta["format"] != RUN_FORMAT:
         raise ValueError(f"{RUN_FILE}: format {meta['format']!r}, "
                          f"expected {RUN_FORMAT}")
-    for name, (dtype, row) in {**FRAME_COLUMNS, **TRAJ_COLUMNS}.items():
+    for name, (dtype, row) in RUN_COLUMNS.items():
         if a[name].dtype != dtype or a[name].shape[1:] != row \
                 or a[name].ndim != 1 + len(row):
             shape = ", ".join(["rows", *map(str, row)])
@@ -808,12 +816,9 @@ def load_run(rundir) -> SimulationTrace:
                              f"of shape ({shape})")
     if np.any(a["counts"] < 1):
         raise ValueError(f"{RUN_FILE}: a frame cell count below 1")
-    columns = [a["event_" + f.name] for f in fields(EventTable)]
-    if any(c.dtype != np.int64 or c.shape != columns[0].shape or c.ndim != 1
-           for c in columns):
-        raise ValueError(f"{RUN_FILE}: event columns are not int64 columns "
-                         f"of one length")
-    events = EventTable(*columns)
+    events = EventTable(*(a["event_" + f.name] for f in fields(EventTable)))
+    if len({len(c) for c in vars(events).values()}) > 1:
+        raise ValueError(f"{RUN_FILE}: event columns are not of one length")
     if np.any((events.kind < 0) | (events.kind >= len(EVENT_KINDS))):
         raise ValueError(f"{RUN_FILE}: unknown event kind")
     if np.any((events.frame < 0) | (events.frame >= len(a["frame_t"]))):

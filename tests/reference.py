@@ -1,5 +1,5 @@
-"""Test references: per-agent bulk moments, (N, 3) plant shims and a
-one-cell fit.
+"""Test references: per-agent bulk moments, (N, 3) plant shims, a
+one-cell fit and the per-row writers of the analysis files.
 
 The library applies its closures only to per-cell frame sums
 (``metrics.derive_fields``), steps the plant on (3, N) component rows and
@@ -7,7 +7,9 @@ fits every cell of a lattice in one pass. The routines here take one cell's
 agents, or (N, 3) arrays, instead. They call the library's own formulas
 (``pressure_coefficient``, the two temperature closures), its plant row
 functions and its set solver, so tests that use them as oracles still check
-the code the pipeline runs.
+the code the pipeline runs. The analysis writers format one row at a time
+with their own normalization maxima, as the library did before it wrote
+those files through ``write_table``; tests compare the files byte for byte.
 """
 
 import numpy as np
@@ -135,3 +137,72 @@ def fit_cell(v_target, p_target: float, cell_volume: float,
     vel = _solve(np.asarray(v_target, dtype=float)[None], np.array([p_target]),
                  cell_volume, agent_mass, rng.standard_normal((1, SET_SIZE, 3)))
     return FitResult(n_star=SET_SIZE, velocities=vel[0])
+
+
+# ======================================================================
+# per-row analysis writers
+# ======================================================================
+
+FMT = "%.12g"
+SLICE_HEADER = ("x,y,z,occupancy,duty,concentration,ux,uy,uz,p_dev,p_int,T,"
+                "tvx,tvy,tvz,tp,norm_speed,norm_tspeed,norm_p,norm_tp,"
+                "norm_rho,norm_trho")
+CENTERLINE_KEYS = ("x", "target_speed", "derived_speed", "target_pressure",
+                   "derived_pressure", "target_density", "derived_density")
+
+
+def export_slice_rows(derived, grid, path) -> None:
+    """The mid-plane slice, one formatted row per cell; maxima by
+    ``nanmax``, a NaN ``norm_trho`` column when the target max is not a
+    finite positive number."""
+    centers = grid.centers()
+    y_layers = centers.reshape(*grid.dims, 3)[0, :, 0, 1]
+    jy = int(np.argmin(np.abs(y_layers) - 1e-9 * np.sign(y_layers)))
+    ds_max = np.nanmax(derived.speed[grid.valid & derived.valid])
+    ts_all = np.linalg.norm(grid.v_target, axis=1)
+    ts_max = np.nanmax(ts_all[grid.valid])
+    pd = derived.pressure_dev
+    pd_max = np.nanmax(pd[grid.valid & derived.valid & np.isfinite(pd)])
+    pt_min = np.nanmin(grid.p_target[grid.valid])
+    rho_max = np.nanmax(derived.concentration[grid.valid & derived.valid])
+    trho_max = np.nanmax(grid.rho_target[grid.valid])
+
+    flats = np.flatnonzero(grid.valid.reshape(grid.dims)[:, jy, :].ravel())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(SLICE_HEADER + "\n")
+        for local in flats:
+            jx, jz = divmod(int(local), grid.dims[2])
+            f = int(np.ravel_multi_index((jx, jy, jz), grid.dims))
+            row = ([centers[f, 0], centers[f, 1], centers[f, 2],
+                    derived.occupancy[f], derived.duty[f],
+                    derived.concentration[f]]
+                   + list(derived.velocity[f])
+                   + [derived.pressure_dev[f], derived.pressure_int[f],
+                      derived.temperature[f]]
+                   + list(grid.v_target[f]) + [grid.p_target[f]]
+                   + [derived.speed[f] / ds_max, ts_all[f] / ts_max,
+                      derived.pressure_dev[f] / pd_max,
+                      grid.p_target[f] / pt_min,
+                      derived.concentration[f] / rho_max,
+                      grid.rho_target[f] / trho_max if np.isfinite(trho_max)
+                      and trho_max > 0 else float("nan")])
+            fh.write(",".join(FMT % v for v in row) + "\n")
+
+
+def export_centerline_rows(profile: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CENTERLINE_KEYS) + "\n")
+        for i in range(len(profile["x"])):
+            fh.write(",".join(FMT % profile[k][i] for k in CENTERLINE_KEYS)
+                     + "\n")
+
+
+def save_metrics_lines(report, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for k, v in report.values.items():
+            if isinstance(v, bool):
+                fh.write(f"{k}={int(v)}\n")
+            elif isinstance(v, float):
+                fh.write(f"{k}={v:.12g}\n")
+            else:
+                fh.write(f"{k}={v}\n")

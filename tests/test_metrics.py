@@ -4,6 +4,7 @@ The fakes mirror the part of the trace that ``derive_fields`` reads: config
 and plant attributes, a frame clock and frame records.
 """
 
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,14 +15,16 @@ from fluidswarm import (ControlVolumeGrid, NozzleGeometry, PlantParams,
                         SimConfig, assign_cell, centerline_agreement,
                         centerline_profile, default_transient, derive_fields,
                         export_centerline, export_slice, field_agreement,
-                        load_run, metrics_report, run_simulation,
-                        save_metrics, save_run, transit_time_estimate,
-                        trend_check)
+                        load_run, metrics_report, partition_domain,
+                        run_simulation, save_metrics, save_run,
+                        transit_time_estimate, trend_check)
+from fluidswarm.metrics import MetricsReport
 from fluidswarm.primitives import (control_temperature, pressure_coefficient,
                                    random_temperature_from_spread)
 from fluidswarm.swarm_sim import EVENT_KINDS, FrameRecord
-from reference import (internal_pressure, mass_mean_velocity, swarm_pressure,
-                       swarm_temperature)
+from reference import (export_centerline_rows, export_slice_rows,
+                       internal_pressure, mass_mean_velocity,
+                       save_metrics_lines, swarm_pressure, swarm_temperature)
 
 COEFF = 2.0 / (3.0 * 0.125)  # unit mass in a 0.5 m cell
 
@@ -270,6 +273,67 @@ def test_export_slice_writes_exactly_one_layer(tmp_path):
     speeds = np.linalg.norm(rows[:, 6:9], axis=1)
     assert np.allclose(rows[:, 16], speeds / d.speed[grid.valid].max(),
                        rtol=1e-10)
+
+
+def tie_lattice_report():
+    """The 2x2x2 lattice above, scored: its cut is the +y layer of a tie."""
+    grid = lattice(nx=2, ny=2, nz=2, speeds=np.arange(1.0, 9.0))
+    frames = [rec(np.arange(8), np.ones(8, int), grid.v_target,
+                  dev2=np.full(8, 0.5))]
+    d = derive_fields(fake_trace(frames), grid, transient=0.0)
+    profile = centerline_profile(d, grid)
+    values = {**field_agreement(d, grid), **centerline_agreement(profile)}
+    return MetricsReport(values, d, profile), grid
+
+
+@pytest.mark.parametrize("case", ["standard", "tie", "no_gas"])
+def test_analysis_files_equal_the_per_row_writers(tmp_path, field, grid,
+                                                  trace60, case):
+    """``slice.csv``, ``centerline.csv`` and ``metrics.txt`` hold the bytes
+    the per-row writers wrote, on the standard run, on the 2x2x2 lattice and
+    on the standard run scored against a grid with no gas; the library
+    writers raise no warning."""
+    if case == "tie":
+        report, grid = tie_lattice_report()
+    else:
+        if case == "no_gas":
+            grid = partition_domain(replace(field, gas=None))
+        report = metrics_report(trace60, grid)
+    files = {"slice.csv": (export_slice, export_slice_rows, report.derived,
+                           grid),
+             "centerline.csv": (export_centerline, export_centerline_rows,
+                                report.profile),
+             "metrics.txt": (save_metrics, save_metrics_lines, report)}
+    for name, (write, reference, *args) in files.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write(*args, tmp_path / name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # nanmax over all-NaN targets
+            reference(*args, tmp_path / ("reference_" + name))
+        assert ((tmp_path / name).read_bytes()
+                == (tmp_path / ("reference_" + name)).read_bytes()), name
+    rows = np.loadtxt(tmp_path / "slice.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    assert len(rows) > 0
+    assert np.isnan(rows[:, -1]).all() == (case == "no_gas")
+    assert np.isnan(report.values["rmse_density"]) == (case == "no_gas")
+
+
+def test_degenerate_centerline_normalization_is_an_error():
+    grid = lattice(nx=10, speeds=np.linspace(1.0, 3.0, 10))
+    frames = [rec(np.arange(10), np.ones(10, int), grid.v_target,
+                  dev2=np.full(10, 0.5))]
+    prof = centerline_profile(derive_fields(fake_trace(frames), grid,
+                                            transient=0.0), grid)
+    assert centerline_agreement(prof)["centerline_speed_rms"] == 0.0
+    with pytest.raises(ValueError,
+                       match="^zero velocity normalization constant$"):
+        centerline_agreement({**prof, "derived_speed": np.full(10, np.nan)})
+    with pytest.raises(ValueError,
+                       match="^zero pressure normalization constant$"):
+        centerline_agreement({**prof,
+                              "target_pressure": -prof["target_pressure"]})
 
 
 def test_transit_estimate_and_transient():

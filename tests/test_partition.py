@@ -1,5 +1,7 @@
 """Partition tests: inside mask, cell assignment, target binning, wire format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,19 @@ def test_partition_is_order_invariant(field, grid):
 def test_edge_length_validation(field):
     with pytest.raises(ValueError):
         partition_domain(field, edge_length=0.0)
+
+
+def test_the_field_brings_its_geometry_and_gas(field, grid):
+    """A field with no geometry cannot be partitioned; one with no gas gives
+    the same lattice and targets, with no density target anywhere."""
+    with pytest.raises(ValueError, match="a geometry is required"):
+        partition_domain(replace(field, geometry=None))
+    gasless = partition_domain(replace(field, gas=None))
+    assert gasless.gas is None and gasless.geometry == grid.geometry
+    assert np.isnan(gasless.rho_target).all()
+    for name in ("inside", "node_count", "v_target", "p_target"):
+        np.testing.assert_array_equal(getattr(gasless, name),
+                                      getattr(grid, name), err_msg=name)
 
 
 def test_save_load_round_trip(tmp_path, field, grid):

@@ -1181,6 +1181,30 @@ def _float_event_kinds(cols):
     cols["event_kind"] = cols["event_kind"].astype(float)
 
 
+def _float_frame_offsets(cols):
+    cols["frame_offsets"] = cols["frame_offsets"].astype(float)
+
+
+def _two_dimensional_frame_t(cols):
+    cols["frame_t"] = cols["frame_t"][:, None]
+
+
+def _float32_frame_t(cols):
+    cols["frame_t"] = cols["frame_t"].astype(np.float32)
+
+
+def _string_frame_t(cols):
+    cols["frame_t"] = cols["frame_t"].astype(str)
+
+
+def _float_traj_offsets(cols):
+    cols["traj_offsets"] = cols["traj_offsets"].astype(float)
+
+
+def _numeric_meta(cols):
+    cols["meta"] = np.array(6.0)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_dev2, "missing"),
     (_shift_offsets, "disagree with offsets"),
@@ -1199,6 +1223,12 @@ def _float_event_kinds(cols):
     (_negative_frame, "event frame outside the run"),
     (_drop_an_event_row, "one length"),
     (_float_event_kinds, "int64"),
+    (_float_frame_offsets, r"frame_offsets is not int64 of shape \(rows\)"),
+    (_two_dimensional_frame_t, r"frame_t is not float64 of shape \(rows\)"),
+    (_float32_frame_t, "frame_t is not float64"),
+    (_string_frame_t, "frame_t is not float64"),
+    (_float_traj_offsets, "traj_offsets is not int64"),
+    (_numeric_meta, "meta is not one JSON string"),
 ])
 def test_load_run_rejects_a_damaged_record(tmp_path, grid, fit, corrupt,
                                            message):
