@@ -8,15 +8,20 @@ One subcommand per pipeline stage, so a full study is:
     fluidswarm simulate --fit fit.csv --out run
     fluidswarm analyze --run run --targets grid.csv
 
-Field, partition and fit files are CSV. `simulate` flies agents of the
-fit's `--agent-mass` and writes the whole run, its event table included, as
-one exact binary record, `run/trace.npz`. `analyze` scores it with that
-plant's mass and peak acceleration, writes its metrics and CSV cuts next to
-it, and prints the population balance and each event kind's per-frame peak.
-`plant-test` exercises the velocity plant against its response envelopes
-and is independent of the field pipeline. `fit`, `simulate` and
-`plant-test` take `--seed` (default 0); no other subcommand draws random
-numbers. A flag that sets a library parameter has the library's default.
+Field, partition and fit files are CSV, each with a `# k=v` metadata
+line. `generate-field` records the duct (`NozzleGeometry`) and the gas
+(`GasModel`) it solved in the field file, so `partition` takes both from
+there and has no flag for them; it reports a field whose line names no duct.
+A duct that chokes or that `NozzleGeometry` rejects is a usage error of
+`generate-field`, found before any file is written. `simulate` flies agents
+of the fit's `--agent-mass` and writes the whole run, its event table
+included, as one exact binary record, `run/trace.npz`. `analyze` scores it
+with that plant's mass and peak acceleration, writes its metrics and CSV
+cuts next to it, and prints the population balance and each event kind's
+per-frame peak. `plant-test` exercises the velocity plant against its
+response envelopes and is independent of the field pipeline. `fit`,
+`simulate` and `plant-test` take `--seed` (default 0); no other subcommand
+draws random numbers. A flag that sets a library parameter has the library's default.
 """
 
 from __future__ import annotations
@@ -78,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge", type=float, default=edge.default,
                    help="cell edge length")
     p.add_argument("--output", required=True)
-    _add_dataclass_args(p, GasModel)
-    _add_dataclass_args(p, NozzleGeometry)
 
     p = sub.add_parser("fit", help="fit per-cell velocity sets to the targets")
     p.add_argument("--partition", required=True)
@@ -132,11 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ======================================================================
 
 def _cmd_generate_field(args) -> int:
-    fld = generate_quasi1d_field(geometry=_from_args(NozzleGeometry, args),
-                                 gas=_from_args(GasModel, args),
-                                 inlet_speed=args.inlet_speed,
-                                 axial_stations=args.stations,
-                                 radial_rings=args.rings)
+    fld = args.field
     save_field(fld, args.output)
     print(f"wrote {len(fld.positions)} samples to {args.output} "
           f"(peak speed {fld.speed.max():.4g} m/s, "
@@ -145,8 +144,12 @@ def _cmd_generate_field(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    fld = load_field(args.field, geometry=_from_args(NozzleGeometry, args),
-                     gas=_from_args(GasModel, args))
+    fld = load_field(args.field)
+    if fld.geometry is None:
+        print(f"fluidswarm partition: {args.field} names no duct; put its "
+              "NozzleGeometry fields on a '# k=v' line before the header",
+              file=sys.stderr)
+        return 1
     grid = partition_domain(fld, edge_length=args.edge)
     save_partition(grid, args.output)
     print(f"lattice {grid.dims[0]}x{grid.dims[1]}x{grid.dims[2]}, "
@@ -256,9 +259,15 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a bad flag value is a usage error, found before any file is read
+    # a bad flag value is a usage error, found before any file is read or
+    # written
     try:
-        if args.command == "simulate":
+        if args.command == "generate-field":
+            args.field = generate_quasi1d_field(
+                geometry=_from_args(NozzleGeometry, args),
+                gas=_from_args(GasModel, args), inlet_speed=args.inlet_speed,
+                axial_stations=args.stations, radial_rings=args.rings)
+        elif args.command == "simulate":
             args.config = _sim_config(args)
         elif args.command == "fit":
             args.config = FitConfig(agent_mass=args.agent_mass,

@@ -7,7 +7,8 @@ Two routes exist:
   smooth (C1) radius profile, solving subsonic isentropic flow station by
   station, and
 * a CSV loader for externally computed fields (e.g. a CFD export), validated
-  against the same geometry.
+  against the geometry that the file's metadata line names, as the
+  generator's fields record theirs.
 
 Conventions
 -----------
@@ -183,25 +184,36 @@ class ReferenceField:
 
 
 def save_field(fld: ReferenceField, path) -> None:
-    """Write a field to CSV with header ``x,y,z,vx,vy,vz,p`` and no metadata
-    line, every value to 12 significant digits: the bytes of ``np.savetxt``
-    with ``fmt="%.12g"``, formatted by :func:`write_table` in one pass."""
+    """Write a field to CSV: a ``# k=v`` metadata line with the field's
+    geometry and gas under their field names and ``cells``, the row count
+    (no line when the field carries neither), then the header
+    ``x,y,z,vx,vy,vz,p`` and every value to 12 significant digits. After
+    the metadata line these are the bytes of ``np.savetxt`` with
+    ``fmt="%.12g"``, formatted by :func:`write_table` in one pass."""
     data = np.column_stack([fld.positions, fld.velocities, fld.pressures])
-    write_table(path, None, FIELD_HEADER, [(",".join([_FMT] * 7), data)])
+    write_table(path, _duct_meta(fld.geometry, fld.gas) or None, FIELD_HEADER,
+                [(",".join([_FMT] * 7), data)])
 
 
 def load_field(path, geometry: NozzleGeometry | None = None,
                gas: GasModel | None = None) -> ReferenceField:
-    """Read a field CSV, validating format and (optionally) geometry.
+    """Read a field CSV, validating its format and its nodes against the
+    duct.
 
-    With ``geometry`` supplied, nodes outside the duct volume raise a
+    The geometry and gas come from the file's metadata line, as
+    :func:`save_field` writes them; ``geometry`` and ``gas`` stand in for
+    a part the file does not carry. An argument that disagrees with the
+    file raises a :class:`FieldFormatError` naming the key. With a
+    geometry, nodes outside the duct volume raise a
     :class:`FieldFormatError` listing the offending line numbers.
     """
-    _meta, lines, _widths, data = read_table(path, FIELD_HEADER)
+    meta, lines, _widths, data = read_table(path, FIELD_HEADER)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         bad = lines[~finite][:10].tolist()
         raise FieldFormatError(f"{path}: non-finite values on lines {bad}")
+    geometry, gas = (_agree(path, stored, given) for stored, given
+                     in zip(_duct_from_meta(meta, path), (geometry, gas)))
     fld = ReferenceField(data[:, 0:3], data[:, 3:6], data[:, 6],
                          geometry=geometry, gas=gas)
     if geometry is not None:
@@ -212,6 +224,19 @@ def load_field(path, geometry: NozzleGeometry | None = None,
                 f"{path}: {int((~inside).sum())} node(s) outside the duct "
                 f"volume, first offending lines {bad}")
     return fld
+
+
+def _agree(path, stored, given):
+    """The file's part, or ``given`` when the file has none; raises naming
+    the first key on which ``given`` disagrees with the file."""
+    if stored is None:
+        return given
+    if given is not None:
+        for k, v in asdict(given).items():
+            if v != getattr(stored, k):
+                raise FieldFormatError(f"{path}: {k}={v!r} disagrees with the "
+                                       f"file's {k}={getattr(stored, k)!r}")
+    return stored
 
 
 # ======================================================================
@@ -391,16 +416,40 @@ _ORIGIN_KEYS = ("origin_x", "origin_y", "origin_z")
 _DIM_KEYS = ("nx", "ny", "nz")
 
 
-def lattice_meta(grid) -> dict:
-    """Metadata of a lattice: edge, origin, dims, and the geometry and gas
-    (under their field names) when the grid carries them."""
-    meta = {"edge_length": float(grid.edge_length),
-            **dict(zip(_ORIGIN_KEYS, map(float, grid.origin))),
-            **dict(zip(_DIM_KEYS, map(int, grid.dims)))}
-    for part in (grid.geometry, grid.gas):
+def _duct_meta(geometry: NozzleGeometry | None, gas: GasModel | None) -> dict:
+    """The geometry and gas as metadata, under their field names; a part
+    that is None gives no key."""
+    meta = {}
+    for part in (geometry, gas):
         if part is not None:
             meta.update((k, float(v)) for k, v in asdict(part).items())
     return meta
+
+
+def _duct_from_meta(meta: dict, path) -> tuple:
+    """Inverse of :func:`_duct_meta`: (geometry, gas), each None when none
+    of its keys is present. Raises on a part with only some of its keys or
+    with values its class rejects."""
+    parts = []
+    for cls in (NozzleGeometry, GasModel):
+        keys = [f.name for f in fields(cls)]
+        missing = [k for k in keys if k not in meta]
+        if 0 < len(missing) < len(keys):
+            raise FieldFormatError(f"{path}: missing {cls.__name__} metadata {missing}")
+        try:
+            parts.append(None if missing else cls(**{k: float(meta[k]) for k in keys}))
+        except ValueError as exc:
+            raise FieldFormatError(f"{path}: {cls.__name__} metadata: {exc}") from None
+    return tuple(parts)
+
+
+def lattice_meta(grid) -> dict:
+    """Metadata of a lattice: edge, origin, dims, and the geometry and gas
+    (under their field names) when the grid carries them."""
+    return {"edge_length": float(grid.edge_length),
+            **dict(zip(_ORIGIN_KEYS, map(float, grid.origin))),
+            **dict(zip(_DIM_KEYS, map(int, grid.dims))),
+            **_duct_meta(grid.geometry, grid.gas)}
 
 
 def lattice_from_meta(meta: dict, path="lattice metadata"):
@@ -412,15 +461,8 @@ def lattice_from_meta(meta: dict, path="lattice metadata"):
     dims = tuple(meta[k] for k in _DIM_KEYS)
     if not all(isinstance(d, int) and d >= 1 for d in dims):
         raise FieldFormatError(f"{path}: lattice dims {dims} are not positive integers")
-    parts = []
-    for cls in (NozzleGeometry, GasModel):
-        keys = [f.name for f in fields(cls)]
-        missing = [k for k in keys if k not in meta]
-        if 0 < len(missing) < len(keys):
-            raise FieldFormatError(f"{path}: missing {cls.__name__} metadata {missing}")
-        parts.append(None if missing else cls(**{k: float(meta[k]) for k in keys}))
     return (np.array([float(meta[k]) for k in _ORIGIN_KEYS]),
-            float(meta["edge_length"]), dims, *parts)
+            float(meta["edge_length"]), dims, *_duct_from_meta(meta, path))
 
 
 # ======================================================================

@@ -80,7 +80,7 @@ class SimConfig:
     headon_cos: float = math.cos(math.pi / 4)   # |alignment| split, 45 deg
     dt_source: float = 0.5            # reservoir batch cadence, s
     batch_size: int | None = None     # None: sized from the entry cell's fit
-    seed_x_max: float | None = None   # tunnel case axial fill bound; None: half
+    seed_x_max: float | None = None   # tunnel case axial fill bound; None: mid-span
     record_trajectories: bool = False
     trajectory_stride: int = 10
 
@@ -312,15 +312,15 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
                 plant: PlantParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial population for the tunnel case.
 
-    Every fitted cell whose center lies at or below the axial bound gets its
+    Every fitted cell whose center lies at or below the axial bound
+    (``seed_x_max``, by default the middle of :func:`axial_span`) gets its
     fitted agent count, positions uniform in the cell, velocity equal to the
     cell's scaled command, thrust at hover.
     """
     bound = config.seed_x_max
     if bound is None:
-        length = grid.geometry.length if grid.geometry is not None \
-            else grid.dims[0] * grid.edge_length
-        bound = 0.5 * length
+        inlet, outlet = axial_span(grid)
+        bound = 0.5 * (inlet + outlet)
     cells = np.array(sorted(fit.results), dtype=np.int64)
     cells = cells[~(grid.centers()[cells, 0] > bound)]
     pos_list, vel_list = [], []
@@ -336,6 +336,15 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     vel = np.vstack(vel_list)
     thr = PlantState.hover(plant, len(vel)).thrust_accel
     return np.vstack(pos_list), vel, thr
+
+
+def axial_span(grid: ControlVolumeGrid) -> tuple[float, float]:
+    """The (inlet, outlet) planes of the flight: the duct's 0 and length,
+    or the lattice's axial extent when it carries no geometry. Agents past
+    the outlet retire."""
+    if grid.geometry is not None:
+        return 0.0, grid.geometry.length
+    return grid.origin[0], grid.origin[0] + grid.dims[0] * grid.edge_length
 
 
 def make_batch(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
@@ -436,7 +445,9 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     ``np.vecdot``, the same BLAS dot a per-pair ``a @ b`` or ``norm`` calls,
     so every value and every decision equals the per-pair form's bit for bit;
     each mask is the negated rejection test, so NaN kinematics pass as they
-    did there.
+    did there. Distance and closing speed are computed for every candidate
+    pair (the closing speed of a coincident pair is NaN or infinite, and
+    the distance test rejects it) and both tests select in one mask.
     """
     if len(pos) < 2:
         return []
@@ -445,11 +456,10 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     a, b = close_pairs(pos, 2.0 * config.collision_radius)
     dx = pos.take(b, axis=0) - pos.take(a, axis=0)
     dist = np.sqrt(np.vecdot(dx, dx))
-    keep = ~(dist <= 1e-12)
-    a, b, dx, dist = a[keep], b[keep], dx[keep], dist[keep]
     va, vb = vel.take(a, axis=0), vel.take(b, axis=0)
-    closing = np.vecdot(va - vb, dx / dist[:, None])
-    keep = ~(closing <= config.min_approach_speed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closing = np.vecdot(va - vb, dx / dist[:, None])
+    keep = ~(dist <= 1e-12) & ~(closing <= config.min_approach_speed)
     a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
     sa, sb = np.sqrt(np.vecdot(va, va)), np.sqrt(np.vecdot(vb, vb))
     keep = ~((sa < 1e-9) | (sb < 1e-9))
@@ -511,8 +521,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
     # commands and targets as component rows, gathered per agent by column
     table = np.ascontiguousarray(build_command_table(grid, fit, config.scale).T)
     targets = np.ascontiguousarray(grid.v_target.T)
-    length = grid.geometry.length if grid.geometry is not None \
-        else grid.origin[0] + grid.dims[0] * grid.edge_length
+    outlet = axial_span(grid)[1]
 
     rate, cell0 = injection_rate(grid, fit)
     n_batch = config.batch_size if config.batch_size is not None \
@@ -568,7 +577,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
             # faults: non-finite state ends the agent's run; the others
             # retire past the outlet plane
             bad = ~np.isfinite(pop.rows[:6]).all(axis=0)     # pos and vel
-            gone = ~bad & (pos[0] > length)
+            gone = ~bad & (pos[0] > outlet)
             if bad.any() or gone.any():
                 log.add(k, FAULT, pop.gid[bad])
                 log.add(k, RETIRE, pop.gid[gone])

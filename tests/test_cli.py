@@ -7,17 +7,18 @@ a short flight so the whole chain stays under a few seconds.
 import argparse
 import inspect
 import os
+import re
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from fluidswarm import (FitConfig, GasModel, NozzleGeometry, PlantParams,
-                        SimConfig, fit_grid, generate_quasi1d_field, load_fit,
-                        load_run, partition_domain, run_simulation,
-                        save_partition)
+                        SimConfig, fit_grid, generate_quasi1d_field, load_field,
+                        load_fit, load_partition, load_run, partition_domain,
+                        run_simulation, save_field, save_partition)
 from fluidswarm.cli import build_parser, main
 from fluidswarm.velocity_fit import SET_SIZE
 
@@ -164,8 +165,9 @@ def test_cli_fit_and_simulate_match_the_in_memory_route(tmp_path, capsys,
 
 
 def test_geometry_and_gas_flags_follow_their_dataclasses():
-    """generate-field and partition take one flag per NozzleGeometry and
-    GasModel field, named after it, and default to the dataclass."""
+    """generate-field takes one flag per NozzleGeometry and GasModel field,
+    named after it, and defaults to the dataclass; partition has none of
+    them, since it reads both from the field file."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     flags = {"length": "--length", "inlet_radius": "--inlet-radius",
@@ -175,16 +177,99 @@ def test_geometry_and_gas_flags_follow_their_dataclasses():
              "inlet_sound_speed": "--inlet-sound-speed"}
     assert set(flags) == {f.name for cls in (NozzleGeometry, GasModel)
                           for f in fields(cls)}
-    for argv in (["generate-field", "--output", "f.csv"],
-                 ["partition", "--field", "f.csv", "--output", "g.csv"]):
-        actions = sub.choices[argv[0]]._actions
-        for name, flag in flags.items():
-            assert [a.option_strings for a in actions if a.dest == name] \
-                == [[flag]], name
-        args = vars(build_parser().parse_args(argv))
-        assert {k: args[k] for k in asdict(NozzleGeometry())} \
-            == asdict(NozzleGeometry())
-        assert {k: args[k] for k in asdict(GasModel())} == asdict(GasModel())
+    actions = sub.choices["generate-field"]._actions
+    for name, flag in flags.items():
+        assert [a.option_strings for a in actions if a.dest == name] \
+            == [[flag]], name
+    args = vars(build_parser().parse_args(["generate-field", "--output", "f.csv"]))
+    assert {k: args[k] for k in asdict(NozzleGeometry())} \
+        == asdict(NozzleGeometry())
+    assert {k: args[k] for k in asdict(GasModel())} == asdict(GasModel())
+    actions = sub.choices["partition"]._actions
+    assert not {a.dest for a in actions} & set(flags)
+    assert not {s for a in actions for s in a.option_strings} & set(flags.values())
+
+
+def test_partition_takes_the_duct_and_gas_from_the_field(tmp_path, capsys):
+    """A flag-less partition of a generated field equals the in-memory
+    partition of that field with its own geometry and gas: the narrower
+    throat sets the cells inside, the slower sound speed the densities."""
+    cases = [(["--throat-radius", "0.6"], "throat_radius=0.6",
+              NozzleGeometry(throat_radius=0.6), GasModel()),
+             (["--inlet-sound-speed", "26"], "inlet_sound_speed=26.0",
+              NozzleGeometry(), GasModel(inlet_sound_speed=26.0))]
+    grids = []
+    for flags, token, geometry, gas in cases:
+        field, gridf = tmp_path / "field.csv", tmp_path / "grid.csv"
+        assert main(["generate-field", "--output", str(field), *flags]) == 0
+        assert main(["partition", "--field", str(field),
+                     "--output", str(gridf)]) == 0
+        capsys.readouterr()
+        assert token in gridf.read_text().splitlines()[0].split()
+        got = load_partition(gridf)
+        want = partition_domain(load_field(field, geometry=geometry, gas=gas))
+        assert got.geometry == want.geometry == geometry
+        assert got.gas == want.gas == gas
+        for name in ("inside", "node_count", "v_target", "p_target",
+                     "rho_target"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+        grids.append(got)
+    assert int(grids[0].inside.sum()) == 740      # 796 with the 0.75 m throat
+    rho = grids[1].rho_target
+    assert np.nanmin(rho) == pytest.approx(1.006, abs=5e-4)   # 1.2238 at 340 m/s
+    assert np.nanmax(rho) == pytest.approx(GasModel().inlet_density, abs=5e-4)
+
+
+def test_partition_reports_a_field_with_no_duct(tmp_path, capsys):
+    """An external field without a metadata line is not partitioned
+    against a default duct; the same rows after a written line are."""
+    field = generate_quasi1d_field(axial_stations=11, radial_rings=2)
+    bare = tmp_path / "bare.csv"
+    save_field(replace(field, geometry=None, gas=None), bare)
+    assert bare.read_text().startswith("x,y,z,vx,vy,vz,p\n")
+    assert main(["partition", "--field", str(bare),
+                 "--output", str(tmp_path / "grid.csv")]) == 1
+    assert "names no duct" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+    meta = {**asdict(NozzleGeometry()), **asdict(GasModel()),
+            "cells": len(field)}
+    lined = tmp_path / "lined.csv"
+    lined.write_text("# " + " ".join(f"{k}={v!r}" for k, v in meta.items())
+                     + "\n" + bare.read_text())
+    assert main(["partition", "--field", str(lined),
+                 "--output", str(tmp_path / "grid.csv")]) == 0
+    capsys.readouterr()
+    assert load_partition(tmp_path / "grid.csv").geometry == NozzleGeometry()
+
+
+def test_a_partition_flag_for_the_duct_is_a_usage_error(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--field", "f.csv", "--output", "g.csv",
+              "--throat-radius", "0.6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --throat-radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--inlet-sound-speed", "12"], "station x=3.6 m .* chokes"),
+    (["--throat-radius", "2"], "throat_radius must not exceed the end radii"),
+    (["--inlet-radius", "-1"], "radii must be positive"),
+    (["--throat-x", "15"], "throat_x must lie strictly inside"),
+    (["--inlet-speed", "0"], "inlet_speed must be positive"),
+])
+def test_a_choked_or_invalid_duct_is_a_usage_error(flags, message, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["generate-field", "--output", "f.csv", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "error: generate-field: " in err
+    assert re.search(message, err), err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_defaults_are_the_library_defaults():

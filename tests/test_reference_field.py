@@ -5,6 +5,8 @@ The headline check re-solves the throat state with an independent method
 result as a frozen constant.
 """
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -196,6 +198,74 @@ def test_save_load_round_trip(tmp_path, field):
     assert np.allclose(back.positions, field.positions, rtol=1e-11, atol=1e-12)
     assert np.allclose(back.velocities, field.velocities, rtol=1e-11, atol=1e-12)
     assert np.allclose(back.pressures, field.pressures, rtol=1e-11, atol=1e-9)
+
+
+def write_field(path, meta, rows="0,0,0,1,0,0,0\n6,0.5,0,2,0,0,-5\n"):
+    """A field file with ``meta`` (and ``cells``) on its metadata line."""
+    meta = {**meta, "cells": rows.count("\n")}
+    path.write_text("# " + " ".join(f"{k}={v!r}" for k, v in meta.items())
+                    + "\nx,y,z,vx,vy,vz,p\n" + rows)
+
+
+def test_the_field_file_carries_its_geometry_and_gas(tmp_path):
+    geometry = NozzleGeometry(length=12.0, throat_radius=0.6, throat_x=5.0)
+    gas = GasModel(gamma=1.3, inlet_sound_speed=60.0)
+    fld = generate_quasi1d_field(geometry=geometry, gas=gas,
+                                 axial_stations=11, radial_rings=2)
+    path = tmp_path / "field.csv"
+    save_field(fld, path)
+    back = load_field(path)
+    assert back.geometry == geometry and back.gas == gas
+    # an argument that agrees with the file is accepted
+    assert load_field(path, geometry=geometry, gas=gas).geometry == geometry
+    # each part is written alone when the other is absent
+    for part in ({"geometry": None}, {"gas": None}):
+        save_field(replace(fld, **part), path)
+        back = load_field(path)
+        assert (back.geometry, back.gas) == (
+            None if "geometry" in part else geometry,
+            None if "gas" in part else gas)
+
+
+def test_load_field_uses_its_arguments_only_without_the_line(tmp_path, field):
+    path = tmp_path / "field.csv"
+    save_field(replace(field, geometry=None, gas=None), path)
+    assert path.read_text().startswith(reference_field.FIELD_HEADER + "\n")
+    bare = load_field(path)
+    assert bare.geometry is None and bare.gas is None
+    other = NozzleGeometry(inlet_radius=1.6, outlet_radius=1.6)
+    given = load_field(path, geometry=other, gas=GasModel(gamma=1.3))
+    assert given.geometry == other and given.gas == GasModel(gamma=1.3)
+    # a file with the line keeps its own: a differing argument is an error
+    save_field(field, path)
+    with pytest.raises(FieldFormatError, match=r"throat_radius=0\.6 disagrees "
+                       r"with the file's throat_radius=0\.75"):
+        load_field(path, geometry=NozzleGeometry(throat_radius=0.6))
+    with pytest.raises(FieldFormatError, match="inlet_sound_speed=26.0 disagrees"):
+        load_field(path, gas=GasModel(inlet_sound_speed=26.0))
+
+
+def test_load_field_rejects_partial_or_invalid_metadata(tmp_path):
+    path = tmp_path / "field.csv"
+    geometry, gas = asdict(NozzleGeometry()), asdict(GasModel())
+    for meta, message in [
+            ({k: v for k, v in geometry.items() if k != "throat_x"},
+             r"missing NozzleGeometry metadata \['throat_x'\]"),
+            ({**geometry, "gamma": 1.4},
+             r"missing GasModel metadata \['inlet_density', "
+             r"'inlet_sound_speed'\]"),
+            ({**geometry, "throat_radius": 2.0},
+             "NozzleGeometry metadata: throat_radius must not exceed")]:
+        write_field(path, meta)
+        with pytest.raises(FieldFormatError, match=message):
+            load_field(path)
+    # the duct on the line checks the nodes without an argument
+    write_field(path, {**geometry, **gas}, rows="6,1.4,0,1,0,0,-5\n")
+    with pytest.raises(FieldFormatError, match="outside the duct"):
+        load_field(path)
+    # other keys alone name no duct
+    write_field(path, {"source": 3})
+    assert load_field(path).geometry is None
 
 
 def test_loader_rejects_bad_header(tmp_path):

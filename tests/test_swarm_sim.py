@@ -261,6 +261,25 @@ def test_seed_tunnel_respects_the_axial_bound(grid, fit):
         seed_tunnel(grid, fit, below, PlantParams())
 
 
+def test_seed_tunnel_fills_to_the_middle_of_the_span_without_geometry():
+    """On a lattice with no geometry the span is the lattice's axial extent,
+    [-2, 4] here, whose end is the retire plane: the fill stops at its
+    middle."""
+    dims = (12, 2, 2)
+    m = int(np.prod(dims))
+    grid = ControlVolumeGrid.empty(np.array([-2.0, -0.5, -0.5]), 0.5, dims)
+    grid.inside[:] = True
+    fit = fit_of({f: np.array([1.0, 0.0, 0.0]) for f in range(m)})
+    pos, _, _ = seed_tunnel(grid, fit, SimConfig(case="tunnel_seeding"),
+                            PlantParams())
+    centers = grid.centers()[:, 0]
+    want = np.flatnonzero(centers <= 1.0)
+    assert len(want) == 6 * 4 and centers[want].max() == 0.75
+    assert np.array_equal(np.unique(assign_cell(pos, grid)), want)
+    assert len(pos) == len(want)
+    assert swarm_sim.axial_span(grid) == (-2.0, 4.0)
+
+
 # ----------------------------------------------------------------------
 # collisions
 # ----------------------------------------------------------------------
@@ -963,6 +982,51 @@ def poisoned_plant(at_call):
         calls.append(dt)
         return out
     return step
+
+
+def test_losing_agents_changes_no_other_agent(grid, fit, monkeypatch):
+    """With collisions off no agent reads another's state: a tenth of the
+    agents faulted mid-run leave every other agent's snapshots, and every
+    injection, bitwise equal to the clean run's."""
+    config = SimConfig(duration=20.0, seed=0, record_trajectories=True,
+                       trajectory_stride=1)
+    clean = run_simulation(grid, fit, config)
+    calls = []
+
+    def step(state, cmds, dt, params):
+        out = plant_step(state, cmds, dt, params)
+        if len(calls) == 200:                    # frame 200 of 400
+            out.velocity[::10, 0] = np.nan
+        calls.append(dt)
+        return out
+
+    monkeypatch.setattr(swarm_sim, "plant_step", step)
+    lossy = run_simulation(grid, fit, config)
+    fault = lossy.events.kind == EVENT_KINDS.index("fault")
+    lost = lossy.events.a[fault]
+    assert len(lost) > 10 and set(lossy.events.frame[fault].tolist()) == {200}
+
+    def event_rows(trace, kind=None):
+        e = trace.events
+        rows = np.column_stack([e.frame, e.kind, e.a, e.b])
+        if kind is not None:
+            return rows[e.kind == EVENT_KINDS.index(kind)]
+        return rows[~np.isin(e.a, lost) & (e.kind != EVENT_KINDS.index("fault"))]
+
+    assert np.array_equal(event_rows(lossy, "inject"), event_rows(clean, "inject"))
+    # the other agents' retirements and wall escapes are the clean run's too
+    assert np.array_equal(event_rows(lossy), event_rows(clean))
+    assert len(lossy.trajectories) == len(clean.trajectories) == 400
+    snapshots = 0
+    for (t0, gid0, pos0, vel0), (t1, gid1, pos1, vel1) in zip(
+            clean.trajectories, lossy.trajectories):
+        assert t0 == t1
+        keep0, keep1 = ~np.isin(gid0, lost), ~np.isin(gid1, lost)
+        assert np.array_equal(gid0[keep0], gid1[keep1])
+        assert np.array_equal(pos0[keep0], pos1[keep1])
+        assert np.array_equal(vel0[keep0], vel1[keep1])
+        snapshots += int(keep1.sum())
+    assert snapshots > 100_000
 
 
 # the first frame of the fault case in which agents retire: its fault and

@@ -10,6 +10,7 @@ read, same error message on the same damaged file.
 import itertools
 import sys
 import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -170,12 +171,20 @@ def mixed_fit(fit, seed=4):
 # ======================================================================
 
 def test_field_bytes_equal_savetxt(tmp_path, field):
-    save_field(field, tmp_path / "field.csv")
+    """After its metadata line, which holds the geometry and gas, a field
+    file is the bytes of ``np.savetxt``; without either it has no line."""
     data = np.column_stack([field.positions, field.velocities, field.pressures])
     np.savetxt(tmp_path / "savetxt.csv", data, fmt="%.12g", delimiter=",",
                header=FIELD_HEADER, comments="")
-    assert (tmp_path / "field.csv").read_bytes() \
-        == (tmp_path / "savetxt.csv").read_bytes()
+    want = (tmp_path / "savetxt.csv").read_bytes()
+    save_field(field, tmp_path / "field.csv")
+    meta, rest = (tmp_path / "field.csv").read_bytes().split(b"\n", 1)
+    assert meta.decode() == "# " + " ".join(
+        f"{k}={v!r}" for k, v in {**asdict(field.geometry), **asdict(field.gas),
+                                   "cells": len(field)}.items())
+    assert rest == want
+    save_field(replace(field, geometry=None, gas=None), tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == want
 
 
 def test_partition_and_fit_bytes_equal_the_per_row_writer(tmp_path, grid, fit,
@@ -255,9 +264,10 @@ def test_errors_equal_the_reference_messages(tmp_path, field, grid, fit):
             [r.split(",")[0], "abc", *r.split(",")[2:]])),
         lambda: damaged(path, lines, 12_345, lambda r: r.rsplit(",", 1)[0]),
         lambda: damaged(path, lines, 12_345, lambda r: r + ",1"),
-        lambda: damaged(path, lines, 1, lambda r: r.replace("vz", "w")),
-        lambda: path.write_text(lines[0] + "\n"),
-        lambda: path.write_text(lines[0] + "\n\n  \n"),
+        # line 2 is the header, after the metadata line
+        lambda: damaged(path, lines, 2, lambda r: r.replace("vz", "w")),
+        lambda: path.write_text("\n".join(lines[:2]) + "\n"),
+        lambda: path.write_text("\n".join(lines[:2]) + "\n\n  \n"),
         lambda: path.write_text(""),
         # a bad value before a short row: the earlier line is named
         lambda: path.write_text("\n".join(
