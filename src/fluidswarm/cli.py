@@ -22,6 +22,9 @@ per-frame peak. `plant-test` exercises the velocity plant against its
 response envelopes and is independent of the field pipeline. `fit`,
 `simulate` and `plant-test` take `--seed` (default 0); no other subcommand
 draws random numbers. A flag that sets a library parameter has the library's default.
+An input file that is missing, or is not the file its flag names (another
+stage's file, a damaged one), is reported on one stderr line with exit
+status 1, before any file is written.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import argparse
 import inspect
 import os
 import sys
+import zipfile
 from dataclasses import fields
 
 import numpy as np
@@ -134,6 +138,22 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand bodies
 # ======================================================================
 
+class _InputError(Exception):
+    """An input file that is missing or does not read as its format."""
+
+
+def _read(load, path):
+    """``load(path)``, with what it raises on a missing or malformed file
+    (a ``FieldFormatError`` is a ``ValueError``) as an _InputError, whose
+    message names the path."""
+    try:
+        return load(path)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        msg = " ".join(str(exc).split())
+        raise _InputError(msg if str(path) in msg else f"{path}: {msg}") \
+            from exc
+
+
 def _cmd_generate_field(args) -> int:
     fld = args.field
     save_field(fld, args.output)
@@ -144,7 +164,7 @@ def _cmd_generate_field(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    fld = load_field(args.field)
+    fld = _read(load_field, args.field)
     if fld.geometry is None:
         print(f"fluidswarm partition: {args.field} names no duct; put its "
               "NozzleGeometry fields on a '# k=v' line before the header",
@@ -159,7 +179,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    grid = load_partition(args.partition)
+    grid = _read(load_partition, args.partition)
     fit = fit_grid(grid, args.config)
     save_fit(fit, grid, args.output)
     print(f"fitted {len(fit.results)} cells, {SET_SIZE} velocities each "
@@ -203,7 +223,7 @@ def _sim_config(args) -> SimConfig:
 
 
 def _cmd_simulate(args) -> int:
-    fit, meta = load_fit(args.fit)
+    fit, meta = _read(load_fit, args.fit)
     grid = grid_from_fit(fit, meta)
     plant = PlantParams(mass=fit.config.agent_mass,
                         thrust_to_weight=args.thrust_to_weight)
@@ -218,8 +238,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    grid = load_partition(args.targets)
-    run = load_run(args.run)
+    grid = _read(load_partition, args.targets)
+    run = _read(load_run, args.run)
     report = metrics_report(run, grid, transient=args.transient)
     outdir = args.out or args.run
     os.makedirs(outdir, exist_ok=True)
@@ -276,7 +296,11 @@ def main(argv=None) -> int:
             raise ValueError("seed must be nonnegative")
     except ValueError as exc:
         parser.error(f"{args.command}: {exc}")
-    return _DISPATCH[args.command](args)
+    try:
+        return _DISPATCH[args.command](args)
+    except _InputError as exc:
+        print(f"fluidswarm {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

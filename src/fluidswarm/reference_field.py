@@ -301,8 +301,11 @@ def read_table(path, header: str) -> tuple[dict, np.ndarray, np.ndarray, np.ndar
     names = header.split(",")
     ragged = names[-1] == "..."
     width = len(names) - ragged
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise FieldFormatError(f"{path}: not a UTF-8 text table") from None
     if not lines[-1]:
         lines.pop()                     # what follows the final newline
     meta, lineno, line = {}, 0, ""

@@ -40,7 +40,10 @@ headings. Candidate pairs come from a cell list of cubes just over two body
 radii on a side, each agent tested against its own and the 13 forward
 neighbouring cubes, and a pair is close when its squared distance, summed
 (dx^2 + dy^2) + dz^2, is at most the squared bound: the rule of SciPy's
-``cKDTree.query_pairs``, so the pairs are those a KD-tree finds.
+``cKDTree.query_pairs``, so the pairs are those a KD-tree finds. The pass
+runs on the population's own rows, which resolution changes in place, and
+ends once no close pair closes faster than the approach floor; only a frame
+with a non-finite agent copies the others out and back.
 """
 
 from __future__ import annotations
@@ -95,6 +98,12 @@ class SimConfig:
         if not (math.isfinite(self.collision_radius)
                 and self.collision_radius > 0):
             raise ValueError("collision_radius must be finite and positive")
+        # the detection negates its rejection tests: a NaN threshold
+        # would reject no pair
+        if not self.min_approach_speed >= 0:
+            raise ValueError("min_approach_speed must be nonnegative")
+        if math.isnan(self.overtake_cos) or math.isnan(self.headon_cos):
+            raise ValueError("overtake_cos and headon_cos must not be NaN")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.trajectory_stride < 1:
@@ -386,6 +395,11 @@ def close_pairs(pos, bound: float) -> tuple[np.ndarray, np.ndarray]:
     holds at most ``max(PAIR_TABLE_CELLS, 8 N)`` cubes: past that, each
     axis's cube index is capped, which merges far cubes into the last one
     and never separates a close pair.
+
+    The search works in sorted order, where a run is a range of indices:
+    one lookup gives all ten run bounds, the non-empty runs are expanded
+    into candidates with one ``repeat``, and the distance test reads the
+    sorted (3, N) rows. Only the close pairs go back to input indices.
     """
     n = len(pos)
     if n < 2:
@@ -405,31 +419,40 @@ def close_pairs(pos, bound: float) -> tuple[np.ndarray, np.ndarray]:
     size = (int(dims[0]) + 1) * sx
     key = (np.array([sx, sz, 1.0]) @ q + (sz + 1)).astype(
         np.min_scalar_type(size))         # 16-bit keys get a radix sort
-    order = np.argsort(key, kind="stable")
-    key = key.take(order).astype(np.intp)
-    start = np.zeros(size + 1, dtype=np.intp)   # first agent of each cube
-    np.cumsum(np.bincount(key, minlength=size), out=start[1:])
-    # runs of sorted agents: own column, then the four forward columns
-    base = key + np.array([[sz], [sx - sz], [sx], [sx + sz]])
-    lo, hi = np.empty((5, n), dtype=np.intp), np.empty((5, n), dtype=np.intp)
-    lo[0] = np.arange(1, n + 1)
-    start.take(base - 1, out=lo[1:])
-    start.take(key + 2, out=hi[0])
-    start.take(base + 2, out=hi[1:])
-    runs = (hi - lo).ravel()
-    run = np.repeat(np.arange(5 * n), runs)
-    shift = lo.ravel() - np.cumsum(runs) + runs
-    a = np.tile(order, 5).take(run)
-    b = order.take(shift.take(run) + np.arange(len(run)))
-    x, y, z = rows
-    d = np.square(x.take(b) - x.take(a))
-    d += np.square(y.take(b) - y.take(a))
-    d += np.square(z.take(b) - z.take(a))
-    near = (d <= bound * bound).nonzero()[0]
-    a, b = a.take(near), b.take(near)
+    order = key.argsort(kind="stable")
+    # the sorted keys between sentinels; start[c], the first agent of cube
+    # c, steps up by one at each sorted key
+    edges = np.empty(n + 2, dtype=np.intp)
+    edges[0], edges[-1] = -1, size
+    edges[1:-1] = key.take(order)
+    key = edges[1:-1]
+    start = np.arange(n + 1).repeat(edges[1:] - edges[:-1])
+    # rows 0-4 start the runs (own column, then the four forward columns),
+    # rows 5-9 end them; the own column starts after the agent
+    column = np.array([[0, sz, sx - sz, sx, sx + sz]])
+    bounds = start.take(key + (column + [[-1], [2]]).reshape(10, 1))
+    bounds[0] = np.arange(1, n + 1)
+    runs = (bounds[5:] - bounds[:5]).ravel()
+    run = (runs > 0).nonzero()[0]
+    runs = runs.take(run)
+    first = runs.cumsum()           # each run's first candidate
+    first -= runs
+    j = np.arange(len(run)).repeat(runs)
+    b = (bounds[:5].ravel().take(run) - first).take(j)
+    b += np.arange(len(j))
+    a = (run % n).take(j)
+    rows = rows.take(order, axis=1)
+    d = rows.take(b, axis=1)
+    d -= rows.take(a, axis=1)
+    np.square(d, out=d)
+    d2 = d[0] + d[1]
+    d2 += d[2]
+    near = (d2 <= bound * bound).nonzero()[0]
+    a, b = order.take(a.take(near)), order.take(b.take(near))
     pair = np.minimum(a, b) * n + np.maximum(a, b)
     pair.sort()
-    return np.divmod(pair, n)
+    a = pair // n
+    return a, pair - a * n
 
 
 def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]:
@@ -441,29 +464,41 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     Raises ValueError when there are two or more agents and a position is
     not finite.
 
-    All candidate pairs are tested as arrays. Dot products go through
-    ``np.vecdot``, the same BLAS dot a per-pair ``a @ b`` or ``norm`` calls,
-    so every value and every decision equals the per-pair form's bit for bit;
-    each mask is the negated rejection test, so NaN kinematics pass as they
-    did there. Distance and closing speed are computed for every candidate
-    pair (the closing speed of a coincident pair is NaN or infinite, and
-    the distance test rejects it) and both tests select in one mask.
+    All candidate pairs are tested as arrays, on (3, M) component rows
+    gathered from ``pos.T`` and ``vel.T``: the loop passes (N, 3) views of
+    its (3, N) rows, so those are the rows themselves. Dot products go
+    through ``np.vecdot`` along axis 0, which sums as ``np.vecdot`` on
+    (M, 3) rows and as a per-pair ``a @ b`` or ``norm`` does, so every
+    value and every decision equals the per-pair form's bit for bit; each
+    mask is the negated rejection test, so NaN kinematics pass as they did
+    there. Distance and closing speed are computed for every candidate pair
+    (the closing speed of a coincident pair is NaN or infinite, and the
+    distance test rejects it) and both tests select in one mask; when it
+    selects nothing, which is every frame at the default floor, the
+    detection ends there.
     """
     if len(pos) < 2:
         return []
-    if not np.isfinite(pos).all():
+    p, v = pos.T, vel.T
+    if not np.isfinite(p).all():
         raise ValueError("collision detection needs finite positions")
     a, b = close_pairs(pos, 2.0 * config.collision_radius)
-    dx = pos.take(b, axis=0) - pos.take(a, axis=0)
-    dist = np.sqrt(np.vecdot(dx, dx))
-    va, vb = vel.take(a, axis=0), vel.take(b, axis=0)
+    dx = p.take(b, axis=1)
+    dx -= p.take(a, axis=1)
+    dist = np.sqrt(np.vecdot(dx, dx, axis=0))
+    va, vb = v.take(a, axis=1), v.take(b, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        closing = np.vecdot(va - vb, dx / dist[:, None])
+        closing = np.vecdot(va - vb, dx / dist, axis=0)
     keep = ~(dist <= 1e-12) & ~(closing <= config.min_approach_speed)
-    a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
-    sa, sb = np.sqrt(np.vecdot(va, va)), np.sqrt(np.vecdot(vb, vb))
+    keep = keep.nonzero()[0]
+    if len(keep) == 0:
+        return []
+    a, b, va, vb = a[keep], b[keep], va[:, keep], vb[:, keep]
+    sa = np.sqrt(np.vecdot(va, va, axis=0))
+    sb = np.sqrt(np.vecdot(vb, vb, axis=0))
     keep = ~((sa < 1e-9) | (sb < 1e-9))
-    align = np.vecdot(va[keep], vb[keep]) / (sa[keep] * sb[keep])
+    align = np.vecdot(va[:, keep], vb[:, keep], axis=0) \
+        / (sa[keep] * sb[keep])
     kind = np.where(align > config.overtake_cos, "overtake",
                     np.where(np.abs(align) >= config.headon_cos,
                              "headon", "sideswipe"))
@@ -553,20 +588,10 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
             thr[...] = state.thrust_accel.T
             pos += vel * config.dt
 
-            if config.collisions:
-                # non-finite agents (the pair search rejects them) fault
-                # below; rows[:6] are pos and vel
-                live = np.flatnonzero(np.isfinite(pop.rows[:6]).all(axis=0))
-                sub_vel = vel[:, live].T.copy()
-                pairs = detect_collisions(pos[:, live].T.copy(), sub_vel,
-                                          config)
-                applied = resolve_collisions(sub_vel, pairs)
-                vel[:, live] = sub_vel.T
-                if applied:
-                    a, b, kind = zip(*applied)
-                    gid = pop.gid[live]
-                    log.add(k, [EVENT_KINDS.index("collision_" + c)
-                                for c in kind], gid[list(a)], gid[list(b)])
+            # an agent with a non-finite position or velocity (rows[:6])
+            # faults below
+            finite = (_collide(pop, k, config, log) if config.collisions
+                      else np.isfinite(pop.rows[:6]).all(axis=0))
 
             # wall escape: through the lateral wall, still inside the span
             if grid.geometry is not None:
@@ -576,8 +601,8 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
 
             # faults: non-finite state ends the agent's run; the others
             # retire past the outlet plane
-            bad = ~np.isfinite(pop.rows[:6]).all(axis=0)     # pos and vel
-            gone = ~bad & (pos[0] > outlet)
+            bad = ~finite
+            gone = finite & (pos[0] > outlet)
             if bad.any() or gone.any():
                 log.add(k, FAULT, pop.gid[bad])
                 log.add(k, RETIRE, pop.gid[gone])
@@ -593,6 +618,43 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                            events=EventTable(*log.columns[:, :log.n].copy()),
                            injection_rate=rate, batch_size=n_batch,
                            trajectories=trajectories)
+
+
+def _collide(pop: _Population, k: int, config: SimConfig,
+             log: _EventLog) -> np.ndarray:
+    """Frame ``k``'s collisions: detect, resolve and log them; returns which
+    agents have a finite position and velocity after them.
+
+    When every agent is finite, the usual frame, ``detect_collisions`` and
+    ``resolve_collisions`` get (N, 3) views of the population's rows, which
+    the resolution changes in place. Otherwise the finite agents are copied
+    out and their velocities back; the others, which the pair search
+    rejects, sit the pass out and fault at the end of the frame. A
+    resolution changes only the agents of its applied pairs, so only they
+    are tested again.
+    """
+    finite = np.isfinite(pop.rows[:6]).all(axis=0)
+    if finite.all():
+        live = None
+        vel = pop.vel.T
+        pairs = detect_collisions(pop.pos.T, vel, config)
+    else:
+        live = finite.nonzero()[0]
+        vel = pop.vel[:, live].T.copy()
+        pairs = detect_collisions(pop.pos[:, live].T.copy(), vel, config)
+    applied = resolve_collisions(vel, pairs)
+    if live is not None:
+        pop.vel[:, live] = vel.T
+    if applied:
+        a, b, kind = zip(*applied)
+        a, b = np.array(a), np.array(b)
+        if live is not None:
+            a, b = live[a], live[b]
+        log.add(k, [EVENT_KINDS.index("collision_" + c) for c in kind],
+                pop.gid[a], pop.gid[b])
+        touched = np.concatenate([a, b])
+        finite[touched] = np.isfinite(pop.rows[:6, touched]).all(axis=0)
+    return finite
 
 
 def _through_wall(pos, escaped, geometry: NozzleGeometry) -> np.ndarray:

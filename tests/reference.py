@@ -1,5 +1,6 @@
 """Test references: per-agent bulk moments, (N, 3) plant shims, a
-one-cell fit and the per-row writers of the analysis files.
+one-cell fit, the per-row writers of the analysis files and the collision
+block that copied the live agents out and back.
 
 The library applies its closures only to per-cell frame sums
 (``metrics.derive_fields``), steps the plant on (3, N) component rows and
@@ -10,10 +11,13 @@ functions and its set solver, so tests that use them as oracles still check
 the code the pipeline runs. The analysis writers format one row at a time
 with their own normalization maxima, as the library did before it wrote
 those files through ``write_table``; tests compare the files byte for byte.
+The collision block is the loop's as it was before the pass ran on the
+population's rows in place, with its detector on (M, 3) pair rows.
 """
 
 import numpy as np
 
+from fluidswarm import swarm_sim
 from fluidswarm.primitives import (control_temperature, pressure_coefficient,
                                    random_temperature_from_spread)
 from fluidswarm.velocity_fit import SET_SIZE, FitResult, _solve
@@ -206,3 +210,55 @@ def save_metrics_lines(report, path) -> None:
                 fh.write(f"{k}={v:.12g}\n")
             else:
                 fh.write(f"{k}={v}\n")
+
+
+# ======================================================================
+# the copying collision block
+# ======================================================================
+
+def pair_row_collisions(pos, vel, config) -> list:
+    """``detect_collisions`` on (M, 3) pair rows, every test applied to
+    every candidate pair, with the pairs of ``cKDTree.query_pairs``."""
+    from scipy.spatial import cKDTree
+
+    if len(pos) < 2:
+        return []
+    if not np.isfinite(pos).all():
+        raise ValueError("collision detection needs finite positions")
+    pairs = cKDTree(pos).query_pairs(2.0 * config.collision_radius,
+                                     output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    a, b = pairs.T
+    dx = pos.take(b, axis=0) - pos.take(a, axis=0)
+    dist = np.sqrt(np.vecdot(dx, dx))
+    va, vb = vel.take(a, axis=0), vel.take(b, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closing = np.vecdot(va - vb, dx / dist[:, None])
+    keep = ~(dist <= 1e-12) & ~(closing <= config.min_approach_speed)
+    a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
+    sa, sb = np.sqrt(np.vecdot(va, va)), np.sqrt(np.vecdot(vb, vb))
+    keep = ~((sa < 1e-9) | (sb < 1e-9))
+    align = np.vecdot(va[keep], vb[keep]) / (sa[keep] * sb[keep])
+    kind = np.where(align > config.overtake_cos, "overtake",
+                    np.where(np.abs(align) >= config.headon_cos,
+                             "headon", "sideswipe"))
+    return list(zip(a[keep].tolist(), b[keep].tolist(), kind.tolist()))
+
+
+def collision_block(pop, k, config, log):
+    """A stand-in for ``swarm_sim._collide``: the agents with a finite
+    position and velocity are copied out as (M, 3) arrays, collide through
+    ``pair_row_collisions`` and ``swarm_sim.resolve_collisions``, and their
+    velocities are copied back; then the whole population is scanned again
+    for the fault test."""
+    live = np.flatnonzero(np.isfinite(pop.rows[:6]).all(axis=0))
+    sub_vel = pop.vel[:, live].T.copy()
+    pairs = pair_row_collisions(pop.pos[:, live].T.copy(), sub_vel, config)
+    applied = swarm_sim.resolve_collisions(sub_vel, pairs)
+    pop.vel[:, live] = sub_vel.T
+    if applied:
+        a, b, kind = zip(*applied)
+        gid = pop.gid[live]
+        log.add(k, [swarm_sim.EVENT_KINDS.index("collision_" + c)
+                    for c in kind], gid[list(a)], gid[list(b)])
+    return np.isfinite(pop.rows[:6]).all(axis=0)

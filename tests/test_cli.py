@@ -243,6 +243,44 @@ def test_partition_reports_a_field_with_no_duct(tmp_path, capsys):
     assert load_partition(tmp_path / "grid.csv").geometry == NozzleGeometry()
 
 
+def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
+                                                  capsys):
+    """Each subcommand fed every other pipeline file (field, grid, fit and
+    run) in place of its input, and ``analyze`` a run directory without
+    ``trace.npz`` and a damaged one: one stderr line naming the file, exit
+    status 1 and no output written."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["generate-field", "--output", "field.csv", "--stations",
+                  "41", "--rings", "3"],
+                 ["partition", "--field", "field.csv", "--output", "grid.csv"],
+                 ["fit", "--partition", "grid.csv", "--output", "fit.csv"],
+                 ["simulate", "--fit", "fit.csv", "--out", "run",
+                  "--duration", "1"]):
+        assert main(argv) == 0
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "damaged").mkdir()
+    (tmp_path / "damaged" / "trace.npz").write_bytes(b"PK\x03\x04 cut short")
+    files = {"field": "field.csv", "grid": "grid.csv", "fit": "fit.csv",
+             "run": "run/trace.npz"}
+    reads = [(["partition", "--output", "o.csv", "--field"], "field"),
+             (["fit", "--output", "o.csv", "--partition"], "grid"),
+             (["simulate", "--out", "o", "--fit"], "fit"),
+             (["analyze", "--run", "run", "--out", "o", "--targets"], "grid")]
+    cases = [(argv + [path], path) for argv, own in reads
+             for kind, path in files.items() if kind != own]
+    cases += [(["analyze", "--targets", "grid.csv", "--out", "o", "--run",
+                path], path) for path in ("field.csv", "empty", "damaged")]
+    capsys.readouterr()
+    for argv, path in cases:
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, (argv, err)
+        assert err.startswith(f"fluidswarm {argv[0]}: ") and path in err, err
+        assert not (tmp_path / "o.csv").exists() \
+            and not (tmp_path / "o").exists(), argv
+    assert len(cases) == 15
+
+
 def test_a_partition_flag_for_the_duct_is_a_usage_error(tmp_path, monkeypatch,
                                                         capsys):
     monkeypatch.chdir(tmp_path)

@@ -23,6 +23,7 @@ from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, close_pairs,
                                   entry_cell, make_batch, seed_tunnel)
 from fluidswarm.velocity_fit import FitConfig, FitResult, GridFit
 from fluidswarm.velocity_plant import PlantState, step as plant_step
+from reference import collision_block
 
 CFG = SimConfig()  # collision thresholds at their defaults
 
@@ -683,6 +684,27 @@ def test_einsum_sums_squares_in_the_order_the_frame_reduce_uses():
         "frame records written with einsum")
 
 
+def test_vecdot_along_axis_0_sums_as_on_rows():
+    """``detect_collisions`` takes its dot products with ``np.vecdot`` on
+    (3, M) component rows along axis 0, and pins their values to the
+    per-pair form's, which ``np.vecdot`` on (M, 3) rows equals. No sum
+    written out by hand matches them: the rows product is not a plain
+    left-to-right sum. A numpy whose axis-0 vecdot sums otherwise fails
+    here, naming the cause, where the detection tests would only show
+    other pairs."""
+    rng = np.random.default_rng(17)
+    u = rng.normal(size=(200_000, 3)) * 10.0 ** rng.integers(-8, 8, (200_000, 3))
+    v = rng.normal(size=(200_000, 3))
+    want = np.vecdot(u, v)
+    x, y, z = (u * v).T
+    assert all(np.any(want != s) for s in ((x + y) + z, (x + z) + y, x + (y + z)))
+    got = np.vecdot(np.ascontiguousarray(u.T), np.ascontiguousarray(v.T), axis=0)
+    assert np.array_equal(got, want), (
+        "np.vecdot(..., axis=0) on (3, M) rows no longer sums as np.vecdot "
+        "on (M, 3) rows in this numpy; detect_collisions' distances, closing "
+        "speeds and alignments then differ from the per-pair form's")
+
+
 def test_the_layers_perfbench_times_are_called_through_module_names(
         grid, fit, monkeypatch):
     """The benchmark times the loop's layers by wrapping module attributes:
@@ -776,6 +798,23 @@ def test_a_non_finite_agent_faults_without_ending_a_collision_run(
     trace = short_run(grid, fit, seed=0, collisions=True)
     assert trace.totals["fault"] == n_events(trace, "fault") == 1
     assert population_balance(trace)["balanced"]
+
+
+@pytest.mark.parametrize("floor", [0.5, 0.05, 0.02, 0.0])
+def test_the_collision_pass_equals_the_copying_block(grid, fit, monkeypatch,
+                                                     floor):
+    """The collide workload's run (60 s, batch 17, seed 0) at four
+    approach floors, from none applied to 185,688 overtakes: frames and
+    events equal those of the block that copied the live agents out and
+    back and detected on (M, 3) pair rows."""
+    config = SimConfig(duration=60.0, seed=0, batch_size=17, collisions=True,
+                       min_approach_speed=floor)
+    trace = run_simulation(grid, fit, config)
+    monkeypatch.setattr(swarm_sim, "_collide", collision_block)
+    ref = run_simulation(grid, fit, config)
+    assert frames_equal(trace.frames, ref.frames)
+    assert trace.events == ref.events
+    assert (trace.totals["collision_overtake"] > 0) == (floor < 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -1032,6 +1071,9 @@ def test_losing_agents_changes_no_other_agent(grid, fit, monkeypatch):
 # the first frame of the fault case in which agents retire: its fault and
 # retirements land in one frame, so their order within the frame is tested
 FAULT_CALL = 496
+# a frame of the collision case in which agents overtake and retire: a
+# fault there sends the frame's collisions through the copying path
+COLLISION_FAULT_CALL = 500
 
 LOOP_CASES = {
     "reservoir": SimConfig(duration=30.0, seed=6),
@@ -1040,7 +1082,10 @@ LOOP_CASES = {
     "collisions": SimConfig(duration=30.0, seed=0, batch_size=17,
                             collisions=True, min_approach_speed=0.02),
     "fault": SimConfig(duration=30.0, seed=2),
+    "collision_fault": SimConfig(duration=30.0, seed=0, batch_size=17,
+                                 collisions=True, min_approach_speed=0.02),
 }
+POISONED_CALL = {"fault": FAULT_CALL, "collision_fault": COLLISION_FAULT_CALL}
 
 
 @pytest.mark.parametrize("case", sorted(LOOP_CASES))
@@ -1048,9 +1093,9 @@ def test_compact_loop_equals_the_full_scan_loop(grid, fit, monkeypatch, case):
     config = LOOP_CASES[case]
     runs = []
     for run in (run_simulation, full_scan_run):
-        if case == "fault":
+        if case in POISONED_CALL:
             monkeypatch.setattr(swarm_sim, "plant_step",
-                                poisoned_plant(FAULT_CALL))
+                                poisoned_plant(POISONED_CALL[case]))
         runs.append(run(grid, fit, config))
     new, ref = runs
     assert frames_equal(new.frames, ref.frames)
@@ -1080,8 +1125,14 @@ def test_compact_loop_equals_the_full_scan_loop(grid, fit, monkeypatch, case):
     assert kinds["inject"] > 0 and kinds["retire"] > 0
     if case == "tunnel":
         assert len(ref.trajectories) > 1
-    if case == "collisions":
+    if case in ("collisions", "collision_fault"):
         assert collisions > 0
+    if case == "collision_fault":
+        assert ref.faults == 1
+        frame = log_frames(ref)
+        fault = next(f for f, e in zip(frame, ref.events) if e[1] == "fault")
+        assert any(f == fault and e[1].startswith("collision_")
+                   for f, e in zip(frame, ref.events))
     if case == "fault":
         assert ref.faults == 1
         fault_t = next(e[0] for e in ref.events if e[1] == "fault")
@@ -1105,6 +1156,14 @@ def test_config_validation():
     for radius in (-0.1, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="collision_radius"):
             SimConfig(collision_radius=radius)
+    # a NaN floor passed every pair: two agents flying apart came back as
+    # a head-on collision
+    for name, value in (("min_approach_speed", np.nan),
+                        ("min_approach_speed", -0.01),
+                        ("overtake_cos", np.nan), ("headon_cos", np.nan)):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: value})
+    assert SimConfig(min_approach_speed=0.0).min_approach_speed == 0.0
     for size in (-3, 0):
         with pytest.raises(ValueError, match="batch_size"):
             SimConfig(batch_size=size)
