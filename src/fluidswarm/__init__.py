@@ -24,8 +24,8 @@ from .swarm_sim import (SimConfig, SimulationTrace, build_command_table,
                         detect_collisions, injection_rate, load_run,
                         population_balance, resolve_collisions,
                         run_simulation, save_run)
-from .velocity_fit import (FitConfig, FitResult, GridFit, fit_grid,
-                           grid_from_fit, load_fit, save_fit, set_pressure)
+from .velocity_fit import (FitConfig, GridFit, fit_grid, grid_from_fit,
+                           load_fit, save_fit, set_pressure)
 from .velocity_plant import GRAVITY, PlantParams, PlantState, tilt_angle_deg
 from .velocity_plant import step as plant_step
 
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChokedFlowError", "ControlVolumeGrid", "DegenerateCellError",
-    "DerivedFields", "FieldFormatError", "FitConfig", "FitResult", "GRAVITY",
+    "DerivedFields", "FieldFormatError", "FitConfig", "GRAVITY",
     "GasModel", "GridFit", "NozzleGeometry", "PlantParams", "PlantState",
     "ReferenceField", "SimConfig", "SimulationTrace", "assign_cell",
     "build_command_table", "centerline_agreement", "centerline_profile",

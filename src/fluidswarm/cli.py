@@ -24,7 +24,8 @@ response envelopes and is independent of the field pipeline. `fit`,
 draws random numbers. A flag that sets a library parameter has the library's default.
 An input file that is missing, or is not the file its flag names (another
 stage's file, a damaged one), is reported on one stderr line with exit
-status 1, before any file is written.
+status 1, before any file is written; so are `analyze` targets whose
+lattice or duct differs from the one the run flew.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .metrics import export_centerline, export_slice, metrics_report, save_metri
 from .partition import load_partition, partition_domain, save_partition
 from .plant_suite import ALL_SCENARIOS, run_suite
 from .reference_field import (GasModel, NozzleGeometry, generate_quasi1d_field,
-                              load_field, save_field)
+                              lattice_meta, load_field, save_field)
 from .swarm_sim import (EVENT_KINDS, SimConfig, load_run, population_balance,
                         run_simulation, save_run)
 from .velocity_fit import (SET_SIZE, FitConfig, fit_grid, grid_from_fit,
@@ -182,7 +183,7 @@ def _cmd_fit(args) -> int:
     grid = _read(load_partition, args.partition)
     fit = fit_grid(grid, args.config)
     save_fit(fit, grid, args.output)
-    print(f"fitted {len(fit.results)} cells, {SET_SIZE} velocities each "
+    print(f"fitted {len(fit.cells)} cells, {SET_SIZE} velocities each "
           f"-> {args.output}")
     return 0
 
@@ -240,6 +241,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     grid = _read(load_partition, args.targets)
     run = _read(load_run, args.run)
+    targets = lattice_meta(grid)
+    for k in dict.fromkeys([*run.lattice, *targets]):
+        if run.lattice.get(k) != targets.get(k):
+            raise _InputError(f"{args.targets}: {k}={targets.get(k)!r} differs "
+                              f"from the run's {k}={run.lattice.get(k)!r}")
     report = metrics_report(run, grid, transient=args.transient)
     outdir = args.out or args.run
     os.makedirs(outdir, exist_ok=True)

@@ -191,7 +191,7 @@ def load_partition(path) -> ControlVolumeGrid:
     """Read a partition table written by :func:`save_partition`. Raises
     ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does,
     on missing metadata, and unless every lattice cell has exactly one row."""
-    meta, lines, _widths, data = read_table(path, PARTITION_HEADER)
+    meta, lines, data = read_table(path, PARTITION_HEADER)
     grid = ControlVolumeGrid.empty(*lattice_from_meta(meta, path))
     if len(data) != grid.num_cells:
         raise FieldFormatError(

@@ -207,7 +207,7 @@ def load_field(path, geometry: NozzleGeometry | None = None,
     geometry, nodes outside the duct volume raise a
     :class:`FieldFormatError` listing the offending line numbers.
     """
-    meta, lines, _widths, data = read_table(path, FIELD_HEADER)
+    meta, lines, data = read_table(path, FIELD_HEADER)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         bad = lines[~finite][:10].tolist()
@@ -281,26 +281,25 @@ def _floats(rows: list) -> np.ndarray:
     return np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
 
 
-def read_table(path, header: str) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+def read_table(path, header: str,
+               width: int | None = None) -> tuple[dict, np.ndarray, np.ndarray]:
     """Read ``# k=v`` metadata lines, the ``header`` line and rows of floats.
 
-    A row has one value per header column, or at least the named ones when
-    the header ends in ``...`` (a repeating tail). Blank lines are skipped.
-    With metadata present, its ``cells`` must equal the row count.
+    Every row has ``width`` values, by default one per header column. Blank
+    lines are skipped. With metadata present, its ``cells`` must equal the
+    row count.
 
-    Returns the metadata, each row's line number and width, and the values
-    as a (rows, widest row) float array, NaN past a row's width. The file
-    is read at once, and all rows go through one C-level conversion unless
-    their widths differ (then one per width). A value reads as ``float``
-    reads it, bit for bit, but text only ``float`` reads (``1_0``,
-    non-ASCII digits) is rejected. Raises :class:`FieldFormatError` naming
-    the file and, where there is one, the line: the first in the file with
-    a wrong column count or a rejected value, found by a scan only once the
-    conversion has failed.
+    Returns the metadata, each row's line number and the values as a
+    (rows, width) float array. The file is read at once, and all rows go
+    through one C-level conversion. A value reads as ``float`` reads it,
+    bit for bit, but text only ``float`` reads (``1_0``, non-ASCII digits)
+    is rejected. Raises :class:`FieldFormatError` naming the file and,
+    where there is one, the line: the first in the file with a wrong column
+    count or a rejected value, found by halving only once the conversion
+    has failed.
     """
-    names = header.split(",")
-    ragged = names[-1] == "..."
-    width = len(names) - ragged
+    if width is None:
+        width = header.count(",") + 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -332,51 +331,32 @@ def read_table(path, header: str) -> tuple[dict, np.ndarray, np.ndarray, np.ndar
         raise FieldFormatError(f"{path}: no data rows")
     try:
         values = _floats(rows)
-        widths = np.full(len(rows), values.shape[1])
-    except ValueError:                  # rows of unequal width, or a bad one
-        values, widths = None, np.array([r.count(",") + 1 for r in rows])
-    off = (widths < width) | ((widths > width) & (not ragged))
-    if values is None or off.any():
-        stop = int(np.argmax(off)) if off.any() else len(rows)
-        values = _floats_by_width(path, rows[:stop], numbers, widths[:stop])
-        if stop < len(rows):
-            raise FieldFormatError(f"{path}:{numbers[stop]}: expected "
-                                   f"{width} columns, got {widths[stop]}")
+    except ValueError:                  # a row of another width, or a bad value
+        values = None
+    if values is None or values.shape[1] != width:
+        i = _first_bad(rows, width)
+        got = rows[i].count(",") + 1
+        raise FieldFormatError(f"{path}:{numbers[i]}: " + (
+            _reason(rows[i]) if got == width
+            else f"expected {width} columns, got {got}"))
     if meta and meta.get("cells") != len(rows):
         raise FieldFormatError(f"{path}: metadata declares cells="
                                f"{meta.get('cells')}, found {len(rows)} cell rows")
-    return meta, numbers, widths, values
+    return meta, numbers, values
 
 
-def _floats_by_width(path, rows, numbers, widths) -> np.ndarray:
-    """The rows converted one width at a time, NaN past a row's width;
-    raises for the first row with a value the conversion rejects."""
-    values = np.full((len(rows), widths.max(initial=0)), np.nan)
-    bad = len(rows)
-    for w in np.unique(widths).tolist():
-        idx = np.flatnonzero(widths == w)
-        group = [rows[i] for i in idx]
-        try:
-            values[idx, :w] = _floats(group)
-        except ValueError:
-            bad = min(bad, int(idx[_first_rejected(group)]))
-    if bad < len(rows):
-        raise FieldFormatError(f"{path}:{numbers[bad]}: {_reason(rows[bad])}")
-    return values
-
-
-def _first_rejected(rows: list) -> int:
-    """Index of the first of ``rows`` (of one width) whose values
-    :func:`_floats` rejects, by halving: about one conversion of them all."""
+def _first_bad(rows: list, width: int) -> int:
+    """Index of the first of ``rows`` that holds other than ``width`` values
+    or a value :func:`_floats` rejects, by halving: about one conversion of
+    them all. There must be one."""
     first = 0
     while len(rows) > 1:
         half = len(rows) // 2
         try:
-            _floats(rows[:half])
+            ok = _floats(rows[:half]).shape[1] == width
         except ValueError:
-            rows = rows[:half]
-        else:
-            first, rows = first + half, rows[half:]
+            ok = False
+        first, rows = (first + half, rows[half:]) if ok else (first, rows[:half])
     return first
 
 

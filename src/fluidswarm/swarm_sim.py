@@ -57,8 +57,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .partition import ControlVolumeGrid, assign_cell
-from .reference_field import NozzleGeometry
-from .velocity_fit import GridFit, cell_rngs
+from .reference_field import NozzleGeometry, lattice_from_meta, lattice_meta
+from .velocity_fit import SET_SIZE, GridFit, cell_rngs
 from .velocity_plant import PlantParams, PlantState, step as plant_step
 
 CASES = ("tunnel_seeding", "reservoir")
@@ -154,6 +154,7 @@ class SimulationTrace:
     events: EventTable                # the population record; counts below
     injection_rate: float             # agents/s implied by the entry cell
     batch_size: int
+    lattice: dict                     # lattice_meta of the grid flown
     trajectories: list[tuple] = field(default_factory=list)
 
     @property
@@ -195,11 +196,11 @@ def build_command_table(grid: ControlVolumeGrid, fit: GridFit,
     winner, the lowest index among equals: off a binary-fraction lattice
     they differ in the last bits. The table is the dense search's.
     """
-    fitted, means = fit.commands()
+    fitted = fit.cells
     if len(fitted) == 0:
-        raise ValueError("fit has no results")
+        raise ValueError("fit has no cells")
     commands = np.zeros((grid.num_cells, 3))
-    commands[fitted] = means
+    commands[fitted] = fit.commands()
     dims = grid.dims
     source = np.zeros(dims, dtype=bool)
     source.flat[fitted] = True
@@ -245,22 +246,20 @@ def _shells(dims):
 
 def entry_cell(grid: ControlVolumeGrid, fit: GridFit) -> int:
     """Fitted cell nearest the inlet face center (ties to lowest index)."""
-    fitted = np.array(sorted(fit.results), dtype=np.int64)
     target = np.array([grid.origin[0] + grid.edge_length / 2.0, 0.0, 0.0])
-    d = np.linalg.norm(grid.centers()[fitted] - target, axis=1)
-    return int(fitted[np.argmin(d)])
+    d = np.linalg.norm(grid.centers()[fit.cells] - target, axis=1)
+    return int(fit.cells[np.argmin(d)])
 
 
 def injection_rate(grid: ControlVolumeGrid, fit: GridFit) -> tuple[float, int]:
     """Agents/s through the inlet and the entry cell index.
 
-    rate = N* * ||mean fitted velocity|| / edge_length for the entry cell.
-    The unscaled fitted speed sets the rate (the reference through-flow);
-    agents themselves fly the scaled command.
+    rate = SET_SIZE * ||mean fitted velocity|| / edge_length for the entry
+    cell. The unscaled fitted speed sets the rate (the reference
+    through-flow); agents themselves fly the scaled command.
     """
     cell = entry_cell(grid, fit)
-    res = fit.results[cell]
-    rate = res.n_star * float(np.linalg.norm(res.command)) / grid.edge_length
+    rate = SET_SIZE * float(np.linalg.norm(fit.command(cell))) / grid.edge_length
     return rate, cell
 
 
@@ -322,29 +321,24 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     """Initial population for the tunnel case.
 
     Every fitted cell whose center lies at or below the axial bound
-    (``seed_x_max``, by default the middle of :func:`axial_span`) gets its
-    fitted agent count, positions uniform in the cell, velocity equal to the
-    cell's scaled command, thrust at hover.
+    (``seed_x_max``, by default the middle of :func:`axial_span`) gets
+    ``SET_SIZE`` agents, positions uniform in the cell, velocity equal to
+    the cell's scaled command, thrust at hover.
     """
     bound = config.seed_x_max
     if bound is None:
         inlet, outlet = axial_span(grid)
         bound = 0.5 * (inlet + outlet)
-    cells = np.array(sorted(fit.results), dtype=np.int64)
-    cells = cells[~(grid.centers()[cells, 0] > bound)]
-    pos_list, vel_list = [], []
-    for f, rng in zip(cells.tolist(), cell_rngs((config.seed, 2), cells)):
-        res = fit.results[f]
-        lo = grid.origin + grid.unravel([f])[0] * grid.edge_length
-        pos = lo + rng.random((res.n_star, 3)) * grid.edge_length
-        vel = np.tile(config.scale * res.command, (res.n_star, 1))
-        pos_list.append(pos)
-        vel_list.append(vel)
-    if not pos_list:
+    keep = ~(grid.centers()[fit.cells, 0] > bound)
+    cells = fit.cells[keep]
+    if len(cells) == 0:
         raise ValueError("no cells to seed below the axial bound")
-    vel = np.vstack(vel_list)
-    thr = PlantState.hover(plant, len(vel)).thrust_accel
-    return np.vstack(pos_list), vel, thr
+    corners = grid.origin + grid.unravel(cells) * grid.edge_length
+    rngs = cell_rngs((config.seed, 2), cells)
+    pos = np.vstack([lo + rng.random((SET_SIZE, 3)) * grid.edge_length
+                     for lo, rng in zip(corners, rngs)])
+    vel = np.repeat(config.scale * fit.commands()[keep], SET_SIZE, axis=0)
+    return pos, vel, PlantState.hover(plant, len(vel)).thrust_accel
 
 
 def axial_span(grid: ControlVolumeGrid) -> tuple[float, float]:
@@ -366,7 +360,7 @@ def make_batch(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     th = 2.0 * np.pi * rng.random(n_batch)
     x = grid.origin[0] + rng.random(n_batch) * grid.edge_length
     pos = np.column_stack([x, rr * np.cos(th), rr * np.sin(th)])
-    vel = np.tile(config.scale * fit.results[cell].command, (n_batch, 1))
+    vel = np.tile(config.scale * fit.command(cell), (n_batch, 1))
     return pos, vel, PlantState.hover(plant, n_batch).thrust_accel
 
 
@@ -617,6 +611,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                            frames=frames,
                            events=EventTable(*log.columns[:, :log.n].copy()),
                            injection_rate=rate, batch_size=n_batch,
+                           lattice=lattice_meta(grid),
                            trajectories=trajectories)
 
 
@@ -776,7 +771,7 @@ def population_balance(trace: SimulationTrace) -> dict:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 6
+RUN_FORMAT = 7
 # the columns streamed record by record: dtype and the shape of one row
 FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
                  "vsum": (np.float64, (3,)), "sumv2": (np.float64, ()),
@@ -789,7 +784,8 @@ RUN_COLUMNS = {"frame_t": (np.float64, ()), "frame_offsets": (np.int64, ()),
                **{"event_" + f.name: (np.int64, ()) for f in fields(EventTable)},
                **FRAME_COLUMNS, **TRAJ_COLUMNS}
 RUN_KEYS = ("meta", *RUN_COLUMNS)
-META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size")
+META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size",
+             "lattice")
 
 
 def _write_parts(zf, name, parts, dtype, row) -> None:
@@ -811,14 +807,14 @@ def save_run(trace: SimulationTrace, outdir) -> None:
 
     Frame records and trajectory snapshots are flat columns cut by offsets,
     streamed record by record; the event table is one column per field, and
-    config and plant are one JSON string; counts are not stored.
+    config, plant and lattice are one JSON string; counts are not stored.
     ``load_run`` reads back a trace equal to this one.
     """
     os.makedirs(outdir, exist_ok=True)
     meta = {"format": RUN_FORMAT, "config": asdict(trace.config),
             "plant": asdict(trace.plant),
             "injection_rate": trace.injection_rate,
-            "batch_size": trace.batch_size}
+            "batch_size": trace.batch_size, "lattice": trace.lattice}
     frames, snaps = trace.frames, trace.trajectories
     parts = {"frame_t": [trace.frame_t],
              "frame_offsets": [np.cumsum([0] + [len(r.cells) for r in frames])],
@@ -859,26 +855,38 @@ def _dataclass_from(cls, values: dict):
 def load_run(rundir) -> SimulationTrace:
     """Read back the trace ``save_run`` wrote to ``rundir``.
 
-    Raises ValueError on a missing key, a ``meta`` member that is not one
-    string, another format version, a column of another dtype or row shape
-    than ``RUN_COLUMNS`` gives, a cell count below 1, columns whose lengths disagree with each other or with their
+    Raises ValueError on a file that is not a zip archive, a missing key, a
+    ``meta`` member that is not one string holding a JSON object, another
+    format version, a lattice that ``lattice_from_meta`` rejects, a column
+    of another dtype or row shape than ``RUN_COLUMNS`` gives, a cell count
+    below 1, columns whose lengths disagree with each other or with their
     offsets, an event kind outside ``EVENT_KINDS``, or an event frame
     outside the run.
     """
-    with np.load(os.path.join(rundir, RUN_FILE), allow_pickle=False) as npz:
-        missing = sorted(set(RUN_KEYS) - set(npz.files))
-        if missing:
-            raise ValueError(f"{RUN_FILE}: missing {missing}")
-        a = {k: npz[k] for k in RUN_KEYS}
+    with open(os.path.join(rundir, RUN_FILE), "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            raise ValueError(f"{RUN_FILE} is not a run archive (a zip of "
+                             ".npy members)")
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as npz:
+            missing = sorted(set(RUN_KEYS) - set(npz.files))
+            if missing:
+                raise ValueError(f"{RUN_FILE}: missing {missing}")
+            a = {k: npz[k] for k in RUN_KEYS}
     if a["meta"].dtype.kind != "U" or a["meta"].ndim != 0:
         raise ValueError(f"{RUN_FILE}: meta is not one JSON string")
     meta = json.loads(a["meta"].item())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{RUN_FILE}: meta is not a JSON object")
+    if meta.get("format") != RUN_FORMAT:
+        raise ValueError(f"{RUN_FILE}: format {meta.get('format')!r}, "
+                         f"expected {RUN_FORMAT}")
     missing = sorted(set(META_KEYS) - set(meta))
     if missing:
         raise ValueError(f"{RUN_FILE}: metadata is missing {missing}")
-    if meta["format"] != RUN_FORMAT:
-        raise ValueError(f"{RUN_FILE}: format {meta['format']!r}, "
-                         f"expected {RUN_FORMAT}")
+    if not isinstance(meta["lattice"], dict):
+        raise ValueError(f"{RUN_FILE}: lattice is not a JSON object")
+    lattice_from_meta(meta["lattice"], RUN_FILE)
     for name, (dtype, row) in RUN_COLUMNS.items():
         if a[name].dtype != dtype or a[name].shape[1:] != row \
                 or a[name].ndim != 1 + len(row):
@@ -903,6 +911,6 @@ def load_run(rundir) -> SimulationTrace:
         plant=_dataclass_from(PlantParams, meta["plant"]),
         frame_t=a["frame_t"], frames=[FrameRecord(*cols) for cols in frames],
         events=events, injection_rate=meta["injection_rate"],
-        batch_size=meta["batch_size"],
+        batch_size=meta["batch_size"], lattice=meta["lattice"],
         trajectories=[(t, *cols) for t, cols
                       in zip(a["traj_t"].tolist(), snaps)])

@@ -13,7 +13,9 @@ q = sum_i ||w_i||^2. The set is v_target + s * w_i, with the spread
 
 so the set pressure c * s^2 * q equals P_target, and a zero target tiles
 the velocity target exactly. ``fit_grid`` solves every cell in one array
-pass.
+pass into a :class:`GridFit`: ``cells`` (K,) ascending and ``velocities``
+(K, SET_SIZE, 3). A fit file has one row per cell: its lattice index, the
+set size (the ``n_star`` column, always ``SET_SIZE``) and its velocities.
 
 Reproducibility: every cell draws from its own generator seeded by
 (seed, cell index), so a cell's set does not depend on which other cells are
@@ -27,8 +29,8 @@ quarter of the cost of building that one by one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -63,17 +65,6 @@ class FitConfig:
             raise ValueError("agent_mass must be positive")
         if self.rng_seed < 0:
             raise ValueError("seed must be nonnegative")
-
-
-@dataclass
-class FitResult:
-    n_star: int
-    velocities: np.ndarray        # (n_star, 3)
-
-    @property
-    def command(self) -> np.ndarray:
-        """The single per-cell command: the fitted set's mean velocity."""
-        return self.velocities.mean(axis=0)
 
 
 def set_pressure(velocities, center, cell_volume: float, agent_mass: float) -> float:
@@ -172,24 +163,30 @@ def _solve(v_target, p_target, cell_volume: float, agent_mass: float,
 
 @dataclass
 class GridFit:
-    """Fit results for every valid cell, plus the shared pressure shift."""
+    """The fitted sets of every valid cell, plus the shared pressure shift."""
 
-    results: dict[int, FitResult]
+    cells: np.ndarray             # (K,) fitted flat cell indices, ascending
+    velocities: np.ndarray        # (K, SET_SIZE, 3) each cell's set
     pressure_offset: float        # subtracted from every cell's p_target
     config: FitConfig
 
-    def commands(self) -> tuple[np.ndarray, np.ndarray]:
-        """The fitted cells in ascending order and their commands, one
-        stacked mean per set size: each row equals the cell's
-        :attr:`FitResult.command` bit for bit."""
-        cells = np.array(sorted(self.results), dtype=np.int64)
-        sets = [self.results[f].velocities for f in cells.tolist()]
-        sizes = np.array([len(v) for v in sets])
-        commands = np.empty((len(cells), 3))
-        for n in np.unique(sizes).tolist():
-            idx = np.flatnonzero(sizes == n)
-            commands[idx] = np.stack([sets[i] for i in idx]).mean(axis=1)
-        return cells, commands
+    def commands(self) -> np.ndarray:
+        """(K, 3) the cells' commands, each set's mean velocity: row i
+        equals ``velocities[i].mean(axis=0)`` bit for bit."""
+        return self.velocities.mean(axis=1)
+
+    def command(self, cell: int) -> np.ndarray:
+        """The command of one fitted cell; raises KeyError for another."""
+        row = np.searchsorted(self.cells, cell)
+        if row == len(self.cells) or self.cells[row] != cell:
+            raise KeyError(f"cell {cell} has no fit")
+        return self.velocities[row].mean(axis=0)
+
+    # not a field: perfbench reads len(results) and results[cell].n_star
+    @property
+    def results(self):
+        return MappingProxyType(dict.fromkeys(
+            self.cells.tolist(), SimpleNamespace(n_star=SET_SIZE)))
 
 
 def fit_grid(grid: ControlVolumeGrid,
@@ -211,9 +208,7 @@ def fit_grid(grid: ControlVolumeGrid,
                       for rng in cell_rngs((config.rng_seed,), cells)])
     vel = _solve(grid.v_target[cells], grid.p_target[cells] - offset,
                  grid.cell_volume, config.agent_mass, draws)
-    results = {int(f): FitResult(n_star=SET_SIZE, velocities=v)
-               for f, v in zip(cells, vel)}
-    return GridFit(results=results, pressure_offset=offset, config=config)
+    return GridFit(cells, vel, offset, config)
 
 
 # ======================================================================
@@ -221,53 +216,41 @@ def fit_grid(grid: ControlVolumeGrid,
 # ======================================================================
 
 def save_fit(fit: GridFit, grid: ControlVolumeGrid, path) -> None:
-    """Write fit results exactly: one row per cell, three columns per
-    velocity after the set size; the lattice rides in the metadata line.
-    Each run of cells of one set size is one block of the table."""
+    """Write the fit exactly: one row per cell, its lattice index, the set
+    size and three columns per velocity; the lattice rides in the metadata
+    line."""
     meta = {"agent_mass": float(fit.config.agent_mass),
             "rng_seed": int(fit.config.rng_seed),
             "pressure_offset": float(fit.pressure_offset), **lattice_meta(grid)}
-    cells = sorted(fit.results)
-    sets = [fit.results[f].velocities for f in cells]
-    sizes = [len(v) for v in sets]
-    head = np.column_stack([grid.unravel(cells),
-                            [fit.results[f].n_star for f in cells]])
-    blocks, start = [], 0
-    for n, run in itertools.groupby(sizes):
-        stop = start + len(list(run))
-        rows = np.column_stack([head[start:stop],
-                                np.reshape(sets[start:stop], (stop - start, 3 * n))])
-        blocks.append((",".join(["%d"] * 4 + ["%r"] * (3 * n)), rows))
-        start = stop
-    write_table(path, meta, FIT_HEADER, blocks)
+    k = len(fit.cells)
+    rows = np.column_stack([grid.unravel(fit.cells), np.full(k, SET_SIZE),
+                            fit.velocities.reshape(k, 3 * SET_SIZE)])
+    write_table(path, meta, FIT_HEADER,
+                [(",".join(["%d"] * 4 + ["%r"] * (3 * SET_SIZE)), rows)])
 
 
 def load_fit(path) -> tuple[GridFit, dict]:
     """Read a fit table; returns the fit and its metadata mapping. Raises
-    ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does, on
-    missing metadata, on a cell off the lattice or with two rows, and on a
-    row whose velocity count disagrees with its set size."""
-    meta, lines, widths, data = read_table(path, FIT_HEADER)
+    ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does
+    (a row must hold ``SET_SIZE`` velocities), on missing metadata, on a
+    cell off the lattice or with two rows, and on a row whose set size is
+    not ``SET_SIZE``."""
+    meta, lines, data = read_table(path, FIT_HEADER, width=4 + 3 * SET_SIZE)
     missing = sorted({"agent_mass", "rng_seed", "pressure_offset"} - meta.keys())
     if missing:
         raise FieldFormatError(f"{path}: missing fit metadata {', '.join(missing)}")
     dims = lattice_from_meta(meta, path)[2]
     flat = cell_index(path, lines, data[:, :3], dims)
-    sizes = data[:, 3]
-    off = widths != 4 + 3 * sizes
+    off = data[:, 3] != SET_SIZE
     if off.any():
         i = int(np.argmax(off))
-        n = float(sizes[i])
-        raise FieldFormatError(f"{path}:{lines[i]}: set size {n} expects "
-                               f"{3 * n} velocity values, got {widths[i] - 4}")
-    results = {f: FitResult(n_star=n, velocities=data[i, 4:w].reshape(-1, 3))
-               for i, (f, n, w) in enumerate(zip(flat.tolist(),
-                                                 sizes.astype(int).tolist(),
-                                                 widths.tolist()))}
+        raise FieldFormatError(f"{path}:{lines[i]}: set size {data[i, 3]:g}, "
+                               f"expected {SET_SIZE}")
+    order = np.argsort(flat)
     config = FitConfig(agent_mass=float(meta["agent_mass"]),
                        rng_seed=int(meta["rng_seed"]))
-    fit = GridFit(results=results, pressure_offset=float(meta["pressure_offset"]),
-                  config=config)
+    fit = GridFit(flat[order], data[order, 4:].reshape(-1, SET_SIZE, 3),
+                  float(meta["pressure_offset"]), config)
     return fit, meta
 
 
@@ -276,8 +259,7 @@ def grid_from_fit(fit: GridFit, meta: dict) -> ControlVolumeGrid:
     what a simulation reads. Pressure and density targets stay NaN, so the
     result suits simulation, not scoring."""
     grid = ControlVolumeGrid.empty(*lattice_from_meta(meta))
-    cells, commands = fit.commands()
-    grid.inside[cells] = True
-    grid.node_count[cells] = 1
-    grid.v_target[cells] = commands
+    grid.inside[fit.cells] = True
+    grid.node_count[fit.cells] = 1
+    grid.v_target[fit.cells] = fit.commands()
     return grid

@@ -20,7 +20,7 @@ import numpy as np
 from fluidswarm import swarm_sim
 from fluidswarm.primitives import (control_temperature, pressure_coefficient,
                                    random_temperature_from_spread)
-from fluidswarm.velocity_fit import SET_SIZE, FitResult, _solve
+from fluidswarm.velocity_fit import SET_SIZE, _solve
 from fluidswarm.velocity_plant import (PlantParams, _constrain, _desired,
                                        _drag, _feedforward, _rows)
 
@@ -130,17 +130,17 @@ def constrain_accel(accel, params: PlantParams) -> np.ndarray:
 # ======================================================================
 
 def fit_cell(v_target, p_target: float, cell_volume: float,
-             rng: np.random.Generator, agent_mass: float = 1.0) -> FitResult:
-    """One cell's set from the first ``SET_SIZE`` 3-vector draws of ``rng``,
-    solved as ``fit_grid`` solves every cell. ``p_target`` must already be
-    shifted to be nonnegative."""
+             rng: np.random.Generator, agent_mass: float = 1.0) -> np.ndarray:
+    """One cell's (SET_SIZE, 3) set from the first ``SET_SIZE`` 3-vector
+    draws of ``rng``, solved as ``fit_grid`` solves every cell.
+    ``p_target`` must already be shifted to be nonnegative."""
     if p_target < 0:
         raise ValueError("pressure target must be nonnegative (pre-shifted)")
     if cell_volume <= 0:
         raise ValueError("cell_volume must be positive")
     vel = _solve(np.asarray(v_target, dtype=float)[None], np.array([p_target]),
                  cell_volume, agent_mass, rng.standard_normal((1, SET_SIZE, 3)))
-    return FitResult(n_star=SET_SIZE, velocities=vel[0])
+    return vel[0]
 
 
 # ======================================================================

@@ -152,9 +152,8 @@ def test_cli_fit_and_simulate_match_the_in_memory_route(tmp_path, capsys,
     capsys.readouterr()
     fit = fit_grid(grid)
     cli_fit, _meta = load_fit(tmp_path / "fit.csv")
-    assert cli_fit.results.keys() == fit.results.keys()
-    for f, res in fit.results.items():
-        assert np.array_equal(cli_fit.results[f].velocities, res.velocities)
+    assert np.array_equal(cli_fit.cells, fit.cells)
+    assert np.array_equal(cli_fit.velocities, fit.velocities)
     want = run_simulation(grid, fit, SimConfig(duration=5.0))
     got = load_run(tmp_path / "run")
     assert got.events == want.events
@@ -247,8 +246,8 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
                                                   capsys):
     """Each subcommand fed every other pipeline file (field, grid, fit and
     run) in place of its input, and ``analyze`` a run directory without
-    ``trace.npz`` and a damaged one: one stderr line naming the file, exit
-    status 1 and no output written."""
+    ``trace.npz``, a damaged one and one whose ``trace.npz`` is a CSV file:
+    one stderr line naming the file, exit status 1 and no output written."""
     monkeypatch.chdir(tmp_path)
     for argv in (["generate-field", "--output", "field.csv", "--stations",
                   "41", "--rings", "3"],
@@ -260,6 +259,9 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     (tmp_path / "empty").mkdir()
     (tmp_path / "damaged").mkdir()
     (tmp_path / "damaged" / "trace.npz").write_bytes(b"PK\x03\x04 cut short")
+    (tmp_path / "csv").mkdir()
+    (tmp_path / "csv" / "trace.npz").write_bytes(
+        (tmp_path / "field.csv").read_bytes())
     files = {"field": "field.csv", "grid": "grid.csv", "fit": "fit.csv",
              "run": "run/trace.npz"}
     reads = [(["partition", "--output", "o.csv", "--field"], "field"),
@@ -269,7 +271,8 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     cases = [(argv + [path], path) for argv, own in reads
              for kind, path in files.items() if kind != own]
     cases += [(["analyze", "--targets", "grid.csv", "--out", "o", "--run",
-                path], path) for path in ("field.csv", "empty", "damaged")]
+                path], path) for path in ("field.csv", "empty", "damaged",
+                                          "csv")]
     capsys.readouterr()
     for argv, path in cases:
         assert main(argv) == 1, argv
@@ -278,7 +281,44 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
         assert err.startswith(f"fluidswarm {argv[0]}: ") and path in err, err
         assert not (tmp_path / "o.csv").exists() \
             and not (tmp_path / "o").exists(), argv
-    assert len(cases) == 15
+        if path == "csv":
+            assert "trace.npz is not a run archive" in err, err
+            assert "pickle" not in err, err
+    assert len(cases) == 16
+
+
+def test_analyze_rejects_targets_of_another_lattice_or_duct(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    """A run is scored only against targets on the lattice and duct it flew:
+    targets of another edge or throat are one stderr line naming the first
+    key that differs, exit status 1 and no output written."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["generate-field", "--output", "field.csv"],
+                 ["generate-field", "--output", "narrow.csv",
+                  "--throat-radius", "0.6"],
+                 ["partition", "--field", "field.csv", "--output", "grid.csv"],
+                 ["partition", "--field", "field.csv", "--output", "fine.csv",
+                  "--edge", "0.25"],
+                 ["partition", "--field", "narrow.csv", "--output",
+                  "narrow_grid.csv"],
+                 ["fit", "--partition", "grid.csv", "--output", "fit.csv"],
+                 ["simulate", "--fit", "fit.csv", "--out", "run",
+                  "--duration", "5"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    for targets, key, ours, theirs in (
+            ("fine.csv", "edge_length", 0.25, 0.5),
+            ("narrow_grid.csv", "throat_radius", 0.6, 0.75)):
+        assert main(["analyze", "--run", "run", "--targets", targets,
+                     "--out", "o"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"fluidswarm analyze: {targets}: {key}={ours!r} differs from "
+            f"the run's {key}={theirs!r}\n")
+        assert not (tmp_path / "o").exists()
+    assert main(["analyze", "--run", "run", "--targets", "grid.csv",
+                 "--out", "o"]) == 0
 
 
 def test_a_partition_flag_for_the_duct_is_a_usage_error(tmp_path, monkeypatch,

@@ -19,9 +19,10 @@ from fluidswarm import (PlantParams, SimConfig, build_command_table,
                         plant_suite, population_balance, resolve_collisions,
                         run_simulation, save_run, swarm_sim)
 from fluidswarm.partition import ControlVolumeGrid, assign_cell, partition_domain
+from fluidswarm.reference_field import lattice_meta
 from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, close_pairs,
                                   entry_cell, make_batch, seed_tunnel)
-from fluidswarm.velocity_fit import FitConfig, FitResult, GridFit
+from fluidswarm.velocity_fit import SET_SIZE, FitConfig, GridFit
 from fluidswarm.velocity_plant import PlantState, step as plant_step
 from reference import collision_block
 
@@ -58,29 +59,29 @@ def frames_equal(a, b):
 
 def test_fitted_cells_broadcast_their_scaled_mean(grid, fit):
     table = build_command_table(grid, fit, 0.1)
-    for f, res in fit.results.items():
-        assert np.array_equal(table[f], 0.1 * res.command)
+    for f, v in zip(fit.cells, fit.velocities):
+        assert np.array_equal(table[f], 0.1 * v.mean(axis=0))
 
 
 def test_unfitted_cells_borrow_the_nearest_command(grid, fit):
     table = build_command_table(grid, fit, 0.1)
     centers = grid.centers()
-    fitted = np.asarray(sorted(fit.results))
+    fitted = fit.cells
     rng = np.random.default_rng(5)
     others = rng.choice(np.flatnonzero(~grid.valid), size=40, replace=False)
     for f in others:
         diff = centers[f] - centers[fitted]
         d2 = np.einsum("fk,fk->f", diff, diff)
         nearest = int(fitted[np.argmin(d2)])  # argmin ties go to lowest index
-        assert np.array_equal(table[f], 0.1 * fit.results[nearest].command)
+        assert np.array_equal(table[f], 0.1 * fit.command(nearest))
 
 
 def dense_nearest_table(grid, fit, scale):
     """Reference table: the dense nearest search over every fitted cell,
     one 256-row block of lattice cells at a time (argmin ties go to the
     lowest index)."""
-    fitted = np.array(sorted(fit.results), dtype=np.int64)
-    means = np.stack([fit.results[int(f)].command for f in fitted])
+    fitted = fit.cells
+    means = np.stack([v.mean(axis=0) for v in fit.velocities])
     centers = grid.centers()
     sources = centers[fitted]
     nearest = np.empty(len(centers), dtype=np.int64)
@@ -92,11 +93,12 @@ def dense_nearest_table(grid, fit, scale):
 
 
 def fit_of(commands: dict):
-    """A fit whose cell f holds the one-velocity set ``commands[f]``, so
-    that its command (the set mean) is ``commands[f]``."""
-    return GridFit(results={int(f): FitResult(1, np.reshape(c, (1, 3)))
-                            for f, c in commands.items()},
-                   pressure_offset=0.0, config=FitConfig())
+    """A fit whose cell f holds ``SET_SIZE`` copies of ``commands[f]``; its
+    command is their mean."""
+    cells = sorted(commands)
+    sets = np.repeat([[commands[f]] for f in cells], SET_SIZE, axis=1)
+    return GridFit(np.array(cells, dtype=np.int64), sets.astype(float), 0.0,
+                   FitConfig())
 
 
 def test_command_table_equals_the_dense_nearest_search(field, grid, fit):
@@ -109,7 +111,7 @@ def test_command_table_equals_the_dense_nearest_search(field, grid, fit):
             (g, fit_of({f: g.v_target[f] for f in np.flatnonzero(g.valid)})))
     for g, f in lattices:
         assert g.num_cells > 256  # more than one block of rows
-        assert len(f.results) < g.num_cells
+        assert len(f.cells) < g.num_cells
         assert np.array_equal(build_command_table(g, f, 0.1),
                               dense_nearest_table(g, f, 0.1)), g.edge_length
 
@@ -119,8 +121,8 @@ def kdtree_command_table(grid, fit, scale):
     before its shell walk. Each cell's nearest distance ``d`` gives the
     candidates within ``d * (1 + 1e-9)``; their squared distances, then the
     lowest index, pick the winner."""
-    fitted = np.array(sorted(fit.results), dtype=np.int64)
-    means = np.stack([fit.results[int(f)].command for f in fitted])
+    fitted = fit.cells
+    means = np.stack([v.mean(axis=0) for v in fit.velocities])
     centers = grid.centers()
     sources = centers[fitted]
     tree = cKDTree(sources)
@@ -146,11 +148,11 @@ def test_the_shell_walk_equals_the_kdtree_table(field, grid, fit):
         (fine, fit_of({f: fine.v_target[f]
                        for f in np.flatnonzero(fine.valid)})),
         # four fitted cells: most cells walk many shells to reach one
-        (grid, fit_of({f: fit.results[f].command for f in few})),
+        (grid, fit_of({f: fit.command(f) for f in few})),
     ]
     for g, f in cases:
         assert np.array_equal(build_command_table(g, f, 0.1),
-                              kdtree_command_table(g, f, 0.1)), len(f.results)
+                              kdtree_command_table(g, f, 0.1)), len(f.cells)
 
 
 @pytest.mark.parametrize("pattern", ["checkerboard", "corners"])
@@ -185,8 +187,8 @@ def test_equidistant_fitted_cells_lend_the_lowest_index(pattern):
 
 def test_injection_rate_from_the_entry_cell(grid, fit):
     cell = entry_cell(grid, fit)
-    res = fit.results[cell]
-    want = res.n_star * float(np.linalg.norm(res.command)) / grid.edge_length
+    command = fit.velocities[fit.cells.tolist().index(cell)].mean(axis=0)
+    want = SET_SIZE * float(np.linalg.norm(command)) / grid.edge_length
     rate, got_cell = injection_rate(grid, fit)
     assert got_cell == cell
     assert rate == pytest.approx(want, rel=1e-12)
@@ -208,7 +210,7 @@ def test_make_batch_fills_the_inlet_disc(grid, fit):
     assert pos.shape == (200, 3)
     assert np.all((pos[:, 0] >= 0.0) & (pos[:, 0] < grid.edge_length))
     assert np.all(np.hypot(pos[:, 1], pos[:, 2]) <= grid.geometry.radius(0.0))
-    want = cfg.scale * fit.results[cell].command
+    want = cfg.scale * fit.velocities[fit.cells.tolist().index(cell)].mean(axis=0)
     assert np.allclose(vel, np.tile(want, (200, 1)))
     assert np.allclose(thr[:, 2], -9.81)
 
@@ -218,16 +220,16 @@ def test_seed_tunnel_counts_and_placement(grid, fit):
     pos, vel, thr = seed_tunnel(grid, fit, cfg, PlantParams())
     centers = grid.centers()
     bound = 0.5 * grid.geometry.length
-    seeded = [f for f in fit.results if centers[f, 0] <= bound]
-    assert len(pos) == sum(fit.results[f].n_star for f in seeded)
+    seeded = [f for f in fit.cells.tolist() if centers[f, 0] <= bound]
+    assert len(pos) == SET_SIZE * len(seeded)
     # each agent sits in its own cell and flies that cell's scaled command
     flat = assign_cell(pos, grid)
     counts = np.bincount(flat, minlength=grid.num_cells)
     for f in seeded:
-        assert counts[f] == fit.results[f].n_star
+        assert counts[f] == SET_SIZE
+    rows = {f: v for f, v in zip(fit.cells.tolist(), fit.velocities)}
     for i in range(0, len(pos), 97):
-        res = fit.results[int(flat[i])]
-        assert np.allclose(vel[i], cfg.scale * res.command)
+        assert np.allclose(vel[i], cfg.scale * rows[int(flat[i])].mean(axis=0))
 
 
 @pytest.mark.parametrize("seed", [4, 2 ** 33 + 1])
@@ -237,14 +239,13 @@ def test_seed_tunnel_equals_per_cell_default_rng_seeding(grid, fit, seed):
     cfg = SimConfig(case="tunnel_seeding", seed=seed, seed_x_max=6.0)
     centers = grid.centers()
     pos_list, vel_list = [], []
-    for f in sorted(fit.results):
+    for f, v in zip(fit.cells.tolist(), fit.velocities):
         if centers[f, 0] > cfg.seed_x_max:
             continue
-        res = fit.results[f]
         rng = np.random.default_rng((seed, 2, f))
         lo = grid.origin + grid.unravel([f])[0] * grid.edge_length
-        pos_list.append(lo + rng.random((res.n_star, 3)) * grid.edge_length)
-        vel_list.append(np.tile(cfg.scale * res.command, (res.n_star, 1)))
+        pos_list.append(lo + rng.random((len(v), 3)) * grid.edge_length)
+        vel_list.append(np.tile(cfg.scale * v.mean(axis=0), (len(v), 1)))
     pos, vel, thr = seed_tunnel(grid, fit, cfg, PlantParams())
     assert np.array_equal(pos, np.vstack(pos_list))
     assert np.array_equal(vel, np.vstack(vel_list))
@@ -277,7 +278,7 @@ def test_seed_tunnel_fills_to_the_middle_of_the_span_without_geometry():
     want = np.flatnonzero(centers <= 1.0)
     assert len(want) == 6 * 4 and centers[want].max() == 0.75
     assert np.array_equal(np.unique(assign_cell(pos, grid)), want)
-    assert len(pos) == len(want)
+    assert len(pos) == SET_SIZE * len(want)
     assert swarm_sim.axial_span(grid) == (-2.0, 4.0)
 
 
@@ -1199,6 +1200,9 @@ def test_save_load_round_trip(tmp_path, grid, fit):
     assert back.totals == trace.totals
     assert (back.injection_rate, back.batch_size) == \
         (trace.injection_rate, trace.batch_size)
+    assert back.lattice == trace.lattice == lattice_meta(grid)
+    assert [type(v) for v in back.lattice.values()] \
+        == [type(v) for v in trace.lattice.values()]
     assert len(back.trajectories) == len(trace.trajectories) > 0
     for sa, sb in zip(trace.trajectories, back.trajectories):
         assert sb[0] == sa[0]
@@ -1262,6 +1266,30 @@ def _format_5(cols):
     cols.update(cells=cols["cells"].astype(np.int64),
                 counts=cols["counts"].astype(np.int64))
     _set_format(cols, 5)
+
+
+def _format_6(cols):
+    # the layout without the lattice
+    meta = json.loads(cols["meta"].item())
+    del meta["lattice"]
+    cols["meta"] = np.array(json.dumps(meta))
+    _set_format(cols, 6)
+
+
+def _lattice_without_nx(cols):
+    meta = json.loads(cols["meta"].item())
+    del meta["lattice"]["nx"]
+    cols["meta"] = np.array(json.dumps(meta))
+
+
+def _list_meta(cols):
+    cols["meta"] = np.array(json.dumps([1, 2]))
+
+
+def _numeric_lattice(cols):
+    meta = json.loads(cols["meta"].item())
+    meta["lattice"] = 0.5
+    cols["meta"] = np.array(json.dumps(meta))
 
 
 def _int64_cells(cols):
@@ -1333,9 +1361,13 @@ def _numeric_meta(cols):
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
     (_format_2, "missing"),
-    (_format_3, "format 3, expected 6"),
+    (_format_3, "format 3, expected 7"),
     (_format_4, r"missing \['event_frame'\]"),
-    (_format_5, "format 5, expected 6"),
+    (_format_5, "format 5, expected 7"),
+    (_format_6, "format 6, expected 7"),
+    (_lattice_without_nx, r"missing lattice metadata \['nx'\]"),
+    (_list_meta, "meta is not a JSON object"),
+    (_numeric_lattice, "lattice is not a JSON object"),
     (_int64_cells, "cells is not int32"),
     (_float_cells, "cells is not int32"),
     (_int64_counts, "counts is not int32"),

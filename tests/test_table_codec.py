@@ -21,7 +21,9 @@ from fluidswarm import (FieldFormatError, FitConfig, build_command_table,
                         save_fit, save_partition)
 from fluidswarm.partition import PARTITION_HEADER
 from fluidswarm.reference_field import FIELD_HEADER, lattice_meta, read_table
-from fluidswarm.velocity_fit import FIT_HEADER, FitResult, GridFit
+from fluidswarm.velocity_fit import FIT_HEADER, SET_SIZE
+
+FIT_WIDTH = 4 + 3 * SET_SIZE        # a fit row: cell, set size, velocities
 
 
 # ======================================================================
@@ -35,12 +37,11 @@ def _number(text):
         return float(text)
 
 
-def per_line_read_table(path, header):
+def per_line_read_table(path, header, width=None):
     """The reader ``read_table`` replaced: one line, one ``float`` per value
-    and one list per row at a time. Returns (meta, line numbers, rows)."""
-    names = header.split(",")
-    ragged = names[-1] == "..."
-    width = len(names) - ragged
+    and one list per row at a time. Rows hold ``width`` values, by default
+    one per header column. Returns (meta, line numbers, rows)."""
+    width = width or len(header.split(","))
     meta, lines, rows = {}, [], []
     with open(path, "r", encoding="utf-8") as fh:
         lineno, line = 0, ""
@@ -62,7 +63,7 @@ def per_line_read_table(path, header):
             parts = line.strip().split(",")
             if parts == [""]:
                 continue
-            if len(parts) < width or (len(parts) > width and not ragged):
+            if len(parts) != width:
                 raise FieldFormatError(
                     f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
             try:
@@ -102,47 +103,32 @@ def per_row_save_fit(fit, grid, path):
     meta = {"agent_mass": float(fit.config.agent_mass),
             "rng_seed": int(fit.config.rng_seed),
             "pressure_offset": float(fit.pressure_offset), **lattice_meta(grid)}
-    cells = sorted(fit.results)
-    rows = (jxyz + [int(r.n_star)] + r.velocities.ravel().tolist()
-            for jxyz, r in zip(grid.unravel(cells).tolist(),
-                               [fit.results[f] for f in cells]))
+    rows = (jxyz + [len(v)] + v.ravel().tolist()
+            for jxyz, v in zip(grid.unravel(fit.cells).tolist(), fit.velocities))
     per_row_write_table(path, meta, FIT_HEADER, rows)
-
-
-def per_line_fit_sizes(path):
-    """``load_fit``'s set-size check as it read the per-line rows."""
-    _meta, lines, rows = per_line_read_table(path, FIT_HEADER)
-    head = np.array([r[:4] for r in rows])
-    for n, line, r in zip(head[:, 3].tolist(), lines, rows):
-        if len(r) != 4 + 3 * n:
-            raise FieldFormatError(f"{path}:{line}: set size {n} expects "
-                                   f"{3 * n} velocity values, got {len(r) - 4}")
 
 
 def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-def assert_reads_like_the_reference(path, header):
+def assert_reads_like_the_reference(path, header, width=None):
     """``read_table`` raises the reference's message, or returns its
-    metadata, line numbers and widths, and its values bit for bit (NaN past
-    each row's width)."""
+    metadata and line numbers, and its values bit for bit."""
     try:
-        want_meta, want_lines, want_rows = per_line_read_table(path, header)
+        want_meta, want_lines, want_rows = per_line_read_table(path, header,
+                                                               width)
     except FieldFormatError as exc:
         with pytest.raises(FieldFormatError) as got:
-            read_table(path, header)
+            read_table(path, header, width)
         assert str(got.value) == str(exc)
         return
-    meta, lines, widths, values = read_table(path, header)
+    meta, lines, values = read_table(path, header, width)
     assert meta == want_meta
     assert [type(v) for v in meta.values()] == [type(v) for v in want_meta.values()]
     assert lines.tolist() == want_lines.tolist()
-    assert widths.tolist() == [len(r) for r in want_rows]
-    assert values.shape == (len(want_rows), max(map(len, want_rows)))
-    for row, w, ref in zip(values, widths.tolist(), want_rows):
-        assert bits(row[:w]) == bits(ref)
-        assert np.isnan(row[w:]).all()
+    assert values.shape == (len(want_rows), len(want_rows[0]))
+    assert bits(values) == bits(want_rows)
 
 
 @pytest.fixture(scope="module")
@@ -153,17 +139,6 @@ def fine_grid(field):
 @pytest.fixture(scope="module")
 def fine_fit(fine_grid):
     return fit_grid(fine_grid, FitConfig(rng_seed=0))
-
-
-def mixed_fit(fit, seed=4):
-    """``fit`` with every third cell's set replaced by one of 1, 5 or 12
-    random velocities: sets of mixed size, as ``load_fit`` accepts them."""
-    rng = np.random.default_rng(seed)
-    results = dict(fit.results)
-    for i, f in enumerate(sorted(results)[::3]):
-        n = (1, 5, 12)[i % 3]
-        results[f] = FitResult(n, rng.normal(scale=3.0, size=(n, 3)))
-    return GridFit(results, fit.pressure_offset, fit.config)
 
 
 # ======================================================================
@@ -189,8 +164,7 @@ def test_field_bytes_equal_savetxt(tmp_path, field):
 
 def test_partition_and_fit_bytes_equal_the_per_row_writer(tmp_path, grid, fit,
                                                           fine_grid, fine_fit):
-    cases = [(grid, fit), (fine_grid, fine_fit), (grid, mixed_fit(fit))]
-    for g, f in cases:
+    for g, f in ((grid, fit), (fine_grid, fine_fit)):
         save_partition(g, tmp_path / "grid.csv")
         per_row_save_partition(g, tmp_path / "grid_ref.csv")
         assert (tmp_path / "grid.csv").read_bytes() \
@@ -201,15 +175,28 @@ def test_partition_and_fit_bytes_equal_the_per_row_writer(tmp_path, grid, fit,
             == (tmp_path / "fit_ref.csv").read_bytes(), g.edge_length
 
 
-def test_a_mixed_size_fit_round_trips(tmp_path, grid, fit):
-    mixed = mixed_fit(fit)
-    save_fit(mixed, grid, tmp_path / "fit.csv")
-    back, _ = load_fit(tmp_path / "fit.csv")
-    assert sorted(back.results) == sorted(mixed.results)
-    for f, res in mixed.results.items():
-        assert back.results[f].n_star == res.n_star
-        assert bits(back.results[f].velocities) == bits(res.velocities)
-    assert {r.n_star for r in back.results.values()} == {1, 5, 12, 9}
+def test_a_fit_row_of_another_size_is_rejected_on_its_line(tmp_path, grid,
+                                                            fit):
+    """Every set holds ``SET_SIZE`` velocities: a row of another set size,
+    with or without as many values, a short row and an extra column are
+    each rejected, naming the file and the row's line."""
+    src, path = tmp_path / "fit.csv", tmp_path / "bad.csv"
+    save_fit(fit, grid, src)
+    lines = src.read_text().splitlines()
+    width = f"expected {FIT_WIDTH} columns, got"
+    for i, edit, message in (
+            # a consistent set of 5: its size and 15 values
+            (40, lambda r: ",".join([*r.split(",")[:3], "5",
+                                     *r.split(",")[4:19]]), f"{width} 19"),
+            (41, lambda r: r.rsplit(",", 3)[0], f"{width} {FIT_WIDTH - 3}"),
+            (42, lambda r: r + ",1.5", f"{width} {FIT_WIDTH + 1}"),
+            (43, lambda r: r.replace(f",{SET_SIZE},", ",5,", 1),
+             f"set size 5, expected {SET_SIZE}")):
+        damaged(path, lines, i, edit)
+        with pytest.raises(FieldFormatError) as got:
+            load_fit(path)
+        assert str(got.value) == f"{path}:{i}: {message}"
+        assert_reads_like_the_reference(path, FIT_HEADER, FIT_WIDTH)
 
 
 # ======================================================================
@@ -219,31 +206,41 @@ def test_a_mixed_size_fit_round_trips(tmp_path, grid, fit):
 def test_written_tables_read_like_the_reference(tmp_path, field, grid, fit):
     save_field(field, tmp_path / "field.csv")
     save_partition(grid, tmp_path / "grid.csv")
-    save_fit(mixed_fit(fit), grid, tmp_path / "fit.csv")
-    for name, header in (("field", FIELD_HEADER), ("grid", PARTITION_HEADER),
-                         ("fit", FIT_HEADER)):
-        assert_reads_like_the_reference(tmp_path / f"{name}.csv", header)
+    save_fit(fit, grid, tmp_path / "fit.csv")
+    for name, header, width in (("field", FIELD_HEADER, None),
+                                ("grid", PARTITION_HEADER, None),
+                                ("fit", FIT_HEADER, FIT_WIDTH)):
+        assert_reads_like_the_reference(tmp_path / f"{name}.csv", header, width)
 
 
 def test_layout_variants_read_like_the_reference(tmp_path):
     """Padded tokens, blank and whitespace lines, CRLF and lone CR line
-    ends, no final newline, ragged tails, and bad values in rows of
-    different widths (the first in the file is named)."""
+    ends, no final newline, rows of another width, and bad values before
+    and after them (the first in the file is named)."""
     path = tmp_path / "t.csv"
     texts = [
-        "# cells=3 k=1.5\r\nn,v,...\r\n1, 2 ,3\r\n\r\n 4,5\r\n6,7,8,9,-0",
+        "# cells=3 k=1.5\r\nn,v,w\r\n1, 2 ,3\r\n\r\n 4,5,6\r\n7,8,-0",
         "# cells=2\n\n",
-        "# cells=2\nn,v,...\n  \n1,2\n\t\n3,4,5\n\n",
-        "n,v,...\r1,2\r3,4,5\r",
-        "n,v,...\n1e308,-1e308\n5e-324,-5e-324,2.2250738585072014e-308\n"
-        "nan,-nan,inf,-inf,Infinity,-0.0,0",
-        "n,v,...\n1,x\n2,3,y\n",
-        "n,v,...\n1,2,3\n4,5,6,7\n8,y\n9,8,z\n",
+        "# cells=2\nn,v,w\n  \n1,2,3\n\t\n3,4,5\n\n",
+        "n,v,w\r1,2,3\r3,4,5\r",
+        "n,v,w\n1e308,-1e308,0\n5e-324,-5e-324,2.2250738585072014e-308\n"
+        "nan,-nan,inf\n-inf,Infinity,-0.0",
+        "n,v,w\n1,x,2\n2,3\n",
+        "n,v,w\n1,2,3\n4,5,6,7\n8,y,1\n",
+        "n,v,w\n1,2,3\n8,y,1\n4,5\n9,8,z\n",
+        "n,v,w\n1,2\n3,4\n",
     ]
     for text in texts:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        assert_reads_like_the_reference(path, "n,v,...")
+        assert_reads_like_the_reference(path, "n,v,w")
+    # a width other than the header's
+    path.write_text("n,v,...\n1,2,3,4\n5,6,7,8\n")
+    assert_reads_like_the_reference(path, "n,v,...", 4)
+    for width in (3, 5):
+        with pytest.raises(FieldFormatError, match=f":2: expected {width} "
+                           "columns, got 4"):
+            read_table(path, "n,v,...", width)
 
 
 def damaged(path, lines, i, edit):
@@ -306,15 +303,13 @@ def test_errors_equal_the_reference_messages(tmp_path, field, grid, fit):
     save_fit(fit, grid, src)
     meta, header, *rows = src.read_text().splitlines()
     for i, edit in ((40, lambda r: r.rsplit(",", 3)[0]),
-                    (41, lambda r: r + ",1.5,2.5,3.5"),
-                    (42, lambda r: r.replace(",9,", ",8,", 1))):
+                    (41, lambda r: r + ",1.5,2.5,3.5")):
         damaged(path, [meta, header, *rows], i, edit)
-        with pytest.raises(FieldFormatError) as want:
-            per_line_fit_sizes(path)
-        with pytest.raises(FieldFormatError) as got:
+        with pytest.raises(FieldFormatError):
+            per_line_read_table(path, FIT_HEADER, FIT_WIDTH)
+        assert_reads_like_the_reference(path, FIT_HEADER, FIT_WIDTH)
+        with pytest.raises(FieldFormatError, match=f":{i}: expected "):
             load_fit(path)
-        assert str(got.value) == str(want.value)
-        assert f":{i}: set size " in str(got.value)
 
 
 def test_text_only_float_reads_is_rejected_on_its_line(tmp_path):
@@ -323,9 +318,9 @@ def test_text_only_float_reads_is_rejected_on_its_line(tmp_path):
     value."""
     path = tmp_path / "t.csv"
     for tok in ("1_0", "٣", "1_000.5"):
-        path.write_text(f"n,v,...\n1,2\n\n3,{tok},5\n6,7\n")
+        path.write_text(f"n,v,w\n1,2,3\n\n3,{tok},5\n6,7,8\n")
         with pytest.raises(FieldFormatError) as got:
-            read_table(path, "n,v,...")
+            read_table(path, "n,v,w")
         assert str(got.value) == \
             f"{path}:4: could not convert string to float: '{tok}'"
 
@@ -351,7 +346,7 @@ def test_reading_a_large_field_takes_no_more_memory_than_the_reference(tmp_path)
     del data
     tracemalloc.start()
     try:
-        _, lines, _, values = read_table(path, FIELD_HEADER)
+        _, lines, values = read_table(path, FIELD_HEADER)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -363,17 +358,21 @@ def test_reading_a_large_field_takes_no_more_memory_than_the_reference(tmp_path)
 
 
 # ======================================================================
-# the commands: one stacked mean per set size
+# the commands: one stacked mean
 # ======================================================================
 
 def test_commands_equal_the_per_cell_means(grid, fit, fine_grid, fine_fit):
-    for g, f in ((grid, fit), (fine_grid, fine_fit), (grid, mixed_fit(fit))):
-        cells = sorted(f.results)
-        want = np.stack([f.results[c].command for c in cells])
-        got_cells, got = f.commands()
-        assert got_cells.tolist() == cells
+    for g, f in ((grid, fit), (fine_grid, fine_fit)):
+        cells = f.cells
+        assert np.all(np.diff(cells) > 0)
+        want = np.stack([v.mean(axis=0) for v in f.velocities])
+        got = f.commands()
         assert bits(got) == bits(want)
+        assert bits([f.command(c) for c in cells.tolist()]) == bits(want)
         rebuilt = grid_from_fit(f, lattice_meta(g))
         assert bits(rebuilt.v_target[cells]) == bits(want)
         table = build_command_table(g, f, 0.1)
         assert bits(table[cells]) == bits(0.1 * want)
+        for other in (np.flatnonzero(~g.valid)[0], g.num_cells):
+            with pytest.raises(KeyError, match="has no fit"):
+                f.command(int(other))

@@ -20,9 +20,8 @@ from reference import fit_cell
 VOL = 0.125  # 0.5 m cell
 
 
-def replay(res, v_target, p_target, cell_volume, mass=1.0):
+def replay(v, v_target, p_target, cell_volume, mass=1.0):
     """Re-evaluate a fit's constraints from its returned velocities only."""
-    v = res.velocities
     mean_err = float(np.linalg.norm(v.mean(axis=0) - np.asarray(v_target)))
     w = v - v.mean(axis=0)
     p_set = 2.0 * mass / (3.0 * cell_volume) * float((w * w).sum())
@@ -39,18 +38,16 @@ def random_cells(seed, count, vol=VOL):
 
 
 def test_zero_pressure_tiles_the_target_exactly():
-    res = fit_cell([1.5, -0.25, 0.0], 0.0, VOL, np.random.default_rng(0))
-    assert res.n_star == SET_SIZE
-    assert np.array_equal(res.velocities,
-                          np.tile([1.5, -0.25, 0.0], (res.n_star, 1)))
-    assert set_pressure(res.velocities, res.command, VOL, 1.0) == 0.0
+    v = fit_cell([1.5, -0.25, 0.0], 0.0, VOL, np.random.default_rng(0))
+    assert np.array_equal(v, np.tile([1.5, -0.25, 0.0], (SET_SIZE, 1)))
+    assert set_pressure(v, v.mean(axis=0), VOL, 1.0) == 0.0
 
 
 def test_fit_satisfies_both_constraints():
     cfg = FitConfig(rng_seed=7)
     for i, (v, p) in enumerate(random_cells(5, 50)):
-        res = fit_cell(v, p, VOL, np.random.default_rng((cfg.rng_seed, i)))
-        mean_err, p_err, loss = replay(res, v, p, VOL)
+        vel = fit_cell(v, p, VOL, np.random.default_rng((cfg.rng_seed, i)))
+        mean_err, p_err, loss = replay(vel, v, p, VOL)
         assert mean_err <= 1e-12 * max(1.0, float(np.linalg.norm(v)))
         assert p_err <= 1e-6 * max(1.0, p)
         assert loss < 1e-6
@@ -61,8 +58,8 @@ def test_convergence_rate_on_random_cells():
     ok = 0
     total = 200
     for i, (v, p) in enumerate(random_cells(17, total)):
-        res = fit_cell(v, p, VOL, np.random.default_rng((17, i)))
-        if replay(res, v, p, VOL)[2] < 1e-6:
+        vel = fit_cell(v, p, VOL, np.random.default_rng((17, i)))
+        if replay(vel, v, p, VOL)[2] < 1e-6:
             ok += 1
     assert ok >= 0.99 * total
 
@@ -72,29 +69,28 @@ def test_fit_cell_is_reproducible(fit, grid, field):
     stream, bitwise, on the 0.5 m and the 0.25 m lattices."""
     fine = partition_domain(field, edge_length=0.25)
     for g, gf in ((grid, fit), (fine, fit_grid(fine, FitConfig(rng_seed=0)))):
-        assert sorted(gf.results) == np.flatnonzero(g.valid).tolist()
-        for f, res in gf.results.items():
+        assert gf.cells.tolist() == np.flatnonzero(g.valid).tolist()
+        assert gf.velocities.shape == (len(gf.cells), SET_SIZE, 3)
+        for f, v in zip(gf.cells.tolist(), gf.velocities):
             again = fit_cell(g.v_target[f],
                              float(g.p_target[f] - gf.pressure_offset),
-                             g.cell_volume, np.random.default_rng((0, int(f))),
+                             g.cell_volume, np.random.default_rng((0, f)),
                              gf.config.agent_mass)
-            assert again.n_star == res.n_star == SET_SIZE
-            assert np.array_equal(again.velocities, res.velocities)
+            assert np.array_equal(again, v)
 
 
 def test_mean_constraint_is_exact_across_the_grid(fit, grid):
-    for f, res in fit.results.items():
+    for f, v in zip(fit.cells, fit.velocities):
         tgt = grid.v_target[f]
         lim = 1e-12 * max(1.0, float(np.linalg.norm(tgt)))
-        assert replay(res, tgt, 0.0, VOL)[0] <= lim
+        assert replay(v, tgt, 0.0, VOL)[0] <= lim
 
 
 def test_grid_fit_converges_everywhere(fit, grid):
-    assert len(fit.results) == int(grid.valid.sum())
-    assert all(r.n_star == SET_SIZE for r in fit.results.values())
+    assert fit.velocities.shape == (int(grid.valid.sum()), SET_SIZE, 3)
     # shifted pressure targets reproduce the originals up to the offset
-    for f, res in fit.results.items():
-        p_set = set_pressure(res.velocities, res.command, VOL, 1.0)
+    for f, v in zip(fit.cells, fit.velocities):
+        p_set = set_pressure(v, v.mean(axis=0), VOL, 1.0)
         assert p_set + fit.pressure_offset == pytest.approx(
             grid.p_target[f], rel=1e-6, abs=1e-6)
 
@@ -106,11 +102,12 @@ def test_pressure_offset_makes_targets_nonnegative(fit, grid):
 
 
 def test_scaling_covariance():
-    res = fit_cell([13.53, 0.0, 0.0], 0.9, VOL, np.random.default_rng(3))
-    scaled = 0.1 * res.velocities
-    assert np.allclose(scaled.mean(axis=0), 0.1 * res.command, rtol=1e-12)
-    p0 = set_pressure(res.velocities, res.command, VOL, 1.0)
-    p1 = set_pressure(scaled, 0.1 * res.command, VOL, 1.0)
+    v = fit_cell([13.53, 0.0, 0.0], 0.9, VOL, np.random.default_rng(3))
+    command = v.mean(axis=0)
+    scaled = 0.1 * v
+    assert np.allclose(scaled.mean(axis=0), 0.1 * command, rtol=1e-12)
+    p0 = set_pressure(v, command, VOL, 1.0)
+    p1 = set_pressure(scaled, 0.1 * command, VOL, 1.0)
     assert p1 == pytest.approx(0.01 * p0, rel=1e-12)
 
 
@@ -118,7 +115,7 @@ def test_fit_round_trip(tmp_path, fit, grid):
     path = tmp_path / "fit.csv"
     save_fit(fit, grid, path)
     back, meta = load_fit(path)
-    assert sorted(back.results) == sorted(fit.results)
+    assert np.array_equal(back.cells, fit.cells)
     assert back.pressure_offset == fit.pressure_offset
     assert back.config == fit.config
     assert meta["edge_length"] == grid.edge_length
@@ -126,10 +123,8 @@ def test_fit_round_trip(tmp_path, fit, grid):
         == list(grid.origin)
     assert meta["throat_x"] == grid.geometry.throat_x
     assert (int(meta["nx"]), int(meta["ny"]), int(meta["nz"])) == grid.dims
-    for f, res in fit.results.items():
-        o = back.results[f]
-        assert o.n_star == res.n_star
-        assert np.array_equal(o.velocities, res.velocities)
+    assert back.velocities.shape == fit.velocities.shape
+    assert np.array_equal(back.velocities, fit.velocities)
 
 
 def test_load_fit_rejects_a_damaged_file(tmp_path, fit, grid):
@@ -151,7 +146,8 @@ def test_load_fit_rejects_a_damaged_file(tmp_path, fit, grid):
     old.write_text("\n".join(
         [meta, header, ",".join([jx, jy, jz, n, "1e-15", "3", "1", *vel]),
          *rows[1:]]) + "\n")
-    with pytest.raises(ValueError, match="velocity values"):
+    with pytest.raises(ValueError, match=f":3: expected {4 + 3 * SET_SIZE} "
+                       f"columns, got {7 + 3 * SET_SIZE}"):
         load_fit(old)
 
     def rejects(lines, message):
@@ -169,7 +165,7 @@ def test_load_fit_rejects_a_damaged_file(tmp_path, fit, grid):
 def test_routes_agree_and_the_rate_ignores_the_fit_seed(tmp_path, capsys,
                                                         field, grid, fit):
     """Partition CSV -> fit CSV -> grid_from_fit gives the in-memory route's
-    set sizes and injection rate; the rate does not move with the seed."""
+    cells, sets and injection rate; the rate does not move with the seed."""
     save_field(field, tmp_path / "field.csv")
     assert main(["partition", "--field", str(tmp_path / "field.csv"),
                  "--output", str(tmp_path / "grid.csv")]) == 0
@@ -178,9 +174,9 @@ def test_routes_agree_and_the_rate_ignores_the_fit_seed(tmp_path, capsys,
     capsys.readouterr()
     cli_fit, meta = load_fit(tmp_path / "fit.csv")
     cli_grid = grid_from_fit(cli_fit, meta)
-    assert sorted(cli_fit.results) == sorted(fit.results)
+    assert np.array_equal(cli_fit.cells, fit.cells)
     for route in (fit, cli_fit):
-        assert {r.n_star for r in route.results.values()} == {SET_SIZE}
+        assert route.velocities.shape == (len(fit.cells), SET_SIZE, 3)
     rate, cell = injection_rate(grid, fit)
     cli_rate, cli_cell = injection_rate(cli_grid, cli_fit)
     assert cli_cell == cell
@@ -200,16 +196,14 @@ def test_grid_reconstruction_from_fit_file(tmp_path, fit, grid):
     assert np.array_equal(rebuilt.origin, grid.origin)
     assert rebuilt.geometry is not None
     assert rebuilt.geometry.throat_x == pytest.approx(grid.geometry.throat_x)
-    assert np.array_equal(np.flatnonzero(rebuilt.valid),
-                          np.asarray(sorted(fit.results)))
+    assert np.array_equal(np.flatnonzero(rebuilt.valid), fit.cells)
     # the exact wire round trip broadcasts identical commands
     t0 = build_command_table(grid, fit, 0.1)
     t1 = build_command_table(rebuilt, back, 0.1)
     assert np.array_equal(t1, t0)
     # a simulation targets the set means; pressure and density are unscored
-    cells = sorted(fit.results)
-    assert np.array_equal(rebuilt.v_target[cells],
-                          [fit.results[f].command for f in cells])
+    assert np.array_equal(rebuilt.v_target[fit.cells],
+                          [v.mean(axis=0) for v in fit.velocities])
     assert np.isnan(rebuilt.p_target).all() and np.isnan(rebuilt.rho_target).all()
     assert (rebuilt.geometry, rebuilt.gas) == (grid.geometry, grid.gas)
 
@@ -265,13 +259,13 @@ def test_cell_rngs_equal_default_rng(seed):
 def test_fine_grid_fit_equals_per_cell_default_rng_fits(field, seed):
     fine = partition_domain(field, edge_length=0.25)
     gf = fit_grid(fine, FitConfig(rng_seed=seed))
-    assert len(gf.results) == int(fine.valid.sum()) > 5000
-    for f, res in gf.results.items():
+    assert len(gf.cells) == int(fine.valid.sum()) > 5000
+    for f, v in zip(gf.cells.tolist(), gf.velocities):
         again = fit_cell(fine.v_target[f],
                          float(fine.p_target[f] - gf.pressure_offset),
                          fine.cell_volume, np.random.default_rng((seed, f)),
                          gf.config.agent_mass)
-        assert np.array_equal(again.velocities, res.velocities)
+        assert np.array_equal(again, v)
 
 
 def test_negative_seeds_are_rejected():
@@ -300,3 +294,15 @@ def test_a_negative_cli_seed_is_a_usage_error(argv, tmp_path, monkeypatch,
     assert err.startswith("usage: ") and f"error: {argv[0]}: " in err
     assert "nonnegative" in err and "rng_seed" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_the_fit_reads_perfbench_makes_hold(tmp_path, grid, fit):
+    """perfbench counts the fit by ``len(fit.results)`` and
+    ``FitConfig.n_min``/``n_max``, and reads the entry cell's set size from
+    ``fit.results[cell].n_star``; a fit saved and loaded reads the same."""
+    save_fit(fit, grid, tmp_path / "fit.csv")
+    back, meta = load_fit(tmp_path / "fit.csv")
+    for g, f in ((grid, fit), (grid_from_fit(back, meta), back)):
+        assert len(f.results) == len(f.cells) == int(grid.valid.sum())
+        assert f.results[injection_rate(g, f)[1]].n_star == SET_SIZE
+    assert FitConfig.n_max - FitConfig.n_min + 1 == 1
