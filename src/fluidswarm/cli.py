@@ -14,11 +14,12 @@ line. `generate-field` records the duct (`NozzleGeometry`) and the gas
 there and has no flag for them; it reports a field whose line names no duct.
 A duct that chokes or that `NozzleGeometry` rejects is a usage error of
 `generate-field`, found before any file is written. `simulate` flies agents
-of the fit's `--agent-mass` and writes the whole run, its event table
-included, as one exact binary record, `run/trace.npz`. `analyze` scores it
-with that plant's mass and peak acceleration, writes its metrics and CSV
-cuts next to it, and prints the population balance and each event kind's
-per-frame peak. `plant-test` exercises the velocity plant against its
+of the fit's `--agent-mass` and writes the whole run, its event table and
+the fit's seed, set size and pressure offset included, as one exact binary
+record, `run/trace.npz`. `analyze` scores it with that plant's mass and
+peak acceleration, writes its metrics and CSV cuts next to it, and prints
+the fit's record, the population balance and each event kind's per-frame
+peak. `plant-test` exercises the velocity plant against its
 response envelopes and is independent of the field pipeline. `fit`,
 `simulate` and `plant-test` take `--seed` (default 0); no other subcommand
 draws random numbers. A flag that sets a library parameter has the library's default.
@@ -254,6 +255,8 @@ def _cmd_analyze(args) -> int:
     export_centerline(report.profile, os.path.join(outdir, "centerline.csv"))
     for k, v in report.values.items():
         print(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}")
+    for k, v in run.fit.items():
+        print(f"fit_{k}={v}")
     balance = population_balance(run)
     for k in ("injected", "retired", "active", "faults", "balanced"):
         print(f"{k}={balance[k]}")

@@ -373,8 +373,7 @@ def metrics_report(trace: SimulationTrace, grid: ControlVolumeGrid,
     retire = int(col["retire"][trace.frame_t > transient].sum())
     values["exit_rate"] = retire / window if window > 0 else float("nan")
     values["inject_rate"] = inject / window if window > 0 else float("nan")
-    for kind in ("overtake", "headon", "sideswipe"):
-        values[f"collisions_{kind}"] = int(col[f"collision_{kind}"].sum())
+    values["collisions_overtake"] = int(col["collision_overtake"].sum())
     values["wall_escapes"] = int(col["wall_escape"].sum())
     values["faults"] = int(col["fault"].sum())
     values["final_population"] = population_balance(trace)["active"]

@@ -32,11 +32,10 @@ computed from it, and the per-frame active count from the frame records.
 All randomness is drawn from generators seeded by (seed, purpose, index),
 so traces are reproducible.
 
-Collisions are classified from the pair kinematics: a same-direction closing
-pair is an overtake (speed transfer from faster to slower); anti-parallel
-pairs collide head-on and near-orthogonal pairs sideswipe, both dissipating a
-fixed fraction of the pair's kinetic energy. Only speeds change, never
-headings. Candidate pairs come from a cell list of cubes just over two body
+Collisions are overtakes: a close pair closing faster than the approach
+floor, its headings aligned above ``overtake_cos``, moves speed from the
+faster agent to the slower; no other pair collides, and headings never
+change. Candidate pairs come from a cell list of cubes just over two body
 radii on a side, each agent tested against its own and the 13 forward
 neighbouring cubes, and a pair is close when its squared distance, summed
 (dx^2 + dy^2) + dz^2, is at most the squared bound: the rule of SciPy's
@@ -64,8 +63,6 @@ from .velocity_plant import PlantParams, PlantState, step as plant_step
 CASES = ("tunnel_seeding", "reservoir")
 
 OVERTAKE_TRANSFER = 0.25    # fraction of the speed difference moved
-HEADON_DISSIPATION = 0.10   # pair kinetic energy lost, head-on
-PERP_DISSIPATION = 0.20     # pair kinetic energy lost, sideswipe
 SPEED_LIMIT = 30.0          # post-collision speed clamp, m/s
 
 
@@ -79,8 +76,7 @@ class SimConfig:
     collisions: bool = False
     collision_radius: float = 0.15    # agent body radius, m
     min_approach_speed: float = 0.5   # closing-speed floor to count a collision
-    overtake_cos: float = 0.7         # heading alignment for one-way transfer
-    headon_cos: float = math.cos(math.pi / 4)   # |alignment| split, 45 deg
+    overtake_cos: float = 0.7         # alignment above which a pair overtakes
     dt_source: float = 0.5            # reservoir batch cadence, s
     batch_size: int | None = None     # None: sized from the entry cell's fit
     seed_x_max: float | None = None   # tunnel case axial fill bound; None: mid-span
@@ -102,8 +98,8 @@ class SimConfig:
         # would reject no pair
         if not self.min_approach_speed >= 0:
             raise ValueError("min_approach_speed must be nonnegative")
-        if math.isnan(self.overtake_cos) or math.isnan(self.headon_cos):
-            raise ValueError("overtake_cos and headon_cos must not be NaN")
+        if math.isnan(self.overtake_cos):
+            raise ValueError("overtake_cos must not be NaN")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.trajectory_stride < 1:
@@ -124,9 +120,8 @@ class FrameRecord:
     dev2: np.ndarray        # (K,) sum ||v - v_target||^2 (NaN without a target)
 
 
-EVENT_KINDS = ("inject", "retire", "wall_escape", "fault",
-               "collision_overtake", "collision_headon", "collision_sideswipe")
-INJECT, RETIRE, WALL_ESCAPE, FAULT = range(4)     # codes of the first kinds
+EVENT_KINDS = ("inject", "retire", "wall_escape", "fault", "collision_overtake")
+INJECT, RETIRE, WALL_ESCAPE, FAULT, OVERTAKE = range(len(EVENT_KINDS))
 
 
 @dataclass(eq=False)
@@ -155,6 +150,7 @@ class SimulationTrace:
     injection_rate: float             # agents/s implied by the entry cell
     batch_size: int
     lattice: dict                     # lattice_meta of the grid flown
+    fit: dict                         # rng_seed, set_size, pressure_offset
     trajectories: list[tuple] = field(default_factory=list)
 
     @property
@@ -449,14 +445,14 @@ def close_pairs(pos, bound: float) -> tuple[np.ndarray, np.ndarray]:
     return a, pair - a * n
 
 
-def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]:
-    """Classified colliding pairs among the given agents.
+def detect_collisions(pos, vel, config: SimConfig) -> np.ndarray:
+    """Overtaking pairs among the given agents, as (M, 2) rows of ascending
+    (a, b) indices; (0, 2) when there are none.
 
-    Pairs at most two body radii apart (``close_pairs``) and closing faster
-    than the approach floor are classified by heading alignment; grazing or
-    separating pairs are ignored. Returned in ascending (a, b) index order.
-    Raises ValueError when there are two or more agents and a position is
-    not finite.
+    A pair at most two body radii apart (``close_pairs``) overtakes when it
+    closes faster than the approach floor and its headings align above
+    ``overtake_cos``. Raises ValueError when there are two or more agents
+    and a position is not finite.
 
     All candidate pairs are tested as arrays, on (3, M) component rows
     gathered from ``pos.T`` and ``vel.T``: the loop passes (N, 3) views of
@@ -464,7 +460,7 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     through ``np.vecdot`` along axis 0, which sums as ``np.vecdot`` on
     (M, 3) rows and as a per-pair ``a @ b`` or ``norm`` does, so every
     value and every decision equals the per-pair form's bit for bit; each
-    mask is the negated rejection test, so NaN kinematics pass as they did
+    mask is the negated rejection test, so NaN kinematics fare as they do
     there. Distance and closing speed are computed for every candidate pair
     (the closing speed of a coincident pair is NaN or infinite, and the
     distance test rejects it) and both tests select in one mask; when it
@@ -472,7 +468,7 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     detection ends there.
     """
     if len(pos) < 2:
-        return []
+        return np.empty((0, 2), dtype=np.intp)
     p, v = pos.T, vel.T
     if not np.isfinite(p).all():
         raise ValueError("collision detection needs finite positions")
@@ -486,49 +482,40 @@ def detect_collisions(pos, vel, config: SimConfig) -> list[tuple[int, int, str]]
     keep = ~(dist <= 1e-12) & ~(closing <= config.min_approach_speed)
     keep = keep.nonzero()[0]
     if len(keep) == 0:
-        return []
-    a, b, va, vb = a[keep], b[keep], va[:, keep], vb[:, keep]
+        return np.empty((0, 2), dtype=np.intp)
+    va, vb = va[:, keep], vb[:, keep]
     sa = np.sqrt(np.vecdot(va, va, axis=0))
     sb = np.sqrt(np.vecdot(vb, vb, axis=0))
-    keep = ~((sa < 1e-9) | (sb < 1e-9))
-    align = np.vecdot(va[:, keep], vb[:, keep], axis=0) \
-        / (sa[keep] * sb[keep])
-    kind = np.where(align > config.overtake_cos, "overtake",
-                    np.where(np.abs(align) >= config.headon_cos,
-                             "headon", "sideswipe"))
-    return list(zip(a[keep].tolist(), b[keep].tolist(), kind.tolist()))
+    moving = ~((sa < 1e-9) | (sb < 1e-9))
+    align = np.vecdot(va[:, moving], vb[:, moving], axis=0) \
+        / (sa[moving] * sb[moving])
+    keep = keep[moving][align > config.overtake_cos]
+    return np.column_stack([a[keep], b[keep]])
 
 
-def resolve_collisions(vel, pairs) -> list[tuple[int, int, str]]:
-    """Apply speed changes in pair order; headings never change.
-
-    Overtakes move ``OVERTAKE_TRANSFER`` of the speed difference from the
-    faster to the slower agent (their speed sum is conserved); mutual
-    collisions shrink both speeds, removing ``HEADON_DISSIPATION`` or
-    ``PERP_DISSIPATION`` of the pair's energy; speeds clamp to ``SPEED_LIMIT``.
+def resolve_collisions(vel, pairs) -> np.ndarray:
+    """Apply the overtakes ``pairs``, (M, 2) index rows into ``vel``, in
+    order, and return the applied rows as (M', 2); a pair with a parked
+    agent is skipped. Each moves ``OVERTAKE_TRANSFER`` of the speed
+    difference from the faster to the slower agent (their speed sum is
+    conserved); speeds clamp to ``SPEED_LIMIT``, and headings never change.
     """
     applied = []
-    for a, b, kind in pairs:
+    for a, b in pairs.tolist():
         sa, sb = np.linalg.norm(vel[a]), np.linalg.norm(vel[b])
         if sa < 1e-9 or sb < 1e-9:
             continue
-        if kind == "overtake":
-            fast, slow = (a, b) if sa >= sb else (b, a)
-            sf, ss = max(sa, sb), min(sa, sb)
-            delta = OVERTAKE_TRANSFER * (sf - ss)
-            vel[fast] *= (sf - delta) / sf
-            vel[slow] *= (ss + delta) / ss
-        else:
-            f = HEADON_DISSIPATION if kind == "headon" else PERP_DISSIPATION
-            keep = np.sqrt(1.0 - f)
-            vel[a] *= keep
-            vel[b] *= keep
+        fast, slow = (a, b) if sa >= sb else (b, a)
+        sf, ss = max(sa, sb), min(sa, sb)
+        delta = OVERTAKE_TRANSFER * (sf - ss)
+        vel[fast] *= (sf - delta) / sf
+        vel[slow] *= (ss + delta) / ss
         for i in (a, b):
             s = np.linalg.norm(vel[i])
             if s > SPEED_LIMIT:
                 vel[i] *= SPEED_LIMIT / s
-        applied.append((a, b, kind))
-    return applied
+        applied.append((a, b))
+    return np.array(applied, dtype=np.intp).reshape(-1, 2)
 
 
 # ======================================================================
@@ -612,6 +599,9 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                            events=EventTable(*log.columns[:, :log.n].copy()),
                            injection_rate=rate, batch_size=n_batch,
                            lattice=lattice_meta(grid),
+                           fit={"rng_seed": int(fit.config.rng_seed),
+                                "set_size": fit.velocities.shape[1],
+                                "pressure_offset": float(fit.pressure_offset)},
                            trajectories=trajectories)
 
 
@@ -640,14 +630,10 @@ def _collide(pop: _Population, k: int, config: SimConfig,
     applied = resolve_collisions(vel, pairs)
     if live is not None:
         pop.vel[:, live] = vel.T
-    if applied:
-        a, b, kind = zip(*applied)
-        a, b = np.array(a), np.array(b)
-        if live is not None:
-            a, b = live[a], live[b]
-        log.add(k, [EVENT_KINDS.index("collision_" + c) for c in kind],
-                pop.gid[a], pop.gid[b])
-        touched = np.concatenate([a, b])
+        applied = live[applied]
+    if len(applied):
+        log.add(k, OVERTAKE, pop.gid[applied[:, 0]], pop.gid[applied[:, 1]])
+        touched = applied.ravel()
         finite[touched] = np.isfinite(pop.rows[:6, touched]).all(axis=0)
     return finite
 
@@ -771,7 +757,7 @@ def population_balance(trace: SimulationTrace) -> dict:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 7
+RUN_FORMAT = 8
 # the columns streamed record by record: dtype and the shape of one row
 FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
                  "vsum": (np.float64, (3,)), "sumv2": (np.float64, ()),
@@ -785,7 +771,8 @@ RUN_COLUMNS = {"frame_t": (np.float64, ()), "frame_offsets": (np.int64, ()),
                **FRAME_COLUMNS, **TRAJ_COLUMNS}
 RUN_KEYS = ("meta", *RUN_COLUMNS)
 META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size",
-             "lattice")
+             "lattice", "fit")
+FIT_KEYS = ("rng_seed", "set_size", "pressure_offset")
 
 
 def _write_parts(zf, name, parts, dtype, row) -> None:
@@ -807,14 +794,16 @@ def save_run(trace: SimulationTrace, outdir) -> None:
 
     Frame records and trajectory snapshots are flat columns cut by offsets,
     streamed record by record; the event table is one column per field, and
-    config, plant and lattice are one JSON string; counts are not stored.
+    config, plant, lattice and fit are one JSON string; counts are not
+    stored.
     ``load_run`` reads back a trace equal to this one.
     """
     os.makedirs(outdir, exist_ok=True)
     meta = {"format": RUN_FORMAT, "config": asdict(trace.config),
             "plant": asdict(trace.plant),
             "injection_rate": trace.injection_rate,
-            "batch_size": trace.batch_size, "lattice": trace.lattice}
+            "batch_size": trace.batch_size, "lattice": trace.lattice,
+            "fit": trace.fit}
     frames, snaps = trace.frames, trace.trajectories
     parts = {"frame_t": [trace.frame_t],
              "frame_offsets": [np.cumsum([0] + [len(r.cells) for r in frames])],
@@ -843,11 +832,14 @@ def _split(columns: list, offsets: np.ndarray, n: int) -> list[tuple]:
             for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
+def _same_keys(name: str, values: dict, keys) -> None:
+    if set(values) != set(keys):
+        raise ValueError(f"{RUN_FILE}: {name} fields differ: "
+                         f"{sorted(set(values) ^ set(keys))}")
+
+
 def _dataclass_from(cls, values: dict):
-    names = {f.name for f in fields(cls)}
-    if set(values) != names:
-        raise ValueError(f"{RUN_FILE}: {cls.__name__} fields differ: "
-                         f"{sorted(set(values) ^ names)}")
+    _same_keys(cls.__name__, values, [f.name for f in fields(cls)])
     return cls(**{k: tuple(v) if isinstance(v, list) else v
                   for k, v in values.items()})
 
@@ -857,11 +849,12 @@ def load_run(rundir) -> SimulationTrace:
 
     Raises ValueError on a file that is not a zip archive, a missing key, a
     ``meta`` member that is not one string holding a JSON object, another
-    format version, a lattice that ``lattice_from_meta`` rejects, a column
-    of another dtype or row shape than ``RUN_COLUMNS`` gives, a cell count
-    below 1, columns whose lengths disagree with each other or with their
-    offsets, an event kind outside ``EVENT_KINDS``, or an event frame
-    outside the run.
+    format version, a config, plant, lattice or fit that is not a JSON
+    object, a lattice that ``lattice_from_meta`` rejects, a fit whose keys
+    are not ``FIT_KEYS``, a column of another dtype or row shape than
+    ``RUN_COLUMNS`` gives, a cell count below 1, columns whose lengths
+    disagree with each other or with their offsets, an event kind outside
+    ``EVENT_KINDS``, or an event frame outside the run.
     """
     with open(os.path.join(rundir, RUN_FILE), "rb") as fh:
         if not zipfile.is_zipfile(fh):
@@ -884,9 +877,11 @@ def load_run(rundir) -> SimulationTrace:
     missing = sorted(set(META_KEYS) - set(meta))
     if missing:
         raise ValueError(f"{RUN_FILE}: metadata is missing {missing}")
-    if not isinstance(meta["lattice"], dict):
-        raise ValueError(f"{RUN_FILE}: lattice is not a JSON object")
+    for key in ("config", "plant", "lattice", "fit"):
+        if not isinstance(meta[key], dict):
+            raise ValueError(f"{RUN_FILE}: {key} is not a JSON object")
     lattice_from_meta(meta["lattice"], RUN_FILE)
+    _same_keys("fit", meta["fit"], FIT_KEYS)
     for name, (dtype, row) in RUN_COLUMNS.items():
         if a[name].dtype != dtype or a[name].shape[1:] != row \
                 or a[name].ndim != 1 + len(row):
@@ -912,5 +907,5 @@ def load_run(rundir) -> SimulationTrace:
         frame_t=a["frame_t"], frames=[FrameRecord(*cols) for cols in frames],
         events=events, injection_rate=meta["injection_rate"],
         batch_size=meta["batch_size"], lattice=meta["lattice"],
-        trajectories=[(t, *cols) for t, cols
+        fit=meta["fit"], trajectories=[(t, *cols) for t, cols
                       in zip(a["traj_t"].tolist(), snaps)])

@@ -216,13 +216,13 @@ def save_metrics_lines(report, path) -> None:
 # the copying collision block
 # ======================================================================
 
-def pair_row_collisions(pos, vel, config) -> list:
+def pair_row_collisions(pos, vel, config) -> np.ndarray:
     """``detect_collisions`` on (M, 3) pair rows, every test applied to
     every candidate pair, with the pairs of ``cKDTree.query_pairs``."""
     from scipy.spatial import cKDTree
 
     if len(pos) < 2:
-        return []
+        return np.empty((0, 2), dtype=np.intp)
     if not np.isfinite(pos).all():
         raise ValueError("collision detection needs finite positions")
     pairs = cKDTree(pos).query_pairs(2.0 * config.collision_radius,
@@ -239,10 +239,8 @@ def pair_row_collisions(pos, vel, config) -> list:
     sa, sb = np.sqrt(np.vecdot(va, va)), np.sqrt(np.vecdot(vb, vb))
     keep = ~((sa < 1e-9) | (sb < 1e-9))
     align = np.vecdot(va[keep], vb[keep]) / (sa[keep] * sb[keep])
-    kind = np.where(align > config.overtake_cos, "overtake",
-                    np.where(np.abs(align) >= config.headon_cos,
-                             "headon", "sideswipe"))
-    return list(zip(a[keep].tolist(), b[keep].tolist(), kind.tolist()))
+    hit = align > config.overtake_cos
+    return np.column_stack([a[keep][hit], b[keep][hit]])
 
 
 def collision_block(pop, k, config, log):
@@ -256,9 +254,7 @@ def collision_block(pop, k, config, log):
     pairs = pair_row_collisions(pop.pos[:, live].T.copy(), sub_vel, config)
     applied = swarm_sim.resolve_collisions(sub_vel, pairs)
     pop.vel[:, live] = sub_vel.T
-    if applied:
-        a, b, kind = zip(*applied)
-        gid = pop.gid[live]
-        log.add(k, [swarm_sim.EVENT_KINDS.index("collision_" + c)
-                    for c in kind], gid[list(a)], gid[list(b)])
+    gid = pop.gid[live]
+    log.add(k, swarm_sim.EVENT_KINDS.index("collision_overtake"),
+            gid[applied[:, 0]], gid[applied[:, 1]])
     return np.isfinite(pop.rows[:6]).all(axis=0)

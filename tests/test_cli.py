@@ -6,6 +6,7 @@ a short flight so the whole chain stays under a few seconds.
 
 import argparse
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -118,16 +119,20 @@ def test_full_pipeline(tmp_path, capsys):
     for key in ("injected=", "retired=", "active=", "\nfaults=0\n",
                 "balanced=True"):
         assert key in out, key
+    # the fit the run flew
+    fit, _ = load_fit(fitf)
+    assert f"\nfit_rng_seed=0\nfit_set_size={SET_SIZE}\n" \
+        f"fit_pressure_offset={fit.pressure_offset!r}\n" in out
     # per-frame counter peaks: equal batches, the first in frame 0; no
-    # collision of any kind without collisions on
+    # collision without collisions on, and no line for a removed kind
     assert "\npeak_inject_frame=0\n" in out
     active = load_run(rundir).frame_active
     k = int(np.argmax(active))
     assert f"\npeak_active={active[k]}\npeak_active_frame={k}\n" in out
     assert active[k] > 0
-    for kind in ("overtake", "headon", "sideswipe"):
-        assert f"\npeak_collision_{kind}=0\npeak_collision_{kind}_frame=none\n" \
-            in out, kind
+    assert "\npeak_collision_overtake=0\n" \
+        "peak_collision_overtake_frame=none\n" in out
+    assert "headon" not in out and "sideswipe" not in out
     for name in ("metrics.txt", "slice.csv", "centerline.csv"):
         assert (rundir / name).exists(), name
 
@@ -246,8 +251,9 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
                                                   capsys):
     """Each subcommand fed every other pipeline file (field, grid, fit and
     run) in place of its input, and ``analyze`` a run directory without
-    ``trace.npz``, a damaged one and one whose ``trace.npz`` is a CSV file:
-    one stderr line naming the file, exit status 1 and no output written."""
+    ``trace.npz``, a damaged one, one whose ``trace.npz`` is a CSV file and
+    one whose config is a number: one stderr line naming the file, exit
+    status 1 and no output written."""
     monkeypatch.chdir(tmp_path)
     for argv in (["generate-field", "--output", "field.csv", "--stations",
                   "41", "--rings", "3"],
@@ -262,6 +268,12 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     (tmp_path / "csv").mkdir()
     (tmp_path / "csv" / "trace.npz").write_bytes(
         (tmp_path / "field.csv").read_bytes())
+    with np.load(tmp_path / "run" / "trace.npz") as npz:
+        cols = dict(npz)
+    cols["meta"] = np.array(json.dumps({**json.loads(cols["meta"].item()),
+                                        "config": 5}))
+    (tmp_path / "numeric_config").mkdir()
+    np.savez(tmp_path / "numeric_config" / "trace.npz", **cols)
     files = {"field": "field.csv", "grid": "grid.csv", "fit": "fit.csv",
              "run": "run/trace.npz"}
     reads = [(["partition", "--output", "o.csv", "--field"], "field"),
@@ -272,7 +284,7 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
              for kind, path in files.items() if kind != own]
     cases += [(["analyze", "--targets", "grid.csv", "--out", "o", "--run",
                 path], path) for path in ("field.csv", "empty", "damaged",
-                                          "csv")]
+                                          "csv", "numeric_config")]
     capsys.readouterr()
     for argv, path in cases:
         assert main(argv) == 1, argv
@@ -284,7 +296,9 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
         if path == "csv":
             assert "trace.npz is not a run archive" in err, err
             assert "pickle" not in err, err
-    assert len(cases) == 16
+        if path == "numeric_config":
+            assert "config is not a JSON object" in err, err
+    assert len(cases) == 17
 
 
 def test_analyze_rejects_targets_of_another_lattice_or_duct(tmp_path,

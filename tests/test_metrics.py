@@ -508,8 +508,6 @@ def event_counts(trace, transient):
     return {"exit_rate": count("retire", transient) / window,
             "inject_rate": count("inject", transient) / window,
             "collisions_overtake": count("collision_overtake"),
-            "collisions_headon": count("collision_headon"),
-            "collisions_sideswipe": count("collision_sideswipe"),
             "wall_escapes": count("wall_escape"),
             "faults": count("fault")}
 

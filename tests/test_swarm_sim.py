@@ -286,39 +286,47 @@ def test_seed_tunnel_fills_to_the_middle_of_the_span_without_geometry():
 # collisions
 # ----------------------------------------------------------------------
 
+def pair_rows(*pairs):
+    """(M, 2) intp pair rows, the form the collision pass passes pairs in."""
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
 def test_collision_classification():
+    # head-on and crossing pairs close at 2 and 1 m/s, over the 0.5 m/s
+    # floor, yet only the aligned pair overtakes
     pos = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]])
     headon = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    assert detect_collisions(pos, headon, CFG) == [(0, 1, "headon")]
-    sideswipe = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert detect_collisions(pos, sideswipe, CFG) == [(0, 1, "sideswipe")]
+    crossing = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    for vel in (headon, crossing):
+        found = detect_collisions(pos, vel, CFG)
+        assert found.shape == (0, 2) and found.dtype == np.intp
     overtake = np.array([[3.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert detect_collisions(pos, overtake, CFG) == [(0, 1, "overtake")]
+    found = detect_collisions(pos, overtake, CFG)
+    assert found.dtype == np.intp and found.tolist() == [[0, 1]]
 
 
 def test_separated_or_coasting_pairs_do_not_collide():
     apart = np.array([[0.0, 0.0, 0.0], [0.45, 0.0, 0.0]])  # 3 radii away
-    v = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    assert detect_collisions(apart, v, CFG) == []
+    v = np.array([[3.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert len(detect_collisions(apart, v, CFG)) == 0
     close = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]])
     same = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     # co-moving contact: closing speed 0 stays under the approach floor
-    assert detect_collisions(close, same, CFG) == []
+    assert len(detect_collisions(close, same, CFG)) == 0
     slow = np.array([[0.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
     # closing at 0.2 m/s: under the 0.5 m/s floor, and a zero speed anyway
-    assert detect_collisions(close, slow, CFG) == []
+    assert len(detect_collisions(close, slow, CFG)) == 0
 
 
 def per_pair_collisions(pos, vel, config, reasons=None):
     """Reference detector: one pair at a time, as ``detect_collisions`` was
-    written before its array pass. ``reasons`` tallies each rejection."""
+    written before its array pass, returning (M, 2) pair rows.
+    ``reasons`` tallies each rejection."""
     reasons = Counter() if reasons is None else reasons
     if len(pos) < 2:
-        return []
+        return pair_rows()
     pairs = cKDTree(pos).query_pairs(2.0 * config.collision_radius,
                                      output_type="ndarray")
-    if len(pairs) == 0:
-        return []
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     out = []
     for a, b in pairs:
@@ -336,14 +344,11 @@ def per_pair_collisions(pos, vel, config, reasons=None):
             reasons["zero_speed"] += 1
             continue
         align = float(vel[a] @ vel[b]) / (sa * sb)
-        if align > config.overtake_cos:
-            kind = "overtake"
-        elif abs(align) >= config.headon_cos:
-            kind = "headon"
-        else:
-            kind = "sideswipe"
-        out.append((int(a), int(b), kind))
-    return out
+        if not align > config.overtake_cos:
+            reasons["misaligned"] += 1
+            continue
+        out.append((int(a), int(b)))
+    return pair_rows(*out)
 
 
 def dense_cloud(seed, n=300):
@@ -368,33 +373,35 @@ def test_array_detection_equals_the_per_pair_loop(seed, config):
     pos, vel = dense_cloud(seed)
     reasons = Counter()
     expected = per_pair_collisions(pos, vel, config, reasons)
-    assert detect_collisions(pos, vel, config) == expected
-    # the cloud reaches every kind and every rejection the loop has
-    assert {k for _, _, k in expected} == {"overtake", "headon", "sideswipe"}
-    rejections = {"coincident", "separating", "under_floor", "zero_speed"}
+    found = detect_collisions(pos, vel, config)
+    assert found.dtype == np.intp and np.array_equal(found, expected)
+    # the cloud reaches an overtake and every rejection the loop has
+    assert len(expected) > 0
+    rejections = {"coincident", "separating", "under_floor", "zero_speed",
+                  "misaligned"}
     if config.min_approach_speed == 0.0:
         rejections.discard("under_floor")   # no closing speed is under 0
     assert set(reasons) == rejections
-    # a NaN velocity passes every test and lands in the last class, as before
+    # a NaN velocity passes the distance, floor and speed tests and fails
+    # the alignment, as in the loop
     vel[7] = np.nan
-    assert detect_collisions(pos, vel, config) \
-        == per_pair_collisions(pos, vel, config)
+    assert np.array_equal(detect_collisions(pos, vel, config),
+                          per_pair_collisions(pos, vel, config))
 
 
 def test_thresholds_on_a_pair_value_split_the_same_way():
     # each threshold sits exactly on one pair's own closing speed or
     # alignment, where a last-bit difference in that value flips the pair
     pos, vel = dense_cloud(0, n=120)
-    for a, b, _ in per_pair_collisions(pos, vel, CFG)[:30]:
+    for a, b in per_pair_collisions(pos, vel, CFG)[:30]:
         dx = pos[b] - pos[a]
         closing = float((vel[a] - vel[b]) @ (dx / np.linalg.norm(dx)))
         align = float(vel[a] @ vel[b]) / (np.linalg.norm(vel[a])
                                           * np.linalg.norm(vel[b]))
         for config in (replace(CFG, min_approach_speed=closing),
-                       replace(CFG, overtake_cos=align),
-                       replace(CFG, headon_cos=abs(align))):
-            assert detect_collisions(pos, vel, config) \
-                == per_pair_collisions(pos, vel, config)
+                       replace(CFG, overtake_cos=align)):
+            assert np.array_equal(detect_collisions(pos, vel, config),
+                                  per_pair_collisions(pos, vel, config))
 
 
 # ----------------------------------------------------------------------
@@ -489,15 +496,17 @@ def test_coincident_agents_pair_with_each_other():
                   (9, 28), (11, 17), (11, 28), (17, 28)}
     assert coincident <= set(map(tuple, pairs.tolist()))
     vel = rng.normal(size=(30, 3))
-    # coincident pairs have no direction, so none of them collides
-    assert not coincident & {(a, b) for a, b, _ in
-                             detect_collisions(pos, vel, CFG)}
+    # coincident pairs have no direction, so none of them collides, even
+    # where any alignment overtakes
+    assert not coincident & set(map(tuple, detect_collisions(
+        pos, vel, replace(CFG, overtake_cos=-1.0)).tolist()))
 
 
 def test_pair_search_with_zero_one_and_two_agents():
     for n in (0, 1):
         assert len(found_pairs(np.zeros((n, 3)), 0.3)) == 0
-        assert detect_collisions(np.zeros((n, 3)), np.zeros((n, 3)), CFG) == []
+        assert detect_collisions(np.zeros((n, 3)), np.zeros((n, 3)),
+                                 CFG).shape == (0, 2)
     assert found_pairs([[0.0, 0.0, 0.0], [0.1, 0.2, 0.0]], 0.3).tolist() \
         == [[0, 1]]
     assert len(found_pairs([[0.0, 0.0, 0.0], [0.1, 0.3, 0.0]], 0.3)) == 0
@@ -527,36 +536,24 @@ def test_non_finite_positions_raise(bad):
 
 def test_overtake_conserves_the_speed_sum():
     vel = np.array([[3.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    applied = resolve_collisions(vel, [(0, 1, "overtake")])
-    assert applied == [(0, 1, "overtake")]
+    applied = resolve_collisions(vel, pair_rows((0, 1)))
+    assert applied.tolist() == [[0, 1]]
     # 25% of the 2 m/s gap moves from fast to slow
     assert np.allclose(vel, [[2.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
-
-
-def test_mutual_collisions_dissipate_energy():
-    vel = np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
-    resolve_collisions(vel, [(0, 1, "headon")])
-    # 10% of pair kinetic energy gone, split evenly: speeds shrink by sqrt(0.9)
-    assert np.allclose(np.abs(vel[:, 0]), 2.0 * np.sqrt(0.9), rtol=1e-12)
-    vel = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    resolve_collisions(vel, [(0, 1, "sideswipe")])
-    assert np.allclose(np.linalg.norm(vel, axis=1), 2.0 * np.sqrt(0.8),
-                       rtol=1e-12)
 
 
 def test_collisions_never_change_headings():
     rng = np.random.default_rng(6)
     vel = rng.normal(0.0, 5.0, (6, 3))
     before = vel / np.linalg.norm(vel, axis=1, keepdims=True)
-    resolve_collisions(vel, [(0, 1, "overtake"), (2, 3, "headon"),
-                             (4, 5, "sideswipe")])
+    resolve_collisions(vel, pair_rows((0, 1), (2, 3), (4, 5)))
     after = vel / np.linalg.norm(vel, axis=1, keepdims=True)
     assert np.allclose(after, before, atol=1e-12)
 
 
 def test_collision_speed_clamp():
     vel = np.array([[100.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    resolve_collisions(vel, [(0, 1, "overtake")])
+    resolve_collisions(vel, pair_rows((0, 1)))
     assert vel[0, 0] == pytest.approx(30.0)  # clamped from 75.5
     assert vel[1, 0] == pytest.approx(26.5)
 
@@ -948,9 +945,10 @@ def full_scan_run(grid, fit, config):
                                                     config)
                 applied = swarm_sim.resolve_collisions(sub_vel, pairs)
                 pop.vel[live] = sub_vel
-                for a, b, kind in applied:
+                for a, b in applied.tolist():
                     trace.events.append(
-                        (t_end, f"collision_{kind}", int(live[a]), int(live[b])))
+                        (t_end, "collision_overtake", int(live[a]),
+                         int(live[b])))
 
             p = pop.pos[act]
             in_span = (p[:, 0] >= 0.0) & (p[:, 0] <= length)
@@ -1158,10 +1156,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="collision_radius"):
             SimConfig(collision_radius=radius)
     # a NaN floor passed every pair: two agents flying apart came back as
-    # a head-on collision
+    # a collision
     for name, value in (("min_approach_speed", np.nan),
                         ("min_approach_speed", -0.01),
-                        ("overtake_cos", np.nan), ("headon_cos", np.nan)):
+                        ("overtake_cos", np.nan)):
         with pytest.raises(ValueError, match=name):
             SimConfig(**{name: value})
     assert SimConfig(min_approach_speed=0.0).min_approach_speed == 0.0
@@ -1203,6 +1201,10 @@ def test_save_load_round_trip(tmp_path, grid, fit):
     assert back.lattice == trace.lattice == lattice_meta(grid)
     assert [type(v) for v in back.lattice.values()] \
         == [type(v) for v in trace.lattice.values()]
+    assert back.fit == trace.fit == {
+        "rng_seed": 0, "set_size": SET_SIZE,
+        "pressure_offset": fit.pressure_offset}
+    assert [type(v) for v in back.fit.values()] == [int, int, float]
     assert len(back.trajectories) == len(trace.trajectories) > 0
     for sa, sb in zip(trace.trajectories, back.trajectories):
         assert sb[0] == sa[0]
@@ -1274,6 +1276,31 @@ def _format_6(cols):
     del meta["lattice"]
     cols["meta"] = np.array(json.dumps(meta))
     _set_format(cols, 6)
+
+
+def _format_7(cols):
+    # the layout with head-on and sideswipe collisions (kinds 5 and 6) and
+    # no fit record
+    meta = json.loads(cols["meta"].item())
+    meta["config"]["headon_cos"] = 0.7071067811865476
+    del meta["fit"]
+    cols["meta"] = np.array(json.dumps(meta))
+    cols["event_kind"][-1] = 6
+    _set_format(cols, 7)
+
+
+def _edit_meta(name, key, value):
+    """The corruption ``name`` that sets ``meta[key]``, or deletes it for
+    None."""
+    def edit(cols):
+        meta = json.loads(cols["meta"].item())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        cols["meta"] = np.array(json.dumps(meta))
+    edit.__name__ = name
+    return edit
 
 
 def _lattice_without_nx(cols):
@@ -1361,10 +1388,19 @@ def _numeric_meta(cols):
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
     (_format_2, "missing"),
-    (_format_3, "format 3, expected 7"),
+    (_format_3, "format 3, expected 8"),
     (_format_4, r"missing \['event_frame'\]"),
-    (_format_5, "format 5, expected 7"),
-    (_format_6, "format 6, expected 7"),
+    (_format_5, "format 5, expected 8"),
+    (_format_6, "format 6, expected 8"),
+    (_format_7, "format 7, expected 8"),
+    (_edit_meta("_numeric_config", "config", 5),
+     "config is not a JSON object"),
+    (_edit_meta("_numeric_plant", "plant", 2.5), "plant is not a JSON object"),
+    (_edit_meta("_no_fit", "fit", None), r"metadata is missing \['fit'\]"),
+    (_edit_meta("_numeric_fit", "fit", 0), "fit is not a JSON object"),
+    (_edit_meta("_fit_without_pressure_offset", "fit",
+                {"rng_seed": 0, "set_size": SET_SIZE}),
+     r"fit fields differ: \['pressure_offset'\]"),
     (_lattice_without_nx, r"missing lattice metadata \['nx'\]"),
     (_list_meta, "meta is not a JSON object"),
     (_numeric_lattice, "lattice is not a JSON object"),
