@@ -258,7 +258,7 @@ def _cmd_analyze(args) -> int:
     for k, v in run.fit.items():
         print(f"fit_{k}={v}")
     balance = population_balance(run)
-    for k in ("injected", "retired", "active", "faults", "balanced"):
+    for k in ("injected", "retired", "active", "balanced"):   # faults: a metric
         print(f"{k}={balance[k]}")
     for name, column in zip(("active", *EVENT_KINDS),
                             [run.frame_active, *run.frame_counts.T]):

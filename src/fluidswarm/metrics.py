@@ -92,7 +92,7 @@ class DerivedFields:
     duty: np.ndarray            # (M,) occupied fraction of post-transient frames
     concentration: np.ndarray   # (M,) occupancy / cell volume
     velocity: np.ndarray        # (M, 3) mean of per-frame mean velocities
-    pressure_dev: np.ndarray    # (M,) from deviations off the cell target
+    pressure_dev: np.ndarray    # (M,) deviations off v_target, NaN without one
     pressure_int: np.ndarray    # (M,) from deviations off the frame mean
     temperature: np.ndarray     # (M,) random + control composition
     occupied_frames: np.ndarray  # (M,) frames with at least one agent
@@ -115,6 +115,8 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
 
     Agent mass and the control temperature's ``a_max`` come from the plant
     the run flew; the formulas are those of :mod:`fluidswarm.primitives`.
+    Deviations off the targets t follow from a frame's sums, sum |v - t|^2
+    = sumv2 - 2 t.vsum + n |t|^2; a cell without a target has none.
     """
     if transient is None:
         transit = transit_time_estimate(grid, trace.config.scale)
@@ -127,7 +129,6 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
     total = np.zeros(M)
     usum = np.zeros((3, M))       # one row per component: 1-D scatters
     pdev_sum = np.zeros(M)
-    pdev_frames = np.zeros(M, dtype=np.int64)
     pint_sum = np.zeros(M)
     temp_sum = np.zeros(M)
 
@@ -142,25 +143,26 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
         total[cells] += rec.counts
         for row, vsum in zip(usum, rec.vsum.T):
             row[cells] += vsum / rec.counts
-        cdev2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
-        pint_sum[cells] += coeff * cdev2
+        spread2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
+        pint_sum[cells] += coeff * spread2
         # temperature: random part from in-cell spread, control part from
         # the instantaneous mass density
         cell_mass = mass * rec.counts
         temp_sum[cells] += (
-            random_temperature_from_spread(mass * cdev2, cell_mass)
+            random_temperature_from_spread(mass * spread2, cell_mass)
             + control_temperature(cell_mass / grid.cell_volume,
                                   trace.plant.a_max))
-        fin = np.isfinite(rec.dev2)           # cells with a target
-        pdev_sum[cells] += np.where(fin, coeff * rec.dev2, 0.0)
-        pdev_frames[cells] += fin
+        t = grid.v_target[cells]
+        off2 = (rec.sumv2 - 2.0 * np.einsum("ij,ij->i", t, rec.vsum)
+                + rec.counts * np.einsum("ij,ij->i", t, t))
+        pdev_sum[cells] += np.where(np.isfinite(off2), coeff * off2, 0.0)
     if used == 0:
         raise ValueError("no frames after the transient window")
 
     with np.errstate(invalid="ignore", divide="ignore"):
         occupancy = total / occ
         velocity = np.ascontiguousarray((usum / occ).T)
-        p_dev = pdev_sum / pdev_frames
+        p_dev = pdev_sum / (occ * np.isfinite(grid.v_target).all(axis=1))
         p_int = pint_sum / occ
         temperature = temp_sum / occ
     return DerivedFields(
@@ -325,14 +327,12 @@ def export_slice(derived: DerivedFields, grid: ControlVolumeGrid, path) -> None:
         _scaled(pt[f], pt[grid.valid], "pressure", suction=True),
         _scaled(rho[f], rho[scored], "density"),
         norm_trho])
-    write_table(path, None, SLICE_HEADER,
-                [(",".join([_FMT] * columns.shape[1]), columns)])
+    write_table(path, None, SLICE_HEADER, columns)
 
 
 def export_centerline(profile: dict, path) -> None:
     columns = np.column_stack([profile[k] for k in CENTERLINE_HEADER.split(",")])
-    write_table(path, None, CENTERLINE_HEADER,
-                [(",".join([_FMT] * columns.shape[1]), columns)])
+    write_table(path, None, CENTERLINE_HEADER, columns)
 
 
 @dataclass

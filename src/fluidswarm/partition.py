@@ -183,8 +183,8 @@ def save_partition(grid: ControlVolumeGrid, path) -> None:
     data = np.column_stack([grid.unravel(np.arange(m)), grid.centers(),
                             grid.inside, grid.node_count, grid.v_target,
                             grid.p_target])
-    write_table(path, lattice_meta(grid), PARTITION_HEADER,
-                [(_PARTITION_FMT, data)])
+    write_table(path, lattice_meta(grid), PARTITION_HEADER, data,
+                _PARTITION_FMT)
 
 
 def load_partition(path) -> ControlVolumeGrid:

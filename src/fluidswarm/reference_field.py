@@ -192,7 +192,7 @@ def save_field(fld: ReferenceField, path) -> None:
     ``fmt="%.12g"``, formatted by :func:`write_table` in one pass."""
     data = np.column_stack([fld.positions, fld.velocities, fld.pressures])
     write_table(path, _duct_meta(fld.geometry, fld.gas) or None, FIELD_HEADER,
-                [(",".join([_FMT] * 7), data)])
+                data)
 
 
 def load_field(path, geometry: NozzleGeometry | None = None,
@@ -243,28 +243,28 @@ def _agree(path, stored, given):
 # the table codec shared by the field, partition and fit files
 # ======================================================================
 
-def write_table(path, meta: dict | None, header: str, blocks) -> None:
-    """Write ``header`` and the rows of ``blocks``, after a ``# k=v``
-    metadata line that also declares ``cells``, the row count (no metadata
-    line when ``meta`` is None).
+def write_table(path, meta: dict | None, header: str, values,
+                fmt: str | None = None) -> None:
+    """Write ``header`` and the rows of ``values``, a (k, c) array, after a
+    ``# k=v`` metadata line that also declares ``cells``, the row count (no
+    metadata line when ``meta`` is None).
 
-    A block is a pair (``fmt``, ``values``): a (k, c) array of k rows and
-    the ``%`` format of one row. In it ``%d`` writes an integer (exact below
-    2**53), ``%r`` a float exactly, with ``repr``, and ``%.12g`` a float to
-    12 significant digits. Each run of up to ``_PASS_ROWS`` rows is
-    formatted in one ``%`` pass over its values, so a table of that size is
-    one pass and one write.
+    ``fmt`` is the ``%`` format of one row, by default ``_FMT`` for every
+    column. In it ``%d`` writes an integer (exact below 2**53), ``%r`` a
+    float exactly, with ``repr``, and ``%.12g`` a float to 12 significant
+    digits. Each run of up to ``_PASS_ROWS`` rows is formatted in one ``%``
+    pass over its values, so a table of that size is one pass and one write.
     """
-    blocks = [(fmt + "\n", np.asarray(values, dtype=float)) for fmt, values in blocks]
+    values = np.asarray(values, dtype=float)
+    fmt = (fmt or ",".join([_FMT] * values.shape[1])) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if meta is not None:
-            meta = {**meta, "cells": sum(len(v) for _, v in blocks)}
+            meta = {**meta, "cells": len(values)}
             fh.write("# " + " ".join(f"{k}={v!r}" for k, v in meta.items()) + "\n")
         fh.write(header + "\n")
-        for fmt, values in blocks:
-            for i in range(0, len(values), _PASS_ROWS):
-                part = values[i:i + _PASS_ROWS]
-                fh.write(fmt * len(part) % tuple(part.ravel().tolist()))
+        for i in range(0, len(values), _PASS_ROWS):
+            part = values[i:i + _PASS_ROWS]
+            fh.write(fmt * len(part) % tuple(part.ravel().tolist()))
 
 
 def _number(text: str):

@@ -2,47 +2,37 @@
 
 Two start-up cases:
 
-* ``tunnel_seeding``: every fitted cell up to an axial bound starts with its
-  fitted agent count, all agents holding the cell's (scaled) command;
+* ``tunnel_seeding``: every fitted cell up to an axial bound starts with
+  ``SET_SIZE`` agents, all holding the cell's (scaled) command;
 * ``reservoir``: the duct starts empty and batches of agents enter at the
   inlet disc at a fixed cadence, sized so the entry cell's fitted count and
   mean speed set the through-flow.
 
-Per frame: each active agent receives its cell's broadcast command (every
-agent in a cell gets the identical command; cells without a fit use the
-nearest fitted cell's command), steps its velocity plant, moves, then
-optionally collides. Agents past the outlet retire and faulted agents stop;
-both leave the population, which holds only the active agents. Agents that
-drift through the duct wall are logged once and keep flying. Agents are
-binned to cells once per frame, by the frame reduction after retirement;
-those cells are the next frame's command cells, since nothing moves an agent
-in between, so only newly injected agents are binned when they arrive. The
-population keeps positions, velocities and thrusts as (3, N) row views of
-one (9, N) block, one contiguous row per component, which the plant steps
-row by row, binning reads without a copy, and the frame reduction sums in
-one (5, N) block; the wall test evaluates the duct radius only for agents
-past the throat radius. Everything a trace holds (frame records,
-trajectory snapshots) keeps the (N, 3) and (K, 3) shapes. The frame
-records fill fixed-size chunks of int32 cells and counts and float64 sums,
-48 B a row, which no frame copies or grows; each record views its rows of
-one chunk, and ``save_run`` streams the records to the run file without
-joining them into whole columns. Each event is one row of the run's event
-table, its only population record: the per-frame counts and the totals are
-computed from it, and the per-frame active count from the frame records.
-All randomness is drawn from generators seeded by (seed, purpose, index),
-so traces are reproducible.
+Per frame: each active agent receives its cell's broadcast command (cells
+without a fit use the nearest fitted cell's), steps its velocity plant,
+moves, then optionally collides. Agents past the outlet retire and faulted
+agents stop; both leave the population, which holds only the active agents.
+Agents that drift through the duct wall are logged once and keep flying.
+The frame reduction bins the agents once per frame, after retirement; those
+cells are the next frame's command cells, since nothing moves an agent in
+between, so only newly injected agents are binned when they arrive.
+
+The population keeps positions, velocities and thrusts as (3, N) row views
+of one (9, N) block, one contiguous row per component, which the plant
+steps row by row and binning reads without a copy. A frame record holds the
+swarm's own moments per occupied cell, summed from one (4, N) block: the
+agent count, the velocity sum and the sum of squared speeds. It reads no
+target; the analysis derives deviations from these sums. The records fill
+fixed-size chunks, 40 B a row, which no frame copies or grows, and
+``save_run`` streams them to the run file. Each event is one row of the
+run's event table, its only population record. All randomness is drawn from
+generators seeded by (seed, purpose, index), so traces are reproducible.
 
 Collisions are overtakes: a close pair closing faster than the approach
 floor, its headings aligned above ``overtake_cos``, moves speed from the
 faster agent to the slower; no other pair collides, and headings never
-change. Candidate pairs come from a cell list of cubes just over two body
-radii on a side, each agent tested against its own and the 13 forward
-neighbouring cubes, and a pair is close when its squared distance, summed
-(dx^2 + dy^2) + dz^2, is at most the squared bound: the rule of SciPy's
-``cKDTree.query_pairs``, so the pairs are those a KD-tree finds. The pass
-runs on the population's own rows, which resolution changes in place, and
-ends once no close pair closes faster than the approach floor; only a frame
-with a non-finite agent copies the others out and back.
+change. The close pairs are those SciPy's ``cKDTree.query_pairs`` finds
+(``close_pairs``), and the pass runs on the population's own rows.
 """
 
 from __future__ import annotations
@@ -50,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import typing
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
@@ -108,16 +99,18 @@ class SimConfig:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass
+@dataclass(eq=False)
 class FrameRecord:
-    """Per-cell sums for one frame; cells with no active agents are absent.
-    Cells and counts are int32, the sums float64."""
+    """Per-cell sums for one frame, the swarm's own moments; cells with no
+    active agents are absent. Cells and counts are int32, the sums float64."""
 
     cells: np.ndarray       # (K,) flat indices, ascending
     counts: np.ndarray      # (K,) agents per cell, each at least 1
     vsum: np.ndarray        # (K, 3) velocity sums
     sumv2: np.ndarray       # (K,) sum of squared speeds
-    dev2: np.ndarray        # (K,) sum ||v - v_target||^2 (NaN without a target)
+
+    def __eq__(self, other) -> bool:
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 EVENT_KINDS = ("inject", "retire", "wall_escape", "fault", "collision_overtake")
@@ -136,8 +129,7 @@ class EventTable:
     a: np.ndarray
     b: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+    __eq__ = FrameRecord.__eq__
 
 
 @dataclass
@@ -534,9 +526,8 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
     if plant.mass != fit.config.agent_mass:
         raise ValueError(f"plant mass {plant.mass} differs from the fit's "
                          f"agent mass {fit.config.agent_mass}")
-    # commands and targets as component rows, gathered per agent by column
+    # commands as component rows, gathered per agent by column
     table = np.ascontiguousarray(build_command_table(grid, fit, config.scale).T)
-    targets = np.ascontiguousarray(grid.v_target.T)
     outlet = axial_span(grid)[1]
 
     rate, cell0 = injection_rate(grid, fit)
@@ -589,7 +580,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                 log.add(k, RETIRE, pop.gid[gone])
                 pop.keep(~(bad | gone))
 
-        frames.append(_record_frame(pop, grid, targets, chunks))
+        frames.append(_record_frame(pop, grid, chunks))
         if config.record_trajectories and k % config.trajectory_stride == 0:
             trajectories.append((float(frame_t[k]), pop.gid.copy(),
                                  pop.pos.T.copy(), pop.vel.T.copy()))
@@ -673,14 +664,14 @@ class _EventLog:
         self.n = end
 
 
-FRAME_CHUNK_ROWS = 1 << 16     # frame rows a chunk holds, 3 MiB at 48 B a row
+FRAME_CHUNK_ROWS = 1 << 16     # frame rows a chunk holds: 2.5 MiB, 40 B a row
 
 
 class _FrameChunks:
     """A run's frame rows, frame after frame, in chunks of
     ``FRAME_CHUNK_ROWS`` rows (or of one frame's rows, when a frame holds
     more): an int32 cells column, an int32 counts column and a float64
-    (R, 5) sums block. A chunk is filled in place and never grown, so the
+    (R, 4) sums block. A chunk is filled in place and never grown, so the
     rows are never held twice over, and a frame that does not fit in what
     is left of the chunk starts the next one."""
 
@@ -690,7 +681,7 @@ class _FrameChunks:
     def _new(self, rows) -> None:
         self.cells = np.empty(rows, dtype=np.int32)
         self.counts = np.empty(rows, dtype=np.int32)
-        self.sums = np.empty((rows, 5))
+        self.sums = np.empty((rows, 4))
         self.used = 0
 
     def take(self, k) -> tuple:
@@ -703,17 +694,15 @@ class _FrameChunks:
 
 
 def _record_frame(pop: _Population, grid: ControlVolumeGrid,
-                  targets: np.ndarray, chunks: _FrameChunks) -> FrameRecord:
+                  chunks: _FrameChunks) -> FrameRecord:
     """Per-cell sums over the active agents, whose cells it leaves on
-    ``pop.flat`` for the next frame's commands; ``targets`` holds the
-    cells' target velocities as (3, cells) rows, and ``chunks`` the run's
+    ``pop.flat`` for the next frame's commands; ``chunks`` holds the run's
     frame rows, where the record's fields are written.
 
-    The agents, sorted by cell, fill one (5, N) block of rows vx, vy, vz,
-    |v|^2 and |v - v_target|^2, and one ``reduceat`` sums it per cell into
-    a (K, 5) block of the chunk whose columns the record's fields view. The
-    squares add x, z, then y: the order of ``einsum("ij,ij->i")`` on (N, 3)
-    rows.
+    The agents, sorted by cell, fill one (4, N) block of rows vx, vy, vz
+    and |v|^2, and one ``reduceat`` sums it per cell into a (K, 4) block of
+    the chunk whose columns the record's fields view. The squares add x, z,
+    then y: the order of ``einsum("ij,ij->i")`` on (N, 3) rows.
     """
     flat = pop.flat
     flat[...] = assign_cell(pop.pos.T, grid)
@@ -729,19 +718,12 @@ def _record_frame(pop: _Population, grid: ControlVolumeGrid,
     cells, counts, sums = chunks.take(len(start))
     cells[...] = flat_s[start]
     counts[...] = np.diff(start, append=len(flat_s))
-    block = np.empty((5, len(order)))
-    v = np.take(pop.vel, order, axis=1, out=block[:3])
-    _sum_squares(np.square(v), out=block[3])
-    d = np.take(targets, flat_s, axis=1)
-    _sum_squares(np.square(np.subtract(v, d, out=d), out=d), out=block[4])
+    block = np.empty((4, len(order)))
+    sq = np.square(np.take(pop.vel, order, axis=1, out=block[:3]))
+    np.add(sq[0], sq[2], out=block[3])
+    block[3] += sq[1]
     np.add.reduceat(block, start, axis=1, out=sums.T)
-    return FrameRecord(cells, counts, sums[:, :3], sums[:, 3], sums[:, 4])
-
-
-def _sum_squares(sq, out) -> np.ndarray:
-    """(x^2 + z^2) + y^2 from the rows of squares ``sq``, into ``out``."""
-    np.add(sq[0], sq[2], out=out)
-    return np.add(out, sq[1], out=out)
+    return FrameRecord(cells, counts, sums[:, :3], sums[:, 3])
 
 
 def population_balance(trace: SimulationTrace) -> dict:
@@ -757,11 +739,10 @@ def population_balance(trace: SimulationTrace) -> dict:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 8
+RUN_FORMAT = 9
 # the columns streamed record by record: dtype and the shape of one row
 FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
-                 "vsum": (np.float64, (3,)), "sumv2": (np.float64, ()),
-                 "dev2": (np.float64, ())}
+                 "vsum": (np.float64, (3,)), "sumv2": (np.float64, ())}
 TRAJ_COLUMNS = {"traj_ids": (np.int64, ()), "traj_pos": (np.float64, (3,)),
                 "traj_vel": (np.float64, (3,))}
 # every member but the JSON ``meta`` string, in file order
@@ -772,7 +753,7 @@ RUN_COLUMNS = {"frame_t": (np.float64, ()), "frame_offsets": (np.int64, ()),
 RUN_KEYS = ("meta", *RUN_COLUMNS)
 META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size",
              "lattice", "fit")
-FIT_KEYS = ("rng_seed", "set_size", "pressure_offset")
+FIT_KEYS = {"rng_seed": int, "set_size": int, "pressure_offset": float}
 
 
 def _write_parts(zf, name, parts, dtype, row) -> None:
@@ -832,14 +813,32 @@ def _split(columns: list, offsets: np.ndarray, n: int) -> list[tuple]:
             for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
-def _same_keys(name: str, values: dict, keys) -> None:
-    if set(values) != set(keys):
+def _fits(value, hint) -> bool:
+    """Whether the JSON ``value`` can stand for a field annotated ``hint``:
+    a number for a float, a list of numbers for a tuple, a bool for a bool."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits(v, float) for v in value)
+    if typing.get_args(hint):                   # a union
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _typed(name: str, values: dict, hints: dict) -> dict:
+    """``values``, checked to hold the keys of ``hints``, each value fitting."""
+    if set(values) != set(hints):
         raise ValueError(f"{RUN_FILE}: {name} fields differ: "
-                         f"{sorted(set(values) ^ set(keys))}")
+                         f"{sorted(set(values) ^ set(hints))}")
+    for k, hint in hints.items():
+        if not _fits(values[k], hint):
+            raise ValueError(f"{RUN_FILE}: {name}.{k} is {values[k]!r}, not "
+                             f"{getattr(hint, '__name__', hint)}")
+    return values
 
 
-def _dataclass_from(cls, values: dict):
-    _same_keys(cls.__name__, values, [f.name for f in fields(cls)])
+def _dataclass_from(cls, name: str, values: dict):
+    values = _typed(name, values, typing.get_type_hints(cls))
     return cls(**{k: tuple(v) if isinstance(v, list) else v
                   for k, v in values.items()})
 
@@ -850,11 +849,12 @@ def load_run(rundir) -> SimulationTrace:
     Raises ValueError on a file that is not a zip archive, a missing key, a
     ``meta`` member that is not one string holding a JSON object, another
     format version, a config, plant, lattice or fit that is not a JSON
-    object, a lattice that ``lattice_from_meta`` rejects, a fit whose keys
-    are not ``FIT_KEYS``, a column of another dtype or row shape than
-    ``RUN_COLUMNS`` gives, a cell count below 1, columns whose lengths
-    disagree with each other or with their offsets, an event kind outside
-    ``EVENT_KINDS``, or an event frame outside the run.
+    object, a lattice that ``lattice_from_meta`` rejects, a config, plant
+    or fit whose keys are not its fields or that holds a value of a JSON
+    type that cannot stand for its field, a column of another dtype or row
+    shape than ``RUN_COLUMNS`` gives, a cell count below 1, columns whose
+    lengths disagree with each other or with their offsets, an event kind
+    outside ``EVENT_KINDS``, or an event frame outside the run.
     """
     with open(os.path.join(rundir, RUN_FILE), "rb") as fh:
         if not zipfile.is_zipfile(fh):
@@ -881,7 +881,7 @@ def load_run(rundir) -> SimulationTrace:
         if not isinstance(meta[key], dict):
             raise ValueError(f"{RUN_FILE}: {key} is not a JSON object")
     lattice_from_meta(meta["lattice"], RUN_FILE)
-    _same_keys("fit", meta["fit"], FIT_KEYS)
+    _typed("fit", meta["fit"], FIT_KEYS)
     for name, (dtype, row) in RUN_COLUMNS.items():
         if a[name].dtype != dtype or a[name].shape[1:] != row \
                 or a[name].ndim != 1 + len(row):
@@ -902,8 +902,8 @@ def load_run(rundir) -> SimulationTrace:
     snaps = _split([a[k] for k in TRAJ_COLUMNS], a["traj_offsets"],
                    len(a["traj_t"]))
     return SimulationTrace(
-        config=_dataclass_from(SimConfig, meta["config"]),
-        plant=_dataclass_from(PlantParams, meta["plant"]),
+        config=_dataclass_from(SimConfig, "config", meta["config"]),
+        plant=_dataclass_from(PlantParams, "plant", meta["plant"]),
         frame_t=a["frame_t"], frames=[FrameRecord(*cols) for cols in frames],
         events=events, injection_rate=meta["injection_rate"],
         batch_size=meta["batch_size"], lattice=meta["lattice"],

@@ -225,8 +225,8 @@ def save_fit(fit: GridFit, grid: ControlVolumeGrid, path) -> None:
     k = len(fit.cells)
     rows = np.column_stack([grid.unravel(fit.cells), np.full(k, SET_SIZE),
                             fit.velocities.reshape(k, 3 * SET_SIZE)])
-    write_table(path, meta, FIT_HEADER,
-                [(",".join(["%d"] * 4 + ["%r"] * (3 * SET_SIZE)), rows)])
+    write_table(path, meta, FIT_HEADER, rows,
+                ",".join(["%d"] * 4 + ["%r"] * (3 * SET_SIZE)))
 
 
 def load_fit(path) -> tuple[GridFit, dict]:
@@ -255,11 +255,10 @@ def load_fit(path) -> tuple[GridFit, dict]:
 
 
 def grid_from_fit(fit: GridFit, meta: dict) -> ControlVolumeGrid:
-    """The lattice of a fit file, each fitted cell targeting its set mean:
-    what a simulation reads. Pressure and density targets stay NaN, so the
-    result suits simulation, not scoring."""
+    """The lattice of a fit file with the fitted cells inside: what a
+    simulation reads. Every target stays NaN, so the result suits
+    simulation, not scoring."""
     grid = ControlVolumeGrid.empty(*lattice_from_meta(meta))
     grid.inside[fit.cells] = True
     grid.node_count[fit.cells] = 1
-    grid.v_target[fit.cells] = fit.commands()
     return grid

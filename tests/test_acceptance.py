@@ -207,18 +207,8 @@ def test_criterion_9_centerline_fidelity(report, say):
 
 
 def _same_trace(a, b) -> bool:
-    if not np.array_equal(a.frame_t, b.frame_t):
-        return False
-    if len(a.frames) != len(b.frames) or a.events != b.events:
-        return False
-    for fa, fb in zip(a.frames, b.frames):
-        if not (np.array_equal(fa.cells, fb.cells)
-                and np.array_equal(fa.counts, fb.counts)
-                and np.array_equal(fa.vsum, fb.vsum)
-                and np.array_equal(fa.sumv2, fb.sumv2)
-                and np.array_equal(fa.dev2, fb.dev2, equal_nan=True)):
-            return False
-    return True
+    return (np.array_equal(a.frame_t, b.frame_t) and a.events == b.events
+            and a.frames == b.frames)
 
 
 def test_criterion_10_conservation_and_determinism(grid, report, say):

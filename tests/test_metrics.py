@@ -44,7 +44,7 @@ def lattice(nx=30, ny=1, nz=1, speeds=None, p=None, rho=None, geometry=True):
         geometry=NozzleGeometry() if geometry else None)
 
 
-def rec(cells, counts, means, sumv2=None, dev2=None):
+def rec(cells, counts, means, sumv2=None):
     """Frame record from per-cell mean velocities; zero spread by default."""
     cells = np.asarray(cells, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -52,10 +52,7 @@ def rec(cells, counts, means, sumv2=None, dev2=None):
     vsum = means * counts[:, None]
     if sumv2 is None:
         sumv2 = np.einsum("ij,ij->i", vsum, vsum) / counts
-    if dev2 is None:
-        dev2 = np.zeros(len(cells))
-    return FrameRecord(cells, counts, vsum, np.asarray(sumv2, float),
-                       np.asarray(dev2, float))
+    return FrameRecord(cells, counts, vsum, np.asarray(sumv2, float))
 
 
 def fake_trace(frames, dt=1.0, scale=1.0, mass=1.0):
@@ -82,12 +79,12 @@ def test_single_agent_constant_stream():
 
 
 def test_pressure_decomposition_hand_values():
-    grid = lattice(nx=4)
+    grid = lattice(nx=4, speeds=[1.5, 2.0, 2.0, 2.0])
     # two agents at (1,0,0) and (3,0,0): mean 2, sum v^2 = 10
-    frames = [rec([0], [2], [[2.0, 0.0, 0.0]], sumv2=[10.0], dev2=[3.0])]
+    frames = [rec([0], [2], [[2.0, 0.0, 0.0]], sumv2=[10.0])]
     d = derive_fields(fake_trace(frames), grid, transient=0.0)
-    # deviations off the target: (2/(3*0.125)) * 3 = 16
-    assert d.pressure_dev[0] == pytest.approx(COEFF * 3.0, rel=1e-12)
+    # deviations off the 1.5 m/s target: 0.5^2 + 1.5^2 = 2.5
+    assert d.pressure_dev[0] == pytest.approx(COEFF * 2.5, rel=1e-12)
     # centered spread: 10 - 16/2 = 2
     assert d.pressure_int[0] == pytest.approx(COEFF * 2.0, rel=1e-12)
     t_rand = 2.0 / (2.0 * 2)
@@ -110,8 +107,7 @@ def test_averages_are_conditional_on_occupancy():
 
 def test_never_occupied_cells_are_excluded():
     grid = lattice(nx=6)
-    frames = [rec([0, 2], [1, 1], [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                  dev2=[0.1, 0.1])]
+    frames = [rec([0, 2], [1, 1], [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])]
     d = derive_fields(fake_trace(frames), grid, transient=0.0)
     assert not d.valid[1]
     assert np.isnan(d.velocity[1]).all()
@@ -122,12 +118,10 @@ def test_never_occupied_cells_are_excluded():
 def test_scores_are_insensitive_to_the_command_scale():
     rng = np.random.default_rng(8)
     speeds = rng.uniform(1.0, 3.0, 12)
-    grid = lattice(nx=12, speeds=speeds)
-    # agents fly exactly 0.1x the targets; deviation sums proportional to
-    # the pressure targets
-    dev2 = -grid.p_target * 0.01 / COEFF
-    frames = [rec(np.arange(12), np.ones(12, int), 0.1 * grid.v_target,
-                  dev2=dev2)] * 3
+    # agents fly exactly 0.1x the targets, so their deviations, 0.81 of the
+    # squared target speeds, follow pressure targets of minus those squares
+    grid = lattice(nx=12, speeds=speeds, p=-speeds ** 2)
+    frames = [rec(np.arange(12), np.ones(12, int), 0.1 * grid.v_target)] * 3
     out = field_agreement(derive_fields(fake_trace(frames), grid,
                                         transient=0.0), grid)
     assert out["rmse_velocity"] == pytest.approx(0.0, abs=1e-12)
@@ -136,9 +130,10 @@ def test_scores_are_insensitive_to_the_command_scale():
 
 def test_known_rmse_value():
     grid = lattice(nx=2, speeds=[1.0, 2.0], p=[-1.0, -2.0], geometry=False)
-    dev2 = np.full(2, 1.0 / COEFF)  # derived pressure 1 in both cells
-    frames = [rec([0, 1], [1, 1], [[2.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
-                  dev2=dev2)]
+    # two agents in each cell, mean 2 m/s: both at 2 m/s off a 1 m/s
+    # target, and at 1 and 3 m/s off a 2 m/s target, so both deviate by 2
+    frames = [rec([0, 1], [2, 2], [[2.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+                  sumv2=[8.0, 10.0])]
     out = field_agreement(derive_fields(fake_trace(frames), grid,
                                         transient=0.0), grid)
     # normalized speeds: derived (1, 1) vs target (0.5, 1)
@@ -164,7 +159,8 @@ def test_frame_order_does_not_matter():
     rng = np.random.default_rng(3)
     grid = lattice(nx=5)
     frames = [rec([i % 5], [1 + i % 3], [[1.0 + i, 0.0, 0.0]],
-                  dev2=[0.1 * i]) for i in range(12)]
+                  sumv2=[(1 + i % 3) * (1.0 + i) ** 2 + 0.1 * i])
+              for i in range(12)]
     trace = fake_trace(frames)
     d0 = derive_fields(trace, grid, transient=0.0)
     perm = rng.permutation(12)
@@ -183,7 +179,7 @@ def test_degenerate_normalization_is_an_error():
     with pytest.raises(ValueError, match="velocity normalization"):
         field_agreement(d, grid)
     grid2 = lattice(nx=3, p=[1.0, 1.0, 1.0])  # positive "gauge" targets
-    frames2 = [rec([0, 1, 2], [1, 1, 1], grid2.v_target, dev2=[1.0, 1.0, 1.0])]
+    frames2 = [rec([0, 1, 2], [1, 1, 1], 0.5 * grid2.v_target)]
     d2 = derive_fields(fake_trace(frames2), grid2, transient=0.0)
     with pytest.raises(ValueError, match="pressure normalization"):
         field_agreement(d2, grid2)
@@ -236,9 +232,9 @@ def test_trend_check_inconclusive_without_exit_data():
 
 
 def test_centerline_profile_and_agreement(tmp_path):
-    grid = lattice(nx=10, speeds=np.linspace(1.0, 3.0, 10))
-    frames = [rec(np.arange(10), np.ones(10, int), 0.5 * grid.v_target,
-                  dev2=-grid.p_target * 0.04 / COEFF)] * 2
+    speeds = np.linspace(1.0, 3.0, 10)
+    grid = lattice(nx=10, speeds=speeds, p=-speeds ** 2)
+    frames = [rec(np.arange(10), np.ones(10, int), 0.5 * grid.v_target)] * 2
     d = derive_fields(fake_trace(frames), grid, transient=0.0)
     prof = centerline_profile(d, grid)
     assert np.allclose(prof["x"], grid.centers()[:, 0])
@@ -259,8 +255,7 @@ def test_centerline_profile_and_agreement(tmp_path):
 def test_export_slice_writes_exactly_one_layer(tmp_path):
     grid = lattice(nx=2, ny=2, nz=2, speeds=np.arange(1.0, 9.0))
     cells = np.arange(8)
-    frames = [rec(cells, np.ones(8, int), grid.v_target,
-                  dev2=np.full(8, 0.5))]
+    frames = [rec(cells, np.ones(8, int), 0.5 * grid.v_target)]
     d = derive_fields(fake_trace(frames), grid, transient=0.0)
     path = tmp_path / "slice.csv"
     export_slice(d, grid, path)
@@ -278,8 +273,7 @@ def test_export_slice_writes_exactly_one_layer(tmp_path):
 def tie_lattice_report():
     """The 2x2x2 lattice above, scored: its cut is the +y layer of a tie."""
     grid = lattice(nx=2, ny=2, nz=2, speeds=np.arange(1.0, 9.0))
-    frames = [rec(np.arange(8), np.ones(8, int), grid.v_target,
-                  dev2=np.full(8, 0.5))]
+    frames = [rec(np.arange(8), np.ones(8, int), 0.5 * grid.v_target)]
     d = derive_fields(fake_trace(frames), grid, transient=0.0)
     profile = centerline_profile(d, grid)
     values = {**field_agreement(d, grid), **centerline_agreement(profile)}
@@ -322,8 +316,7 @@ def test_analysis_files_equal_the_per_row_writers(tmp_path, field, grid,
 
 def test_degenerate_centerline_normalization_is_an_error():
     grid = lattice(nx=10, speeds=np.linspace(1.0, 3.0, 10))
-    frames = [rec(np.arange(10), np.ones(10, int), grid.v_target,
-                  dev2=np.full(10, 0.5))]
+    frames = [rec(np.arange(10), np.ones(10, int), 0.5 * grid.v_target)]
     prof = centerline_profile(derive_fields(fake_trace(frames), grid,
                                             transient=0.0), grid)
     assert centerline_agreement(prof)["centerline_speed_rms"] == 0.0
@@ -437,6 +430,35 @@ def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
     assert checked > 10
 
 
+def test_deviation_pressure_equals_the_per_agent_sums(grid, fit):
+    """``pressure_dev``, which ``derive_fields`` expands from the frame
+    sums, equals the per-agent form: per frame, the sum of |v - v_target|^2
+    over a cell's agents in a stride-1 trajectory snapshot, times the
+    pressure coefficient, averaged over the frames the cell was occupied.
+    Cells without a target are NaN in both."""
+    trace = run_simulation(grid, fit, SimConfig(
+        duration=10.0, seed=3, record_trajectories=True, trajectory_stride=1))
+    transient = 4.0
+    d = derive_fields(trace, grid, transient=transient)
+    total = np.zeros(grid.num_cells)
+    frames = np.zeros(grid.num_cells, dtype=np.int64)
+    for t, _ids, pos, vel in trace.trajectories:
+        if t <= transient:
+            continue
+        cells = assign_cell(pos, grid)
+        dv = vel - grid.v_target[cells]
+        np.add.at(total, cells, np.einsum("ij,ij->i", dv, dv))
+        frames[np.unique(cells)] += 1
+    assert np.array_equal(frames, d.occupied_frames)
+    with np.errstate(invalid="ignore"):
+        want = pressure_coefficient(trace.plant.mass, grid.cell_volume) \
+            * total / frames
+    assert np.array_equal(np.isnan(d.pressure_dev), np.isnan(want))
+    fin = np.isfinite(want)
+    assert fin.sum() > 50 and (d.valid & ~fin).any()
+    assert np.allclose(d.pressure_dev[fin], want[fin], rtol=1e-12, atol=0)
+
+
 def per_frame_fields(trace, grid):
     """derive_fields as a per-frame loop with (M, 3) velocity scatters and
     boolean gathers of the cells with a target: the reference the array
@@ -458,15 +480,18 @@ def per_frame_fields(trace, grid):
         occ[cells] += 1
         total[cells] += rec.counts
         usum[cells] += rec.vsum / rec.counts[:, None]
-        cdev2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
-        pint_sum[cells] += coeff * cdev2
+        spread2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
+        pint_sum[cells] += coeff * spread2
         cell_mass = mass * rec.counts
         temp_sum[cells] += (
-            random_temperature_from_spread(mass * cdev2, cell_mass)
+            random_temperature_from_spread(mass * spread2, cell_mass)
             + control_temperature(cell_mass / grid.cell_volume,
                                   trace.plant.a_max))
-        fin = np.isfinite(rec.dev2)
-        pdev_sum[cells[fin]] += coeff * rec.dev2[fin]
+        t = grid.v_target[cells]
+        dev = (rec.sumv2 - 2.0 * np.einsum("ij,ij->i", t, rec.vsum)
+               + rec.counts * np.einsum("ij,ij->i", t, t))
+        fin = np.isfinite(dev)
+        pdev_sum[cells[fin]] += coeff * dev[fin]
         pdev_frames[cells[fin]] += 1
     with np.errstate(invalid="ignore", divide="ignore"):
         occupancy = total / occ
@@ -480,7 +505,8 @@ def per_frame_fields(trace, grid):
 
 def test_derived_fields_equal_the_per_frame_loop_bit_for_bit(trace60, grid):
     # the run has frames holding agents in cells without a target
-    nan_frames = sum(bool(np.isnan(r.dev2).any()) for r in trace60.frames)
+    nan_frames = sum(bool(np.isnan(grid.v_target[r.cells]).any())
+                     for r in trace60.frames)
     assert nan_frames > len(trace60.frames) // 2
     d = derive_fields(trace60, grid)
     for name, want in per_frame_fields(trace60, grid).items():

@@ -40,19 +40,6 @@ def short_run(grid, fit, **kw):
     return run_simulation(grid, fit, SimConfig(**kw))
 
 
-def frames_equal(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if not (np.array_equal(ra.cells, rb.cells)
-                and np.array_equal(ra.counts, rb.counts)
-                and np.array_equal(ra.vsum, rb.vsum)
-                and np.array_equal(ra.sumv2, rb.sumv2)
-                and np.array_equal(ra.dev2, rb.dev2, equal_nan=True)):
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # command broadcast
 # ----------------------------------------------------------------------
@@ -678,8 +665,8 @@ def test_einsum_sums_squares_in_the_order_the_frame_reduce_uses():
     got = np.einsum("ij,ij->i", v, v)
     assert np.array_equal(got, want), (
         "einsum('ij,ij->i') no longer sums (x^2 + z^2) + y^2 in this numpy; "
-        "_record_frame's |v|^2 and |v - v_target|^2 rows then differ from "
-        "frame records written with einsum")
+        "_record_frame's |v|^2 row then differs from frame records written "
+        "with einsum")
 
 
 def test_vecdot_along_axis_0_sums_as_on_rows():
@@ -742,10 +729,28 @@ def test_the_layers_perfbench_times_are_called_through_module_names(
 def test_runs_are_deterministic(grid, fit):
     a = short_run(grid, fit, seed=3)
     b = short_run(grid, fit, seed=3)
-    assert frames_equal(a.frames, b.frames)
+    assert a.frames == b.frames
     assert a.events == b.events
     c = short_run(grid, fit, seed=4)
-    assert not frames_equal(a.frames, c.frames)
+    assert a.frames != c.frames
+
+
+@pytest.mark.parametrize("kw", [{}, {"case": "tunnel_seeding",
+                                     "collisions": True,
+                                     "min_approach_speed": 0.02}])
+def test_the_simulation_reads_no_target(grid, fit, kw):
+    """A run on the partition with every target NaN has the frames and
+    events of the run on the partition itself: the flight reads the fit and
+    the lattice, and a deviation off the targets is the analysis' to
+    compute."""
+    blind = replace(grid, v_target=np.full_like(grid.v_target, np.nan),
+                    p_target=np.full_like(grid.p_target, np.nan),
+                    rho_target=np.full_like(grid.rho_target, np.nan))
+    want = short_run(grid, fit, **kw)
+    got = short_run(blind, fit, **kw)
+    assert got.frames == want.frames
+    assert got.events == want.events
+    assert len(got.events.frame) > 0
 
 
 def test_the_plant_flies_the_fit_agent_mass(grid, fit):
@@ -777,7 +782,7 @@ def test_collisions_fire_at_a_low_approach_floor(grid, fit, monkeypatch):
     assert overtakes == n_events(trace, "collision_overtake")
     monkeypatch.setattr(swarm_sim, "detect_collisions", per_pair_collisions)
     reference = run_simulation(grid, fit, cfg)
-    assert frames_equal(trace.frames, reference.frames)
+    assert trace.frames == reference.frames
     assert trace.events == reference.events
 
 
@@ -810,7 +815,7 @@ def test_the_collision_pass_equals_the_copying_block(grid, fit, monkeypatch,
     trace = run_simulation(grid, fit, config)
     monkeypatch.setattr(swarm_sim, "_collide", collision_block)
     ref = run_simulation(grid, fit, config)
-    assert frames_equal(trace.frames, ref.frames)
+    assert trace.frames == ref.frames
     assert trace.events == ref.events
     assert (trace.totals["collision_overtake"] > 0) == (floor < 0.5)
 
@@ -844,10 +849,9 @@ class FullScanPopulation:
 def full_scan_record_frame(pop, grid):
     act = np.flatnonzero(pop.active)
     if len(act) == 0:
-        z = np.empty(0)
         return swarm_sim.FrameRecord(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            np.empty((0, 3)), z, z.copy())
+            np.empty((0, 3)), np.empty(0))
     flat = assign_cell(pop.pos[act], grid)
     order = np.argsort(flat, kind="stable")
     flat_s = flat[order]
@@ -856,14 +860,11 @@ def full_scan_record_frame(pop, grid):
     vel = pop.vel[act][order]
     vsum = np.add.reduceat(vel, start, axis=0)
     sumv2 = np.add.reduceat(np.einsum("ij,ij->i", vel, vel), start)
-    tgt = grid.v_target[flat_s]
-    d = vel - tgt
-    dev2 = np.add.reduceat(np.einsum("ij,ij->i", d, d), start)
-    return swarm_sim.FrameRecord(cells, counts, vsum, sumv2, dev2)
+    return swarm_sim.FrameRecord(cells, counts, vsum, sumv2)
 
 
 def test_frame_reduce_equals_the_per_column_sums_on_crowded_cells(grid, fit):
-    """One ``reduceat`` over the (5, N) block gives the per-column sums bit
+    """One ``reduceat`` over the (4, N) block gives the per-column sums bit
     for bit where numpy's pairwise summation takes over (9 or more agents
     in a cell) and where it splits blocks (over 128): the tunnel case seeds
     n* = 9 agents per cell, and one more cell holds 300."""
@@ -880,12 +881,10 @@ def test_frame_reduce_equals_the_per_column_sums_on_crowded_cells(grid, fit):
     pop.append(pos, vel, thr, assign_cell(pos, grid))
     ref = FullScanPopulation()
     ref.append(pos, vel, thr)
-    got = swarm_sim._record_frame(pop, grid,
-                                  np.ascontiguousarray(grid.v_target.T),
-                                  swarm_sim._FrameChunks())
+    got = swarm_sim._record_frame(pop, grid, swarm_sim._FrameChunks())
     want = full_scan_record_frame(ref, grid)
     assert np.count_nonzero(got.counts >= 9) > 10 and got.counts.max() >= 300
-    assert frames_equal([got], [want])
+    assert got == want
 
 
 def full_scan_run(grid, fit, config):
@@ -1097,7 +1096,7 @@ def test_compact_loop_equals_the_full_scan_loop(grid, fit, monkeypatch, case):
                                 poisoned_plant(POISONED_CALL[case]))
         runs.append(run(grid, fit, config))
     new, ref = runs
-    assert frames_equal(new.frames, ref.frames)
+    assert new.frames == ref.frames
     # the event table is the reference log, row for row
     assert new.events == event_table_from_log(ref)
     assert new.events.kind.dtype == np.int64
@@ -1191,8 +1190,8 @@ def test_save_load_round_trip(tmp_path, grid, fit):
     assert back.config == trace.config
     assert back.plant == trace.plant
     assert np.array_equal(back.frame_t, trace.frame_t)
-    # exact sums; cells without targets carry NaN deviation sums
-    assert frames_equal(back.frames, trace.frames)
+    # exact sums
+    assert back.frames == trace.frames
     assert back.events == trace.events
     assert np.array_equal(back.frame_counts, trace.frame_counts)
     assert back.totals == trace.totals
@@ -1211,8 +1210,8 @@ def test_save_load_round_trip(tmp_path, grid, fit):
         assert all(np.array_equal(x, y) for x, y in zip(sa[1:], sb[1:]))
 
 
-def _drop_dev2(cols):
-    del cols["dev2"]
+def _drop_sumv2(cols):
+    del cols["sumv2"]
 
 
 def _shift_offsets(cols):
@@ -1289,6 +1288,12 @@ def _format_7(cols):
     _set_format(cols, 7)
 
 
+def _format_8(cols):
+    # the layout with the per-frame dev2 column
+    cols["dev2"] = np.zeros(len(cols["sumv2"]))
+    _set_format(cols, 8)
+
+
 def _edit_meta(name, key, value):
     """The corruption ``name`` that sets ``meta[key]``, or deletes it for
     None."""
@@ -1298,6 +1303,16 @@ def _edit_meta(name, key, value):
             del meta[key]
         else:
             meta[key] = value
+        cols["meta"] = np.array(json.dumps(meta))
+    edit.__name__ = name
+    return edit
+
+
+def _edit_field(name, key, field, value):
+    """The corruption ``name`` that sets ``meta[key][field]``."""
+    def edit(cols):
+        meta = json.loads(cols["meta"].item())
+        meta[key][field] = value
         cols["meta"] = np.array(json.dumps(meta))
     edit.__name__ = name
     return edit
@@ -1383,16 +1398,32 @@ def _numeric_meta(cols):
     cols["meta"] = np.array(6.0)
 
 
+def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
+    """A float field stored as a JSON integer, a tuple as a list and an
+    unset optional as null read back as the run's own values."""
+    trace = replace(run_simulation(grid, fit, SimConfig(duration=1,
+                                                        dt_source=1)),
+                    plant=PlantParams(thrust_to_weight=(2.0, 3)))
+    save_run(trace, tmp_path)
+    meta = json.loads(np.load(tmp_path / "trace.npz")["meta"].item())
+    assert meta["config"]["duration"] == 1 and meta["config"]["batch_size"] is None
+    assert meta["plant"]["thrust_to_weight"] == [2.0, 3]
+    back = load_run(tmp_path)
+    assert back.config == trace.config and back.plant == trace.plant
+    assert back.plant.thrust_to_weight == (2.0, 3)
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (_drop_dev2, "missing"),
+    (_drop_sumv2, "missing"),
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
     (_format_2, "missing"),
-    (_format_3, "format 3, expected 8"),
+    (_format_3, "format 3, expected 9"),
     (_format_4, r"missing \['event_frame'\]"),
-    (_format_5, "format 5, expected 8"),
-    (_format_6, "format 6, expected 8"),
-    (_format_7, "format 7, expected 8"),
+    (_format_5, "format 5, expected 9"),
+    (_format_6, "format 6, expected 9"),
+    (_format_7, "format 7, expected 9"),
+    (_format_8, "format 8, expected 9"),
     (_edit_meta("_numeric_config", "config", 5),
      "config is not a JSON object"),
     (_edit_meta("_numeric_plant", "plant", 2.5), "plant is not a JSON object"),
@@ -1401,6 +1432,20 @@ def _numeric_meta(cols):
     (_edit_meta("_fit_without_pressure_offset", "fit",
                 {"rng_seed": 0, "set_size": SET_SIZE}),
      r"fit fields differ: \['pressure_offset'\]"),
+    (_edit_field("_string_dt", "config", "dt", "0.05"),
+     "config.dt is '0.05', not float$"),
+    (_edit_field("_string_collisions", "config", "collisions", "yes"),
+     "config.collisions is 'yes', not bool$"),
+    (_edit_field("_float_seed", "config", "seed", 1.5),
+     "config.seed is 1.5, not int$"),
+    (_edit_field("_bool_batch_size", "config", "batch_size", True),
+     r"config.batch_size is True, not int \| None$"),
+    (_edit_field("_string_in_ref_area", "plant", "ref_area", [0.02, "x", 0.03]),
+     r"plant.ref_area is \[0.02, 'x', 0.03\], not tuple"),
+    (_edit_field("_list_mass", "plant", "mass", [1.0]),
+     r"plant.mass is \[1.0\], not float$"),
+    (_edit_field("_string_fit_seed", "fit", "rng_seed", "0"),
+     "fit.rng_seed is '0', not int$"),
     (_lattice_without_nx, r"missing lattice metadata \['nx'\]"),
     (_list_meta, "meta is not a JSON object"),
     (_numeric_lattice, "lattice is not a JSON object"),
@@ -1455,7 +1500,7 @@ def test_streamed_columns_are_the_bytes_of_the_joined_columns(tmp_path, grid,
 def test_save_run_allocates_less_than_one_chunk(tmp_path, trace60):
     """The frame columns are streamed: writing them never allocates a whole
     column, nor even one chunk of frame rows."""
-    chunk = swarm_sim.FRAME_CHUNK_ROWS * 48     # bytes of one chunk's rows
+    chunk = swarm_sim.FRAME_CHUNK_ROWS * 40     # bytes of one chunk's rows
     rows = sum(len(r.cells) for r in trace60.frames)
     assert rows * 24 > 4 * chunk    # the vsum column alone holds 4 chunks
     tracemalloc.start()
@@ -1476,5 +1521,5 @@ def test_frame_rows_across_chunks_keep_every_value(grid, fit, monkeypatch,
     assert len(want.frames[-1].cells) > 100
     monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", chunk_rows)
     got = short_run(grid, fit, seed=5, duration=10.0)
-    assert frames_equal(got.frames, want.frames)
+    assert got.frames == want.frames
     assert all(r.cells.dtype == r.counts.dtype == np.int32 for r in got.frames)
