@@ -227,8 +227,6 @@ def field_agreement(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
 def trend_check(derived: DerivedFields, grid: ControlVolumeGrid,
                 band: float = 2.0) -> dict:
     """Axial monotony: density dips at the throat, speed peaks there."""
-    if grid.geometry is None:
-        raise ValueError("trend check needs the duct geometry")
     geo = grid.geometry
     x = grid.centers()[:, 0]
     regions = {
@@ -357,11 +355,10 @@ def metrics_report(trace: SimulationTrace, grid: ControlVolumeGrid,
         "agent_mass": derived.agent_mass,
     }
     values.update(field_agreement(derived, grid))
-    if grid.geometry is not None:
-        try:
-            values.update(trend_check(derived, grid))
-        except ValueError as exc:
-            values["trend_inconclusive"] = str(exc)
+    try:
+        values.update(trend_check(derived, grid))
+    except ValueError as exc:
+        values["trend_inconclusive"] = str(exc)
     profile = centerline_profile(derived, grid)
     values.update(centerline_agreement(profile))
 

@@ -38,11 +38,11 @@ class ControlVolumeGrid:
     v_target: np.ndarray          # (M, 3) node-mean velocity (NaN if empty)
     p_target: np.ndarray          # (M,) node-mean gauge pressure (NaN if empty)
     rho_target: np.ndarray        # (M,) gas density from p_target (NaN without gas)
-    geometry: NozzleGeometry | None = field(default=None, compare=False)
+    geometry: NozzleGeometry = field(compare=False)   # the duct tiled
     gas: GasModel | None = field(default=None, compare=False)
 
     @classmethod
-    def empty(cls, origin, edge_length, dims, geometry=None, gas=None):
+    def empty(cls, origin, edge_length, dims, geometry, gas=None):
         """The lattice with no cell inside and every target NaN."""
         m = int(np.prod(dims))
         return cls(origin, edge_length, dims, np.zeros(m, dtype=bool),

@@ -80,8 +80,8 @@ class NozzleGeometry:
         """Wall radius at axial position(s) ``x`` (clamped to the duct).
 
         Each half-cosine blend is evaluated only where it applies: upstream
-        for x <= ``throat_x``, downstream elsewhere (NaN included). Both add
-        a non-negative term to ``throat_radius``, so no radius is below it.
+        for x <= ``throat_x``, downstream elsewhere. Both add a
+        non-negative term to ``throat_radius``, so no radius is below it.
         """
         x = np.clip(np.asarray(x, dtype=float), 0.0, self.length)
         r = np.empty_like(x)
@@ -409,26 +409,42 @@ def _duct_meta(geometry: NozzleGeometry | None, gas: GasModel | None) -> dict:
     return meta
 
 
-def _duct_from_meta(meta: dict, path) -> tuple:
+def _duct_from_meta(meta: dict, path, required=()) -> tuple:
     """Inverse of :func:`_duct_meta`: (geometry, gas), each None when none
-    of its keys is present. Raises on a part with only some of its keys or
-    with values its class rejects."""
+    of its keys is present and its class is not in ``required``. Raises on
+    a part with only some of its keys, on a value that is not a number and
+    on values its class rejects."""
     parts = []
     for cls in (NozzleGeometry, GasModel):
         keys = [f.name for f in fields(cls)]
         missing = [k for k in keys if k not in meta]
-        if 0 < len(missing) < len(keys):
-            raise FieldFormatError(f"{path}: missing {cls.__name__} metadata {missing}")
+        if missing:
+            if len(missing) < len(keys) or cls in required:
+                raise FieldFormatError(
+                    f"{path}: missing {cls.__name__} metadata {missing}")
+            parts.append(None)
+            continue
+        values = {k: _meta_value(meta, k, path) for k in keys}
         try:
-            parts.append(None if missing else cls(**{k: float(meta[k]) for k in keys}))
+            parts.append(cls(**values))
         except ValueError as exc:
             raise FieldFormatError(f"{path}: {cls.__name__} metadata: {exc}") from None
     return tuple(parts)
 
 
+def _meta_value(meta: dict, key: str, path, kind=float):
+    """``meta[key]`` as a ``kind``: a number for a float, an integer for an
+    int, never a bool. Raises naming the key otherwise."""
+    value = meta[key]
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise FieldFormatError(f"{path}: {key}={value!r} is not "
+                               + ("a number" if kind is float else "an integer"))
+    return kind(value)
+
+
 def lattice_meta(grid) -> dict:
     """Metadata of a lattice: edge, origin, dims, and the geometry and gas
-    (under their field names) when the grid carries them."""
+    (under their field names; a grid without gas gives no gas keys)."""
     return {"edge_length": float(grid.edge_length),
             **dict(zip(_ORIGIN_KEYS, map(float, grid.origin))),
             **dict(zip(_DIM_KEYS, map(int, grid.dims))),
@@ -437,15 +453,19 @@ def lattice_meta(grid) -> dict:
 
 def lattice_from_meta(meta: dict, path="lattice metadata"):
     """Inverse of :func:`lattice_meta`: (origin, edge_length, dims, geometry,
-    gas), geometry and gas None when none of their keys is present."""
+    gas), gas None when none of its keys is present. Raises
+    :class:`FieldFormatError` naming the key on a missing lattice or
+    ``NozzleGeometry`` key, a float that is not a number or a dimension
+    that is not an integer."""
     missing = [k for k in ("edge_length", *_ORIGIN_KEYS, *_DIM_KEYS) if k not in meta]
     if missing:
         raise FieldFormatError(f"{path}: missing lattice metadata {missing}")
-    dims = tuple(meta[k] for k in _DIM_KEYS)
-    if not all(isinstance(d, int) and d >= 1 for d in dims):
-        raise FieldFormatError(f"{path}: lattice dims {dims} are not positive integers")
-    return (np.array([float(meta[k]) for k in _ORIGIN_KEYS]),
-            float(meta["edge_length"]), dims, *_duct_from_meta(meta, path))
+    dims = tuple(_meta_value(meta, k, path, int) for k in _DIM_KEYS)
+    if min(dims) < 1:
+        raise FieldFormatError(f"{path}: lattice dims {dims} are not positive")
+    return (np.array([_meta_value(meta, k, path) for k in _ORIGIN_KEYS]),
+            _meta_value(meta, "edge_length", path), dims,
+            *_duct_from_meta(meta, path, required=(NozzleGeometry,)))
 
 
 # ======================================================================

@@ -9,13 +9,16 @@ Two start-up cases:
   mean speed set the through-flow.
 
 Per frame: each active agent receives its cell's broadcast command (cells
-without a fit use the nearest fitted cell's), steps its velocity plant,
-moves, then optionally collides. Agents past the outlet retire and faulted
-agents stop; both leave the population, which holds only the active agents.
-Agents that drift through the duct wall are logged once and keep flying.
-The frame reduction bins the agents once per frame, after retirement; those
-cells are the next frame's command cells, since nothing moves an agent in
-between, so only newly injected agents are binned when they arrive.
+without a fit use the nearest fitted cell's), steps its velocity plant and
+moves. An agent whose position or velocity is then not finite faults and
+leaves the population at once, so every later stage sees finite agents
+only: the optional collision pass, the wall test (agents that drift
+through the duct wall are logged once and keep flying) and retirement past
+the outlet, ``geometry.length``. The population holds only the active
+agents. The frame reduction bins the agents once per frame, after
+retirement; those cells are the next frame's command cells, since nothing
+moves an agent in between, so only newly injected agents are binned when
+they arrive.
 
 The population keeps positions, velocities and thrusts as (3, N) row views
 of one (9, N) block, one contiguous row per component, which the plant
@@ -70,7 +73,7 @@ class SimConfig:
     overtake_cos: float = 0.7         # alignment above which a pair overtakes
     dt_source: float = 0.5            # reservoir batch cadence, s
     batch_size: int | None = None     # None: sized from the entry cell's fit
-    seed_x_max: float | None = None   # tunnel case axial fill bound; None: mid-span
+    seed_x_max: float | None = None   # tunnel case axial fill bound; None: mid-duct
     record_trajectories: bool = False
     trajectory_stride: int = 10
 
@@ -122,7 +125,8 @@ class EventTable:
     """One row per event, in the order the loop met them: the frame index,
     the kind's index in ``EVENT_KINDS``, the agent's global id and, for a
     collision, the other agent's (-1 otherwise). Injections happen at the
-    start of their frame, every other event at its end."""
+    start of their frame, every other event at its end, in the order
+    fault, overtake, wall escape, retire."""
 
     frame: np.ndarray
     kind: np.ndarray
@@ -266,8 +270,8 @@ class _Population:
     its index in injection order, which events and trajectory snapshots
     report. ``flat`` is each agent's cell: ``append`` takes it for new
     agents, and ``_record_frame`` rebins the survivors at the end of each
-    frame. ``keep`` drops faulted and retired agents in one pass that keeps
-    the order: one ``take`` per block.
+    frame. ``keep`` drops agents, faulted or retired, in one pass that
+    keeps the order: one ``take`` per block.
     """
 
     def __init__(self):
@@ -309,14 +313,13 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     """Initial population for the tunnel case.
 
     Every fitted cell whose center lies at or below the axial bound
-    (``seed_x_max``, by default the middle of :func:`axial_span`) gets
+    (``seed_x_max``, by default the middle of the duct) gets
     ``SET_SIZE`` agents, positions uniform in the cell, velocity equal to
     the cell's scaled command, thrust at hover.
     """
     bound = config.seed_x_max
     if bound is None:
-        inlet, outlet = axial_span(grid)
-        bound = 0.5 * (inlet + outlet)
+        bound = 0.5 * grid.geometry.length
     keep = ~(grid.centers()[fit.cells, 0] > bound)
     cells = fit.cells[keep]
     if len(cells) == 0:
@@ -329,22 +332,11 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     return pos, vel, PlantState.hover(plant, len(vel)).thrust_accel
 
 
-def axial_span(grid: ControlVolumeGrid) -> tuple[float, float]:
-    """The (inlet, outlet) planes of the flight: the duct's 0 and length,
-    or the lattice's axial extent when it carries no geometry. Agents past
-    the outlet retire."""
-    if grid.geometry is not None:
-        return 0.0, grid.geometry.length
-    return grid.origin[0], grid.origin[0] + grid.dims[0] * grid.edge_length
-
-
 def make_batch(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
                plant: PlantParams, batch_index: int, n_batch: int, cell: int):
     """One injection batch: uniform over the inlet disc, x in [0, edge)."""
     rng = np.random.default_rng((config.seed, 3, batch_index))
-    radius = grid.geometry.radius(0.0) if grid.geometry is not None \
-        else -grid.origin[1]
-    rr = float(radius) * np.sqrt(rng.random(n_batch))
+    rr = float(grid.geometry.radius(0.0)) * np.sqrt(rng.random(n_batch))
     th = 2.0 * np.pi * rng.random(n_batch)
     x = grid.origin[0] + rng.random(n_batch) * grid.edge_length
     pos = np.column_stack([x, rr * np.cos(th), rr * np.sin(th)])
@@ -528,7 +520,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                          f"agent mass {fit.config.agent_mass}")
     # commands as component rows, gathered per agent by column
     table = np.ascontiguousarray(build_command_table(grid, fit, config.scale).T)
-    outlet = axial_span(grid)[1]
+    outlet = grid.geometry.length
 
     rate, cell0 = injection_rate(grid, fit)
     n_batch = config.batch_size if config.batch_size is not None \
@@ -552,33 +544,36 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
             log.add(k, INJECT, pop.append(pos, vel, thr,
                                           assign_cell(pos, grid)))
 
-        if len(pop):
-            state = plant_step(PlantState(pop.vel.T, pop.thr.T),
-                               table.take(pop.flat, axis=1).T, config.dt, plant)
-            pos, vel, thr = pop.pos, pop.vel, pop.thr
-            vel[...] = state.velocity.T
-            thr[...] = state.thrust_accel.T
-            pos += vel * config.dt
+        state = plant_step(PlantState(pop.vel.T, pop.thr.T),
+                           table.take(pop.flat, axis=1).T, config.dt, plant)
+        pos, vel, thr = pop.pos, pop.vel, pop.thr
+        vel[...] = state.velocity.T
+        thr[...] = state.thrust_accel.T
+        pos += vel * config.dt
 
-            # an agent with a non-finite position or velocity (rows[:6])
-            # faults below
-            finite = (_collide(pop, k, config, log) if config.collisions
-                      else np.isfinite(pop.rows[:6]).all(axis=0))
+        # a non-finite position or velocity ends the agent's run before
+        # any other stage reads it
+        bad = ~np.isfinite(pop.rows[:6]).all(axis=0)
+        if bad.any():
+            log.add(k, FAULT, pop.gid[bad])
+            pop.keep(~bad)
 
-            # wall escape: through the lateral wall, still inside the span
-            if grid.geometry is not None:
-                out = _through_wall(pos, pop.escaped, grid.geometry)
-                log.add(k, WALL_ESCAPE, pop.gid[out])
-                pop.escaped[out] = True
+        if config.collisions:
+            vel = pop.vel.T
+            applied = resolve_collisions(
+                vel, detect_collisions(pop.pos.T, vel, config))
+            log.add(k, OVERTAKE, pop.gid[applied[:, 0]],
+                    pop.gid[applied[:, 1]])
 
-            # faults: non-finite state ends the agent's run; the others
-            # retire past the outlet plane
-            bad = ~finite
-            gone = finite & (pos[0] > outlet)
-            if bad.any() or gone.any():
-                log.add(k, FAULT, pop.gid[bad])
-                log.add(k, RETIRE, pop.gid[gone])
-                pop.keep(~(bad | gone))
+        # wall escape: through the lateral wall, still inside the span
+        out = _through_wall(pop.pos, pop.escaped, grid.geometry)
+        log.add(k, WALL_ESCAPE, pop.gid[out])
+        pop.escaped[out] = True
+
+        gone = pop.pos[0] > outlet
+        if gone.any():
+            log.add(k, RETIRE, pop.gid[gone])
+            pop.keep(~gone)
 
         frames.append(_record_frame(pop, grid, chunks))
         if config.record_trajectories and k % config.trajectory_stride == 0:
@@ -596,42 +591,10 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                            trajectories=trajectories)
 
 
-def _collide(pop: _Population, k: int, config: SimConfig,
-             log: _EventLog) -> np.ndarray:
-    """Frame ``k``'s collisions: detect, resolve and log them; returns which
-    agents have a finite position and velocity after them.
-
-    When every agent is finite, the usual frame, ``detect_collisions`` and
-    ``resolve_collisions`` get (N, 3) views of the population's rows, which
-    the resolution changes in place. Otherwise the finite agents are copied
-    out and their velocities back; the others, which the pair search
-    rejects, sit the pass out and fault at the end of the frame. A
-    resolution changes only the agents of its applied pairs, so only they
-    are tested again.
-    """
-    finite = np.isfinite(pop.rows[:6]).all(axis=0)
-    if finite.all():
-        live = None
-        vel = pop.vel.T
-        pairs = detect_collisions(pop.pos.T, vel, config)
-    else:
-        live = finite.nonzero()[0]
-        vel = pop.vel[:, live].T.copy()
-        pairs = detect_collisions(pop.pos[:, live].T.copy(), vel, config)
-    applied = resolve_collisions(vel, pairs)
-    if live is not None:
-        pop.vel[:, live] = vel.T
-        applied = live[applied]
-    if len(applied):
-        log.add(k, OVERTAKE, pop.gid[applied[:, 0]], pop.gid[applied[:, 1]])
-        touched = applied.ravel()
-        finite[touched] = np.isfinite(pop.rows[:6, touched]).all(axis=0)
-    return finite
-
-
 def _through_wall(pos, escaped, geometry: NozzleGeometry) -> np.ndarray:
     """Ascending indices of the agents, not escaped before, that are
-    outside the lateral wall but inside the duct's span; ``pos`` is (3, N).
+    outside the lateral wall but inside the duct's span; ``pos`` is (3, N)
+    and finite, since faulted agents have left the population by then.
 
     The radius is never below the throat's, so only agents past the throat
     radius can be outside, and ``radius`` is evaluated for those alone.
@@ -754,6 +717,7 @@ RUN_KEYS = ("meta", *RUN_COLUMNS)
 META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size",
              "lattice", "fit")
 FIT_KEYS = {"rng_seed": int, "set_size": int, "pressure_offset": float}
+RUN_NUMBERS = {"injection_rate": float, "batch_size": int}   # top-level meta
 
 
 def _write_parts(zf, name, parts, dtype, row) -> None:
@@ -851,10 +815,11 @@ def load_run(rundir) -> SimulationTrace:
     format version, a config, plant, lattice or fit that is not a JSON
     object, a lattice that ``lattice_from_meta`` rejects, a config, plant
     or fit whose keys are not its fields or that holds a value of a JSON
-    type that cannot stand for its field, a column of another dtype or row
-    shape than ``RUN_COLUMNS`` gives, a cell count below 1, columns whose
-    lengths disagree with each other or with their offsets, an event kind
-    outside ``EVENT_KINDS``, or an event frame outside the run.
+    type that cannot stand for its field, an injection rate that is not a
+    number, a batch size that is not an integer, a column of another dtype
+    or row shape than ``RUN_COLUMNS`` gives, a cell count below 1, columns
+    whose lengths disagree with each other or with their offsets, an event
+    kind outside ``EVENT_KINDS``, or an event frame outside the run.
     """
     with open(os.path.join(rundir, RUN_FILE), "rb") as fh:
         if not zipfile.is_zipfile(fh):
@@ -882,6 +847,7 @@ def load_run(rundir) -> SimulationTrace:
             raise ValueError(f"{RUN_FILE}: {key} is not a JSON object")
     lattice_from_meta(meta["lattice"], RUN_FILE)
     _typed("fit", meta["fit"], FIT_KEYS)
+    _typed("meta", {k: meta[k] for k in RUN_NUMBERS}, RUN_NUMBERS)
     for name, (dtype, row) in RUN_COLUMNS.items():
         if a[name].dtype != dtype or a[name].shape[1:] != row \
                 or a[name].ndim != 1 + len(row):

@@ -1,6 +1,6 @@
 """Test references: per-agent bulk moments, (N, 3) plant shims, a
-one-cell fit, the per-row writers of the analysis files and the collision
-block that copied the live agents out and back.
+one-cell fit, the per-row writers of the analysis files and the per-pair
+collision detector.
 
 The library applies its closures only to per-cell frame sums
 (``metrics.derive_fields``), steps the plant on (3, N) component rows and
@@ -11,13 +11,13 @@ functions and its set solver, so tests that use them as oracles still check
 the code the pipeline runs. The analysis writers format one row at a time
 with their own normalization maxima, as the library did before it wrote
 those files through ``write_table``; tests compare the files byte for byte.
-The collision block is the loop's as it was before the pass ran on the
-population's rows in place, with its detector on (M, 3) pair rows.
+The collision detector is the loop's as it was before the pass ran on the
+population's rows, on (M, 3) pair rows with the pairs of
+``cKDTree.query_pairs``.
 """
 
 import numpy as np
 
-from fluidswarm import swarm_sim
 from fluidswarm.primitives import (control_temperature, pressure_coefficient,
                                    random_temperature_from_spread)
 from fluidswarm.velocity_fit import SET_SIZE, _solve
@@ -213,7 +213,7 @@ def save_metrics_lines(report, path) -> None:
 
 
 # ======================================================================
-# the copying collision block
+# the per-pair collision detector
 # ======================================================================
 
 def pair_row_collisions(pos, vel, config) -> np.ndarray:
@@ -241,20 +241,3 @@ def pair_row_collisions(pos, vel, config) -> np.ndarray:
     align = np.vecdot(va[keep], vb[keep]) / (sa[keep] * sb[keep])
     hit = align > config.overtake_cos
     return np.column_stack([a[keep][hit], b[keep][hit]])
-
-
-def collision_block(pop, k, config, log):
-    """A stand-in for ``swarm_sim._collide``: the agents with a finite
-    position and velocity are copied out as (M, 3) arrays, collide through
-    ``pair_row_collisions`` and ``swarm_sim.resolve_collisions``, and their
-    velocities are copied back; then the whole population is scanned again
-    for the fault test."""
-    live = np.flatnonzero(np.isfinite(pop.rows[:6]).all(axis=0))
-    sub_vel = pop.vel[:, live].T.copy()
-    pairs = pair_row_collisions(pop.pos[:, live].T.copy(), sub_vel, config)
-    applied = swarm_sim.resolve_collisions(sub_vel, pairs)
-    pop.vel[:, live] = sub_vel.T
-    gid = pop.gid[live]
-    log.add(k, swarm_sim.EVENT_KINDS.index("collision_overtake"),
-            gid[applied[:, 0]], gid[applied[:, 1]])
-    return np.isfinite(pop.rows[:6]).all(axis=0)

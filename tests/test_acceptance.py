@@ -15,6 +15,7 @@ import pytest
 from fluidswarm.metrics import derive_fields, metrics_report, trend_check
 from fluidswarm.partition import ControlVolumeGrid
 from fluidswarm.plant_suite import run_suite
+from fluidswarm.reference_field import NozzleGeometry
 from fluidswarm.swarm_sim import SimConfig, run_simulation
 from fluidswarm.velocity_fit import FitConfig, fit_grid
 from reference import (internal_pressure, mass_mean_velocity, swarm_pressure,
@@ -99,7 +100,8 @@ def test_criterion_4_fit_oracle_equivalence(say):
         v = 25.0 * rng.random() ** (1.0 / 3.0) * d / np.linalg.norm(d)
         cells.append((v, p))
     # one row of 0.5 m cells, cell i on the (2024, i) stream
-    row = ControlVolumeGrid.empty(np.zeros(3), 0.5, (len(cells), 1, 1))
+    row = ControlVolumeGrid.empty(np.zeros(3), 0.5, (len(cells), 1, 1),
+                                  NozzleGeometry())
     row.inside[:] = True
     row.node_count[:] = 1
     row.v_target[:] = [v for v, _ in cells]

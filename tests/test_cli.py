@@ -252,8 +252,9 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     """Each subcommand fed every other pipeline file (field, grid, fit and
     run) in place of its input, and ``analyze`` a run directory without
     ``trace.npz``, a damaged one, one whose ``trace.npz`` is a CSV file, one
-    whose config is a number and one whose ``dt`` is a string: one stderr
-    line naming the file, exit status 1 and no output written."""
+    whose config is a number, one whose ``dt`` is a string and two whose
+    lattice edge is a list and a string: one stderr line naming the file,
+    exit status 1 and no output written."""
     monkeypatch.chdir(tmp_path)
     for argv in (["generate-field", "--output", "field.csv", "--stations",
                   "41", "--rings", "3"],
@@ -271,9 +272,12 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     with np.load(tmp_path / "run" / "trace.npz") as npz:
         cols = dict(npz)
     meta = json.loads(cols["meta"].item())
-    for name, config in (("numeric_config", 5),
-                         ("string_dt", {**meta["config"], "dt": "0.05"})):
-        cols["meta"] = np.array(json.dumps({**meta, "config": config}))
+    for name, key, value in (
+            ("numeric_config", "config", 5),
+            ("string_dt", "config", {**meta["config"], "dt": "0.05"}),
+            ("list_edge", "lattice", {**meta["lattice"], "edge_length": [0.5]}),
+            ("string_edge", "lattice", {**meta["lattice"], "edge_length": "0.5"})):
+        cols["meta"] = np.array(json.dumps({**meta, key: value}))
         (tmp_path / name).mkdir()
         np.savez(tmp_path / name / "trace.npz", **cols)
     files = {"field": "field.csv", "grid": "grid.csv", "fit": "fit.csv",
@@ -287,7 +291,8 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     cases += [(["analyze", "--targets", "grid.csv", "--out", "o", "--run",
                 path], path)
               for path in ("field.csv", "empty", "damaged", "csv",
-                           "numeric_config", "string_dt")]
+                           "numeric_config", "string_dt", "list_edge",
+                           "string_edge")]
     capsys.readouterr()
     for argv, path in cases:
         assert main(argv) == 1, argv
@@ -303,7 +308,11 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
             assert "config is not a JSON object" in err, err
         if path == "string_dt":
             assert "config.dt is '0.05', not float" in err, err
-    assert len(cases) == 18
+        if path == "list_edge":
+            assert "edge_length=[0.5] is not a number" in err, err
+        if path == "string_edge":
+            assert "edge_length='0.5' is not a number" in err, err
+    assert len(cases) == 20
 
 
 def test_analyze_rejects_targets_of_another_lattice_or_duct(tmp_path,

@@ -29,7 +29,7 @@ from reference import (export_centerline_rows, export_slice_rows,
 COEFF = 2.0 / (3.0 * 0.125)  # unit mass in a 0.5 m cell
 
 
-def lattice(nx=30, ny=1, nz=1, speeds=None, p=None, rho=None, geometry=True):
+def lattice(nx=30, ny=1, nz=1, speeds=None, p=None, rho=None):
     """All-valid cubic lattice with simple targets."""
     dims = (nx, ny, nz)
     m = nx * ny * nz
@@ -41,7 +41,7 @@ def lattice(nx=30, ny=1, nz=1, speeds=None, p=None, rho=None, geometry=True):
         node_count=np.ones(m, dtype=np.int64), v_target=v,
         p_target=-np.linspace(1.0, 2.0, m) if p is None else np.asarray(p, float),
         rho_target=np.ones(m) if rho is None else np.asarray(rho, float),
-        geometry=NozzleGeometry() if geometry else None)
+        geometry=NozzleGeometry())
 
 
 def rec(cells, counts, means, sumv2=None):
@@ -129,7 +129,7 @@ def test_scores_are_insensitive_to_the_command_scale():
 
 
 def test_known_rmse_value():
-    grid = lattice(nx=2, speeds=[1.0, 2.0], p=[-1.0, -2.0], geometry=False)
+    grid = lattice(nx=2, speeds=[1.0, 2.0], p=[-1.0, -2.0])
     # two agents in each cell, mean 2 m/s: both at 2 m/s off a 1 m/s
     # target, and at 1 and 3 m/s off a 2 m/s target, so both deviate by 2
     frames = [rec([0, 1], [2, 2], [[2.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
@@ -227,8 +227,6 @@ def test_trend_check_inconclusive_without_exit_data():
     d = derive_fields(fake_trace(frames), grid, transient=0.0)
     with pytest.raises(ValueError, match="no valid exit cells"):
         trend_check(d, grid)
-    with pytest.raises(ValueError, match="geometry"):
-        trend_check(d, lattice(nx=30, geometry=False))
 
 
 def test_centerline_profile_and_agreement(tmp_path):

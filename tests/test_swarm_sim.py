@@ -7,7 +7,7 @@ import json
 import tracemalloc
 import zipfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,12 +19,12 @@ from fluidswarm import (PlantParams, SimConfig, build_command_table,
                         plant_suite, population_balance, resolve_collisions,
                         run_simulation, save_run, swarm_sim)
 from fluidswarm.partition import ControlVolumeGrid, assign_cell, partition_domain
-from fluidswarm.reference_field import lattice_meta
+from fluidswarm.reference_field import NozzleGeometry, lattice_meta
 from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, close_pairs,
                                   entry_cell, make_batch, seed_tunnel)
 from fluidswarm.velocity_fit import SET_SIZE, FitConfig, GridFit
 from fluidswarm.velocity_plant import PlantState, step as plant_step
-from reference import collision_block
+from reference import pair_row_collisions
 
 CFG = SimConfig()  # collision thresholds at their defaults
 
@@ -150,7 +150,8 @@ def test_equidistant_fitted_cells_lend_the_lowest_index(pattern):
     grid = ControlVolumeGrid(
         origin=np.zeros(3), edge_length=1.0, dims=dims,
         inside=np.ones(m, dtype=bool), node_count=np.ones(m, dtype=np.int64),
-        v_target=np.zeros((m, 3)), p_target=np.zeros(m), rho_target=np.zeros(m))
+        v_target=np.zeros((m, 3)), p_target=np.zeros(m), rho_target=np.zeros(m),
+        geometry=NozzleGeometry())
     idx = grid.unravel(np.arange(m))
     if pattern == "checkerboard":   # an unfitted cell has up to 6 at 1 edge
         fitted = np.flatnonzero(idx.sum(axis=1) % 2 == 0)
@@ -248,25 +249,6 @@ def test_seed_tunnel_respects_the_axial_bound(grid, fit):
     below = SimConfig(case="tunnel_seeding", seed_x_max=-1.0)
     with pytest.raises(ValueError, match="no cells"):
         seed_tunnel(grid, fit, below, PlantParams())
-
-
-def test_seed_tunnel_fills_to_the_middle_of_the_span_without_geometry():
-    """On a lattice with no geometry the span is the lattice's axial extent,
-    [-2, 4] here, whose end is the retire plane: the fill stops at its
-    middle."""
-    dims = (12, 2, 2)
-    m = int(np.prod(dims))
-    grid = ControlVolumeGrid.empty(np.array([-2.0, -0.5, -0.5]), 0.5, dims)
-    grid.inside[:] = True
-    fit = fit_of({f: np.array([1.0, 0.0, 0.0]) for f in range(m)})
-    pos, _, _ = seed_tunnel(grid, fit, SimConfig(case="tunnel_seeding"),
-                            PlantParams())
-    centers = grid.centers()[:, 0]
-    want = np.flatnonzero(centers <= 1.0)
-    assert len(want) == 6 * 4 and centers[want].max() == 0.75
-    assert np.array_equal(np.unique(assign_cell(pos, grid)), want)
-    assert len(pos) == SET_SIZE * len(want)
-    assert swarm_sim.axial_span(grid) == (-2.0, 4.0)
 
 
 # ----------------------------------------------------------------------
@@ -803,17 +785,46 @@ def test_a_non_finite_agent_faults_without_ending_a_collision_run(
     assert population_balance(trace)["balanced"]
 
 
+def test_an_agent_sent_to_infinity_faults_and_never_escapes(grid, fit,
+                                                          monkeypatch):
+    """Agent 0, inside the duct's span, gets vy = inf on frame 40: it
+    leaves as one fault before the wall test reads it, so its infinite y
+    is never logged as a wall escape."""
+    steps = []
+
+    def poisoned_step(state, cmds, dt, params):
+        out = plant_step(state, cmds, dt, params)
+        if len(steps) == 40:
+            out.velocity[0, 1] = np.inf
+        steps.append(dt)
+        return out
+
+    monkeypatch.setattr(swarm_sim, "plant_step", poisoned_step)
+    trace = short_run(grid, fit, seed=0, record_trajectories=True,
+                      trajectory_stride=1)
+    _, gid, pos, _ = trace.trajectories[39]
+    assert gid[0] == 0 and 0.0 <= pos[0, 0] <= grid.geometry.length
+    events = trace.events
+    fault = events.kind == EVENT_KINDS.index("fault")
+    assert events.a[fault].tolist() == [0]
+    assert events.frame[fault].tolist() == [40]
+    escape = events.kind == EVENT_KINDS.index("wall_escape")
+    assert 0 not in events.a[escape].tolist()
+    assert population_balance(trace)["balanced"]
+
+
 @pytest.mark.parametrize("floor", [0.5, 0.05, 0.02, 0.0])
 def test_the_collision_pass_equals_the_copying_block(grid, fit, monkeypatch,
                                                      floor):
     """The collide workload's run (60 s, batch 17, seed 0) at four
     approach floors, from none applied to 185,688 overtakes: frames and
-    events equal those of the block that copied the live agents out and
-    back and detected on (M, 3) pair rows."""
+    events equal those of the per-pair detector that the block which
+    copied the live agents out and back ran, on (M, 3) pair rows with the
+    pairs of ``cKDTree.query_pairs``."""
     config = SimConfig(duration=60.0, seed=0, batch_size=17, collisions=True,
                        min_approach_speed=floor)
     trace = run_simulation(grid, fit, config)
-    monkeypatch.setattr(swarm_sim, "_collide", collision_block)
+    monkeypatch.setattr(swarm_sim, "detect_collisions", pair_row_collisions)
     ref = run_simulation(grid, fit, config)
     assert trace.frames == ref.frames
     assert trace.events == ref.events
@@ -889,10 +900,11 @@ def test_frame_reduce_equals_the_per_column_sums_on_crowded_cells(grid, fit):
 
 def full_scan_run(grid, fit, config):
     """Reference loop: ``run_simulation`` as it was written before the
-    population held only active agents. Every frame bins all active agents
-    for their commands and again for the frame record, and gathers and
-    scatters them by index out of every agent ever injected. It steps and
-    collides through the module's names, so a monkeypatch reaches both."""
+    population held only active agents, with faults taken first. Every
+    frame bins all active agents for their commands and again for the frame
+    record, and gathers and scatters them by index out of every agent ever
+    injected. It steps and collides through the module's names, so a
+    monkeypatch reaches both."""
     plant = PlantParams(mass=fit.config.agent_mass)
     table = build_command_table(grid, fit, config.scale)
     length = grid.geometry.length
@@ -936,18 +948,24 @@ def full_scan_run(grid, fit, config):
             pop.thr[act] = state.thrust_accel
             pop.pos[act] += state.velocity * config.dt
 
+            bad = ~np.isfinite(pop.pos[act]).all(axis=1) \
+                | ~np.isfinite(pop.vel[act]).all(axis=1)
+            for i in act[bad]:
+                trace.events.append((t_end, "fault", int(i), -1))
+            pop.active[act[bad]] = False
+            trace.faults += int(bad.sum())
+            act = act[~bad]
+
             if config.collisions:
-                live = act[np.isfinite(pop.pos[act]).all(axis=1)
-                           & np.isfinite(pop.vel[act]).all(axis=1)]
-                sub_vel = pop.vel[live]
-                pairs = swarm_sim.detect_collisions(pop.pos[live], sub_vel,
+                sub_vel = pop.vel[act]
+                pairs = swarm_sim.detect_collisions(pop.pos[act], sub_vel,
                                                     config)
                 applied = swarm_sim.resolve_collisions(sub_vel, pairs)
-                pop.vel[live] = sub_vel
+                pop.vel[act] = sub_vel
                 for a, b in applied.tolist():
                     trace.events.append(
-                        (t_end, "collision_overtake", int(live[a]),
-                         int(live[b])))
+                        (t_end, "collision_overtake", int(act[a]),
+                         int(act[b])))
 
             p = pop.pos[act]
             in_span = (p[:, 0] >= 0.0) & (p[:, 0] <= length)
@@ -959,14 +977,6 @@ def full_scan_run(grid, fit, config):
             pop.escaped[act[outside]] = True
             trace.escaped += int(outside.sum())
 
-            bad = ~np.isfinite(pop.pos[act]).all(axis=1) \
-                | ~np.isfinite(pop.vel[act]).all(axis=1)
-            for i in act[bad]:
-                trace.events.append((t_end, "fault", int(i), -1))
-            pop.active[act[bad]] = False
-            trace.faults += int(bad.sum())
-
-            act = np.flatnonzero(pop.active)
             gone = pop.pos[act, 0] > length
             for i in act[gone]:
                 trace.events.append((t_end, "retire", int(i), -1))
@@ -1069,8 +1079,8 @@ def test_losing_agents_changes_no_other_agent(grid, fit, monkeypatch):
 # the first frame of the fault case in which agents retire: its fault and
 # retirements land in one frame, so their order within the frame is tested
 FAULT_CALL = 496
-# a frame of the collision case in which agents overtake and retire: a
-# fault there sends the frame's collisions through the copying path
+# a frame of the collision case in which agents overtake and retire: the
+# fault there leaves before the frame's collisions
 COLLISION_FAULT_CALL = 500
 
 LOOP_CASES = {
@@ -1324,6 +1334,13 @@ def _lattice_without_nx(cols):
     cols["meta"] = np.array(json.dumps(meta))
 
 
+def _lattice_without_duct(cols):
+    meta = json.loads(cols["meta"].item())
+    for k in asdict(NozzleGeometry()):
+        del meta["lattice"][k]
+    cols["meta"] = np.array(json.dumps(meta))
+
+
 def _list_meta(cols):
     cols["meta"] = np.array(json.dumps([1, 2]))
 
@@ -1447,6 +1464,16 @@ def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
     (_edit_field("_string_fit_seed", "fit", "rng_seed", "0"),
      "fit.rng_seed is '0', not int$"),
     (_lattice_without_nx, r"missing lattice metadata \['nx'\]"),
+    (_lattice_without_duct, r"missing NozzleGeometry metadata \['length', "),
+    (_edit_field("_list_edge_length", "lattice", "edge_length", [0.5]),
+     r"edge_length=\[0.5\] is not a number$"),
+    (_edit_field("_string_edge_length", "lattice", "edge_length", "0.5"),
+     "edge_length='0.5' is not a number$"),
+    (_edit_field("_bool_nx", "lattice", "nx", True), "nx=True is not an integer$"),
+    (_edit_meta("_string_injection_rate", "injection_rate", "3.4"),
+     "meta.injection_rate is '3.4', not float$"),
+    (_edit_meta("_float_batch_size", "batch_size", 17.0),
+     "meta.batch_size is 17.0, not int$"),
     (_list_meta, "meta is not a JSON object"),
     (_numeric_lattice, "lattice is not a JSON object"),
     (_int64_cells, "cells is not int32"),
