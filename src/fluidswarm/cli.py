@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import sys
 import zipfile
@@ -141,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ======================================================================
 
 class _InputError(Exception):
-    """An input file that is missing or does not read as its format."""
+    """An input file that is missing, does not read as its format or does
+    not suit the command's other inputs."""
 
 
 def _read(load, path):
@@ -247,6 +249,9 @@ def _cmd_analyze(args) -> int:
         if run.lattice.get(k) != targets.get(k):
             raise _InputError(f"{args.targets}: {k}={targets.get(k)!r} differs "
                               f"from the run's {k}={run.lattice.get(k)!r}")
+    if args.transient is not None and not (run.frame_t > args.transient).any():
+        raise _InputError(f"{args.run}: --transient {args.transient:g} leaves "
+                          f"no frame of the run's {run.config.duration:g} s")
     report = metrics_report(run, grid, transient=args.transient)
     outdir = args.out or args.run
     os.makedirs(outdir, exist_ok=True)
@@ -303,6 +308,11 @@ def main(argv=None) -> int:
                                     rng_seed=args.seed)
         elif args.command == "plant-test" and args.seed < 0:
             raise ValueError("seed must be nonnegative")
+        elif args.command == "partition" and not 0 < args.edge < math.inf:
+            raise ValueError("edge must be finite and positive")
+        elif args.command == "analyze" and args.transient is not None \
+                and math.isnan(args.transient):
+            raise ValueError("transient must not be NaN")
     except ValueError as exc:
         parser.error(f"{args.command}: {exc}")
     try:

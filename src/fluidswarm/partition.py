@@ -145,8 +145,8 @@ def partition_domain(fld: ReferenceField,
     geometry, gas = fld.geometry, fld.gas
     if geometry is None:
         raise ValueError("a geometry is required (none attached to the field)")
-    if edge_length <= 0:
-        raise ValueError("edge_length must be positive")
+    if not 0 < edge_length < np.inf:
+        raise ValueError("edge_length must be finite and positive")
 
     half = np.ceil(geometry.max_radius / edge_length) * edge_length
     origin = np.array([0.0, -half, -half])

@@ -51,7 +51,7 @@ import numpy as np
 
 from .partition import ControlVolumeGrid, assign_cell
 from .reference_field import NozzleGeometry, lattice_from_meta, lattice_meta
-from .velocity_fit import SET_SIZE, GridFit, cell_rngs
+from .velocity_fit import SET_SIZE, GridFit
 from .velocity_plant import PlantParams, PlantState, step as plant_step
 
 CASES = ("tunnel_seeding", "reservoir")
@@ -80,14 +80,13 @@ class SimConfig:
     def __post_init__(self):
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}")
-        if self.dt <= 0 or self.scale <= 0 or round(self.duration / self.dt) < 1:
-            raise ValueError("dt and scale must be positive, and the duration "
-                             "must round to at least one frame")
+        for name in ("dt", "scale", "duration", "dt_source", "collision_radius"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if round(self.duration / self.dt) < 1:
+            raise ValueError("the duration must round to at least one frame")
         if self.dt_source < self.dt:
             raise ValueError("dt_source must be at least one frame")
-        if not (math.isfinite(self.collision_radius)
-                and self.collision_radius > 0):
-            raise ValueError("collision_radius must be finite and positive")
         # the detection negates its rejection tests: a NaN threshold
         # would reject no pair
         if not self.min_approach_speed >= 0:
@@ -315,7 +314,10 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     Every fitted cell whose center lies at or below the axial bound
     (``seed_x_max``, by default the middle of the duct) gets
     ``SET_SIZE`` agents, positions uniform in the cell, velocity equal to
-    the cell's scaled command, thrust at hover.
+    the cell's scaled command, thrust at hover. One
+    ``default_rng((seed, 2))`` draws the unit positions of all seeded cells
+    in ascending cell order, so a lower bound places the agents it keeps
+    exactly where a higher one does.
     """
     bound = config.seed_x_max
     if bound is None:
@@ -325,9 +327,9 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     if len(cells) == 0:
         raise ValueError("no cells to seed below the axial bound")
     corners = grid.origin + grid.unravel(cells) * grid.edge_length
-    rngs = cell_rngs((config.seed, 2), cells)
-    pos = np.vstack([lo + rng.random((SET_SIZE, 3)) * grid.edge_length
-                     for lo, rng in zip(corners, rngs)])
+    unit = np.random.default_rng((config.seed, 2)).random(
+        (len(cells), SET_SIZE, 3))
+    pos = (corners[:, None] + unit * grid.edge_length).reshape(-1, 3)
     vel = np.repeat(config.scale * fit.commands()[keep], SET_SIZE, axis=0)
     return pos, vel, PlantState.hover(plant, len(vel)).thrust_accel
 

@@ -17,14 +17,9 @@ pass into a :class:`GridFit`: ``cells`` (K,) ascending and ``velocities``
 (K, SET_SIZE, 3). A fit file has one row per cell: its lattice index, the
 set size (the ``n_star`` column, always ``SET_SIZE``) and its velocities.
 
-Reproducibility: every cell draws from its own generator seeded by
-(seed, cell index), so a cell's set does not depend on which other cells are
-fitted with it. ``cell_rngs`` builds those generators for all cells at once:
-it runs numpy's ``SeedSequence`` mixing (the hashmix/mix steps of
-``numpy/random/bit_generator.pyx``) over uint32 arrays, one entry per cell,
-and hands each cell's four 64-bit state words to ``PCG64``. Each generator
-equals ``np.random.default_rng((seed, cell))`` bit for bit, at about a
-quarter of the cost of building that one by one.
+Reproducibility: one generator, ``np.random.default_rng(seed)``, draws the
+fluctuations of every cell in ascending cell order, so a fit is a function
+of the seed and the set of fitted cells.
 """
 
 from __future__ import annotations
@@ -33,24 +28,16 @@ from dataclasses import dataclass
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .partition import ControlVolumeGrid
 from .primitives import pressure_coefficient
-from .reference_field import (FieldFormatError, cell_index,
+from .reference_field import (FieldFormatError, _meta_value, cell_index,
                               lattice_from_meta, lattice_meta, read_table,
                               write_table)
 from .velocity_plant import PlantParams
 
 SET_SIZE = 9                      # velocities per cell
 FIT_HEADER = "jx,jy,jz,n_star,v1x,v1y,v1z,..."
-
-# numpy's SeedSequence: entropy pool size and hash constants
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875    # entropy mixing
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED    # state output
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -72,83 +59,6 @@ def set_pressure(velocities, center, cell_volume: float, agent_mass: float) -> f
     w = np.asarray(velocities, dtype=float) - np.asarray(center, dtype=float)
     return float(pressure_coefficient(agent_mass, cell_volume)
                  * np.einsum("ij,ij->", w, w))
-
-
-def _words(n: int) -> list[int]:
-    """A nonnegative integer's uint32 words, least significant first, as
-    ``SeedSequence`` splits entropy (0 is one word)."""
-    if n < 0:
-        raise ValueError("seed must be nonnegative")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hasher(const: int, mult: int):
-    """``SeedSequence``'s hashmix over uint32 arrays: each call xors in the
-    running constant, steps it by ``mult``, multiplies and folds the high
-    half down."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value *= const
-        return value ^ value >> 16
-    return hashmix
-
-
-def _mix(x, y):
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ r >> 16
-
-
-def cell_seed_states(key: tuple[int, ...], cells) -> np.ndarray:
-    """(len(cells), 4) uint64: row i equals
-    ``SeedSequence((*key, cells[i])).generate_state(4, np.uint64)``, the
-    words ``PCG64`` seeds from. Every step of the entropy mixing and the
-    state output runs once, on one uint32 entry per cell. ``key`` holds
-    nonnegative integers of any size; each cell must fit in 32 bits."""
-    cells = np.asarray(cells, dtype=np.int64)
-    if cells.size and (cells.min() < 0 or cells.max() > _MASK32):
-        raise ValueError("cell indices must lie in [0, 2**32)")
-    n = len(cells)
-    entropy = [np.full(n, w, dtype=np.uint32)
-               for k in key for w in _words(int(k))]
-    entropy.append(cells.astype(np.uint32))
-    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(e) for e in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):             # let late words reach early ones
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(e))
-    out = _hasher(_INIT_B, _MULT_B)
-    words = [out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    return np.column_stack([lo | hi << np.uint64(32)
-                            for lo, hi in zip(words[::2], words[1::2])])
-
-
-class _StateWords(ISeedSequence):
-    """Seed words computed ahead, handed to ``PCG64`` as its seed sequence."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
-            raise ValueError("state words were computed for PCG64 only")
-        return self.words
-
-
-def cell_rngs(key: tuple[int, ...], cells):
-    """Yield one generator per cell, equal to
-    ``np.random.default_rng((*key, cell))`` bit for bit."""
-    for words in cell_seed_states(key, cells):
-        yield np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 def _solve(v_target, p_target, cell_volume: float, agent_mass: float,
@@ -195,17 +105,17 @@ def fit_grid(grid: ControlVolumeGrid,
 
     Pressure targets are shifted by the valid-cell minimum so the most
     rarefied cell fits zero spread; the offset is kept with the results.
-    Cell f draws from the generator seeded by (rng_seed, f), built by
-    :func:`cell_rngs`, so its set is the one a fit of that cell alone on
-    ``default_rng((rng_seed, f))`` gives, bit for bit.
+    One ``default_rng(rng_seed)`` draws the (K, SET_SIZE, 3) fluctuations
+    of all cells in ascending cell order: cell after cell, the sets a
+    one-cell fit on that shared generator gives, bit for bit.
     """
     config = config or FitConfig()
     cells = np.flatnonzero(grid.valid)
     if len(cells) == 0:
         raise ValueError("grid has no valid cells to fit")
     offset = float(np.nanmin(grid.p_target[cells]))
-    draws = np.stack([rng.standard_normal((SET_SIZE, 3))
-                      for rng in cell_rngs((config.rng_seed,), cells)])
+    draws = np.random.default_rng(config.rng_seed).standard_normal(
+        (len(cells), SET_SIZE, 3))
     vel = _solve(grid.v_target[cells], grid.p_target[cells] - offset,
                  grid.cell_volume, config.agent_mass, draws)
     return GridFit(cells, vel, offset, config)
@@ -232,9 +142,10 @@ def save_fit(fit: GridFit, grid: ControlVolumeGrid, path) -> None:
 def load_fit(path) -> tuple[GridFit, dict]:
     """Read a fit table; returns the fit and its metadata mapping. Raises
     ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does
-    (a row must hold ``SET_SIZE`` velocities), on missing metadata, on a
-    cell off the lattice or with two rows, and on a row whose set size is
-    not ``SET_SIZE``."""
+    (a row must hold ``SET_SIZE`` velocities), on missing metadata, on an
+    ``agent_mass`` or ``pressure_offset`` that is not a number or an
+    ``rng_seed`` that is not an integer, on a cell off the lattice or with
+    two rows, and on a row whose set size is not ``SET_SIZE``."""
     meta, lines, data = read_table(path, FIT_HEADER, width=4 + 3 * SET_SIZE)
     missing = sorted({"agent_mass", "rng_seed", "pressure_offset"} - meta.keys())
     if missing:
@@ -247,10 +158,10 @@ def load_fit(path) -> tuple[GridFit, dict]:
         raise FieldFormatError(f"{path}:{lines[i]}: set size {data[i, 3]:g}, "
                                f"expected {SET_SIZE}")
     order = np.argsort(flat)
-    config = FitConfig(agent_mass=float(meta["agent_mass"]),
-                       rng_seed=int(meta["rng_seed"]))
+    config = FitConfig(agent_mass=_meta_value(meta, "agent_mass", path),
+                       rng_seed=_meta_value(meta, "rng_seed", path, int))
     fit = GridFit(flat[order], data[order, 4:].reshape(-1, SET_SIZE, 3),
-                  float(meta["pressure_offset"]), config)
+                  _meta_value(meta, "pressure_offset", path), config)
     return fit, meta
 
 

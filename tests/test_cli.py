@@ -254,7 +254,8 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     ``trace.npz``, a damaged one, one whose ``trace.npz`` is a CSV file, one
     whose config is a number, one whose ``dt`` is a string and two whose
     lattice edge is a list and a string: one stderr line naming the file,
-    exit status 1 and no output written."""
+    exit status 1 and no output written. So is a fit whose ``rng_seed`` is
+    1.5: it read as seed 1 before."""
     monkeypatch.chdir(tmp_path)
     for argv in (["generate-field", "--output", "field.csv", "--stations",
                   "41", "--rings", "3"],
@@ -280,6 +281,10 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
         cols["meta"] = np.array(json.dumps({**meta, key: value}))
         (tmp_path / name).mkdir()
         np.savez(tmp_path / name / "trace.npz", **cols)
+    fit_text = (tmp_path / "fit.csv").read_text()
+    assert " rng_seed=0 " in fit_text.partition("\n")[0]
+    (tmp_path / "float_seed.csv").write_text(
+        fit_text.replace(" rng_seed=0 ", " rng_seed=1.5 ", 1))
     files = {"field": "field.csv", "grid": "grid.csv", "fit": "fit.csv",
              "run": "run/trace.npz"}
     reads = [(["partition", "--output", "o.csv", "--field"], "field"),
@@ -293,6 +298,8 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
               for path in ("field.csv", "empty", "damaged", "csv",
                            "numeric_config", "string_dt", "list_edge",
                            "string_edge")]
+    cases.append((["simulate", "--out", "o", "--fit", "float_seed.csv"],
+                  "float_seed.csv"))
     capsys.readouterr()
     for argv, path in cases:
         assert main(argv) == 1, argv
@@ -312,7 +319,9 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
             assert "edge_length=[0.5] is not a number" in err, err
         if path == "string_edge":
             assert "edge_length='0.5' is not a number" in err, err
-    assert len(cases) == 20
+        if path == "float_seed.csv":
+            assert "rng_seed=1.5 is not an integer" in err, err
+    assert len(cases) == 21
 
 
 def test_analyze_rejects_targets_of_another_lattice_or_duct(tmp_path,
@@ -357,6 +366,49 @@ def test_a_partition_flag_for_the_duct_is_a_usage_error(tmp_path, monkeypatch,
               "--throat-radius", "0.6"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --throat-radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", ["0", "-1", "nan", "inf"])
+def test_a_bad_partition_edge_is_a_usage_error(edge, tmp_path, monkeypatch,
+                                               capsys):
+    # rejected before the field is read: f.csv does not exist
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--field", "f.csv", "--output", "g.csv",
+              "--edge", edge])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: partition: edge must be finite and positive" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_analyze_a_transient_that_leaves_no_frame(tmp_path, monkeypatch,
+                                                  capsys):
+    """A NaN ``--transient`` is a usage error; one at or past the run's
+    end is one stderr line naming the run's duration, exit status 1 and
+    nothing written."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["generate-field", "--output", "field.csv", "--stations",
+                  "41", "--rings", "3"],
+                 ["partition", "--field", "field.csv", "--output", "grid.csv"],
+                 ["fit", "--partition", "grid.csv", "--output", "fit.csv"],
+                 ["simulate", "--fit", "fit.csv", "--out", "run",
+                  "--duration", "1"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    analyze = ["analyze", "--run", "run", "--targets", "grid.csv", "--out", "o"]
+    with pytest.raises(SystemExit) as exc:
+        main(analyze + ["--transient", "nan"])
+    assert exc.value.code == 2
+    assert "error: analyze: transient must not be NaN" in capsys.readouterr().err
+    for transient in ("1", "1000", "inf"):
+        assert main(analyze + ["--transient", transient]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"fluidswarm analyze: run: --transient {float(transient):g} "
+            "leaves no frame of the run's 1 s\n")
+        assert not (tmp_path / "o").exists()
+    assert main(analyze + ["--transient", "0.9"]) == 0
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -417,8 +469,11 @@ def test_two_fit_runs_write_identical_files(tmp_path, capsys):
         assert main(["fit", "--partition", str(gridf), "--output", str(path),
                      "--seed", "7"]) == 0
         outs.append(path.read_bytes())
+    assert main(["fit", "--partition", str(gridf), "--output",
+                 str(tmp_path / "fit8.csv"), "--seed", "8"]) == 0
     capsys.readouterr()
     assert outs[0] == outs[1]
+    assert (tmp_path / "fit8.csv").read_bytes() != outs[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -444,7 +499,11 @@ def test_flags_a_subcommand_never_reads_are_rejected(argv, tmp_path,
                                    ["--scale", "-1"], ["--dt-source", "0.01"],
                                    ["--batch-size", "0"],
                                    ["--batch-size", "-3"],
-                                   ["--seed", "-1"]])
+                                   ["--seed", "-1"],
+                                   ["--scale", "nan"], ["--scale", "inf"],
+                                   ["--dt-source", "nan"],
+                                   ["--dt-source", "inf"],
+                                   ["--duration", "inf"]])
 def test_simulate_config_errors_are_usage_errors(flags, tmp_path, monkeypatch,
                                                  capsys):
     # rejected before the fit is read: this one does not exist

@@ -162,8 +162,9 @@ def test_partition_is_order_invariant(field, grid):
 
 
 def test_edge_length_validation(field):
-    with pytest.raises(ValueError):
-        partition_domain(field, edge_length=0.0)
+    for edge in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            partition_domain(field, edge_length=edge)
 
 
 def test_the_field_brings_its_geometry_and_gas(field, grid):

@@ -222,15 +222,16 @@ def test_seed_tunnel_counts_and_placement(grid, fit):
 
 @pytest.mark.parametrize("seed", [4, 2 ** 33 + 1])
 def test_seed_tunnel_equals_per_cell_default_rng_seeding(grid, fit, seed):
-    """Cell f's agents are placed from default_rng((seed, 2, f)), cell by
-    cell in ascending order, as a per-cell construction places them."""
+    """One default_rng((seed, 2)) places the agents of cell after cell, in
+    ascending cell order, as a per-cell construction on that shared
+    generator places them."""
     cfg = SimConfig(case="tunnel_seeding", seed=seed, seed_x_max=6.0)
     centers = grid.centers()
+    rng = np.random.default_rng((seed, 2))
     pos_list, vel_list = [], []
     for f, v in zip(fit.cells.tolist(), fit.velocities):
         if centers[f, 0] > cfg.seed_x_max:
             continue
-        rng = np.random.default_rng((seed, 2, f))
         lo = grid.origin + grid.unravel([f])[0] * grid.edge_length
         pos_list.append(lo + rng.random((len(v), 3)) * grid.edge_length)
         vel_list.append(np.tile(cfg.scale * v.mean(axis=0), (len(v), 1)))
@@ -246,6 +247,12 @@ def test_seed_tunnel_respects_the_axial_bound(grid, fit):
     pos, _, _ = seed_tunnel(grid, fit, cfg, PlantParams())
     # cells qualify by center, so positions reach half an edge past the bound
     assert pos[:, 0].max() <= 3.0 + 0.5 * grid.edge_length
+    # the seeded cells come first in ascending order: a lower bound places
+    # the agents it keeps exactly where the default mid-duct bound does
+    full, _, _ = seed_tunnel(grid, fit, SimConfig(case="tunnel_seeding"),
+                             PlantParams())
+    assert SET_SIZE < len(pos) < len(full)
+    assert np.array_equal(pos, full[:len(pos)])
     below = SimConfig(case="tunnel_seeding", seed_x_max=-1.0)
     with pytest.raises(ValueError, match="no cells"):
         seed_tunnel(grid, fit, below, PlantParams())
@@ -1151,19 +1158,16 @@ def test_compact_loop_equals_the_full_scan_loop(grid, fit, monkeypatch, case):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(case="wind_tunnel")
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(scale=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(duration=-1.0)
+    # a NaN scale flew every injected agent into a fault; an infinite
+    # duration overflowed the frame count
+    for name in ("dt", "scale", "duration", "dt_source", "collision_radius"):
+        for value in (-0.1, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SimConfig(**{name: value})
     with pytest.raises(ValueError, match="one frame"):
         SimConfig(duration=0.02)    # rounds to no 0.05 s frame
     assert SimConfig(duration=0.03).duration == 0.03   # rounds to one
     assert SimConfig(scale=1.5).scale == 1.5  # amplified commands are allowed
-    for radius in (-0.1, 0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="collision_radius"):
-            SimConfig(collision_radius=radius)
     # a NaN floor passed every pair: two agents flying apart came back as
     # a collision
     for name, value in (("min_approach_speed", np.nan),

@@ -3,7 +3,8 @@
 The independent checker below re-evaluates every fit from its returned
 velocities alone, with plain formulas (no shared code with the fitter).
 ``fit_cell`` is the test reference that solves one cell on a given stream
-with the library's solver.
+with the library's solver; ``replay_grid_fit`` feeds it one generator cell
+after cell, as ``fit_grid`` draws.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from fluidswarm import (FitConfig, fit_grid, grid_from_fit, injection_rate,
                         set_pressure)
 from fluidswarm.cli import main
 from fluidswarm.swarm_sim import build_command_table
-from fluidswarm.velocity_fit import SET_SIZE, cell_rngs, cell_seed_states
+from fluidswarm.velocity_fit import SET_SIZE
 from reference import fit_cell
 
 VOL = 0.125  # 0.5 m cell
@@ -64,19 +65,26 @@ def test_convergence_rate_on_random_cells():
     assert ok >= 0.99 * total
 
 
+def replay_grid_fit(g, gf, seed):
+    """Assert that ``gf`` equals fit_cell on each valid cell of ``g`` in
+    ascending order, all cells drawing from one ``default_rng(seed)``."""
+    assert gf.cells.tolist() == np.flatnonzero(g.valid).tolist()
+    assert gf.velocities.shape == (len(gf.cells), SET_SIZE, 3)
+    rng = np.random.default_rng(seed)
+    for f, v in zip(gf.cells.tolist(), gf.velocities):
+        again = fit_cell(g.v_target[f],
+                         float(g.p_target[f] - gf.pressure_offset),
+                         g.cell_volume, rng, gf.config.agent_mass)
+        assert np.array_equal(again, v)
+
+
 def test_fit_cell_is_reproducible(fit, grid, field):
-    """The batched grid fit equals fit_cell on each cell's own (seed, cell)
-    stream, bitwise, on the 0.5 m and the 0.25 m lattices."""
+    """The batched grid fit equals fit_cell on one seed-0 generator run
+    through the cells in ascending order, bitwise, on the 0.5 m and the
+    0.25 m lattices."""
     fine = partition_domain(field, edge_length=0.25)
     for g, gf in ((grid, fit), (fine, fit_grid(fine, FitConfig(rng_seed=0)))):
-        assert gf.cells.tolist() == np.flatnonzero(g.valid).tolist()
-        assert gf.velocities.shape == (len(gf.cells), SET_SIZE, 3)
-        for f, v in zip(gf.cells.tolist(), gf.velocities):
-            again = fit_cell(g.v_target[f],
-                             float(g.p_target[f] - gf.pressure_offset),
-                             g.cell_volume, np.random.default_rng((0, f)),
-                             gf.config.agent_mass)
-            assert np.array_equal(again, v)
+        replay_grid_fit(g, gf, 0)
 
 
 def test_mean_constraint_is_exact_across_the_grid(fit, grid):
@@ -224,58 +232,17 @@ def test_fit_grid_needs_valid_cells(grid):
         fit_grid(empty)
 
 
-# ----------------------------------------------------------------------
-# per-cell streams: every cell seeded in one array pass
-# ----------------------------------------------------------------------
-
-CELLS = [0, 1, 2 ** 31, 2 ** 32 - 1]
-
-
-@pytest.mark.parametrize("seed, words", [(12345, 1), (2 ** 32 + 7, 2),
-                                         (2 ** 64 + 3, 3), (2 ** 130 + 11, 5)])
-def test_cell_seed_states_equal_seed_sequence(seed, words):
-    assert max(1, -(-seed.bit_length() // 32)) == words
-    for key in ((seed,), (seed, 2)):
-        want = np.stack([np.random.SeedSequence((*key, f)).generate_state(
-            4, np.uint64) for f in CELLS])
-        got = cell_seed_states(key, CELLS)
-        assert got.dtype == np.uint64 and got.shape == (len(CELLS), 4)
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5])
-def test_cell_rngs_equal_default_rng(seed):
-    cells = np.arange(0, 3000, 7)
-    for f, rng in zip(cells.tolist(), cell_rngs((seed,), cells)):
-        ref = np.random.default_rng((seed, f))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(rng.standard_normal((SET_SIZE, 3)),
-                              ref.standard_normal((SET_SIZE, 3)))
-        assert np.array_equal(rng.random(4), ref.random(4))
-
-
 @pytest.mark.parametrize("seed", [7, 2 ** 32 + 5])
 def test_fine_grid_fit_equals_per_cell_default_rng_fits(field, seed):
     fine = partition_domain(field, edge_length=0.25)
     gf = fit_grid(fine, FitConfig(rng_seed=seed))
-    assert len(gf.cells) == int(fine.valid.sum()) > 5000
-    for f, v in zip(gf.cells.tolist(), gf.velocities):
-        again = fit_cell(fine.v_target[f],
-                         float(fine.p_target[f] - gf.pressure_offset),
-                         fine.cell_volume, np.random.default_rng((seed, f)),
-                         gf.config.agent_mass)
-        assert np.array_equal(again, v)
+    assert len(gf.cells) > 5000
+    replay_grid_fit(fine, gf, seed)
 
 
 def test_negative_seeds_are_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         FitConfig(rng_seed=-1)
-    for key in ((-1,), (3, -2)):
-        with pytest.raises(ValueError, match="nonnegative"):
-            cell_seed_states(key, CELLS)
-    for cells in ([-1], [2 ** 32]):
-        with pytest.raises(ValueError, match="cell indices"):
-            cell_seed_states((0,), cells)
 
 
 @pytest.mark.parametrize("argv", [
