@@ -4,8 +4,8 @@ This module produces the target flow field that the swarm is asked to imitate.
 Two routes exist:
 
 * an analytic quasi-one-dimensional generator for a circular nozzle with a
-  smooth (C1) radius profile, solving subsonic isentropic flow station by
-  station, and
+  smooth (C1) radius profile, solving subsonic isentropic flow at every
+  station in one lane-wise root find, and
 * a CSV loader for externally computed fields (e.g. a CFD export), validated
   against the geometry that the file's metadata line names, as the
   generator's fields record theirs.
@@ -69,10 +69,14 @@ class NozzleGeometry:
     throat_x: float = 6.0
 
     def __post_init__(self):
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("length must be finite and positive")
         if not (0.0 < self.throat_x < self.length):
             raise ValueError("throat_x must lie strictly inside (0, length)")
-        if min(self.inlet_radius, self.outlet_radius, self.throat_radius) <= 0:
-            raise ValueError("radii must be positive")
+        for name in ("inlet_radius", "outlet_radius", "throat_radius"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"radii must be positive and finite; {name} "
+                                 f"is {getattr(self, name)!r}")
         if self.throat_radius > min(self.inlet_radius, self.outlet_radius):
             raise ValueError("throat_radius must not exceed the end radii")
 
@@ -126,6 +130,13 @@ class GasModel:
     gamma: float = 1.4
     inlet_density: float = 1.225
     inlet_sound_speed: float = 340.0
+
+    def __post_init__(self):
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and above 1")
+        for name in ("inlet_density", "inlet_sound_speed"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def inlet_pressure(self) -> float:
@@ -472,80 +483,83 @@ def lattice_from_meta(meta: dict, path="lattice metadata"):
 # quasi-1D subsonic isentropic solve
 # ======================================================================
 
-def _solve_station(area: float, mdot: float, total_enthalpy: float,
-                   gas: GasModel, x: float) -> tuple[float, float]:
-    """Subsonic (rho, v) at one station from mass and enthalpy conservation.
+def _residual(gas: GasModel, rho, flux, total_enthalpy: float):
+    """Energy balance h(rho) + (flux / rho)^2 / 2 - H of stations whose mass
+    flux per area is ``flux``, elementwise; zero at a station's density. The
+    kinetic term squares as ``q * q``."""
+    q = flux / rho
+    return gas.enthalpy(rho) + 0.5 * (q * q) - total_enthalpy
 
-    Solves h(rho) + (mdot / (rho A))^2 / 2 = H for the subsonic branch
-    (the larger density root). Raises :class:`ChokedFlowError` when the duct
-    cannot pass ``mdot`` subsonically at this area.
+
+def _brentq_lanes(f, xa, xb, xtol: float, rtol: float,
+                  maxiter: int = 100) -> np.ndarray:
+    """A root of ``f`` in [xa[i], xb[i]] for each lane i, where ``f``
+    changes sign, by Brent's method: inverse quadratic interpolation or
+    secant steps, with a bisection whenever a step would not shrink the
+    bracket fast enough.
+
+    ``f(x, lanes)`` evaluates the lanes whose indices are ``lanes`` at
+    ``x``. Every lane takes the steps and the stopping test ``|bracket| / 2
+    < (xtol + rtol |x|) / 2`` of SciPy's ``brentq`` (after Brent 1973, ch.
+    4), each branch chosen per lane, so it returns the float ``brentq``
+    returns for that lane; a lane leaves the loop when it stops. Raises
+    ValueError when ``f`` has one sign at both ends of some lane and
+    RuntimeError when a lane is left after ``maxiter`` steps.
     """
-    g, k = gas.gamma, gas.barotropic_constant
-    flux = mdot / area
-
-    def resid(rho):
-        return gas.enthalpy(rho) + 0.5 * (flux / rho) ** 2 - total_enthalpy
-
-    # residual is minimized exactly at the sonic density
-    rho_sonic = (flux ** 2 / (g * k)) ** (1.0 / (g + 1.0))
-    if resid(rho_sonic) > 0.0:
-        raise ChokedFlowError(
-            f"station x={x:.6g} m (area {area:.6g} m^2) chokes at mass flow "
-            f"{mdot:.6g} kg/s; no subsonic solution")
-    # stagnation density bounds the subsonic branch from above
-    rho_stag = ((g - 1.0) / g * total_enthalpy / k) ** (1.0 / (g - 1.0))
-    rho = _brentq(resid, rho_sonic, rho_stag, xtol=1e-14, rtol=1e-15)
-    return rho, flux / rho
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int = 100) -> float:
-    """A root of ``f`` in [xa, xb], where ``f`` changes sign, by Brent's
-    method: inverse quadratic interpolation or secant steps, with a bisection
-    whenever a step would not shrink the bracket fast enough. The steps and
-    the stopping test ``|bracket| / 2 < (xtol + rtol |x|) / 2`` are those of
-    SciPy's ``brentq`` (after Brent 1973, ch. 4), so it returns the same
-    float. Raises ValueError when ``f`` has one sign at both ends and
-    RuntimeError after ``maxiter`` steps.
-    """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    xpre, xcur = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
+    lanes = np.arange(len(xpre))
+    fpre, fcur = f(xpre, lanes), f(xcur, lanes)
+    root = np.where(fpre == 0, xpre, xcur)
+    solve = (fpre != 0) & (fcur != 0)
+    if np.any(solve & (np.signbit(fpre) == np.signbit(fcur))):
         raise ValueError("f(xa) and f(xb) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 \
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):       # keep the best point in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:            # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                       # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+    lanes = lanes[solve]
+    if not len(lanes):
+        return root
+    xpre, xcur, fpre, fcur = xpre[solve], xcur[solve], fpre[solve], fcur[solve]
+    xblk = fblk = spre = scur = np.zeros(len(lanes))
+    # each lane computes both interpolation formulas and uses one; the other
+    # may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(maxiter):
+            flip = (fpre != 0) & (fcur != 0) \
+                & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)     # keep the best point in xcur
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
+                                np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
+                                np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if done.any():
+                root[lanes[done]] = xcur[done]
+                go = ~done
+                if not go.any():
+                    return root
+                lanes = lanes[go]
+                xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    a[go] for a in (xpre, xcur, xblk, fpre, fcur, fblk, spre,
+                                    scur, delta, sbis))
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = -fcur * (fblk * dblk - fpre * dpre) \
+                / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, secant, quadratic)
+            take = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) \
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre),
+                                                 3 * np.abs(sbis) - delta))
+            spre, scur = np.where(take, scur, sbis), np.where(take, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                                   np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur, lanes)
     raise RuntimeError(f"no root within {maxiter} steps")
 
 
@@ -570,6 +584,12 @@ def generate_quasi1d_field(geometry: NozzleGeometry | None = None,
                            radial_rings: int = 6) -> ReferenceField:
     """Generate an analytic subsonic field on the duct.
 
+    Each station's density is the subsonic root of the energy balance
+    h(rho) + (mdot / (rho A))^2 / 2 = H, bracketed by the sonic and the
+    stagnation densities. Every station is first checked for choking, then
+    all are solved together by :func:`_brentq_lanes`, one numpy lane per
+    station.
+
     Parameters
     ----------
     geometry, gas
@@ -589,11 +609,20 @@ def generate_quasi1d_field(geometry: NozzleGeometry | None = None,
     ReferenceField
         Purely axial velocities; gauge pressure 0 at the inlet, negative at
         the throat.
+
+    Raises
+    ------
+    ChokedFlowError
+        When the inlet is not subsonic, or naming the first station, in x
+        order, that cannot pass the mass flow subsonically.
+    ValueError
+        On an inlet speed that is not finite and positive, or fewer than 2
+        stations or 1 ring.
     """
     geometry = geometry or NozzleGeometry()
     gas = gas or GasModel()
-    if inlet_speed <= 0:
-        raise ValueError("inlet_speed must be positive")
+    if not 0 < inlet_speed < math.inf:
+        raise ValueError("inlet_speed must be positive and finite")
     if inlet_speed >= gas.inlet_sound_speed:
         raise ChokedFlowError("inlet speed is not subsonic")
     if axial_stations < 2 or radial_rings < 1:
@@ -602,14 +631,29 @@ def generate_quasi1d_field(geometry: NozzleGeometry | None = None,
     rho_in = gas.inlet_density
     mdot = rho_in * inlet_speed * geometry.area(0.0)
     total_h = float(gas.enthalpy(rho_in)) + 0.5 * inlet_speed ** 2
+    g, k = gas.gamma, gas.barotropic_constant
 
     xs = np.linspace(0.0, geometry.length, axial_stations)
     radii = geometry.radius(xs)
-    speeds, pressures = [], []
-    for x, area in zip(xs, geometry.area(xs).tolist()):
-        rho, v = _solve_station(area, mdot, total_h, gas, float(x))
-        speeds.append(v)
-        pressures.append(float(gas.pressure(rho)) - gas.inlet_pressure)
+    area = geometry.area(xs)
+    flux = mdot / area
+    # the residual is least at the sonic density: where it is positive
+    # there, the station has no subsonic solution
+    rho_sonic = (flux * flux / (g * k)) ** (1.0 / (g + 1.0))
+    choked = _residual(gas, rho_sonic, flux, total_h) > 0.0
+    if choked.any():
+        i = int(np.argmax(choked))
+        raise ChokedFlowError(
+            f"station x={xs[i]:.6g} m (area {area[i]:.6g} m^2) chokes at mass "
+            f"flow {mdot:.6g} kg/s; no subsonic solution")
+    # the subsonic branch is the larger density root, bounded above by the
+    # stagnation density
+    rho_stag = ((g - 1.0) / g * total_h / k) ** (1.0 / (g - 1.0))
+    rho = _brentq_lanes(lambda r, i: _residual(gas, r, flux[i], total_h),
+                        rho_sonic, np.full_like(rho_sonic, rho_stag),
+                        xtol=1e-14, rtol=1e-15)
+    speeds = flux / rho
+    pressures = gas.pressure(rho) - gas.inlet_pressure
 
     # every station samples the same disc pattern, scaled to its radius
     ring, cos, sin = _disc_pattern(radial_rings)

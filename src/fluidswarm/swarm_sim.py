@@ -93,6 +93,8 @@ class SimConfig:
             raise ValueError("min_approach_speed must be nonnegative")
         if math.isnan(self.overtake_cos):
             raise ValueError("overtake_cos must not be NaN")
+        if self.seed_x_max is not None and math.isnan(self.seed_x_max):
+            raise ValueError("seed_x_max must not be NaN")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.trajectory_stride < 1:

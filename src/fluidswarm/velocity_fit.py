@@ -24,6 +24,7 @@ of the seed and the set of fitted cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType, SimpleNamespace
 
@@ -48,8 +49,8 @@ class FitConfig:
     n_min = n_max = SET_SIZE
 
     def __post_init__(self):
-        if self.agent_mass <= 0:
-            raise ValueError("agent_mass must be positive")
+        if not 0 < self.agent_mass < math.inf:
+            raise ValueError("agent_mass must be finite and positive")
         if self.rng_seed < 0:
             raise ValueError("seed must be nonnegative")
 

@@ -417,6 +417,17 @@ def test_analyze_a_transient_that_leaves_no_frame(tmp_path, monkeypatch,
     (["--inlet-radius", "-1"], "radii must be positive"),
     (["--throat-x", "15"], "throat_x must lie strictly inside"),
     (["--inlet-speed", "0"], "inlet_speed must be positive"),
+    (["--gamma", "1"], "gamma must be finite and above 1"),
+    (["--gamma", "0.5"], "gamma must be finite and above 1"),
+    (["--gamma", "nan"], "gamma must be finite and above 1"),
+    (["--inlet-density", "-1"], "inlet_density must be finite and positive"),
+    (["--inlet-sound-speed", "inf"],
+     "inlet_sound_speed must be finite and positive"),
+    (["--throat-radius", "nan"], "throat_radius is nan"),
+    (["--inlet-radius", "nan"], "inlet_radius is nan"),
+    (["--outlet-radius", "inf"], "outlet_radius is inf"),
+    (["--length", "inf"], "length must be finite and positive"),
+    (["--inlet-speed", "nan"], "inlet_speed must be positive and finite"),
 ])
 def test_a_choked_or_invalid_duct_is_a_usage_error(flags, message, tmp_path,
                                                    monkeypatch, capsys):
@@ -426,6 +437,7 @@ def test_a_choked_or_invalid_duct_is_a_usage_error(flags, message, tmp_path,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "error: generate-field: " in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
     assert re.search(message, err), err
     assert not any(tmp_path.iterdir())
 
@@ -503,7 +515,9 @@ def test_flags_a_subcommand_never_reads_are_rejected(argv, tmp_path,
                                    ["--scale", "nan"], ["--scale", "inf"],
                                    ["--dt-source", "nan"],
                                    ["--dt-source", "inf"],
-                                   ["--duration", "inf"]])
+                                   ["--duration", "inf"],
+                                   ["--case", "tunnel_seeding",
+                                    "--seed-x-max", "nan"]])
 def test_simulate_config_errors_are_usage_errors(flags, tmp_path, monkeypatch,
                                                  capsys):
     # rejected before the fit is read: this one does not exist
@@ -513,6 +527,20 @@ def test_simulate_config_errors_are_usage_errors(flags, tmp_path, monkeypatch,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "error: simulate: " in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mass", ["0", "-1", "nan", "inf"])
+def test_a_bad_fit_agent_mass_is_a_usage_error(mass, tmp_path, monkeypatch,
+                                               capsys):
+    # rejected before the partition is read: g.csv does not exist
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--partition", "g.csv", "--output", "fit.csv",
+              "--agent-mass", mass])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: fit: agent_mass must be finite and positive" in err
     assert not any(tmp_path.iterdir())
 
 

@@ -107,43 +107,70 @@ def test_straight_duct_is_uniform():
 
 
 def test_choked_inlet_raises():
-    # area ratio 4 cannot pass a 60 m/s inlet stream subsonically
-    with pytest.raises(ChokedFlowError):
+    # area ratio 4 cannot pass a 60 m/s inlet stream subsonically; the
+    # message names the first station that chokes
+    with pytest.raises(ChokedFlowError) as exc:
         generate_quasi1d_field(inlet_speed=60.0)
+    assert str(exc.value) == (
+        "station x=4.9 m (area 2.06374 m^2) chokes at mass flow 519.541 "
+        "kg/s; no subsonic solution")
+    with pytest.raises(ChokedFlowError) as exc:
+        generate_quasi1d_field(gas=GasModel(inlet_sound_speed=5.0))
+    assert str(exc.value) == (
+        "station x=1.3 m (area 6.30289 m^2) chokes at mass flow 29.2675 "
+        "kg/s; no subsonic solution")
     with pytest.raises(ChokedFlowError):
         generate_quasi1d_field(inlet_speed=400.0)  # supersonic inlet
 
 
-@pytest.mark.parametrize("sound_speed", [340.0, 40.0, 26.0])
-def test_brent_port_gives_scipys_fields_bit_for_bit(sound_speed, monkeypatch):
-    gas = GasModel(inlet_sound_speed=sound_speed)
-    ours = generate_quasi1d_field(gas=gas)
-    solves = []
+def per_station_solve(geometry, gas, inlet_speed, stations):
+    """Speed and gauge pressure of each station, one SciPy ``brentq`` of
+    the generator's residual per station. The brackets are the generator's
+    array passes: numpy's vectorized power may differ from the C library's
+    ``pow`` on a scalar in the last bit, and Brent's steps depend on the
+    bracket."""
+    rho_in = gas.inlet_density
+    mdot = rho_in * inlet_speed * geometry.area(0.0)
+    total_h = float(gas.enthalpy(rho_in)) + 0.5 * inlet_speed ** 2
+    g, k = gas.gamma, gas.barotropic_constant
+    flux = mdot / geometry.area(np.linspace(0.0, geometry.length, stations))
+    rho_sonic = (flux * flux / (g * k)) ** (1.0 / (g + 1.0))
+    rho_stag = ((g - 1.0) / g * total_h / k) ** (1.0 / (g - 1.0))
+    speeds, pressures = [], []
+    for fl, lo in zip(flux.tolist(), rho_sonic.tolist()):
+        rho = brentq(lambda r: reference_field._residual(gas, r, fl, total_h),
+                     lo, rho_stag, xtol=1e-14, rtol=1e-15)
+        speeds.append(fl / rho)
+        pressures.append(float(gas.pressure(rho)) - gas.inlet_pressure)
+    return speeds, pressures
 
-    def scipy_brentq(f, xa, xb, xtol, rtol):
-        solves.append(xa)
-        return brentq(f, xa, xb, xtol=xtol, rtol=rtol)
 
-    monkeypatch.setattr(reference_field, "_brentq", scipy_brentq)
-    theirs = generate_quasi1d_field(gas=gas)
-    assert len(solves) == 151
-    for name in ("positions", "velocities", "pressures"):
-        assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+@pytest.mark.parametrize("gas, geometry, stations", [
+    *(pytest.param(GasModel(inlet_sound_speed=a), NozzleGeometry(), 151,
+                   id=str(a)) for a in (340.0, 40.0, 26.0)),
+    pytest.param(GasModel(gamma=1.3, inlet_sound_speed=60.0), NozzleGeometry(),
+                 151, id="gamma1.3-60.0"),
+    pytest.param(GasModel(), NozzleGeometry(length=9.0, throat_x=2.5,
+                                            throat_radius=0.6), 41,
+                 id="41-stations"),
+])
+def test_brent_port_gives_scipys_fields_bit_for_bit(gas, geometry, stations):
+    got = generate_quasi1d_field(geometry=geometry, gas=gas,
+                                 axial_stations=stations)
+    speeds, pressures = per_station_solve(geometry, gas, 3.38, stations)
+    nodes = len(got) // stations
+    assert np.array_equal(got.velocities[:, 0], np.repeat(speeds, nodes))
+    assert np.array_equal(got.pressures, np.repeat(pressures, nodes))
 
 
 def per_station_field(geometry, gas, inlet_speed, stations, rings):
     """The generator as it was written: one station at a time, its disc
     sampling rebuilt from a list of points for each station."""
-    rho_in = gas.inlet_density
-    mdot = rho_in * inlet_speed * geometry.area(0.0)
-    total_h = float(gas.enthalpy(rho_in)) + 0.5 * inlet_speed ** 2
     xs = np.linspace(0.0, geometry.length, stations)
     positions, velocities, pressures = [], [], []
-    for x, area, radius in zip(xs, geometry.area(xs).tolist(),
-                               geometry.radius(xs).tolist()):
-        rho, v = reference_field._solve_station(area, mdot, total_h, gas,
-                                                float(x))
-        p_gauge = float(gas.pressure(rho)) - gas.inlet_pressure
+    for x, radius, v, p_gauge in zip(
+            xs, geometry.radius(xs).tolist(),
+            *per_station_solve(geometry, gas, inlet_speed, stations)):
         pts = [(0.0, 0.0)]
         for kk in range(1, rings + 1):
             rr = radius * kk / rings
@@ -175,17 +202,65 @@ def test_scaled_disc_pattern_equals_the_per_station_construction(
         assert np.array_equal(getattr(got, name), column), name
 
 
+def lanes_of(*funcs):
+    """``f(x, lanes)`` that evaluates lane i with ``funcs[i]``."""
+    def f(x, lanes):
+        return np.array([funcs[i](v) for i, v in zip(lanes.tolist(),
+                                                     x.tolist())])
+    return f
+
+
 def test_brent_port_rejects_a_bracket_without_a_sign_change():
+    def brent(f, xa, xb, **kw):
+        return reference_field._brentq_lanes(f, xa, xb, xtol=1e-14,
+                                             rtol=1e-15, **kw)
+
+    def line(x):
+        return x - 0.25
+
+    def cube(x):
+        return x ** 3 - 2.0 * x - 5.0
+
+    # one lane without a sign change fails the whole solve
     with pytest.raises(ValueError, match="different signs"):
-        reference_field._brentq(lambda x: x * x + 1.0, -1.0, 1.0,
-                                xtol=1e-14, rtol=1e-15)
-    assert reference_field._brentq(lambda x: x - 0.25, 0.25, 1.0,
-                                   xtol=1e-14, rtol=1e-15) == 0.25
+        brent(lanes_of(line, lambda x: x * x + 1.0, cube),
+              [0.0, -1.0, 2.0], [1.0, 1.0, 3.0])
+    # a lane whose bracket end is a root returns it; the others solve
+    got = brent(lanes_of(line, cube, line), [0.25, 2.0, 0.0], [1.0, 3.0, 0.25])
+    assert got.tolist() == [0.25, brentq(cube, 2.0, 3.0, xtol=1e-14,
+                                         rtol=1e-15), 0.25]
+    assert brent(lanes_of(line, line), [0.25, 0.0], [1.0, 0.25]).tolist() \
+        == [0.25, 0.25]
+    # a lane still open after maxiter steps fails the solve
+    with pytest.raises(RuntimeError, match="within 3 steps"):
+        brent(lanes_of(line, cube), [0.0, 2.0], [1.0, 3.0], maxiter=3)
+
+
+@pytest.mark.parametrize("func, xa, xb", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: np.tanh(50.0 * (x - 0.3)), -1.0, 2.0),
+    (lambda x: np.exp(x) - 1e4, 0.0, 20.0),
+    (lambda x: x ** 9 - 1e-3, 0.0, 2.0),
+    (lambda x: -1.0 if x < 0.3 else 1.0 + x, 0.0, 1.0),
+    (lambda x: (x - 0.4) * (1.0 + 0.8 * np.sin(20.0 * x)), 0.0, 1.0),
+], ids=["cubic", "tanh", "exp", "ninth-power", "step", "wavy"])
+def test_brent_lanes_take_scipys_steps(func, xa, xb):
+    """Each lane returns SciPy's float, on functions that send Brent
+    through bisections, secant and inverse quadratic steps, alone or beside
+    lanes that stop sooner or later."""
+    want = brentq(func, xa, xb, xtol=1e-14, rtol=1e-15)
+    quick = brentq(lambda x: x - 0.25, 0.0, 1.0, xtol=1e-14, rtol=1e-15)
+    got = reference_field._brentq_lanes(
+        lanes_of(func, lambda x: x - 0.25, func), [xa, 0.0, xb],
+        [xb, 1.0, xa], xtol=1e-14, rtol=1e-15)
+    assert got[0] == want and got[1] == quick
+    assert got[2] == brentq(func, xb, xa, xtol=1e-14, rtol=1e-15)
 
 
 def test_generator_argument_validation():
-    with pytest.raises(ValueError):
-        generate_quasi1d_field(inlet_speed=-1.0)
+    for speed in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="inlet_speed must be positive"):
+            generate_quasi1d_field(inlet_speed=speed)
     with pytest.raises(ValueError):
         generate_quasi1d_field(axial_stations=1)
 
@@ -320,6 +395,26 @@ def test_geometry_validation():
         NozzleGeometry(throat_radius=2.0)  # wider than the ends
     with pytest.raises(ValueError):
         NozzleGeometry(inlet_radius=-1.0)
+    for name in ("inlet_radius", "outlet_radius", "throat_radius"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} is {value!r}"):
+                NozzleGeometry(**{name: value})
+    for length in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="length must be finite"):
+            NozzleGeometry(length=length)
+
+
+def test_gas_model_validation():
+    """The closure needs gamma > 1 (h divides by gamma - 1) and a real,
+    positive inlet state."""
+    for gamma in (1.0, 0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma must be finite and above 1"):
+            GasModel(gamma=gamma)
+    for name in ("inlet_density", "inlet_sound_speed"):
+        for value in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GasModel(**{name: value})
+    assert GasModel(gamma=1.0001).gamma == 1.0001
 
 
 def test_gas_model_reference_values():

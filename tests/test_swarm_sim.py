@@ -1184,6 +1184,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match="trajectory_stride"):
             SimConfig(record_trajectories=True, trajectory_stride=stride)
     assert SimConfig(trajectory_stride=1).trajectory_stride == 1
+    # a NaN bound kept every cell, as +inf does; the infinities keep
+    # their meaning (every cell, no cell)
+    with pytest.raises(ValueError, match="seed_x_max must not be NaN"):
+        SimConfig(case="tunnel_seeding", seed_x_max=np.nan)
+    for bound in (np.inf, -np.inf):
+        config = SimConfig(case="tunnel_seeding", seed_x_max=bound)
+        assert config.seed_x_max == bound
 
 
 def test_a_negative_seed_is_rejected_when_built():

@@ -221,8 +221,9 @@ def test_fit_cell_argument_validation():
         fit_cell([1.0, 0.0, 0.0], -0.5, VOL, rng)
     with pytest.raises(ValueError):
         fit_cell([1.0, 0.0, 0.0], 1.0, 0.0, rng)
-    with pytest.raises(ValueError):
-        FitConfig(agent_mass=0.0)
+    for mass in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="agent_mass must be finite"):
+            FitConfig(agent_mass=mass)
 
 
 def test_fit_grid_needs_valid_cells(grid):
