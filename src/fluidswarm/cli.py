@@ -22,7 +22,10 @@ the fit's record, the population balance and each event kind's per-frame
 peak. `plant-test` exercises the velocity plant against its
 response envelopes and is independent of the field pipeline. `fit`,
 `simulate` and `plant-test` take `--seed` (default 0); no other subcommand
-draws random numbers. A flag that sets a library parameter has the library's default.
+draws random numbers. A flag that sets a library parameter has the library's
+default and the domain declared beside the parameter: a value outside it, or
+settings the library refuses together, is a usage error (exit status 2)
+whose one ``error:`` line names the flag, before any file is read or written.
 An input file that is missing, or is not the file its flag names (another
 stage's file, a damaged one), is reported on one stderr line with exit
 status 1, before any file is written; so are `analyze` targets whose
@@ -33,11 +36,10 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import os
 import sys
 import zipfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -45,10 +47,11 @@ from . import __version__
 from .metrics import export_centerline, export_slice, metrics_report, save_metrics
 from .partition import load_partition, partition_domain, save_partition
 from .plant_suite import ALL_SCENARIOS, run_suite
+from .primitives import FINITE_POSITIVE, NOT_NAN, SEED, DomainError, check
 from .reference_field import (GasModel, NozzleGeometry, generate_quasi1d_field,
                               lattice_meta, load_field, save_field)
-from .swarm_sim import (EVENT_KINDS, SimConfig, load_run, population_balance,
-                        run_simulation, save_run)
+from .swarm_sim import (CASES, EVENT_KINDS, SimConfig, load_run,
+                        population_balance, run_simulation, save_run)
 from .velocity_fit import (SET_SIZE, FitConfig, fit_grid, grid_from_fit,
                            load_fit, save_fit)
 from .velocity_plant import PlantParams
@@ -61,8 +64,17 @@ def _add_dataclass_args(p: argparse.ArgumentParser, cls) -> None:
                        default=f.default)
 
 
+# library parameters whose flag is named otherwise
+_FLAGS = {"rng_seed": "seed", "axial_stations": "stations",
+          "radial_rings": "rings", "record_trajectories": "trajectories"}
+
+
 def _from_args(cls, args):
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    """``cls`` from the flags that set its fields; the others keep their
+    defaults."""
+    dest = {f.name: _FLAGS.get(f.name, f.name) for f in fields(cls)}
+    return cls(**{k: getattr(args, d) for k, d in dest.items()
+                  if hasattr(args, d)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fly a swarm through the fitted commands")
     p.add_argument("--fit", required=True)
     p.add_argument("--out", required=True, help="run directory to create")
-    p.add_argument("--case", default="reservoir",
-                   choices=["reservoir", "tunnel_seeding"])
+    p.add_argument("--case", default=SimConfig.case, choices=CASES)
     p.add_argument("--duration", type=float, default=SimConfig.duration)
     p.add_argument("--dt", type=float, default=SimConfig.dt)
     p.add_argument("--scale", type=float, default=SimConfig.scale)
@@ -218,20 +229,11 @@ def _cmd_plant_test(args) -> int:
     return 0 if suite["pass"] else 1
 
 
-def _sim_config(args) -> SimConfig:
-    return SimConfig(case=args.case, dt=args.dt, duration=args.duration,
-                     scale=args.scale, seed=args.seed,
-                     collisions=args.collisions, dt_source=args.dt_source,
-                     batch_size=args.batch_size, seed_x_max=args.seed_x_max,
-                     record_trajectories=args.trajectories)
-
-
 def _cmd_simulate(args) -> int:
     fit, meta = _read(load_fit, args.fit)
     grid = grid_from_fit(fit, meta)
-    plant = PlantParams(mass=fit.config.agent_mass,
-                        thrust_to_weight=args.thrust_to_weight)
-    trace = run_simulation(grid, fit, args.config, plant)
+    trace = run_simulation(grid, fit, args.config,
+                           replace(args.plant, mass=fit.config.agent_mass))
     save_run(trace, args.out)
     total = trace.totals
     print(f"{len(trace.frames)} frames -> {args.out}; injected "
@@ -293,8 +295,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a bad flag value is a usage error, found before any file is read or
-    # written
     try:
         if args.command == "generate-field":
             args.field = generate_quasi1d_field(
@@ -302,17 +302,19 @@ def main(argv=None) -> int:
                 gas=_from_args(GasModel, args), inlet_speed=args.inlet_speed,
                 axial_stations=args.stations, radial_rings=args.rings)
         elif args.command == "simulate":
-            args.config = _sim_config(args)
+            args.plant = _from_args(PlantParams, args)
+            args.config = _from_args(SimConfig, args)
         elif args.command == "fit":
-            args.config = FitConfig(agent_mass=args.agent_mass,
-                                    rng_seed=args.seed)
-        elif args.command == "plant-test" and args.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        elif args.command == "partition" and not 0 < args.edge < math.inf:
-            raise ValueError("edge must be finite and positive")
-        elif args.command == "analyze" and args.transient is not None \
-                and math.isnan(args.transient):
-            raise ValueError("transient must not be NaN")
+            args.config = _from_args(FitConfig, args)
+        elif args.command == "plant-test":
+            check("seed", args.seed, SEED)
+        elif args.command == "partition":
+            check("edge", args.edge, FINITE_POSITIVE)
+        elif args.command == "analyze" and args.transient is not None:
+            check("transient", args.transient, NOT_NAN)
+    except DomainError as exc:
+        flag = "--" + _FLAGS.get(exc.name, exc.name).replace("_", "-")
+        parser.error(f"{args.command}: {flag} {exc.rule}; got {exc.value!r}")
     except ValueError as exc:
         parser.error(f"{args.command}: {exc}")
     try:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .primitives import FINITE_POSITIVE, check
 from .reference_field import (FieldFormatError, GasModel, NozzleGeometry,
                               ReferenceField, cell_index, lattice_from_meta,
                               lattice_meta, read_table, write_table)
@@ -145,8 +146,7 @@ def partition_domain(fld: ReferenceField,
     geometry, gas = fld.geometry, fld.gas
     if geometry is None:
         raise ValueError("a geometry is required (none attached to the field)")
-    if not 0 < edge_length < np.inf:
-        raise ValueError("edge_length must be finite and positive")
+    check("edge_length", edge_length, FINITE_POSITIVE)
 
     half = np.ceil(geometry.max_radius / edge_length) * edge_length
     origin = np.array([0.0, -half, -half])

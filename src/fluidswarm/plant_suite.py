@@ -21,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .primitives import SEED, check
 from .velocity_plant import PlantParams, PlantState, step, tilt_angle_deg
 
 # expected behavior for the default 1 kg platform
@@ -171,10 +172,10 @@ ALL_SCENARIOS = ("hover", "step", "max_speed", "headwind", "noise")
 
 def run_suite(params: PlantParams | None = None, seed: int = 0,
               scenarios=ALL_SCENARIOS) -> dict:
-    """Run the selected scenarios and attach pass/fail verdicts. A negative
-    seed is rejected before any scenario runs."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    """Run the selected scenarios and attach pass/fail verdicts. A seed
+    that is not a nonnegative integer is rejected before any scenario
+    runs."""
+    check("seed", seed, SEED)
     params = params or PlantParams()
     out: dict = {}
 

@@ -1,4 +1,5 @@
-"""Kinetic-theory style closures for the agents of one cell.
+"""Kinetic-theory style closures for the agents of one cell, and the
+domains of the package's parameters.
 
 A group of agents occupying a control volume is summarized the way a gas
 parcel would be: a pressure built from the second velocity moment, and a
@@ -6,9 +7,18 @@ temperature split into a thermal part (velocity spread about the mass-mean)
 plus a control part tied to actuation authority. The pressure coefficient
 and the two temperatures are defined once, here, for
 ``metrics.derive_fields``, which applies them to per-cell frame sums.
+
+A parameter's :class:`Domain` is a rule and a test that also checks the
+type (never a bool for a number); dataclass fields declare theirs with
+:func:`ranged`, and :func:`check` is the one test of a value against one.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+from dataclasses import field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,3 +53,100 @@ def control_temperature(rho, a_max):
     if np.any(np.asarray(rho) <= 0):
         raise DegenerateCellError("control temperature needs a positive density")
     return CONTROL_WEIGHT * a_max * rho ** (-1.0 / 3.0) / C_V
+
+
+# ======================================================================
+# parameter domains
+# ======================================================================
+
+class Domain(NamedTuple):
+    rule: str                           # completes "<name> ..."
+    test: Callable[[object], bool]
+
+
+class DomainError(ValueError):
+    """A value outside the domain of the parameter ``name``."""
+
+    def __init__(self, name: str, value, rule: str):
+        super().__init__(f"{name} {rule}; got {value!r}")
+        self.name, self.value, self.rule = name, value, rule
+
+
+def is_real(x) -> bool:
+    """Any real number but a bool; float and int skip the slow ABC test."""
+    return type(x) in (float, int) or (isinstance(x, numbers.Real)
+                                       and not isinstance(x, bool))
+
+
+def _integer(x) -> bool:
+    return type(x) is int or (isinstance(x, numbers.Integral)
+                              and not isinstance(x, bool))
+
+
+FINITE = Domain("must be finite", lambda x: is_real(x) and math.isfinite(x))
+FINITE_POSITIVE = Domain("must be finite and positive",
+                         lambda x: is_real(x) and 0 < x < math.inf)
+FINITE_NONNEGATIVE = Domain("must be finite and nonnegative",
+                            lambda x: is_real(x) and 0 <= x < math.inf)
+NOT_NAN = Domain("must not be NaN", lambda x: is_real(x) and not math.isnan(x))
+FLAG = Domain("must be True or False", lambda x: isinstance(x, bool))
+# unbounded above, as np.random.default_rng takes it
+SEED = Domain("must be a nonnegative integer",
+              lambda x: _integer(x) and x >= 0)
+
+
+def integers_from(low: int) -> Domain:
+    return Domain(f"must be an integer of at least {low}",
+                  lambda x: _integer(x) and x >= low)
+
+
+def optional(domain: Domain) -> Domain:
+    return Domain(f"{domain.rule}, or None",
+                  lambda x: x is None or domain.test(x))
+
+
+def ranged(default, domain: Domain):
+    """A dataclass field with ``default`` whose values lie in ``domain``."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def declared(cls) -> dict:
+    return {f.name: f.metadata["domain"] for f in fields(cls)}
+
+
+def check(name: str, value, domain: Domain):
+    """``value``, or a :class:`DomainError` naming ``name`` when it lies
+    outside ``domain``."""
+    if not domain.test(value):
+        raise DomainError(name, value, domain.rule)
+    return value
+
+
+def check_fields(obj) -> None:
+    """Check each field of the dataclass ``obj`` against its domain."""
+    for name, domain in declared(obj).items():
+        check(name, getattr(obj, name), domain)
+
+
+def read_fields(spec, values: dict, path, label: str, error=ValueError,
+                exact: bool = True):
+    """The ``label`` part of the stored ``values`` of file ``path``, read as
+    ``spec`` declares it: a dataclass, whose instance is returned, or a
+    mapping of names to domains, for which the checked values are (a list
+    stands for a tuple). Raises ``error`` on a missing name, on other keys
+    when ``exact``, and on a value the spec refuses."""
+    domains = spec if isinstance(spec, dict) else declared(spec)
+    if exact and set(values) != set(domains):
+        raise error(f"{path}: {label} fields differ: "
+                    f"{sorted(set(values) ^ set(domains))}")
+    missing = [k for k in domains if k not in values]
+    if missing:
+        raise error(f"{path}: missing {label} {missing}")
+    values = {k: tuple(values[k]) if isinstance(values[k], list)
+              else values[k] for k in domains}
+    try:
+        if isinstance(spec, dict):
+            return {k: check(k, values[k], d) for k, d in domains.items()}
+        return spec(**values)
+    except ValueError as exc:
+        raise error(f"{path}: {label}: {exc}") from None

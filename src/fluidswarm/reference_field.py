@@ -25,10 +25,12 @@ on the axis than this model's area mean; ingest such fields via
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+
+from .primitives import (FINITE, FINITE_POSITIVE, Domain, check, check_fields,
+                         integers_from, is_real, ranged, read_fields)
 
 FIELD_HEADER = "x,y,z,vx,vy,vz,p"
 
@@ -62,21 +64,16 @@ class NozzleGeometry:
     throat.
     """
 
-    length: float = 15.0
-    inlet_radius: float = 1.5
-    outlet_radius: float = 1.5
-    throat_radius: float = 0.75
-    throat_x: float = 6.0
+    length: float = ranged(15.0, FINITE_POSITIVE)
+    inlet_radius: float = ranged(1.5, FINITE_POSITIVE)
+    outlet_radius: float = ranged(1.5, FINITE_POSITIVE)
+    throat_radius: float = ranged(0.75, FINITE_POSITIVE)
+    throat_x: float = ranged(6.0, FINITE_POSITIVE)
 
     def __post_init__(self):
-        if not 0.0 < self.length < math.inf:
-            raise ValueError("length must be finite and positive")
-        if not (0.0 < self.throat_x < self.length):
+        check_fields(self)
+        if not self.throat_x < self.length:
             raise ValueError("throat_x must lie strictly inside (0, length)")
-        for name in ("inlet_radius", "outlet_radius", "throat_radius"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"radii must be positive and finite; {name} "
-                                 f"is {getattr(self, name)!r}")
         if self.throat_radius > min(self.inlet_radius, self.outlet_radius):
             raise ValueError("throat_radius must not exceed the end radii")
 
@@ -127,16 +124,12 @@ class GasModel:
     elsewhere are measured against it.
     """
 
-    gamma: float = 1.4
-    inlet_density: float = 1.225
-    inlet_sound_speed: float = 340.0
+    gamma: float = ranged(1.4, Domain("must be finite and above 1",
+                                      lambda x: is_real(x) and 1 < x < np.inf))
+    inlet_density: float = ranged(1.225, FINITE_POSITIVE)
+    inlet_sound_speed: float = ranged(340.0, FINITE_POSITIVE)
 
-    def __post_init__(self):
-        if not 1.0 < self.gamma < math.inf:
-            raise ValueError("gamma must be finite and above 1")
-        for name in ("inlet_density", "inlet_sound_speed"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+    __post_init__ = check_fields
 
     @property
     def inlet_pressure(self) -> float:
@@ -408,6 +401,9 @@ def cell_index(path, lines, triples, dims) -> np.ndarray:
 
 _ORIGIN_KEYS = ("origin_x", "origin_y", "origin_z")
 _DIM_KEYS = ("nx", "ny", "nz")
+_LATTICE = {"edge_length": FINITE_POSITIVE,
+            **dict.fromkeys(_ORIGIN_KEYS, FINITE),
+            **dict.fromkeys(_DIM_KEYS, integers_from(1))}
 
 
 def _duct_meta(geometry: NozzleGeometry | None, gas: GasModel | None) -> dict:
@@ -423,34 +419,11 @@ def _duct_meta(geometry: NozzleGeometry | None, gas: GasModel | None) -> dict:
 def _duct_from_meta(meta: dict, path, required=()) -> tuple:
     """Inverse of :func:`_duct_meta`: (geometry, gas), each None when none
     of its keys is present and its class is not in ``required``. Raises on
-    a part with only some of its keys, on a value that is not a number and
-    on values its class rejects."""
-    parts = []
-    for cls in (NozzleGeometry, GasModel):
-        keys = [f.name for f in fields(cls)]
-        missing = [k for k in keys if k not in meta]
-        if missing:
-            if len(missing) < len(keys) or cls in required:
-                raise FieldFormatError(
-                    f"{path}: missing {cls.__name__} metadata {missing}")
-            parts.append(None)
-            continue
-        values = {k: _meta_value(meta, k, path) for k in keys}
-        try:
-            parts.append(cls(**values))
-        except ValueError as exc:
-            raise FieldFormatError(f"{path}: {cls.__name__} metadata: {exc}") from None
-    return tuple(parts)
-
-
-def _meta_value(meta: dict, key: str, path, kind=float):
-    """``meta[key]`` as a ``kind``: a number for a float, an integer for an
-    int, never a bool. Raises naming the key otherwise."""
-    value = meta[key]
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        raise FieldFormatError(f"{path}: {key}={value!r} is not "
-                               + ("a number" if kind is float else "an integer"))
-    return kind(value)
+    a part with only some of its keys and on values its class rejects."""
+    return tuple(read_fields(cls, meta, path, f"{cls.__name__} metadata",
+                             FieldFormatError, exact=False)
+                 if cls in required or any(f.name in meta for f in fields(cls))
+                 else None for cls in (NozzleGeometry, GasModel))
 
 
 def lattice_meta(grid) -> dict:
@@ -466,16 +439,13 @@ def lattice_from_meta(meta: dict, path="lattice metadata"):
     """Inverse of :func:`lattice_meta`: (origin, edge_length, dims, geometry,
     gas), gas None when none of its keys is present. Raises
     :class:`FieldFormatError` naming the key on a missing lattice or
-    ``NozzleGeometry`` key, a float that is not a number or a dimension
-    that is not an integer."""
-    missing = [k for k in ("edge_length", *_ORIGIN_KEYS, *_DIM_KEYS) if k not in meta]
-    if missing:
-        raise FieldFormatError(f"{path}: missing lattice metadata {missing}")
-    dims = tuple(_meta_value(meta, k, path, int) for k in _DIM_KEYS)
-    if min(dims) < 1:
-        raise FieldFormatError(f"{path}: lattice dims {dims} are not positive")
-    return (np.array([_meta_value(meta, k, path) for k in _ORIGIN_KEYS]),
-            _meta_value(meta, "edge_length", path), dims,
+    ``NozzleGeometry`` key or a value outside its domain: a finite origin,
+    a finite, positive edge and dimensions that are integers of at least
+    1."""
+    lattice = read_fields(_LATTICE, meta, path, "lattice metadata",
+                          FieldFormatError, exact=False)
+    return (np.array([lattice[k] for k in _ORIGIN_KEYS], dtype=float),
+            float(lattice["edge_length"]), tuple(lattice[k] for k in _DIM_KEYS),
             *_duct_from_meta(meta, path, required=(NozzleGeometry,)))
 
 
@@ -621,12 +591,11 @@ def generate_quasi1d_field(geometry: NozzleGeometry | None = None,
     """
     geometry = geometry or NozzleGeometry()
     gas = gas or GasModel()
-    if not 0 < inlet_speed < math.inf:
-        raise ValueError("inlet_speed must be positive and finite")
+    check("inlet_speed", inlet_speed, FINITE_POSITIVE)
+    check("axial_stations", axial_stations, integers_from(2))
+    check("radial_rings", radial_rings, integers_from(1))
     if inlet_speed >= gas.inlet_sound_speed:
         raise ChokedFlowError("inlet speed is not subsonic")
-    if axial_stations < 2 or radial_rings < 1:
-        raise ValueError("need at least 2 stations and 1 ring")
 
     rho_in = gas.inlet_density
     mdot = rho_in * inlet_speed * geometry.area(0.0)

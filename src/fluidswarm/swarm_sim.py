@@ -43,13 +43,15 @@ from __future__ import annotations
 import json
 import math
 import os
-import typing
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .partition import ControlVolumeGrid, assign_cell
+from .primitives import (FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, FLAG,
+                         NOT_NAN, SEED, Domain, check_fields, integers_from,
+                         is_real, optional, ranged, read_fields)
 from .reference_field import NozzleGeometry, lattice_from_meta, lattice_meta
 from .velocity_fit import SET_SIZE, GridFit
 from .velocity_plant import PlantParams, PlantState, step as plant_step
@@ -62,45 +64,36 @@ SPEED_LIMIT = 30.0          # post-collision speed clamp, m/s
 
 @dataclass(frozen=True)
 class SimConfig:
-    case: str = "reservoir"
-    dt: float = 0.05
-    duration: float = 60.0
-    scale: float = 0.1                # command scaling applied at broadcast
-    seed: int = 0
-    collisions: bool = False
-    collision_radius: float = 0.15    # agent body radius, m
-    min_approach_speed: float = 0.5   # closing-speed floor to count a collision
-    overtake_cos: float = 0.7         # alignment above which a pair overtakes
-    dt_source: float = 0.5            # reservoir batch cadence, s
-    batch_size: int | None = None     # None: sized from the entry cell's fit
-    seed_x_max: float | None = None   # tunnel case axial fill bound; None: mid-duct
-    record_trajectories: bool = False
-    trajectory_stride: int = 10
+    case: str = ranged("reservoir", Domain(f"must be one of {CASES}",
+                                           lambda x: x in CASES))
+    dt: float = ranged(0.05, FINITE_POSITIVE)
+    duration: float = ranged(60.0, FINITE_POSITIVE)
+    # command scaling applied at broadcast
+    scale: float = ranged(0.1, FINITE_POSITIVE)
+    seed: int = ranged(0, SEED)
+    collisions: bool = ranged(False, FLAG)
+    collision_radius: float = ranged(0.15, FINITE_POSITIVE)  # agent body radius, m
+    # closing-speed floor to count a collision; the detection negates its
+    # rejection tests, so a NaN floor would reject no pair
+    min_approach_speed: float = ranged(0.5, Domain(
+        "must be nonnegative", lambda x: is_real(x) and x >= 0))
+    # alignment above which a pair overtakes
+    overtake_cos: float = ranged(0.7, NOT_NAN)
+    dt_source: float = ranged(0.5, FINITE_POSITIVE)  # reservoir batch cadence, s
+    # None: sized from the entry cell's fit
+    batch_size: int | None = ranged(None, optional(integers_from(1)))
+    # tunnel case axial fill bound (±inf: every cell or none); None: mid-duct
+    seed_x_max: float | None = ranged(None, optional(NOT_NAN))
+    record_trajectories: bool = ranged(False, FLAG)
+    trajectory_stride: int = ranged(10, integers_from(1))
 
     def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"case must be one of {CASES}")
-        for name in ("dt", "scale", "duration", "dt_source", "collision_radius"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if round(self.duration / self.dt) < 1:
-            raise ValueError("the duration must round to at least one frame")
+        check_fields(self)
+        if not 0.5 < self.duration / self.dt < math.inf:
+            raise ValueError("the duration must round to at least one frame, "
+                             "and to finitely many")
         if self.dt_source < self.dt:
             raise ValueError("dt_source must be at least one frame")
-        # the detection negates its rejection tests: a NaN threshold
-        # would reject no pair
-        if not self.min_approach_speed >= 0:
-            raise ValueError("min_approach_speed must be nonnegative")
-        if math.isnan(self.overtake_cos):
-            raise ValueError("overtake_cos must not be NaN")
-        if self.seed_x_max is not None and math.isnan(self.seed_x_max):
-            raise ValueError("seed_x_max must not be NaN")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.trajectory_stride < 1:
-            raise ValueError("trajectory_stride must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(eq=False)
@@ -720,8 +713,10 @@ RUN_COLUMNS = {"frame_t": (np.float64, ()), "frame_offsets": (np.int64, ()),
 RUN_KEYS = ("meta", *RUN_COLUMNS)
 META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size",
              "lattice", "fit")
-FIT_KEYS = {"rng_seed": int, "set_size": int, "pressure_offset": float}
-RUN_NUMBERS = {"injection_rate": float, "batch_size": int}   # top-level meta
+FIT_KEYS = {"rng_seed": SEED, "set_size": integers_from(1),
+            "pressure_offset": FINITE}
+RUN_NUMBERS = {"injection_rate": FINITE_NONNEGATIVE,       # top-level meta
+               "batch_size": integers_from(1)}
 
 
 def _write_parts(zf, name, parts, dtype, row) -> None:
@@ -781,36 +776,6 @@ def _split(columns: list, offsets: np.ndarray, n: int) -> list[tuple]:
             for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
-def _fits(value, hint) -> bool:
-    """Whether the JSON ``value`` can stand for a field annotated ``hint``:
-    a number for a float, a list of numbers for a tuple, a bool for a bool."""
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_fits(v, float) for v in value)
-    if typing.get_args(hint):                   # a union
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if hint is bool or isinstance(value, bool):
-        return hint is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _typed(name: str, values: dict, hints: dict) -> dict:
-    """``values``, checked to hold the keys of ``hints``, each value fitting."""
-    if set(values) != set(hints):
-        raise ValueError(f"{RUN_FILE}: {name} fields differ: "
-                         f"{sorted(set(values) ^ set(hints))}")
-    for k, hint in hints.items():
-        if not _fits(values[k], hint):
-            raise ValueError(f"{RUN_FILE}: {name}.{k} is {values[k]!r}, not "
-                             f"{getattr(hint, '__name__', hint)}")
-    return values
-
-
-def _dataclass_from(cls, name: str, values: dict):
-    values = _typed(name, values, typing.get_type_hints(cls))
-    return cls(**{k: tuple(v) if isinstance(v, list) else v
-                  for k, v in values.items()})
-
-
 def load_run(rundir) -> SimulationTrace:
     """Read back the trace ``save_run`` wrote to ``rundir``.
 
@@ -818,9 +783,9 @@ def load_run(rundir) -> SimulationTrace:
     ``meta`` member that is not one string holding a JSON object, another
     format version, a config, plant, lattice or fit that is not a JSON
     object, a lattice that ``lattice_from_meta`` rejects, a config, plant
-    or fit whose keys are not its fields or that holds a value of a JSON
-    type that cannot stand for its field, an injection rate that is not a
-    number, a batch size that is not an integer, a column of another dtype
+    or fit whose keys are not its fields or that holds a value outside its
+    domain (``FIT_KEYS`` for the fit), an injection rate or batch size
+    outside its ``RUN_NUMBERS`` domain, a column of another dtype
     or row shape than ``RUN_COLUMNS`` gives, a cell count below 1, columns
     whose lengths disagree with each other or with their offsets, an event
     kind outside ``EVENT_KINDS``, or an event frame outside the run.
@@ -850,8 +815,10 @@ def load_run(rundir) -> SimulationTrace:
         if not isinstance(meta[key], dict):
             raise ValueError(f"{RUN_FILE}: {key} is not a JSON object")
     lattice_from_meta(meta["lattice"], RUN_FILE)
-    _typed("fit", meta["fit"], FIT_KEYS)
-    _typed("meta", {k: meta[k] for k in RUN_NUMBERS}, RUN_NUMBERS)
+    read_fields(FIT_KEYS, meta["fit"], RUN_FILE, "fit")
+    read_fields(RUN_NUMBERS, meta, RUN_FILE, "meta", exact=False)
+    config = read_fields(SimConfig, meta["config"], RUN_FILE, "config")
+    plant = read_fields(PlantParams, meta["plant"], RUN_FILE, "plant")
     for name, (dtype, row) in RUN_COLUMNS.items():
         if a[name].dtype != dtype or a[name].shape[1:] != row \
                 or a[name].ndim != 1 + len(row):
@@ -872,9 +839,8 @@ def load_run(rundir) -> SimulationTrace:
     snaps = _split([a[k] for k in TRAJ_COLUMNS], a["traj_offsets"],
                    len(a["traj_t"]))
     return SimulationTrace(
-        config=_dataclass_from(SimConfig, "config", meta["config"]),
-        plant=_dataclass_from(PlantParams, "plant", meta["plant"]),
-        frame_t=a["frame_t"], frames=[FrameRecord(*cols) for cols in frames],
+        config=config, plant=plant, frame_t=a["frame_t"],
+        frames=[FrameRecord(*cols) for cols in frames],
         events=events, injection_rate=meta["injection_rate"],
         batch_size=meta["batch_size"], lattice=meta["lattice"],
         fit=meta["fit"], trajectories=[(t, *cols) for t, cols

@@ -24,17 +24,16 @@ of the seed and the set of fitted cells.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
 from .partition import ControlVolumeGrid
-from .primitives import pressure_coefficient
-from .reference_field import (FieldFormatError, _meta_value, cell_index,
-                              lattice_from_meta, lattice_meta, read_table,
-                              write_table)
+from .primitives import (FINITE, FINITE_POSITIVE, SEED, check_fields,
+                         declared, pressure_coefficient, ranged, read_fields)
+from .reference_field import (FieldFormatError, cell_index, lattice_from_meta,
+                              lattice_meta, read_table, write_table)
 from .velocity_plant import PlantParams
 
 SET_SIZE = 9                      # velocities per cell
@@ -43,16 +42,12 @@ FIT_HEADER = "jx,jy,jz,n_star,v1x,v1y,v1z,..."
 
 @dataclass(frozen=True)
 class FitConfig:
-    agent_mass: float = PlantParams.mass
-    rng_seed: int = 0
+    agent_mass: float = ranged(PlantParams.mass, FINITE_POSITIVE)
+    rng_seed: int = ranged(0, SEED)
     # not fields: the set-size range that perfbench's fit counter reads
     n_min = n_max = SET_SIZE
 
-    def __post_init__(self):
-        if not 0 < self.agent_mass < math.inf:
-            raise ValueError("agent_mass must be finite and positive")
-        if self.rng_seed < 0:
-            raise ValueError("seed must be nonnegative")
+    __post_init__ = check_fields
 
 
 def set_pressure(velocities, center, cell_volume: float, agent_mass: float) -> float:
@@ -143,14 +138,14 @@ def save_fit(fit: GridFit, grid: ControlVolumeGrid, path) -> None:
 def load_fit(path) -> tuple[GridFit, dict]:
     """Read a fit table; returns the fit and its metadata mapping. Raises
     ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does
-    (a row must hold ``SET_SIZE`` velocities), on missing metadata, on an
-    ``agent_mass`` or ``pressure_offset`` that is not a number or an
-    ``rng_seed`` that is not an integer, on a cell off the lattice or with
-    two rows, and on a row whose set size is not ``SET_SIZE``."""
+    (a row must hold ``SET_SIZE`` velocities), on missing fit metadata or
+    a value outside its domain (``FitConfig``'s, and a finite
+    ``pressure_offset``), on a cell off the lattice or with two rows, and
+    on a row whose set size is not ``SET_SIZE``."""
     meta, lines, data = read_table(path, FIT_HEADER, width=4 + 3 * SET_SIZE)
-    missing = sorted({"agent_mass", "rng_seed", "pressure_offset"} - meta.keys())
-    if missing:
-        raise FieldFormatError(f"{path}: missing fit metadata {', '.join(missing)}")
+    values = read_fields({**declared(FitConfig), "pressure_offset": FINITE},
+                         meta, path, "fit metadata", FieldFormatError,
+                         exact=False)
     dims = lattice_from_meta(meta, path)[2]
     flat = cell_index(path, lines, data[:, :3], dims)
     off = data[:, 3] != SET_SIZE
@@ -159,10 +154,9 @@ def load_fit(path) -> tuple[GridFit, dict]:
         raise FieldFormatError(f"{path}:{lines[i]}: set size {data[i, 3]:g}, "
                                f"expected {SET_SIZE}")
     order = np.argsort(flat)
-    config = FitConfig(agent_mass=_meta_value(meta, "agent_mass", path),
-                       rng_seed=_meta_value(meta, "rng_seed", path, int))
+    config = FitConfig(float(values["agent_mass"]), values["rng_seed"])
     fit = GridFit(flat[order], data[order, 4:].reshape(-1, SET_SIZE, 3),
-                  _meta_value(meta, "pressure_offset", path), config)
+                  float(values["pressure_offset"]), config)
     return fit, meta
 
 

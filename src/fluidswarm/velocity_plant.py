@@ -27,7 +27,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .primitives import (FINITE_NONNEGATIVE, FINITE_POSITIVE, Domain, check,
+                         check_fields, is_real, ranged)
+
 GRAVITY = 9.81
+
+_PER_AXIS = Domain("must be 3 values, each finite and nonnegative",
+                   lambda x: isinstance(x, tuple) and len(x) == 3
+                   and all(map(FINITE_NONNEGATIVE.test, x)))
 
 
 @dataclass(frozen=True)
@@ -38,24 +45,23 @@ class PlantParams:
     this plant steps; ``a_max`` is then per agent too.
     """
 
-    mass: float = 1.0                      # kg
-    thrust_to_weight: float | tuple[float, ...] = 2.2
-    air_density: float = 1.225             # kg/m^3
-    ref_area: tuple[float, float, float] = (0.02, 0.02, 0.03)    # m^2 per axis
-    drag_coeff: tuple[float, float, float] = (1.0, 1.0, 1.2)
-    tilt_max_deg: float = 55.0
-    tau_v: float = 0.5                     # command shaping constant, s
-    tau_thrust: float = 0.08               # thrust response lag, s
-    ff_gain: float = 0.0                   # drag feedforward weight
-    gravity: float = GRAVITY
+    mass: float = ranged(1.0, FINITE_POSITIVE)                  # kg
+    thrust_to_weight: float | tuple[float, ...] = ranged(2.2, Domain(
+        "must be finite and positive, or a tuple of such values",
+        lambda x: FINITE_POSITIVE.test(x) or isinstance(x, tuple)
+        and len(x) > 0 and all(map(FINITE_POSITIVE.test, x))))
+    air_density: float = ranged(1.225, FINITE_NONNEGATIVE)      # kg/m^3
+    ref_area: tuple[float, float, float] = ranged((0.02, 0.02, 0.03),
+                                                  _PER_AXIS)    # m^2
+    drag_coeff: tuple[float, float, float] = ranged((1.0, 1.0, 1.2), _PER_AXIS)
+    tilt_max_deg: float = ranged(55.0, Domain(
+        "must lie in (0, 90) degrees", lambda x: is_real(x) and 0 < x < 90))
+    tau_v: float = ranged(0.5, FINITE_POSITIVE)     # command shaping constant, s
+    tau_thrust: float = ranged(0.08, FINITE_POSITIVE)  # thrust response lag, s
+    ff_gain: float = ranged(0.0, FINITE_NONNEGATIVE)  # drag feedforward weight
+    gravity: float = ranged(GRAVITY, FINITE_POSITIVE)
 
-    def __post_init__(self):
-        if min(self.mass, self.tau_v, self.tau_thrust) <= 0:
-            raise ValueError("mass and time constants must be positive")
-        if not (0.0 < self.tilt_max_deg < 90.0):
-            raise ValueError("tilt limit must lie in (0, 90) degrees")
-        if np.min(self.thrust_to_weight) <= 0:
-            raise ValueError("thrust_to_weight must be positive")
+    __post_init__ = check_fields
 
     # derived constants, computed once per instance (read-only arrays)
 
@@ -207,8 +213,7 @@ def step(state: PlantState, v_cmd, dt: float, params: PlantParams,
     Two operations are left out where they cannot change a bit: subtracting
     a wind of +0.0 components (x - 0.0 is x) and dividing by a mass of 1.0.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check("dt", dt, FINITE_POSITIVE)
     n_sub = substep_count(dt, params)
     h = dt / n_sub
     decay = float(np.exp(-h / params.tau_thrust))

@@ -255,7 +255,9 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     whose config is a number, one whose ``dt`` is a string and two whose
     lattice edge is a list and a string: one stderr line naming the file,
     exit status 1 and no output written. So is a fit whose ``rng_seed`` is
-    1.5: it read as seed 1 before."""
+    1.5 (it read as seed 1 before), a run whose config holds seed 1.5 or
+    whose plant mass is ``true``, and a field whose ``gamma`` is ``true``
+    or NaN; each line names the key."""
     monkeypatch.chdir(tmp_path)
     for argv in (["generate-field", "--output", "field.csv", "--stations",
                   "41", "--rings", "3"],
@@ -276,6 +278,8 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     for name, key, value in (
             ("numeric_config", "config", 5),
             ("string_dt", "config", {**meta["config"], "dt": "0.05"}),
+            ("float_seed_run", "config", {**meta["config"], "seed": 1.5}),
+            ("bool_mass", "plant", {**meta["plant"], "mass": True}),
             ("list_edge", "lattice", {**meta["lattice"], "edge_length": [0.5]}),
             ("string_edge", "lattice", {**meta["lattice"], "edge_length": "0.5"})):
         cols["meta"] = np.array(json.dumps({**meta, key: value}))
@@ -285,6 +289,11 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     assert " rng_seed=0 " in fit_text.partition("\n")[0]
     (tmp_path / "float_seed.csv").write_text(
         fit_text.replace(" rng_seed=0 ", " rng_seed=1.5 ", 1))
+    field_text = (tmp_path / "field.csv").read_text()
+    assert " gamma=1.4 " in field_text.partition("\n")[0]
+    for name, gamma in (("gamma_true.csv", "true"), ("gamma_nan.csv", "nan")):
+        (tmp_path / name).write_text(
+            field_text.replace(" gamma=1.4 ", f" gamma={gamma} ", 1))
     files = {"field": "field.csv", "grid": "grid.csv", "fit": "fit.csv",
              "run": "run/trace.npz"}
     reads = [(["partition", "--output", "o.csv", "--field"], "field"),
@@ -296,10 +305,28 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     cases += [(["analyze", "--targets", "grid.csv", "--out", "o", "--run",
                 path], path)
               for path in ("field.csv", "empty", "damaged", "csv",
-                           "numeric_config", "string_dt", "list_edge",
-                           "string_edge")]
+                           "numeric_config", "string_dt", "float_seed_run",
+                           "bool_mass", "list_edge", "string_edge")]
     cases.append((["simulate", "--out", "o", "--fit", "float_seed.csv"],
                   "float_seed.csv"))
+    cases += [(["partition", "--output", "o.csv", "--field", path], path)
+              for path in ("gamma_true.csv", "gamma_nan.csv")]
+    domain_errors = {
+        "string_dt": "trace.npz: config: dt must be finite and positive; "
+                     "got '0.05'",
+        "float_seed_run": "trace.npz: config: seed must be a nonnegative "
+                          "integer; got 1.5",
+        "bool_mass": "trace.npz: plant: mass must be finite and positive; "
+                     "got True",
+        "list_edge": "trace.npz: lattice metadata: edge_length must be "
+                     "finite and positive; got (0.5,)",
+        "string_edge": "trace.npz: lattice metadata: edge_length must be "
+                       "finite and positive; got '0.5'",
+        "float_seed.csv": "float_seed.csv: fit metadata: rng_seed must be a "
+                          "nonnegative integer; got 1.5",
+        "gamma_true.csv": "gamma_true.csv:1: bad metadata entry 'gamma=true'",
+        "gamma_nan.csv": "gamma_nan.csv: GasModel metadata: gamma must be "
+                         "finite and above 1; got nan"}
     capsys.readouterr()
     for argv, path in cases:
         assert main(argv) == 1, argv
@@ -313,15 +340,9 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
             assert "pickle" not in err, err
         if path == "numeric_config":
             assert "config is not a JSON object" in err, err
-        if path == "string_dt":
-            assert "config.dt is '0.05', not float" in err, err
-        if path == "list_edge":
-            assert "edge_length=[0.5] is not a number" in err, err
-        if path == "string_edge":
-            assert "edge_length='0.5' is not a number" in err, err
-        if path == "float_seed.csv":
-            assert "rng_seed=1.5 is not an integer" in err, err
-    assert len(cases) == 21
+        if path in domain_errors:
+            assert err.endswith(f" {domain_errors[path]}\n"), err
+    assert len(cases) == 25
 
 
 def test_analyze_rejects_targets_of_another_lattice_or_duct(tmp_path,
@@ -378,7 +399,8 @@ def test_a_bad_partition_edge_is_a_usage_error(edge, tmp_path, monkeypatch,
               "--edge", edge])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "error: partition: edge must be finite and positive" in err
+    assert err.endswith("error: partition: --edge must be finite and "
+                        f"positive; got {float(edge)!r}\n"), err
     assert not any(tmp_path.iterdir())
 
 
@@ -400,7 +422,8 @@ def test_analyze_a_transient_that_leaves_no_frame(tmp_path, monkeypatch,
     with pytest.raises(SystemExit) as exc:
         main(analyze + ["--transient", "nan"])
     assert exc.value.code == 2
-    assert "error: analyze: transient must not be NaN" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "error: analyze: --transient must not be NaN; got nan\n")
     for transient in ("1", "1000", "inf"):
         assert main(analyze + ["--transient", transient]) == 1
         out, err = capsys.readouterr()
@@ -411,23 +434,39 @@ def test_analyze_a_transient_that_leaves_no_frame(tmp_path, monkeypatch,
     assert main(analyze + ["--transient", "0.9"]) == 0
 
 
+# the explicit ids keep these cases' names
 @pytest.mark.parametrize("flags, message", [
     (["--inlet-sound-speed", "12"], "station x=3.6 m .* chokes"),
     (["--throat-radius", "2"], "throat_radius must not exceed the end radii"),
-    (["--inlet-radius", "-1"], "radii must be positive"),
+    pytest.param(["--inlet-radius", "-1"],
+                 r"--inlet-radius must be finite and positive; got -1\.0$",
+                 id="flags2-radii must be positive"),
     (["--throat-x", "15"], "throat_x must lie strictly inside"),
-    (["--inlet-speed", "0"], "inlet_speed must be positive"),
+    pytest.param(["--inlet-speed", "0"],
+                 r"--inlet-speed must be finite and positive; got 0\.0$",
+                 id="flags4-inlet_speed must be positive"),
     (["--gamma", "1"], "gamma must be finite and above 1"),
     (["--gamma", "0.5"], "gamma must be finite and above 1"),
     (["--gamma", "nan"], "gamma must be finite and above 1"),
-    (["--inlet-density", "-1"], "inlet_density must be finite and positive"),
-    (["--inlet-sound-speed", "inf"],
-     "inlet_sound_speed must be finite and positive"),
-    (["--throat-radius", "nan"], "throat_radius is nan"),
-    (["--inlet-radius", "nan"], "inlet_radius is nan"),
-    (["--outlet-radius", "inf"], "outlet_radius is inf"),
+    pytest.param(["--inlet-density", "-1"],
+                 r"--inlet-density must be finite and positive; got -1\.0$",
+                 id="flags8-inlet_density must be finite and positive"),
+    pytest.param(["--inlet-sound-speed", "inf"],
+                 "--inlet-sound-speed must be finite and positive; got inf$",
+                 id="flags9-inlet_sound_speed must be finite and positive"),
+    pytest.param(["--throat-radius", "nan"],
+                 "--throat-radius must be finite and positive; got nan$",
+                 id="flags10-throat_radius is nan"),
+    pytest.param(["--inlet-radius", "nan"],
+                 "--inlet-radius must be finite and positive; got nan$",
+                 id="flags11-inlet_radius is nan"),
+    pytest.param(["--outlet-radius", "inf"],
+                 "--outlet-radius must be finite and positive; got inf$",
+                 id="flags12-outlet_radius is inf"),
     (["--length", "inf"], "length must be finite and positive"),
-    (["--inlet-speed", "nan"], "inlet_speed must be positive and finite"),
+    pytest.param(["--inlet-speed", "nan"],
+                 "--inlet-speed must be finite and positive; got nan$",
+                 id="flags14-inlet_speed must be positive and finite"),
 ])
 def test_a_choked_or_invalid_duct_is_a_usage_error(flags, message, tmp_path,
                                                    monkeypatch, capsys):
@@ -540,7 +579,8 @@ def test_a_bad_fit_agent_mass_is_a_usage_error(mass, tmp_path, monkeypatch,
               "--agent-mass", mass])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "error: fit: agent_mass must be finite and positive" in err
+    assert err.endswith("error: fit: --agent-mass must be finite and "
+                        f"positive; got {float(mass)!r}\n"), err
     assert not any(tmp_path.iterdir())
 
 

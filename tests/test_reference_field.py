@@ -5,6 +5,7 @@ The headline check re-solves the throat state with an independent method
 result as a frozen constant.
 """
 
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -259,9 +260,11 @@ def test_brent_lanes_take_scipys_steps(func, xa, xb):
 
 def test_generator_argument_validation():
     for speed in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="inlet_speed must be positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"inlet_speed must be finite and positive; got {speed!r}")):
             generate_quasi1d_field(inlet_speed=speed)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "axial_stations must be an integer of at least 2; got 1")):
         generate_quasi1d_field(axial_stations=1)
 
 
@@ -397,7 +400,8 @@ def test_geometry_validation():
         NozzleGeometry(inlet_radius=-1.0)
     for name in ("inlet_radius", "outlet_radius", "throat_radius"):
         for value in (np.nan, np.inf):
-            with pytest.raises(ValueError, match=f"{name} is {value!r}"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be finite and positive; got {value!r}")):
                 NozzleGeometry(**{name: value})
     for length in (np.nan, np.inf, 0.0):
         with pytest.raises(ValueError, match="length must be finite"):

@@ -4,6 +4,7 @@ determinism, bookkeeping, and the run record round trip."""
 import io
 import itertools
 import json
+import re
 import tracemalloc
 import zipfile
 from collections import Counter
@@ -1167,6 +1168,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="one frame"):
         SimConfig(duration=0.02)    # rounds to no 0.05 s frame
     assert SimConfig(duration=0.03).duration == 0.03   # rounds to one
+    with pytest.raises(ValueError, match="one frame"):
+        SimConfig(duration=0.025)   # half a frame rounds to none
+    # more frames than a float holds overflowed the frame count
+    for dt, duration in ((5e-324, 60.0), (1e-10, 1e308)):
+        with pytest.raises(ValueError, match="one frame, and to finitely many"):
+            SimConfig(dt=dt, duration=duration)
     assert SimConfig(scale=1.5).scale == 1.5  # amplified commands are allowed
     # a NaN floor passed every pair: two agents flying apart came back as
     # a collision
@@ -1195,7 +1202,8 @@ def test_config_validation():
 
 def test_a_negative_seed_is_rejected_when_built():
     for seed in (-1, -2 ** 40):
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
+        with pytest.raises(ValueError, match=_whole(
+                f"seed must be a nonnegative integer; got {seed}")):
             SimConfig(seed=seed)
     assert SimConfig(seed=2 ** 64 + 3).seed == 2 ** 64 + 3
 
@@ -1426,6 +1434,11 @@ def _numeric_meta(cols):
     cols["meta"] = np.array(6.0)
 
 
+def _whole(message):
+    """A pattern matching exactly ``message``."""
+    return f"^{re.escape(message)}$"
+
+
 def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
     """A float field stored as a JSON integer, a tuple as a list and an
     unset optional as null read back as the run's own values."""
@@ -1460,31 +1473,68 @@ def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
     (_edit_meta("_fit_without_pressure_offset", "fit",
                 {"rng_seed": 0, "set_size": SET_SIZE}),
      r"fit fields differ: \['pressure_offset'\]"),
-    (_edit_field("_string_dt", "config", "dt", "0.05"),
-     "config.dt is '0.05', not float$"),
-    (_edit_field("_string_collisions", "config", "collisions", "yes"),
-     "config.collisions is 'yes', not bool$"),
-    (_edit_field("_float_seed", "config", "seed", 1.5),
-     "config.seed is 1.5, not int$"),
-    (_edit_field("_bool_batch_size", "config", "batch_size", True),
-     r"config.batch_size is True, not int \| None$"),
-    (_edit_field("_string_in_ref_area", "plant", "ref_area", [0.02, "x", 0.03]),
-     r"plant.ref_area is \[0.02, 'x', 0.03\], not tuple"),
-    (_edit_field("_list_mass", "plant", "mass", [1.0]),
-     r"plant.mass is \[1.0\], not float$"),
-    (_edit_field("_string_fit_seed", "fit", "rng_seed", "0"),
-     "fit.rng_seed is '0', not int$"),
+    # a value outside its declared domain, the whole message pinned; the
+    # ids are fixed so that these cases keep their names
+    pytest.param(_edit_field("_string_dt", "config", "dt", "0.05"),
+                 _whole("trace.npz: config: dt must be finite and positive; "
+                        "got '0.05'"),
+                 id="_string_dt-config.dt is '0.05', not float$"),
+    pytest.param(_edit_field("_string_collisions", "config", "collisions",
+                             "yes"),
+                 _whole("trace.npz: config: collisions must be True or "
+                        "False; got 'yes'"),
+                 id="_string_collisions-config.collisions is 'yes', "
+                    "not bool$"),
+    pytest.param(_edit_field("_float_seed", "config", "seed", 1.5),
+                 _whole("trace.npz: config: seed must be a nonnegative "
+                        "integer; got 1.5"),
+                 id="_float_seed-config.seed is 1.5, not int$"),
+    pytest.param(_edit_field("_bool_batch_size", "config", "batch_size", True),
+                 _whole("trace.npz: config: batch_size must be an integer of "
+                        "at least 1, or None; got True"),
+                 id=r"_bool_batch_size-config.batch_size is True, not "
+                    r"int \| None$"),
+    pytest.param(_edit_field("_string_in_ref_area", "plant", "ref_area",
+                             [0.02, "x", 0.03]),
+                 _whole("trace.npz: plant: ref_area must be 3 values, each "
+                        "finite and nonnegative; got (0.02, 'x', 0.03)"),
+                 id=r"_string_in_ref_area-plant.ref_area is \[0.02, 'x', "
+                    r"0.03\], not tuple"),
+    pytest.param(_edit_field("_list_mass", "plant", "mass", [1.0]),
+                 _whole("trace.npz: plant: mass must be finite and positive; "
+                        "got (1.0,)"),
+                 id=r"_list_mass-plant.mass is \[1.0\], not float$"),
+    (_edit_field("_bool_mass", "plant", "mass", True),
+     _whole("trace.npz: plant: mass must be finite and positive; got True")),
+    pytest.param(_edit_field("_string_fit_seed", "fit", "rng_seed", "0"),
+                 _whole("trace.npz: fit: rng_seed must be a nonnegative "
+                        "integer; got '0'"),
+                 id="_string_fit_seed-fit.rng_seed is '0', not int$"),
     (_lattice_without_nx, r"missing lattice metadata \['nx'\]"),
     (_lattice_without_duct, r"missing NozzleGeometry metadata \['length', "),
-    (_edit_field("_list_edge_length", "lattice", "edge_length", [0.5]),
-     r"edge_length=\[0.5\] is not a number$"),
-    (_edit_field("_string_edge_length", "lattice", "edge_length", "0.5"),
-     "edge_length='0.5' is not a number$"),
-    (_edit_field("_bool_nx", "lattice", "nx", True), "nx=True is not an integer$"),
-    (_edit_meta("_string_injection_rate", "injection_rate", "3.4"),
-     "meta.injection_rate is '3.4', not float$"),
-    (_edit_meta("_float_batch_size", "batch_size", 17.0),
-     "meta.batch_size is 17.0, not int$"),
+    pytest.param(_edit_field("_list_edge_length", "lattice", "edge_length",
+                             [0.5]),
+                 _whole("trace.npz: lattice metadata: edge_length must be "
+                        "finite and positive; got (0.5,)"),
+                 id=r"_list_edge_length-edge_length=\[0.5\] is not a number$"),
+    pytest.param(_edit_field("_string_edge_length", "lattice", "edge_length",
+                             "0.5"),
+                 _whole("trace.npz: lattice metadata: edge_length must be "
+                        "finite and positive; got '0.5'"),
+                 id="_string_edge_length-edge_length='0.5' is not a number$"),
+    pytest.param(_edit_field("_bool_nx", "lattice", "nx", True),
+                 _whole("trace.npz: lattice metadata: nx must be an integer "
+                        "of at least 1; got True"),
+                 id="_bool_nx-nx=True is not an integer$"),
+    pytest.param(_edit_meta("_string_injection_rate", "injection_rate", "3.4"),
+                 _whole("trace.npz: meta: injection_rate must be finite and "
+                        "nonnegative; got '3.4'"),
+                 id="_string_injection_rate-meta.injection_rate is '3.4', "
+                    "not float$"),
+    pytest.param(_edit_meta("_float_batch_size", "batch_size", 17.0),
+                 _whole("trace.npz: meta: batch_size must be an integer of "
+                        "at least 1; got 17.0"),
+                 id="_float_batch_size-meta.batch_size is 17.0, not int$"),
     (_list_meta, "meta is not a JSON object"),
     (_numeric_lattice, "lattice is not a JSON object"),
     (_int64_cells, "cells is not int32"),

@@ -291,7 +291,8 @@ def test_suite_rejects_a_negative_seed_before_any_scenario(monkeypatch):
     for name in ("hover_hold", "step_response", "max_speed_sweep",
                  "headwind_sweep", "noise_monte_carlo"):
         monkeypatch.setattr(plant_suite, name, ran)
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
+    with pytest.raises(ValueError,
+                       match="^seed must be a nonnegative integer; got -1$"):
         run_suite(seed=-1)
 
 
