@@ -2,8 +2,9 @@
 
 Generates the field, partitions, fits, runs the reservoir injection case at
 S=0.1, and scores the time-averaged swarm against the targets. Writes the
-metrics file and the slice/centerline CSVs next to this script under
-runs/reservoir_demo/. About 1.5 s end to end on a 2-vCPU Xeon host.
+run record, the metrics file and the slice/centerline CSVs under
+runs/reservoir_demo/ in the working directory. About 1.5 s end to end on a
+2-vCPU Xeon host.
 """
 
 import os
@@ -13,7 +14,7 @@ from fluidswarm import (FitConfig, SimConfig, export_centerline, export_slice,
                         partition_domain, run_simulation, save_metrics,
                         save_run)
 
-outdir = os.path.join(os.path.dirname(__file__) or ".", "runs", "reservoir_demo")
+outdir = os.path.join("runs", "reservoir_demo")
 
 field = generate_quasi1d_field()
 grid = partition_domain(field)
@@ -47,7 +48,7 @@ print(f"  centerline rms: speed {v['centerline_speed_rms']:.4f}, "
 print(f"  exit rate {v['exit_rate']:.2f}/s vs injection {v['inject_rate']:.2f}/s")
 
 os.makedirs(outdir, exist_ok=True)
-save_run(trace, os.path.join(outdir, "trace"))
+save_run(trace, grid, os.path.join(outdir, "trace"))
 save_metrics(report, os.path.join(outdir, "metrics.txt"))
 export_slice(report.derived, grid, os.path.join(outdir, "slice.csv"))
 export_centerline(report.profile, os.path.join(outdir, "centerline.csv"))

@@ -11,21 +11,20 @@ from .metrics import (DerivedFields, centerline_agreement, centerline_profile,
                       default_transient, derive_fields, export_centerline,
                       export_slice, field_agreement, metrics_report,
                       save_metrics, transit_time_estimate, trend_check)
-from .partition import (ControlVolumeGrid, assign_cell, load_partition,
-                        partition_domain, save_partition)
+from .partition import ControlVolumeGrid, assign_cell, partition_domain
 from .plant_suite import (headwind_sweep, hover_hold, max_speed_sweep,
                           noise_monte_carlo, run_suite, step_response)
 from .primitives import DegenerateCellError, control_temperature
-from .reference_field import (ChokedFlowError, FieldFormatError, GasModel,
-                              NozzleGeometry, ReferenceField,
-                              generate_quasi1d_field, load_field, save_field,
+from .records import (FieldFormatError, grid_from_fit, load_field, load_fit,
+                      load_partition, load_run, save_field, save_fit,
+                      save_partition, save_run)
+from .reference_field import (ChokedFlowError, GasModel, NozzleGeometry,
+                              ReferenceField, generate_quasi1d_field,
                               station_profile)
 from .swarm_sim import (SimConfig, SimulationTrace, build_command_table,
-                        detect_collisions, injection_rate, load_run,
-                        population_balance, resolve_collisions,
-                        run_simulation, save_run)
-from .velocity_fit import (FitConfig, GridFit, fit_grid, grid_from_fit,
-                           load_fit, save_fit, set_pressure)
+                        detect_collisions, injection_rate, population_balance,
+                        resolve_collisions, run_simulation)
+from .velocity_fit import FitConfig, GridFit, fit_grid, set_pressure
 from .velocity_plant import GRAVITY, PlantParams, PlantState, tilt_angle_deg
 from .velocity_plant import step as plant_step
 

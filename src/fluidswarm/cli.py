@@ -38,22 +38,22 @@ import argparse
 import inspect
 import os
 import sys
-import zipfile
 from dataclasses import fields, replace
 
 import numpy as np
 
 from . import __version__
 from .metrics import export_centerline, export_slice, metrics_report, save_metrics
-from .partition import load_partition, partition_domain, save_partition
+from .partition import partition_domain
 from .plant_suite import ALL_SCENARIOS, run_suite
 from .primitives import FINITE_POSITIVE, NOT_NAN, SEED, DomainError, check
-from .reference_field import (GasModel, NozzleGeometry, generate_quasi1d_field,
-                              lattice_meta, load_field, save_field)
-from .swarm_sim import (CASES, EVENT_KINDS, SimConfig, load_run,
-                        population_balance, run_simulation, save_run)
-from .velocity_fit import (SET_SIZE, FitConfig, fit_grid, grid_from_fit,
-                           load_fit, save_fit)
+from .records import (grid_from_fit, lattice_meta, load_field, load_fit,
+                      load_partition, load_run, save_field, save_fit,
+                      save_partition, save_run)
+from .reference_field import GasModel, NozzleGeometry, generate_quasi1d_field
+from .swarm_sim import (CASES, EVENT_KINDS, SimConfig, population_balance,
+                        run_simulation)
+from .velocity_fit import SET_SIZE, FitConfig, fit_grid
 from .velocity_plant import PlantParams
 
 
@@ -163,7 +163,7 @@ def _read(load, path):
     message names the path."""
     try:
         return load(path)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError) as exc:
         msg = " ".join(str(exc).split())
         raise _InputError(msg if str(path) in msg else f"{path}: {msg}") \
             from exc
@@ -234,7 +234,7 @@ def _cmd_simulate(args) -> int:
     grid = grid_from_fit(fit, meta)
     trace = run_simulation(grid, fit, args.config,
                            replace(args.plant, mass=fit.config.agent_mass))
-    save_run(trace, args.out)
+    save_run(trace, grid, args.out)
     total = trace.totals
     print(f"{len(trace.frames)} frames -> {args.out}; injected "
           f"{total['inject']}, retired {total['retire']}, "
@@ -245,12 +245,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     grid = _read(load_partition, args.targets)
-    run = _read(load_run, args.run)
+    run, lattice = _read(load_run, args.run)
     targets = lattice_meta(grid)
-    for k in dict.fromkeys([*run.lattice, *targets]):
-        if run.lattice.get(k) != targets.get(k):
+    for k in dict.fromkeys([*lattice, *targets]):
+        if lattice.get(k) != targets.get(k):
             raise _InputError(f"{args.targets}: {k}={targets.get(k)!r} differs "
-                              f"from the run's {k}={run.lattice.get(k)!r}")
+                              f"from the run's {k}={lattice.get(k)!r}")
     if args.transient is not None and not (run.frame_t > args.transient).any():
         raise _InputError(f"{args.run}: --transient {args.transient:g} leaves "
                           f"no frame of the run's {run.config.duration:g} s")

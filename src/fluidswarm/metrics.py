@@ -25,7 +25,7 @@ import numpy as np
 from .partition import ControlVolumeGrid
 from .primitives import (control_temperature, pressure_coefficient,
                          random_temperature_from_spread)
-from .reference_field import _FMT, write_table
+from .records import FLOAT_FMT, write_table
 from .swarm_sim import EVENT_KINDS, SimulationTrace, population_balance
 
 SLICE_HEADER = ("x,y,z,occupancy,duty,concentration,ux,uy,uz,p_dev,p_int,T,"
@@ -382,4 +382,4 @@ def save_metrics(report: MetricsReport, path) -> None:
         for k, v in report.values.items():
             if isinstance(v, bool):
                 v = int(v)
-            fh.write(f"{k}={_FMT % v if isinstance(v, float) else v}\n")
+            fh.write(f"{k}={FLOAT_FMT % v if isinstance(v, float) else v}\n")

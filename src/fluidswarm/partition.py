@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .primitives import FINITE_POSITIVE, check
-from .reference_field import (FieldFormatError, GasModel, NozzleGeometry,
-                              ReferenceField, cell_index, lattice_from_meta,
-                              lattice_meta, read_table, write_table)
-
-PARTITION_HEADER = "jx,jy,jz,cx,cy,cz,inside,node_count,vtx,vty,vtz,pt"
-# integers in decimal, floats with repr: every value reads back exactly
-_PARTITION_FMT = ",".join(["%d"] * 3 + ["%r"] * 3 + ["%d"] * 2 + ["%r"] * 4)
+from .reference_field import GasModel, NozzleGeometry, ReferenceField
 
 
 @dataclass
@@ -137,7 +131,8 @@ def partition_domain(fld: ReferenceField,
     """Partition the duct into cubes and average the field into targets.
 
     The duct is the field's geometry, and density targets come from its gas
-    (NaN without one); ``load_field`` attaches both to a field read from CSV.
+    (NaN without one); ``records.load_field`` attaches both to a field read
+    from CSV.
     The lattice origin snaps to (0, -R, -R) with R the maximum wall radius
     rounded up to a whole number of edges, so the duct is fully covered.
     Nodes are binned by the same nearest-center rule used for agents; every
@@ -169,37 +164,4 @@ def partition_domain(fld: ReferenceField,
     grid.p_target[occ] = ps[occ] / cnt[occ]
     if gas is not None:
         grid.rho_target[occ] = gas.density_from_gauge(grid.p_target[occ])
-    return grid
-
-
-# ======================================================================
-# wire format
-# ======================================================================
-
-def save_partition(grid: ControlVolumeGrid, path) -> None:
-    """Write the per-cell table exactly; lattice, geometry and gas ride in
-    the metadata line, so :func:`load_partition` returns an equal grid."""
-    m = grid.num_cells
-    data = np.column_stack([grid.unravel(np.arange(m)), grid.centers(),
-                            grid.inside, grid.node_count, grid.v_target,
-                            grid.p_target])
-    write_table(path, lattice_meta(grid), PARTITION_HEADER, data,
-                _PARTITION_FMT)
-
-
-def load_partition(path) -> ControlVolumeGrid:
-    """Read a partition table written by :func:`save_partition`. Raises
-    ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does,
-    on missing metadata, and unless every lattice cell has exactly one row."""
-    meta, lines, data = read_table(path, PARTITION_HEADER)
-    grid = ControlVolumeGrid.empty(*lattice_from_meta(meta, path))
-    if len(data) != grid.num_cells:
-        raise FieldFormatError(
-            f"{path}: expected {grid.num_cells} cell rows, got {len(data)}")
-    data = data[np.argsort(cell_index(path, lines, data[:, 0:3], grid.dims))]
-    grid.inside, grid.node_count = data[:, 6] == 1, data[:, 7].astype(np.int64)
-    grid.v_target, grid.p_target = data[:, 8:11].copy(), data[:, 11].copy()
-    if grid.gas is not None:
-        occ = grid.node_count > 0
-        grid.rho_target[occ] = grid.gas.density_from_gauge(grid.p_target[occ])
     return grid

@@ -126,27 +126,3 @@ def check_fields(obj) -> None:
     """Check each field of the dataclass ``obj`` against its domain."""
     for name, domain in declared(obj).items():
         check(name, getattr(obj, name), domain)
-
-
-def read_fields(spec, values: dict, path, label: str, error=ValueError,
-                exact: bool = True):
-    """The ``label`` part of the stored ``values`` of file ``path``, read as
-    ``spec`` declares it: a dataclass, whose instance is returned, or a
-    mapping of names to domains, for which the checked values are (a list
-    stands for a tuple). Raises ``error`` on a missing name, on other keys
-    when ``exact``, and on a value the spec refuses."""
-    domains = spec if isinstance(spec, dict) else declared(spec)
-    if exact and set(values) != set(domains):
-        raise error(f"{path}: {label} fields differ: "
-                    f"{sorted(set(values) ^ set(domains))}")
-    missing = [k for k in domains if k not in values]
-    if missing:
-        raise error(f"{path}: missing {label} {missing}")
-    values = {k: tuple(values[k]) if isinstance(values[k], list)
-              else values[k] for k in domains}
-    try:
-        if isinstance(spec, dict):
-            return {k: check(k, values[k], d) for k, d in domains.items()}
-        return spec(**values)
-    except ValueError as exc:
-        raise error(f"{path}: {label}: {exc}") from None

@@ -1,14 +1,10 @@
 """Reference flow fields for converging-diverging duct geometries.
 
-This module produces the target flow field that the swarm is asked to imitate.
-Two routes exist:
-
-* an analytic quasi-one-dimensional generator for a circular nozzle with a
-  smooth (C1) radius profile, solving subsonic isentropic flow at every
-  station in one lane-wise root find, and
-* a CSV loader for externally computed fields (e.g. a CFD export), validated
-  against the geometry that the file's metadata line names, as the
-  generator's fields record theirs.
+This module produces the target flow field that the swarm is asked to
+imitate: an analytic quasi-one-dimensional generator for a circular nozzle
+with a smooth (C1) radius profile, solving subsonic isentropic flow at every
+station in one lane-wise root find. Fields computed elsewhere (e.g. a CFD
+export) are read by ``records.load_field``.
 
 Conventions
 -----------
@@ -19,34 +15,22 @@ pressure, so the inlet plane reads 0 Pa and the throat goes negative.
 The analytic generator is an area-mean model: every node at an axial station
 carries that station's one-dimensional solution, with zero transverse
 velocity. Point fields from a full Navier-Stokes solve will show higher peaks
-on the axis than this model's area mean; ingest such fields via
-:func:`load_field` rather than trying to coax them out of the generator.
+on the axis than this model's area mean; ingest such fields from a file
+rather than trying to coax them out of the generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primitives import (FINITE, FINITE_POSITIVE, Domain, check, check_fields,
-                         integers_from, is_real, ranged, read_fields)
-
-FIELD_HEADER = "x,y,z,vx,vy,vz,p"
-
-# 12 significant digits for every float of a field file
-_FMT = "%.12g"
-# rows formatted per ``%`` pass by write_table; bounds the memory of a pass
-_PASS_ROWS = 1 << 16
+from .primitives import (FINITE_POSITIVE, Domain, check, check_fields,
+                         integers_from, is_real, ranged)
 
 
 class ChokedFlowError(ValueError):
     """Raised when the requested mass flow cannot pass the duct subsonically."""
-
-
-class FieldFormatError(ValueError):
-    """Raised when a field, partition or fit file does not conform to its
-    wire format."""
 
 
 # ======================================================================
@@ -158,7 +142,7 @@ class GasModel:
 
 
 # ======================================================================
-# field container + wire format
+# field container
 # ======================================================================
 
 @dataclass
@@ -185,268 +169,6 @@ class ReferenceField:
     @property
     def speed(self) -> np.ndarray:
         return np.linalg.norm(self.velocities, axis=1)
-
-
-def save_field(fld: ReferenceField, path) -> None:
-    """Write a field to CSV: a ``# k=v`` metadata line with the field's
-    geometry and gas under their field names and ``cells``, the row count
-    (no line when the field carries neither), then the header
-    ``x,y,z,vx,vy,vz,p`` and every value to 12 significant digits. After
-    the metadata line these are the bytes of ``np.savetxt`` with
-    ``fmt="%.12g"``, formatted by :func:`write_table` in one pass."""
-    data = np.column_stack([fld.positions, fld.velocities, fld.pressures])
-    write_table(path, _duct_meta(fld.geometry, fld.gas) or None, FIELD_HEADER,
-                data)
-
-
-def load_field(path, geometry: NozzleGeometry | None = None,
-               gas: GasModel | None = None) -> ReferenceField:
-    """Read a field CSV, validating its format and its nodes against the
-    duct.
-
-    The geometry and gas come from the file's metadata line, as
-    :func:`save_field` writes them; ``geometry`` and ``gas`` stand in for
-    a part the file does not carry. An argument that disagrees with the
-    file raises a :class:`FieldFormatError` naming the key. With a
-    geometry, nodes outside the duct volume raise a
-    :class:`FieldFormatError` listing the offending line numbers.
-    """
-    meta, lines, data = read_table(path, FIELD_HEADER)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        bad = lines[~finite][:10].tolist()
-        raise FieldFormatError(f"{path}: non-finite values on lines {bad}")
-    geometry, gas = (_agree(path, stored, given) for stored, given
-                     in zip(_duct_from_meta(meta, path), (geometry, gas)))
-    fld = ReferenceField(data[:, 0:3], data[:, 3:6], data[:, 6],
-                         geometry=geometry, gas=gas)
-    if geometry is not None:
-        inside = geometry.contains(fld.positions)
-        if not np.all(inside):
-            bad = lines[~inside][:10].tolist()
-            raise FieldFormatError(
-                f"{path}: {int((~inside).sum())} node(s) outside the duct "
-                f"volume, first offending lines {bad}")
-    return fld
-
-
-def _agree(path, stored, given):
-    """The file's part, or ``given`` when the file has none; raises naming
-    the first key on which ``given`` disagrees with the file."""
-    if stored is None:
-        return given
-    if given is not None:
-        for k, v in asdict(given).items():
-            if v != getattr(stored, k):
-                raise FieldFormatError(f"{path}: {k}={v!r} disagrees with the "
-                                       f"file's {k}={getattr(stored, k)!r}")
-    return stored
-
-
-# ======================================================================
-# the table codec shared by the field, partition and fit files
-# ======================================================================
-
-def write_table(path, meta: dict | None, header: str, values,
-                fmt: str | None = None) -> None:
-    """Write ``header`` and the rows of ``values``, a (k, c) array, after a
-    ``# k=v`` metadata line that also declares ``cells``, the row count (no
-    metadata line when ``meta`` is None).
-
-    ``fmt`` is the ``%`` format of one row, by default ``_FMT`` for every
-    column. In it ``%d`` writes an integer (exact below 2**53), ``%r`` a
-    float exactly, with ``repr``, and ``%.12g`` a float to 12 significant
-    digits. Each run of up to ``_PASS_ROWS`` rows is formatted in one ``%``
-    pass over its values, so a table of that size is one pass and one write.
-    """
-    values = np.asarray(values, dtype=float)
-    fmt = (fmt or ",".join([_FMT] * values.shape[1])) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta is not None:
-            meta = {**meta, "cells": len(values)}
-            fh.write("# " + " ".join(f"{k}={v!r}" for k, v in meta.items()) + "\n")
-        fh.write(header + "\n")
-        for i in range(0, len(values), _PASS_ROWS):
-            part = values[i:i + _PASS_ROWS]
-            fh.write(fmt * len(part) % tuple(part.ravel().tolist()))
-
-
-def _number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def _floats(rows: list) -> np.ndarray:
-    """The values of ``rows``, comma-separated lines of one width, as a
-    (rows, width) array, converted by numpy's C text reader. Raises
-    ValueError on a value it rejects or on rows of unequal width."""
-    return np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
-
-
-def read_table(path, header: str,
-               width: int | None = None) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Read ``# k=v`` metadata lines, the ``header`` line and rows of floats.
-
-    Every row has ``width`` values, by default one per header column. Blank
-    lines are skipped. With metadata present, its ``cells`` must equal the
-    row count.
-
-    Returns the metadata, each row's line number and the values as a
-    (rows, width) float array. The file is read at once, and all rows go
-    through one C-level conversion. A value reads as ``float`` reads it,
-    bit for bit, but text only ``float`` reads (``1_0``, non-ASCII digits)
-    is rejected. Raises :class:`FieldFormatError` naming the file and,
-    where there is one, the line: the first in the file with a wrong column
-    count or a rejected value, found by halving only once the conversion
-    has failed.
-    """
-    if width is None:
-        width = header.count(",") + 1
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        raise FieldFormatError(f"{path}: not a UTF-8 text table") from None
-    if not lines[-1]:
-        lines.pop()                     # what follows the final newline
-    meta, lineno, line = {}, 0, ""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line.startswith("#"):
-            break
-        for tok in line[1:].split():
-            key, _, value = tok.partition("=")
-            try:
-                meta[key] = _number(value)
-            except ValueError:
-                raise FieldFormatError(
-                    f"{path}:{lineno}: bad metadata entry '{tok}'") from None
-    if line != header:
-        raise FieldFormatError(
-            f"{path}:{lineno}: expected header '{header}', got '{line}'")
-    rows = list(map(str.strip, lines[lineno:]))
-    numbers = np.arange(lineno + 1, len(lines) + 1)
-    if "" in rows:
-        keep = np.flatnonzero(list(map(len, rows)))
-        rows, numbers = [rows[i] for i in keep], numbers[keep]
-    if not rows:
-        raise FieldFormatError(f"{path}: no data rows")
-    try:
-        values = _floats(rows)
-    except ValueError:                  # a row of another width, or a bad value
-        values = None
-    if values is None or values.shape[1] != width:
-        i = _first_bad(rows, width)
-        got = rows[i].count(",") + 1
-        raise FieldFormatError(f"{path}:{numbers[i]}: " + (
-            _reason(rows[i]) if got == width
-            else f"expected {width} columns, got {got}"))
-    if meta and meta.get("cells") != len(rows):
-        raise FieldFormatError(f"{path}: metadata declares cells="
-                               f"{meta.get('cells')}, found {len(rows)} cell rows")
-    return meta, numbers, values
-
-
-def _first_bad(rows: list, width: int) -> int:
-    """Index of the first of ``rows`` that holds other than ``width`` values
-    or a value :func:`_floats` rejects, by halving: about one conversion of
-    them all. There must be one."""
-    first = 0
-    while len(rows) > 1:
-        half = len(rows) // 2
-        try:
-            ok = _floats(rows[:half]).shape[1] == width
-        except ValueError:
-            ok = False
-        first, rows = (first + half, rows[half:]) if ok else (first, rows[:half])
-    return first
-
-
-def _reason(row: str) -> str:
-    """Why the conversion rejected a row: ``float``'s message on the first
-    value ``float`` cannot read either, else the same words on the first
-    value only the conversion rejects."""
-    toks = row.split(",")
-    for tok in toks:
-        try:
-            float(tok)
-        except ValueError as exc:
-            return str(exc)
-    for tok in toks:
-        try:
-            _floats([tok])
-        except ValueError:
-            break
-    return f"could not convert string to float: {tok!r}"
-
-
-def cell_index(path, lines, triples, dims) -> np.ndarray:
-    """Flat cell indices of ``(jx, jy, jz)`` rows; raises on an index off
-    the lattice or on a cell with two rows."""
-    t = np.asarray(triples)
-    ok = ((t == np.floor(t)) & (t >= 0) & (t < dims)).all(axis=1)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise FieldFormatError(
-            f"{path}:{lines[i]}: cell {t[i].tolist()} is off the {dims} lattice")
-    flat = np.ravel_multi_index(t.T.astype(np.int64), dims)
-    first = np.unique(flat, return_index=True)[1]
-    if len(first) < len(flat):
-        i = int(np.setdiff1d(np.arange(len(flat)), first)[0])
-        raise FieldFormatError(f"{path}:{lines[i]}: repeated cell {t[i].tolist()}")
-    return flat
-
-
-_ORIGIN_KEYS = ("origin_x", "origin_y", "origin_z")
-_DIM_KEYS = ("nx", "ny", "nz")
-_LATTICE = {"edge_length": FINITE_POSITIVE,
-            **dict.fromkeys(_ORIGIN_KEYS, FINITE),
-            **dict.fromkeys(_DIM_KEYS, integers_from(1))}
-
-
-def _duct_meta(geometry: NozzleGeometry | None, gas: GasModel | None) -> dict:
-    """The geometry and gas as metadata, under their field names; a part
-    that is None gives no key."""
-    meta = {}
-    for part in (geometry, gas):
-        if part is not None:
-            meta.update((k, float(v)) for k, v in asdict(part).items())
-    return meta
-
-
-def _duct_from_meta(meta: dict, path, required=()) -> tuple:
-    """Inverse of :func:`_duct_meta`: (geometry, gas), each None when none
-    of its keys is present and its class is not in ``required``. Raises on
-    a part with only some of its keys and on values its class rejects."""
-    return tuple(read_fields(cls, meta, path, f"{cls.__name__} metadata",
-                             FieldFormatError, exact=False)
-                 if cls in required or any(f.name in meta for f in fields(cls))
-                 else None for cls in (NozzleGeometry, GasModel))
-
-
-def lattice_meta(grid) -> dict:
-    """Metadata of a lattice: edge, origin, dims, and the geometry and gas
-    (under their field names; a grid without gas gives no gas keys)."""
-    return {"edge_length": float(grid.edge_length),
-            **dict(zip(_ORIGIN_KEYS, map(float, grid.origin))),
-            **dict(zip(_DIM_KEYS, map(int, grid.dims))),
-            **_duct_meta(grid.geometry, grid.gas)}
-
-
-def lattice_from_meta(meta: dict, path="lattice metadata"):
-    """Inverse of :func:`lattice_meta`: (origin, edge_length, dims, geometry,
-    gas), gas None when none of its keys is present. Raises
-    :class:`FieldFormatError` naming the key on a missing lattice or
-    ``NozzleGeometry`` key or a value outside its domain: a finite origin,
-    a finite, positive edge and dimensions that are integers of at least
-    1."""
-    lattice = read_fields(_LATTICE, meta, path, "lattice metadata",
-                          FieldFormatError, exact=False)
-    return (np.array([lattice[k] for k in _ORIGIN_KEYS], dtype=float),
-            float(lattice["edge_length"]), tuple(lattice[k] for k in _DIM_KEYS),
-            *_duct_from_meta(meta, path, required=(NozzleGeometry,)))
 
 
 # ======================================================================

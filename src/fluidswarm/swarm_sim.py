@@ -26,10 +26,10 @@ steps row by row and binning reads without a copy. A frame record holds the
 swarm's own moments per occupied cell, summed from one (4, N) block: the
 agent count, the velocity sum and the sum of squared speeds. It reads no
 target; the analysis derives deviations from these sums. The records fill
-fixed-size chunks, 40 B a row, which no frame copies or grows, and
-``save_run`` streams them to the run file. Each event is one row of the
-run's event table, its only population record. All randomness is drawn from
-generators seeded by (seed, purpose, index), so traces are reproducible.
+fixed-size chunks, 40 B a row, which no frame copies or grows. Each event
+is one row of the run's event table, its only population record. All
+randomness is drawn from generators seeded by (seed, purpose, index), so
+traces are reproducible.
 
 Collisions are overtakes: a close pair closing faster than the approach
 floor, its headings aligned above ``overtake_cos``, moves speed from the
@@ -40,19 +40,16 @@ change. The close pairs are those SciPy's ``cKDTree.query_pairs`` finds
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .partition import ControlVolumeGrid, assign_cell
-from .primitives import (FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, FLAG,
-                         NOT_NAN, SEED, Domain, check_fields, integers_from,
-                         is_real, optional, ranged, read_fields)
-from .reference_field import NozzleGeometry, lattice_from_meta, lattice_meta
+from .primitives import (FINITE_POSITIVE, FLAG, NOT_NAN, SEED, Domain,
+                         check_fields, integers_from, is_real, optional,
+                         ranged)
+from .reference_field import NozzleGeometry
 from .velocity_fit import SET_SIZE, GridFit
 from .velocity_plant import PlantParams, PlantState, step as plant_step
 
@@ -60,6 +57,10 @@ CASES = ("tunnel_seeding", "reservoir")
 
 OVERTAKE_TRANSFER = 0.25    # fraction of the speed difference moved
 SPEED_LIMIT = 30.0          # post-collision speed clamp, m/s
+# the most frames a duration may round to (3.4 years at 0.05 s): the loop
+# allocates every frame's end time up front, where a count numpy cannot
+# allocate (1e300 s) failed after the fit was read
+MAX_FRAMES = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,9 @@ class SimConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.5 < self.duration / self.dt < math.inf:
+        if not 0.5 < self.duration / self.dt < MAX_FRAMES + 0.5:
             raise ValueError("the duration must round to at least one frame, "
-                             "and to finitely many")
+                             f"and to finitely many: at most {MAX_FRAMES}")
         if self.dt_source < self.dt:
             raise ValueError("dt_source must be at least one frame")
 
@@ -139,7 +140,6 @@ class SimulationTrace:
     events: EventTable                # the population record; counts below
     injection_rate: float             # agents/s implied by the entry cell
     batch_size: int
-    lattice: dict                     # lattice_meta of the grid flown
     fit: dict                         # rng_seed, set_size, pressure_offset
     trajectories: list[tuple] = field(default_factory=list)
 
@@ -581,7 +581,6 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
                            frames=frames,
                            events=EventTable(*log.columns[:, :log.n].copy()),
                            injection_rate=rate, batch_size=n_batch,
-                           lattice=lattice_meta(grid),
                            fit={"rng_seed": int(fit.config.rng_seed),
                                 "set_size": fit.velocities.shape[1],
                                 "pressure_offset": float(fit.pressure_offset)},
@@ -692,156 +691,3 @@ def population_balance(trace: SimulationTrace) -> dict:
     injected, retired, faults = total["inject"], total["retire"], total["fault"]
     return {"injected": injected, "active": active, "retired": retired,
             "faults": faults, "balanced": injected == active + retired + faults}
-
-
-# ======================================================================
-# run record
-# ======================================================================
-
-RUN_FILE = "trace.npz"
-RUN_FORMAT = 9
-# the columns streamed record by record: dtype and the shape of one row
-FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
-                 "vsum": (np.float64, (3,)), "sumv2": (np.float64, ())}
-TRAJ_COLUMNS = {"traj_ids": (np.int64, ()), "traj_pos": (np.float64, (3,)),
-                "traj_vel": (np.float64, (3,))}
-# every member but the JSON ``meta`` string, in file order
-RUN_COLUMNS = {"frame_t": (np.float64, ()), "frame_offsets": (np.int64, ()),
-               "traj_t": (np.float64, ()), "traj_offsets": (np.int64, ()),
-               **{"event_" + f.name: (np.int64, ()) for f in fields(EventTable)},
-               **FRAME_COLUMNS, **TRAJ_COLUMNS}
-RUN_KEYS = ("meta", *RUN_COLUMNS)
-META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size",
-             "lattice", "fit")
-FIT_KEYS = {"rng_seed": SEED, "set_size": integers_from(1),
-            "pressure_offset": FINITE}
-RUN_NUMBERS = {"injection_rate": FINITE_NONNEGATIVE,       # top-level meta
-               "batch_size": integers_from(1)}
-
-
-def _write_parts(zf, name, parts, dtype, row) -> None:
-    """One ``.npy`` member holding the rows of ``parts`` one after another:
-    the header for the full length, then each part in turn, so no column is
-    ever joined in memory. The bytes are those ``np.lib.format.write_array``
-    writes for the joined column."""
-    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-              "fortran_order": False,
-              "shape": (sum(len(p) for p in parts), *row)}
-    with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for part in parts:
-            fh.write(np.ascontiguousarray(part, dtype=dtype))
-
-
-def save_run(trace: SimulationTrace, outdir) -> None:
-    """Write the whole trace to ``outdir/trace.npz`` (binary, uncompressed).
-
-    Frame records and trajectory snapshots are flat columns cut by offsets,
-    streamed record by record; the event table is one column per field, and
-    config, plant, lattice and fit are one JSON string; counts are not
-    stored.
-    ``load_run`` reads back a trace equal to this one.
-    """
-    os.makedirs(outdir, exist_ok=True)
-    meta = {"format": RUN_FORMAT, "config": asdict(trace.config),
-            "plant": asdict(trace.plant),
-            "injection_rate": trace.injection_rate,
-            "batch_size": trace.batch_size, "lattice": trace.lattice,
-            "fit": trace.fit}
-    frames, snaps = trace.frames, trace.trajectories
-    parts = {"frame_t": [trace.frame_t],
-             "frame_offsets": [np.cumsum([0] + [len(r.cells) for r in frames])],
-             "traj_t": [[s[0] for s in snaps]],
-             "traj_offsets": [np.cumsum([0] + [len(s[1]) for s in snaps])]}
-    parts.update(("event_" + k, [v]) for k, v in vars(trace.events).items())
-    parts.update((name, [getattr(r, name) for r in frames])
-                 for name in FRAME_COLUMNS)
-    parts.update((name, [s[i] for s in snaps])
-                 for i, name in enumerate(TRAJ_COLUMNS, start=1))
-    with zipfile.ZipFile(os.path.join(outdir, RUN_FILE), "w") as zf:
-        with zf.open("meta.npy", "w", force_zip64=True) as fh:
-            np.lib.format.write_array(fh, np.array(json.dumps(meta)),
-                                      allow_pickle=False)
-        for name, layout in RUN_COLUMNS.items():
-            _write_parts(zf, name, parts[name], *layout)
-
-
-def _split(columns: list, offsets: np.ndarray, n: int) -> list[tuple]:
-    """``n`` tuples of per-part views of flat columns cut at ``offsets``."""
-    if (len(offsets) != n + 1 or offsets[0] != 0
-            or np.any(np.diff(offsets) < 0)
-            or any(len(c) != offsets[-1] for c in columns)):
-        raise ValueError(f"{RUN_FILE}: column lengths disagree with offsets")
-    return [tuple(c[lo:hi] for c in columns)
-            for lo, hi in zip(offsets[:-1], offsets[1:])]
-
-
-def load_run(rundir) -> SimulationTrace:
-    """Read back the trace ``save_run`` wrote to ``rundir``.
-
-    Raises ValueError on a file that is not a zip archive, a missing key, a
-    ``meta`` member that is not one string holding a JSON object, another
-    format version, a config, plant, lattice or fit that is not a JSON
-    object, a lattice that ``lattice_from_meta`` rejects, a config, plant
-    or fit whose keys are not its fields or that holds a value outside its
-    domain (``FIT_KEYS`` for the fit), an injection rate or batch size
-    outside its ``RUN_NUMBERS`` domain, a column of another dtype
-    or row shape than ``RUN_COLUMNS`` gives, a cell count below 1, columns
-    whose lengths disagree with each other or with their offsets, an event
-    kind outside ``EVENT_KINDS``, or an event frame outside the run.
-    """
-    with open(os.path.join(rundir, RUN_FILE), "rb") as fh:
-        if not zipfile.is_zipfile(fh):
-            raise ValueError(f"{RUN_FILE} is not a run archive (a zip of "
-                             ".npy members)")
-        fh.seek(0)
-        with np.load(fh, allow_pickle=False) as npz:
-            missing = sorted(set(RUN_KEYS) - set(npz.files))
-            if missing:
-                raise ValueError(f"{RUN_FILE}: missing {missing}")
-            a = {k: npz[k] for k in RUN_KEYS}
-    if a["meta"].dtype.kind != "U" or a["meta"].ndim != 0:
-        raise ValueError(f"{RUN_FILE}: meta is not one JSON string")
-    meta = json.loads(a["meta"].item())
-    if not isinstance(meta, dict):
-        raise ValueError(f"{RUN_FILE}: meta is not a JSON object")
-    if meta.get("format") != RUN_FORMAT:
-        raise ValueError(f"{RUN_FILE}: format {meta.get('format')!r}, "
-                         f"expected {RUN_FORMAT}")
-    missing = sorted(set(META_KEYS) - set(meta))
-    if missing:
-        raise ValueError(f"{RUN_FILE}: metadata is missing {missing}")
-    for key in ("config", "plant", "lattice", "fit"):
-        if not isinstance(meta[key], dict):
-            raise ValueError(f"{RUN_FILE}: {key} is not a JSON object")
-    lattice_from_meta(meta["lattice"], RUN_FILE)
-    read_fields(FIT_KEYS, meta["fit"], RUN_FILE, "fit")
-    read_fields(RUN_NUMBERS, meta, RUN_FILE, "meta", exact=False)
-    config = read_fields(SimConfig, meta["config"], RUN_FILE, "config")
-    plant = read_fields(PlantParams, meta["plant"], RUN_FILE, "plant")
-    for name, (dtype, row) in RUN_COLUMNS.items():
-        if a[name].dtype != dtype or a[name].shape[1:] != row \
-                or a[name].ndim != 1 + len(row):
-            shape = ", ".join(["rows", *map(str, row)])
-            raise ValueError(f"{RUN_FILE}: {name} is not {np.dtype(dtype)} "
-                             f"of shape ({shape})")
-    if np.any(a["counts"] < 1):
-        raise ValueError(f"{RUN_FILE}: a frame cell count below 1")
-    events = EventTable(*(a["event_" + f.name] for f in fields(EventTable)))
-    if len({len(c) for c in vars(events).values()}) > 1:
-        raise ValueError(f"{RUN_FILE}: event columns are not of one length")
-    if np.any((events.kind < 0) | (events.kind >= len(EVENT_KINDS))):
-        raise ValueError(f"{RUN_FILE}: unknown event kind")
-    if np.any((events.frame < 0) | (events.frame >= len(a["frame_t"]))):
-        raise ValueError(f"{RUN_FILE}: event frame outside the run")
-    frames = _split([a[k] for k in FRAME_COLUMNS], a["frame_offsets"],
-                    len(a["frame_t"]))
-    snaps = _split([a[k] for k in TRAJ_COLUMNS], a["traj_offsets"],
-                   len(a["traj_t"]))
-    return SimulationTrace(
-        config=config, plant=plant, frame_t=a["frame_t"],
-        frames=[FrameRecord(*cols) for cols in frames],
-        events=events, injection_rate=meta["injection_rate"],
-        batch_size=meta["batch_size"], lattice=meta["lattice"],
-        fit=meta["fit"], trajectories=[(t, *cols) for t, cols
-                      in zip(a["traj_t"].tolist(), snaps)])

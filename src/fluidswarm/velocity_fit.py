@@ -14,8 +14,7 @@ q = sum_i ||w_i||^2. The set is v_target + s * w_i, with the spread
 so the set pressure c * s^2 * q equals P_target, and a zero target tiles
 the velocity target exactly. ``fit_grid`` solves every cell in one array
 pass into a :class:`GridFit`: ``cells`` (K,) ascending and ``velocities``
-(K, SET_SIZE, 3). A fit file has one row per cell: its lattice index, the
-set size (the ``n_star`` column, always ``SET_SIZE``) and its velocities.
+(K, SET_SIZE, 3).
 
 Reproducibility: one generator, ``np.random.default_rng(seed)``, draws the
 fluctuations of every cell in ascending cell order, so a fit is a function
@@ -30,14 +29,11 @@ from types import MappingProxyType, SimpleNamespace
 import numpy as np
 
 from .partition import ControlVolumeGrid
-from .primitives import (FINITE, FINITE_POSITIVE, SEED, check_fields,
-                         declared, pressure_coefficient, ranged, read_fields)
-from .reference_field import (FieldFormatError, cell_index, lattice_from_meta,
-                              lattice_meta, read_table, write_table)
+from .primitives import (FINITE_POSITIVE, SEED, check_fields,
+                         pressure_coefficient, ranged)
 from .velocity_plant import PlantParams
 
 SET_SIZE = 9                      # velocities per cell
-FIT_HEADER = "jx,jy,jz,n_star,v1x,v1y,v1z,..."
 
 
 @dataclass(frozen=True)
@@ -115,56 +111,3 @@ def fit_grid(grid: ControlVolumeGrid,
     vel = _solve(grid.v_target[cells], grid.p_target[cells] - offset,
                  grid.cell_volume, config.agent_mass, draws)
     return GridFit(cells, vel, offset, config)
-
-
-# ======================================================================
-# wire format
-# ======================================================================
-
-def save_fit(fit: GridFit, grid: ControlVolumeGrid, path) -> None:
-    """Write the fit exactly: one row per cell, its lattice index, the set
-    size and three columns per velocity; the lattice rides in the metadata
-    line."""
-    meta = {"agent_mass": float(fit.config.agent_mass),
-            "rng_seed": int(fit.config.rng_seed),
-            "pressure_offset": float(fit.pressure_offset), **lattice_meta(grid)}
-    k = len(fit.cells)
-    rows = np.column_stack([grid.unravel(fit.cells), np.full(k, SET_SIZE),
-                            fit.velocities.reshape(k, 3 * SET_SIZE)])
-    write_table(path, meta, FIT_HEADER, rows,
-                ",".join(["%d"] * 4 + ["%r"] * (3 * SET_SIZE)))
-
-
-def load_fit(path) -> tuple[GridFit, dict]:
-    """Read a fit table; returns the fit and its metadata mapping. Raises
-    ``ValueError`` as :func:`~fluidswarm.reference_field.read_table` does
-    (a row must hold ``SET_SIZE`` velocities), on missing fit metadata or
-    a value outside its domain (``FitConfig``'s, and a finite
-    ``pressure_offset``), on a cell off the lattice or with two rows, and
-    on a row whose set size is not ``SET_SIZE``."""
-    meta, lines, data = read_table(path, FIT_HEADER, width=4 + 3 * SET_SIZE)
-    values = read_fields({**declared(FitConfig), "pressure_offset": FINITE},
-                         meta, path, "fit metadata", FieldFormatError,
-                         exact=False)
-    dims = lattice_from_meta(meta, path)[2]
-    flat = cell_index(path, lines, data[:, :3], dims)
-    off = data[:, 3] != SET_SIZE
-    if off.any():
-        i = int(np.argmax(off))
-        raise FieldFormatError(f"{path}:{lines[i]}: set size {data[i, 3]:g}, "
-                               f"expected {SET_SIZE}")
-    order = np.argsort(flat)
-    config = FitConfig(float(values["agent_mass"]), values["rng_seed"])
-    fit = GridFit(flat[order], data[order, 4:].reshape(-1, SET_SIZE, 3),
-                  float(values["pressure_offset"]), config)
-    return fit, meta
-
-
-def grid_from_fit(fit: GridFit, meta: dict) -> ControlVolumeGrid:
-    """The lattice of a fit file with the fitted cells inside: what a
-    simulation reads. Every target stays NaN, so the result suits
-    simulation, not scoring."""
-    grid = ControlVolumeGrid.empty(*lattice_from_meta(meta))
-    grid.inside[fit.cells] = True
-    grid.node_count[fit.cells] = 1
-    return grid

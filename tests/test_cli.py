@@ -129,7 +129,7 @@ def test_full_pipeline(tmp_path, capsys):
     # per-frame counter peaks: equal batches, the first in frame 0; no
     # collision without collisions on, and no line for a removed kind
     assert "\npeak_inject_frame=0\n" in out
-    active = load_run(rundir).frame_active
+    active = load_run(rundir)[0].frame_active
     k = int(np.argmax(active))
     assert f"\npeak_active={active[k]}\npeak_active_frame={k}\n" in out
     assert active[k] > 0
@@ -162,7 +162,7 @@ def test_cli_fit_and_simulate_match_the_in_memory_route(tmp_path, capsys,
     assert np.array_equal(cli_fit.cells, fit.cells)
     assert np.array_equal(cli_fit.velocities, fit.velocities)
     want = run_simulation(grid, fit, SimConfig(duration=5.0))
-    got = load_run(tmp_path / "run")
+    got, _ = load_run(tmp_path / "run")
     assert got.events == want.events
     assert len(got.frames) == 100
     assert got.frames == want.frames
@@ -596,7 +596,7 @@ def test_fit_agent_mass_reaches_the_simulated_plant(tmp_path, capsys):
     assert main(["simulate", "--fit", str(fitf), "--out",
                  str(tmp_path / "run"), "--duration", "1.0"]) == 0
     capsys.readouterr()
-    assert load_run(tmp_path / "run").plant.mass == 2.0
+    assert load_run(tmp_path / "run")[0].plant.mass == 2.0
 
 
 def test_plant_test_hover_scenario(tmp_path, capsys):

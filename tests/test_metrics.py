@@ -370,16 +370,17 @@ def test_metrics_report_on_the_standard_run(tmp_path, trace60, grid):
 
 
 def test_reloaded_run_reports_the_same_metrics(tmp_path, trace60, grid):
-    save_run(trace60, tmp_path)
-    back = metrics_report(load_run(tmp_path), grid).values
+    save_run(trace60, grid, tmp_path)
+    back = metrics_report(load_run(tmp_path)[0], grid).values
     assert back == metrics_report(trace60, grid).values
 
 
 def test_control_temperature_follows_the_recorded_plant(tmp_path, grid, fit):
     plant = PlantParams(thrust_to_weight=3.0)
     trace = run_simulation(grid, fit, SimConfig(duration=5.0, seed=1), plant)
-    save_run(trace, tmp_path)
-    got = derive_fields(load_run(tmp_path), grid, transient=1.0).temperature
+    save_run(trace, grid, tmp_path)
+    got = derive_fields(load_run(tmp_path)[0], grid,
+                        transient=1.0).temperature
     want = derive_fields(trace, grid, transient=1.0)
     # the same frames scored as if flown at 2.2 g, and the random part alone
     default = derive_fields(replace(trace, plant=PlantParams()), grid,

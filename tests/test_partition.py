@@ -1,12 +1,14 @@
 """Partition tests: inside mask, cell assignment, target binning, wire format."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fluidswarm import (NozzleGeometry, ReferenceField, assign_cell,
-                        load_partition, partition_domain, save_partition)
+from fluidswarm import (FieldFormatError, NozzleGeometry, ReferenceField,
+                        assign_cell, load_partition, partition_domain,
+                        save_partition)
 
 # frozen for the default duct at 0.5 m edge; independently recomputed below
 INSIDE_CELLS = 796
@@ -229,3 +231,20 @@ def test_load_partition_rejects_a_damaged_file(tmp_path, grid):
     jx, rest = rows[0].split(",", 1)
     rejects([meta, header, ",".join(["30", rest]), *rows[1:]],
             r":3: cell \[30.0, 0.0, 0.0\] is off the \(30, 6, 6\) lattice")
+
+
+def test_a_target_below_vacuum_is_a_format_error(tmp_path, grid):
+    """A pressure target the file's gas cannot hold is the file's fault:
+    ``FieldFormatError`` naming the file, as for every other damage."""
+    path = tmp_path / "partition.csv"
+    save_partition(grid, path)
+    meta, header, *rows = path.read_text().splitlines()
+    i = int(np.argmax(grid.node_count > 0))
+    cols = rows[i].split(",")
+    cols[11] = repr(-1e9)
+    rows[i] = ",".join(cols)
+    path.write_text("\n".join([meta, header, *rows]) + "\n")
+    with pytest.raises(FieldFormatError, match=(
+            f"^{re.escape(str(path))}: gauge pressure below vacuum for this "
+            "gas model$")):
+        load_partition(path)

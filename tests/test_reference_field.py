@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 
 from fluidswarm import (ChokedFlowError, FieldFormatError, GasModel,
                         NozzleGeometry, generate_quasi1d_field, load_field,
-                        reference_field, save_field, station_profile)
+                        records, reference_field, save_field, station_profile)
 
 # independently computed throat centerline speed for the default setup
 # (3.38 m/s inlet, area ratio 4, sea-level air); see oracle below
@@ -308,7 +308,7 @@ def test_the_field_file_carries_its_geometry_and_gas(tmp_path):
 def test_load_field_uses_its_arguments_only_without_the_line(tmp_path, field):
     path = tmp_path / "field.csv"
     save_field(replace(field, geometry=None, gas=None), path)
-    assert path.read_text().startswith(reference_field.FIELD_HEADER + "\n")
+    assert path.read_text().startswith(records.FIELD_HEADER + "\n")
     bare = load_field(path)
     assert bare.geometry is None and bare.gas is None
     other = NozzleGeometry(inlet_radius=1.6, outlet_radius=1.6)

@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fluidswarm import (PlantParams, SimConfig, build_command_table,
-                        detect_collisions, injection_rate, load_run,
-                        plant_suite, population_balance, resolve_collisions,
+from fluidswarm import (FieldFormatError, PlantParams, SimConfig,
+                        build_command_table, detect_collisions,
+                        injection_rate, load_run, plant_suite,
+                        population_balance, records, resolve_collisions,
                         run_simulation, save_run, swarm_sim)
 from fluidswarm.partition import ControlVolumeGrid, assign_cell, partition_domain
-from fluidswarm.reference_field import NozzleGeometry, lattice_meta
+from fluidswarm.records import lattice_meta
+from fluidswarm.reference_field import NozzleGeometry
 from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, close_pairs,
                                   entry_cell, make_batch, seed_tunnel)
 from fluidswarm.velocity_fit import SET_SIZE, FitConfig, GridFit
@@ -1200,6 +1202,22 @@ def test_config_validation():
         assert config.seed_x_max == bound
 
 
+def test_a_duration_past_the_frame_cap_is_rejected_when_built():
+    """A run rounds to at most ``MAX_FRAMES`` frames: a longer one (such as
+    1e300 s) is refused with the config, before any input is read. Only
+    configs are built here; no run comes near the cap."""
+    cap = swarm_sim.MAX_FRAMES
+    assert cap == 2 ** 31 - 1
+    for frames in (cap, cap + 0.25):
+        config = SimConfig(dt=1.0, dt_source=1.0, duration=float(frames))
+        assert round(config.duration / config.dt) == cap
+    for duration in (cap + 0.5, cap + 1.0, 1e300):
+        with pytest.raises(ValueError, match=_whole(
+                "the duration must round to at least one frame, and to "
+                f"finitely many: at most {cap}")):
+            SimConfig(dt=1.0, dt_source=1.0, duration=duration)
+
+
 def test_a_negative_seed_is_rejected_when_built():
     for seed in (-1, -2 ** 40):
         with pytest.raises(ValueError, match=_whole(
@@ -1214,8 +1232,8 @@ def test_a_negative_seed_is_rejected_when_built():
 
 def test_save_load_round_trip(tmp_path, grid, fit):
     trace = short_run(grid, fit, seed=8, record_trajectories=True)
-    save_run(trace, tmp_path)
-    back = load_run(tmp_path)
+    save_run(trace, grid, tmp_path)
+    back, lattice = load_run(tmp_path)
     assert back.config == trace.config
     assert back.plant == trace.plant
     assert np.array_equal(back.frame_t, trace.frame_t)
@@ -1226,9 +1244,9 @@ def test_save_load_round_trip(tmp_path, grid, fit):
     assert back.totals == trace.totals
     assert (back.injection_rate, back.batch_size) == \
         (trace.injection_rate, trace.batch_size)
-    assert back.lattice == trace.lattice == lattice_meta(grid)
-    assert [type(v) for v in back.lattice.values()] \
-        == [type(v) for v in trace.lattice.values()]
+    assert lattice == lattice_meta(grid)
+    assert [type(v) for v in lattice.values()] \
+        == [type(v) for v in lattice_meta(grid).values()]
     assert back.fit == trace.fit == {
         "rng_seed": 0, "set_size": SET_SIZE,
         "pressure_offset": fit.pressure_offset}
@@ -1445,11 +1463,11 @@ def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
     trace = replace(run_simulation(grid, fit, SimConfig(duration=1,
                                                         dt_source=1)),
                     plant=PlantParams(thrust_to_weight=(2.0, 3)))
-    save_run(trace, tmp_path)
+    save_run(trace, grid, tmp_path)
     meta = json.loads(np.load(tmp_path / "trace.npz")["meta"].item())
     assert meta["config"]["duration"] == 1 and meta["config"]["batch_size"] is None
     assert meta["plant"]["thrust_to_weight"] == [2.0, 3]
-    back = load_run(tmp_path)
+    back, _ = load_run(tmp_path)
     assert back.config == trace.config and back.plant == trace.plant
     assert back.plant.thrust_to_weight == (2.0, 3)
 
@@ -1556,13 +1574,13 @@ def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
 ])
 def test_load_run_rejects_a_damaged_record(tmp_path, grid, fit, corrupt,
                                            message):
-    save_run(short_run(grid, fit, duration=1.0), tmp_path)
+    save_run(short_run(grid, fit, duration=1.0), grid, tmp_path)
     path = tmp_path / "trace.npz"
     with np.load(path) as npz:
         cols = dict(npz)
     corrupt(cols)
     np.savez(path, **cols)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(FieldFormatError, match=message):
         load_run(tmp_path)
 
 
@@ -1571,10 +1589,10 @@ def test_streamed_columns_are_the_bytes_of_the_joined_columns(tmp_path, grid,
     """Each frame and trajectory member of the run file holds the bytes
     ``np.lib.format.write_array`` writes for the whole column."""
     trace = short_run(grid, fit, seed=8, record_trajectories=True)
-    save_run(trace, tmp_path)
+    save_run(trace, grid, tmp_path)
     joined = {name: np.concatenate([getattr(r, name) for r in trace.frames])
-              for name in swarm_sim.FRAME_COLUMNS}
-    for i, name in enumerate(swarm_sim.TRAJ_COLUMNS, start=1):
+              for name in records.FRAME_COLUMNS}
+    for i, name in enumerate(records.TRAJ_COLUMNS, start=1):
         joined[name] = np.concatenate([snap[i] for snap in trace.trajectories])
     assert joined["cells"].dtype == joined["counts"].dtype == np.int32
     assert len(trace.trajectories) > 1
@@ -1585,7 +1603,7 @@ def test_streamed_columns_are_the_bytes_of_the_joined_columns(tmp_path, grid,
             assert zf.read(name + ".npy") == buf.getvalue(), name
 
 
-def test_save_run_allocates_less_than_one_chunk(tmp_path, trace60):
+def test_save_run_allocates_less_than_one_chunk(tmp_path, grid, trace60):
     """The frame columns are streamed: writing them never allocates a whole
     column, nor even one chunk of frame rows."""
     chunk = swarm_sim.FRAME_CHUNK_ROWS * 40     # bytes of one chunk's rows
@@ -1593,7 +1611,7 @@ def test_save_run_allocates_less_than_one_chunk(tmp_path, trace60):
     assert rows * 24 > 4 * chunk    # the vsum column alone holds 4 chunks
     tracemalloc.start()
     try:
-        save_run(trace60, tmp_path)
+        save_run(trace60, grid, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -19,9 +19,9 @@ from fluidswarm import (FieldFormatError, FitConfig, build_command_table,
                         fit_grid, grid_from_fit, load_field, load_fit,
                         load_partition, partition_domain, save_field,
                         save_fit, save_partition)
-from fluidswarm.partition import PARTITION_HEADER
-from fluidswarm.reference_field import FIELD_HEADER, lattice_meta, read_table
-from fluidswarm.velocity_fit import FIT_HEADER, SET_SIZE
+from fluidswarm.records import (FIELD_HEADER, FIT_HEADER, PARTITION_HEADER,
+                                lattice_meta, read_table)
+from fluidswarm.velocity_fit import SET_SIZE
 
 FIT_WIDTH = 4 + 3 * SET_SIZE        # a fit row: cell, set size, velocities
 

@@ -14,7 +14,7 @@ import re
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fluidswarm import FieldFormatError
-from fluidswarm.reference_field import read_table
+from fluidswarm.records import read_table
 from test_table_codec import assert_reads_like_the_reference, per_line_read_table
 
 SPECIAL = ["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.5e-320",
