@@ -29,12 +29,15 @@ whose one ``error:`` line names the flag, before any file is read or written.
 An input file that is missing, or is not the file its flag names (another
 stage's file, a damaged one), is reported on one stderr line with exit
 status 1, before any file is written; so are `analyze` targets whose
-lattice or duct differs from the one the run flew.
+lattice or duct differs from the one the run flew, and an output path the
+command cannot write. `simulate` refuses an `--out` that exists and is not
+a directory before it reads the fit.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import os
 import sys
@@ -230,6 +233,9 @@ def _cmd_plant_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 args.out)
     fit, meta = _read(load_fit, args.fit)
     grid = grid_from_fit(fit, meta)
     trace = run_simulation(grid, fit, args.config,
@@ -319,7 +325,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.command}: {exc}")
     try:
         return _DISPATCH[args.command](args)
-    except _InputError as exc:
+    except (_InputError, OSError) as exc:   # OSError: an unwritable output
         print(f"fluidswarm {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -224,9 +224,10 @@ def field_agreement(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
     return out
 
 
-def trend_check(derived: DerivedFields, grid: ControlVolumeGrid,
-                band: float = 2.0) -> dict:
-    """Axial monotony: density dips at the throat, speed peaks there."""
+def trend_check(derived: DerivedFields, grid: ControlVolumeGrid) -> dict:
+    """Axial monotony: density dips at the throat, speed peaks there. The
+    inlet and exit regions are 2 m long, the throat region 2 m wide."""
+    band = 2.0
     geo = grid.geometry
     x = grid.centers()[:, 0]
     regions = {

@@ -70,7 +70,7 @@ class ControlVolumeGrid:
 
 
 def assign_cell(positions, grid: ControlVolumeGrid) -> np.ndarray:
-    """Nearest-center cell for each position (flat indices).
+    """Nearest-center cell for each row of (N, 3) positions (flat indices).
 
     Floor division on the shifted coordinates; a point exactly on a face is
     equidistant between two centers and goes to the lower flat index. Points
@@ -82,7 +82,7 @@ def assign_cell(positions, grid: ControlVolumeGrid) -> np.ndarray:
     to the first cell), and the flat index is built exactly in float and
     cast once.
     """
-    p = np.atleast_2d(np.asarray(positions, dtype=float))
+    p = np.asarray(positions, dtype=float)
     flat = np.zeros(len(p))
     offset = 0.0          # the -1 of every axis, folded into the flat index
     for row, o, d in zip(p.T, grid.origin, grid.dims):
@@ -94,8 +94,7 @@ def assign_cell(positions, grid: ControlVolumeGrid) -> np.ndarray:
         np.multiply(flat, d, out=flat)
         np.add(flat, c, out=flat)
         offset = offset * d + 1.0
-    flat = (flat - offset).astype(np.int64)
-    return flat if np.asarray(positions).ndim > 1 else int(flat[0])
+    return (flat - offset).astype(np.int64)
 
 
 def _inside_mask(origin, edge, dims, geometry: NozzleGeometry) -> np.ndarray:

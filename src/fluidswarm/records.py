@@ -307,16 +307,13 @@ def save_field(fld: ReferenceField, path) -> None:
                 data)
 
 
-def load_field(path, geometry: NozzleGeometry | None = None,
-               gas: GasModel | None = None) -> ReferenceField:
+def load_field(path) -> ReferenceField:
     """Read a field CSV, validating its format and its nodes against the
     duct.
 
     The geometry and gas come from the file's metadata line, as
-    :func:`save_field` writes them; ``geometry`` and ``gas`` stand in for
-    a part the file does not carry. An argument that disagrees with the
-    file raises a :class:`FieldFormatError` naming the key. With a
-    geometry, nodes outside the duct volume raise a
+    :func:`save_field` writes them; a part the file does not carry is
+    None. With a geometry, nodes outside the duct volume raise a
     :class:`FieldFormatError` listing the offending line numbers.
     """
     meta, lines, data = read_table(path, FIELD_HEADER)
@@ -324,8 +321,7 @@ def load_field(path, geometry: NozzleGeometry | None = None,
     if not finite.all():
         bad = lines[~finite][:10].tolist()
         raise FieldFormatError(f"{path}: non-finite values on lines {bad}")
-    geometry, gas = (_agree(path, stored, given) for stored, given
-                     in zip(_duct_from_meta(meta, path), (geometry, gas)))
+    geometry, gas = _duct_from_meta(meta, path)
     fld = ReferenceField(data[:, 0:3], data[:, 3:6], data[:, 6],
                          geometry=geometry, gas=gas)
     if geometry is not None:
@@ -336,19 +332,6 @@ def load_field(path, geometry: NozzleGeometry | None = None,
                 f"{path}: {int((~inside).sum())} node(s) outside the duct "
                 f"volume, first offending lines {bad}")
     return fld
-
-
-def _agree(path, stored, given):
-    """The file's part, or ``given`` when the file has none; raises naming
-    the first key on which ``given`` disagrees with the file."""
-    if stored is None:
-        return given
-    if given is not None:
-        for k, v in asdict(given).items():
-            if v != getattr(stored, k):
-                raise FieldFormatError(f"{path}: {k}={v!r} disagrees with the "
-                                       f"file's {k}={getattr(stored, k)!r}")
-    return stored
 
 
 # ======================================================================

@@ -86,8 +86,10 @@ class NozzleGeometry:
     def max_radius(self) -> float:
         return max(self.inlet_radius, self.outlet_radius)
 
-    def contains(self, positions, tol: float = 1e-9):
-        """Boolean mask: which points lie inside the duct volume."""
+    def contains(self, positions):
+        """Boolean mask: which points lie inside the duct volume, with a
+        margin of 1e-9 on the axial and squared radial tests."""
+        tol = 1e-9
         p = np.atleast_2d(np.asarray(positions, dtype=float))
         x, y, z = p[:, 0], p[:, 1], p[:, 2]
         in_x = (x >= -tol) & (x <= self.length + tol)
@@ -183,8 +185,7 @@ def _residual(gas: GasModel, rho, flux, total_enthalpy: float):
     return gas.enthalpy(rho) + 0.5 * (q * q) - total_enthalpy
 
 
-def _brentq_lanes(f, xa, xb, xtol: float, rtol: float,
-                  maxiter: int = 100) -> np.ndarray:
+def _brentq_lanes(f, xa, xb, xtol: float, rtol: float) -> np.ndarray:
     """A root of ``f`` in [xa[i], xb[i]] for each lane i, where ``f``
     changes sign, by Brent's method: inverse quadratic interpolation or
     secant steps, with a bisection whenever a step would not shrink the
@@ -196,7 +197,8 @@ def _brentq_lanes(f, xa, xb, xtol: float, rtol: float,
     4), each branch chosen per lane, so it returns the float ``brentq``
     returns for that lane; a lane leaves the loop when it stops. Raises
     ValueError when ``f`` has one sign at both ends of some lane and
-    RuntimeError when a lane is left after ``maxiter`` steps.
+    RuntimeError when a lane is left after 100 steps, ``brentq``'s default
+    ``maxiter``.
     """
     xpre, xcur = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
     lanes = np.arange(len(xpre))
@@ -213,7 +215,7 @@ def _brentq_lanes(f, xa, xb, xtol: float, rtol: float,
     # each lane computes both interpolation formulas and uses one; the other
     # may divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(maxiter):
+        for _ in range(100):
             flip = (fpre != 0) & (fcur != 0) \
                 & (np.signbit(fpre) != np.signbit(fcur))
             xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
@@ -252,7 +254,7 @@ def _brentq_lanes(f, xa, xb, xtol: float, rtol: float,
             xcur = xcur + np.where(np.abs(scur) > delta, scur,
                                    np.where(sbis > 0, delta, -delta))
             fcur = f(xcur, lanes)
-    raise RuntimeError(f"no root within {maxiter} steps")
+    raise RuntimeError("no root within 100 steps")
 
 
 def _disc_pattern(rings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

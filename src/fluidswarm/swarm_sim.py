@@ -58,8 +58,7 @@ CASES = ("tunnel_seeding", "reservoir")
 OVERTAKE_TRANSFER = 0.25    # fraction of the speed difference moved
 SPEED_LIMIT = 30.0          # post-collision speed clamp, m/s
 # the most frames a duration may round to (3.4 years at 0.05 s): the loop
-# allocates every frame's end time up front, where a count numpy cannot
-# allocate (1e300 s) failed after the fit was read
+# allocates every frame's end time up front
 MAX_FRAMES = 2 ** 31 - 1
 
 

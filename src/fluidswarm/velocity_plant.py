@@ -8,9 +8,9 @@ realized thrust acceleration follows the clipped demand through a first-order
 lag. Velocity then integrates thrust + gravity + aerodynamic drag.
 
 Everything here is vectorized over agents. ``step``, ``tilt_angle_deg`` and
-``PlantState`` take and give (N, 3) arrays (or one (3,) vector), and a single
-agent is just N = 1; the math runs on (3, N) component rows, one contiguous
-row per axis. ``step`` copies the state into such rows, runs every sub-step
+``PlantState`` take and give (N, 3) arrays (a command or wind may be one (3,)
+vector for every agent), and a single agent is just N = 1; the math runs on
+(3, N) component rows, one contiguous row per axis. ``step`` copies the state into such rows, runs every sub-step
 in place in buffers it allocates once per call, with the drag factor and
 gravity spread to full (3, N) rows, and returns (N, 3) views of its rows;
 the caller's arrays are never written. Integration sub-steps the caller's dt
@@ -192,12 +192,11 @@ def _constrain(a, params: PlantParams, scratch=None) -> np.ndarray:
 
 
 def tilt_angle_deg(thrust_accel) -> np.ndarray:
-    """Tilt of the thrust vector from vertical, degrees."""
-    a = np.atleast_2d(np.asarray(thrust_accel, dtype=float))
+    """Tilt of each (N, 3) row's thrust vector from vertical, degrees."""
+    a = np.asarray(thrust_accel, dtype=float)
     lat = np.hypot(a[:, 0], a[:, 1])
     up = np.maximum(-a[:, 2], 1e-12)
-    out = np.degrees(np.arctan2(lat, up))
-    return out if np.asarray(thrust_accel).ndim > 1 else float(out[0])
+    return np.degrees(np.arctan2(lat, up))
 
 
 def substep_count(dt: float, params: PlantParams) -> int:

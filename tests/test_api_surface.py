@@ -58,3 +58,60 @@ def test_every_public_name_is_used_outside_the_tests():
     assert unused == [], (
         f"exported but used only by tests: {unused}; move them to "
         "tests/reference.py or use them")
+
+
+def _defaulted(tree: ast.Module):
+    """(function, parameter, position) for every parameter with a default
+    of every function and method in ``tree``; ``position`` counts the
+    arguments a call passes before it (a method's ``self`` or ``cls``
+    aside) and is None for a keyword-only parameter."""
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, ast.FunctionDef):
+                yield from visit(child, isinstance(child, ast.ClassDef))
+                continue
+            a = child.args
+            bound = in_class and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in child.decorator_list)
+            params = a.posonlyargs + a.args
+            first = len(params) - len(a.defaults)
+            for i, arg in enumerate(params[first:], start=first):
+                yield child.name, arg.arg, i - bound
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield child.name, arg.arg, None
+            yield from visit(child, False)
+    yield from visit(tree, False)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """A parameter only tests set is an option nobody uses: the package,
+    the demos or the benchmark must pass it, by keyword or by position, in
+    a call to the function by its name or an ``import ... as`` alias."""
+    paths = sorted(PACKAGE.glob("*.py")) + [
+        path for folder in ("demos", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in paths}
+    aliases = {a.asname: a.name for tree in trees.values()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for a in node.names if a.asname}
+    keywords, positions = set(), {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            name = aliases.get(name, name)
+            keywords.update((name, k.arg) for k in call.keywords)
+            positions[name] = max(positions.get(name, 0), len(call.args))
+    unused = [f"{path.stem}.{func}({param})"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for func, param, position in _defaulted(trees[path])
+              if (func, param) not in keywords
+              and (position is None or positions.get(func, 0) <= position)]
+    assert unused == [], (
+        f"defaulted parameters that only tests pass: {unused}; make each a "
+        "constant or pass it")

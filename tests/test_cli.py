@@ -211,7 +211,7 @@ def test_partition_takes_the_duct_and_gas_from_the_field(tmp_path, capsys):
         capsys.readouterr()
         assert token in gridf.read_text().splitlines()[0].split()
         got = load_partition(gridf)
-        want = partition_domain(load_field(field, geometry=geometry, gas=gas))
+        want = partition_domain(load_field(field))
         assert got.geometry == want.geometry == geometry
         assert got.gas == want.gas == gas
         for name in ("inside", "node_count", "v_target", "p_target",
@@ -599,13 +599,65 @@ def test_fit_agent_mass_reaches_the_simulated_plant(tmp_path, capsys):
     assert load_run(tmp_path / "run")[0].plant.mass == 2.0
 
 
-def test_plant_test_hover_scenario(tmp_path, capsys):
+@pytest.mark.parametrize("choice, key", [
+    ("hover", "hover_hold"), ("step", "step_response"),
+    ("max-speed", "max_speed_sweep"), ("headwind", "headwind_sweep"),
+    ("noise", "noise_monte_carlo")])
+def test_plant_test_scenario(choice, key, tmp_path, capsys):
     table = tmp_path / "plant.csv"
-    assert main(["plant-test", "--scenario", "hover",
+    assert main(["plant-test", "--scenario", choice,
                  "--out", str(table)]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] hover_hold" in out
+    assert out.startswith(f"[PASS] {key}: ")
     lines = table.read_text().strip().splitlines()
     assert lines[0] == "scenario,metric,value,scenario_pass"
-    assert all(line.startswith("hover_hold,") for line in lines[1:])
+    assert all(line.startswith(f"{key},") for line in lines[1:])
     assert len(lines) > 1
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A small field, grid, fit and 1 s run, each written by the CLI."""
+    root = tmp_path_factory.mktemp("pipeline")
+    for argv in (["generate-field", "--output", "IN/field.csv", "--stations",
+                  "41", "--rings", "3"],
+                 ["partition", "--field", "IN/field.csv", "--output",
+                  "IN/grid.csv"],
+                 ["fit", "--partition", "IN/grid.csv", "--output",
+                  "IN/fit.csv"],
+                 ["simulate", "--fit", "IN/fit.csv", "--out", "IN/run",
+                  "--duration", "1"]):
+        assert main([a.replace("IN/", f"{root}/") for a in argv]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate-field", "--stations", "41", "--rings", "3", "--output",
+     "missing/field.csv"],
+    ["partition", "--field", "IN/field.csv", "--output", "missing/grid.csv"],
+    ["fit", "--partition", "IN/grid.csv", "--output", "missing/fit.csv"],
+    ["simulate", "--fit", "IN/fit.csv", "--out", "file"],
+    ["analyze", "--run", "IN/run", "--targets", "IN/grid.csv", "--out",
+     "file"],
+    ["plant-test", "--scenario", "hover", "--out", "missing/p.csv"]],
+    ids=lambda argv: argv[0])
+def test_an_output_path_that_cannot_be_written_is_a_one_line_error(
+        argv, pipeline, tmp_path, monkeypatch, capsys):
+    """A missing directory, or a file where a directory must go, ends the
+    command with one stderr line naming the path and exit status 1, and
+    writes nothing. ``simulate`` finds it before it reads the fit."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    argv = [a.replace("IN/", f"{pipeline}/") for a in argv]
+
+    def unread(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("fluidswarm.cli.load_fit", unread)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"fluidswarm {argv[0]}: ")
+    assert argv[-1] in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == ""

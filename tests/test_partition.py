@@ -92,9 +92,9 @@ def test_assign_cell_identity_on_centers(grid):
 def test_assign_cell_face_tie_goes_low(grid):
     # a point exactly on a shared face is equidistant; lower cell wins
     p = grid.origin + grid.edge_length  # face between cells (0,0,0) and (1,1,1)
-    assert assign_cell(p, grid) == 0
+    assert assign_cell([p], grid).tolist() == [0]
     p = grid.origin + np.array([2.0 * grid.edge_length, 0.25, 0.25])
-    assert np.array_equal(grid.unravel([assign_cell(p, grid)])[0], [1, 0, 0])
+    assert np.array_equal(grid.unravel(assign_cell([p], grid))[0], [1, 0, 0])
 
 
 def test_assign_cell_is_nearest_center(grid):
@@ -110,9 +110,10 @@ def test_assign_cell_is_nearest_center(grid):
 
 def test_assign_cell_clamps_outliers(grid):
     nx, ny, nz = grid.dims
-    assert assign_cell([-5.0, 0.0, 0.0], grid) == assign_cell([0.01, 0.0, 0.0], grid)
-    far = assign_cell([1e6, 1e6, 1e6], grid)
-    assert np.array_equal(grid.unravel([far])[0], [nx - 1, ny - 1, nz - 1])
+    assert assign_cell([[-5.0, 0.0, 0.0]], grid) \
+        == assign_cell([[0.01, 0.0, 0.0]], grid)
+    far = assign_cell([[1e6, 1e6, 1e6]], grid)
+    assert np.array_equal(grid.unravel(far)[0], [nx - 1, ny - 1, nz - 1])
 
 
 def reference_assign_cell(p, grid):
@@ -143,7 +144,7 @@ def test_assign_cell_equals_the_integer_formula_on_faces_and_rows(grid):
     assert np.array_equal(assign_cell(pts, grid), want)
     rows = np.ascontiguousarray(pts.T)
     assert np.array_equal(assign_cell(rows.T, grid), want)
-    assert assign_cell(pts[7], grid) == want[7]
+    assert assign_cell(pts[7:8], grid).tolist() == [want[7]]
     # the face points and those one ulp above them fall in different cells
     assert np.any(want[:600] != want[600:1200])
 

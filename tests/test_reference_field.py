@@ -232,9 +232,12 @@ def test_brent_port_rejects_a_bracket_without_a_sign_change():
                                          rtol=1e-15), 0.25]
     assert brent(lanes_of(line, line), [0.25, 0.0], [1.0, 0.25]).tolist() \
         == [0.25, 0.25]
-    # a lane still open after maxiter steps fails the solve
-    with pytest.raises(RuntimeError, match="within 3 steps"):
-        brent(lanes_of(line, cube), [0.0, 2.0], [1.0, 3.0], maxiter=3)
+    # a lane still open after 100 steps fails the solve: with no tolerance
+    # only an exact zero stops it, and x - 0.1 has none in floats
+    with pytest.raises(RuntimeError, match="within 100 steps"):
+        reference_field._brentq_lanes(lanes_of(cube, lambda x: x - 0.1),
+                                      [2.0, 0.0], [3.0, 1.0], xtol=0.0,
+                                      rtol=0.0)
 
 
 @pytest.mark.parametrize("func, xa, xb", [
@@ -271,7 +274,7 @@ def test_generator_argument_validation():
 def test_save_load_round_trip(tmp_path, field):
     path = tmp_path / "field.csv"
     save_field(field, path)
-    back = load_field(path, geometry=field.geometry, gas=field.gas)
+    back = load_field(path)
     assert len(back) == len(field)
     assert np.allclose(back.positions, field.positions, rtol=1e-11, atol=1e-12)
     assert np.allclose(back.velocities, field.velocities, rtol=1e-11, atol=1e-12)
@@ -294,33 +297,16 @@ def test_the_field_file_carries_its_geometry_and_gas(tmp_path):
     save_field(fld, path)
     back = load_field(path)
     assert back.geometry == geometry and back.gas == gas
-    # an argument that agrees with the file is accepted
-    assert load_field(path, geometry=geometry, gas=gas).geometry == geometry
-    # each part is written alone when the other is absent
-    for part in ({"geometry": None}, {"gas": None}):
+    # each part is written alone when the other is absent, and a file with
+    # neither has no metadata line and loads with neither
+    for part in ({"geometry": None}, {"gas": None},
+                 {"geometry": None, "gas": None}):
         save_field(replace(fld, **part), path)
         back = load_field(path)
         assert (back.geometry, back.gas) == (
             None if "geometry" in part else geometry,
             None if "gas" in part else gas)
-
-
-def test_load_field_uses_its_arguments_only_without_the_line(tmp_path, field):
-    path = tmp_path / "field.csv"
-    save_field(replace(field, geometry=None, gas=None), path)
     assert path.read_text().startswith(records.FIELD_HEADER + "\n")
-    bare = load_field(path)
-    assert bare.geometry is None and bare.gas is None
-    other = NozzleGeometry(inlet_radius=1.6, outlet_radius=1.6)
-    given = load_field(path, geometry=other, gas=GasModel(gamma=1.3))
-    assert given.geometry == other and given.gas == GasModel(gamma=1.3)
-    # a file with the line keeps its own: a differing argument is an error
-    save_field(field, path)
-    with pytest.raises(FieldFormatError, match=r"throat_radius=0\.6 disagrees "
-                       r"with the file's throat_radius=0\.75"):
-        load_field(path, geometry=NozzleGeometry(throat_radius=0.6))
-    with pytest.raises(FieldFormatError, match="inlet_sound_speed=26.0 disagrees"):
-        load_field(path, gas=GasModel(inlet_sound_speed=26.0))
 
 
 def test_load_field_rejects_partial_or_invalid_metadata(tmp_path):
@@ -369,10 +355,11 @@ def test_loader_reports_offending_line(tmp_path):
 def test_loader_geometry_validation(tmp_path):
     path = tmp_path / "out.csv"
     # node at (6, 1.4, 0) sits outside the 0.75 m throat
-    path.write_text("x,y,z,vx,vy,vz,p\n6,1.4,0,1,0,0,-5\n")
+    write_field(path, asdict(NozzleGeometry()), rows="6,1.4,0,1,0,0,-5\n")
     with pytest.raises(FieldFormatError, match="outside the duct"):
-        load_field(path, geometry=NozzleGeometry())
-    # same file passes without a geometry to check against
+        load_field(path)
+    # the same rows pass without a geometry to check against
+    path.write_text("x,y,z,vx,vy,vz,p\n6,1.4,0,1,0,0,-5\n")
     fld = load_field(path)
     assert len(fld) == 1
 

@@ -714,8 +714,8 @@ def test_the_layers_perfbench_times_are_called_through_module_names(
                            "append": batches}
 
     counted(plant_suite, "step")
-    out = plant_suite.hover_hold(duration=1.0, dt=0.01)
-    assert calls["step"] == 100 and out["drift_error"] < 1e-3
+    out = plant_suite.hover_hold()
+    assert calls["step"] == 500 and out["drift_error"] < 1e-3
 
 
 def test_runs_are_deterministic(grid, fit):

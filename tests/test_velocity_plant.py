@@ -9,9 +9,13 @@ from scipy.optimize import brentq
 
 from fluidswarm import (PlantParams, PlantState, plant_step, plant_suite,
                         tilt_angle_deg)
-from fluidswarm.plant_suite import (headwind_sweep, hover_hold,
-                                    max_speed_sweep, noise_monte_carlo,
-                                    rollout, run_suite, step_response)
+from fluidswarm.plant_suite import (DT, FF_GAIN, HEADWIND_DURATION,
+                                    HEADWIND_SPEEDS, NOISE_DURATION,
+                                    NOISE_HOLD, NOISE_LEVELS, NOISE_RUNS,
+                                    SWEEP_DT, TW_SWEEP, headwind_sweep,
+                                    hover_hold, max_speed_sweep,
+                                    noise_monte_carlo, rollout, run_suite,
+                                    step_response)
 from reference import constrain_accel, desired_accel, drag_force
 
 P = PlantParams()
@@ -56,8 +60,8 @@ def test_constrain_accel_magnitude_clip_preserves_direction():
 
 
 def test_tilt_angle():
-    assert tilt_angle_deg([1.0, 0.0, -1.0]) == pytest.approx(45.0)
-    assert tilt_angle_deg([0.0, 0.0, -9.81]) == pytest.approx(0.0)
+    assert tilt_angle_deg([[1.0, 0.0, -1.0]]) == pytest.approx([45.0])
+    assert tilt_angle_deg([[0.0, 0.0, -9.81]]) == pytest.approx([0.0])
 
 
 def test_hover_is_a_fixed_point():
@@ -133,20 +137,23 @@ def test_params_validation():
 # ----------------------------------------------------------------------
 
 def test_hover_hold_scenario():
-    out = hover_hold(P)
+    out = hover_hold()
     assert out["drift_error"] < 1e-3
+    assert out["pass"]
 
 
 def test_step_response_band():
-    out = step_response(P)
+    out = step_response()
     assert 1.32 <= out["settling_time_s"] <= 2.02
     assert out["overshoot_pct"] < 0.5
     assert 1.32 <= out["settling_time_diag_s"] <= 2.02
     assert out["overshoot_diag_pct"] < 0.5
+    assert out["pass"]
 
 
 def test_max_speed_is_insensitive_to_thrust_to_weight():
-    out = max_speed_sweep(P, tw_values=(1.5, 6.0))
+    out = max_speed_sweep()
+    assert out["pass"]
     speeds = [r["steady_speed"] for r in out["rows"]]
     # drag, not thrust, limits level speed
     assert max(speeds) - min(speeds) < 0.05
@@ -156,25 +163,26 @@ def test_max_speed_is_insensitive_to_thrust_to_weight():
 
 
 def test_headwind_errors_grow_with_wind():
-    out = headwind_sweep(P, wind_speeds=(0.0, 4.0, 8.0))
+    out = headwind_sweep()
     errs = [r["steady_error"] for r in out["rows"]]
     assert errs[0] == pytest.approx(0.0, abs=1e-9)
     assert errs == sorted(errs)
     assert out["max_error"] <= 0.12
+    assert out["pass"]
 
 
 def test_noise_rmse_is_monotone():
-    out = noise_monte_carlo(P, noise_levels=(0.5, 1.5, 3.0), runs=2,
-                            duration=5.0)
+    out = noise_monte_carlo(0)
     lat = [r["lateral_rmse"] for r in out["rows"]]
     assert lat == sorted(lat)
+    assert out["pass"]
 
 
 def test_noise_verdict_holds_at_every_seed():
     # every level flies the same draws, so the verdict tests the plant,
     # not the luck of independent draws per level
     failed = [seed for seed in range(26)
-              if not run_suite(P, seed=seed, scenarios=("noise",))["pass"]]
+              if not run_suite(seed=seed, scenarios=("noise",))["pass"]]
     assert failed == []
 
 
@@ -185,14 +193,14 @@ def test_a_non_monotone_plant_fails_the_noise_verdict(monkeypatch):
         return PlantState(v / (1.0 + v * v), state.thrust_accel)
 
     monkeypatch.setattr(plant_suite, "step", saturating_step)
-    out = run_suite(P, seed=0, scenarios=("noise",))["noise_monte_carlo"]
+    out = run_suite(seed=0, scenarios=("noise",))["noise_monte_carlo"]
     lat = [r["lateral_rmse"] for r in out["rows"]]
     assert lat != sorted(lat)
     assert not out["pass"]
 
 
 def test_run_suite_scenario_selection():
-    out = run_suite(P, scenarios=("hover",))
+    out = run_suite(scenarios=("hover",))
     assert set(out) == {"hover_hold", "pass"}
     assert out["pass"]
 
@@ -208,75 +216,67 @@ def _one_agent(params, command, steps, dt, wind=(0.0, 0.0, 0.0)):
 
 
 def test_batched_headwind_equals_single_agent_runs():
-    speeds = (0.0, 3.0, 8.0)
-    out = headwind_sweep(P, wind_speeds=speeds, duration=2.0)
-    windy = replace(P, ff_gain=0.8)
-    wind = np.array([[-w, 0.0, 0.0] for w in speeds])
-    _, batched, _ = rollout(windy, lambda k, t: np.zeros(3), 2.0, 0.01,
-                            n=len(speeds), wind=wind)
-    for i, (w, row) in enumerate(zip(speeds, out["rows"])):
-        vs = _one_agent(windy, lambda k: np.zeros(3), 200, 0.01,
-                        wind=(-w, 0.0, 0.0))
+    out = headwind_sweep()
+    windy = replace(P, ff_gain=FF_GAIN)
+    wind = np.array([[-w, 0.0, 0.0] for w in HEADWIND_SPEEDS])
+    _, batched, _ = rollout(windy, lambda k, t: np.zeros(3),
+                            HEADWIND_DURATION, DT, n=len(wind), wind=wind)
+    steps = round(HEADWIND_DURATION / DT)
+    for i in (0, len(wind) - 1):        # calm and the strongest wind
+        vs = _one_agent(windy, lambda k: np.zeros(3), steps, DT,
+                        wind=wind[i])
         assert np.array_equal(batched[:, i], vs)
-        assert row["steady_error"] == float(np.linalg.norm(vs[-1]))
+        assert out["rows"][i]["steady_error"] == float(np.linalg.norm(vs[-1]))
 
 
 def test_batched_noise_equals_single_agent_runs():
-    levels, runs, seed, dt, steps, per_hold = (0.5, 2.0), 2, 3, 0.01, 200, 10
-    out = noise_monte_carlo(P, noise_levels=levels, runs=runs, duration=2.0,
-                            seed=seed)
-    for lvl, row in zip(levels, out["rows"]):
-        lat_sq, vert_sq, count = 0.0, 0.0, 0
-        for run in range(runs):
-            rng = np.random.default_rng((seed, run))  # shared by all levels
-            state = PlantState.hover(P)
-            noise = np.zeros(3)
-            for k in range(steps):
-                if k % per_hold == 0:
-                    noise = lvl * rng.standard_normal(3)
-                state = plant_step(state, noise, dt, P)
-                v = state.velocity[0]
-                lat_sq += v[0] ** 2 + v[1] ** 2
-                vert_sq += v[2] ** 2
-                count += 1
-        # summation order differs: pooled sums agree to rounding only
-        assert row["lateral_rmse"] == pytest.approx(np.sqrt(lat_sq / count),
-                                                    rel=1e-12)
-        assert row["vertical_rmse"] == pytest.approx(np.sqrt(vert_sq / count),
-                                                     rel=1e-12)
-
-    # the velocities themselves are bitwise those of agents stepped alone
-    rngs = [np.random.default_rng((seed, run)) for run in range(runs)]
-    noise = np.stack([levels[0] * r.standard_normal((steps // per_hold, 3))
+    """The strongest level's runs, each flown alone, give its row of the
+    suite and the batched velocities bit for bit."""
+    seed, steps = 3, round(NOISE_DURATION / DT)
+    per_hold = round(NOISE_HOLD / DT)
+    out = noise_monte_carlo(seed)
+    lvl, row = NOISE_LEVELS[-1], out["rows"][-1]
+    rngs = [np.random.default_rng((seed, run)) for run in range(NOISE_RUNS)]
+    noise = np.stack([lvl * r.standard_normal((steps // per_hold, 3))
                       for r in rngs], axis=1)
-    _, batched, _ = rollout(P, lambda k, t: noise[k // per_hold], 2.0, dt,
-                            n=runs)
-    for run in range(runs):
-        vs = _one_agent(P, lambda k: noise[k // per_hold, run], steps, dt)
+    _, batched, _ = rollout(P, lambda k, t: noise[k // per_hold],
+                            NOISE_DURATION, DT, n=NOISE_RUNS)
+    lat_sq, vert_sq = 0.0, 0.0
+    for run in range(NOISE_RUNS):
+        vs = _one_agent(P, lambda k: noise[k // per_hold, run], steps, DT)
         assert np.array_equal(batched[:, run], vs)
+        lat_sq += float(np.sum(vs[:, 0] ** 2 + vs[:, 1] ** 2))
+        vert_sq += float(np.sum(vs[:, 2] ** 2))
+    count = NOISE_RUNS * steps
+    # summation order differs: pooled sums agree to rounding only
+    assert row["lateral_rmse"] == pytest.approx(np.sqrt(lat_sq / count),
+                                                rel=1e-12)
+    assert row["vertical_rmse"] == pytest.approx(np.sqrt(vert_sq / count),
+                                                 rel=1e-12)
 
 
 def test_batched_max_speed_equals_single_agent_runs():
-    tws, dt = (1.5, 2.2, 6.0), 0.005
-    out = max_speed_sweep(P, tw_values=tws, dt=dt)
+    out = max_speed_sweep()
     fwd = np.array([8.0, 0.0, 0.0])
 
     def command(k, t):
         return fwd if t < 10.0 else -fwd
 
-    _, batched, batched_tilts = rollout(replace(P, thrust_to_weight=tws),
-                                        command, 16.0, dt, n=len(tws))
-    for i, (tw, row) in enumerate(zip(tws, out["rows"])):
-        # reference: each setting flown alone, as a single-agent plant
+    _, batched, batched_tilts = rollout(replace(P, thrust_to_weight=TW_SWEEP),
+                                        command, 16.0, SWEEP_DT,
+                                        n=len(TW_SWEEP))
+    for i in (0, len(TW_SWEEP) - 1):    # the weakest and strongest setting
+        # reference: the setting flown alone, as a single-agent plant
+        tw = TW_SWEEP[i]
         ts, vs, tilts = rollout(replace(P, thrust_to_weight=tw), command,
-                                16.0, dt)
+                                16.0, SWEEP_DT)
         assert np.array_equal(batched[:, i], vs[:, 0])
         assert np.array_equal(batched_tilts[:, i], tilts[:, 0])
         speed = np.linalg.norm(vs[:, 0], axis=1)
-        assert row == {"thrust_to_weight": tw,
-                       "steady_speed": float(
-                           speed[(ts > 8.0) & (ts <= 10.0)].mean()),
-                       "peak_tilt_deg": float(tilts.max())}
+        assert out["rows"][i] == {
+            "thrust_to_weight": tw,
+            "steady_speed": float(speed[(ts > 8.0) & (ts <= 10.0)].mean()),
+            "peak_tilt_deg": float(tilts.max())}
 
 
 def test_suite_raises_no_numpy_warnings():
