@@ -25,7 +25,7 @@ cfg = SimConfig(case="reservoir", duration=60.0, dt=0.05, scale=0.1, seed=0)
 trace = run_simulation(grid, fit, cfg)
 total = trace.totals
 print(f"60 s flown: injected {total['inject']}, retired {total['retire']}, "
-      f"active {int(trace.frames[-1].counts.sum())}, "
+      f"active {trace.frame_active[-1]}, "
       f"wall escapes {total['wall_escape']}")
 
 report = metrics_report(trace, grid)

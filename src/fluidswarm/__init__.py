@@ -14,7 +14,6 @@ from .metrics import (DerivedFields, centerline_agreement, centerline_profile,
 from .partition import ControlVolumeGrid, assign_cell, partition_domain
 from .plant_suite import (headwind_sweep, hover_hold, max_speed_sweep,
                           noise_monte_carlo, run_suite, step_response)
-from .primitives import DegenerateCellError, control_temperature
 from .records import (FieldFormatError, grid_from_fit, load_field, load_fit,
                       load_partition, load_run, save_field, save_fit,
                       save_partition, save_run)
@@ -31,12 +30,12 @@ from .velocity_plant import step as plant_step
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChokedFlowError", "ControlVolumeGrid", "DegenerateCellError",
-    "DerivedFields", "FieldFormatError", "FitConfig", "GRAVITY",
+    "ChokedFlowError", "ControlVolumeGrid", "DerivedFields",
+    "FieldFormatError", "FitConfig", "GRAVITY",
     "GasModel", "GridFit", "NozzleGeometry", "PlantParams", "PlantState",
     "ReferenceField", "SimConfig", "SimulationTrace", "assign_cell",
     "build_command_table", "centerline_agreement", "centerline_profile",
-    "control_temperature", "default_transient", "derive_fields",
+    "default_transient", "derive_fields",
     "detect_collisions", "export_centerline", "export_slice",
     "field_agreement", "fit_grid", "generate_quasi1d_field", "grid_from_fit",
     "headwind_sweep", "hover_hold", "injection_rate", "load_field",

@@ -16,11 +16,11 @@ A duct that chokes or that `NozzleGeometry` rejects is a usage error of
 `generate-field`, found before any file is written. `simulate` flies agents
 of the fit's `--agent-mass` and writes the whole run, its event table and
 the fit's seed, set size and pressure offset included, as one exact binary
-record, `run/trace.npz`. `analyze` scores it with that plant's mass and
-peak acceleration, writes its metrics and CSV cuts next to it, and prints
-the fit's record, the population balance and each event kind's per-frame
-peak. `plant-test` exercises the velocity plant against its
-response envelopes and is independent of the field pipeline. `fit`,
+record, `run/trace.npz`. `analyze` scores it with that plant's mass, writes
+its metrics and CSV cuts next to it, and prints the fit's record, the
+population balance and each event kind's per-frame peak. `plant-test`
+exercises the velocity plant against its response envelopes and is
+independent of the field pipeline. `fit`,
 `simulate` and `plant-test` take `--seed` (default 0); no other subcommand
 draws random numbers. A flag that sets a library parameter has the library's
 default and the domain declared beside the parameter: a value outside it, or
@@ -30,8 +30,9 @@ An input file that is missing, or is not the file its flag names (another
 stage's file, a damaged one), is reported on one stderr line with exit
 status 1, before any file is written; so are `analyze` targets whose
 lattice or duct differs from the one the run flew, and an output path the
-command cannot write. `simulate` refuses an `--out` that exists and is not
-a directory before it reads the fit.
+command cannot write. `simulate` and `analyze` refuse an `--out` that
+exists and is not a directory, and `plant-test` an `--out` in a directory
+that does not exist, before they read an input or run the suite.
 """
 
 from __future__ import annotations
@@ -172,6 +173,14 @@ def _read(load, path):
             from exc
 
 
+def _check_outdir(path) -> None:
+    """Raise, before the work, what making the directory ``path`` ends in
+    when ``path`` exists as a file."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 path)
+
+
 def _cmd_generate_field(args) -> int:
     fld = args.field
     save_field(fld, args.output)
@@ -206,6 +215,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_plant_test(args) -> int:
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                args.out)       # found before the suite runs
     picks = ALL_SCENARIOS if args.scenario == "all" \
         else (args.scenario.replace("-", "_"),)
     suite = run_suite(seed=args.seed, scenarios=picks)
@@ -233,16 +245,14 @@ def _cmd_plant_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
-                                 args.out)
+    _check_outdir(args.out)
     fit, meta = _read(load_fit, args.fit)
     grid = grid_from_fit(fit, meta)
     trace = run_simulation(grid, fit, args.config,
                            replace(args.plant, mass=fit.config.agent_mass))
     save_run(trace, grid, args.out)
     total = trace.totals
-    print(f"{len(trace.frames)} frames -> {args.out}; injected "
+    print(f"{len(trace.frame_t)} frames -> {args.out}; injected "
           f"{total['inject']}, retired {total['retire']}, "
           f"active {population_balance(trace)['active']}, "
           f"wall escapes {total['wall_escape']}, faults {total['fault']}")
@@ -250,6 +260,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    outdir = args.out or args.run
+    _check_outdir(outdir)
     grid = _read(load_partition, args.targets)
     run, lattice = _read(load_run, args.run)
     targets = lattice_meta(grid)
@@ -261,7 +273,6 @@ def _cmd_analyze(args) -> int:
         raise _InputError(f"{args.run}: --transient {args.transient:g} leaves "
                           f"no frame of the run's {run.config.duration:g} s")
     report = metrics_report(run, grid, transient=args.transient)
-    outdir = args.out or args.run
     os.makedirs(outdir, exist_ok=True)
     save_metrics(report, os.path.join(outdir, "metrics.txt"))
     export_slice(report.derived, grid, os.path.join(outdir, "slice.csv"))

@@ -22,8 +22,8 @@ from .partition import ControlVolumeGrid
 from .primitives import (FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, SEED,
                          check, declared, integers_from)
 from .reference_field import GasModel, NozzleGeometry, ReferenceField
-from .swarm_sim import (EVENT_KINDS, EventTable, FrameRecord, SimConfig,
-                        SimulationTrace)
+from .swarm_sim import (EVENT_KINDS, EventTable, FrameChunk, FrameTable,
+                        SimConfig, SimulationTrace)
 from .velocity_fit import SET_SIZE, FitConfig, GridFit
 from .velocity_plant import PlantParams
 
@@ -420,7 +420,7 @@ def grid_from_fit(fit: GridFit, meta: dict) -> ControlVolumeGrid:
 
 RUN_FILE = "trace.npz"
 RUN_FORMAT = 9
-# the columns streamed record by record: dtype and the shape of one row
+# the frame table's columns, in ``FrameChunk`` order: dtype and row shape
 FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
                  "vsum": (np.float64, (3,)), "sumv2": (np.float64, ())}
 TRAJ_COLUMNS = {"traj_ids": (np.int64, ()), "traj_pos": (np.float64, (3,)),
@@ -457,10 +457,11 @@ def save_run(trace: SimulationTrace, grid: ControlVolumeGrid, outdir) -> None:
     """Write the whole trace, flown on ``grid``, to ``outdir/trace.npz``
     (binary, uncompressed).
 
-    Frame records and trajectory snapshots are flat columns cut by offsets,
-    streamed record by record; the event table is one column per field, and
-    config, plant, the lattice (:func:`lattice_meta` of ``grid``) and fit
-    are one JSON string; counts are not stored. :func:`load_run` reads back
+    The frame table's columns and the trajectory snapshots are flat columns
+    cut by offsets, streamed chunk by chunk and snapshot by snapshot; the
+    event table is one column per field, and config, plant, the lattice
+    (:func:`lattice_meta` of ``grid``) and fit are one JSON string; counts
+    are not stored. :func:`load_run` reads back
     a trace equal to this one, and that lattice.
     """
     os.makedirs(outdir, exist_ok=True)
@@ -469,13 +470,13 @@ def save_run(trace: SimulationTrace, grid: ControlVolumeGrid, outdir) -> None:
             "injection_rate": trace.injection_rate,
             "batch_size": trace.batch_size, "lattice": lattice_meta(grid),
             "fit": trace.fit}
-    frames, snaps = trace.frames, trace.trajectories
+    snaps = trace.trajectories
     parts = {"frame_t": [trace.frame_t],
-             "frame_offsets": [np.cumsum([0] + [len(r.cells) for r in frames])],
+             "frame_offsets": [trace.frames.offsets],
              "traj_t": [[s[0] for s in snaps]],
              "traj_offsets": [np.cumsum([0] + [len(s[1]) for s in snaps])]}
     parts.update(("event_" + k, [v]) for k, v in vars(trace.events).items())
-    parts.update((name, [getattr(r, name) for r in frames])
+    parts.update((name, [getattr(c, name) for c in trace.frames])
                  for name in FRAME_COLUMNS)
     parts.update((name, [s[i] for s in snaps])
                  for i, name in enumerate(TRAJ_COLUMNS, start=1))
@@ -487,15 +488,13 @@ def save_run(trace: SimulationTrace, grid: ControlVolumeGrid, outdir) -> None:
             _write_parts(zf, name, parts[name], *layout)
 
 
-def _split(columns: list, offsets: np.ndarray, n: int) -> list[tuple]:
-    """``n`` tuples of per-part views of flat columns cut at ``offsets``."""
+def _check_offsets(columns: list, offsets: np.ndarray, n: int) -> None:
+    """Raise unless ``offsets`` cut the flat ``columns`` into ``n`` parts."""
     if (len(offsets) != n + 1 or offsets[0] != 0
             or np.any(np.diff(offsets) < 0)
             or any(len(c) != offsets[-1] for c in columns)):
         raise FieldFormatError(f"{RUN_FILE}: column lengths disagree with "
                                "offsets")
-    return [tuple(c[lo:hi] for c in columns)
-            for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 def load_run(rundir) -> tuple[SimulationTrace, dict]:
@@ -565,15 +564,16 @@ def load_run(rundir) -> tuple[SimulationTrace, dict]:
         raise FieldFormatError(f"{RUN_FILE}: unknown event kind")
     if np.any((events.frame < 0) | (events.frame >= len(a["frame_t"]))):
         raise FieldFormatError(f"{RUN_FILE}: event frame outside the run")
-    frames = _split([a[k] for k in FRAME_COLUMNS], a["frame_offsets"],
-                    len(a["frame_t"]))
-    snaps = _split([a[k] for k in TRAJ_COLUMNS], a["traj_offsets"],
-                   len(a["traj_t"]))
+    frames = FrameChunk(*(a[k] for k in FRAME_COLUMNS))
+    snaps = [a[k] for k in TRAJ_COLUMNS]
+    _check_offsets(frames, a["frame_offsets"], len(a["frame_t"]))
+    _check_offsets(snaps, a["traj_offsets"], len(a["traj_t"]))
+    cuts = a["traj_offsets"].tolist()
     trace = SimulationTrace(
         config=config, plant=plant, frame_t=a["frame_t"],
-        frames=[FrameRecord(*cols) for cols in frames],
+        frames=FrameTable(a["frame_offsets"], [frames]),
         events=events, injection_rate=meta["injection_rate"],
         batch_size=meta["batch_size"], fit=meta["fit"],
-        trajectories=[(t, *cols) for t, cols
-                      in zip(a["traj_t"].tolist(), snaps)])
+        trajectories=[(t, *(c[lo:hi] for c in snaps)) for t, lo, hi
+                      in zip(a["traj_t"].tolist(), cuts, cuts[1:])])
     return trace, meta["lattice"]

@@ -22,26 +22,28 @@ they arrive.
 
 The population keeps positions, velocities and thrusts as (3, N) row views
 of one (9, N) block, one contiguous row per component, which the plant
-steps row by row and binning reads without a copy. A frame record holds the
-swarm's own moments per occupied cell, summed from one (4, N) block: the
-agent count, the velocity sum and the sum of squared speeds. It reads no
-target; the analysis derives deviations from these sums. The records fill
-fixed-size chunks, 40 B a row, which no frame copies or grows. Each event
-is one row of the run's event table, its only population record. All
-randomness is drawn from generators seeded by (seed, purpose, index), so
-traces are reproducible.
+steps row by row and binning reads without a copy. The frame table holds
+the swarm's own moments, one row per occupied cell and frame, summed from
+one (4, N) block: the agent count, the velocity sum and the sum of squared
+speeds. It reads no target; the analysis derives deviations from these
+sums. Its rows fill fixed-size chunks, 40 B a row, which no frame copies
+or grows. Each event is one row of the run's event table, its only
+population record. All randomness is drawn from generators seeded by
+(seed, purpose, index), so traces are reproducible.
 
 Collisions are overtakes: a close pair closing faster than the approach
 floor, its headings aligned above ``overtake_cos``, moves speed from the
 faster agent to the slower; no other pair collides, and headings never
-change. The close pairs are those SciPy's ``cKDTree.query_pairs`` finds
-(``close_pairs``), and the pass runs on the population's own rows.
+change. The close pairs come from a cell list (``close_pairs``) that
+follows the rule of SciPy's ``cKDTree.query_pairs``, and the pass runs on
+the population's own rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,18 +98,69 @@ class SimConfig:
             raise ValueError("dt_source must be at least one frame")
 
 
-@dataclass(eq=False)
-class FrameRecord:
-    """Per-cell sums for one frame, the swarm's own moments; cells with no
-    active agents are absent. Cells and counts are int32, the sums float64."""
+FRAME_CHUNK_ROWS = 1 << 16     # frame rows a chunk holds: 2.5 MiB, 40 B a row
+READ_ROWS = 1 << 13     # rows a reader takes at once: bounds its temporaries
 
-    cells: np.ndarray       # (K,) flat indices, ascending
-    counts: np.ndarray      # (K,) agents per cell, each at least 1
-    vsum: np.ndarray        # (K, 3) velocity sums
-    sumv2: np.ndarray       # (K,) sum of squared speeds
+
+class FrameChunk(NamedTuple):
+    """Consecutive rows of a frame table: per occupied cell and frame, the
+    swarm's own moments. Cells and counts are int32, the sums float64."""
+
+    cells: np.ndarray       # (R,) flat indices, ascending within a frame
+    counts: np.ndarray      # (R,) agents per cell, each at least 1
+    vsum: np.ndarray        # (R, 3) velocity sums
+    sumv2: np.ndarray       # (R,) sum of squared speeds
+
+
+@dataclass(eq=False)
+class FrameTable:
+    """A run's frame rows in chunks; frame ``k`` is rows
+    ``offsets[k]:offsets[k + 1]``. The loop fills chunks of
+    ``FRAME_CHUNK_ROWS`` rows (one frame's, when it holds more) in place, so
+    no row is copied or held twice; a loaded run is one chunk."""
+
+    offsets: np.ndarray             # (frames + 1,) int64 row offsets
+    chunks: list[FrameChunk]        # each cut to the rows written
+
+    def __iter__(self):
+        return iter(self.chunks)
+
+    def extend(self, k: int, n: int) -> FrameChunk:
+        """Views of frame ``k``'s ``n`` rows. The last chunk grows into the
+        buffers its columns view while they have room."""
+        self.offsets[k + 1] = self.offsets[k] + n
+        used = len(self.chunks[-1].cells) if self.chunks else 0
+        if self.chunks and used + n <= len(self.chunks[-1].cells.base):
+            buffers = [c.base for c in self.chunks.pop()]
+        else:
+            rows, used = max(FRAME_CHUNK_ROWS, n), 0
+            buffers = [np.empty(rows, dtype=np.int32),
+                       np.empty(rows, dtype=np.int32), np.empty((rows, 3)),
+                       np.empty(rows)]
+        self.chunks.append(FrameChunk(*(b[:used + n] for b in buffers)))
+        return FrameChunk(*(b[used:used + n] for b in buffers))
+
+    def pieces(self, start: int = 0):
+        """``(row, piece)`` over the rows from ``start`` on: at most
+        ``READ_ROWS`` rows of one chunk, and the first one's row."""
+        row = 0
+        for chunk in self.chunks:
+            for lo in range(max(start - row, 0), len(chunk.cells), READ_ROWS):
+                yield row + lo, FrameChunk(*(c[lo:lo + READ_ROWS] for c in chunk))
+            row += len(chunk.cells)
 
     def __eq__(self, other) -> bool:
-        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+        """Equal offsets and rows, however the two tables' chunks fall."""
+        if not np.array_equal(self.offsets, other.offsets):
+            return False
+        row = 0
+        while row < self.offsets[-1]:
+            a, b = (next(t.pieces(row))[1] for t in (self, other))
+            n = min(len(a.cells), len(b.cells))
+            if not all(np.array_equal(x[:n], y[:n]) for x, y in zip(a, b)):
+                return False
+            row += n
+        return True
 
 
 EVENT_KINDS = ("inject", "retire", "wall_escape", "fault", "collision_overtake")
@@ -127,7 +180,8 @@ class EventTable:
     a: np.ndarray
     b: np.ndarray
 
-    __eq__ = FrameRecord.__eq__
+    def __eq__(self, other) -> bool:
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 @dataclass
@@ -135,7 +189,7 @@ class SimulationTrace:
     config: SimConfig
     plant: PlantParams
     frame_t: np.ndarray               # (frames,) end time of each frame
-    frames: list[FrameRecord]
+    frames: FrameTable
     events: EventTable                # the population record; counts below
     injection_rate: float             # agents/s implied by the entry cell
     batch_size: int
@@ -153,8 +207,14 @@ class SimulationTrace:
     def frame_active(self) -> np.ndarray:
         """(frames,) active agents at the end of each frame: the sum of
         the frame's per-cell counts, 0 for an empty frame."""
-        return np.fromiter((r.counts.sum() for r in self.frames),
-                           dtype=np.int64, count=len(self.frames))
+        offsets, total = self.frames.offsets, 0
+        before = np.zeros(len(offsets), dtype=np.int64)   # agents in rows before
+        for row, rows in self.frames.pieces():
+            seen = total + rows.counts.cumsum(dtype=np.int64)
+            lo, hi = offsets.searchsorted([row, row + len(seen)], side="right")
+            before[lo:hi] = seen[offsets[lo:hi] - row - 1]
+            total = seen[-1]
+        return np.diff(before)
 
     @property
     def totals(self) -> dict:
@@ -524,8 +584,8 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
 
     n_frames = int(round(config.duration / config.dt))
     frame_t = (np.arange(n_frames) + 1) * config.dt
-    frames, trajectories = [], []
-    chunks = _FrameChunks()
+    frames = FrameTable(np.zeros(n_frames + 1, dtype=np.int64), [])
+    trajectories = []
     log = _EventLog()
     pop = _Population()
     if config.case == "tunnel_seeding":
@@ -571,7 +631,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
             log.add(k, RETIRE, pop.gid[gone])
             pop.keep(~gone)
 
-        frames.append(_record_frame(pop, grid, chunks))
+        _record_frame(pop, grid, frames, k)
         if config.record_trajectories and k % config.trajectory_stride == 0:
             trajectories.append((float(frame_t[k]), pop.gid.copy(),
                                  pop.pos.T.copy(), pop.vel.T.copy()))
@@ -622,45 +682,16 @@ class _EventLog:
         self.n = end
 
 
-FRAME_CHUNK_ROWS = 1 << 16     # frame rows a chunk holds: 2.5 MiB, 40 B a row
-
-
-class _FrameChunks:
-    """A run's frame rows, frame after frame, in chunks of
-    ``FRAME_CHUNK_ROWS`` rows (or of one frame's rows, when a frame holds
-    more): an int32 cells column, an int32 counts column and a float64
-    (R, 4) sums block. A chunk is filled in place and never grown, so the
-    rows are never held twice over, and a frame that does not fit in what
-    is left of the chunk starts the next one."""
-
-    def __init__(self):
-        self._new(0)
-
-    def _new(self, rows) -> None:
-        self.cells = np.empty(rows, dtype=np.int32)
-        self.counts = np.empty(rows, dtype=np.int32)
-        self.sums = np.empty((rows, 4))
-        self.used = 0
-
-    def take(self, k) -> tuple:
-        """Views of the next ``k`` rows: cells, counts and sums."""
-        if self.used + k > len(self.cells):
-            self._new(max(FRAME_CHUNK_ROWS, k))
-        rows = slice(self.used, self.used + k)
-        self.used += k
-        return self.cells[rows], self.counts[rows], self.sums[rows]
-
-
 def _record_frame(pop: _Population, grid: ControlVolumeGrid,
-                  chunks: _FrameChunks) -> FrameRecord:
-    """Per-cell sums over the active agents, whose cells it leaves on
-    ``pop.flat`` for the next frame's commands; ``chunks`` holds the run's
-    frame rows, where the record's fields are written.
+                  frames: FrameTable, k: int) -> None:
+    """Frame ``k``'s rows of ``frames``: per-cell sums over the active
+    agents, whose cells it leaves on ``pop.flat`` for the next frame's
+    commands.
 
     The agents, sorted by cell, fill one (4, N) block of rows vx, vy, vz
-    and |v|^2, and one ``reduceat`` sums it per cell into a (K, 4) block of
-    the chunk whose columns the record's fields view. The squares add x, z,
-    then y: the order of ``einsum("ij,ij->i")`` on (N, 3) rows.
+    and |v|^2, which ``reduceat`` sums per cell into the frame's vsum and
+    sumv2. The squares add x, z, then y: the order of
+    ``einsum("ij,ij->i")`` on (N, 3) rows.
     """
     flat = pop.flat
     flat[...] = assign_cell(pop.pos.T, grid)
@@ -673,15 +704,15 @@ def _record_frame(pop: _Population, grid: ControlVolumeGrid,
     first[:1] = True
     np.not_equal(flat_s[1:], flat_s[:-1], out=first[1:])
     start = first.nonzero()[0]
-    cells, counts, sums = chunks.take(len(start))
-    cells[...] = flat_s[start]
-    counts[...] = np.diff(start, append=len(flat_s))
+    rows = frames.extend(k, len(start))
+    rows.cells[...] = flat_s[start]
+    rows.counts[...] = np.diff(start, append=len(flat_s))
     block = np.empty((4, len(order)))
     sq = np.square(np.take(pop.vel, order, axis=1, out=block[:3]))
     np.add(sq[0], sq[2], out=block[3])
     block[3] += sq[1]
-    np.add.reduceat(block, start, axis=1, out=sums.T)
-    return FrameRecord(cells, counts, sums[:, :3], sums[:, 3])
+    np.add.reduceat(block[:3], start, axis=1, out=rows.vsum.T)
+    np.add.reduceat(block[3], start, out=rows.sumv2)
 
 
 def population_balance(trace: SimulationTrace) -> dict:

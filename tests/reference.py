@@ -1,14 +1,15 @@
 """Test references: per-agent bulk moments, (N, 3) plant shims, a
-one-cell fit, the per-row writers of the analysis files and the per-pair
-collision detector.
+one-cell fit, frame tables frame by frame and the per-frame field loop, the
+per-row writers of the analysis files and the per-pair collision detector.
 
 The library applies its closures only to per-cell frame sums
 (``metrics.derive_fields``), steps the plant on (3, N) component rows and
 fits every cell of a lattice in one pass. The routines here take one cell's
-agents, or (N, 3) arrays, instead. They call the library's own formulas
-(``pressure_coefficient``, the two temperature closures), its plant row
-functions and its set solver, so tests that use them as oracles still check
-the code the pipeline runs. The analysis writers format one row at a time
+agents, or (N, 3) arrays, instead. They call the library's own formula
+(``pressure_coefficient``), its plant row functions and its set solver, so
+tests that use them as oracles still check the code the pipeline runs. The
+library reads a run's frame table chunk by chunk; the routines here join it
+and read it one frame at a time. The analysis writers format one row at a time
 with their own normalization maxima, as the library did before it wrote
 those files through ``write_table``; tests compare the files byte for byte.
 The collision detector is the loop's as it was before the pass ran on the
@@ -16,10 +17,13 @@ population's rows, on (M, 3) pair rows with the pairs of
 ``cKDTree.query_pairs``.
 """
 
+import hashlib
+
 import numpy as np
 
-from fluidswarm.primitives import (control_temperature, pressure_coefficient,
-                                   random_temperature_from_spread)
+from fluidswarm.metrics import default_transient, transit_time_estimate
+from fluidswarm.primitives import pressure_coefficient
+from fluidswarm.swarm_sim import FrameChunk, FrameTable
 from fluidswarm.velocity_fit import SET_SIZE, _solve
 from fluidswarm.velocity_plant import (PlantParams, _constrain, _desired,
                                        _drag, _feedforward, _rows)
@@ -84,22 +88,6 @@ def mass_mean_velocity(masses, velocities) -> np.ndarray:
     return (m[:, None] * v).sum(axis=0) / m.sum()
 
 
-def random_temperature(masses, velocities) -> float:
-    """Thermal temperature from the velocity spread about the mass mean."""
-    m, v = _check(masses, velocities)
-    w = v - mass_mean_velocity(m, v)
-    return float(random_temperature_from_spread(
-        m @ np.einsum("ij,ij->i", w, w), m.sum()))
-
-
-def swarm_temperature(masses, velocities, cell_volume: float,
-                      a_max: float) -> float:
-    """Total temperature: thermal part plus control part."""
-    t_rand = random_temperature(masses, velocities)
-    rho = swarm_density(masses, cell_volume)
-    return t_rand + control_temperature(rho, a_max)
-
-
 # ======================================================================
 # (N, 3) plant shims over the row functions ``step`` runs
 # ======================================================================
@@ -144,11 +132,95 @@ def fit_cell(v_target, p_target: float, cell_volume: float,
 
 
 # ======================================================================
+# frame tables frame by frame
+# ======================================================================
+
+def frame_table(frames) -> FrameTable:
+    """A one-chunk table of per-frame ``(cells, counts, vsum, sumv2)``
+    rows, frame after frame."""
+    offsets = np.cumsum([0] + [len(f[0]) for f in frames])
+    return FrameTable(offsets, [FrameChunk(*map(np.concatenate, zip(*frames)))])
+
+
+def frame_rows(table: FrameTable) -> list[FrameChunk]:
+    """Each frame's rows of ``table``, from its columns joined."""
+    cols = [np.concatenate(c) for c in zip(*table.chunks)]
+    o = table.offsets.tolist()
+    return [FrameChunk(*(c[lo:hi] for c in cols))
+            for lo, hi in zip(o[:-1], o[1:])]
+
+
+def digest(obj) -> str:
+    """sha256 of a nest of arrays, containers, records and scalars: each
+    array's dtype, shape and bytes, and each record's ``vars()``."""
+    h = hashlib.sha256()
+
+    def feed(x):
+        if isinstance(x, np.ndarray):
+            h.update(f"{x.dtype}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+        elif isinstance(x, (list, tuple)):
+            h.update(b"[%d" % len(x))
+            for item in x:
+                feed(item)
+        elif isinstance(x, dict):
+            h.update(b"{%d" % len(x))
+            for k in sorted(x, key=str):
+                h.update(str(k).encode())
+                feed(x[k])
+        elif hasattr(x, "__dict__"):
+            feed(vars(x))
+        else:
+            h.update(repr(x).encode())
+    feed(obj)
+    return h.hexdigest()
+
+
+def per_frame_fields(trace, grid) -> dict:
+    """derive_fields as a per-frame loop with (M, 3) velocity scatters and
+    boolean gathers of the cells with a target, at the default transient:
+    the reference the chunked form must equal bit for bit."""
+    transient = default_transient(trace.config.duration, transit_time_estimate(
+        grid, trace.config.scale))
+    coeff = pressure_coefficient(trace.plant.mass, grid.cell_volume)
+    M = grid.num_cells
+    occ = np.zeros(M, dtype=np.int64)
+    total, usum = np.zeros(M), np.zeros((M, 3))
+    pdev_sum, pdev_frames = np.zeros(M), np.zeros(M, dtype=np.int64)
+    pint_sum = np.zeros(M)
+    used = 0
+    frames = frame_rows(trace.frames)
+    for k in np.flatnonzero(trace.frame_t > transient):
+        rec = frames[k]
+        used += 1
+        cells = rec.cells.astype(np.intp)
+        occ[cells] += 1
+        total[cells] += rec.counts
+        usum[cells] += rec.vsum / rec.counts[:, None]
+        spread2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
+        pint_sum[cells] += coeff * spread2
+        t = grid.v_target[cells]
+        dev = (rec.sumv2 - 2.0 * np.einsum("ij,ij->i", t, rec.vsum)
+               + rec.counts * np.einsum("ij,ij->i", t, t))
+        fin = np.isfinite(dev)
+        pdev_sum[cells[fin]] += coeff * dev[fin]
+        pdev_frames[cells[fin]] += 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        occupancy = total / occ
+        return dict(occupancy=occupancy, duty=occ / used,
+                    concentration=occupancy / grid.cell_volume,
+                    velocity=usum / occ[:, None],
+                    pressure_dev=pdev_sum / pdev_frames,
+                    pressure_int=pint_sum / occ, occupied_frames=occ,
+                    frames_used=used, transient=transient)
+
+
+# ======================================================================
 # per-row analysis writers
 # ======================================================================
 
 FMT = "%.12g"
-SLICE_HEADER = ("x,y,z,occupancy,duty,concentration,ux,uy,uz,p_dev,p_int,T,"
+SLICE_HEADER = ("x,y,z,occupancy,duty,concentration,ux,uy,uz,p_dev,p_int,"
                 "tvx,tvy,tvz,tp,norm_speed,norm_tspeed,norm_p,norm_tp,"
                 "norm_rho,norm_trho")
 CENTERLINE_KEYS = ("x", "target_speed", "derived_speed", "target_pressure",
@@ -181,8 +253,7 @@ def export_slice_rows(derived, grid, path) -> None:
                     derived.occupancy[f], derived.duty[f],
                     derived.concentration[f]]
                    + list(derived.velocity[f])
-                   + [derived.pressure_dev[f], derived.pressure_int[f],
-                      derived.temperature[f]]
+                   + [derived.pressure_dev[f], derived.pressure_int[f]]
                    + list(grid.v_target[f]) + [grid.p_target[f]]
                    + [derived.speed[f] / ds_max, ts_all[f] / ts_max,
                       derived.pressure_dev[f] / pd_max,

@@ -164,7 +164,7 @@ def test_cli_fit_and_simulate_match_the_in_memory_route(tmp_path, capsys,
     want = run_simulation(grid, fit, SimConfig(duration=5.0))
     got, _ = load_run(tmp_path / "run")
     assert got.events == want.events
-    assert len(got.frames) == 100
+    assert len(got.frame_t) == 100
     assert got.frames == want.frames
 
 
@@ -645,18 +645,22 @@ def test_an_output_path_that_cannot_be_written_is_a_one_line_error(
         argv, pipeline, tmp_path, monkeypatch, capsys):
     """A missing directory, or a file where a directory must go, ends the
     command with one stderr line naming the path and exit status 1, and
-    writes nothing. ``simulate`` finds it before it reads the fit."""
+    writes nothing. ``simulate``, ``analyze`` and ``plant-test`` find it
+    before their work: they read no fit or run, run no suite and print no
+    report or verdict."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     argv = [a.replace("IN/", f"{pipeline}/") for a in argv]
 
-    def unread(path):
-        raise AssertionError(f"read {path}")
+    def unread(*args, **kwargs):
+        raise AssertionError(f"did the work: {args}")
 
-    monkeypatch.setattr("fluidswarm.cli.load_fit", unread)
+    for name in ("load_fit", "load_run", "run_suite"):
+        monkeypatch.setattr(f"fluidswarm.cli.{name}", unread)
     capsys.readouterr()
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.count("\n") == 1 and err.startswith(f"fluidswarm {argv[0]}: ")
     assert argv[-1] in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

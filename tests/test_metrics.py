@@ -1,7 +1,7 @@
 """Metrics tests on hand-built traces where every average is known exactly.
 
 The fakes mirror the part of the trace that ``derive_fields`` reads: config
-and plant attributes, a frame clock and frame records.
+and plant attributes, a frame clock and a frame table.
 """
 
 import warnings
@@ -18,13 +18,14 @@ from fluidswarm import (ControlVolumeGrid, NozzleGeometry, PlantParams,
                         load_run, metrics_report, partition_domain,
                         run_simulation, save_metrics, save_run,
                         transit_time_estimate, trend_check)
+from fluidswarm import swarm_sim
 from fluidswarm.metrics import MetricsReport
-from fluidswarm.primitives import (control_temperature, pressure_coefficient,
-                                   random_temperature_from_spread)
-from fluidswarm.swarm_sim import EVENT_KINDS, FrameRecord
+from fluidswarm.primitives import pressure_coefficient
+from fluidswarm.swarm_sim import EVENT_KINDS, FrameChunk
 from reference import (export_centerline_rows, export_slice_rows,
-                       internal_pressure, mass_mean_velocity,
-                       save_metrics_lines, swarm_pressure, swarm_temperature)
+                       frame_rows, frame_table, internal_pressure,
+                       mass_mean_velocity, per_frame_fields,
+                       save_metrics_lines, swarm_pressure)
 
 COEFF = 2.0 / (3.0 * 0.125)  # unit mass in a 0.5 m cell
 
@@ -45,14 +46,15 @@ def lattice(nx=30, ny=1, nz=1, speeds=None, p=None, rho=None):
 
 
 def rec(cells, counts, means, sumv2=None):
-    """Frame record from per-cell mean velocities; zero spread by default."""
+    """One frame's rows from per-cell mean velocities; zero spread by
+    default."""
     cells = np.asarray(cells, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     means = np.atleast_2d(np.asarray(means, dtype=float))
     vsum = means * counts[:, None]
     if sumv2 is None:
         sumv2 = np.einsum("ij,ij->i", vsum, vsum) / counts
-    return FrameRecord(cells, counts, vsum, np.asarray(sumv2, float))
+    return FrameChunk(cells, counts, vsum, np.asarray(sumv2, float))
 
 
 def fake_trace(frames, dt=1.0, scale=1.0, mass=1.0):
@@ -60,7 +62,8 @@ def fake_trace(frames, dt=1.0, scale=1.0, mass=1.0):
     return SimpleNamespace(config=SimpleNamespace(scale=scale,
                                                   duration=n * dt, dt=dt),
                            plant=PlantParams(mass=mass),
-                           frame_t=(np.arange(n) + 1) * dt, frames=frames)
+                           frame_t=(np.arange(n) + 1) * dt,
+                           frames=frame_table(frames))
 
 
 def test_single_agent_constant_stream():
@@ -73,8 +76,6 @@ def test_single_agent_constant_stream():
     assert d.concentration[0] == pytest.approx(8.0)
     assert d.pressure_int[0] == pytest.approx(0.0, abs=1e-15)
     assert d.pressure_dev[0] == pytest.approx(0.0, abs=1e-15)
-    # control part only: 0.5 * 21.582 * 8^(-1/3), density 1/0.125
-    assert d.temperature[0] == pytest.approx(0.5 * 2.2 * 9.81 / 2.0, rel=1e-12)
     assert d.valid[0] and not d.valid[1:].any()
 
 
@@ -87,9 +88,6 @@ def test_pressure_decomposition_hand_values():
     assert d.pressure_dev[0] == pytest.approx(COEFF * 2.5, rel=1e-12)
     # centered spread: 10 - 16/2 = 2
     assert d.pressure_int[0] == pytest.approx(COEFF * 2.0, rel=1e-12)
-    t_rand = 2.0 / (2.0 * 2)
-    t_ctrl = 0.5 * 2.2 * 9.81 * (2.0 / 0.125) ** (-1.0 / 3.0)
-    assert d.temperature[0] == pytest.approx(t_rand + t_ctrl, rel=1e-12)
 
 
 def test_averages_are_conditional_on_occupancy():
@@ -260,11 +258,11 @@ def test_export_slice_writes_exactly_one_layer(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("x,y,z,occupancy")
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (4, 22)  # 2x2 cells in the single +y layer
+    assert rows.shape == (4, 21)  # 2x2 cells in the single +y layer
     assert np.allclose(rows[:, 1], 0.25)  # the tie resolves to +y
     # normalized speed column: derived speed over the grid maximum
     speeds = np.linalg.norm(rows[:, 6:9], axis=1)
-    assert np.allclose(rows[:, 16], speeds / d.speed[grid.valid].max(),
+    assert np.allclose(rows[:, 15], speeds / d.speed[grid.valid].max(),
                        rtol=1e-10)
 
 
@@ -335,21 +333,6 @@ def test_transit_estimate_and_transient():
     assert default_transient(1000.0, 10.0) == pytest.approx(20.0)
 
 
-def no_authority(plant):
-    """``plant`` with a_max = 0: a trace scored with it has the random
-    temperature alone, as the control part adds +0.0."""
-    return SimpleNamespace(mass=plant.mass, a_max=0.0)
-
-
-def test_temperature_without_control_authority_is_the_random_part():
-    grid = lattice(nx=2)
-    frames = [rec([0], [2], [[2.0, 0.0, 0.0]], sumv2=[10.0])]
-    trace = fake_trace(frames)
-    trace.plant = no_authority(trace.plant)
-    d = derive_fields(trace, grid, transient=0.0)
-    assert d.temperature[0] == pytest.approx(0.5, rel=1e-12)  # t_rand only
-
-
 def test_metrics_report_on_the_standard_run(tmp_path, trace60, grid):
     report = metrics_report(trace60, grid)
     v = report.values
@@ -375,30 +358,8 @@ def test_reloaded_run_reports_the_same_metrics(tmp_path, trace60, grid):
     assert back == metrics_report(trace60, grid).values
 
 
-def test_control_temperature_follows_the_recorded_plant(tmp_path, grid, fit):
-    plant = PlantParams(thrust_to_weight=3.0)
-    trace = run_simulation(grid, fit, SimConfig(duration=5.0, seed=1), plant)
-    save_run(trace, grid, tmp_path)
-    got = derive_fields(load_run(tmp_path)[0], grid,
-                        transient=1.0).temperature
-    want = derive_fields(trace, grid, transient=1.0)
-    # the same frames scored as if flown at 2.2 g, and the random part alone
-    default = derive_fields(replace(trace, plant=PlantParams()), grid,
-                            transient=1.0).temperature
-    t_rand = derive_fields(replace(trace, plant=no_authority(trace.plant)),
-                           grid, transient=1.0)
-    occupied = want.valid
-    assert occupied.any()
-    assert np.array_equal(got, want.temperature, equal_nan=True)
-    # the control part scales with a_max = thrust_to_weight * g
-    ctrl = want.temperature[occupied] - t_rand.temperature[occupied]
-    ctrl_default = default[occupied] - t_rand.temperature[occupied]
-    assert np.allclose(ctrl, ctrl_default * 3.0 / 2.2, rtol=1e-9)
-    assert not np.allclose(got[occupied], default[occupied])
-
-
 def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
-    # a 2 kg, 3 g platform, so mass and a_max both show in the fields
+    # a 2 kg, 3 g platform, so the mass shows in the fields
     heavy = replace(fit, config=replace(fit.config, agent_mass=2.0))
     plant = PlantParams(mass=2.0, thrust_to_weight=3.0)
     trace = run_simulation(grid, heavy, SimConfig(
@@ -419,9 +380,6 @@ def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
         total = swarm_pressure(m, v, vol)
         want = internal_pressure(m, v, vol, mass_mean_velocity(m, v))
         assert abs(d.pressure_int[c] - want) <= 1e-9 * want + 1e-12 * total
-        assert d.temperature[c] == pytest.approx(
-            swarm_temperature(m, v, vol, plant.a_max),
-            rel=1e-9)
         if grid.valid[c]:
             assert d.pressure_dev[c] == pytest.approx(
                 internal_pressure(m, v, vol, grid.v_target[c]), rel=1e-9)
@@ -458,55 +416,11 @@ def test_deviation_pressure_equals_the_per_agent_sums(grid, fit):
     assert np.allclose(d.pressure_dev[fin], want[fin], rtol=1e-12, atol=0)
 
 
-def per_frame_fields(trace, grid):
-    """derive_fields as a per-frame loop with (M, 3) velocity scatters and
-    boolean gathers of the cells with a target: the reference the array
-    form must equal bit for bit."""
-    transient = default_transient(trace.config.duration, transit_time_estimate(
-        grid, trace.config.scale))
-    mass = trace.plant.mass
-    coeff = pressure_coefficient(mass, grid.cell_volume)
-    M = grid.num_cells
-    occ = np.zeros(M, dtype=np.int64)
-    total, usum = np.zeros(M), np.zeros((M, 3))
-    pdev_sum, pdev_frames = np.zeros(M), np.zeros(M, dtype=np.int64)
-    pint_sum, temp_sum = np.zeros(M), np.zeros(M)
-    used = 0
-    for k in np.flatnonzero(trace.frame_t > transient):
-        rec = trace.frames[k]
-        used += 1
-        cells = rec.cells.astype(np.intp)
-        occ[cells] += 1
-        total[cells] += rec.counts
-        usum[cells] += rec.vsum / rec.counts[:, None]
-        spread2 = rec.sumv2 - np.einsum("ij,ij->i", rec.vsum, rec.vsum) / rec.counts
-        pint_sum[cells] += coeff * spread2
-        cell_mass = mass * rec.counts
-        temp_sum[cells] += (
-            random_temperature_from_spread(mass * spread2, cell_mass)
-            + control_temperature(cell_mass / grid.cell_volume,
-                                  trace.plant.a_max))
-        t = grid.v_target[cells]
-        dev = (rec.sumv2 - 2.0 * np.einsum("ij,ij->i", t, rec.vsum)
-               + rec.counts * np.einsum("ij,ij->i", t, t))
-        fin = np.isfinite(dev)
-        pdev_sum[cells[fin]] += coeff * dev[fin]
-        pdev_frames[cells[fin]] += 1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        occupancy = total / occ
-        return dict(occupancy=occupancy, duty=occ / used,
-                    concentration=occupancy / grid.cell_volume,
-                    velocity=usum / occ[:, None],
-                    pressure_dev=pdev_sum / pdev_frames,
-                    pressure_int=pint_sum / occ, temperature=temp_sum / occ,
-                    occupied_frames=occ, frames_used=used, transient=transient)
-
-
 def test_derived_fields_equal_the_per_frame_loop_bit_for_bit(trace60, grid):
     # the run has frames holding agents in cells without a target
     nan_frames = sum(bool(np.isnan(grid.v_target[r.cells]).any())
-                     for r in trace60.frames)
-    assert nan_frames > len(trace60.frames) // 2
+                     for r in frame_rows(trace60.frames))
+    assert nan_frames > len(trace60.frame_t) // 2
     d = derive_fields(trace60, grid)
     for name, want in per_frame_fields(trace60, grid).items():
         got = getattr(d, name)
@@ -516,6 +430,30 @@ def test_derived_fields_equal_the_per_frame_loop_bit_for_bit(trace60, grid):
         else:
             assert got == want, name
     assert d.velocity.flags.c_contiguous
+
+
+@pytest.mark.parametrize("chunk_rows, read_rows", [(97, 61), (2000, None)])
+def test_derived_fields_across_chunk_seams_equal_the_per_frame_loop(
+        grid, fit, monkeypatch, chunk_rows, read_rows):
+    """Small chunks put many seams in the averaging window: between frames,
+    each in a chunk of its own (97 rows, fewer than a frame holds), with the
+    61-row pieces ``derive_fields`` reads cutting frames apart too; and
+    between chunks of several frames (2,000 rows). The fields still equal
+    the per-frame loop's bit for bit: every per-cell sum carries across the
+    seams in frame order."""
+    monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", chunk_rows)
+    if read_rows:
+        monkeypatch.setattr(swarm_sim, "READ_ROWS", read_rows)
+    trace = run_simulation(grid, fit, SimConfig(duration=20.0, seed=4))
+    want = per_frame_fields(trace, grid)
+    window = trace.frames.offsets[-1 - want["frames_used"]]
+    assert trace.frames.offsets[-1] - window > 20 * chunk_rows
+    d = derive_fields(trace, grid)
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(d, name), value, equal_nan=True), name
+        else:
+            assert getattr(d, name) == value, name
 
 
 def event_counts(trace, transient):

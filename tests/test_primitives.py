@@ -1,7 +1,7 @@
 """Bulk-observable tests, anchored by a fully hand-worked two-agent cell.
 
 The per-agent moments live in the test reference module; they apply the
-library's pressure coefficient and temperature closures to one cell's agents.
+library's pressure coefficient to one cell's agents.
 
 Two unit masses at (1,0,0) and (3,0,0) m/s in a 1 m^3 cell:
     mean velocity      (2,0,0)
@@ -9,19 +9,15 @@ Two unit masses at (1,0,0) and (3,0,0) m/s in a 1 m^3 cell:
     pressure           2/(3*1) * (1 + 9)            = 20/3
     internal pressure  2/(3*1) * (1 + 1)            = 4/3
     parallel axis      4/3 + 2/(3*1) * 2 * 4        = 20/3
-    random temperature 1 * (1 + 1) / (2 * 2)        = 0.5
 """
 
 import numpy as np
 import pytest
 
-from fluidswarm import DegenerateCellError, PlantParams, control_temperature
 from reference import (UndefinedSampleError, internal_pressure,
-                       mass_mean_velocity, random_temperature, swarm_density,
-                       swarm_pressure, swarm_pressure_moment_form,
-                       swarm_temperature)
+                       mass_mean_velocity, swarm_density, swarm_pressure,
+                       swarm_pressure_moment_form)
 
-A_MAX = PlantParams().a_max  # 2.2 * 9.81
 M2 = np.ones(2)
 V2 = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
 
@@ -41,7 +37,6 @@ def test_hand_worked_cell():
         20.0 / 3.0, rel=1e-12)
     assert internal_pressure(M2, V2, 1.0, [2, 0, 0]) == pytest.approx(
         4.0 / 3.0, rel=1e-12)
-    assert random_temperature(M2, V2) == pytest.approx(0.5)
 
 
 def test_zero_variance_internal_pressure_is_exactly_zero():
@@ -79,32 +74,10 @@ def test_parallel_axis_decomposition():
         assert split == pytest.approx(total, rel=1e-12)
 
 
-def test_random_temperature_is_galilean_invariant():
-    for m, v in random_sets(44, 50):
-        t0 = random_temperature(m, v)
-        t1 = random_temperature(m, v + np.array([100.0, -7.0, 3.0]))
-        assert t1 == pytest.approx(t0, rel=1e-9, abs=1e-12)
-
-
-def test_control_temperature_hand_value():
-    # 0.5 * (2.2 * 9.81) * 32^(-1/3) / 1
-    want = 0.5 * 2.2 * 9.81 * 32.0 ** (-1.0 / 3.0)
-    assert control_temperature(32.0, A_MAX) == pytest.approx(want, rel=1e-12)
-    assert control_temperature(32.0, A_MAX) == pytest.approx(3.39895, rel=1e-5)
-    with pytest.raises(DegenerateCellError):
-        control_temperature(0.0, A_MAX)
-
-
-def test_swarm_temperature_composition():
-    t = swarm_temperature(M2, V2, 1.0, A_MAX)
-    assert t == pytest.approx(0.5 + control_temperature(2.0, A_MAX), rel=1e-12)
-
-
 def test_empty_cell_is_undefined():
     empty_m, empty_v = np.empty(0), np.empty((0, 3))
     for fn in (lambda: swarm_density(empty_m, 1.0),
-               lambda: swarm_pressure(empty_m, empty_v, 1.0),
-               lambda: random_temperature(empty_m, empty_v)):
+               lambda: swarm_pressure(empty_m, empty_v, 1.0)):
         with pytest.raises(UndefinedSampleError):
             fn()
 

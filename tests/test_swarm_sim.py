@@ -27,7 +27,7 @@ from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, close_pairs,
                                   entry_cell, make_batch, seed_tunnel)
 from fluidswarm.velocity_fit import SET_SIZE, FitConfig, GridFit
 from fluidswarm.velocity_plant import PlantState, step as plant_step
-from reference import pair_row_collisions
+from reference import digest, frame_rows, frame_table, pair_row_collisions
 
 CFG = SimConfig()  # collision thresholds at their defaults
 
@@ -558,7 +558,7 @@ def test_population_bookkeeping(trace60):
 
 def test_every_frame_counts_every_active_agent(trace60):
     # retired + current == injected so far, frame by frame at the end
-    last = trace60.frames[-1]
+    last = frame_rows(trace60.frames)[-1]
     total = trace60.totals
     assert int(last.counts.sum()) == total["inject"] - total["retire"] \
         - total["fault"]
@@ -590,7 +590,7 @@ def test_an_empty_frame_counts_no_active_agent(grid, fit):
     # frame 50, and nobody enters after them
     trace = run_simulation(grid, fit, SimConfig(case="tunnel_seeding",
                                                 duration=5.0, scale=1.0))
-    empty = [len(r.cells) == 0 for r in trace.frames]
+    empty = np.diff(trace.frames.offsets) == 0
     assert empty[-1] and not empty[0]
     active = trace.frame_active
     assert np.array_equal(active == 0, empty)
@@ -646,7 +646,7 @@ def test_the_throat_filter_finds_the_escapes_a_full_wall_test_finds(grid):
 def test_einsum_sums_squares_in_the_order_the_frame_reduce_uses():
     """``_record_frame`` adds squared components as (x^2 + z^2) + y^2,
     the order in which ``einsum("ij,ij->i")`` sums (N, 3) rows in the numpy
-    builds the frame records were first written with. A numpy that sums in
+    builds the frame rows were first written with. A numpy that sums in
     another order fails here, naming the cause, where the compact-loop and
     frame-reduce tests would only show unequal frames."""
     rng = np.random.default_rng(13)
@@ -657,7 +657,7 @@ def test_einsum_sums_squares_in_the_order_the_frame_reduce_uses():
     got = np.einsum("ij,ij->i", v, v)
     assert np.array_equal(got, want), (
         "einsum('ij,ij->i') no longer sums (x^2 + z^2) + y^2 in this numpy; "
-        "_record_frame's |v|^2 row then differs from frame records written "
+        "_record_frame's |v|^2 row then differs from frame rows written "
         "with einsum")
 
 
@@ -708,7 +708,7 @@ def test_the_layers_perfbench_times_are_called_through_module_names(
     trace = run_simulation(grid, fit, config)
     frames = len(trace.frame_t)
     batches = -(-frames // round(config.dt_source / config.dt))
-    assert len(trace.frames[-1].cells) > 0
+    assert trace.frames.offsets[-1] > trace.frames.offsets[-2]
     assert dict(calls) == {"assign_cell": frames + batches,
                            "plant_step": frames, "_record_frame": frames,
                            "append": batches}
@@ -868,9 +868,10 @@ class FullScanPopulation:
 
 
 def full_scan_record_frame(pop, grid):
+    """One frame's rows, ``(cells, counts, vsum, sumv2)``."""
     act = np.flatnonzero(pop.active)
     if len(act) == 0:
-        return swarm_sim.FrameRecord(
+        return (
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             np.empty((0, 3)), np.empty(0))
     flat = assign_cell(pop.pos[act], grid)
@@ -881,7 +882,7 @@ def full_scan_record_frame(pop, grid):
     vel = pop.vel[act][order]
     vsum = np.add.reduceat(vel, start, axis=0)
     sumv2 = np.add.reduceat(np.einsum("ij,ij->i", vel, vel), start)
-    return swarm_sim.FrameRecord(cells, counts, vsum, sumv2)
+    return cells, counts, vsum, sumv2
 
 
 def test_frame_reduce_equals_the_per_column_sums_on_crowded_cells(grid, fit):
@@ -902,10 +903,11 @@ def test_frame_reduce_equals_the_per_column_sums_on_crowded_cells(grid, fit):
     pop.append(pos, vel, thr, assign_cell(pos, grid))
     ref = FullScanPopulation()
     ref.append(pos, vel, thr)
-    got = swarm_sim._record_frame(pop, grid, swarm_sim._FrameChunks())
-    want = full_scan_record_frame(ref, grid)
-    assert np.count_nonzero(got.counts >= 9) > 10 and got.counts.max() >= 300
-    assert got == want
+    got = swarm_sim.FrameTable(np.zeros(2, dtype=np.int64), [])
+    swarm_sim._record_frame(pop, grid, got, 0)
+    counts = got.chunks[0].counts
+    assert np.count_nonzero(counts >= 9) > 10 and counts.max() >= 300
+    assert got == frame_table([full_scan_record_frame(ref, grid)])
 
 
 def full_scan_run(grid, fit, config):
@@ -998,6 +1000,7 @@ def full_scan_run(grid, fit, config):
             act = np.flatnonzero(pop.active)
             trace.trajectories.append(
                 (t_end, act.copy(), pop.pos[act].copy(), pop.vel[act].copy()))
+    trace.frames = frame_table(trace.frames)
     return trace
 
 
@@ -1622,10 +1625,50 @@ def test_save_run_allocates_less_than_one_chunk(tmp_path, grid, trace60):
 def test_frame_rows_across_chunks_keep_every_value(grid, fit, monkeypatch,
                                                    chunk_rows):
     """Frames that outgrow a chunk, or do not fit in what is left of one,
-    give the records of a run in one chunk."""
+    give the rows of a run in one chunk."""
     want = short_run(grid, fit, seed=5, duration=10.0)
-    assert len(want.frames[-1].cells) > 100
+    assert np.diff(want.frames.offsets)[-1] > 100
     monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", chunk_rows)
     got = short_run(grid, fit, seed=5, duration=10.0)
     assert got.frames == want.frames
     assert all(r.cells.dtype == r.counts.dtype == np.int32 for r in got.frames)
+
+
+class FilledNumpy:
+    """numpy, but ``empty`` fills each new array with the sentinel of its
+    dtype's kind (``fill``): rows the loop allocates and never writes then
+    hold values a run of one seed cannot repeat under another fill."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        out = np.empty(shape, dtype)
+        out[...] = self.fill[out.dtype.kind]
+        return out
+
+
+def test_no_unwritten_chunk_row_leaks(grid, fit, monkeypatch, tmp_path):
+    """Two runs of one seed whose new arrays start as different sentinels
+    compare equal, write the same run file and hash equal over their
+    ``vars()``: the frame table holds the rows written, and nothing of the
+    chunks' unwritten tails. Small chunks give the run many of them."""
+    monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", 1000)
+    runs = []
+    for i, fill in enumerate(({"f": np.nan, "i": -7, "b": False},
+                              {"f": 1e300, "i": 2 ** 30, "b": True})):
+        monkeypatch.setattr(swarm_sim, "np", FilledNumpy(fill))
+        trace = short_run(grid, fit, seed=3, duration=10.0)
+        monkeypatch.setattr(swarm_sim, "np", np)
+        save_run(trace, grid, tmp_path / str(i))
+        runs.append(trace)
+    a, b = runs
+    assert len(a.frames.chunks) > 10
+    assert a.frames == b.frames and a.events == b.events
+    assert ((tmp_path / "0" / "trace.npz").read_bytes()
+            == (tmp_path / "1" / "trace.npz").read_bytes())
+    assert digest([a.frame_t, a.frames, a.events]) \
+        == digest([b.frame_t, b.frames, b.events])
