@@ -419,8 +419,9 @@ def grid_from_fit(fit: GridFit, meta: dict) -> ControlVolumeGrid:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 9
-# the frame table's columns, in ``FrameChunk`` order: dtype and row shape
+RUN_FORMAT = 10
+# the frame table's stored columns, in ``FrameChunk`` order: dtype and row
+# shape; sumv2 holds one value per row of two or more agents, in row order
 FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
                  "vsum": (np.float64, (3,)), "sumv2": (np.float64, ())}
 TRAJ_COLUMNS = {"traj_ids": (np.int64, ()), "traj_pos": (np.float64, (3,)),
@@ -510,8 +511,9 @@ def load_run(rundir) -> tuple[SimulationTrace, dict]:
     (``FIT_KEYS`` for the fit), an injection rate or batch size outside its
     ``RUN_NUMBERS`` domain, a column of another dtype or row shape than
     ``RUN_COLUMNS`` gives, a cell count below 1, columns whose lengths
-    disagree with each other or with their offsets, an event kind outside
-    ``EVENT_KINDS``, or an event frame outside the run.
+    disagree with each other or with their offsets, a ``sumv2`` whose
+    length is not the number of rows of two or more agents, an event kind
+    outside ``EVENT_KINDS``, or an event frame outside the run.
     """
     with open(os.path.join(rundir, RUN_FILE), "rb") as fh:
         if not zipfile.is_zipfile(fh):
@@ -564,14 +566,19 @@ def load_run(rundir) -> tuple[SimulationTrace, dict]:
         raise FieldFormatError(f"{RUN_FILE}: unknown event kind")
     if np.any((events.frame < 0) | (events.frame >= len(a["frame_t"]))):
         raise FieldFormatError(f"{RUN_FILE}: event frame outside the run")
-    frames = FrameChunk(*(a[k] for k in FRAME_COLUMNS))
+    frames = FrameTable(a["frame_offsets"],
+                        [FrameChunk(*(a[k] for k in FRAME_COLUMNS))])
     snaps = [a[k] for k in TRAJ_COLUMNS]
-    _check_offsets(frames, a["frame_offsets"], len(a["frame_t"]))
+    _check_offsets(frames.chunks[0][:3], frames.offsets, len(a["frame_t"]))
     _check_offsets(snaps, a["traj_offsets"], len(a["traj_t"]))
+    many = sum(np.count_nonzero(c > 1) for _, c in frames.count_pieces())
+    if len(a["sumv2"]) != many:
+        raise FieldFormatError(f"{RUN_FILE}: sumv2 holds {len(a['sumv2'])} "
+                               f"values, but {many} rows hold two or more "
+                               "agents")
     cuts = a["traj_offsets"].tolist()
     trace = SimulationTrace(
-        config=config, plant=plant, frame_t=a["frame_t"],
-        frames=FrameTable(a["frame_offsets"], [frames]),
+        config=config, plant=plant, frame_t=a["frame_t"], frames=frames,
         events=events, injection_rate=meta["injection_rate"],
         batch_size=meta["batch_size"], fit=meta["fit"],
         trajectories=[(t, *(c[lo:hi] for c in snaps)) for t, lo, hi

@@ -26,10 +26,13 @@ steps row by row and binning reads without a copy. The frame table holds
 the swarm's own moments, one row per occupied cell and frame, summed from
 one (4, N) block: the agent count, the velocity sum and the sum of squared
 speeds. It reads no target; the analysis derives deviations from these
-sums. Its rows fill fixed-size chunks, 40 B a row, which no frame copies
-or grows. Each event is one row of the run's event table, its only
-population record. All randomness is drawn from generators seeded by
-(seed, purpose, index), so traces are reproducible.
+sums. A one-agent row's sum of squared speeds is its velocity sum's
+squared length, so the table stores that sum only for rows of two or more
+agents and its readers rebuild the rest (``speed2``). Its rows fill
+fixed-size chunks, 32 B a row and 8 B more for a row of two or more
+agents, which no frame copies or grows. Each event is one row of the run's
+event table, its only population record. All randomness is drawn from
+generators seeded by (seed, purpose, index), so traces are reproducible.
 
 Collisions are overtakes: a close pair closing faster than the approach
 floor, its headings aligned above ``overtake_cos``, moves speed from the
@@ -98,18 +101,32 @@ class SimConfig:
             raise ValueError("dt_source must be at least one frame")
 
 
-FRAME_CHUNK_ROWS = 1 << 16     # frame rows a chunk holds: 2.5 MiB, 40 B a row
+FRAME_CHUNK_ROWS = 1 << 16     # frame rows a chunk holds: 2.5 MiB at most
 READ_ROWS = 1 << 13     # rows a reader takes at once: bounds its temporaries
+
+
+def speed2(rows, out=None) -> np.ndarray:
+    """|v|^2 of the (3, N) component rows ``rows``, added x, z, then y:
+    the order of ``einsum("ij,ij->i")`` on (N, 3) rows."""
+    sq = np.square(rows)
+    out = np.add(sq[0], sq[2], out=out)
+    out += sq[1]
+    return out
 
 
 class FrameChunk(NamedTuple):
     """Consecutive rows of a frame table: per occupied cell and frame, the
-    swarm's own moments. Cells and counts are int32, the sums float64."""
+    swarm's own moments. Cells and counts are int32, the sums float64.
+
+    A table's chunks store the sum of squared speeds only for the rows of
+    two or more agents, in row order: a one-agent row's is
+    ``speed2(vsum.T)``. The pieces ``FrameTable.pieces`` yields hold every
+    row's."""
 
     cells: np.ndarray       # (R,) flat indices, ascending within a frame
     counts: np.ndarray      # (R,) agents per cell, each at least 1
     vsum: np.ndarray        # (R, 3) velocity sums
-    sumv2: np.ndarray       # (R,) sum of squared speeds
+    sumv2: np.ndarray       # sums of squared speeds: see above
 
 
 @dataclass(eq=False)
@@ -125,42 +142,85 @@ class FrameTable:
     def __iter__(self):
         return iter(self.chunks)
 
-    def extend(self, k: int, n: int) -> FrameChunk:
-        """Views of frame ``k``'s ``n`` rows. The last chunk grows into the
-        buffers its columns view while they have room."""
+    def extend(self, k: int, n: int, many: int) -> FrameChunk:
+        """Views of frame ``k``'s ``n`` rows, whose ``sumv2`` holds the
+        ``many`` rows of two or more agents. The last chunk grows into the
+        buffers its columns view while they have room; its ``sumv2`` fills
+        from the front, so the pages past those rows are never written."""
         self.offsets[k + 1] = self.offsets[k] + n
-        used = len(self.chunks[-1].cells) if self.chunks else 0
-        if self.chunks and used + n <= len(self.chunks[-1].cells.base):
-            buffers = [c.base for c in self.chunks.pop()]
+        last = self.chunks[-1] if self.chunks else None
+        if last is not None and len(last.cells) + n <= len(last.cells.base):
+            self.chunks.pop()
         else:
-            rows, used = max(FRAME_CHUNK_ROWS, n), 0
-            buffers = [np.empty(rows, dtype=np.int32),
-                       np.empty(rows, dtype=np.int32), np.empty((rows, 3)),
-                       np.empty(rows)]
-        self.chunks.append(FrameChunk(*(b[:used + n] for b in buffers)))
-        return FrameChunk(*(b[used:used + n] for b in buffers))
+            rows = max(FRAME_CHUNK_ROWS, n)
+            last = FrameChunk(*(b[:0] for b in (
+                np.empty(rows, dtype=np.int32), np.empty(rows, dtype=np.int32),
+                np.empty((rows, 3)), np.empty(rows))))
+        ends = [len(c) + m for c, m in zip(last, (n, n, n, many))]
+        self.chunks.append(FrameChunk(*(c.base[:e]
+                                        for c, e in zip(last, ends))))
+        return FrameChunk(*(c.base[len(c):e] for c, e in zip(last, ends)))
 
     def pieces(self, start: int = 0):
         """``(row, piece)`` over the rows from ``start`` on: at most
-        ``READ_ROWS`` rows of one chunk, and the first one's row."""
+        ``READ_ROWS`` rows of one chunk, and the first one's row. Each
+        piece's ``sumv2`` holds every row's, the one-agent rows' rebuilt
+        from their ``vsum``."""
+        end = 0
+        for cells, counts, vsum, sumv2 in self.chunks:
+            row, end = end, end + len(cells)
+            if end <= start:
+                continue
+            first = max(start - row, 0)
+            head = counts[:first]       # the chunk's rows before ``start``
+            # the stored sumv2 values before row ``lo``
+            kept = sum(np.count_nonzero(head[lo:lo + READ_ROWS] > 1)
+                       for lo in range(0, first, READ_ROWS))
+            for lo in range(first, len(cells), READ_ROWS):
+                hi = lo + READ_ROWS
+                many = counts[lo:hi] > 1
+                full = speed2(vsum[lo:hi].T)
+                n = np.count_nonzero(many)
+                full[many] = sumv2[kept:kept + n]
+                kept += n
+                yield row + lo, FrameChunk(cells[lo:hi], counts[lo:hi],
+                                           vsum[lo:hi], full)
+
+    def count_pieces(self, start: int = 0, stop: int | None = None):
+        """``(row, counts)`` over rows ``start:stop``: at most ``READ_ROWS``
+        rows of one chunk, and the first one's row; no sum is read."""
+        stop = self.offsets[-1] if stop is None else stop
         row = 0
         for chunk in self.chunks:
-            for lo in range(max(start - row, 0), len(chunk.cells), READ_ROWS):
-                yield row + lo, FrameChunk(*(c[lo:lo + READ_ROWS] for c in chunk))
-            row += len(chunk.cells)
+            end = min(stop - row, len(chunk.counts))
+            for lo in range(max(start - row, 0), end, READ_ROWS):
+                yield row + lo, chunk.counts[lo:min(lo + READ_ROWS, end)]
+            row += len(chunk.counts)
 
     def __eq__(self, other) -> bool:
-        """Equal offsets and rows, however the two tables' chunks fall."""
-        if not np.array_equal(self.offsets, other.offsets):
-            return False
-        row = 0
-        while row < self.offsets[-1]:
-            a, b = (next(t.pieces(row))[1] for t in (self, other))
-            n = min(len(a.cells), len(b.cells))
-            if not all(np.array_equal(x[:n], y[:n]) for x, y in zip(a, b)):
+        """Equal offsets and stored columns, however the two tables' chunks
+        fall."""
+        return np.array_equal(self.offsets, other.offsets) and all(
+            _same_rows([c[i] for c in self], [c[i] for c in other])
+            for i in range(len(FrameChunk._fields)))
+
+
+def _same_rows(a: list, b: list) -> bool:
+    """Whether the arrays ``a``, read one after another, hold the rows of
+    the arrays ``b``: one walk over both, at most ``READ_ROWS`` rows a
+    step."""
+    if sum(map(len, a)) != sum(map(len, b)):
+        return False
+    rest, y = iter(b), ()
+    for x in a:
+        while len(x):
+            while not len(y):
+                y = next(rest)
+            n = min(len(x), len(y), READ_ROWS)
+            if not np.array_equal(x[:n], y[:n]):
                 return False
-            row += n
-        return True
+            x, y = x[n:], y[n:]
+    return True
 
 
 EVENT_KINDS = ("inject", "retire", "wall_escape", "fault", "collision_overtake")
@@ -209,8 +269,8 @@ class SimulationTrace:
         the frame's per-cell counts, 0 for an empty frame."""
         offsets, total = self.frames.offsets, 0
         before = np.zeros(len(offsets), dtype=np.int64)   # agents in rows before
-        for row, rows in self.frames.pieces():
-            seen = total + rows.counts.cumsum(dtype=np.int64)
+        for row, counts in self.frames.count_pieces():
+            seen = total + counts.cumsum(dtype=np.int64)
             lo, hi = offsets.searchsorted([row, row + len(seen)], side="right")
             before[lo:hi] = seen[offsets[lo:hi] - row - 1]
             total = seen[-1]
@@ -689,9 +749,8 @@ def _record_frame(pop: _Population, grid: ControlVolumeGrid,
     commands.
 
     The agents, sorted by cell, fill one (4, N) block of rows vx, vy, vz
-    and |v|^2, which ``reduceat`` sums per cell into the frame's vsum and
-    sumv2. The squares add x, z, then y: the order of
-    ``einsum("ij,ij->i")`` on (N, 3) rows.
+    and |v|^2 (``speed2``), which ``reduceat`` sums per cell into the
+    frame's vsum and sumv2; sumv2 keeps the cells of two or more agents.
     """
     flat = pop.flat
     flat[...] = assign_cell(pop.pos.T, grid)
@@ -704,20 +763,24 @@ def _record_frame(pop: _Population, grid: ControlVolumeGrid,
     first[:1] = True
     np.not_equal(flat_s[1:], flat_s[:-1], out=first[1:])
     start = first.nonzero()[0]
-    rows = frames.extend(k, len(start))
+    counts = np.diff(start, append=len(flat_s))
+    many = counts > 1
+    rows = frames.extend(k, len(start), np.count_nonzero(many))
     rows.cells[...] = flat_s[start]
-    rows.counts[...] = np.diff(start, append=len(flat_s))
+    rows.counts[...] = counts
     block = np.empty((4, len(order)))
-    sq = np.square(np.take(pop.vel, order, axis=1, out=block[:3]))
-    np.add(sq[0], sq[2], out=block[3])
-    block[3] += sq[1]
+    speed2(np.take(pop.vel, order, axis=1, out=block[:3]), out=block[3])
     np.add.reduceat(block[:3], start, axis=1, out=rows.vsum.T)
-    np.add.reduceat(block[3], start, out=rows.sumv2)
+    np.compress(many, np.add.reduceat(block[3], start), out=rows.sumv2)
 
 
 def population_balance(trace: SimulationTrace) -> dict:
-    """Bookkeeping: injected = still-active + retired + faulted."""
-    total, active = trace.totals, int(trace.frame_active[-1])
+    """Bookkeeping: injected = still-active + retired + faulted, the
+    active agents summed over the last frame's rows."""
+    offsets = trace.frames.offsets
+    last = trace.frames.count_pieces(offsets[-2], offsets[-1])
+    active = sum(int(c.sum(dtype=np.int64)) for _, c in last)
+    total = trace.totals
     injected, retired, faults = total["inject"], total["retire"], total["fault"]
     return {"injected": injected, "active": active, "retired": retired,
             "faults": faults, "balanced": injected == active + retired + faults}

@@ -8,10 +8,12 @@ fits every cell of a lattice in one pass. The routines here take one cell's
 agents, or (N, 3) arrays, instead. They call the library's own formula
 (``pressure_coefficient``), its plant row functions and its set solver, so
 tests that use them as oracles still check the code the pipeline runs. The
-library reads a run's frame table chunk by chunk; the routines here join it
-and read it one frame at a time. The analysis writers format one row at a time
-with their own normalization maxima, as the library did before it wrote
-those files through ``write_table``; tests compare the files byte for byte.
+library reads a run's frame table chunk by chunk and rebuilds the sum of
+squared speeds of one-agent rows a piece at a time; the routines here join
+it, rebuild that sum row by row and read it one frame at a time. The
+analysis writers format one row at a time with their own normalization
+maxima, as the library did before it wrote those files through
+``write_table``; tests compare the files byte for byte.
 The collision detector is the loop's as it was before the pass ran on the
 population's rows, on (M, 3) pair rows with the pairs of
 ``cKDTree.query_pairs``.
@@ -137,14 +139,35 @@ def fit_cell(v_target, p_target: float, cell_volume: float,
 
 def frame_table(frames) -> FrameTable:
     """A one-chunk table of per-frame ``(cells, counts, vsum, sumv2)``
-    rows, frame after frame."""
+    rows, frame after frame, which stores the ``sumv2`` of the rows of two
+    or more agents. A one-agent row's must be what a run records, its
+    ``vsum``'s squared length."""
     offsets = np.cumsum([0] + [len(f[0]) for f in frames])
-    return FrameTable(offsets, [FrameChunk(*map(np.concatenate, zip(*frames)))])
+    cells, counts, vsum, sumv2 = map(np.concatenate, zip(*frames))
+    many = counts > 1
+    one = FrameTable(offsets, [FrameChunk(cells, counts, vsum, sumv2[many])])
+    assert full_sumv2(one).tobytes() == sumv2.astype(float).tobytes()
+    return one
+
+
+def full_sumv2(table: FrameTable) -> np.ndarray:
+    """Every row's sum of squared speeds, row by row: a row of two or more
+    agents takes the next stored value, a one-agent row its velocity
+    sum's (vx^2 + vz^2) + vy^2."""
+    counts = np.concatenate([c.counts for c in table.chunks]).tolist()
+    vsum = np.concatenate([c.vsum for c in table.chunks]).tolist()
+    stored = iter(np.concatenate([c.sumv2 for c in table.chunks]).tolist())
+    full = [next(stored) if n > 1 else (x * x + z * z) + y * y
+            for n, (x, y, z) in zip(counts, vsum)]
+    assert next(stored, None) is None
+    return np.array(full, dtype=float)
 
 
 def frame_rows(table: FrameTable) -> list[FrameChunk]:
-    """Each frame's rows of ``table``, from its columns joined."""
+    """Each frame's rows of ``table``, from its columns joined, with every
+    row's ``sumv2`` (``full_sumv2``)."""
     cols = [np.concatenate(c) for c in zip(*table.chunks)]
+    cols[3] = full_sumv2(table)
     o = table.offsets.tolist()
     return [FrameChunk(*(c[lo:hi] for c in cols))
             for lo, hi in zip(o[:-1], o[1:])]

@@ -47,13 +47,13 @@ def lattice(nx=30, ny=1, nz=1, speeds=None, p=None, rho=None):
 
 def rec(cells, counts, means, sumv2=None):
     """One frame's rows from per-cell mean velocities; zero spread by
-    default."""
+    default, which a one-agent row always has."""
     cells = np.asarray(cells, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     means = np.atleast_2d(np.asarray(means, dtype=float))
     vsum = means * counts[:, None]
     if sumv2 is None:
-        sumv2 = np.einsum("ij,ij->i", vsum, vsum) / counts
+        sumv2 = swarm_sim.speed2(vsum.T) / counts
     return FrameChunk(cells, counts, vsum, np.asarray(sumv2, float))
 
 
@@ -156,8 +156,8 @@ def test_transient_excludes_early_frames():
 def test_frame_order_does_not_matter():
     rng = np.random.default_rng(3)
     grid = lattice(nx=5)
-    frames = [rec([i % 5], [1 + i % 3], [[1.0 + i, 0.0, 0.0]],
-                  sumv2=[(1 + i % 3) * (1.0 + i) ** 2 + 0.1 * i])
+    frames = [rec([i % 5], [2 + i % 3], [[1.0 + i, 0.0, 0.0]],
+                  sumv2=[(2 + i % 3) * (1.0 + i) ** 2 + 0.1 * i])
               for i in range(12)]
     trace = fake_trace(frames)
     d0 = derive_fields(trace, grid, transient=0.0)

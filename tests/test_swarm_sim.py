@@ -23,11 +23,13 @@ from fluidswarm import (FieldFormatError, PlantParams, SimConfig,
 from fluidswarm.partition import ControlVolumeGrid, assign_cell, partition_domain
 from fluidswarm.records import lattice_meta
 from fluidswarm.reference_field import NozzleGeometry
-from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, close_pairs,
-                                  entry_cell, make_batch, seed_tunnel)
+from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, FrameChunk,
+                                  FrameTable, close_pairs, entry_cell,
+                                  make_batch, seed_tunnel)
 from fluidswarm.velocity_fit import SET_SIZE, FitConfig, GridFit
 from fluidswarm.velocity_plant import PlantState, step as plant_step
-from reference import digest, frame_rows, frame_table, pair_row_collisions
+from reference import (digest, frame_rows, frame_table, full_sumv2,
+                       pair_row_collisions)
 
 CFG = SimConfig()  # collision thresholds at their defaults
 
@@ -1344,6 +1346,22 @@ def _format_8(cols):
     _set_format(cols, 8)
 
 
+def _format_9(cols):
+    # the layout whose sumv2 held every row's
+    stored = FrameChunk(*(cols[k] for k in records.FRAME_COLUMNS))
+    cols["sumv2"] = full_sumv2(FrameTable(cols["frame_offsets"], [stored]))
+    _set_format(cols, 9)
+
+
+def _short_sumv2(cols):
+    assert len(cols["sumv2"]) > 0
+    cols["sumv2"] = cols["sumv2"][:-1]
+
+
+def _long_sumv2(cols):
+    cols["sumv2"] = np.append(cols["sumv2"], 1.0)
+
+
 def _edit_meta(name, key, value):
     """The corruption ``name`` that sets ``meta[key]``, or deletes it for
     None."""
@@ -1480,12 +1498,17 @@ def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
     (_format_2, "missing"),
-    (_format_3, "format 3, expected 9"),
+    # ids fixed at the names these cases had when format 9 was current
+    *(pytest.param(corrupt, f"format {n}, expected 10",
+                   id=f"{corrupt.__name__}-format {n}, expected 9")
+      for n, corrupt in ((3, _format_3), (5, _format_5), (6, _format_6),
+                         (7, _format_7), (8, _format_8))),
     (_format_4, r"missing \['event_frame'\]"),
-    (_format_5, "format 5, expected 9"),
-    (_format_6, "format 6, expected 9"),
-    (_format_7, "format 7, expected 9"),
-    (_format_8, "format 8, expected 9"),
+    (_format_9, "format 9, expected 10"),
+    (_short_sumv2, r"^trace\.npz: sumv2 holds \d+ values, but \d+ rows hold "
+                   r"two or more agents$"),
+    (_long_sumv2, r"^trace\.npz: sumv2 holds \d+ values, but \d+ rows hold "
+                  r"two or more agents$"),
     (_edit_meta("_numeric_config", "config", 5),
      "config is not a JSON object"),
     (_edit_meta("_numeric_plant", "plant", 2.5), "plant is not a JSON object"),
@@ -1632,6 +1655,109 @@ def test_frame_rows_across_chunks_keep_every_value(grid, fit, monkeypatch,
     got = short_run(grid, fit, seed=5, duration=10.0)
     assert got.frames == want.frames
     assert all(r.cells.dtype == r.counts.dtype == np.int32 for r in got.frames)
+
+
+def test_tables_compare_by_their_rows_however_their_chunks_fall():
+    """``==`` walks both tables' stored columns in one pass: a table cut
+    into chunks of other lengths, empty ones among them, equals it, and one
+    changed stored value of any column makes it differ."""
+    rng = np.random.default_rng(9)
+    counts = rng.integers(1, 4, 40)
+    vsum = rng.normal(size=(40, 3))
+    sumv2 = swarm_sim.speed2(vsum.T) + (counts > 1) * rng.random(40)
+    offsets = np.array([0, 7, 7, 19, 33, 40])
+    one = frame_table([(np.arange(lo, hi), counts[lo:hi], vsum[lo:hi],
+                        sumv2[lo:hi]) for lo, hi in zip(offsets, offsets[1:])])
+    stored = one.chunks[0]
+    many = np.r_[0, np.cumsum(counts > 1)]       # stored sumv2 before a row
+
+    def cut(*rows):
+        return FrameTable(offsets, [
+            FrameChunk(stored.cells[lo:hi], stored.counts[lo:hi],
+                       stored.vsum[lo:hi], stored.sumv2[many[lo]:many[hi]])
+            for lo, hi in zip(rows, rows[1:])])
+
+    assert cut(0, 3, 3, 21, 40) == one == cut(0, 40)
+    for i, column in enumerate(stored):
+        changed = [c.copy() for c in stored]
+        changed[i][-1] += 1
+        assert FrameTable(offsets, [FrameChunk(*changed)]) != one, i
+
+
+def gusty_plant():
+    """``plant_step`` whose agents also take a random sideways gust each
+    step, so that their velocities point every way: the commands alone are
+    axial to 1e-17, where the order of the squares never shows."""
+    rng = np.random.default_rng(17)
+
+    def step(state, cmds, dt, params):
+        out = plant_step(state, cmds, dt, params)
+        out.velocity[:, 1:] += rng.normal(0.0, 0.3, (len(out.velocity), 2))
+        return out
+    return step
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_pieces_rebuild_the_sumv2_of_every_one_agent_row(grid, fit,
+                                                         monkeypatch,
+                                                         tmp_path, loaded):
+    """The table stores sumv2 for the rows of two or more agents only.
+    Pieces of 61 rows, which cut frames and 997-row chunks, give every
+    row's: the stored values, and the one-agent rows' rebuilt from their
+    vsum, bit for bit those of the row-by-row reference; so do the pieces
+    from a row inside a chunk. A tunnel run holds up to dozens of agents a
+    cell, and a collisions-on run at a low floor overtakes; gusts give both
+    runs velocities in every direction."""
+    monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", 997)
+    monkeypatch.setattr(swarm_sim, "READ_ROWS", 61)
+    for config in (SimConfig(case="tunnel_seeding", duration=20.0, seed=1),
+                   SimConfig(duration=10.0, seed=0, batch_size=17,
+                             collisions=True, min_approach_speed=0.02)):
+        monkeypatch.setattr(swarm_sim, "plant_step", gusty_plant())
+        trace = run_simulation(grid, fit, config)
+        assert len(trace.frames.chunks) > 10
+        if config.collisions:
+            assert trace.totals["collision_overtake"] > 0
+        if loaded:
+            save_run(trace, grid, tmp_path)
+            trace = load_run(tmp_path)[0]
+        table = trace.frames
+        counts = np.concatenate([c.counts for c in table])
+        assert 0 < len(np.concatenate([c.sumv2 for c in table])) \
+            == np.count_nonzero(counts > 1) < len(counts)
+        want = full_sumv2(table)
+        for start in (0, 2500):
+            got = list(table.pieces(start))
+            assert [row for row, _ in got] == list(itertools.accumulate(
+                [start] + [len(p.cells) for _, p in got[:-1]]))
+            got = np.concatenate([p.sumv2 for _, p in got])
+            assert got.tobytes() == want[start:].tobytes()
+
+
+@pytest.mark.parametrize("case", ["chunks", "loaded", "empty_last_frame"])
+def test_frame_active_and_the_balance_sum_each_frames_counts(
+        grid, fit, monkeypatch, tmp_path, case):
+    """``frame_active`` and ``population_balance``'s active count, read
+    from the counts alone, equal each frame's summed counts: on a run of
+    many chunks, whose 37-row reads cut frames; on its loaded one-chunk
+    copy; and on a run whose last frame is empty (at full command speed
+    the seeded agents have left the duct by frame 50)."""
+    monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", 100)
+    monkeypatch.setattr(swarm_sim, "READ_ROWS", 37)
+    if case == "empty_last_frame":
+        config = SimConfig(case="tunnel_seeding", duration=5.0, scale=1.0)
+    else:
+        config = SimConfig(duration=10.0, seed=5)
+    trace = run_simulation(grid, fit, config)
+    assert len(trace.frames.chunks) > 10
+    if case == "loaded":
+        save_run(trace, grid, tmp_path)
+        trace = load_run(tmp_path)[0]
+    want = [int(r.counts.sum()) for r in frame_rows(trace.frames)]
+    assert trace.frame_active.tolist() == want
+    balance = population_balance(trace)
+    assert balance["active"] == want[-1] and balance["balanced"]
+    assert (want[-1] == 0) == (case == "empty_last_frame")
 
 
 class FilledNumpy:
