@@ -110,7 +110,7 @@ class DerivedFields:
 
 
 def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
-                  transient: float | None = None) -> DerivedFields:
+                  transient: float) -> DerivedFields:
     """Time averages of the frames after ``transient``.
 
     Agent mass comes from the plant the run flew, and the pressure
@@ -122,9 +122,6 @@ def derive_fields(trace: SimulationTrace, grid: ControlVolumeGrid,
     (the clock ascends). Each per-cell sum is one ``bincount`` per piece,
     seeded with the sum so far, so each cell adds its rows in frame order.
     """
-    if transient is None:
-        transit = transit_time_estimate(grid, trace.config.scale)
-        transient = default_transient(trace.config.duration, transit)
     used = int(np.count_nonzero(trace.frame_t > transient))
     if used == 0:
         raise ValueError("no frames after the transient window")

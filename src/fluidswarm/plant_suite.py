@@ -61,7 +61,7 @@ def rollout(params: PlantParams, command, duration: float, dt: float,
     The thrust history is kept as component rows, (3, steps, n), and the
     tilts, elementwise, are computed on it once at the end.
     """
-    state = PlantState.hover(params, n)
+    state = PlantState.hover(n)
     steps = int(round(duration / dt))
     ts = np.empty(steps)
     vs = np.empty((steps, n, 3))

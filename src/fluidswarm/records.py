@@ -22,8 +22,8 @@ from .partition import ControlVolumeGrid
 from .primitives import (FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, SEED,
                          check, declared, integers_from)
 from .reference_field import GasModel, NozzleGeometry, ReferenceField
-from .swarm_sim import (EVENT_KINDS, EventTable, FrameChunk, FrameTable,
-                        SimConfig, SimulationTrace)
+from .swarm_sim import (EVENT_KINDS, FRAME_COLUMNS, EventTable, FrameChunk,
+                        FrameTable, SimConfig, SimulationTrace)
 from .velocity_fit import SET_SIZE, FitConfig, GridFit
 from .velocity_plant import PlantParams
 
@@ -419,11 +419,7 @@ def grid_from_fit(fit: GridFit, meta: dict) -> ControlVolumeGrid:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 10
-# the frame table's stored columns, in ``FrameChunk`` order: dtype and row
-# shape; sumv2 holds one value per row of two or more agents, in row order
-FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
-                 "vsum": (np.float64, (3,)), "sumv2": (np.float64, ())}
+RUN_FORMAT = 11
 TRAJ_COLUMNS = {"traj_ids": (np.int64, ()), "traj_pos": (np.float64, (3,)),
                 "traj_vel": (np.float64, (3,))}
 # every member but the JSON ``meta`` string, in file order

@@ -35,11 +35,13 @@ event table, its only population record. All randomness is drawn from
 generators seeded by (seed, purpose, index), so traces are reproducible.
 
 Collisions are overtakes: a close pair closing faster than the approach
-floor, its headings aligned above ``overtake_cos``, moves speed from the
-faster agent to the slower; no other pair collides, and headings never
-change. The close pairs come from a cell list (``close_pairs``) that
-follows the rule of SciPy's ``cKDTree.query_pairs``, and the pass runs on
-the population's own rows.
+floor, ``MIN_APPROACH_SPEED`` in the m/s the agents fly, its headings
+aligned above ``OVERTAKE_COS``, moves speed from the faster agent to the
+slower; no other pair collides, and headings never change. The close
+pairs come from a cell list (``close_pairs``) that follows the rule of
+SciPy's ``cKDTree.query_pairs``, and the pass runs on the population's own
+rows. Trajectory snapshots, when recorded, are taken every
+``TRAJECTORY_STRIDE`` frames.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ import numpy as np
 
 from .partition import ControlVolumeGrid, assign_cell
 from .primitives import (FINITE_POSITIVE, FLAG, NOT_NAN, SEED, Domain,
-                         check_fields, integers_from, is_real, optional,
-                         ranged)
+                         check_fields, integers_from, optional, ranged)
 from .reference_field import NozzleGeometry
 from .velocity_fit import SET_SIZE, GridFit
 from .velocity_plant import PlantParams, PlantState, step as plant_step
@@ -62,6 +63,12 @@ CASES = ("tunnel_seeding", "reservoir")
 
 OVERTAKE_TRANSFER = 0.25    # fraction of the speed difference moved
 SPEED_LIMIT = 30.0          # post-collision speed clamp, m/s
+# closing speed a pair must exceed to overtake, in flown m/s: agents fly
+# the scaled commands, so a floor in the reference field's units (0.5 m/s
+# against closing speeds of about 0.12 m/s at scale 0.1) fires none
+MIN_APPROACH_SPEED = 0.05
+OVERTAKE_COS = 0.7          # heading alignment above which a pair overtakes
+TRAJECTORY_STRIDE = 10      # frames between trajectory snapshots
 # the most frames a duration may round to (3.4 years at 0.05 s): the loop
 # allocates every frame's end time up front
 MAX_FRAMES = 2 ** 31 - 1
@@ -78,19 +85,12 @@ class SimConfig:
     seed: int = ranged(0, SEED)
     collisions: bool = ranged(False, FLAG)
     collision_radius: float = ranged(0.15, FINITE_POSITIVE)  # agent body radius, m
-    # closing-speed floor to count a collision; the detection negates its
-    # rejection tests, so a NaN floor would reject no pair
-    min_approach_speed: float = ranged(0.5, Domain(
-        "must be nonnegative", lambda x: is_real(x) and x >= 0))
-    # alignment above which a pair overtakes
-    overtake_cos: float = ranged(0.7, NOT_NAN)
     dt_source: float = ranged(0.5, FINITE_POSITIVE)  # reservoir batch cadence, s
     # None: sized from the entry cell's fit
     batch_size: int | None = ranged(None, optional(integers_from(1)))
     # tunnel case axial fill bound (±inf: every cell or none); None: mid-duct
     seed_x_max: float | None = ranged(None, optional(NOT_NAN))
     record_trajectories: bool = ranged(False, FLAG)
-    trajectory_stride: int = ranged(10, integers_from(1))
 
     def __post_init__(self):
         check_fields(self)
@@ -129,6 +129,12 @@ class FrameChunk(NamedTuple):
     sumv2: np.ndarray       # sums of squared speeds: see above
 
 
+# a frame table's stored columns, in ``FrameChunk`` order: dtype and row
+# shape; sumv2 holds one value per row of two or more agents, in row order
+FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
+                 "vsum": (np.float64, (3,)), "sumv2": (np.float64, ())}
+
+
 @dataclass(eq=False)
 class FrameTable:
     """A run's frame rows in chunks; frame ``k`` is rows
@@ -153,9 +159,8 @@ class FrameTable:
             self.chunks.pop()
         else:
             rows = max(FRAME_CHUNK_ROWS, n)
-            last = FrameChunk(*(b[:0] for b in (
-                np.empty(rows, dtype=np.int32), np.empty(rows, dtype=np.int32),
-                np.empty((rows, 3)), np.empty(rows))))
+            last = FrameChunk(*(np.empty((rows, *shape), dtype)[:0]
+                                for dtype, shape in FRAME_COLUMNS.values()))
         ends = [len(c) + m for c, m in zip(last, (n, n, n, many))]
         self.chunks.append(FrameChunk(*(c.base[:e]
                                         for c, e in zip(last, ends))))
@@ -421,8 +426,8 @@ class _Population:
         self.escaped = self.escaped.take(idx)
 
 
-def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
-                plant: PlantParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit,
+                config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial population for the tunnel case.
 
     Every fitted cell whose center lies at or below the axial bound
@@ -445,11 +450,11 @@ def seed_tunnel(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
         (len(cells), SET_SIZE, 3))
     pos = (corners[:, None] + unit * grid.edge_length).reshape(-1, 3)
     vel = np.repeat(config.scale * fit.commands()[keep], SET_SIZE, axis=0)
-    return pos, vel, PlantState.hover(plant, len(vel)).thrust_accel
+    return pos, vel, PlantState.hover(len(vel)).thrust_accel
 
 
 def make_batch(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
-               plant: PlantParams, batch_index: int, n_batch: int, cell: int):
+               batch_index: int, n_batch: int, cell: int):
     """One injection batch: uniform over the inlet disc, x in [0, edge)."""
     rng = np.random.default_rng((config.seed, 3, batch_index))
     rr = float(grid.geometry.radius(0.0)) * np.sqrt(rng.random(n_batch))
@@ -457,7 +462,7 @@ def make_batch(grid: ControlVolumeGrid, fit: GridFit, config: SimConfig,
     x = grid.origin[0] + rng.random(n_batch) * grid.edge_length
     pos = np.column_stack([x, rr * np.cos(th), rr * np.sin(th)])
     vel = np.tile(config.scale * fit.command(cell), (n_batch, 1))
-    return pos, vel, PlantState.hover(plant, n_batch).thrust_accel
+    return pos, vel, PlantState.hover(n_batch).thrust_accel
 
 
 # ======================================================================
@@ -551,7 +556,7 @@ def detect_collisions(pos, vel, config: SimConfig) -> np.ndarray:
 
     A pair at most two body radii apart (``close_pairs``) overtakes when it
     closes faster than the approach floor and its headings align above
-    ``overtake_cos``. Raises ValueError when there are two or more agents
+    ``OVERTAKE_COS``. Raises ValueError when there are two or more agents
     and a position is not finite.
 
     All candidate pairs are tested as arrays, on (3, M) component rows
@@ -564,8 +569,7 @@ def detect_collisions(pos, vel, config: SimConfig) -> np.ndarray:
     there. Distance and closing speed are computed for every candidate pair
     (the closing speed of a coincident pair is NaN or infinite, and the
     distance test rejects it) and both tests select in one mask; when it
-    selects nothing, which is every frame at the default floor, the
-    detection ends there.
+    selects nothing, the detection ends there.
     """
     if len(pos) < 2:
         return np.empty((0, 2), dtype=np.intp)
@@ -579,7 +583,7 @@ def detect_collisions(pos, vel, config: SimConfig) -> np.ndarray:
     va, vb = v.take(a, axis=1), v.take(b, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         closing = np.vecdot(va - vb, dx / dist, axis=0)
-    keep = ~(dist <= 1e-12) & ~(closing <= config.min_approach_speed)
+    keep = ~(dist <= 1e-12) & ~(closing <= MIN_APPROACH_SPEED)
     keep = keep.nonzero()[0]
     if len(keep) == 0:
         return np.empty((0, 2), dtype=np.intp)
@@ -589,7 +593,7 @@ def detect_collisions(pos, vel, config: SimConfig) -> np.ndarray:
     moving = ~((sa < 1e-9) | (sb < 1e-9))
     align = np.vecdot(va[:, moving], vb[:, moving], axis=0) \
         / (sa[moving] * sb[moving])
-    keep = keep[moving][align > config.overtake_cos]
+    keep = keep[moving][align > OVERTAKE_COS]
     return np.column_stack([a[keep], b[keep]])
 
 
@@ -649,14 +653,14 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
     log = _EventLog()
     pop = _Population()
     if config.case == "tunnel_seeding":
-        pos, vel, thr = seed_tunnel(grid, fit, config, plant)
+        pos, vel, thr = seed_tunnel(grid, fit, config)
         log.add(0, INJECT, pop.append(pos, vel, thr, assign_cell(pos, grid)))
     stride = max(1, int(round(config.dt_source / config.dt)))
 
     for k in range(n_frames):
         if config.case == "reservoir" and k % stride == 0:
-            pos, vel, thr = make_batch(grid, fit, config, plant,
-                                       k // stride, n_batch, cell0)
+            pos, vel, thr = make_batch(grid, fit, config, k // stride,
+                                       n_batch, cell0)
             log.add(k, INJECT, pop.append(pos, vel, thr,
                                           assign_cell(pos, grid)))
 
@@ -692,7 +696,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
             pop.keep(~gone)
 
         _record_frame(pop, grid, frames, k)
-        if config.record_trajectories and k % config.trajectory_stride == 0:
+        if config.record_trajectories and k % TRAJECTORY_STRIDE == 0:
             trajectories.append((float(frame_t[k]), pop.gid.copy(),
                                  pop.pos.T.copy(), pop.vel.T.copy()))
 

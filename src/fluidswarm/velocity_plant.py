@@ -7,6 +7,11 @@ desired vector is clipped to a tilt cone and a thrust-magnitude ball, and the
 realized thrust acceleration follows the clipped demand through a first-order
 lag. Velocity then integrates thrust + gravity + aerodynamic drag.
 
+Every agent flies one airframe. Its gravity, shaping constant, tilt cone
+and drag are module constants (``GRAVITY``, ``TAU_V``, ``TAN_TILT_MAX``,
+``DRAG_FACTOR``); ``PlantParams`` holds what a run may set: the mass, the
+thrust-to-weight ratio, the thrust lag and the drag feedforward weight.
+
 Everything here is vectorized over agents. ``step``, ``tilt_angle_deg`` and
 ``PlantState`` take and give (N, 3) arrays (a command or wind may be one (3,)
 vector for every agent), and a single agent is just N = 1; the math runs on
@@ -27,19 +32,30 @@ from functools import cached_property
 
 import numpy as np
 
-from .primitives import (FINITE_NONNEGATIVE, FINITE_POSITIVE, Domain, check,
-                         check_fields, is_real, ranged)
+from .primitives import (FINITE_NONNEGATIVE, FINITE_POSITIVE, Domain,
+                         check, check_fields, ranged)
 
-GRAVITY = 9.81
 
-_PER_AXIS = Domain("must be 3 values, each finite and nonnegative",
-                   lambda x: isinstance(x, tuple) and len(x) == 3
-                   and all(map(FINITE_NONNEGATIVE.test, x)))
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+GRAVITY = 9.81                                  # m/s^2
+TAU_V = 0.5                                     # command shaping constant, s
+TAN_TILT_MAX = float(np.tan(np.deg2rad(55.0)))  # tilt cone of 55 degrees
+# per-axis 0.5 * rho * C_d * S, N/(m/s)^2: air at 1.225 kg/m^3, drag
+# coefficients (1.0, 1.0, 1.2) and reference areas (0.02, 0.02, 0.03) m^2
+DRAG_FACTOR = _frozen(0.5 * 1.225 * np.asarray((1.0, 1.0, 1.2))
+                      * np.asarray((0.02, 0.02, 0.03)))
+# (2, 3, 1): minus the drag factor and the gravity vector, the columns
+# ``step`` spreads over its agents
+_STEP_COLUMNS = _frozen(np.stack([-DRAG_FACTOR, [0.0, 0.0, GRAVITY]])[..., None])
 
 
 @dataclass(frozen=True)
 class PlantParams:
-    """Physical and control constants for one platform class.
+    """The settings of the airframe that a run may choose.
 
     ``thrust_to_weight`` may be a tuple, one value per agent of the states
     this plant steps; ``a_max`` is then per agent too.
@@ -50,49 +66,18 @@ class PlantParams:
         "must be finite and positive, or a tuple of such values",
         lambda x: FINITE_POSITIVE.test(x) or isinstance(x, tuple)
         and len(x) > 0 and all(map(FINITE_POSITIVE.test, x))))
-    air_density: float = ranged(1.225, FINITE_NONNEGATIVE)      # kg/m^3
-    ref_area: tuple[float, float, float] = ranged((0.02, 0.02, 0.03),
-                                                  _PER_AXIS)    # m^2
-    drag_coeff: tuple[float, float, float] = ranged((1.0, 1.0, 1.2), _PER_AXIS)
-    tilt_max_deg: float = ranged(55.0, Domain(
-        "must lie in (0, 90) degrees", lambda x: is_real(x) and 0 < x < 90))
-    tau_v: float = ranged(0.5, FINITE_POSITIVE)     # command shaping constant, s
     tau_thrust: float = ranged(0.08, FINITE_POSITIVE)  # thrust response lag, s
     ff_gain: float = ranged(0.0, FINITE_NONNEGATIVE)  # drag feedforward weight
-    gravity: float = ranged(GRAVITY, FINITE_POSITIVE)
 
     __post_init__ = check_fields
 
-    # derived constants, computed once per instance (read-only arrays)
-
     @cached_property
     def a_max(self) -> float | np.ndarray:
-        """Peak thrust acceleration, m/s^2 (per agent for a tuple)."""
+        """Peak thrust acceleration, m/s^2 (per agent for a tuple),
+        computed once per instance (a read-only array for a tuple)."""
         if isinstance(self.thrust_to_weight, tuple):
-            return _frozen(np.asarray(self.thrust_to_weight) * self.gravity)
-        return self.thrust_to_weight * self.gravity
-
-    @cached_property
-    def tan_tilt_max(self) -> float:
-        return float(np.tan(np.deg2rad(self.tilt_max_deg)))
-
-    @cached_property
-    def drag_factor(self) -> np.ndarray:
-        """Per-axis 0.5 * rho * C_d * S, N/(m/s)^2."""
-        return _frozen(0.5 * self.air_density * np.asarray(self.drag_coeff)
-                       * np.asarray(self.ref_area))
-
-    @cached_property
-    def _step_columns(self) -> np.ndarray:
-        """(2, 3, 1): minus the drag factor and the gravity vector, the
-        columns ``step`` spreads over its agents."""
-        return _frozen(np.stack([-self.drag_factor,
-                                 [0.0, 0.0, self.gravity]])[..., None])
-
-
-def _frozen(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
+            return _frozen(np.asarray(self.thrust_to_weight) * GRAVITY)
+        return self.thrust_to_weight * GRAVITY
 
 
 @dataclass
@@ -109,11 +94,11 @@ class PlantState:
             raise ValueError("velocity and thrust_accel shapes must match")
 
     @classmethod
-    def hover(cls, params: PlantParams, n: int = 1) -> "PlantState":
+    def hover(cls, n: int = 1) -> "PlantState":
         """Equilibrium at rest: thrust exactly cancels gravity."""
         v = np.zeros((n, 3))
         a = np.zeros((n, 3))
-        a[:, 2] = -params.gravity
+        a[:, 2] = -GRAVITY
         return cls(v, a)
 
 
@@ -134,15 +119,15 @@ def _feedforward(cmd, wind, params: PlantParams):
     """Drag feedforward rows at the commanded airspeed, or None when off."""
     if params.ff_gain == 0.0:
         return None
-    f = -_drag(cmd - wind, -params.drag_factor[:, None])
+    f = -_drag(cmd - wind, -DRAG_FACTOR[:, None])
     return params.ff_gain * f / params.mass
 
 
-def _desired(v, cmd, ff, params: PlantParams, out) -> np.ndarray:
+def _desired(v, cmd, ff, out) -> np.ndarray:
     """Demand rows into ``out``; ``cmd`` and ``ff`` broadcast to ``v``."""
     np.subtract(cmd, v, out=out)
-    np.divide(out, params.tau_v, out=out)
-    np.subtract(out[2], params.gravity, out=out[2])
+    np.divide(out, TAU_V, out=out)
+    np.subtract(out[2], GRAVITY, out=out[2])
     if ff is not None:
         np.add(out, ff, out=out)
     return out
@@ -169,10 +154,10 @@ def _constrain(a, params: PlantParams, scratch=None) -> np.ndarray:
     np.maximum(up, 0.0, out=up)                 # |z| once z is clipped to <= 0
     np.abs(x, out=s)
     np.add(s, np.abs(y, out=t), out=s)
-    np.multiply(up, params.tan_tilt_max * (1.0 - 1e-12), out=t)
+    np.multiply(up, TAN_TILT_MAX * (1.0 - 1e-12), out=t)
     near = (~(s <= t)).nonzero()[0]
     if len(near):
-        lim = params.tan_tilt_max * up[near]
+        lim = TAN_TILT_MAX * up[near]
         lat = np.hypot(x[near], y[near])
         over = lat > lim            # so lat > 0: lim is never negative
         near = near[over]
@@ -225,11 +210,11 @@ def step(state: PlantState, v_cmd, dt: float, params: PlantParams,
         wind = np.ascontiguousarray(np.broadcast_to(wind, v.shape))
     unit_mass = params.mass == 1.0
     rows = np.empty((5,) + v.shape)
-    rows[3:] = params._step_columns
+    rows[3:] = _STEP_COLUMNS
     a_d, drag, acc, neg_k, g = rows          # acc is _constrain's scratch
     u = v if calm else np.empty_like(v)     # airspeed
     for _ in range(n_sub):
-        _constrain(_desired(v, cmd, ff, params, a_d), params, acc)
+        _constrain(_desired(v, cmd, ff, a_d), params, acc)
         np.subtract(a, a_d, out=a)
         np.multiply(a, decay, out=a)
         np.add(a_d, a, out=a)

@@ -25,10 +25,11 @@ import numpy as np
 
 from fluidswarm.metrics import default_transient, transit_time_estimate
 from fluidswarm.primitives import pressure_coefficient
+from fluidswarm import swarm_sim
 from fluidswarm.swarm_sim import FrameChunk, FrameTable
 from fluidswarm.velocity_fit import SET_SIZE, _solve
-from fluidswarm.velocity_plant import (PlantParams, _constrain, _desired,
-                                       _drag, _feedforward, _rows)
+from fluidswarm.velocity_plant import (DRAG_FACTOR, PlantParams, _constrain,
+                                       _desired, _drag, _feedforward, _rows)
 
 
 # ======================================================================
@@ -94,9 +95,9 @@ def mass_mean_velocity(masses, velocities) -> np.ndarray:
 # (N, 3) plant shims over the row functions ``step`` runs
 # ======================================================================
 
-def drag_force(v_air, params: PlantParams) -> np.ndarray:
+def drag_force(v_air) -> np.ndarray:
     """Quadratic aerodynamic drag opposing the airspeed, per axis, N."""
-    f = _drag(_rows(v_air), -params.drag_factor[:, None]).T
+    f = _drag(_rows(v_air), -DRAG_FACTOR[:, None]).T
     return f if np.ndim(v_air) > 1 else f[0]
 
 
@@ -105,7 +106,7 @@ def desired_accel(velocity, v_cmd, wind, params: PlantParams) -> np.ndarray:
     v, cmd = _rows(velocity), _rows(v_cmd)
     ff = _feedforward(cmd, _rows(wind), params)
     out = np.empty(np.broadcast_shapes(v.shape, cmd.shape, np.shape(ff)))
-    return _desired(v, cmd, ff, params, out).T
+    return _desired(v, cmd, ff, out).T
 
 
 def constrain_accel(accel, params: PlantParams) -> np.ndarray:
@@ -312,7 +313,9 @@ def save_metrics_lines(report, path) -> None:
 
 def pair_row_collisions(pos, vel, config) -> np.ndarray:
     """``detect_collisions`` on (M, 3) pair rows, every test applied to
-    every candidate pair, with the pairs of ``cKDTree.query_pairs``."""
+    every candidate pair, with the pairs of ``cKDTree.query_pairs``. It
+    reads the approach floor and the alignment from ``swarm_sim`` when
+    called, so a test that sets them sets them for both detectors."""
     from scipy.spatial import cKDTree
 
     if len(pos) < 2:
@@ -328,10 +331,10 @@ def pair_row_collisions(pos, vel, config) -> np.ndarray:
     va, vb = vel.take(a, axis=0), vel.take(b, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         closing = np.vecdot(va - vb, dx / dist[:, None])
-    keep = ~(dist <= 1e-12) & ~(closing <= config.min_approach_speed)
+    keep = ~(dist <= 1e-12) & ~(closing <= swarm_sim.MIN_APPROACH_SPEED)
     a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
     sa, sb = np.sqrt(np.vecdot(va, va)), np.sqrt(np.vecdot(vb, vb))
     keep = ~((sa < 1e-9) | (sb < 1e-9))
     align = np.vecdot(va[keep], vb[keep]) / (sa[keep] * sb[keep])
-    hit = align > config.overtake_cos
+    hit = align > swarm_sim.OVERTAKE_COS
     return np.column_stack([a[keep][hit], b[keep][hit]])

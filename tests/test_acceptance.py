@@ -12,7 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from fluidswarm.metrics import derive_fields, metrics_report, trend_check
+from fluidswarm.metrics import (default_transient, derive_fields,
+                               metrics_report, transit_time_estimate,
+                               trend_check)
 from fluidswarm.partition import ControlVolumeGrid
 from fluidswarm.plant_suite import run_suite
 from fluidswarm.reference_field import NozzleGeometry
@@ -244,11 +246,15 @@ def test_criterion_11_collision_trend_preservation(grid, fit, say):
     t0 = time.perf_counter()
     trace = run_simulation(grid, fit, cfg)
     elapsed = time.perf_counter() - t0
-    out = trend_check(derive_fields(trace, grid), grid)
+    transient = default_transient(cfg.duration,
+                                  transit_time_estimate(grid, cfg.scale))
+    out = trend_check(derive_fields(trace, grid, transient), grid)
     n_coll = sum(n for kind, n in trace.totals.items()
                  if kind.startswith("collision"))
-    ok = out["density_trend_ok"] and out["speed_trend_ok"]
-    say(11, ok, f"collisions on ({n_coll} events over 90 s, sim wall time "
-                f"{elapsed:.0f} s): density and speed trends still hold")
+    ok = n_coll >= 1000 and out["density_trend_ok"] and out["speed_trend_ok"]
+    say(11, ok, f"collisions on ({n_coll} events over 90 s, at least 1000; "
+                f"sim wall time {elapsed:.0f} s): density and speed trends "
+                "still hold")
+    assert n_coll >= 1000
     assert out["density_trend_ok"]
     assert out["speed_trend_ok"]

@@ -1,13 +1,27 @@
 """The public surface holds only what the package, the demos or the
 benchmark use: a name that only tests reach belongs in the tests."""
 
+import argparse
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import fluidswarm
+from fluidswarm import (FitConfig, GasModel, NozzleGeometry, PlantParams,
+                        SimConfig)
+from fluidswarm.cli import _FLAGS, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fluidswarm"
+
+
+def _outside_trees() -> dict:
+    """The parsed package modules, demos and benchmark files, by path."""
+    paths = sorted(PACKAGE.glob("*.py")) + [
+        path for folder in ("demos", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))]
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for path in paths}
 
 
 def _loads(path: Path, in_package: bool):
@@ -89,11 +103,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     """A parameter only tests set is an option nobody uses: the package,
     the demos or the benchmark must pass it, by keyword or by position, in
     a call to the function by its name or an ``import ... as`` alias."""
-    paths = sorted(PACKAGE.glob("*.py")) + [
-        path for folder in ("demos", "perfbench")
-        for path in sorted((ROOT / folder).glob("*.py"))]
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in paths}
+    trees = _outside_trees()
     aliases = {a.asname: a.name for tree in trees.values()
                for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -115,3 +125,49 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert unused == [], (
         f"defaulted parameters that only tests pass: {unused}; make each a "
         "constant or pass it")
+
+
+# fields that nothing outside the tests sets, each kept because the
+# benchmark reads it; they go with the benchmark's next change
+BENCHMARK_FIELDS = {
+    "SimConfig.collision_radius":
+        "perfbench/tracing.py recounts pairs at 2 * config.collision_radius",
+    "PlantParams.tau_thrust":
+        "perfbench counts plant sub-steps with substep_count(dt, params)",
+}
+
+
+def _flag_names() -> set[str]:
+    """The destination of every flag of every subcommand."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for p in sub.choices.values() for a in p._actions}
+
+
+def test_every_config_field_is_set_outside_the_tests():
+    """A field only tests set is a setting nobody chooses: the package, the
+    demos or the benchmark must pass it by keyword to its class or to
+    ``replace()``, or a flag of the command line must set it (under its
+    ``_FLAGS`` name where it has one)."""
+    keywords = set()
+    for tree in _outside_trees().values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id",
+                               getattr(call.func, "attr", None))
+                keywords.update((name, k.arg) for k in call.keywords)
+    flags = _flag_names()
+    unset = sorted(f"{cls.__name__}.{f.name}"
+                   for cls in (SimConfig, PlantParams, FitConfig, GasModel,
+                               NozzleGeometry)
+                   for f in fields(cls)
+                   if (cls.__name__, f.name) not in keywords
+                   and ("replace", f.name) not in keywords
+                   and _FLAGS.get(f.name, f.name) not in flags)
+    extra = sorted(set(unset) - set(BENCHMARK_FIELDS))
+    assert extra == [], (
+        f"fields that only tests set: {extra}; make each a module constant "
+        "beside the code that reads it, or set it")
+    assert unset == sorted(BENCHMARK_FIELDS), (
+        "a field kept for the benchmark is now set outside the tests: "
+        f"{sorted(set(BENCHMARK_FIELDS) - set(unset))}")

@@ -358,13 +358,14 @@ def test_reloaded_run_reports_the_same_metrics(tmp_path, trace60, grid):
     assert back == metrics_report(trace60, grid).values
 
 
-def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
+def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit,
+                                                       monkeypatch):
     # a 2 kg, 3 g platform, so the mass shows in the fields
     heavy = replace(fit, config=replace(fit.config, agent_mass=2.0))
     plant = PlantParams(mass=2.0, thrust_to_weight=3.0)
+    monkeypatch.setattr(swarm_sim, "TRAJECTORY_STRIDE", 1)
     trace = run_simulation(grid, heavy, SimConfig(
-        duration=4.0, seed=2, record_trajectories=True, trajectory_stride=1),
-        plant)
+        duration=4.0, seed=2, record_trajectories=True), plant)
     t, _ids, pos, vel = trace.trajectories[-1]
     assert t == trace.frame_t[-1]
     d = derive_fields(trace, grid, transient=trace.frame_t[-2])
@@ -387,14 +388,16 @@ def test_one_frame_fields_equal_the_per_agent_formulas(grid, fit):
     assert checked > 10
 
 
-def test_deviation_pressure_equals_the_per_agent_sums(grid, fit):
+def test_deviation_pressure_equals_the_per_agent_sums(grid, fit,
+                                                      monkeypatch):
     """``pressure_dev``, which ``derive_fields`` expands from the frame
     sums, equals the per-agent form: per frame, the sum of |v - v_target|^2
     over a cell's agents in a stride-1 trajectory snapshot, times the
     pressure coefficient, averaged over the frames the cell was occupied.
     Cells without a target are NaN in both."""
+    monkeypatch.setattr(swarm_sim, "TRAJECTORY_STRIDE", 1)
     trace = run_simulation(grid, fit, SimConfig(
-        duration=10.0, seed=3, record_trajectories=True, trajectory_stride=1))
+        duration=10.0, seed=3, record_trajectories=True))
     transient = 4.0
     d = derive_fields(trace, grid, transient=transient)
     total = np.zeros(grid.num_cells)
@@ -421,8 +424,9 @@ def test_derived_fields_equal_the_per_frame_loop_bit_for_bit(trace60, grid):
     nan_frames = sum(bool(np.isnan(grid.v_target[r.cells]).any())
                      for r in frame_rows(trace60.frames))
     assert nan_frames > len(trace60.frame_t) // 2
-    d = derive_fields(trace60, grid)
-    for name, want in per_frame_fields(trace60, grid).items():
+    fields = per_frame_fields(trace60, grid)
+    d = derive_fields(trace60, grid, fields["transient"])
+    for name, want in fields.items():
         got = getattr(d, name)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -448,7 +452,7 @@ def test_derived_fields_across_chunk_seams_equal_the_per_frame_loop(
     want = per_frame_fields(trace, grid)
     window = trace.frames.offsets[-1 - want["frames_used"]]
     assert trace.frames.offsets[-1] - window > 20 * chunk_rows
-    d = derive_fields(trace, grid)
+    d = derive_fields(trace, grid, want["transient"])
     for name, value in want.items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(getattr(d, name), value, equal_nan=True), name
@@ -478,12 +482,14 @@ def event_counts(trace, transient):
 COUNT_CASES = {
     "tunnel": SimConfig(case="tunnel_seeding", duration=20.0, seed=1),
     "collisions": SimConfig(duration=30.0, seed=0, batch_size=17,
-                            collisions=True, min_approach_speed=0.02),
+                            collisions=True),
 }
 
 
 @pytest.mark.parametrize("case", ["reservoir", *COUNT_CASES])
-def test_report_counts_equal_the_event_counts(trace60, grid, fit, case):
+def test_report_counts_equal_the_event_counts(trace60, grid, fit, monkeypatch,
+                                              case):
+    monkeypatch.setattr(swarm_sim, "MIN_APPROACH_SPEED", 0.02)
     trace = trace60 if case == "reservoir" \
         else run_simulation(grid, fit, COUNT_CASES[case])
     # the default transient and one on a frame boundary

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fluidswarm import (FieldFormatError, PlantParams, SimConfig,
+from fluidswarm import (GRAVITY, FieldFormatError, PlantParams, SimConfig,
                         build_command_table, detect_collisions,
                         injection_rate, load_run, plant_suite,
                         population_balance, records, resolve_collisions,
@@ -31,7 +31,7 @@ from fluidswarm.velocity_plant import PlantState, step as plant_step
 from reference import (digest, frame_rows, frame_table, full_sumv2,
                        pair_row_collisions)
 
-CFG = SimConfig()  # collision thresholds at their defaults
+CFG = SimConfig()  # collision radius at its default
 
 
 def n_events(trace, kind):
@@ -199,7 +199,7 @@ def test_batch_sizing_rounds_the_rate(grid, fit, trace60):
 def test_make_batch_fills_the_inlet_disc(grid, fit):
     cfg = SimConfig(seed=9)
     cell = entry_cell(grid, fit)
-    pos, vel, thr = make_batch(grid, fit, cfg, PlantParams(), 0, 200, cell)
+    pos, vel, thr = make_batch(grid, fit, cfg, 0, 200, cell)
     assert pos.shape == (200, 3)
     assert np.all((pos[:, 0] >= 0.0) & (pos[:, 0] < grid.edge_length))
     assert np.all(np.hypot(pos[:, 1], pos[:, 2]) <= grid.geometry.radius(0.0))
@@ -210,7 +210,7 @@ def test_make_batch_fills_the_inlet_disc(grid, fit):
 
 def test_seed_tunnel_counts_and_placement(grid, fit):
     cfg = SimConfig(case="tunnel_seeding", seed=4)
-    pos, vel, thr = seed_tunnel(grid, fit, cfg, PlantParams())
+    pos, vel, thr = seed_tunnel(grid, fit, cfg)
     centers = grid.centers()
     bound = 0.5 * grid.geometry.length
     seeded = [f for f in fit.cells.tolist() if centers[f, 0] <= bound]
@@ -240,27 +240,25 @@ def test_seed_tunnel_equals_per_cell_default_rng_seeding(grid, fit, seed):
         lo = grid.origin + grid.unravel([f])[0] * grid.edge_length
         pos_list.append(lo + rng.random((len(v), 3)) * grid.edge_length)
         vel_list.append(np.tile(cfg.scale * v.mean(axis=0), (len(v), 1)))
-    pos, vel, thr = seed_tunnel(grid, fit, cfg, PlantParams())
+    pos, vel, thr = seed_tunnel(grid, fit, cfg)
     assert np.array_equal(pos, np.vstack(pos_list))
     assert np.array_equal(vel, np.vstack(vel_list))
-    assert np.array_equal(thr, np.tile([0.0, 0.0, -PlantParams().gravity],
-                                       (len(pos), 1)))
+    assert np.array_equal(thr, np.tile([0.0, 0.0, -GRAVITY], (len(pos), 1)))
 
 
 def test_seed_tunnel_respects_the_axial_bound(grid, fit):
     cfg = SimConfig(case="tunnel_seeding", seed_x_max=3.0)
-    pos, _, _ = seed_tunnel(grid, fit, cfg, PlantParams())
+    pos, _, _ = seed_tunnel(grid, fit, cfg)
     # cells qualify by center, so positions reach half an edge past the bound
     assert pos[:, 0].max() <= 3.0 + 0.5 * grid.edge_length
     # the seeded cells come first in ascending order: a lower bound places
     # the agents it keeps exactly where the default mid-duct bound does
-    full, _, _ = seed_tunnel(grid, fit, SimConfig(case="tunnel_seeding"),
-                             PlantParams())
+    full, _, _ = seed_tunnel(grid, fit, SimConfig(case="tunnel_seeding"))
     assert SET_SIZE < len(pos) < len(full)
     assert np.array_equal(pos, full[:len(pos)])
     below = SimConfig(case="tunnel_seeding", seed_x_max=-1.0)
     with pytest.raises(ValueError, match="no cells"):
-        seed_tunnel(grid, fit, below, PlantParams())
+        seed_tunnel(grid, fit, below)
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +300,8 @@ def test_separated_or_coasting_pairs_do_not_collide():
 def per_pair_collisions(pos, vel, config, reasons=None):
     """Reference detector: one pair at a time, as ``detect_collisions`` was
     written before its array pass, returning (M, 2) pair rows.
-    ``reasons`` tallies each rejection."""
+    ``reasons`` tallies each rejection. The approach floor and the
+    alignment are read from ``swarm_sim`` at each call."""
     reasons = Counter() if reasons is None else reasons
     if len(pos) < 2:
         return pair_rows()
@@ -317,7 +316,7 @@ def per_pair_collisions(pos, vel, config, reasons=None):
             reasons["coincident"] += 1
             continue
         closing = float((vel[a] - vel[b]) @ (dx / dist))
-        if closing <= config.min_approach_speed:
+        if closing <= swarm_sim.MIN_APPROACH_SPEED:
             reasons["separating" if closing <= 0.0 else "under_floor"] += 1
             continue
         sa, sb = np.linalg.norm(vel[a]), np.linalg.norm(vel[b])
@@ -325,7 +324,7 @@ def per_pair_collisions(pos, vel, config, reasons=None):
             reasons["zero_speed"] += 1
             continue
         align = float(vel[a] @ vel[b]) / (sa * sb)
-        if not align > config.overtake_cos:
+        if not align > swarm_sim.OVERTAKE_COS:
             reasons["misaligned"] += 1
             continue
         out.append((int(a), int(b)))
@@ -345,12 +344,14 @@ def dense_cloud(seed, n=300):
     return pos, vel
 
 
-@pytest.mark.parametrize("config", [CFG, replace(CFG, min_approach_speed=0.02),
-                                    replace(CFG, collision_radius=0.25,
-                                            min_approach_speed=0.0)],
-                         ids=["defaults", "floor_0.02", "radius_0.25_floor_0"])
+@pytest.mark.parametrize("config, floor", [
+    (CFG, swarm_sim.MIN_APPROACH_SPEED), (CFG, 0.5), (CFG, 0.02),
+    (replace(CFG, collision_radius=0.25), 0.0)],
+    ids=["defaults", "floor_0.5", "floor_0.02", "radius_0.25_floor_0"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_array_detection_equals_the_per_pair_loop(seed, config):
+def test_array_detection_equals_the_per_pair_loop(seed, config, floor,
+                                                  monkeypatch):
+    monkeypatch.setattr(swarm_sim, "MIN_APPROACH_SPEED", floor)
     pos, vel = dense_cloud(seed)
     reasons = Counter()
     expected = per_pair_collisions(pos, vel, config, reasons)
@@ -360,7 +361,7 @@ def test_array_detection_equals_the_per_pair_loop(seed, config):
     assert len(expected) > 0
     rejections = {"coincident", "separating", "under_floor", "zero_speed",
                   "misaligned"}
-    if config.min_approach_speed == 0.0:
+    if floor == 0.0:
         rejections.discard("under_floor")   # no closing speed is under 0
     assert set(reasons) == rejections
     # a NaN velocity passes the distance, floor and speed tests and fails
@@ -370,7 +371,7 @@ def test_array_detection_equals_the_per_pair_loop(seed, config):
                           per_pair_collisions(pos, vel, config))
 
 
-def test_thresholds_on_a_pair_value_split_the_same_way():
+def test_thresholds_on_a_pair_value_split_the_same_way(monkeypatch):
     # each threshold sits exactly on one pair's own closing speed or
     # alignment, where a last-bit difference in that value flips the pair
     pos, vel = dense_cloud(0, n=120)
@@ -379,10 +380,12 @@ def test_thresholds_on_a_pair_value_split_the_same_way():
         closing = float((vel[a] - vel[b]) @ (dx / np.linalg.norm(dx)))
         align = float(vel[a] @ vel[b]) / (np.linalg.norm(vel[a])
                                           * np.linalg.norm(vel[b]))
-        for config in (replace(CFG, min_approach_speed=closing),
-                       replace(CFG, overtake_cos=align)):
-            assert np.array_equal(detect_collisions(pos, vel, config),
-                                  per_pair_collisions(pos, vel, config))
+        for name, value in (("MIN_APPROACH_SPEED", closing),
+                            ("OVERTAKE_COS", align)):
+            with monkeypatch.context() as m:
+                m.setattr(swarm_sim, name, value)
+                assert np.array_equal(detect_collisions(pos, vel, CFG),
+                                      per_pair_collisions(pos, vel, CFG))
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +471,7 @@ def test_agents_on_cube_faces_and_at_negative_coordinates():
     assert len(found_pairs(np.vstack([lattice, cloud]), bound)) > 0
 
 
-def test_coincident_agents_pair_with_each_other():
+def test_coincident_agents_pair_with_each_other(monkeypatch):
     rng = np.random.default_rng(6)
     pos = rng.random((30, 3))
     pos[[3, 9, 17, 28]] = pos[11]
@@ -479,8 +482,9 @@ def test_coincident_agents_pair_with_each_other():
     vel = rng.normal(size=(30, 3))
     # coincident pairs have no direction, so none of them collides, even
     # where any alignment overtakes
+    monkeypatch.setattr(swarm_sim, "OVERTAKE_COS", -1.0)
     assert not coincident & set(map(tuple, detect_collisions(
-        pos, vel, replace(CFG, overtake_cos=-1.0)).tolist()))
+        pos, vel, CFG).tolist()))
 
 
 def test_pair_search_with_zero_one_and_two_agents():
@@ -730,13 +734,13 @@ def test_runs_are_deterministic(grid, fit):
 
 
 @pytest.mark.parametrize("kw", [{}, {"case": "tunnel_seeding",
-                                     "collisions": True,
-                                     "min_approach_speed": 0.02}])
-def test_the_simulation_reads_no_target(grid, fit, kw):
+                                     "collisions": True}])
+def test_the_simulation_reads_no_target(grid, fit, monkeypatch, kw):
     """A run on the partition with every target NaN has the frames and
     events of the run on the partition itself: the flight reads the fit and
     the lattice, and a deviation off the targets is the analysis' to
     compute."""
+    monkeypatch.setattr(swarm_sim, "MIN_APPROACH_SPEED", 0.02)
     blind = replace(grid, v_target=np.full_like(grid.v_target, np.nan),
                     p_target=np.full_like(grid.p_target, np.nan),
                     rho_target=np.full_like(grid.rho_target, np.nan))
@@ -765,9 +769,9 @@ def test_tunnel_case_seeds_then_drains(grid, fit):
 
 
 def test_collisions_fire_at_a_low_approach_floor(grid, fit, monkeypatch):
-    # at the default 0.5 m/s floor no pair of this co-flowing run ever fires
+    monkeypatch.setattr(swarm_sim, "MIN_APPROACH_SPEED", 0.02)
     cfg = SimConfig(case="reservoir", duration=20.0, seed=0, batch_size=17,
-                    collisions=True, min_approach_speed=0.02)
+                    collisions=True)
     trace = run_simulation(grid, fit, cfg)
     assert population_balance(trace)["balanced"]
     assert set(trace.events.kind.tolist()) <= set(range(len(EVENT_KINDS)))
@@ -812,8 +816,8 @@ def test_an_agent_sent_to_infinity_faults_and_never_escapes(grid, fit,
         return out
 
     monkeypatch.setattr(swarm_sim, "plant_step", poisoned_step)
-    trace = short_run(grid, fit, seed=0, record_trajectories=True,
-                      trajectory_stride=1)
+    monkeypatch.setattr(swarm_sim, "TRAJECTORY_STRIDE", 1)
+    trace = short_run(grid, fit, seed=0, record_trajectories=True)
     _, gid, pos, _ = trace.trajectories[39]
     assert gid[0] == 0 and 0.0 <= pos[0, 0] <= grid.geometry.length
     events = trace.events
@@ -833,8 +837,8 @@ def test_the_collision_pass_equals_the_copying_block(grid, fit, monkeypatch,
     events equal those of the per-pair detector that the block which
     copied the live agents out and back ran, on (M, 3) pair rows with the
     pairs of ``cKDTree.query_pairs``."""
-    config = SimConfig(duration=60.0, seed=0, batch_size=17, collisions=True,
-                       min_approach_speed=floor)
+    monkeypatch.setattr(swarm_sim, "MIN_APPROACH_SPEED", floor)
+    config = SimConfig(duration=60.0, seed=0, batch_size=17, collisions=True)
     trace = run_simulation(grid, fit, config)
     monkeypatch.setattr(swarm_sim, "detect_collisions", pair_row_collisions)
     ref = run_simulation(grid, fit, config)
@@ -892,8 +896,7 @@ def test_frame_reduce_equals_the_per_column_sums_on_crowded_cells(grid, fit):
     for bit where numpy's pairwise summation takes over (9 or more agents
     in a cell) and where it splits blocks (over 128): the tunnel case seeds
     n* = 9 agents per cell, and one more cell holds 300."""
-    pos, _, thr = seed_tunnel(grid, fit, SimConfig(case="tunnel_seeding"),
-                              PlantParams())
+    pos, _, thr = seed_tunnel(grid, fit, SimConfig(case="tunnel_seeding"))
     centers = grid.centers()
     rng = np.random.default_rng(21)
     pos = np.vstack([pos, centers[int(np.argmax(grid.valid))]
@@ -917,8 +920,8 @@ def full_scan_run(grid, fit, config):
     population held only active agents, with faults taken first. Every
     frame bins all active agents for their commands and again for the frame
     record, and gathers and scatters them by index out of every agent ever
-    injected. It steps and collides through the module's names, so a
-    monkeypatch reaches both."""
+    injected. It steps, collides and takes its snapshot stride through the
+    module's names, so a monkeypatch reaches both loops."""
     plant = PlantParams(mass=fit.config.agent_mass)
     table = build_command_table(grid, fit, config.scale)
     length = grid.geometry.length
@@ -934,7 +937,7 @@ def full_scan_run(grid, fit, config):
 
     pop = FullScanPopulation()
     if config.case == "tunnel_seeding":
-        pos, vel, thr = seed_tunnel(grid, fit, config, plant)
+        pos, vel, thr = seed_tunnel(grid, fit, config)
         ids = pop.append(pos, vel, thr)
         trace.injected += len(ids)
         for i in ids:
@@ -945,8 +948,8 @@ def full_scan_run(grid, fit, config):
         t = k * config.dt
         t_end = float(trace.frame_t[k])
         if config.case == "reservoir" and k % stride == 0:
-            pos, vel, thr = make_batch(grid, fit, config, plant,
-                                       k // stride, n_batch, cell0)
+            pos, vel, thr = make_batch(grid, fit, config, k // stride,
+                                       n_batch, cell0)
             ids = pop.append(pos, vel, thr)
             trace.injected += len(ids)
             for i in ids:
@@ -998,7 +1001,7 @@ def full_scan_run(grid, fit, config):
             trace.retired += int(gone.sum())
 
         trace.frames.append(full_scan_record_frame(pop, grid))
-        if config.record_trajectories and k % config.trajectory_stride == 0:
+        if config.record_trajectories and k % swarm_sim.TRAJECTORY_STRIDE == 0:
             act = np.flatnonzero(pop.active)
             trace.trajectories.append(
                 (t_end, act.copy(), pop.pos[act].copy(), pop.vel[act].copy()))
@@ -1050,8 +1053,8 @@ def test_losing_agents_changes_no_other_agent(grid, fit, monkeypatch):
     """With collisions off no agent reads another's state: a tenth of the
     agents faulted mid-run leave every other agent's snapshots, and every
     injection, bitwise equal to the clean run's."""
-    config = SimConfig(duration=20.0, seed=0, record_trajectories=True,
-                       trajectory_stride=1)
+    monkeypatch.setattr(swarm_sim, "TRAJECTORY_STRIDE", 1)
+    config = SimConfig(duration=20.0, seed=0, record_trajectories=True)
     clean = run_simulation(grid, fit, config)
     calls = []
 
@@ -1101,19 +1104,25 @@ COLLISION_FAULT_CALL = 500
 LOOP_CASES = {
     "reservoir": SimConfig(duration=30.0, seed=6),
     "tunnel": SimConfig(case="tunnel_seeding", duration=20.0, seed=1,
-                        record_trajectories=True, trajectory_stride=7),
+                        record_trajectories=True),
     "collisions": SimConfig(duration=30.0, seed=0, batch_size=17,
-                            collisions=True, min_approach_speed=0.02),
+                            collisions=True),
     "fault": SimConfig(duration=30.0, seed=2),
     "collision_fault": SimConfig(duration=30.0, seed=0, batch_size=17,
-                                 collisions=True, min_approach_speed=0.02),
+                                 collisions=True),
 }
 POISONED_CALL = {"fault": FAULT_CALL, "collision_fault": COLLISION_FAULT_CALL}
+# the swarm_sim constants a case sets, for both loops
+LOOP_CONSTANTS = {"tunnel": {"TRAJECTORY_STRIDE": 7},
+                  "collisions": {"MIN_APPROACH_SPEED": 0.02},
+                  "collision_fault": {"MIN_APPROACH_SPEED": 0.02}}
 
 
 @pytest.mark.parametrize("case", sorted(LOOP_CASES))
 def test_compact_loop_equals_the_full_scan_loop(grid, fit, monkeypatch, case):
     config = LOOP_CASES[case]
+    for name, value in LOOP_CONSTANTS.get(case, {}).items():
+        monkeypatch.setattr(swarm_sim, name, value)
     runs = []
     for run in (run_simulation, full_scan_run):
         if case in POISONED_CALL:
@@ -1182,22 +1191,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="one frame, and to finitely many"):
             SimConfig(dt=dt, duration=duration)
     assert SimConfig(scale=1.5).scale == 1.5  # amplified commands are allowed
-    # a NaN floor passed every pair: two agents flying apart came back as
-    # a collision
-    for name, value in (("min_approach_speed", np.nan),
-                        ("min_approach_speed", -0.01),
-                        ("overtake_cos", np.nan)):
-        with pytest.raises(ValueError, match=name):
-            SimConfig(**{name: value})
-    assert SimConfig(min_approach_speed=0.0).min_approach_speed == 0.0
     for size in (-3, 0):
         with pytest.raises(ValueError, match="batch_size"):
             SimConfig(batch_size=size)
     assert SimConfig(batch_size=1).batch_size == 1
-    for stride in (-1, 0):
-        with pytest.raises(ValueError, match="trajectory_stride"):
-            SimConfig(record_trajectories=True, trajectory_stride=stride)
-    assert SimConfig(trajectory_stride=1).trajectory_stride == 1
     # a NaN bound kept every cell, as +inf does; the infinities keep
     # their meaning (every cell, no cell)
     with pytest.raises(ValueError, match="seed_x_max must not be NaN"):
@@ -1348,9 +1345,23 @@ def _format_8(cols):
 
 def _format_9(cols):
     # the layout whose sumv2 held every row's
-    stored = FrameChunk(*(cols[k] for k in records.FRAME_COLUMNS))
+    stored = FrameChunk(*(cols[k] for k in swarm_sim.FRAME_COLUMNS))
     cols["sumv2"] = full_sumv2(FrameTable(cols["frame_offsets"], [stored]))
     _set_format(cols, 9)
+
+
+def _format_10(cols):
+    # the layout whose plant held the drag, the tilt cone, the shaping
+    # constant and gravity, and whose config held the approach floor, the
+    # alignment and the snapshot stride
+    meta = json.loads(cols["meta"].item())
+    meta["plant"].update(air_density=1.225, ref_area=[0.02, 0.02, 0.03],
+                         drag_coeff=[1.0, 1.0, 1.2], tilt_max_deg=55.0,
+                         tau_v=0.5, gravity=9.81)
+    meta["config"].update(min_approach_speed=0.5, overtake_cos=0.7,
+                          trajectory_stride=10)
+    cols["meta"] = np.array(json.dumps(meta))
+    _set_format(cols, 10)
 
 
 def _short_sumv2(cols):
@@ -1498,13 +1509,15 @@ def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
     (_format_2, "missing"),
-    # ids fixed at the names these cases had when format 9 was current
-    *(pytest.param(corrupt, f"format {n}, expected 10",
+    # ids fixed at the names these cases had when format 9 or 10 was current
+    *(pytest.param(corrupt, f"format {n}, expected 11",
                    id=f"{corrupt.__name__}-format {n}, expected 9")
       for n, corrupt in ((3, _format_3), (5, _format_5), (6, _format_6),
                          (7, _format_7), (8, _format_8))),
     (_format_4, r"missing \['event_frame'\]"),
-    (_format_9, "format 9, expected 10"),
+    pytest.param(_format_9, "format 9, expected 11",
+                 id="_format_9-format 9, expected 10"),
+    (_format_10, "format 10, expected 11"),
     (_short_sumv2, r"^trace\.npz: sumv2 holds \d+ values, but \d+ rows hold "
                    r"two or more agents$"),
     (_long_sumv2, r"^trace\.npz: sumv2 holds \d+ values, but \d+ rows hold "
@@ -1538,12 +1551,13 @@ def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
                         "at least 1, or None; got True"),
                  id=r"_bool_batch_size-config.batch_size is True, not "
                     r"int \| None$"),
-    pytest.param(_edit_field("_string_in_ref_area", "plant", "ref_area",
-                             [0.02, "x", 0.03]),
-                 _whole("trace.npz: plant: ref_area must be 3 values, each "
-                        "finite and nonnegative; got (0.02, 'x', 0.03)"),
-                 id=r"_string_in_ref_area-plant.ref_area is \[0.02, 'x', "
-                    r"0.03\], not tuple"),
+    pytest.param(_edit_field("_string_in_thrust_to_weight", "plant",
+                             "thrust_to_weight", [2.2, "x", 3.0]),
+                 _whole("trace.npz: plant: thrust_to_weight must be finite "
+                        "and positive, or a tuple of such values; got "
+                        "(2.2, 'x', 3.0)"),
+                 id="_string_in_thrust_to_weight-plant.thrust_to_weight "
+                    "holds a string"),
     pytest.param(_edit_field("_list_mass", "plant", "mass", [1.0]),
                  _whole("trace.npz: plant: mass must be finite and positive; "
                         "got (1.0,)"),
@@ -1617,7 +1631,7 @@ def test_streamed_columns_are_the_bytes_of_the_joined_columns(tmp_path, grid,
     trace = short_run(grid, fit, seed=8, record_trajectories=True)
     save_run(trace, grid, tmp_path)
     joined = {name: np.concatenate([getattr(r, name) for r in trace.frames])
-              for name in records.FRAME_COLUMNS}
+              for name in swarm_sim.FRAME_COLUMNS}
     for i, name in enumerate(records.TRAJ_COLUMNS, start=1):
         joined[name] = np.concatenate([snap[i] for snap in trace.trajectories])
     assert joined["cells"].dtype == joined["counts"].dtype == np.int32
@@ -1710,9 +1724,10 @@ def test_pieces_rebuild_the_sumv2_of_every_one_agent_row(grid, fit,
     runs velocities in every direction."""
     monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", 997)
     monkeypatch.setattr(swarm_sim, "READ_ROWS", 61)
+    monkeypatch.setattr(swarm_sim, "MIN_APPROACH_SPEED", 0.02)
     for config in (SimConfig(case="tunnel_seeding", duration=20.0, seed=1),
                    SimConfig(duration=10.0, seed=0, batch_size=17,
-                             collisions=True, min_approach_speed=0.02)):
+                             collisions=True)):
         monkeypatch.setattr(swarm_sim, "plant_step", gusty_plant())
         trace = run_simulation(grid, fit, config)
         assert len(trace.frames.chunks) > 10

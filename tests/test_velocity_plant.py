@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fluidswarm import (PlantParams, PlantState, plant_step, plant_suite,
-                        tilt_angle_deg)
+from fluidswarm import (GRAVITY, PlantParams, PlantState, plant_step,
+                        plant_suite, tilt_angle_deg)
 from fluidswarm.plant_suite import (DT, FF_GAIN, HEADWIND_DURATION,
                                     HEADWIND_SPEEDS, NOISE_DURATION,
                                     NOISE_HOLD, NOISE_LEVELS, NOISE_RUNS,
@@ -16,6 +16,7 @@ from fluidswarm.plant_suite import (DT, FF_GAIN, HEADWIND_DURATION,
                                     hover_hold, max_speed_sweep,
                                     noise_monte_carlo, rollout, run_suite,
                                     step_response)
+from fluidswarm.velocity_plant import DRAG_FACTOR, TAN_TILT_MAX, TAU_V
 from reference import constrain_accel, desired_accel, drag_force
 
 P = PlantParams()
@@ -23,17 +24,17 @@ P = PlantParams()
 
 def test_drag_force_hand_value():
     # x axis: 0.5 * 1.225 * 1.0 * 0.02 * 4^2 = 0.196 N, opposing motion
-    f = drag_force([4.0, 0.0, 0.0], P)
+    f = drag_force([4.0, 0.0, 0.0])
     assert np.allclose(f, [-0.196, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(drag_force([-4.0, 0.0, 0.0], P), [0.196, 0.0, 0.0])
+    assert np.allclose(drag_force([-4.0, 0.0, 0.0]), [0.196, 0.0, 0.0])
     # z axis uses its own coefficient/area pair: 0.5 * 1.225 * 1.2 * 0.03
-    fz = drag_force([0.0, 0.0, 2.0], P)
+    fz = drag_force([0.0, 0.0, 2.0])
     assert fz[2] == pytest.approx(-0.5 * 1.225 * 1.2 * 0.03 * 4.0, rel=1e-12)
 
 
 def test_desired_accel_shaping():
     a = desired_accel([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], P)
-    assert np.allclose(a, [2.0, 0.0, -9.81])  # (cmd-v)/tau_v, gravity comp
+    assert np.allclose(a, [2.0, 0.0, -9.81])  # (cmd-v)/TAU_V, gravity comp
     windy = PlantParams(ff_gain=0.8)
     aw = desired_accel([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-4.0, 0.0, 0.0], windy)
     # feedforward cancels the drag expected at (cmd - wind) = 4 m/s airspeed
@@ -45,7 +46,7 @@ def test_constrain_accel_respects_both_limits():
     a = rng.normal(0.0, 30.0, (500, 3))
     c = constrain_accel(a, P)
     tilt = tilt_angle_deg(c)
-    assert np.all(tilt <= P.tilt_max_deg + 1e-9)
+    assert np.all(tilt <= 55.0 + 1e-9)
     assert np.all(np.linalg.norm(c, axis=1) <= P.a_max + 1e-9)
     # demands already inside both limits pass through untouched
     mild = np.array([[1.0, 0.5, -9.81]])
@@ -65,11 +66,11 @@ def test_tilt_angle():
 
 
 def test_hover_is_a_fixed_point():
-    state = PlantState.hover(P)
+    state = PlantState.hover()
     for _ in range(100):
         state = plant_step(state, [0.0, 0.0, 0.0], 0.05, P)
     assert np.all(np.abs(state.velocity) <= 1e-12)
-    assert np.allclose(state.thrust_accel, [0.0, 0.0, -P.gravity])
+    assert np.allclose(state.thrust_accel, [0.0, 0.0, -GRAVITY])
 
 
 def test_single_substep_is_an_exact_exponential_lag():
@@ -82,7 +83,7 @@ def test_single_substep_is_an_exact_exponential_lag():
     a_d = constrain_accel(desired_accel(v0, cmd, np.zeros(3), P), P)
     want_a = a_d + (a0 - a_d) * np.exp(-dt / P.tau_thrust)
     assert np.allclose(nxt.thrust_accel, want_a, rtol=1e-12, atol=1e-12)
-    want_v = v0 + dt * (want_a + [0.0, 0.0, P.gravity] + drag_force(v0, P) / P.mass)
+    want_v = v0 + dt * (want_a + [0.0, 0.0, GRAVITY] + drag_force(v0) / P.mass)
     assert np.allclose(nxt.velocity, want_v, rtol=1e-12, atol=1e-12)
 
 
@@ -96,9 +97,9 @@ def test_substeps_keep_pace_with_the_thrust_lag():
 def test_steady_speed_matches_force_balance():
     """Terminal speed under a constant command solves (c-v)/tau = k v^2 / m."""
     cmd = 8.0
-    k = float(P.drag_factor[0])
-    want = brentq(lambda v: (cmd - v) / P.tau_v - k * v * v / P.mass, 0.0, cmd)
-    state = PlantState.hover(P)
+    k = float(DRAG_FACTOR[0])
+    want = brentq(lambda v: (cmd - v) / TAU_V - k * v * v / P.mass, 0.0, cmd)
+    state = PlantState.hover()
     for _ in range(int(30.0 / 0.005)):
         state = plant_step(state, [cmd, 0.0, 0.0], 0.005, P)
     got = float(state.velocity[0, 0])
@@ -108,7 +109,7 @@ def test_steady_speed_matches_force_balance():
 
 def test_plant_stays_bounded_under_wild_commands():
     rng = np.random.default_rng(4)
-    state = PlantState.hover(P)
+    state = PlantState.hover()
     for _ in range(2000):
         cmd = rng.uniform(-30.0, 30.0, 3)
         state = plant_step(state, cmd, 0.05, P)
@@ -118,14 +119,12 @@ def test_plant_stays_bounded_under_wild_commands():
 
 def test_step_rejects_bad_dt():
     with pytest.raises(ValueError):
-        plant_step(PlantState.hover(P), [1.0, 0.0, 0.0], 0.0, P)
+        plant_step(PlantState.hover(), [1.0, 0.0, 0.0], 0.0, P)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         PlantParams(mass=0.0)
-    with pytest.raises(ValueError):
-        PlantParams(tilt_max_deg=95.0)
     with pytest.raises(ValueError):
         PlantParams(thrust_to_weight=-1.0)
     with pytest.raises(ValueError):
@@ -207,7 +206,7 @@ def test_run_suite_scenario_selection():
 
 def _one_agent(params, command, steps, dt, wind=(0.0, 0.0, 0.0)):
     """Reference: a single agent stepped alone, command(k) per step."""
-    state = PlantState.hover(params)
+    state = PlantState.hover()
     vs = np.empty((steps, 3))
     for k in range(steps):
         state = plant_step(state, command(k), dt, params, wind=wind)
@@ -306,7 +305,7 @@ def reference_constrain(a_d, params):
     a_d = a_d.copy()
     up = np.maximum(-a_d[:, 2], 0.0)
     lat = np.hypot(a_d[:, 0], a_d[:, 1])
-    lim = params.tan_tilt_max * up
+    lim = np.tan(np.deg2rad(55.0)) * up
     over = lat > lim
     shrink = np.ones_like(lat)
     nz = over & (lat > 0)
@@ -330,10 +329,11 @@ def reference_step(state, v_cmd, dt, params, wind=(0.0, 0.0, 0.0)):
     decay = float(np.exp(-h / params.tau_thrust))
     v = state.velocity.copy()
     a = state.thrust_accel.copy()
-    g_vec = np.array([0.0, 0.0, params.gravity])
+    g_vec = np.array([0.0, 0.0, 9.81])
     wind = np.asarray(wind, dtype=float)
-    drag = 0.5 * params.air_density * np.asarray(params.drag_coeff) \
-        * np.asarray(params.ref_area)
+    # 0.5 * air density * drag coefficients * reference areas
+    drag = 0.5 * 1.225 * np.asarray((1.0, 1.0, 1.2)) \
+        * np.asarray((0.02, 0.02, 0.03))
 
     def drag_on(u):
         return -drag * np.abs(u) * u
@@ -342,8 +342,8 @@ def reference_step(state, v_cmd, dt, params, wind=(0.0, 0.0, 0.0)):
         cmd = np.broadcast_to(np.atleast_2d(np.asarray(v_cmd, dtype=float)),
                               v.shape)
         w = np.broadcast_to(np.atleast_2d(wind), v.shape)
-        a_d = (cmd - v) / params.tau_v
-        a_d[:, 2] -= params.gravity
+        a_d = (cmd - v) / 0.5
+        a_d[:, 2] -= 9.81
         if params.ff_gain != 0.0:
             a_d = a_d + params.ff_gain * (-drag_on(cmd - w)) / params.mass
         a_d = reference_constrain(a_d, params)
@@ -420,7 +420,7 @@ def test_constrain_accel_equals_the_n_by_3_formula_bit_for_bit():
     pre-test must hand on to ``hypot``."""
     rng = np.random.default_rng(12)
     a = rng.normal(0.0, 20.0, (400, 3))
-    lim = P.tan_tilt_max * np.maximum(-a[:, 2], 0.0)
+    lim = TAN_TILT_MAX * np.maximum(-a[:, 2], 0.0)
     lat = np.hypot(a[:, 0], a[:, 1])
     a[:100, :2] *= (lim[:100] / lat[:100])[:, None]    # on the cone, to rounding
     a[100:110] = a[100:110] / np.linalg.norm(a[100:110], axis=1)[:, None] \
@@ -452,7 +452,7 @@ def test_step_clips_in_every_case_it_is_tested_on():
     _, params, state, cmd, _ = plant_cases()[0]
     a_d = desired_accel(state.velocity, cmd, np.zeros(3), params)
     lat = np.hypot(a_d[:, 0], a_d[:, 1])
-    lim = params.tan_tilt_max * np.maximum(-a_d[:, 2], 0.0)
+    lim = TAN_TILT_MAX * np.maximum(-a_d[:, 2], 0.0)
     assert np.any((lat > lim) & (lim > 0)) and np.any(lim == 0)
     _, params, state, cmd, _ = plant_cases()[1]
     c = constrain_accel(desired_accel(state.velocity, cmd, np.zeros(3),
@@ -522,7 +522,7 @@ def test_step_equals_the_n_by_3_formula_at_suite_and_crowd_sizes(n):
     rng = np.random.default_rng(n)
     v = rng.normal(0.0, 4.0, (n, 3))
     a = rng.normal(0.0, 15.0, (n, 3))
-    a[::2] = [0.0, 0.0, -P.gravity]                 # some agents at hover
+    a[::2] = [0.0, 0.0, -GRAVITY]                   # some agents at hover
     cmd = rng.normal(0.0, 12.0, (n, 3))
     v[:1] = [-0.0, 0.0, -0.0]
     heavy = replace(P, mass=1.7, ff_gain=0.5)
@@ -559,11 +559,10 @@ def test_step_leaves_its_input_state_unchanged():
 
 def test_derived_constants_are_computed_once_and_read_only():
     params = replace(P, thrust_to_weight=(1.5, 2.0))
-    for name in ("a_max", "drag_factor", "tan_tilt_max"):
-        assert getattr(params, name) is getattr(params, name)
-    for arr in (params.a_max, params.drag_factor):
+    assert params.a_max is params.a_max
+    for arr in (params.a_max, DRAG_FACTOR):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert np.array_equal(params.a_max, np.array([1.5, 2.0]) * P.gravity)
-    # replace() recomputes them from the new fields
-    assert replace(params, thrust_to_weight=3.0).a_max == 3.0 * P.gravity
+    assert np.array_equal(params.a_max, np.array([1.5, 2.0]) * GRAVITY)
+    # replace() recomputes it from the new fields
+    assert replace(params, thrust_to_weight=3.0).a_max == 3.0 * GRAVITY
