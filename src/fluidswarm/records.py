@@ -22,8 +22,8 @@ from .partition import ControlVolumeGrid
 from .primitives import (FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, SEED,
                          check, declared, integers_from)
 from .reference_field import GasModel, NozzleGeometry, ReferenceField
-from .swarm_sim import (EVENT_KINDS, FRAME_COLUMNS, EventTable, FrameChunk,
-                        FrameTable, SimConfig, SimulationTrace)
+from .swarm_sim import (EVENT_KINDS, INJECT, EventTable, FrameChunk,
+                        FrameTable, SimConfig, SimulationTrace, frame_columns)
 from .velocity_fit import SET_SIZE, FitConfig, GridFit
 from .velocity_plant import PlantParams
 
@@ -419,15 +419,17 @@ def grid_from_fit(fit: GridFit, meta: dict) -> ControlVolumeGrid:
 # ======================================================================
 
 RUN_FILE = "trace.npz"
-RUN_FORMAT = 11
+RUN_FORMAT = 12
 TRAJ_COLUMNS = {"traj_ids": (np.int64, ()), "traj_pos": (np.float64, (3,)),
                 "traj_vel": (np.float64, (3,))}
-# every member but the JSON ``meta`` string, in file order
+# the members of one layout in every run, in file order; the frame table's
+# columns follow them, at the widths ``frame_columns`` gives for the run's
+# lattice and the agents it injects
 RUN_COLUMNS = {"frame_t": (np.float64, ()), "frame_offsets": (np.int64, ()),
                "traj_t": (np.float64, ()), "traj_offsets": (np.int64, ()),
                **{"event_" + f.name: (np.int64, ()) for f in fields(EventTable)},
-               **FRAME_COLUMNS, **TRAJ_COLUMNS}
-RUN_KEYS = ("meta", *RUN_COLUMNS)
+               **TRAJ_COLUMNS}
+RUN_KEYS = ("meta", *RUN_COLUMNS, *FrameChunk._fields)
 META_KEYS = ("format", "config", "plant", "injection_rate", "batch_size",
              "lattice", "fit")
 FIT_KEYS = {"rng_seed": SEED, "set_size": integers_from(1),
@@ -454,12 +456,13 @@ def save_run(trace: SimulationTrace, grid: ControlVolumeGrid, outdir) -> None:
     """Write the whole trace, flown on ``grid``, to ``outdir/trace.npz``
     (binary, uncompressed).
 
-    The frame table's columns and the trajectory snapshots are flat columns
-    cut by offsets, streamed chunk by chunk and snapshot by snapshot; the
-    event table is one column per field, and config, plant, the lattice
-    (:func:`lattice_meta` of ``grid``) and fit are one JSON string; counts
-    are not stored. :func:`load_run` reads back
-    a trace equal to this one, and that lattice.
+    The frame table's columns, at the table's own widths, and the
+    trajectory snapshots are flat columns cut by offsets, streamed chunk by
+    chunk and snapshot by snapshot; the event table is one column per
+    field, and config, plant, the lattice (:func:`lattice_meta` of
+    ``grid``) and fit are one JSON string; counts are not stored.
+    :func:`load_run` reads back a trace equal to this one, and that
+    lattice.
     """
     os.makedirs(outdir, exist_ok=True)
     meta = {"format": RUN_FORMAT, "config": asdict(trace.config),
@@ -474,14 +477,14 @@ def save_run(trace: SimulationTrace, grid: ControlVolumeGrid, outdir) -> None:
              "traj_offsets": [np.cumsum([0] + [len(s[1]) for s in snaps])]}
     parts.update(("event_" + k, [v]) for k, v in vars(trace.events).items())
     parts.update((name, [getattr(c, name) for c in trace.frames])
-                 for name in FRAME_COLUMNS)
+                 for name in FrameChunk._fields)
     parts.update((name, [s[i] for s in snaps])
                  for i, name in enumerate(TRAJ_COLUMNS, start=1))
     with zipfile.ZipFile(os.path.join(outdir, RUN_FILE), "w") as zf:
         with zf.open("meta.npy", "w", force_zip64=True) as fh:
             np.lib.format.write_array(fh, np.array(json.dumps(meta)),
                                       allow_pickle=False)
-        for name, layout in RUN_COLUMNS.items():
+        for name, layout in {**RUN_COLUMNS, **trace.frames.columns}.items():
             _write_parts(zf, name, parts[name], *layout)
 
 
@@ -492,6 +495,17 @@ def _check_offsets(columns: list, offsets: np.ndarray, n: int) -> None:
             or any(len(c) != offsets[-1] for c in columns)):
         raise FieldFormatError(f"{RUN_FILE}: column lengths disagree with "
                                "offsets")
+
+
+def _check_layout(a: dict, layout: dict) -> None:
+    """Raise unless each member of ``layout`` has its dtype and row
+    shape."""
+    for name, (dtype, row) in layout.items():
+        if a[name].dtype != dtype or a[name].shape[1:] != row \
+                or a[name].ndim != 1 + len(row):
+            shape = ", ".join(["rows", *map(str, row)])
+            raise FieldFormatError(f"{RUN_FILE}: {name} is not "
+                                   f"{np.dtype(dtype)} of shape ({shape})")
 
 
 def load_run(rundir) -> tuple[SimulationTrace, dict]:
@@ -506,10 +520,12 @@ def load_run(rundir) -> tuple[SimulationTrace, dict]:
     are not its fields or that holds a value outside its domain
     (``FIT_KEYS`` for the fit), an injection rate or batch size outside its
     ``RUN_NUMBERS`` domain, a column of another dtype or row shape than
-    ``RUN_COLUMNS`` gives, a cell count below 1, columns whose lengths
-    disagree with each other or with their offsets, a ``sumv2`` whose
-    length is not the number of rows of two or more agents, an event kind
-    outside ``EVENT_KINDS``, or an event frame outside the run.
+    ``RUN_COLUMNS`` gives or, for a frame column, than ``frame_columns``
+    gives for the lattice and the run's ``inject`` events, a cell count
+    below 1, a cell off the lattice, columns whose lengths disagree with
+    each other or with their offsets, a ``sumv2`` whose length is not the
+    number of rows of two or more agents, an event kind outside
+    ``EVENT_KINDS``, or an event frame outside the run.
     """
     with open(os.path.join(rundir, RUN_FILE), "rb") as fh:
         if not zipfile.is_zipfile(fh):
@@ -541,20 +557,20 @@ def load_run(rundir) -> tuple[SimulationTrace, dict]:
     for key in ("config", "plant", "lattice", "fit"):
         if not isinstance(meta[key], dict):
             raise FieldFormatError(f"{RUN_FILE}: {key} is not a JSON object")
-    lattice_from_meta(meta["lattice"], RUN_FILE)
+    num_cells = lattice_from_meta(meta["lattice"], RUN_FILE).num_cells
     read_fields(FIT_KEYS, meta["fit"], RUN_FILE, "fit")
     read_fields(RUN_NUMBERS, meta, RUN_FILE, "meta", exact=False)
     config = read_fields(SimConfig, meta["config"], RUN_FILE, "config")
     plant = read_fields(PlantParams, meta["plant"], RUN_FILE, "plant")
-    for name, (dtype, row) in RUN_COLUMNS.items():
-        if a[name].dtype != dtype or a[name].shape[1:] != row \
-                or a[name].ndim != 1 + len(row):
-            shape = ", ".join(["rows", *map(str, row)])
-            raise FieldFormatError(f"{RUN_FILE}: {name} is not "
-                                   f"{np.dtype(dtype)} of shape ({shape})")
+    _check_layout(a, RUN_COLUMNS)
+    events = EventTable(*(a["event_" + f.name] for f in fields(EventTable)))
+    columns = frame_columns(num_cells, np.count_nonzero(events.kind == INJECT))
+    _check_layout(a, columns)
     if np.any(a["counts"] < 1):
         raise FieldFormatError(f"{RUN_FILE}: a frame cell count below 1")
-    events = EventTable(*(a["event_" + f.name] for f in fields(EventTable)))
+    if len(a["cells"]) and a["cells"].max() >= num_cells:
+        raise FieldFormatError(f"{RUN_FILE}: cells holds {a['cells'].max()}, "
+                               f"off the lattice of {num_cells} cells")
     if len({len(c) for c in vars(events).values()}) > 1:
         raise FieldFormatError(f"{RUN_FILE}: event columns are not of one "
                                "length")
@@ -563,7 +579,7 @@ def load_run(rundir) -> tuple[SimulationTrace, dict]:
     if np.any((events.frame < 0) | (events.frame >= len(a["frame_t"]))):
         raise FieldFormatError(f"{RUN_FILE}: event frame outside the run")
     frames = FrameTable(a["frame_offsets"],
-                        [FrameChunk(*(a[k] for k in FRAME_COLUMNS))])
+                        [FrameChunk(*(a[k] for k in columns))], columns)
     snaps = [a[k] for k in TRAJ_COLUMNS]
     _check_offsets(frames.chunks[0][:3], frames.offsets, len(a["frame_t"]))
     _check_offsets(snaps, a["traj_offsets"], len(a["traj_t"]))

@@ -28,11 +28,16 @@ one (4, N) block: the agent count, the velocity sum and the sum of squared
 speeds. It reads no target; the analysis derives deviations from these
 sums. A one-agent row's sum of squared speeds is its velocity sum's
 squared length, so the table stores that sum only for rows of two or more
-agents and its readers rebuild the rest (``speed2``). Its rows fill
-fixed-size chunks, 32 B a row and 8 B more for a row of two or more
-agents, which no frame copies or grows. Each event is one row of the run's
-event table, its only population record. All randomness is drawn from
-generators seeded by (seed, purpose, index), so traces are reproducible.
+agents and its readers rebuild the rest (``speed2``). Its integer columns
+take the narrowest unsigned types that hold their values
+(``frame_columns``): cells the lattice's last flat index, counts the
+number of agents the run injects, which no cell can exceed. The default
+runs store 2 B of each, so a row is 28 B, and 36 B with its sum of
+squared speeds. The rows fill fixed-size chunks, each cut out of one
+allocation, which no frame copies or grows. Each event is one row of the
+run's event table, its only population record. All randomness is drawn
+from generators seeded by (seed, purpose, index), so traces are
+reproducible.
 
 Collisions are overtakes: a close pair closing faster than the approach
 floor, ``MIN_APPROACH_SPEED`` in the m/s the agents fly, its headings
@@ -101,7 +106,9 @@ class SimConfig:
             raise ValueError("dt_source must be at least one frame")
 
 
-FRAME_CHUNK_ROWS = 1 << 16     # frame rows a chunk holds: 2.5 MiB at most
+# frame rows a chunk holds. A chunk is one allocation: 2.25 MiB at 36 B a
+# row on the default runs, below numpy's 4 MiB huge-page advice
+FRAME_CHUNK_ROWS = 1 << 16
 READ_ROWS = 1 << 13     # rows a reader takes at once: bounds its temporaries
 
 
@@ -116,7 +123,10 @@ def speed2(rows, out=None) -> np.ndarray:
 
 class FrameChunk(NamedTuple):
     """Consecutive rows of a frame table: per occupied cell and frame, the
-    swarm's own moments. Cells and counts are int32, the sums float64.
+    swarm's own moments. Cells and counts are unsigned integers of the
+    widths ``frame_columns`` gives, the sums float64: on the default runs a
+    row is 2 + 2 B of integers and 24 B of ``vsum``, 28 B, and 36 B with
+    its ``sumv2``.
 
     A table's chunks store the sum of squared speeds only for the rows of
     two or more agents, in row order: a one-agent row's is
@@ -129,42 +139,70 @@ class FrameChunk(NamedTuple):
     sumv2: np.ndarray       # sums of squared speeds: see above
 
 
-# a frame table's stored columns, in ``FrameChunk`` order: dtype and row
-# shape; sumv2 holds one value per row of two or more agents, in row order
-FRAME_COLUMNS = {"cells": (np.int32, ()), "counts": (np.int32, ()),
-                 "vsum": (np.float64, (3,)), "sumv2": (np.float64, ())}
+def frame_columns(num_cells: int, injected: int) -> dict:
+    """A frame table's stored columns, in ``FrameChunk`` order: dtype and
+    row shape. Cells take the narrowest unsigned type that holds the last
+    flat index of a lattice of ``num_cells`` cells, counts the narrowest
+    that holds ``injected``, the agents the run injects, which no cell can
+    exceed. ``sumv2`` holds one value per row of two or more agents, in
+    row order."""
+    return {"cells": (np.min_scalar_type(int(num_cells) - 1), ()),
+            "counts": (np.min_scalar_type(int(injected)), ()),
+            "vsum": (np.dtype(np.float64), (3,)),
+            "sumv2": (np.dtype(np.float64), ())}
 
 
 @dataclass(eq=False)
 class FrameTable:
     """A run's frame rows in chunks; frame ``k`` is rows
-    ``offsets[k]:offsets[k + 1]``. The loop fills chunks of
+    ``offsets[k]:offsets[k + 1]``, stored as ``columns``
+    (``frame_columns``) give. The loop fills chunks of
     ``FRAME_CHUNK_ROWS`` rows (one frame's, when it holds more) in place, so
     no row is copied or held twice; a loaded run is one chunk."""
 
     offsets: np.ndarray             # (frames + 1,) int64 row offsets
     chunks: list[FrameChunk]        # each cut to the rows written
+    columns: dict                   # dtype and row shape of each column
 
     def __iter__(self):
         return iter(self.chunks)
 
+    @property
+    def row_bytes(self) -> int:
+        """Bytes of one row of every column, ``sumv2`` included."""
+        return sum(np.dtype(dtype).itemsize * math.prod(shape)
+                   for dtype, shape in self.columns.values())
+
+    def _cut(self, buf: np.ndarray) -> FrameChunk:
+        """The full-length columns of the chunk buffer ``buf``, one after
+        another, each as many rows long as ``buf`` holds whole rows."""
+        rows, start, cols = len(buf) // self.row_bytes, 0, []
+        for dtype, shape in self.columns.values():
+            cols.append(np.ndarray((rows, *shape), dtype, buf, start))
+            start += cols[-1].nbytes
+        return FrameChunk(*cols)
+
     def extend(self, k: int, n: int, many: int) -> FrameChunk:
         """Views of frame ``k``'s ``n`` rows, whose ``sumv2`` holds the
-        ``many`` rows of two or more agents. The last chunk grows into the
-        buffers its columns view while they have room; its ``sumv2`` fills
-        from the front, so the pages past those rows are never written."""
+        ``many`` rows of two or more agents. A chunk's four columns are cut
+        out of one uint8 buffer, which only their ``.base`` holds; its row
+        count is a multiple of 64, so each column starts 64-byte aligned
+        in it. The last chunk grows into its buffer while that has room;
+        each column fills from its front, so the pages past its rows are
+        never written."""
         self.offsets[k + 1] = self.offsets[k] + n
         last = self.chunks[-1] if self.chunks else None
-        if last is not None and len(last.cells) + n <= len(last.cells.base):
+        if last is not None and \
+                len(last.cells) + n <= len(last.cells.base) // self.row_bytes:
             self.chunks.pop()
+            full = self._cut(last.cells.base)
         else:
-            rows = max(FRAME_CHUNK_ROWS, n)
-            last = FrameChunk(*(np.empty((rows, *shape), dtype)[:0]
-                                for dtype, shape in FRAME_COLUMNS.values()))
+            rows = -(-max(FRAME_CHUNK_ROWS, n) // 64) * 64
+            full = self._cut(np.empty(rows * self.row_bytes, np.uint8))
+            last = FrameChunk(*(c[:0] for c in full))
         ends = [len(c) + m for c, m in zip(last, (n, n, n, many))]
-        self.chunks.append(FrameChunk(*(c.base[:e]
-                                        for c, e in zip(last, ends))))
-        return FrameChunk(*(c.base[len(c):e] for c, e in zip(last, ends)))
+        self.chunks.append(FrameChunk(*(c[:e] for c, e in zip(full, ends))))
+        return FrameChunk(*(c[len(s):e] for c, s, e in zip(full, last, ends)))
 
     def pieces(self, start: int = 0):
         """``(row, piece)`` over the rows from ``start`` on: at most
@@ -203,8 +241,8 @@ class FrameTable:
             row += len(chunk.counts)
 
     def __eq__(self, other) -> bool:
-        """Equal offsets and stored columns, however the two tables' chunks
-        fall."""
+        """Equal offsets and stored values, however the two tables' chunks
+        fall and whatever their columns' widths."""
         return np.array_equal(self.offsets, other.offsets) and all(
             _same_rows([c[i] for c in self], [c[i] for c in other])
             for i in range(len(FrameChunk._fields)))
@@ -648,14 +686,18 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
 
     n_frames = int(round(config.duration / config.dt))
     frame_t = (np.arange(n_frames) + 1) * config.dt
-    frames = FrameTable(np.zeros(n_frames + 1, dtype=np.int64), [])
     trajectories = []
     log = _EventLog()
     pop = _Population()
+    stride = max(1, int(round(config.dt_source / config.dt)))
     if config.case == "tunnel_seeding":
         pos, vel, thr = seed_tunnel(grid, fit, config)
         log.add(0, INJECT, pop.append(pos, vel, thr, assign_cell(pos, grid)))
-    stride = max(1, int(round(config.dt_source / config.dt)))
+        injected = pop.total
+    else:       # one batch at each frame a multiple of the stride
+        injected = -(-n_frames // stride) * n_batch
+    frames = FrameTable(np.zeros(n_frames + 1, dtype=np.int64), [],
+                        frame_columns(grid.num_cells, injected))
 
     for k in range(n_frames):
         if config.case == "reservoir" and k % stride == 0:
@@ -758,11 +800,11 @@ def _record_frame(pop: _Population, grid: ControlVolumeGrid,
     """
     flat = pop.flat
     flat[...] = assign_cell(pop.pos.T, grid)
-    # a stable sort's order depends on the keys alone; keys that fit 16 bits
-    # get numpy's radix sort
-    order = np.argsort(flat.astype(np.min_scalar_type(grid.num_cells - 1)),
-                       kind="stable")
-    flat_s = flat[order]
+    # keys in the table's cells dtype: a stable sort's order depends on the
+    # keys alone, and keys that fit 16 bits get numpy's radix sort
+    keys = flat.astype(frames.columns["cells"][0])
+    order = np.argsort(keys, kind="stable")
+    flat_s = keys[order]
     first = np.empty(len(flat_s), dtype=bool)     # first agent of its cell
     first[:1] = True
     np.not_equal(flat_s[1:], flat_s[:-1], out=first[1:])

@@ -138,6 +138,12 @@ def fit_cell(v_target, p_target: float, cell_volume: float,
 # frame tables frame by frame
 # ======================================================================
 
+def one_chunk_table(offsets, chunk: FrameChunk) -> FrameTable:
+    """The table of the one chunk ``chunk``, stored at its own dtypes."""
+    return FrameTable(offsets, [chunk], {
+        k: (c.dtype, c.shape[1:]) for k, c in zip(FrameChunk._fields, chunk)})
+
+
 def frame_table(frames) -> FrameTable:
     """A one-chunk table of per-frame ``(cells, counts, vsum, sumv2)``
     rows, frame after frame, which stores the ``sumv2`` of the rows of two
@@ -146,7 +152,8 @@ def frame_table(frames) -> FrameTable:
     offsets = np.cumsum([0] + [len(f[0]) for f in frames])
     cells, counts, vsum, sumv2 = map(np.concatenate, zip(*frames))
     many = counts > 1
-    one = FrameTable(offsets, [FrameChunk(cells, counts, vsum, sumv2[many])])
+    one = one_chunk_table(offsets,
+                          FrameChunk(cells, counts, vsum, sumv2[many]))
     assert full_sumv2(one).tobytes() == sumv2.astype(float).tobytes()
     return one
 

@@ -252,9 +252,10 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
     """Each subcommand fed every other pipeline file (field, grid, fit and
     run) in place of its input, and ``analyze`` a run directory without
     ``trace.npz``, a damaged one, one whose ``trace.npz`` is a CSV file, one
-    whose config is a number, one whose ``dt`` is a string and two whose
-    lattice edge is a list and a string: one stderr line naming the file,
-    exit status 1 and no output written. So is a fit whose ``rng_seed`` is
+    whose config is a number, one whose ``dt`` is a string, two whose
+    lattice edge is a list and a string and one with a frame cell off its
+    lattice: one stderr line naming the file, exit status 1 and no output
+    written. So is a fit whose ``rng_seed`` is
     1.5 (it read as seed 1 before), a run whose config holds seed 1.5 or
     whose plant mass is ``true``, and a field whose ``gamma`` is ``true``
     or NaN; each line names the key."""
@@ -285,6 +286,10 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
         cols["meta"] = np.array(json.dumps({**meta, key: value}))
         (tmp_path / name).mkdir()
         np.savez(tmp_path / name / "trace.npz", **cols)
+    cols["meta"] = np.array(json.dumps(meta))
+    cols["cells"][0] = 1080 + 100
+    (tmp_path / "off_lattice").mkdir()
+    np.savez(tmp_path / "off_lattice" / "trace.npz", **cols)
     fit_text = (tmp_path / "fit.csv").read_text()
     assert " rng_seed=0 " in fit_text.partition("\n")[0]
     (tmp_path / "float_seed.csv").write_text(
@@ -306,7 +311,8 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
                 path], path)
               for path in ("field.csv", "empty", "damaged", "csv",
                            "numeric_config", "string_dt", "float_seed_run",
-                           "bool_mass", "list_edge", "string_edge")]
+                           "bool_mass", "list_edge", "string_edge",
+                           "off_lattice")]
     cases.append((["simulate", "--out", "o", "--fit", "float_seed.csv"],
                   "float_seed.csv"))
     cases += [(["partition", "--output", "o.csv", "--field", path], path)
@@ -322,6 +328,8 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
                      "finite and positive; got (0.5,)",
         "string_edge": "trace.npz: lattice metadata: edge_length must be "
                        "finite and positive; got '0.5'",
+        "off_lattice": "trace.npz: cells holds 1180, off the lattice of 1080 "
+                       "cells",
         "float_seed.csv": "float_seed.csv: fit metadata: rng_seed must be a "
                           "nonnegative integer; got 1.5",
         "gamma_true.csv": "gamma_true.csv:1: bad metadata entry 'gamma=true'",
@@ -342,7 +350,7 @@ def test_another_stage_s_file_is_a_one_line_error(tmp_path, monkeypatch,
             assert "config is not a JSON object" in err, err
         if path in domain_errors:
             assert err.endswith(f" {domain_errors[path]}\n"), err
-    assert len(cases) == 25
+    assert len(cases) == 26
 
 
 def test_analyze_rejects_targets_of_another_lattice_or_duct(tmp_path,

@@ -16,7 +16,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from fluidswarm import (GRAVITY, FieldFormatError, PlantParams, SimConfig,
-                        build_command_table, detect_collisions,
+                        build_command_table, detect_collisions, fit_grid,
                         injection_rate, load_run, plant_suite,
                         population_balance, records, resolve_collisions,
                         run_simulation, save_run, swarm_sim)
@@ -29,7 +29,7 @@ from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, FrameChunk,
 from fluidswarm.velocity_fit import SET_SIZE, FitConfig, GridFit
 from fluidswarm.velocity_plant import PlantState, step as plant_step
 from reference import (digest, frame_rows, frame_table, full_sumv2,
-                       pair_row_collisions)
+                       one_chunk_table, pair_row_collisions)
 
 CFG = SimConfig()  # collision radius at its default
 
@@ -908,7 +908,9 @@ def test_frame_reduce_equals_the_per_column_sums_on_crowded_cells(grid, fit):
     pop.append(pos, vel, thr, assign_cell(pos, grid))
     ref = FullScanPopulation()
     ref.append(pos, vel, thr)
-    got = swarm_sim.FrameTable(np.zeros(2, dtype=np.int64), [])
+    got = swarm_sim.FrameTable(np.zeros(2, dtype=np.int64), [],
+                               swarm_sim.frame_columns(grid.num_cells,
+                                                       len(pos)))
     swarm_sim._record_frame(pop, grid, got, 0)
     counts = got.chunks[0].counts
     assert np.count_nonzero(counts >= 9) > 10 and counts.max() >= 300
@@ -1345,8 +1347,8 @@ def _format_8(cols):
 
 def _format_9(cols):
     # the layout whose sumv2 held every row's
-    stored = FrameChunk(*(cols[k] for k in swarm_sim.FRAME_COLUMNS))
-    cols["sumv2"] = full_sumv2(FrameTable(cols["frame_offsets"], [stored]))
+    stored = FrameChunk(*(cols[k] for k in FrameChunk._fields))
+    cols["sumv2"] = full_sumv2(one_chunk_table(cols["frame_offsets"], stored))
     _set_format(cols, 9)
 
 
@@ -1362,6 +1364,13 @@ def _format_10(cols):
                           trajectory_stride=10)
     cols["meta"] = np.array(json.dumps(meta))
     _set_format(cols, 10)
+
+
+def _format_11(cols):
+    # the layout with int32 cells and counts columns
+    cols.update(cells=cols["cells"].astype(np.int32),
+                counts=cols["counts"].astype(np.int32))
+    _set_format(cols, 11)
 
 
 def _short_sumv2(cols):
@@ -1420,16 +1429,25 @@ def _numeric_lattice(cols):
     cols["meta"] = np.array(json.dumps(meta))
 
 
-def _int64_cells(cols):
-    cols["cells"] = cols["cells"].astype(np.int64)
+def _signed_cells(cols):
+    assert cols["cells"].dtype == np.uint16
+    cols["cells"] = cols["cells"].astype(np.int16)
 
 
 def _float_cells(cols):
     cols["cells"] = cols["cells"].astype(float)
 
 
-def _int64_counts(cols):
-    cols["counts"] = cols["counts"].astype(np.int64)
+def _wider_counts(cols):
+    # a 1 s run injects two batches, under 256 agents
+    assert cols["counts"].dtype == np.uint8
+    cols["counts"] = cols["counts"].astype(np.uint16)
+
+
+def _cell_off_the_lattice(cols):
+    lattice = json.loads(cols["meta"].item())["lattice"]
+    cols["cells"][len(cols["cells"]) // 2] = \
+        lattice["nx"] * lattice["ny"] * lattice["nz"] + 100
 
 
 def _two_column_vsum(cols):
@@ -1509,15 +1527,18 @@ def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
     (_shift_offsets, "disagree with offsets"),
     (_bump_format, "format"),
     (_format_2, "missing"),
-    # ids fixed at the names these cases had when format 9 or 10 was current
-    *(pytest.param(corrupt, f"format {n}, expected 11",
+    # ids fixed at the names these cases had when format 9, 10 or 11 was
+    # current
+    *(pytest.param(corrupt, f"format {n}, expected 12",
                    id=f"{corrupt.__name__}-format {n}, expected 9")
       for n, corrupt in ((3, _format_3), (5, _format_5), (6, _format_6),
                          (7, _format_7), (8, _format_8))),
     (_format_4, r"missing \['event_frame'\]"),
-    pytest.param(_format_9, "format 9, expected 11",
+    pytest.param(_format_9, "format 9, expected 12",
                  id="_format_9-format 9, expected 10"),
-    (_format_10, "format 10, expected 11"),
+    pytest.param(_format_10, "format 10, expected 12",
+                 id="_format_10-format 10, expected 11"),
+    (_format_11, "format 11, expected 12"),
     (_short_sumv2, r"^trace\.npz: sumv2 holds \d+ values, but \d+ rows hold "
                    r"two or more agents$"),
     (_long_sumv2, r"^trace\.npz: sumv2 holds \d+ values, but \d+ rows hold "
@@ -1595,9 +1616,19 @@ def test_json_numbers_read_as_their_fields(tmp_path, grid, fit):
                  id="_float_batch_size-meta.batch_size is 17.0, not int$"),
     (_list_meta, "meta is not a JSON object"),
     (_numeric_lattice, "lattice is not a JSON object"),
-    (_int64_cells, "cells is not int32"),
-    (_float_cells, "cells is not int32"),
-    (_int64_counts, "counts is not int32"),
+    pytest.param(_signed_cells,
+                 _whole("trace.npz: cells is not uint16 of shape (rows)"),
+                 id="_signed_cells-cells is not uint16"),
+    pytest.param(_float_cells,
+                 _whole("trace.npz: cells is not uint16 of shape (rows)"),
+                 id="_float_cells-cells is not int32"),
+    pytest.param(_wider_counts,
+                 _whole("trace.npz: counts is not uint8 of shape (rows)"),
+                 id="_wider_counts-counts is not uint8"),
+    pytest.param(_cell_off_the_lattice,
+                 _whole("trace.npz: cells holds 1180, off the lattice of "
+                        "1080 cells"),
+                 id="_cell_off_the_lattice-cells holds 1180"),
     (_two_column_vsum, r"vsum is not float64 of shape \(rows, 3\)"),
     (_zero_count, "count below 1"),
     (_unknown_kind, "unknown event kind"),
@@ -1631,10 +1662,10 @@ def test_streamed_columns_are_the_bytes_of_the_joined_columns(tmp_path, grid,
     trace = short_run(grid, fit, seed=8, record_trajectories=True)
     save_run(trace, grid, tmp_path)
     joined = {name: np.concatenate([getattr(r, name) for r in trace.frames])
-              for name in swarm_sim.FRAME_COLUMNS}
+              for name in FrameChunk._fields}
     for i, name in enumerate(records.TRAJ_COLUMNS, start=1):
         joined[name] = np.concatenate([snap[i] for snap in trace.trajectories])
-    assert joined["cells"].dtype == joined["counts"].dtype == np.int32
+    assert joined["cells"].dtype == joined["counts"].dtype == np.uint16
     assert len(trace.trajectories) > 1
     with zipfile.ZipFile(tmp_path / "trace.npz") as zf:
         for name, column in joined.items():
@@ -1646,7 +1677,9 @@ def test_streamed_columns_are_the_bytes_of_the_joined_columns(tmp_path, grid,
 def test_save_run_allocates_less_than_one_chunk(tmp_path, grid, trace60):
     """The frame columns are streamed: writing them never allocates a whole
     column, nor even one chunk of frame rows."""
-    chunk = swarm_sim.FRAME_CHUNK_ROWS * 40     # bytes of one chunk's rows
+    # bytes of one chunk's rows: 36 B a row at the default run's widths
+    chunk = swarm_sim.FRAME_CHUNK_ROWS * trace60.frames.row_bytes
+    assert trace60.frames.row_bytes == 36
     rows = sum(len(r.cells) for r in trace60.frames)
     assert rows * 24 > 4 * chunk    # the vsum column alone holds 4 chunks
     tracemalloc.start()
@@ -1668,7 +1701,76 @@ def test_frame_rows_across_chunks_keep_every_value(grid, fit, monkeypatch,
     monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", chunk_rows)
     got = short_run(grid, fit, seed=5, duration=10.0)
     assert got.frames == want.frames
-    assert all(r.cells.dtype == r.counts.dtype == np.int32 for r in got.frames)
+    assert all(r.cells.dtype == r.counts.dtype == np.uint16
+               for r in got.frames)
+
+
+@pytest.mark.parametrize("edge, cells", [(1.0, np.uint8), (0.5, np.uint16),
+                                         (0.1, np.uint32)])
+def test_each_cell_width_stores_the_rows_and_round_trips(field, tmp_path,
+                                                         edge, cells):
+    """A lattice of at most 256 cells stores uint8 cells, the 0.5 m lattice
+    uint16 and the 0.1 m one, 135,000 cells, uint32. Each run's table
+    equals the table of int64 columns built from its rows, and its run
+    file reads back at its own widths and is written again byte for
+    byte."""
+    grid = partition_domain(field, edge_length=edge)
+    assert (grid.num_cells <= 256) == (edge == 1.0)
+    trace = run_simulation(grid, fit_grid(grid, FitConfig(rng_seed=0)),
+                           SimConfig(duration=1.0))
+    table = trace.frames
+    assert table.columns == swarm_sim.frame_columns(grid.num_cells,
+                                                    trace.totals["inject"])
+    assert table.columns["cells"][0] == cells
+    assert all(c.cells.dtype == cells for c in table)
+    cols = [np.concatenate(c) for c in zip(*table)]
+    wide = one_chunk_table(table.offsets, FrameChunk(
+        cols[0].astype(np.int64), cols[1].astype(np.int64), *cols[2:]))
+    assert wide.chunks[0].cells.dtype == np.int64
+    assert table == wide
+    save_run(trace, grid, tmp_path / "a")
+    back = load_run(tmp_path / "a")[0]
+    assert back.frames == table and back.frames.columns == table.columns
+    assert [c.dtype for c in back.frames.chunks[0]] \
+        == [dtype for dtype, _ in table.columns.values()]
+    save_run(back, grid, tmp_path / "b")
+    assert (tmp_path / "a" / "trace.npz").read_bytes() \
+        == (tmp_path / "b" / "trace.npz").read_bytes()
+
+
+@pytest.mark.parametrize("injected, counts", [
+    (0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16),
+    (65536, np.uint32)])
+def test_counts_take_the_narrowest_width_that_holds_the_injected(injected,
+                                                                 counts):
+    """No cell can hold more agents than the run injects."""
+    assert swarm_sim.frame_columns(1080, injected)["counts"][0] == counts
+
+
+@pytest.mark.parametrize("num_cells, cells", [
+    (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+    (65537, np.uint32)])
+def test_cells_take_the_narrowest_width_that_holds_the_last_index(num_cells,
+                                                                  cells):
+    assert swarm_sim.frame_columns(num_cells, 9)["cells"][0] == cells
+
+
+@pytest.mark.parametrize("config, injected, counts", [
+    # five batches of 51 and four of 64; the last batch enters one frame
+    # before the end
+    (SimConfig(duration=2.05, batch_size=51), 255, np.uint8),
+    (SimConfig(duration=1.55, batch_size=64), 256, np.uint16),
+    (SimConfig(case="tunnel_seeding", duration=0.5), None, np.uint16)])
+def test_the_loop_sizes_counts_to_the_agents_it_injects(grid, fit, config,
+                                                        injected, counts):
+    """The loop knows the run's injected total before its first frame:
+    batches times batch size, or the seeded count."""
+    trace = run_simulation(grid, fit, config)
+    total = trace.totals["inject"]
+    assert total == (injected or len(seed_tunnel(grid, fit, config)[0]))
+    assert trace.frames.columns == swarm_sim.frame_columns(grid.num_cells,
+                                                           total)
+    assert trace.frames.columns["counts"][0] == counts
 
 
 def test_tables_compare_by_their_rows_however_their_chunks_fall():
@@ -1689,13 +1791,13 @@ def test_tables_compare_by_their_rows_however_their_chunks_fall():
         return FrameTable(offsets, [
             FrameChunk(stored.cells[lo:hi], stored.counts[lo:hi],
                        stored.vsum[lo:hi], stored.sumv2[many[lo]:many[hi]])
-            for lo, hi in zip(rows, rows[1:])])
+            for lo, hi in zip(rows, rows[1:])], one.columns)
 
     assert cut(0, 3, 3, 21, 40) == one == cut(0, 40)
     for i, column in enumerate(stored):
         changed = [c.copy() for c in stored]
         changed[i][-1] += 1
-        assert FrameTable(offsets, [FrameChunk(*changed)]) != one, i
+        assert one_chunk_table(offsets, FrameChunk(*changed)) != one, i
 
 
 def gusty_plant():
@@ -1799,8 +1901,9 @@ def test_no_unwritten_chunk_row_leaks(grid, fit, monkeypatch, tmp_path):
     chunks' unwritten tails. Small chunks give the run many of them."""
     monkeypatch.setattr(swarm_sim, "FRAME_CHUNK_ROWS", 1000)
     runs = []
-    for i, fill in enumerate(({"f": np.nan, "i": -7, "b": False},
-                              {"f": 1e300, "i": 2 ** 30, "b": True})):
+    for i, fill in enumerate(({"f": np.nan, "i": -7, "u": 7, "b": False},
+                              {"f": 1e300, "i": 2 ** 30, "u": 200,
+                               "b": True})):
         monkeypatch.setattr(swarm_sim, "np", FilledNumpy(fill))
         trace = short_run(grid, fit, seed=3, duration=10.0)
         monkeypatch.setattr(swarm_sim, "np", np)
