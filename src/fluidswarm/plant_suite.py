@@ -58,10 +58,13 @@ def rollout(params: PlantParams, command, duration: float, dt: float,
 
     ``command(k, t)`` is step ``k``'s command from time ``t``: a (3,) vector
     for all agents or an (n, 3) array. ``wind`` broadcasts the same way.
+    Each step hands the state it returns to the next, so the plant's set-up
+    (its workspace) is built on the first step and reused by the rest.
     The thrust history is kept as component rows, (3, steps, n), and the
     tilts, elementwise, are computed on it once at the end.
     """
     state = PlantState.hover(n)
+    wind = np.asarray(wind, dtype=float)        # converted once, not per step
     steps = int(round(duration / dt))
     ts = np.empty(steps)
     vs = np.empty((steps, n, 3))

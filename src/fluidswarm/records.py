@@ -147,7 +147,7 @@ def read_table(path, header: str,
             else f"expected {width} columns, got {got}"))
     if meta and meta.get("cells") != len(rows):
         raise FieldFormatError(f"{path}: metadata declares cells="
-                               f"{meta.get('cells')}, found {len(rows)} cell rows")
+                               f"{meta.get('cells')}, found {len(rows)} rows")
     return meta, numbers, values
 
 

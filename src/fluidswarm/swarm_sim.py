@@ -711,6 +711,7 @@ def run_simulation(grid: ControlVolumeGrid, fit: GridFit,
         pos, vel, thr = pop.pos, pop.vel, pop.thr
         vel[...] = state.velocity.T
         thr[...] = state.thrust_accel.T
+        del state       # frees the plant's rows and workspace before the next step
         pos += vel * config.dt
 
         # a non-finite position or velocity ends the agent's run before

@@ -29,7 +29,8 @@ from fluidswarm import swarm_sim
 from fluidswarm.swarm_sim import FrameChunk, FrameTable
 from fluidswarm.velocity_fit import SET_SIZE, _solve
 from fluidswarm.velocity_plant import (DRAG_FACTOR, PlantParams, _constrain,
-                                       _desired, _drag, _feedforward, _rows)
+                                       _desired, _drag, _feedforward, _rows,
+                                       _Workspace)
 
 
 # ======================================================================
@@ -95,6 +96,12 @@ def mass_mean_velocity(masses, velocities) -> np.ndarray:
 # (N, 3) plant shims over the row functions ``step`` runs
 # ======================================================================
 
+def _workspace(n, params: PlantParams, wind) -> _Workspace:
+    """``step``'s workspace for ``n`` agents; the demand and the clip do not
+    read dt, so any valid one will do."""
+    return _Workspace(n, params.tau_thrust, params, wind)
+
+
 def drag_force(v_air) -> np.ndarray:
     """Quadratic aerodynamic drag opposing the airspeed, per axis, N."""
     f = _drag(_rows(v_air), -DRAG_FACTOR[:, None]).T
@@ -103,16 +110,20 @@ def drag_force(v_air) -> np.ndarray:
 
 def desired_accel(velocity, v_cmd, wind, params: PlantParams) -> np.ndarray:
     """Unconstrained thrust-acceleration demand, (N, 3)."""
-    v, cmd = _rows(velocity), _rows(v_cmd)
-    ff = _feedforward(cmd, _rows(wind), params)
-    out = np.empty(np.broadcast_shapes(v.shape, cmd.shape, np.shape(ff)))
-    return _desired(v, cmd, ff, out).T
+    v, cmd, wind = _rows(velocity), _rows(v_cmd), _rows(wind)
+    n = np.broadcast_shapes(v.shape, cmd.shape, wind.shape)[1]
+    work = _workspace(n, params, wind)
+    ff = _feedforward(cmd, wind, work)
+    return _desired(v, cmd, ff, work.a_d).T
 
 
 def constrain_accel(accel, params: PlantParams) -> np.ndarray:
     """A demand clipped to the tilt cone, then to the thrust ball; the
     argument is left as it was."""
-    a = _constrain(_rows(accel).copy(), params).T
+    rows = _rows(accel)
+    work = _workspace(rows.shape[1], params, _rows((0.0, 0.0, 0.0)))
+    work.a_d[...] = rows
+    a = _constrain(work).T
     return a if np.ndim(accel) > 1 else a[0]
 
 

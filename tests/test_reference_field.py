@@ -332,6 +332,19 @@ def test_load_field_rejects_partial_or_invalid_metadata(tmp_path):
     assert load_field(path).geometry is None
 
 
+def test_a_miscounted_field_file_counts_rows_not_cells(tmp_path):
+    """A field file's rows are nodes: a row count off the metadata's
+    ``cells`` key is reported as rows."""
+    path = tmp_path / "field.csv"
+    save_field(generate_quasi1d_field(axial_stations=11, radial_rings=2), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-3]) + "\n")
+    nodes = len(lines) - 2
+    with pytest.raises(FieldFormatError, match=rf": metadata declares "
+                       rf"cells={nodes}, found {nodes - 3} rows$"):
+        load_field(path)
+
+
 def test_loader_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

@@ -27,7 +27,8 @@ from fluidswarm.swarm_sim import (EVENT_KINDS, EventTable, FrameChunk,
                                   FrameTable, close_pairs, entry_cell,
                                   make_batch, seed_tunnel)
 from fluidswarm.velocity_fit import SET_SIZE, FitConfig, GridFit
-from fluidswarm.velocity_plant import PlantState, step as plant_step
+from fluidswarm.velocity_plant import (PlantState, step as plant_step,
+                                       substep_count)
 from reference import (digest, frame_rows, frame_table, full_sumv2,
                        one_chunk_table, pair_row_collisions)
 
@@ -695,8 +696,10 @@ def test_the_layers_perfbench_times_are_called_through_module_names(
     (``plant_step``, once per frame), the frame reduction
     (``_record_frame``, once per frame), the injection
     (``_Population.append``, once per batch) and the suite's plant
-    (``plant_suite.step``). A loop that stops calling one of them fails
-    here instead of reporting a layer as zero."""
+    (``plant_suite.step``, once per rollout step, whose agent sub-steps it
+    counts from its positional ``(state, cmd, dt, params)``). A loop that
+    stops calling one of them fails here instead of reporting a layer as
+    zero."""
     calls = Counter()
 
     def counted(owner, name):
@@ -719,9 +722,22 @@ def test_the_layers_perfbench_times_are_called_through_module_names(
                            "plant_step": frames, "_record_frame": frames,
                            "append": batches}
 
-    counted(plant_suite, "step")
+    suite = Counter()
+    real_step = plant_suite.step
+
+    def suite_step(*args, **kwargs):
+        state, _cmd, dt, params = args[:4]
+        suite["calls"] += 1
+        suite["agent_substeps"] += len(state.velocity) * substep_count(
+            dt, params)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(plant_suite, "step", suite_step)
     out = plant_suite.hover_hold()
-    assert calls["step"] == 500 and out["drift_error"] < 1e-3
+    assert suite["calls"] == 500 and out["drift_error"] < 1e-3
+    suite.clear()
+    assert plant_suite.run_suite()["pass"]
+    assert dict(suite) == {"calls": 8800, "agent_substeps": 90200}
 
 
 def test_runs_are_deterministic(grid, fit):

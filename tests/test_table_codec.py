@@ -75,7 +75,7 @@ def per_line_read_table(path, header, width=None):
         raise FieldFormatError(f"{path}: no data rows")
     if meta and meta.get("cells") != len(rows):
         raise FieldFormatError(f"{path}: metadata declares cells="
-                               f"{meta.get('cells')}, found {len(rows)} cell rows")
+                               f"{meta.get('cells')}, found {len(rows)} rows")
     return meta, np.asarray(lines), rows
 
 

@@ -164,7 +164,7 @@ def test_load_fit_rejects_a_damaged_file(tmp_path, fit, grid):
             load_fit(path)
 
     rejects([meta, header, *rows[:-100]],
-            f"declares cells={len(rows)}, found {len(rows) - 100} cell rows")
+            f"declares cells={len(rows)}, found {len(rows) - 100} rows$")
     # a repeated cell row in place of another: the count still matches
     rejects([meta, header, rows[0], *rows[:-1]], ":4: repeated cell")
     rejects([meta, "jx,jy,jz,n_star", *rows], "expected header")

@@ -1,5 +1,6 @@
 """Velocity plant tests: forces, constraints, lag dynamics, steady states."""
 
+import copy
 import warnings
 from dataclasses import replace
 
@@ -9,9 +10,10 @@ from scipy.optimize import brentq
 
 from fluidswarm import (GRAVITY, PlantParams, PlantState, plant_step,
                         plant_suite, tilt_angle_deg)
-from fluidswarm.plant_suite import (DT, FF_GAIN, HEADWIND_DURATION,
-                                    HEADWIND_SPEEDS, NOISE_DURATION,
-                                    NOISE_HOLD, NOISE_LEVELS, NOISE_RUNS,
+from fluidswarm.plant_suite import (ALL_SCENARIOS, DT, FF_GAIN,
+                                    HEADWIND_DURATION, HEADWIND_SPEEDS,
+                                    NOISE_DURATION, NOISE_HOLD,
+                                    NOISE_LEVELS, NOISE_RUNS,
                                     SWEEP_DT, TW_SWEEP, headwind_sweep,
                                     hover_hold, max_speed_sweep,
                                     noise_monte_carlo, rollout, run_suite,
@@ -566,3 +568,97 @@ def test_derived_constants_are_computed_once_and_read_only():
     assert np.array_equal(params.a_max, np.array([1.5, 2.0]) * GRAVITY)
     # replace() recomputes it from the new fields
     assert replace(params, thrust_to_weight=3.0).a_max == 3.0 * GRAVITY
+
+
+def test_a_chain_of_steps_reuses_the_workspace_only_where_it_fits():
+    """Each step of a chain whose agent count, dt, params or wind change
+    between calls equals the (N, 3) formula bit for bit, and the state it
+    returns carries its input's workspace exactly when all four match (an
+    equal params instance matches; a wind of -0.0 does not match calm)."""
+    rng = np.random.default_rng(40)
+    tw = tuple(rng.uniform(1.2, 6.0, 6))
+    heavy = replace(P, mass=1.7, ff_gain=0.8)
+    per_agent = replace(P, thrust_to_weight=tw, ff_gain=0.8)
+    calm, shared = (0.0, 0.0, 0.0), (-4.0, 1.0, 0.5)
+    each = rng.normal(0.0, 5.0, (6, 3))
+    chain = [  # n, dt, params, wind, whether the input's workspace fits;
+        # each step changes one of the four
+        (6, 0.01, P, calm, False),          # a state built by hand has none
+        (6, 0.01, P, calm, True),
+        (6, 0.05, P, calm, False),          # 3 sub-steps
+        (6, 0.05, heavy, calm, False),
+        (6, 0.05, replace(heavy), calm, True),
+        (6, 0.05, heavy, shared, False),
+        (6, 0.05, heavy, each, False),
+        (6, 0.05, heavy, each.copy(), True),
+        (6, 0.05, per_agent, each, False),
+        (6, 0.01, per_agent, each, False),
+        (6, 0.01, per_agent, np.full(3, -0.0), False),
+        (6, 0.01, per_agent, calm, False),
+        (6, 0.01, P, calm, False),
+        (4, 0.01, P, calm, False),          # fewer agents, same workspace
+        (4, 0.01, P, calm, True),
+        (1, 0.01, P, calm, False),
+        (1, 0.01, heavy, calm, False),
+        (1, 0.01, heavy, each[:1], False),
+        (1, 0.05, heavy, each[:1], False),
+        (1, 0.05, heavy, each[:1].copy(), True),
+    ]
+    state = PlantState(rng.normal(0.0, 4.0, (6, 3)),
+                       rng.normal(0.0, 15.0, (6, 3)))
+    for i, (n, dt, params, wind, fits) in enumerate(chain):
+        if n != len(state.velocity):
+            state = copy.copy(state)        # keeps the carried workspace
+            state.velocity = state.velocity[:n]
+            state.thrust_accel = state.thrust_accel[:n]
+        cmd = rng.normal(0.0, 12.0, (n, 3))
+        want = reference_step(state, cmd, dt, params, wind=wind)
+        got = plant_step(state, cmd, dt, params, wind=wind)
+        assert same_bits(got.velocity, want.velocity), i
+        assert same_bits(got.thrust_accel, want.thrust_accel), i
+        assert (got._work is state._work) == fits, i
+        state = got
+
+
+def test_one_state_stepped_twice_gives_two_equal_children():
+    """Two steps from one state share its workspace, give equal children
+    that share no memory, and leave the state and the command as they
+    were."""
+    for name, params, state, cmd, wind in plant_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            parent = plant_step(state, cmd, 0.05, params, wind=wind)
+            before = [x.copy() for x in (parent.velocity, parent.thrust_accel)]
+            cmd_before = np.array(cmd, copy=True)
+            first = plant_step(parent, cmd, 0.05, params, wind=wind)
+            second = plant_step(parent, cmd, 0.05, params, wind=wind)
+        assert first._work is parent._work and second._work is parent._work
+        assert same_bits(first.velocity, second.velocity), name
+        assert same_bits(first.thrust_accel, second.thrust_accel), name
+        assert not np.shares_memory(first.velocity, second.velocity)
+        assert not np.shares_memory(first.thrust_accel, second.thrust_accel)
+        assert same_bits(parent.velocity, before[0]), name
+        assert same_bits(parent.thrust_accel, before[1]), name
+        assert same_bits(cmd, cmd_before), name
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_each_scenario_flies_the_n_by_3_formula_bit_for_bit(monkeypatch,
+                                                            scenario):
+    """Each scenario's rollout (times, velocities and tilts) and its results
+    equal those of the same rollout driven by ``reference_step``."""
+    rollouts = []
+    real = plant_suite.rollout
+
+    def recorded(*args, **kwargs):
+        rollouts.append(real(*args, **kwargs))
+        return rollouts[-1]
+
+    monkeypatch.setattr(plant_suite, "rollout", recorded)
+    got = run_suite(seed=0, scenarios=(scenario,))
+    monkeypatch.setattr(plant_suite, "step", reference_step)
+    want = run_suite(seed=0, scenarios=(scenario,))
+    assert len(rollouts) == 2
+    for g, w in zip(*rollouts):
+        assert same_bits(g, w)
+    assert repr(got) == repr(want)
